@@ -2,10 +2,14 @@
 
 # verify is the extended tier-1 gate: vet, build, full test suite, and a
 # race pass over the packages that share sync.Pool buffers, per-
-# connection scratch state, or lock-free metric hot paths.
+# connection scratch state, or lock-free metric hot paths. It also fails
+# if any non-test package imports encoding/gob: the wire primitives are
+# the one codec for what docks send, JSON the one for operator bodies.
 verify:
 	go vet ./...
 	go build ./...
+	@if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob; then \
+		echo "verify: the packages above import encoding/gob"; exit 1; fi
 	go test ./...
 	go test -race ./internal/wire/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
 	go run ./cmd/migrationbench -check BENCH_migration.json
@@ -51,13 +55,12 @@ bench-telemetry:
 # fuzz runs the wire codec fuzz targets briefly; CI-sized smoke, not a
 # campaign.
 fuzz:
-	go test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/wire/
+	go test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 15s ./internal/wire/
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s ./internal/wire/
 
-# bench-migration regenerates BENCH_migration.json: record/mail codec cost
-# under the binary codec and the gob baseline it replaced, plus full
-# naplet hops (landing, transfer, ack) over real TCP and the simulated
-# WAN. `migrationbench -check` (run by verify) fails if allocs/op regress
+# bench-migration regenerates BENCH_migration.json: record/mail codec
+# cost, plus full naplet hops (landing, transfer, ack) over real TCP and
+# the simulated WAN. `migrationbench -check` (run by verify) fails if allocs/op regress
 # >10% against the committed file.
 bench-migration:
 	go run ./cmd/migrationbench -count 5 -o BENCH_migration.json
@@ -112,11 +115,15 @@ compose-smoke:
 # fuzz-smoke gives every fuzz target ~10 seconds — enough to catch a fresh
 # regression in the corpus-adjacent input space without slowing CI.
 fuzz-smoke:
-	go test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
+	go test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/wire/
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire/
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/itinerary/
 	go test -run '^$$' -fuzz 'FuzzDecodeRecord$$' -fuzztime 10s ./internal/naplet/
 	go test -run '^$$' -fuzz 'FuzzDecodeMail$$' -fuzztime 10s ./internal/naplet/
 	go test -run '^$$' -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/dock/
+	go test -run '^$$' -fuzz 'FuzzDecodeError$$' -fuzztime 10s ./internal/wire/
+	go test -run '^$$' -fuzz 'FuzzDecodeValue$$' -fuzztime 10s ./internal/state/
+	for pkg in navigator messenger directory locator fleet cnmp server; do \
+		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 
 .PHONY: verify chaos bench bench-telemetry bench-migration bench-directory bench-fleet loadgen bench-loadgen compose-smoke fuzz fuzz-smoke

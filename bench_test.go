@@ -192,10 +192,7 @@ func BenchmarkItineraryStep(b *testing.B) {
 
 // BenchmarkFrameCodec measures wire frame encode+decode of a 1 KiB payload.
 func BenchmarkFrameCodec(b *testing.B) {
-	f, err := wire.NewFrame(wire.KindPost, "a", "b", &struct{ Data []byte }{Data: make([]byte, 1024)})
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := wire.Frame{Kind: wire.KindPost, From: "a", To: "b", Payload: make([]byte, 1024)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		data, err := wire.Encode(f)
@@ -225,12 +222,12 @@ func BenchmarkMIBGet(b *testing.B) {
 func BenchmarkNetsimCall(b *testing.B) {
 	net := netsim.New(netsim.Config{})
 	net.Attach("srv", func(from string, f wire.Frame) (wire.Frame, error) {
-		return wire.NewFrame(wire.KindPostConfirm, f.To, f.From, &struct{ OK bool }{true})
+		return wire.Frame{Kind: wire.KindPostConfirm, From: f.To, To: f.From, Payload: []byte{1}}, nil
 	})
 	client, _ := net.Attach("cli", func(string, wire.Frame) (wire.Frame, error) {
 		return wire.Frame{}, nil
 	})
-	req, _ := wire.NewFrame(wire.KindPost, "", "", &struct{ N int }{7})
+	req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

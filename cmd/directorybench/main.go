@@ -49,7 +49,6 @@ import (
 	"repro/internal/directory"
 	"repro/internal/directory/shard"
 	"repro/internal/id"
-	"repro/internal/wire"
 )
 
 // report extends the shared envelope with the workload shape and the
@@ -75,7 +74,6 @@ func main() {
 		{Name: "codec/register-encode-binary", Fn: benchRegisterEncodeBinary, Deterministic: true},
 		{Name: "codec/register-decode-binary", Fn: benchRegisterDecodeBinary, Deterministic: true},
 		{Name: "codec/reply-roundtrip-binary", Fn: benchReplyRoundTripBinary, Deterministic: true},
-		{Name: "codec/register-roundtrip-gob", Fn: benchRegisterRoundTripGob, Deterministic: true},
 		{Name: "ring/owners", Fn: benchRingOwners, Deterministic: true},
 	}
 	if *check != "" {
@@ -483,21 +481,6 @@ func benchReplyRoundTripBinary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := rep.AppendBinary(make([]byte, 0, rep.EncodedSize()))
 		var dec directory.ReplyBody
-		if err := dec.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchRegisterRoundTripGob(b *testing.B) {
-	body := benchBody()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf, err := wire.Marshal(&body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dec directory.RegisterBody
 		if err := dec.Decode(buf); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,7 @@
 // Command migrationbench benchmarks the migration hot path: record and
-// mail serialization under both codecs (the gob baseline lives in the same
-// report, so the binary codec's win is measured, not asserted), and full
-// naplet hops — landing negotiation, transfer, ack — over real TCP and
-// over a simulated WAN. Results land in BENCH_migration.json via `make
-// bench-migration`.
+// mail serialization, and full naplet hops — landing negotiation,
+// transfer, ack — over real TCP and over a simulated WAN. Results land in
+// BENCH_migration.json via `make bench-migration`.
 //
 // With -check <file>, the deterministic codec benchmarks are re-run and
 // compared against the committed baseline: a >10% regression in allocs/op
@@ -42,10 +40,7 @@ func main() {
 	benches := []benchcheck.Bench{
 		{Name: "codec/record-encode-binary", Fn: benchRecordEncodeBinary, Deterministic: true},
 		{Name: "codec/record-decode-binary", Fn: benchRecordDecodeBinary, Deterministic: true},
-		{Name: "codec/record-encode-gob", Fn: benchRecordEncodeGob, Deterministic: true},
-		{Name: "codec/record-decode-gob", Fn: benchRecordDecodeGob, Deterministic: true},
 		{Name: "codec/mail-roundtrip-binary", Fn: benchMailRoundTripBinary, Deterministic: true},
-		{Name: "codec/mail-roundtrip-gob", Fn: benchMailRoundTripGob, Deterministic: true},
 		{Name: "hop/netsim-wan", Fn: benchHopNetsimWAN},
 		{Name: "hop/tcp", Fn: benchHopTCP},
 	}
@@ -164,51 +159,12 @@ func benchRecordDecodeBinary(b *testing.B) {
 	}
 }
 
-func benchRecordEncodeGob(b *testing.B) {
-	rec := benchRecord()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Marshal(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchRecordDecodeGob(b *testing.B) {
-	data, err := wire.Marshal(benchRecord())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := navigator.DecodeRecord(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchMailRoundTripBinary(b *testing.B) {
 	msg := benchMail()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		enc := msg.AppendBinary(make([]byte, 0, msg.EncodedSize()))
 		if _, _, err := naplet.DecodeMessageBinary(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchMailRoundTripGob(b *testing.B) {
-	msg := benchMail()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc, err := wire.Marshal(&msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dec naplet.Message
-		if err := wire.Unmarshal(enc, &dec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,12 +110,7 @@ func fatal(err error) {
 
 // testFrame builds the 1 KiB reference frame used by the codec benchmarks.
 func testFrame() wire.Frame {
-	f, err := wire.NewFrame(wire.KindPost, "station", "device-7", &struct{ Data []byte }{Data: make([]byte, 1024)})
-	if err != nil {
-		fatal(err)
-	}
-	f.Seq = 42
-	return f
+	return wire.Frame{Kind: wire.KindPost, From: "station", To: "device-7", Seq: 42, Payload: make([]byte, 1024)}
 }
 
 func benchEncodeDecode(b *testing.B) {
@@ -164,7 +159,7 @@ func benchStreamWriteRead(b *testing.B) {
 func benchNetsimCall(b *testing.B) {
 	net := netsim.New(netsim.Config{})
 	if _, err := net.Attach("srv", func(from string, f wire.Frame) (wire.Frame, error) {
-		return wire.NewFrame(wire.KindPostConfirm, f.To, f.From, &struct{ OK bool }{true})
+		return wire.Frame{Kind: wire.KindPostConfirm, From: f.To, To: f.From, Payload: []byte{1}}, nil
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +169,7 @@ func benchNetsimCall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req, _ := wire.NewFrame(wire.KindPost, "", "", &struct{ N int }{7})
+	req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -188,7 +183,7 @@ func benchNetsimCall(b *testing.B) {
 func benchTCPRoundTrip(b *testing.B) {
 	fabric := transport.NewTCPFabric()
 	srv, err := fabric.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
-		return wire.NewFrame(wire.KindPostConfirm, f.To, f.From, &struct{ OK bool }{true})
+		return wire.Frame{Kind: wire.KindPostConfirm, From: f.To, To: f.From, Payload: []byte{1}}, nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -201,7 +196,7 @@ func benchTCPRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cli.Close()
-	req, _ := wire.NewFrame(wire.KindPost, "", "", &struct{ N int }{7})
+	req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

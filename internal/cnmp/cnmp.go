@@ -79,7 +79,7 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 		return wire.Frame{}, fmt.Errorf("cnmp: unexpected kind %q", f.Kind)
 	}
 	var body RequestBody
-	if err := f.Body(&body); err != nil {
+	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
 	r.served.Add(1)
@@ -88,7 +88,7 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 	for i, s := range body.OIDs {
 		oid, err := snmp.ParseOID(s)
 		if err != nil {
-			return wire.NewFrame(KindSNMPReply, f.To, f.From, &ReplyBody{Err: err.Error()})
+			return wire.BinaryFrame(KindSNMPReply, f.To, f.From, &ReplyBody{Err: err.Error()}), nil
 		}
 		vb := snmp.VarBind{OID: oid}
 		if body.Op == snmp.OpSet && i < len(body.SetValues) {
@@ -102,7 +102,7 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 		reply.OIDs = append(reply.OIDs, b.OID.String())
 		reply.Values = append(reply.Values, b.Value.Render())
 	}
-	return wire.NewFrame(KindSNMPReply, f.To, f.From, &reply)
+	return wire.BinaryFrame(KindSNMPReply, f.To, f.From, &reply), nil
 }
 
 // Stats summarizes one collection run.
@@ -164,16 +164,12 @@ func (s *Station) Close() error { return s.node.Close() }
 // get performs one SNMP round trip to a device responder.
 func (s *Station) get(ctx context.Context, device, community string, oids []string) ([]string, []string, error) {
 	body := RequestBody{Community: community, Op: snmp.OpGet, OIDs: oids}
-	f, err := wire.NewFrame(KindSNMPRequest, "", "", &body)
-	if err != nil {
-		return nil, nil, err
-	}
-	reply, err := s.node.Call(ctx, device, f)
+	reply, err := s.node.Call(ctx, device, wire.BinaryFrame(KindSNMPRequest, "", "", &body))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rb ReplyBody
-	if err := reply.Body(&rb); err != nil {
+	if err := rb.Decode(reply.Payload); err != nil {
 		return nil, nil, err
 	}
 	if rb.Err != "" {

@@ -131,7 +131,7 @@ func TestSetOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rb ReplyBody
-	if err := reply.Body(&rb); err != nil || rb.Err != "" {
+	if err := rb.Decode(reply.Payload); err != nil || rb.Err != "" {
 		t.Fatalf("set reply: %+v %v", rb, err)
 	}
 	if v, _ := dev.Agent.Get("public", snmp.OIDSysName); v.Str != "renamed" {
@@ -156,8 +156,8 @@ func TestResponderServedCounterAndUnknownKind(t *testing.T) {
 	}
 }
 
-// newFrame wraps wire.NewFrame for tests.
+// newFrame builds a request frame for tests.
 func newFrame(t *testing.T, body RequestBody) (wire.Frame, error) {
 	t.Helper()
-	return wire.NewFrame(KindSNMPRequest, "", "", &body)
+	return wire.BinaryFrame(KindSNMPRequest, "", "", &body), nil
 }

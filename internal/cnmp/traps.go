@@ -17,21 +17,13 @@ type TrapBody struct {
 	Trap snmp.Trap
 }
 
-// trapAck acknowledges a trap frame (SNMP traps are unacknowledged UDP in
-// reality; the fabric is request/reply, so the ack is an empty frame whose
-// bytes are part of the modelled cost).
-type trapAck struct{ OK bool }
-
 // ForwardTraps drains the device's pending notifications and forwards each
 // to the management station, the centralized trap path: every event —
 // significant or noise — crosses the network.
 func (r *Responder) ForwardTraps(ctx context.Context, station string) (int, error) {
 	traps := r.device.TakeTraps()
 	for _, tr := range traps {
-		f, err := wire.NewFrame(KindSNMPTrap, "", "", &TrapBody{Trap: tr})
-		if err != nil {
-			return 0, err
-		}
+		f := wire.BinaryFrame(KindSNMPTrap, "", "", &TrapBody{Trap: tr})
 		if _, err := r.node.Call(ctx, station, f); err != nil {
 			return 0, err
 		}
@@ -69,12 +61,14 @@ func (s *Station) SignificantTraps() []snmp.Trap {
 	return out
 }
 
-// handleTrap stores an inbound trap notification.
+// handleTrap stores an inbound trap notification. SNMP traps are
+// unacknowledged UDP in reality; the fabric is request/reply, so the ack is
+// an empty-payload frame whose header bytes are part of the modelled cost.
 func (s *Station) handleTrap(f wire.Frame) (wire.Frame, error) {
 	var body TrapBody
-	if err := f.Body(&body); err != nil {
+	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
 	s.sink.add(body.Trap)
-	return wire.NewFrame(KindSNMPTrap, f.To, f.From, &trapAck{OK: true})
+	return wire.Frame{Kind: KindSNMPTrap, From: f.To, To: f.From}, nil
 }

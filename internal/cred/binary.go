@@ -13,23 +13,16 @@ import (
 
 // EncodedSize returns the exact binary-encoded size of the credential.
 func (c *Credential) EncodedSize() int {
-	sz := c.NapletID.EncodedSize() + wire.SizeString(c.Codebase) +
-		wire.SizeUvarint(uint64(len(c.Roles)))
-	for _, r := range c.Roles {
-		sz += wire.SizeString(r)
-	}
-	return sz + wire.SizeTime(c.IssuedAt) + wire.SizeTime(c.ExpiresAt) +
-		wire.SizeBytes(c.Signature)
+	return c.NapletID.EncodedSize() + wire.SizeString(c.Codebase) +
+		wire.SizeStrings(c.Roles) + wire.SizeTime(c.IssuedAt) +
+		wire.SizeTime(c.ExpiresAt) + wire.SizeBytes(c.Signature)
 }
 
 // AppendBinary appends the credential's binary form to dst.
 func (c *Credential) AppendBinary(dst []byte) []byte {
 	dst = c.NapletID.AppendBinary(dst)
 	dst = wire.AppendString(dst, c.Codebase)
-	dst = wire.AppendUvarint(dst, uint64(len(c.Roles)))
-	for _, r := range c.Roles {
-		dst = wire.AppendString(dst, r)
-	}
+	dst = wire.AppendStrings(dst, c.Roles)
 	dst = wire.AppendTime(dst, c.IssuedAt)
 	dst = wire.AppendTime(dst, c.ExpiresAt)
 	return wire.AppendBytes(dst, c.Signature)
@@ -46,17 +39,8 @@ func DecodeBinary(b []byte) (Credential, []byte, error) {
 	if c.Codebase, b, err = wire.DecString(b); err != nil {
 		return Credential{}, nil, err
 	}
-	cnt, b, err := wire.DecCount(b, 1)
-	if err != nil {
+	if c.Roles, b, err = wire.DecStrings(b); err != nil {
 		return Credential{}, nil, err
-	}
-	if cnt > 0 {
-		c.Roles = make([]string, cnt)
-		for i := range c.Roles {
-			if c.Roles[i], b, err = wire.DecString(b); err != nil {
-				return Credential{}, nil, err
-			}
-		}
 	}
 	if c.IssuedAt, b, err = wire.DecTime(b); err != nil {
 		return Credential{}, nil, err

@@ -6,46 +6,35 @@ import (
 )
 
 // Binary codecs for the directory-protocol bodies, following the migration
-// codec conventions (DESIGN.md §10): a leading version byte, no
-// reflection, exact-size allocation; decoders sniff the version byte and
-// fall back to gob for frames from senders predating the codec (a gob
-// stream's first byte is a segment length that is never 0x01 for these
-// struct bodies).
+// codec conventions (DESIGN.md §11): a leading version byte, no
+// reflection, exact-size allocation; a payload that starts with any other
+// byte is wire.ErrMalformed.
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
 
-// isBinaryBody reports whether a payload carries the binary body codec.
-func isBinaryBody(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == bodyCodecVersion
+// A RegisterBody and the Entry inside a ReplyBody carry the same fields in
+// the same layout:
+//
+//	[NapletID] [uvarint event] [string server] [string dest] [time at] [uvarint seq]
+
+func sizeEntry(e *Entry) int {
+	return e.NapletID.EncodedSize() + wire.SizeUvarint(uint64(e.Event)) +
+		wire.SizeString(e.Server) + wire.SizeString(e.Dest) +
+		wire.SizeTime(e.At) + wire.SizeUvarint(e.Seq)
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *RegisterBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize() + wire.SizeUvarint(uint64(b.Event)) +
-		wire.SizeString(b.Server) + wire.SizeString(b.Dest) +
-		wire.SizeTime(b.At) + wire.SizeUvarint(b.Seq)
+func appendEntry(dst []byte, e *Entry) []byte {
+	dst = e.NapletID.AppendBinary(dst)
+	dst = wire.AppendUvarint(dst, uint64(e.Event))
+	dst = wire.AppendString(dst, e.Server)
+	dst = wire.AppendString(dst, e.Dest)
+	dst = wire.AppendTime(dst, e.At)
+	return wire.AppendUvarint(dst, e.Seq)
 }
 
-// AppendBinary appends the body's binary form to dst.
-func (b *RegisterBody) AppendBinary(dst []byte) []byte {
-	dst = append(dst, bodyCodecVersion)
-	dst = b.NapletID.AppendBinary(dst)
-	dst = wire.AppendUvarint(dst, uint64(b.Event))
-	dst = wire.AppendString(dst, b.Server)
-	dst = wire.AppendString(dst, b.Dest)
-	dst = wire.AppendTime(dst, b.At)
-	return wire.AppendUvarint(dst, b.Seq)
-}
-
-// Decode parses a register payload, binary or legacy gob.
-func (b *RegisterBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
-	}
-	rest := payload[1:]
-	var err error
-	if b.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
+func decodeEntry(e *Entry, rest []byte) (err error) {
+	if e.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
 		return err
 	}
 	ev, rest, err := wire.DecUvarint(rest)
@@ -55,20 +44,35 @@ func (b *RegisterBody) Decode(payload []byte) error {
 	if ev > uint64(Departure) {
 		return wire.ErrMalformed
 	}
-	b.Event = Event(ev)
-	if b.Server, rest, err = wire.DecString(rest); err != nil {
+	e.Event = Event(ev)
+	if e.Server, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
-	if b.Dest, rest, err = wire.DecString(rest); err != nil {
+	if e.Dest, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
-	if b.At, rest, err = wire.DecTime(rest); err != nil {
+	if e.At, rest, err = wire.DecTime(rest); err != nil {
 		return err
 	}
-	if b.Seq, _, err = wire.DecUvarint(rest); err != nil {
+	e.Seq, _, err = wire.DecUvarint(rest)
+	return err
+}
+
+// EncodedSize returns the exact encoded size of the body.
+func (b *RegisterBody) EncodedSize() int { return 1 + sizeEntry((*Entry)(b)) }
+
+// AppendBinary appends the body's binary form to dst.
+func (b *RegisterBody) AppendBinary(dst []byte) []byte {
+	return appendEntry(append(dst, bodyCodecVersion), (*Entry)(b))
+}
+
+// Decode parses a register payload.
+func (b *RegisterBody) Decode(payload []byte) error {
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
 		return err
 	}
-	return nil
+	return decodeEntry((*Entry)(b), rest)
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -82,13 +86,13 @@ func (b *LookupBody) AppendBinary(dst []byte) []byte {
 	return b.NapletID.AppendBinary(dst)
 }
 
-// Decode parses a lookup payload, binary or legacy gob.
+// Decode parses a lookup payload.
 func (b *LookupBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	var err error
-	b.NapletID, _, err = id.DecodeBinary(payload[1:])
+	b.NapletID, _, err = id.DecodeBinary(rest)
 	return err
 }
 
@@ -103,80 +107,46 @@ func (b *DeregisterBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Server)
 }
 
-// Decode parses a deregister payload, binary or legacy gob.
+// Decode parses a deregister payload.
 func (b *DeregisterBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	var err error
-	b.Server, _, err = wire.DecString(payload[1:])
+	b.Server, _, err = wire.DecString(rest)
 	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *ReplyBody) EncodedSize() int {
-	n := 1 + wire.SizeBool
-	if b.Found {
-		n += b.Entry.NapletID.EncodedSize() +
-			wire.SizeUvarint(uint64(b.Entry.Event)) +
-			wire.SizeString(b.Entry.Server) + wire.SizeString(b.Entry.Dest) +
-			wire.SizeTime(b.Entry.At) + wire.SizeUvarint(b.Entry.Seq)
+	if !b.Found {
+		return 1 + wire.SizeBool
 	}
-	return n
+	return 1 + wire.SizeBool + sizeEntry(&b.Entry)
 }
 
 // AppendBinary appends the body's binary form to dst. A not-found reply
 // carries no entry bytes.
 func (b *ReplyBody) AppendBinary(dst []byte) []byte {
-	dst = append(dst, bodyCodecVersion)
-	dst = wire.AppendBool(dst, b.Found)
+	dst = wire.AppendBool(append(dst, bodyCodecVersion), b.Found)
 	if !b.Found {
 		return dst
 	}
-	dst = b.Entry.NapletID.AppendBinary(dst)
-	dst = wire.AppendUvarint(dst, uint64(b.Entry.Event))
-	dst = wire.AppendString(dst, b.Entry.Server)
-	dst = wire.AppendString(dst, b.Entry.Dest)
-	dst = wire.AppendTime(dst, b.Entry.At)
-	return wire.AppendUvarint(dst, b.Entry.Seq)
+	return appendEntry(dst, &b.Entry)
 }
 
-// Decode parses a reply payload, binary or legacy gob.
+// Decode parses a reply payload.
 func (b *ReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
-	}
-	rest := payload[1:]
-	var err error
-	if b.Found, rest, err = wire.DecBool(rest); err != nil {
-		return err
-	}
-	if !b.Found {
-		b.Entry = Entry{}
-		return nil
-	}
-	if b.Entry.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
-		return err
-	}
-	ev, rest, err := wire.DecUvarint(rest)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
 	if err != nil {
 		return err
 	}
-	if ev > uint64(Departure) {
-		return wire.ErrMalformed
-	}
-	b.Entry.Event = Event(ev)
-	if b.Entry.Server, rest, err = wire.DecString(rest); err != nil {
+	if b.Found, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	if b.Entry.Dest, rest, err = wire.DecString(rest); err != nil {
-		return err
+	b.Entry = Entry{}
+	if !b.Found {
+		return nil
 	}
-	if b.Entry.At, rest, err = wire.DecTime(rest); err != nil {
-		return err
-	}
-	if b.Entry.Seq, _, err = wire.DecUvarint(rest); err != nil {
-		return err
-	}
-	return nil
+	return decodeEntry(&b.Entry, rest)
 }

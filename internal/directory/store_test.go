@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/id"
-	"repro/internal/wire"
 )
 
 // Regression for the equal-timestamp tie: a Departure report arriving with
@@ -199,23 +198,5 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 	}
 	if mback.Found {
 		t.Fatal("miss round trip found=true")
-	}
-}
-
-// Gob-era senders predate the binary bodies; decoders must still accept
-// their frames.
-func TestBodyCodecGobFallback(t *testing.T) {
-	nid := id.MustNew("u", "home", t0)
-	reg := RegisterBody{NapletID: nid, Event: Arrival, Server: "s1", At: t0}
-	payload, err := wire.Marshal(&reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RegisterBody
-	if err := back.Decode(payload); err != nil {
-		t.Fatal(err)
-	}
-	if back.Server != "s1" || back.Event != Arrival {
-		t.Fatalf("gob fallback: %+v", back)
 	}
 }

@@ -1,15 +1,12 @@
 package dock
 
 import (
-	"sort"
-
 	"repro/internal/naplet"
 	"repro/internal/wire"
 )
 
-// Binary codec for version-2 snapshot payloads. The envelope (magic,
-// version, length, CRC) is unchanged; only the payload encoding moved from
-// gob to the hand-rolled wire primitives. Layout:
+// Binary codec for snapshot payloads, built on the wire primitives; the
+// envelope (magic, version, length, CRC) is dock.go's. Layout:
 //
 //	[string server] [time savedAt]
 //	[uvarint r] r×Resident    ([string id] [bytes record] [string phase]
@@ -25,96 +22,26 @@ import (
 // Map keys are emitted sorted so encoding is deterministic (golden-byte
 // fixtures depend on it). Messages reuse the naplet binary message codec.
 
-func sizeMsgMap(m map[string][]naplet.Message) int {
-	sz := wire.SizeUvarint(uint64(len(m)))
-	for k, msgs := range m {
-		sz += wire.SizeString(k) + wire.SizeUvarint(uint64(len(msgs)))
-		for i := range msgs {
-			sz += msgs[i].EncodedSize()
-		}
-	}
-	return sz
+func sizeMsgs(msgs []naplet.Message) int {
+	return wire.SizeSeq(msgs, naplet.Message.EncodedSize)
 }
 
-func appendMsgMap(dst []byte, m map[string][]naplet.Message) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = wire.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = wire.AppendString(dst, k)
-		msgs := m[k]
-		dst = wire.AppendUvarint(dst, uint64(len(msgs)))
-		for i := range msgs {
-			dst = msgs[i].AppendBinary(dst)
-		}
-	}
-	return dst
+func appendMsgs(dst []byte, msgs []naplet.Message) []byte {
+	return wire.AppendSeq(dst, msgs, func(dst []byte, m naplet.Message) []byte { return m.AppendBinary(dst) })
 }
 
+func decodeMsgs(b []byte) ([]naplet.Message, []byte, error) {
+	return wire.DecSeq(b, 4, naplet.DecodeMessageBinary)
+}
+
+// decodeMsgMap restores an empty table as nil, the form a server that
+// never held mail saves.
 func decodeMsgMap(b []byte) (map[string][]naplet.Message, []byte, error) {
-	cnt, b, err := wire.DecCount(b, 2)
-	if err != nil {
-		return nil, nil, err
+	m, b, err := wire.DecMap(b, decodeMsgs)
+	if len(m) == 0 {
+		m = nil
 	}
-	if cnt == 0 {
-		return nil, b, nil
-	}
-	m := make(map[string][]naplet.Message, cnt)
-	for i := 0; i < cnt; i++ {
-		var k string
-		if k, b, err = wire.DecString(b); err != nil {
-			return nil, nil, err
-		}
-		mcnt, rest, err := wire.DecCount(b, 4)
-		if err != nil {
-			return nil, nil, err
-		}
-		msgs := make([]naplet.Message, mcnt)
-		for j := range msgs {
-			if msgs[j], rest, err = naplet.DecodeMessageBinary(rest); err != nil {
-				return nil, nil, err
-			}
-		}
-		m[k] = msgs
-		b = rest
-	}
-	return m, b, nil
-}
-
-func sizeStrings(ss []string) int {
-	sz := wire.SizeUvarint(uint64(len(ss)))
-	for _, s := range ss {
-		sz += wire.SizeString(s)
-	}
-	return sz
-}
-
-func appendStrings(dst []byte, ss []string) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = wire.AppendString(dst, s)
-	}
-	return dst
-}
-
-func decodeStrings(b []byte) ([]string, []byte, error) {
-	cnt, b, err := wire.DecCount(b, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cnt == 0 {
-		return nil, b, nil
-	}
-	ss := make([]string, cnt)
-	for i := range ss {
-		if ss[i], b, err = wire.DecString(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ss, b, nil
+	return m, b, err
 }
 
 // EncodedSize returns the exact binary-encoded payload size of the
@@ -128,14 +55,14 @@ func (s *Snapshot) EncodedSize() int {
 			wire.SizeString(r.Phase) + wire.SizeString(r.Dest) +
 			wire.SizeString(r.TransferID)
 	}
-	sz += sizeMsgMap(s.Held) + sizeMsgMap(s.Mailboxes)
+	sz += wire.SizeMap(s.Held, sizeMsgs) + wire.SizeMap(s.Mailboxes, sizeMsgs)
 	sz += wire.SizeUvarint(uint64(len(s.Home)))
 	for i := range s.Home {
 		h := &s.Home[i]
 		sz += wire.SizeString(h.ID) + wire.SizeString(h.Server) +
 			wire.SizeBool + wire.SizeTime(h.At)
 	}
-	return sz + sizeStrings(s.AcceptedTransfers) + sizeStrings(s.DeliveredMsgs)
+	return sz + wire.SizeStrings(s.AcceptedTransfers) + wire.SizeStrings(s.DeliveredMsgs)
 }
 
 // AppendBinary appends the snapshot's binary payload form to dst.
@@ -151,8 +78,8 @@ func (s *Snapshot) AppendBinary(dst []byte) []byte {
 		dst = wire.AppendString(dst, r.Dest)
 		dst = wire.AppendString(dst, r.TransferID)
 	}
-	dst = appendMsgMap(dst, s.Held)
-	dst = appendMsgMap(dst, s.Mailboxes)
+	dst = wire.AppendMap(dst, s.Held, appendMsgs)
+	dst = wire.AppendMap(dst, s.Mailboxes, appendMsgs)
 	dst = wire.AppendUvarint(dst, uint64(len(s.Home)))
 	for i := range s.Home {
 		h := &s.Home[i]
@@ -161,8 +88,8 @@ func (s *Snapshot) AppendBinary(dst []byte) []byte {
 		dst = wire.AppendBool(dst, h.Arrival)
 		dst = wire.AppendTime(dst, h.At)
 	}
-	dst = appendStrings(dst, s.AcceptedTransfers)
-	return appendStrings(dst, s.DeliveredMsgs)
+	dst = wire.AppendStrings(dst, s.AcceptedTransfers)
+	return wire.AppendStrings(dst, s.DeliveredMsgs)
 }
 
 // DecodeSnapshotBinary parses a version-2 binary snapshot payload. The
@@ -233,10 +160,10 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	if snap.AcceptedTransfers, b, err = decodeStrings(b); err != nil {
+	if snap.AcceptedTransfers, b, err = wire.DecStrings(b); err != nil {
 		return nil, err
 	}
-	if snap.DeliveredMsgs, _, err = decodeStrings(b); err != nil {
+	if snap.DeliveredMsgs, _, err = wire.DecStrings(b); err != nil {
 		return nil, err
 	}
 	return snap, nil

@@ -2,12 +2,15 @@ package dock
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,54 +106,30 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLoadGobSnapshot proves a version-1 (gob payload) snapshot written by
-// a pre-binary-codec build restores through the current loader. The store
-// writes it with SetSaveVersion(VersionGob), which produces byte-for-byte
-// the legacy format (same envelope, wire.Marshal payload).
-func TestLoadGobSnapshot(t *testing.T) {
-	snap := goldenSnapshot(t)
+// TestLoadRejectsV1Envelope: a version-1 envelope (the retired gob payload
+// format) with an intact CRC fails Load loudly instead of being parsed.
+func TestLoadRejectsV1Envelope(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetSaveVersion(VersionGob); err != nil {
+	if err := st.Save(goldenSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Load()
-	if err != nil {
-		t.Fatalf("load of gob-era snapshot: %v", err)
-	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("gob round trip differs:\n got %+v\nwant %+v", got, snap)
-	}
-
-	// Re-save with the current version over the same store; it must load
-	// identically.
-	if err := st.SetSaveVersion(Version); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err = st.Load()
+	data, err := os.ReadFile(st.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("binary round trip differs:\n got %+v\nwant %+v", got, snap)
-	}
-}
-
-func TestSetSaveVersionRejectsUnknown(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
+	binary.BigEndian.PutUint16(data[len(magic):], 1)
+	if err := os.WriteFile(st.Path(), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetSaveVersion(7); err == nil {
-		t.Fatal("unknown save version accepted")
+	snap, err := st.Load()
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Load of a v1 envelope: err = %v, want ErrCorrupt: unsupported version 1", err)
+	}
+	if snap != nil {
+		t.Fatalf("Load of a v1 envelope returned a partial snapshot: %+v", snap)
 	}
 }
 

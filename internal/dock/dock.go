@@ -7,10 +7,9 @@
 // envelope:
 //
 //	magic   [8]byte  "NAPDOCK\n"
-//	version uint16   big-endian (1 = gob payload, 2 = binary payload)
+//	version uint16   big-endian; 2 is the only version written or loaded
 //	length  uint32   big-endian payload byte count
-//	payload []byte   version 1: wire.Marshal(Snapshot);
-//	                 version 2: Snapshot.AppendBinary (codec.go)
+//	payload []byte   Snapshot.AppendBinary (codec.go)
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
 //
 // Writes are atomic: the snapshot lands in a temp file in the same
@@ -30,17 +29,12 @@ import (
 	"time"
 
 	"repro/internal/naplet"
-	"repro/internal/wire"
 )
 
 // Snapshot format constants.
 const (
-	// VersionGob is the legacy snapshot format: a gob-encoded payload.
-	// Stores still load it, so snapshots written before the binary codec
-	// restore cleanly after an upgrade.
-	VersionGob = 1
-	// Version is the current snapshot format version: a hand-rolled
-	// binary payload (see codec.go).
+	// Version is the snapshot format version: a hand-rolled binary
+	// payload (see codec.go). Any other version fails Load.
 	Version = 2
 	// FileName is the live snapshot file inside the store directory.
 	FileName = "dock.snap"
@@ -49,7 +43,7 @@ const (
 var magic = [8]byte{'N', 'A', 'P', 'D', 'O', 'C', 'K', '\n'}
 
 // ErrCorrupt wraps any snapshot-decoding failure: bad magic, unsupported
-// version, short file, CRC mismatch, or a payload gob error.
+// version, short file, CRC mismatch, or a payload decode error.
 var ErrCorrupt = errors.New("dock: corrupt snapshot")
 
 // Resident handoff phases. The phase distinguishes how far a naplet's
@@ -73,7 +67,7 @@ type Resident struct {
 	// ID is the naplet ID string (diagnostics; the authoritative ID is
 	// inside Record).
 	ID string
-	// Record is the navigator-encoded (gob) naplet record.
+	// Record is the navigator-encoded naplet record.
 	Record []byte
 	// Phase is one of the Phase* constants.
 	Phase string
@@ -117,9 +111,8 @@ type Snapshot struct {
 
 // Store persists snapshots under one directory.
 type Store struct {
-	dir     string
-	mu      sync.Mutex
-	saveVer uint16
+	dir string
+	mu  sync.Mutex
 }
 
 // Open prepares a store rooted at dir, creating it if needed.
@@ -130,7 +123,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dock: %w", err)
 	}
-	return &Store{dir: dir, saveVer: Version}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
@@ -161,36 +154,12 @@ func (s *Store) DiskUsage() (uint64, error) {
 	return total, err
 }
 
-// SetSaveVersion selects the payload format Save writes: VersionGob or
-// Version. New stores default to Version; the knob exists so recovery
-// tests (and downgrades) can exercise both formats.
-func (s *Store) SetSaveVersion(v uint16) error {
-	if v != VersionGob && v != Version {
-		return fmt.Errorf("dock: unsupported save version %d", v)
-	}
-	s.mu.Lock()
-	s.saveVer = v
-	s.mu.Unlock()
-	return nil
-}
-
 // Save atomically replaces the live snapshot.
 func (s *Store) Save(snap *Snapshot) error {
-	s.mu.Lock()
-	ver := s.saveVer
-	s.mu.Unlock()
-	var payload []byte
-	if ver == VersionGob {
-		var err error
-		if payload, err = wire.Marshal(snap); err != nil {
-			return fmt.Errorf("dock: encode snapshot: %w", err)
-		}
-	} else {
-		payload = snap.AppendBinary(make([]byte, 0, snap.EncodedSize()))
-	}
+	payload := snap.AppendBinary(make([]byte, 0, snap.EncodedSize()))
 	buf := make([]byte, 0, len(magic)+2+4+len(payload)+4)
 	buf = append(buf, magic[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, ver)
+	buf = binary.BigEndian.AppendUint16(buf, Version)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
@@ -239,7 +208,7 @@ func (s *Store) Load() (*Snapshot, error) {
 	}
 	rest := data[len(magic):]
 	ver := binary.BigEndian.Uint16(rest)
-	if ver != VersionGob && ver != Version {
+	if ver != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	n := binary.BigEndian.Uint32(rest[2:])
@@ -251,13 +220,6 @@ func (s *Store) Load() (*Snapshot, error) {
 	want := binary.BigEndian.Uint32(rest[n:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
-	}
-	if ver == VersionGob {
-		var snap Snapshot
-		if err := wire.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return &snap, nil
 	}
 	snap, err := DecodeSnapshotBinary(payload)
 	if err != nil {

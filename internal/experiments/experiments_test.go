@@ -49,7 +49,7 @@ func TestE3ShapesHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnmpCell.StationBytes < 3*manCell.StationBytes {
+	if cnmpCell.StationBytes < 2*manCell.StationBytes {
 		t.Fatalf("station shape: cnmp=%d man=%d", cnmpCell.StationBytes, manCell.StationBytes)
 	}
 	// Crossover: at one variable, total traffic favors CNMP.

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -128,23 +132,103 @@ func normalizeEvents(evs []Event) []Event {
 	return out
 }
 
-func TestFleetBodyGobFallback(t *testing.T) {
-	// A frame from a sender predating the binary codec decodes via gob.
-	in := HeartbeatBody{Node: "old-dock", Seq: 7, Residents: 1}
-	payload, err := wire.Marshal(&in)
-	if err != nil {
+// body is what every dock-sent fleet body offers its frame.
+type body interface {
+	wire.BinaryBody
+	Decode([]byte) error
+}
+
+// codecBodies pairs a representative value of every body a socket feeds
+// this package with a constructor of its zero value.
+func codecBodies() (samples []body, zero []func() body) {
+	samples = []body{
+		&RegisterBody{Node: "dock1:7001", MetricsAddr: ":8081", Labels: []string{"rack=a", "zone=1"}},
+		&RegisterReplyBody{OK: true, Err: "full", HeartbeatEvery: 1500 * time.Millisecond},
+		&HeartbeatBody{Node: "dock1", Seq: 42, Residents: 3, DiskUsedBytes: 1 << 30, Draining: true},
+		&HeartbeatReplyBody{OK: true, Err: "unknown node", Throttle: true},
+		&EventBatchBody{Node: "dock2", Events: []Event{testEvent(1), testEvent(2), {}}},
+		&EventAckBody{OK: true, Throttle: true},
+		&SubscribeBody{ID: "sub-9", Buf: 2048, Max: 128},
+		&SubscribeReplyBody{ID: "sub-9", Events: []Event{testEvent(5)}, Dropped: 17, Closed: true, Err: "x"},
+	}
+	zero = []func() body{
+		func() body { return new(RegisterBody) },
+		func() body { return new(RegisterReplyBody) },
+		func() body { return new(HeartbeatBody) },
+		func() body { return new(HeartbeatReplyBody) },
+		func() body { return new(EventBatchBody) },
+		func() body { return new(EventAckBody) },
+		func() body { return new(SubscribeBody) },
+		func() body { return new(SubscribeReplyBody) },
+	}
+	return samples, zero
+}
+
+// TestFleetBodiesRejectOldFormats: a payload whose first byte is not the
+// body version — version 0, version 2, a gob stream, nothing — is
+// wire.ErrMalformed and leaves the body untouched; there is no second
+// parser to hand it to.
+func TestFleetBodiesRejectOldFormats(t *testing.T) {
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(HeartbeatBody{Node: "old-dock", Seq: 7, Residents: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if isBinaryBody(payload) {
-		t.Fatal("gob payload sniffed as binary")
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		good := sample.AppendBinary(nil)
+		for name, payload := range map[string][]byte{
+			"version 0": append([]byte{0}, good[1:]...),
+			"version 2": append([]byte{2}, good[1:]...),
+			"gob":       gobbed.Bytes(),
+			"empty":     nil,
+		} {
+			got := zero[i]()
+			if err := got.Decode(payload); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%T, %s: Decode error = %v, want wire.ErrMalformed", sample, name, err)
+			}
+			if !reflect.DeepEqual(got, zero[i]()) {
+				t.Errorf("%T, %s: rejected payload left a partial result %+v", sample, name, got)
+			}
+		}
 	}
-	var out HeartbeatBody
-	if err := out.Decode(payload); err != nil {
-		t.Fatal(err)
+}
+
+// FuzzDecodeBodies feeds arbitrary bytes to every body decoder: no panic,
+// allocation bounded by the input length, and whatever decodes re-encodes
+// to its declared size and decodes again to an equal value.
+func FuzzDecodeBodies(f *testing.F) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		enc := sample.AppendBinary(nil)
+		f.Add(uint8(i), enc)
+		f.Add(uint8(i), enc[:len(enc)/2])
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("gob fallback: got %+v, want %+v", out, in)
-	}
+	f.Add(uint8(4), []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		mk := zero[int(which)%len(zero)]
+		got := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.Decode(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<18) {
+			t.Fatalf("%T: decoding %d bytes allocated %d", got, len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := got.AppendBinary(nil)
+		if len(enc) != got.EncodedSize() {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", got, got.EncodedSize(), len(enc))
+		}
+		again := mk()
+		if err := again.Decode(enc); err != nil {
+			t.Fatalf("%T: re-decode of an accepted body: %v", got, err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("%T: re-decoded value differs:\n got %+v\nwant %+v", got, again, got)
+		}
+	})
 }
 
 func TestEventBatchDecodeRejectsHostileCount(t *testing.T) {

@@ -8,20 +8,15 @@ import (
 
 // Binary codecs for the fleet-protocol bodies, following the migration
 // codec conventions (DESIGN.md §11): a leading version byte, no
-// reflection, exact-size allocation; decoders sniff the version byte and
-// fall back to gob for frames from senders predating the codec. The
-// register/heartbeat/event bodies are the hot path — hundreds of docks
-// ticking every second — so they get hand-rolled codecs; the low-rate
-// operator bodies (waves, node listings) stay gob via wire.NewFrame,
-// where type flexibility matters more than bytes.
+// reflection, exact-size allocation; a payload that starts with any other
+// byte is wire.ErrMalformed. The register/heartbeat/event/subscribe bodies
+// are what docks send on their own — hundreds of them ticking every
+// second — so they get hand-rolled codecs; the operator-plane bodies at
+// the end of this file (waves, node listings) are sent when a human runs
+// napletctl and are JSON via wire.NewFrame.
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
-
-// isBinaryBody reports whether a payload carries the binary body codec.
-func isBinaryBody(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == bodyCodecVersion
-}
 
 // RegisterBody announces a dock to the master (KindFleetRegister).
 type RegisterBody struct {
@@ -35,12 +30,8 @@ type RegisterBody struct {
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *RegisterBody) EncodedSize() int {
-	n := 1 + wire.SizeString(b.Node) + wire.SizeString(b.MetricsAddr) +
-		wire.SizeUvarint(uint64(len(b.Labels)))
-	for _, l := range b.Labels {
-		n += wire.SizeString(l)
-	}
-	return n
+	return 1 + wire.SizeString(b.Node) + wire.SizeString(b.MetricsAddr) +
+		wire.SizeStrings(b.Labels)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -48,39 +39,23 @@ func (b *RegisterBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendString(dst, b.Node)
 	dst = wire.AppendString(dst, b.MetricsAddr)
-	dst = wire.AppendUvarint(dst, uint64(len(b.Labels)))
-	for _, l := range b.Labels {
-		dst = wire.AppendString(dst, l)
-	}
-	return dst
+	return wire.AppendStrings(dst, b.Labels)
 }
 
-// Decode parses a register payload, binary or legacy gob.
+// Decode parses a register payload.
 func (b *RegisterBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Node, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
 	if b.MetricsAddr, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
-	n, rest, err := wire.DecCount(rest, 1)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		b.Labels = make([]string, n)
-		for i := range b.Labels {
-			if b.Labels[i], rest, err = wire.DecString(rest); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	b.Labels, _, err = wire.DecStrings(rest)
+	return err
 }
 
 // RegisterReplyBody acknowledges a registration.
@@ -106,13 +81,12 @@ func (b *RegisterReplyBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendVarint(dst, int64(b.HeartbeatEvery))
 }
 
-// Decode parses a register reply, binary or legacy gob.
+// Decode parses a register reply.
 func (b *RegisterReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.OK, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
@@ -158,13 +132,12 @@ func (b *HeartbeatBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendBool(dst, b.Draining)
 }
 
-// Decode parses a heartbeat payload, binary or legacy gob.
+// Decode parses a heartbeat payload.
 func (b *HeartbeatBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Node, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
@@ -207,13 +180,12 @@ func (b *HeartbeatReplyBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendBool(dst, b.Throttle)
 }
 
-// Decode parses a heartbeat reply, binary or legacy gob.
+// Decode parses a heartbeat reply.
 func (b *HeartbeatReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.OK, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
@@ -256,29 +228,17 @@ func (b *EventBatchBody) AppendBinary(dst []byte) []byte {
 // empty), the allocation guard DecCount uses against hostile counts.
 const minEventSize = 12
 
-// Decode parses an event batch, binary or legacy gob.
+// Decode parses an event batch.
 func (b *EventBatchBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
-	}
-	rest := payload[1:]
-	var err error
-	if b.Node, rest, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	n, rest, err := wire.DecCount(rest, minEventSize)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
 	if err != nil {
 		return err
 	}
-	if n > 0 {
-		b.Events = make([]Event, n)
-		for i := range b.Events {
-			if b.Events[i], rest, err = decodeEvent(rest); err != nil {
-				return err
-			}
-		}
+	if b.Node, rest, err = wire.DecString(rest); err != nil {
+		return err
 	}
-	return nil
+	b.Events, _, err = wire.DecSeq(rest, minEventSize, decodeEvent)
+	return err
 }
 
 // EventAckBody acknowledges an event batch.
@@ -298,13 +258,12 @@ func (b *EventAckBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendBool(dst, b.Throttle)
 }
 
-// Decode parses an event ack, binary or legacy gob.
+// Decode parses an event ack.
 func (b *EventAckBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.OK, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
@@ -340,13 +299,12 @@ func (b *SubscribeBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendUvarint(dst, uint64(b.Max))
 }
 
-// Decode parses a subscribe payload, binary or legacy gob.
+// Decode parses a subscribe payload.
 func (b *SubscribeBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.ID, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
@@ -399,27 +357,17 @@ func (b *SubscribeReplyBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Err)
 }
 
-// Decode parses a subscribe reply, binary or legacy gob.
+// Decode parses a subscribe reply.
 func (b *SubscribeReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
-	}
-	rest := payload[1:]
-	var err error
-	if b.ID, rest, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	n, rest, err := wire.DecCount(rest, minEventSize)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
 	if err != nil {
 		return err
 	}
-	if n > 0 {
-		b.Events = make([]Event, n)
-		for i := range b.Events {
-			if b.Events[i], rest, err = decodeEvent(rest); err != nil {
-				return err
-			}
-		}
+	if b.ID, rest, err = wire.DecString(rest); err != nil {
+		return err
+	}
+	if b.Events, rest, err = wire.DecSeq(rest, minEventSize, decodeEvent); err != nil {
+		return err
 	}
 	if b.Dropped, rest, err = wire.DecUvarint(rest); err != nil {
 		return err
@@ -432,7 +380,7 @@ func (b *SubscribeReplyBody) Decode(payload []byte) error {
 }
 
 // WaveBody carries a wave specification to the master (KindFleetWave).
-// Operator-frequency and structurally rich, so it stays gob.
+// Operator-frequency and structurally rich, so it is JSON.
 type WaveBody struct {
 	Spec WaveSpec
 }

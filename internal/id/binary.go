@@ -5,7 +5,7 @@ import (
 )
 
 // The binary codec lives inside package id because the identifier's fields
-// are private by design (immutability). The layout, per DESIGN.md §10:
+// are private by design (immutability). The layout, per DESIGN.md §11:
 //
 //	[string owner] [string host] [time created] [uvarint n] n×[uvarint gen]
 //

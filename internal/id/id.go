@@ -313,35 +313,28 @@ func (n NapletID) String() string {
 func (n NapletID) Key() string { return n.String() }
 
 // MarshalText implements encoding.TextMarshaler, so identifiers serialize
-// with encoding/gob, encoding/json, etc. in their canonical textual form.
-func (n NapletID) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
+// with encoding/json in their canonical textual form. The zero identifier
+// (every operator request that names no naplet carries one) is the empty
+// text.
+func (n NapletID) MarshalText() ([]byte, error) {
+	if n.IsZero() {
+		return nil, nil
+	}
+	return []byte(n.String()), nil
+}
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (n *NapletID) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*n = NapletID{}
+		return nil
+	}
 	parsed, err := Parse(string(text))
 	if err != nil {
 		return err
 	}
 	*n = parsed
 	return nil
-}
-
-// GobEncode implements gob.GobEncoder; identifiers travel inside naplet
-// records and wire frames.
-func (n NapletID) GobEncode() ([]byte, error) {
-	if n.IsZero() {
-		return nil, nil
-	}
-	return n.MarshalText()
-}
-
-// GobDecode implements gob.GobDecoder.
-func (n *NapletID) GobDecode(data []byte) error {
-	if len(data) == 0 {
-		*n = NapletID{}
-		return nil
-	}
-	return n.UnmarshalText(data)
 }
 
 // Generator mints fresh naplet identifiers for one (owner, host) principal.

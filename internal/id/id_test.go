@@ -1,8 +1,7 @@
 package id
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -374,22 +373,25 @@ func TestHeritageValueSemantics(t *testing.T) {
 	}
 }
 
-func TestGobRoundTripIncludingZero(t *testing.T) {
+// TestJSONRoundTripIncludingZero: identifiers travel in the operator-plane
+// JSON bodies as text, and every request that names no naplet carries the
+// zero identifier, which must survive as the empty text.
+func TestJSONRoundTripIncludingZero(t *testing.T) {
 	type box struct{ ID NapletID }
 	cases := []NapletID{{}, MustNew("u", "h", t0)}
 	c2, _ := cases[1].Clone(2)
 	cases = append(cases, c2)
 	for _, in := range cases {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(box{ID: in}); err != nil {
+		data, err := json.Marshal(box{ID: in})
+		if err != nil {
 			t.Fatalf("encode %v: %v", in, err)
 		}
 		var out box
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode %v: %v", in, err)
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatalf("decode %s: %v", data, err)
 		}
-		if !out.ID.Equal(in) {
-			t.Fatalf("gob round trip: %v != %v", out.ID, in)
+		if !out.ID.Equal(in) || out.ID.IsZero() != in.IsZero() {
+			t.Fatalf("JSON round trip: %v != %v", out.ID, in)
 		}
 	}
 }

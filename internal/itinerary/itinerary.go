@@ -96,8 +96,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Pattern is a node of the itinerary pattern tree. All fields are exported
-// so patterns serialize with encoding/gob and travel with the naplet.
+// Pattern is a node of the itinerary pattern tree. Patterns travel with
+// the naplet in the binary codec of binary.go.
 type Pattern struct {
 	Kind Kind
 	// V is the visit of a Singleton node.
@@ -311,8 +311,8 @@ type Decision struct {
 }
 
 // Itinerary is the travel plan carried by a naplet: the remaining pattern
-// tree. The zero value is a completed itinerary. It serializes with gob and
-// is advanced in place by Next.
+// tree. The zero value is a completed itinerary. It is advanced in place by
+// Next.
 type Itinerary struct {
 	Remaining *Pattern
 }

@@ -1,8 +1,6 @@
 package itinerary
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -286,7 +284,7 @@ func TestServersAndVisits(t *testing.T) {
 	}
 }
 
-func TestGobRoundTripMidFlight(t *testing.T) {
+func TestBinaryRoundTripMidFlight(t *testing.T) {
 	// An itinerary serialized mid-flight must resume exactly where it was —
 	// this is what travels inside a migrating naplet.
 	p := Seq(
@@ -299,13 +297,9 @@ func TestGobRoundTripMidFlight(t *testing.T) {
 		t.Fatalf("first visit %v", d)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(it); err != nil {
-		t.Fatal(err)
-	}
-	restored := new(Itinerary)
-	if err := gob.NewDecoder(&buf).Decode(restored); err != nil {
-		t.Fatal(err)
+	restored, rest, err := DecodeBinary(it.AppendBinary(nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d trailing bytes", err, len(rest))
 	}
 	parent, clones := drain(t, restored, nil)
 	if !reflect.DeepEqual(parent, []string{"b", "c"}) {

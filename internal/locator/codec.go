@@ -6,16 +6,11 @@ import (
 )
 
 // Binary codecs for the locator-protocol bodies, per the migration codec
-// conventions (DESIGN.md §10): leading version byte, gob fallback for
-// frames from senders predating the codec.
+// conventions (DESIGN.md §11): a leading version byte, and any other first
+// byte is wire.ErrMalformed.
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
-
-// isBinaryBody reports whether a payload carries the binary body codec.
-func isBinaryBody(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == bodyCodecVersion
-}
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *QueryBody) EncodedSize() int {
@@ -28,13 +23,13 @@ func (b *QueryBody) AppendBinary(dst []byte) []byte {
 	return b.NapletID.AppendBinary(dst)
 }
 
-// Decode parses a query payload, binary or legacy gob.
+// Decode parses a query payload.
 func (b *QueryBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	var err error
-	b.NapletID, _, err = id.DecodeBinary(payload[1:])
+	b.NapletID, _, err = id.DecodeBinary(rest)
 	return err
 }
 
@@ -50,20 +45,17 @@ func (b *ReplyBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Server)
 }
 
-// Decode parses a reply payload, binary or legacy gob.
+// Decode parses a reply payload.
 func (b *ReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Found, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	if b.Server, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.Server, _, err = wire.DecString(rest)
+	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -78,18 +70,15 @@ func (b *InvalidateBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Server)
 }
 
-// Decode parses an invalidate payload, binary or legacy gob.
+// Decode parses an invalidate payload.
 func (b *InvalidateBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
 		return err
 	}
-	if b.Server, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.Server, _, err = wire.DecString(rest)
+	return err
 }

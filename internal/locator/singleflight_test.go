@@ -181,14 +181,4 @@ func TestLocatorBodyCodecRoundTrip(t *testing.T) {
 	if err := ib.Decode(buf); err != nil || ib.NapletID.Key() != nid.Key() || ib.Server != "s4" {
 		t.Fatalf("invalidate round trip: %+v %v", ib, err)
 	}
-
-	// Gob-era fallback.
-	payload, err := wire.Marshal(&QueryBody{NapletID: nid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gb QueryBody
-	if err := gb.Decode(payload); err != nil || gb.NapletID.Key() != nid.Key() {
-		t.Fatalf("gob fallback: %+v %v", gb, err)
-	}
 }

@@ -153,10 +153,33 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 	return ctx.State().SetProtected(statusKey, status, ctx.Record.Home)
 }
 
-// reportPayload is the wire form of a naplet's status report.
+// reportPayload is the wire form of a naplet's status report:
+//
+//	[version] [map[string]string status] [[]string route]
 type reportPayload struct {
 	Status map[string]string
 	Route  []string
+}
+
+// reportCodecVersion is the leading version byte of both report payloads.
+const reportCodecVersion = 1
+
+func (p *reportPayload) encode() []byte {
+	dst := make([]byte, 0, 1+wire.SizeStringMap(p.Status)+wire.SizeStrings(p.Route))
+	dst = wire.AppendStringMap(append(dst, reportCodecVersion), p.Status)
+	return wire.AppendStrings(dst, p.Route)
+}
+
+func (p *reportPayload) decode(body []byte) error {
+	rest, err := wire.DecVersion(body, reportCodecVersion)
+	if err != nil {
+		return err
+	}
+	if p.Status, rest, err = wire.DecStringMap(rest); err != nil {
+		return err
+	}
+	p.Route, _, err = wire.DecStrings(rest)
+	return err
 }
 
 // resultReport is the ResultReport post-action of §6.2: report the
@@ -166,13 +189,10 @@ func resultReport(ctx *naplet.Context) error {
 	if err := ctx.State().Load(statusKey, &status); err != nil && !errors.Is(err, state.ErrNoSuchKey) {
 		return err
 	}
-	payload, err := wire.Marshal(&reportPayload{Status: status, Route: ctx.Log().Route()})
-	if err != nil {
-		return err
-	}
+	report := reportPayload{Status: status, Route: ctx.Log().Route()}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return ctx.Listener.Report(rctx, payload)
+	return ctx.Listener.Report(rctx, report.encode())
 }
 
 // RegisterCodebase installs the NMNaplet codebase in a registry.
@@ -196,7 +216,7 @@ type Report map[string]map[string]string
 // tools use it to render raw listener bytes.
 func DecodeReport(body []byte) (Report, []string, error) {
 	var payload reportPayload
-	if err := wire.Unmarshal(body, &payload); err != nil {
+	if err := payload.decode(body); err != nil {
 		return nil, nil, err
 	}
 	out := make(Report)

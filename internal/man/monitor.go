@@ -62,12 +62,44 @@ func NewEventPollService(dev *snmp.Device) resource.Factory {
 // the mobile-agent answer to centralized trap flooding.
 type MonitorNaplet struct{}
 
-// monitorReport is the wire form of a monitor's final report.
+// monitorReport is the wire form of a monitor's final report:
+//
+//	[version] [string device] [uvarint seen] [uvarint filtered] [[]string alerts]
 type monitorReport struct {
 	Device   string
 	Seen     int
 	Filtered int
 	Alerts   []string
+}
+
+func (r *monitorReport) encode() []byte {
+	dst := make([]byte, 0, 1+wire.SizeString(r.Device)+wire.SizeUvarint(uint64(r.Seen))+
+		wire.SizeUvarint(uint64(r.Filtered))+wire.SizeStrings(r.Alerts))
+	dst = wire.AppendString(append(dst, reportCodecVersion), r.Device)
+	dst = wire.AppendUvarint(dst, uint64(r.Seen))
+	dst = wire.AppendUvarint(dst, uint64(r.Filtered))
+	return wire.AppendStrings(dst, r.Alerts)
+}
+
+func (r *monitorReport) decode(body []byte) error {
+	rest, err := wire.DecVersion(body, reportCodecVersion)
+	if err != nil {
+		return err
+	}
+	if r.Device, rest, err = wire.DecString(rest); err != nil {
+		return err
+	}
+	seen, rest, err := wire.DecUvarint(rest)
+	if err != nil {
+		return err
+	}
+	filtered, rest, err := wire.DecUvarint(rest)
+	if err != nil {
+		return err
+	}
+	r.Seen, r.Filtered = int(seen), int(filtered)
+	r.Alerts, _, err = wire.DecStrings(rest)
+	return err
 }
 
 // OnStart runs the monitoring loop until the device's workload reaches the
@@ -125,13 +157,9 @@ func (MonitorNaplet) OnStart(ctx *naplet.Context) error {
 		}
 	}
 
-	payload, err := wire.Marshal(&report)
-	if err != nil {
-		return err
-	}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return ctx.Listener.Report(rctx, payload)
+	return ctx.Listener.Report(rctx, report.encode())
 }
 
 // RegisterMonitorCodebase installs the event-monitoring naplet.
@@ -179,7 +207,7 @@ func (st *Station) MonitorAll(ctx context.Context, devices []string, rounds int)
 		select {
 		case r := <-reports:
 			var rep monitorReport
-			if err := wire.Unmarshal(r.Body, &rep); err != nil {
+			if err := rep.decode(r.Body); err != nil {
 				return res, err
 			}
 			res.Alerts[rep.Device] = rep.Alerts

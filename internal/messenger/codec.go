@@ -6,17 +6,11 @@ import (
 )
 
 // Binary codecs for the post-protocol bodies, mirroring the navigator
-// bodies: a leading version byte distinguishes binary payloads from legacy
-// gob ones (a gob struct stream never starts with 0x01), so gob-era senders
-// keep working while steady-state messaging avoids reflection.
+// bodies: a leading version byte, and any other first byte is
+// wire.ErrMalformed.
 
 // bodyCodecVersion is the leading version byte of binary message bodies.
 const bodyCodecVersion = 1
-
-// isBinaryBody reports whether a payload carries the binary body codec.
-func isBinaryBody(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == bodyCodecVersion
-}
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *PostBody) EncodedSize() int {
@@ -30,16 +24,15 @@ func (b *PostBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendUvarint(dst, uint64(b.Hops))
 }
 
-// Decode parses a post payload, binary or legacy gob.
+// Decode parses a post payload.
 func (b *PostBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
-	}
-	msg, rest, err := naplet.DecodeMessageBinary(payload[1:])
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
 	if err != nil {
 		return err
 	}
-	b.Msg = msg
+	if b.Msg, rest, err = naplet.DecodeMessageBinary(rest); err != nil {
+		return err
+	}
 	hops, _, err := wire.DecUvarint(rest)
 	if err != nil {
 		return err
@@ -63,13 +56,12 @@ func (b *ConfirmBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendUvarint(dst, uint64(b.Hops))
 }
 
-// Decode parses a confirm payload, binary or legacy gob.
+// Decode parses a confirm payload.
 func (b *ConfirmBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Delivered, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}

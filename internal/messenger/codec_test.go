@@ -1,0 +1,127 @@
+package messenger
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/id"
+	"repro/internal/naplet"
+	"repro/internal/wire"
+)
+
+// body is what every post-protocol body offers its frame.
+type body interface {
+	wire.BinaryBody
+	Decode([]byte) error
+}
+
+// codecBodies pairs a representative value of every body a socket feeds
+// this package with a constructor of its zero value.
+func codecBodies() (samples []body, zero []func() body) {
+	at := time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC)
+	samples = []body{
+		&PostBody{Msg: naplet.Message{ID: "sa/m-1", From: id.MustNew("czxu", "sa", at), To: id.MustNew("amgr", "sb", at), Subject: "s", Body: []byte("b"), SentAt: at}, Hops: 2},
+		&ConfirmBody{Delivered: true, Held: true, Server: "sb", Hops: 3},
+	}
+	zero = []func() body{
+		func() body { return new(PostBody) },
+		func() body { return new(ConfirmBody) },
+	}
+	return samples, zero
+}
+
+// gobStream is what a gob-era sender would have put in a payload.
+func gobStream(t *testing.T) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Server, Err string }{"sa", "x"}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBodiesRejectOldFormats: a payload whose first byte is not the body
+// version — version 0, version 2, a gob stream, nothing — is
+// wire.ErrMalformed and leaves the body untouched; there is no second
+// parser to hand it to.
+func TestBodiesRejectOldFormats(t *testing.T) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		good := sample.AppendBinary(nil)
+		for name, payload := range map[string][]byte{
+			"version 0": append([]byte{0}, good[1:]...),
+			"version 2": append([]byte{2}, good[1:]...),
+			"gob":       gobStream(t),
+			"empty":     nil,
+		} {
+			got := zero[i]()
+			if err := got.Decode(payload); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%T, %s: Decode error = %v, want wire.ErrMalformed", sample, name, err)
+			}
+			if !reflect.DeepEqual(got, zero[i]()) {
+				t.Errorf("%T, %s: rejected payload left a partial result %+v", sample, name, got)
+			}
+		}
+	}
+}
+
+// TestBodiesEncodeDecodeEncodeIdentical: every sample survives
+// encode→decode→encode byte for byte, at its declared size.
+func TestBodiesEncodeDecodeEncodeIdentical(t *testing.T) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		enc := sample.AppendBinary(nil)
+		if len(enc) != sample.EncodedSize() {
+			t.Errorf("%T: EncodedSize %d, encoded %d", sample, sample.EncodedSize(), len(enc))
+		}
+		got := zero[i]()
+		if err := got.Decode(enc); err != nil {
+			t.Fatalf("%T: %v", sample, err)
+		}
+		if re := got.AppendBinary(nil); !bytes.Equal(enc, re) {
+			t.Errorf("%T: re-encoding differs:\n got %x\nwant %x", sample, re, enc)
+		}
+	}
+}
+
+// FuzzDecodeBodies feeds arbitrary bytes to every body decoder: no panic,
+// allocation bounded by the input length, and whatever decodes re-encodes
+// to its declared size and decodes again to an equal value.
+func FuzzDecodeBodies(f *testing.F) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		enc := sample.AppendBinary(nil)
+		f.Add(uint8(i), enc)
+		f.Add(uint8(i), enc[:len(enc)/2])
+	}
+	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		mk := zero[int(which)%len(zero)]
+		got := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.Decode(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<18) {
+			t.Fatalf("%T: decoding %d bytes allocated %d", got, len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := got.AppendBinary(nil)
+		if len(enc) != got.EncodedSize() {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", got, got.EncodedSize(), len(enc))
+		}
+		again := mk()
+		if err := again.Decode(enc); err != nil {
+			t.Fatalf("%T: re-decode of an accepted body: %v", got, err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("%T: re-decoded value differs:\n got %+v\nwant %+v", got, again, got)
+		}
+	})
+}

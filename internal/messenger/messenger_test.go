@@ -380,10 +380,7 @@ func TestDuplicatePostReconfirmedOnce(t *testing.T) {
 		Body:    []byte("hello"),
 		SentAt:  t0,
 	}
-	f, err := wire.NewFrame(wire.KindPost, "sa", "sb", &PostBody{Msg: msg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := wire.BinaryFrame(wire.KindPost, "sa", "sb", &PostBody{Msg: msg})
 	for i := 0; i < 2; i++ {
 		reply, err := r.msgr["sb"].HandlePost("sa", f)
 		if err != nil {
@@ -426,10 +423,7 @@ func TestHeldDuplicateAbsorbed(t *testing.T) {
 		Body:    []byte("hi"),
 		SentAt:  t0,
 	}
-	f, err := wire.NewFrame(wire.KindPost, "sa", "sb", &PostBody{Msg: msg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := wire.BinaryFrame(wire.KindPost, "sa", "sb", &PostBody{Msg: msg})
 	for i := 0; i < 2; i++ {
 		reply, err := r.msgr["sb"].HandlePost("sa", f)
 		if err != nil {

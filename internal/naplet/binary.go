@@ -11,20 +11,16 @@ import (
 )
 
 // Binary codecs for the migration payloads: messages, address books,
-// navigation logs, and the full naplet record. These replace gob on the
-// hot path (every hop serializes a record; every post serializes a
-// message). Field layouts are pinned by golden-byte tests and documented
-// in DESIGN.md §10; any layout change requires bumping RecordCodecVersion
-// and regenerating the fixtures.
+// navigation logs, and the full naplet record (every hop serializes a
+// record; every post serializes a message). Field layouts are pinned by
+// golden-byte tests and documented in DESIGN.md §11; any layout change
+// requires bumping RecordCodecVersion and regenerating the fixtures.
 
 // RecordCodecVersion is the version byte carried after the record magic.
-const RecordCodecVersion = 1
+// Version 2 carries state values in the tagged value codec.
+const RecordCodecVersion = 2
 
-// recordMagic prefixes binary-encoded records. A gob stream can never
-// begin with these bytes (gob's leading segment-length byte for any real
-// record is far larger than the descriptor-free minimum), which is what
-// lets DecodeRecord fall back to gob for records written before this
-// codec existed — including those inside version-1 dock snapshots.
+// recordMagic prefixes encoded records.
 var recordMagic = [2]byte{'N', 'R'}
 
 // ---- Message ----
@@ -227,12 +223,6 @@ func DecodeLogBinary(b []byte) (*NavigationLog, []byte, error) {
 
 // ---- Record ----
 
-// IsBinaryRecord reports whether data begins with the binary record magic,
-// i.e. was produced by AppendBinary rather than the legacy gob encoder.
-func IsBinaryRecord(data []byte) bool {
-	return len(data) >= 3 && data[0] == recordMagic[0] && data[1] == recordMagic[1]
-}
-
 // EncodedSize returns the exact binary-encoded size of the record,
 // including the magic and version prefix.
 func (r *Record) EncodedSize() int {
@@ -258,10 +248,7 @@ func (r *Record) EncodedSize() int {
 		sz += r.Log.EncodedSize()
 	}
 	sz += r.Pending.EncodedSize()
-	sz += wire.SizeUvarint(uint64(len(r.PendingAlts)))
-	for _, p := range r.PendingAlts {
-		sz += itinerary.SizeOptPattern(p)
-	}
+	sz += wire.SizeSeq(r.PendingAlts, itinerary.SizeOptPattern)
 	return sz +
 		wire.SizeString(string(r.Failover)) +
 		wire.SizeUvarint(uint64(r.CloneSeq))
@@ -297,10 +284,7 @@ func (r *Record) AppendBinary(dst []byte) []byte {
 		dst = r.Log.AppendBinary(dst)
 	}
 	dst = r.Pending.AppendBinary(dst)
-	dst = wire.AppendUvarint(dst, uint64(len(r.PendingAlts)))
-	for _, p := range r.PendingAlts {
-		dst = itinerary.AppendOptPattern(dst, p)
-	}
+	dst = wire.AppendSeq(dst, r.PendingAlts, itinerary.AppendOptPattern)
 	dst = wire.AppendString(dst, string(r.Failover))
 	return wire.AppendUvarint(dst, uint64(r.CloneSeq))
 }
@@ -309,7 +293,7 @@ func (r *Record) AppendBinary(dst []byte) []byte {
 // consumes all of data; trailing bytes are an error (records travel
 // length-delimited inside transfer bodies and dock snapshots).
 func DecodeRecordBinary(data []byte) (*Record, error) {
-	if !IsBinaryRecord(data) {
+	if len(data) < 3 || data[0] != recordMagic[0] || data[1] != recordMagic[1] {
 		return nil, fmt.Errorf("%w: missing record magic", wire.ErrMalformed)
 	}
 	if data[2] != RecordCodecVersion {
@@ -366,17 +350,8 @@ func DecodeRecordBinary(data []byte) (*Record, error) {
 	if r.Pending, b, err = itinerary.DecodeVisit(b); err != nil {
 		return nil, err
 	}
-	cnt, b, err := wire.DecCount(b, 1)
-	if err != nil {
+	if r.PendingAlts, b, err = wire.DecSeq(b, 1, itinerary.DecodeOptPattern); err != nil {
 		return nil, err
-	}
-	if cnt > 0 {
-		r.PendingAlts = make([]*itinerary.Pattern, cnt)
-		for i := range r.PendingAlts {
-			if r.PendingAlts[i], b, err = itinerary.DecodeOptPattern(b); err != nil {
-				return nil, err
-			}
-		}
 	}
 	var failover string
 	if failover, b, err = wire.DecString(b); err != nil {

@@ -141,7 +141,7 @@ func TestRecordGoldenBytes(t *testing.T) {
 	if len(got) != rec.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, encoded %d bytes", rec.EncodedSize(), len(got))
 	}
-	checkGolden(t, "record_v1.hex", got)
+	checkGolden(t, "record_v2.hex", got)
 
 	dec, err := DecodeRecordBinary(got)
 	if err != nil {

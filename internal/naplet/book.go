@@ -1,8 +1,6 @@
 package naplet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"sync"
 
@@ -111,34 +109,4 @@ func (b *AddressBook) Clone() *AddressBook {
 	c := NewAddressBook()
 	c.Merge(b)
 	return c
-}
-
-// bookSnapshot is the gob form of an address book.
-type bookSnapshot struct {
-	Entries []AddressEntry
-}
-
-// GobEncode implements gob.GobEncoder.
-func (b *AddressBook) GobEncode() ([]byte, error) {
-	snap := bookSnapshot{Entries: b.Entries()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (b *AddressBook) GobDecode(data []byte) error {
-	var snap bookSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.entries = make(map[string]AddressEntry, len(snap.Entries))
-	for _, e := range snap.Entries {
-		b.entries[e.NapletID.Key()] = e
-	}
-	return nil
 }

@@ -16,8 +16,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	corrupt := append([]byte(nil), golden...)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
-	f.Add([]byte("NR\x01"))
-	f.Add([]byte{'N', 'R', 1, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte("NR\x02"))
+	f.Add([]byte{'N', 'R', 2, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// The retired version byte, and a state entry whose protection mode
+	// is past Public: both must be rejected, not reinterpreted.
+	retired := append([]byte(nil), golden...)
+	retired[2] = 1
+	f.Add(retired)
+	badMode := append([]byte(nil), golden...)
+	key := []byte("\x0abest-price")
+	badMode[bytes.Index(badMode, key)+len(key)] = 7
+	f.Add(badMode)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecordBinary(data)

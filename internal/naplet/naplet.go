@@ -58,9 +58,9 @@ type Destroyable interface {
 }
 
 // Record is the serializable closure of a naplet: everything that travels
-// when the agent migrates. All fields are exported for encoding/gob; code
-// outside the runtime should treat them as read-only and use the accessors
-// on Context.
+// when the agent migrates (binary.go is its codec). Code outside the
+// runtime should treat the fields as read-only and use the accessors on
+// Context.
 type Record struct {
 	// ID is the system-wide unique immutable identifier (§2.1, Figure 1).
 	ID id.NapletID

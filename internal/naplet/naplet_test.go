@@ -2,7 +2,6 @@ package naplet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -39,18 +38,14 @@ func TestNewRecordDefaults(t *testing.T) {
 	}
 }
 
-func TestRecordGobRoundTrip(t *testing.T) {
+func TestRecordBinaryRoundTrip(t *testing.T) {
 	r := testRecord(t)
 	r.State.SetPrivate("k", 42)
 	r.Book.Add(nid, "s9")
 	r.Log.RecordArrival("home.example", t0)
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	got := new(Record)
-	if err := gob.NewDecoder(&buf).Decode(got); err != nil {
+	got, err := DecodeRecordBinary(r.AppendBinary(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.ID.Equal(r.ID) {
@@ -191,21 +186,17 @@ func TestAddressBookMergeAndClone(t *testing.T) {
 	}
 }
 
-func TestAddressBookGob(t *testing.T) {
+func TestAddressBookBinary(t *testing.T) {
 	b := NewAddressBook()
 	p := id.MustNew("p", "h", t0)
 	b.Add(p, "s1")
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		t.Fatal(err)
-	}
-	got := NewAddressBook()
-	if err := gob.NewDecoder(&buf).Decode(got); err != nil {
-		t.Fatal(err)
+	got, rest, err := DecodeBookBinary(b.AppendBinary(nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d trailing bytes", err, len(rest))
 	}
 	e, ok := got.Lookup(p)
 	if !ok || e.ServerURN != "s1" {
-		t.Fatalf("gob round trip: %+v %v", e, ok)
+		t.Fatalf("binary round trip: %+v %v", e, ok)
 	}
 }
 

@@ -1,8 +1,6 @@
 package naplet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -172,34 +170,4 @@ func (l *NavigationLog) String() string {
 // their creation.
 func (l *NavigationLog) Clone() *NavigationLog {
 	return &NavigationLog{hops: l.Hops(), reroutes: l.Reroutes()}
-}
-
-// logSnapshot is the gob form. Reroutes ride in a separate optional field,
-// so logs written before failover existed still decode (gob skips absent
-// fields).
-type logSnapshot struct {
-	Hops     []Hop
-	Reroutes []Reroute
-}
-
-// GobEncode implements gob.GobEncoder.
-func (l *NavigationLog) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(logSnapshot{Hops: l.Hops(), Reroutes: l.Reroutes()}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (l *NavigationLog) GobDecode(data []byte) error {
-	var snap logSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hops = snap.Hops
-	l.reroutes = snap.Reroutes
-	return nil
 }

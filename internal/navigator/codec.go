@@ -10,20 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Binary codecs for the navigation-protocol bodies. Every body encodes
-// with a leading version byte; decoders sniff it and fall back to gob for
-// frames from senders predating the codec (a gob stream's first byte is a
-// segment length that is never 0x01 for these struct bodies). That keeps
-// mixed-version deployments and gob-era dock snapshots working while the
-// hot path sheds reflection.
+// Binary codecs for the navigation-protocol bodies. Every body leads with
+// one version byte; a payload that starts with anything else is
+// wire.ErrMalformed (DESIGN.md §11).
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
-
-// isBinaryBody reports whether a payload carries the binary body codec.
-func isBinaryBody(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == bodyCodecVersion
-}
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *LandingRequestBody) EncodedSize() int {
@@ -42,13 +34,12 @@ func (b *LandingRequestBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.CodeDigest)
 }
 
-// Decode parses a landing request payload, binary or legacy gob.
+// Decode parses a landing request payload.
 func (b *LandingRequestBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
 		return err
 	}
@@ -63,10 +54,8 @@ func (b *LandingRequestBody) Decode(payload []byte) error {
 		return err
 	}
 	b.StateSize = int(size)
-	if b.CodeDigest, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.CodeDigest, _, err = wire.DecString(rest)
+	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -82,23 +71,20 @@ func (b *LandingReplyBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Reason)
 }
 
-// Decode parses a landing reply payload, binary or legacy gob.
+// Decode parses a landing reply payload.
 func (b *LandingReplyBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Granted, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
 	if b.NeedCode, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	if b.Reason, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.Reason, _, err = wire.DecString(rest)
+	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -115,25 +101,22 @@ func (b *TransferBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.TransferID)
 }
 
-// Decode parses a transfer payload, binary or legacy gob. Record and Code
-// alias the payload in the binary path; HandleTransfer consumes both
-// before its handler returns, per the transport Handler contract.
+// Decode parses a transfer payload. Record and Code alias the payload;
+// HandleTransfer consumes both before its handler returns, per the
+// transport Handler contract.
 func (b *TransferBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Record, rest, err = wire.DecBytes(rest); err != nil {
 		return err
 	}
 	if b.Code, rest, err = wire.DecBytes(rest); err != nil {
 		return err
 	}
-	if b.TransferID, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.TransferID, _, err = wire.DecString(rest)
+	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -148,20 +131,17 @@ func (b *TransferAckBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Reason)
 }
 
-// Decode parses a transfer ack payload, binary or legacy gob.
+// Decode parses a transfer ack payload.
 func (b *TransferAckBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.Accepted, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	if b.Reason, _, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	return nil
+	b.Reason, _, err = wire.DecString(rest)
+	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
@@ -175,13 +155,13 @@ func (b *CodeFetchBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, b.Codebase)
 }
 
-// Decode parses a code fetch payload, binary or legacy gob.
+// Decode parses a code fetch payload.
 func (b *CodeFetchBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	var err error
-	b.Codebase, _, err = wire.DecString(payload[1:])
+	b.Codebase, _, err = wire.DecString(rest)
 	return err
 }
 
@@ -196,14 +176,13 @@ func (b *CodeBundleBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendBytes(dst, b.Data)
 }
 
-// Decode parses a code bundle payload, binary or legacy gob. Data aliases
-// the payload in the binary path.
+// Decode parses a code bundle payload. Data aliases the payload.
 func (b *CodeBundleBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	var err error
-	b.Data, _, err = wire.DecBytes(payload[1:])
+	b.Data, _, err = wire.DecBytes(rest)
 	return err
 }
 
@@ -222,13 +201,12 @@ func (b *HomeEventBody) AppendBinary(dst []byte) []byte {
 	return wire.AppendTime(dst, b.At)
 }
 
-// Decode parses a home event payload, binary or legacy gob.
+// Decode parses a home event payload.
 func (b *HomeEventBody) Decode(payload []byte) error {
-	if !isBinaryBody(payload) {
-		return wire.Unmarshal(payload, b)
+	rest, err := wire.DecVersion(payload, bodyCodecVersion)
+	if err != nil {
+		return err
 	}
-	rest := payload[1:]
-	var err error
 	if b.NapletID, rest, err = id.DecodeBinary(rest); err != nil {
 		return err
 	}
@@ -238,10 +216,8 @@ func (b *HomeEventBody) Decode(payload []byte) error {
 	if b.Arrival, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	if b.At, _, err = wire.DecTime(rest); err != nil {
-		return err
-	}
-	return nil
+	b.At, _, err = wire.DecTime(rest)
+	return err
 }
 
 // bundleDigest returns the content digest of a code bundle: the
@@ -257,16 +233,8 @@ func EncodeRecord(rec *naplet.Record) ([]byte, error) {
 	return rec.AppendBinary(make([]byte, 0, rec.EncodedSize())), nil
 }
 
-// DecodeRecord reverses EncodeRecord. Records without the binary magic
-// fall back to the legacy gob decoding, so records persisted in version-1
-// dock snapshots (or sent by gob-era origins) still land.
+// DecodeRecord reverses EncodeRecord. Data without the record magic, or
+// with any version but naplet.RecordCodecVersion, is an error.
 func DecodeRecord(data []byte) (*naplet.Record, error) {
-	if naplet.IsBinaryRecord(data) {
-		return naplet.DecodeRecordBinary(data)
-	}
-	rec := new(naplet.Record)
-	if err := wire.Unmarshal(data, rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return naplet.DecodeRecordBinary(data)
 }

@@ -1,0 +1,146 @@
+package navigator
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cred"
+	"repro/internal/id"
+	"repro/internal/wire"
+)
+
+// body is what every navigation-protocol body offers its frame.
+type body interface {
+	wire.BinaryBody
+	Decode([]byte) error
+}
+
+var codecTime = time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC)
+
+// codecBodies pairs a representative value of every body a socket feeds
+// this package with a constructor of its zero value.
+func codecBodies() (samples []body, zero []func() body) {
+	nid := id.MustNew("czxu", "sa", codecTime)
+	samples = []body{
+		&LandingRequestBody{NapletID: nid, Codebase: "test.Agent", StateSize: 512, CodeDigest: "abc",
+			Credential: cred.Credential{NapletID: nid, Codebase: "test.Agent", Roles: []string{"guest"}, IssuedAt: codecTime, Signature: []byte{1, 2}}},
+		&LandingReplyBody{Granted: true, NeedCode: true, Reason: "r"},
+		&TransferBody{Record: []byte("NR\x02rec"), Code: []byte("code"), TransferID: "sa#1"},
+		&TransferAckBody{Accepted: true, Reason: "ok"},
+		&CodeFetchBody{Codebase: "test.Agent"},
+		&CodeBundleBody{Data: []byte("bundle")},
+		&HomeEventBody{NapletID: nid, Server: "sb", Arrival: true, At: codecTime},
+	}
+	zero = []func() body{
+		func() body { return new(LandingRequestBody) },
+		func() body { return new(LandingReplyBody) },
+		func() body { return new(TransferBody) },
+		func() body { return new(TransferAckBody) },
+		func() body { return new(CodeFetchBody) },
+		func() body { return new(CodeBundleBody) },
+		func() body { return new(HomeEventBody) },
+	}
+	return samples, zero
+}
+
+// TestBodiesRejectOldFormats: a payload whose first byte is not the body
+// version — version 0, version 2, a gob stream, nothing — is
+// wire.ErrMalformed and leaves the body untouched; there is no second
+// parser to hand it to.
+func TestBodiesRejectOldFormats(t *testing.T) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		good := sample.AppendBinary(nil)
+		for name, payload := range map[string][]byte{
+			"version 0": append([]byte{0}, good[1:]...),
+			"version 2": append([]byte{2}, good[1:]...),
+			"gob":       gobStream(t),
+			"empty":     nil,
+		} {
+			got := zero[i]()
+			if err := got.Decode(payload); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%T, %s: Decode error = %v, want wire.ErrMalformed", sample, name, err)
+			}
+			if !reflect.DeepEqual(got, zero[i]()) {
+				t.Errorf("%T, %s: rejected payload left a partial result %+v", sample, name, got)
+			}
+		}
+	}
+}
+
+// gobStream is what a gob-era sender would have put in a payload.
+func gobStream(t *testing.T) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Codebase, Home string }{"test.Agent", "sa"}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDecodeBodies feeds arbitrary bytes to every body decoder: no panic,
+// allocation bounded by the input length, and whatever decodes re-encodes
+// to its declared size and decodes again to an equal value.
+func FuzzDecodeBodies(f *testing.F) {
+	samples, zero := codecBodies()
+	for i, sample := range samples {
+		enc := sample.AppendBinary(nil)
+		f.Add(uint8(i), enc)
+		f.Add(uint8(i), enc[:len(enc)/2])
+	}
+	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		mk := zero[int(which)%len(zero)]
+		got := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.Decode(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<18) {
+			t.Fatalf("%T: decoding %d bytes allocated %d", got, len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := got.AppendBinary(nil)
+		if len(enc) != got.EncodedSize() {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", got, got.EncodedSize(), len(enc))
+		}
+		again := mk()
+		if err := again.Decode(enc); err != nil {
+			t.Fatalf("%T: re-decode of an accepted body: %v", got, err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("%T: re-decoded value differs:\n got %+v\nwant %+v", got, again, got)
+		}
+	})
+}
+
+// TestRecordRejectsOldFormats: a gob-encoded record, and a record with the
+// NR magic but the retired version byte, fail with a descriptive error.
+func TestRecordRejectsOldFormats(t *testing.T) {
+	rec := record(t, nil, "a")
+	good, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte(nil), good...)
+	v1[2] = 1
+	for name, data := range map[string][]byte{"gob": gobStream(t), "NR version 1": v1} {
+		got, err := DecodeRecord(data)
+		if err == nil || got != nil {
+			t.Errorf("%s: DecodeRecord = %v, %v; want nil and an error", name, got, err)
+		}
+	}
+	if _, err := DecodeRecord(v1); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("NR version 1: error %v does not name the version", err)
+	}
+	if _, err := DecodeRecord(gobStream(t)); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("gob: error %v, want wire.ErrMalformed", err)
+	}
+}

@@ -57,9 +57,9 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 		}
 		switch f.Kind {
 		case wire.KindLandingRequest:
-			return wire.NewFrame(wire.KindLandingReply, f.To, f.From, &LandingReplyBody{Granted: true, NeedCode: false})
+			return wire.BinaryFrame(wire.KindLandingReply, f.To, f.From, &LandingReplyBody{Granted: true, NeedCode: false}), nil
 		case wire.KindNapletTransfer:
-			return wire.NewFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true})
+			return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true}), nil
 		default:
 			return wire.Frame{}, errors.New("unexpected kind " + string(f.Kind))
 		}

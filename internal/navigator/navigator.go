@@ -766,5 +766,5 @@ func (n *Navigator) HandleHomeEvent(from string, f wire.Frame) (wire.Frame, erro
 	if n.mgr != nil {
 		n.mgr.HomeRecord(body.NapletID, body.Server, body.Arrival, body.At)
 	}
-	return wire.NewFrame(wire.KindControlReply, f.To, f.From, &struct{ OK bool }{true})
+	return wire.Frame{Kind: wire.KindControlReply, From: f.To, To: f.From}, nil
 }

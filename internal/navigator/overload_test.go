@@ -37,9 +37,9 @@ func TestDispatchOverloadLiveness(t *testing.T) {
 		}
 		switch f.Kind {
 		case wire.KindLandingRequest:
-			return wire.NewFrame(wire.KindLandingReply, f.To, f.From, &LandingReplyBody{Granted: true})
+			return wire.BinaryFrame(wire.KindLandingReply, f.To, f.From, &LandingReplyBody{Granted: true}), nil
 		case wire.KindNapletTransfer:
-			return wire.NewFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true})
+			return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true}), nil
 		default:
 			return wire.Frame{}, errors.New("unexpected kind " + string(f.Kind))
 		}

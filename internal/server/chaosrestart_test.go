@@ -35,22 +35,16 @@ import (
 //     loss, no duplication;
 //  3. the dead-stop dispatches show up as failovers, never as traps.
 //
-// Seeds alternate between the gob (v1) and binary (v2) dock snapshot
-// formats, so every chaos run proves crash recovery against both: the
-// restarted server always loads with the current loader, whichever version
-// the crash image was written in.
+// The subtest name records the dock snapshot format the crash image was
+// written and recovered in.
 func TestChaosRestartSeeds(t *testing.T) {
 	seeds := chaosSeeds
 	if *chaosSeed != 0 {
 		seeds = []int64{*chaosSeed}
 	}
-	for i, seed := range seeds {
-		snapVer := uint16(dock.Version)
-		if i%2 == 0 {
-			snapVer = dock.VersionGob
-		}
-		t.Run(fmt.Sprintf("seed=%d/snap=v%d", seed, snapVer), func(t *testing.T) {
-			runChaosRestart(t, seed, snapVer)
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d/snap=v%d", seed, dock.Version), func(t *testing.T) {
+			runChaosRestart(t, seed)
 		})
 	}
 }
@@ -96,7 +90,7 @@ func (a chaosGateAgent) OnDestroy(ctx *naplet.Context) {
 	ctx.Listener.Report(rctx, []byte(strings.Join(parts, "|")))
 }
 
-func runChaosRestart(t *testing.T, seed int64, snapVer uint16) {
+func runChaosRestart(t *testing.T, seed int64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	inj := fault.New(fault.Config{
@@ -123,12 +117,6 @@ func runChaosRestart(t *testing.T, seed int64, snapVer uint16) {
 
 	st, err := dock.Open(t.TempDir())
 	if err != nil {
-		t.Fatal(err)
-	}
-	// The crash image is written in the format under test; the restarted
-	// store loads it with the current loader and saves onward in the
-	// current default format (the upgrade path, when snapVer is v1).
-	if err := st.SetSaveVersion(snapVer); err != nil {
 		t.Fatal(err)
 	}
 	// A tight backoff so the dead-stop dispatch exhausts quickly: the

@@ -609,14 +609,11 @@ func (s *Server) reportStatus(rec *naplet.Record, st manager.Status, errText str
 		s.mgr.SetStatus(rec.ID, st, errText)
 		return
 	}
-	body := ReportBody{NapletID: rec.ID, Kind: "status", Status: st, Err: errText}
-	f, err := wire.NewFrame(wire.KindReport, "", "", &body)
-	if err != nil {
-		return
-	}
+	f := wire.BinaryFrame(wire.KindReport, "", "",
+		&ReportBody{NapletID: rec.ID, Kind: ReportStatus, Status: st, Err: errText})
 	for attempt := 0; attempt < 20; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		_, err = s.node.Call(ctx, rec.Home, f)
+		_, err := s.node.Call(ctx, rec.Home, f)
 		cancel()
 		if err == nil {
 			return
@@ -673,11 +670,8 @@ func (p *listenerProxy) Report(ctx context.Context, body []byte) error {
 		p.server.mgr.Deliver(p.rec.ID, body)
 		return nil
 	}
-	rb := ReportBody{NapletID: p.rec.ID, Kind: "result", Body: body}
-	f, err := wire.NewFrame(wire.KindReport, "", "", &rb)
-	if err != nil {
-		return err
-	}
-	_, err = p.server.node.Call(ctx, p.rec.Home, f)
+	f := wire.BinaryFrame(wire.KindReport, "", "",
+		&ReportBody{NapletID: p.rec.ID, Kind: ReportResult, Body: body})
+	_, err := p.server.node.Call(ctx, p.rec.Home, f)
 	return err
 }

@@ -579,29 +579,38 @@ func (s *Server) handle(from string, f wire.Frame) (wire.Frame, error) {
 // status updates for the naplet table.
 type ReportBody struct {
 	NapletID id.NapletID
-	// Kind is "result" or "status".
-	Kind   string
-	Status manager.Status
-	Err    string
-	Body   []byte
+	Kind     ReportKind
+	Status   manager.Status
+	Err      string
+	Body     []byte
 }
+
+// ReportKind says which half of a ReportBody is meaningful; it is one byte
+// on the wire.
+type ReportKind uint8
+
+// Report kinds.
+const (
+	// ReportResult delivers Body to the owner's listener.
+	ReportResult ReportKind = iota + 1
+	// ReportStatus updates the naplet table with Status and Err.
+	ReportStatus
+)
 
 // handleReport routes a naplet's report to this server's manager (this
 // server is the naplet's home).
 func (s *Server) handleReport(from string, f wire.Frame) (wire.Frame, error) {
 	var body ReportBody
-	if err := f.Body(&body); err != nil {
+	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
-	switch body.Kind {
-	case "result":
+	if body.Kind == ReportResult {
 		s.mgr.Deliver(body.NapletID, body.Body)
-	case "status":
+	} else {
 		s.mgr.SetStatus(body.NapletID, body.Status, body.Err)
-	default:
-		return wire.Frame{}, fmt.Errorf("server: unknown report kind %q", body.Kind)
 	}
-	return wire.NewFrame(wire.KindControlReply, f.To, f.From, &ControlReplyBody{OK: true})
+	// The ack is the frame itself; no caller reads a body from it.
+	return wire.Frame{Kind: wire.KindControlReply, From: f.To, To: f.From}, nil
 }
 
 // ControlBody is a management request from an owner's tool (napletctl) to a

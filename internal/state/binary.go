@@ -1,14 +1,15 @@
 package state
 
 import (
+	"fmt"
+
 	"repro/internal/wire"
 )
 
-// Binary codec for the state container. The container layout is
-// hand-rolled; the leaf Payload of each entry remains the gob encoding of
-// the stored value — that is where arbitrary application types need
-// serializing, the same flexibility/efficiency split the wire package
-// makes between frame headers and payloads. Layout:
+// Binary codec for the state container. Each entry's Payload is the value
+// codec's encoding of the stored value (value.go) and travels as an opaque
+// length-prefixed byte string: a dock forwards values it never decodes.
+// Layout:
 //
 //	[uvarint n] then n× (sorted by key):
 //	  [string key] [uvarint mode] [uvarint s] s×[string server] [bytes payload]
@@ -16,81 +17,59 @@ import (
 // Keys are emitted in sorted order so the encoding is deterministic, which
 // the golden-byte and encode→decode→encode tests rely on.
 
+func sizeEntry(e entry) int {
+	return wire.SizeUvarint(uint64(e.Mode)) + wire.SizeStrings(e.Servers) + wire.SizeBytes(e.Payload)
+}
+
+func appendEntry(dst []byte, e entry) []byte {
+	dst = wire.AppendUvarint(dst, uint64(e.Mode))
+	dst = wire.AppendStrings(dst, e.Servers)
+	return wire.AppendBytes(dst, e.Payload)
+}
+
+// decodeEntry copies the payload, so the entry does not alias b.
+func decodeEntry(b []byte) (entry, []byte, error) {
+	var e entry
+	mode, b, err := wire.DecUvarint(b)
+	if err != nil {
+		return entry{}, nil, err
+	}
+	if mode > uint64(Public) {
+		return entry{}, nil, fmt.Errorf("%w: state mode %d", wire.ErrMalformed, mode)
+	}
+	e.Mode = Mode(mode)
+	if e.Servers, b, err = wire.DecStrings(b); err != nil {
+		return entry{}, nil, err
+	}
+	payload, b, err := wire.DecBytes(b)
+	if err != nil {
+		return entry{}, nil, err
+	}
+	if payload != nil {
+		e.Payload = append([]byte(nil), payload...)
+	}
+	return e, b, nil
+}
+
 // EncodedSize returns the exact binary-encoded size of the container.
 func (s *State) EncodedSize() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sz := wire.SizeUvarint(uint64(len(s.entries)))
-	for k, e := range s.entries {
-		sz += wire.SizeString(k) + wire.SizeUvarint(uint64(e.Mode)) +
-			wire.SizeUvarint(uint64(len(e.Servers)))
-		for _, sv := range e.Servers {
-			sz += wire.SizeString(sv)
-		}
-		sz += wire.SizeBytes(e.Payload)
-	}
-	return sz
+	return wire.SizeMap(s.entries, sizeEntry)
 }
 
 // AppendBinary appends the container's binary form to dst.
 func (s *State) AppendBinary(dst []byte) []byte {
-	keys := s.Keys()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	dst = wire.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		e := s.entries[k]
-		dst = wire.AppendString(dst, k)
-		dst = wire.AppendUvarint(dst, uint64(e.Mode))
-		dst = wire.AppendUvarint(dst, uint64(len(e.Servers)))
-		for _, sv := range e.Servers {
-			dst = wire.AppendString(dst, sv)
-		}
-		dst = wire.AppendBytes(dst, e.Payload)
-	}
-	return dst
+	return wire.AppendMap(dst, s.entries, appendEntry)
 }
 
-// DecodeBinary consumes one container from b and returns the rest. Entry
-// payloads are copied, so the container does not alias b.
+// DecodeBinary consumes one container from b and returns the rest.
 func DecodeBinary(b []byte) (*State, []byte, error) {
-	cnt, b, err := wire.DecCount(b, 4)
+	entries, b, err := wire.DecMap(b, decodeEntry)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := New()
-	for i := 0; i < cnt; i++ {
-		var e entry
-		var k string
-		if k, b, err = wire.DecString(b); err != nil {
-			return nil, nil, err
-		}
-		mode, rest, err := wire.DecUvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Mode = Mode(mode)
-		scnt, rest, err := wire.DecCount(rest, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if scnt > 0 {
-			e.Servers = make([]string, scnt)
-			for j := range e.Servers {
-				if e.Servers[j], rest, err = wire.DecString(rest); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		payload, rest, err := wire.DecBytes(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		if payload != nil {
-			e.Payload = append([]byte(nil), payload...)
-		}
-		s.entries[k] = e
-		b = rest
-	}
-	return s, b, nil
+	return &State{entries: entries}, b, nil
 }

@@ -11,17 +11,19 @@
 //
 // Access checks are enforced through a Viewer: the naplet itself accesses
 // the container directly; servers access it through ServerView, which
-// applies the mode rules. Values must be gob-serializable since the state
-// travels with the naplet on every migration.
+// applies the mode rules. The state travels with the naplet on every
+// migration, so values are restricted to the closed set of types the value
+// codec (value.go) can carry.
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Mode is the protection mode of an entry in a NapletState container.
@@ -59,15 +61,17 @@ var (
 	ErrForbidden  = errors.New("state: access forbidden by protection mode")
 	ErrNilValue   = errors.New("state: nil value")
 	ErrBadPayload = errors.New("state: cannot decode payload")
+	// ErrUnsupportedType rejects a value outside the transportable set.
+	ErrUnsupportedType = errors.New("state: unsupported value type")
 )
 
 // entry is one keyed object with its protection metadata. Values are kept
-// gob-encoded so the container is always serializable and so stored values
-// are isolated from later mutation by the caller.
+// encoded so the container is always serializable and so stored values are
+// isolated from later mutation by the caller.
 type entry struct {
 	Mode    Mode
 	Servers []string // for Protected: sorted server names allowed to access
-	Payload []byte   // gob-encoded value
+	Payload []byte   // value-codec encoding of the value
 }
 
 // State is the serializable container of application-specific agent state.
@@ -86,94 +90,12 @@ func New() *State {
 	return &State{entries: make(map[string]entry)}
 }
 
-func init() {
-	// Common composite types storable without an explicit Register call.
-	gob.Register(map[string]string{})
-	gob.Register(map[string]any{})
-	gob.Register(map[string][]string{})
-	gob.Register([]string{})
-	gob.Register([]int{})
-	gob.Register([]byte{})
-	gob.Register([]any{})
-}
-
-func encode(v any) ([]byte, error) {
-	if v == nil {
-		return nil, ErrNilValue
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("state: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// assign stores v into *out with a type check.
-func assign(v any, out any) error {
-	switch p := out.(type) {
-	case *any:
-		*p = v
-		return nil
-	case *string:
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("%w: have %T want string", ErrBadPayload, v)
-		}
-		*p = s
-		return nil
-	case *int:
-		n, ok := v.(int)
-		if !ok {
-			return fmt.Errorf("%w: have %T want int", ErrBadPayload, v)
-		}
-		*p = n
-		return nil
-	case *int64:
-		n, ok := v.(int64)
-		if !ok {
-			return fmt.Errorf("%w: have %T want int64", ErrBadPayload, v)
-		}
-		*p = n
-		return nil
-	case *float64:
-		n, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("%w: have %T want float64", ErrBadPayload, v)
-		}
-		*p = n
-		return nil
-	case *bool:
-		b, ok := v.(bool)
-		if !ok {
-			return fmt.Errorf("%w: have %T want bool", ErrBadPayload, v)
-		}
-		*p = b
-		return nil
-	case *[]string:
-		s, ok := v.([]string)
-		if !ok {
-			return fmt.Errorf("%w: have %T want []string", ErrBadPayload, v)
-		}
-		*p = s
-		return nil
-	case *map[string]string:
-		m, ok := v.(map[string]string)
-		if !ok {
-			return fmt.Errorf("%w: have %T want map[string]string", ErrBadPayload, v)
-		}
-		*p = m
-		return nil
-	default:
-		return fmt.Errorf("state: unsupported out type %T (use *any or Get)", out)
-	}
-}
-
 // Set stores value under key with the given mode. For Protected entries,
 // servers lists the server names allowed to access the entry; it is ignored
 // for other modes. Storing replaces any previous entry under the key,
 // including its protection metadata.
 func (s *State) Set(key string, value any, mode Mode, servers ...string) error {
-	payload, err := encode(value)
+	payload, err := encodeValue(value)
 	if err != nil {
 		return err
 	}
@@ -208,27 +130,25 @@ func (s *State) Get(key string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return v, nil
+	return decodePayload(e.Payload)
 }
 
-// Load retrieves the value under key into out, which must be a pointer to
-// one of the common supported types or *any.
+// Load retrieves the value under key into out, which must be *any or a
+// pointer to the type that was stored (any type of the value codec's set).
 func (s *State) Load(key string, out any) error {
-	s.mu.RLock()
-	e, ok := s.entries[key]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchKey, key)
+	v, err := s.Get(key)
+	if err != nil {
+		return err
 	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPayload, err)
+	dst := reflect.ValueOf(out)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return fmt.Errorf("%w: out is %T, not a pointer", ErrUnsupportedType, out)
 	}
-	return assign(v, out)
+	if src := reflect.ValueOf(v); src.Type().AssignableTo(dst.Type().Elem()) {
+		dst.Elem().Set(src)
+		return nil
+	}
+	return fmt.Errorf("%w: have %T want %s", ErrBadPayload, v, dst.Type().Elem())
 }
 
 // Delete removes the entry under key. Deleting a missing key is a no-op.
@@ -253,12 +173,7 @@ func (s *State) ModeOf(key string) (Mode, error) {
 func (s *State) Keys() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return wire.SortedKeys(s.entries)
 }
 
 // Len reports the number of entries.
@@ -309,11 +224,7 @@ func (v *ServerView) Get(key string) (any, error) {
 	if !v.allowed(e) {
 		return nil, fmt.Errorf("%w: key %q is %s to server %q", ErrForbidden, key, e.Mode, v.server)
 	}
-	var val any
-	if err := gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&val); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return val, nil
+	return decodePayload(e.Payload)
 }
 
 // Update overwrites the value of an existing entry, if the view's server may
@@ -322,7 +233,7 @@ func (v *ServerView) Get(key string) (any, error) {
 // server can update a returning naplet with new information" works for
 // protected entries, §2.1).
 func (v *ServerView) Update(key string, value any) error {
-	payload, err := encode(value)
+	payload, err := encodeValue(value)
 	if err != nil {
 		return err
 	}
@@ -354,38 +265,6 @@ func (v *ServerView) Keys() []string {
 	return keys
 }
 
-// snapshot is the serializable form of the container.
-type snapshot struct {
-	Entries map[string]entry
-}
-
-// GobEncode implements gob.GobEncoder; the container serializes with the
-// naplet on migration (§2.1: "a protected serializable container").
-func (s *State) GobEncode() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshot{Entries: s.entries}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *State) GobDecode(data []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snap.Entries == nil {
-		snap.Entries = make(map[string]entry)
-	}
-	s.entries = snap.Entries
-	return nil
-}
-
 // Clone returns a deep copy of the container, used when a naplet is cloned
 // for a Par itinerary branch: each clone carries independent state.
 func (s *State) Clone() *State {
@@ -414,8 +293,3 @@ func (s *State) Size() int {
 	}
 	return n
 }
-
-// Register makes a concrete type storable in State containers. It must be
-// called (typically from an init function) for any application type placed
-// in agent state, mirroring gob.Register.
-func Register(value any) { gob.Register(value) }

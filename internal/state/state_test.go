@@ -2,9 +2,10 @@ package state
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,41 +58,62 @@ func TestLoadTypeMismatch(t *testing.T) {
 	}
 }
 
-func TestLoadSupportedTypes(t *testing.T) {
-	s := New()
-	s.SetPrivate("s", "str")
-	s.SetPrivate("i64", int64(7))
-	s.SetPrivate("f", 2.5)
-	s.SetPrivate("b", true)
-	s.SetPrivate("ss", []string{"a", "b"})
-	s.SetPrivate("m", map[string]string{"k": "v"})
+// twelveTypes holds one value of every type the value codec carries, in
+// tag order.
+func twelveTypes() []any {
+	return []any{
+		"str",
+		-42,
+		int64(1) << 40,
+		2.5,
+		true,
+		[]byte{0, 1, 0xff},
+		[]string{"a", "", "c"},
+		[]int{3, -1, 1 << 33},
+		[]any{"x", 7, []any{false}, map[string]any{"k": []byte("v")}},
+		map[string]string{"k": "v", "a": ""},
+		map[string][]string{"peers": {"s1", "s2"}, "none": nil},
+		map[string]any{"n": 1, "list": []any{int64(2), 3.0}, "m": map[string]string{"q": "r"}},
+	}
+}
 
-	var str string
-	var i64 int64
-	var f float64
-	var b bool
-	var ss []string
-	var m map[string]string
-	if err := s.Load("s", &str); err != nil || str != "str" {
-		t.Fatalf("string: %v %q", err, str)
+// TestLoadSupportedTypes: every storable type comes back as the concrete
+// Go type that was stored, from Get, from Load into a typed pointer and
+// *any, and after the container has crossed the wire.
+func TestLoadSupportedTypes(t *testing.T) {
+	for _, want := range twelveTypes() {
+		s := New()
+		if err := s.SetPrivate("k", want); err != nil {
+			t.Fatalf("%T: Set: %v", want, err)
+		}
+		wired, rest, err := DecodeBinary(s.AppendBinary(nil))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%T: DecodeBinary: %v, %d trailing bytes", want, err, len(rest))
+		}
+		for name, st := range map[string]*State{"local": s, "wired": wired} {
+			if got, err := st.Get("k"); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %T: Get = %#v, %v", name, want, got, err)
+			}
+			typed := reflect.New(reflect.TypeOf(want))
+			if err := st.Load("k", typed.Interface()); err != nil || !reflect.DeepEqual(typed.Elem().Interface(), want) {
+				t.Errorf("%s %T: Load = %#v, %v", name, want, typed.Elem().Interface(), err)
+			}
+			var boxed any
+			if err := st.Load("k", &boxed); err != nil || !reflect.DeepEqual(boxed, want) {
+				t.Errorf("%s %T: Load into *any = %#v, %v", name, want, boxed, err)
+			}
+			// A pointer to any other type names what is there and what
+			// was asked for.
+			err := st.Load("k", new(struct{}))
+			if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), fmt.Sprintf("have %T want struct {}", want)) {
+				t.Errorf("%s %T: mismatched Load error = %v", name, want, err)
+			}
+		}
 	}
-	if err := s.Load("i64", &i64); err != nil || i64 != 7 {
-		t.Fatalf("int64: %v %d", err, i64)
-	}
-	if err := s.Load("f", &f); err != nil || f != 2.5 {
-		t.Fatalf("float64: %v %v", err, f)
-	}
-	if err := s.Load("b", &b); err != nil || !b {
-		t.Fatalf("bool: %v %v", err, b)
-	}
-	if err := s.Load("ss", &ss); err != nil || len(ss) != 2 {
-		t.Fatalf("[]string: %v %v", err, ss)
-	}
-	if err := s.Load("m", &m); err != nil || m["k"] != "v" {
-		t.Fatalf("map: %v %v", err, m)
-	}
-	if err := s.Load("s", new(struct{})); err == nil {
-		t.Fatal("unsupported out type should error")
+	s := New()
+	s.SetPrivate("k", 1)
+	if err := s.Load("k", 7); !errors.Is(err, ErrUnsupportedType) {
+		t.Errorf("Load into a non-pointer: %v, want ErrUnsupportedType", err)
 	}
 }
 
@@ -212,18 +234,14 @@ func TestDeleteAndLen(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	s := New()
 	s.SetPrivate("priv", 1)
 	s.SetPublic("pub", "x")
 	s.SetProtected("prot", 3.5, "srv")
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	restored := New()
-	if err := gob.NewDecoder(&buf).Decode(restored); err != nil {
+	restored, _, err := DecodeBinary(s.AppendBinary(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 3 {
@@ -235,7 +253,7 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 	// Protection metadata must survive migration.
 	if _, err := restored.ServerView("other").Get("prot"); !errors.Is(err, ErrForbidden) {
-		t.Fatal("protection lost after gob round trip")
+		t.Fatal("protection lost after round trip")
 	}
 	if v, err := restored.ServerView("srv").Get("prot"); err != nil || v.(float64) != 3.5 {
 		t.Fatalf("allow list lost after round trip: %v %v", v, err)
@@ -340,7 +358,7 @@ func TestPropStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPropGobPreservesEverything(t *testing.T) {
+func TestPropBinaryPreservesEverything(t *testing.T) {
 	f := func(keys []string, vals []string) bool {
 		s := New()
 		n := len(keys)
@@ -352,12 +370,9 @@ func TestPropGobPreservesEverything(t *testing.T) {
 				return false
 			}
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-			return false
-		}
-		r := New()
-		if err := gob.NewDecoder(&buf).Decode(r); err != nil {
+		enc := s.AppendBinary(nil)
+		r, rest, err := DecodeBinary(enc)
+		if err != nil || len(rest) != 0 || len(enc) != s.EncodedSize() {
 			return false
 		}
 		if r.Len() != s.Len() {

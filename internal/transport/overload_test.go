@@ -194,7 +194,7 @@ func TestErrorReplyCodes(t *testing.T) {
 	for _, tc := range cases {
 		reply := ErrorReply(req, tc.err)
 		var werr wire.Error
-		if err := reply.Body(&werr); err != nil {
+		if err := werr.Decode(reply.Payload); err != nil {
 			t.Fatal(err)
 		}
 		if werr.Code != tc.code {

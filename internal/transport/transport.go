@@ -473,17 +473,6 @@ func (n *tcpNode) safeHandle(req wire.Frame) (reply wire.Frame, err error) {
 	return n.handler(req.From, req)
 }
 
-// fallbackErrorPayload is a pre-encoded generic handler error, sent when the
-// real error message itself fails to marshal so the caller still receives a
-// decodable wire.Error rather than an empty payload.
-var fallbackErrorPayload = func() []byte {
-	p, err := wire.Marshal(&wire.Error{Code: "handler", Message: "handler error (detail unencodable)"})
-	if err != nil {
-		panic("transport: cannot pre-encode fallback error payload: " + err.Error())
-	}
-	return p
-}()
-
 // ErrorReply encodes a handler error into a reply frame so the caller sees
 // it as a typed wire.Error. Both fabrics (TCP and netsim) use it. Overload
 // semantics survive the hop: errors wrapping overload.ErrOverloaded or
@@ -494,16 +483,8 @@ func ErrorReply(req wire.Frame, err error) wire.Frame {
 	if code == "" {
 		code = "handler"
 	}
-	payload, merr := wire.Marshal(&wire.Error{Code: code, Message: err.Error()})
-	if merr != nil {
-		payload = fallbackErrorPayload
-	}
-	return wire.Frame{
-		Kind:    wire.Kind(string(req.Kind) + ".error"),
-		From:    req.To,
-		To:      req.From,
-		Payload: payload,
-	}
+	return wire.BinaryFrame(wire.Kind(string(req.Kind)+".error"), req.To, req.From,
+		&wire.Error{Code: code, Message: err.Error()})
 }
 
 // IsErrorReply reports whether a reply frame carries a handler error, and
@@ -513,7 +494,7 @@ func IsErrorReply(req wire.Kind, reply wire.Frame) error {
 		return nil
 	}
 	var werr wire.Error
-	if err := reply.Body(&werr); err != nil {
+	if err := werr.Decode(reply.Payload); err != nil {
 		return fmt.Errorf("transport: undecodable error reply: %w", err)
 	}
 	if sentinel := overload.FromCode(werr.Code); sentinel != nil {

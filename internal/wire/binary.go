@@ -1,11 +1,9 @@
-// Binary field primitives shared by the hand-rolled payload codecs.
-//
-// PR 2 replaced gob in the frame *header*; the migration payload bodies
-// (naplet records, mail, dock snapshots) kept gob until the codecs built on
-// these primitives replaced it. The building blocks mirror the frame
-// header's conventions — uvarint length prefixes, no reflection, sizes
-// computable arithmetically — so every codec in the system speaks one
-// dialect and DESIGN.md §10 documents it once.
+// Binary field primitives shared by the hand-rolled payload codecs: naplet
+// records, state values, mail, protocol bodies, error replies and dock
+// snapshots. The building blocks mirror the frame header's conventions —
+// uvarint length prefixes, no reflection, sizes computable arithmetically —
+// so every codec in the system speaks one dialect and DESIGN.md §11
+// documents it once.
 //
 // Encoding conventions:
 //
@@ -15,13 +13,18 @@
 //	varint (signed)   zigzag, binary.AppendVarint
 //	time.Time         [flag byte: 0 = zero time] or
 //	                  [1] [varint unix seconds] [uvarint nanoseconds]
+//	sequence / map    [uvarint n] n×element — see AppendSeq, AppendMap
+//
+// A protocol body leads with one version byte (DecVersion); a payload
+// whose first byte is anything else is malformed, never handed to a
+// second parser.
 //
 // The explicit zero flag matters because the zero time.Time is year 1, far
 // outside the varint-friendly Unix range, and IsZero must survive a round
 // trip (zero creation times and open departure hops carry meaning).
 // Decoded times are UTC with second/nanosecond fidelity; time.Time.Equal
 // holds across a round trip, monotonic readings and locations do not
-// travel (they never did under gob either).
+// travel.
 //
 // Decoders consume from the front of a slice and return the rest, like the
 // frame header's readString. DecBytes aliases the input; callers that
@@ -31,6 +34,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
+	"sort"
 	"time"
 )
 
@@ -74,6 +79,15 @@ func AppendTime(dst []byte, t time.Time) []byte {
 	dst = append(dst, 1)
 	dst = binary.AppendVarint(dst, t.Unix())
 	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
+}
+
+// DecVersion consumes the version byte that leads a binary body and
+// rejects any other value: each body has exactly one parse path.
+func DecVersion(payload []byte, want byte) ([]byte, error) {
+	if len(payload) == 0 || payload[0] != want {
+		return nil, fmt.Errorf("%w: body does not start with version byte %d", ErrMalformed, want)
+	}
+	return payload[1:], nil
 }
 
 // DecString consumes one length-prefixed string. The returned string is a
@@ -192,6 +206,119 @@ func SizeTime(t time.Time) int {
 	return 1 + SizeVarint(t.Unix()) + uvarintLen(uint64(t.Nanosecond()))
 }
 
+// Sequences and string-keyed maps share one shape — a uvarint count, then
+// the elements, map entries as [string key] [element] in sorted key order
+// so that equal values encode to equal bytes — whatever the element codec.
+// The element functions are the primitives above or a domain codec's own.
+
+// AppendSeq appends a count-prefixed sequence.
+func AppendSeq[T any](dst []byte, xs []T, elem func([]byte, T) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = elem(dst, x)
+	}
+	return dst
+}
+
+// AppendMap appends a count-prefixed map in sorted key order.
+func AppendMap[T any](dst []byte, m map[string]T, elem func([]byte, T) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for _, k := range SortedKeys(m) {
+		dst = elem(AppendString(dst, k), m[k])
+	}
+	return dst
+}
+
+// SortedKeys returns m's keys in sorted order.
+func SortedKeys[T any](m map[string]T) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// maxPrealloc bounds what DecSeq and DecMap reserve on the strength of a
+// count alone; a longer container grows as its elements actually decode.
+// DecCount already ties a count to the input length, but containers nest.
+const maxPrealloc = 1024
+
+// DecSeq consumes one count-prefixed sequence whose elements each occupy at
+// least minElemSize bytes. An empty sequence decodes to nil.
+func DecSeq[T any](b []byte, minElemSize int, elem func([]byte) (T, []byte, error)) ([]T, []byte, error) {
+	n, b, err := DecCount(b, minElemSize)
+	if err != nil || n == 0 {
+		return nil, b, err
+	}
+	xs := make([]T, 0, min(n, maxPrealloc))
+	for i := 0; i < n; i++ {
+		var x T
+		if x, b, err = elem(b); err != nil {
+			return nil, nil, err
+		}
+		xs = append(xs, x)
+	}
+	return xs, b, nil
+}
+
+// DecMap consumes one count-prefixed map. An empty map decodes to a
+// non-nil empty map; of duplicate keys the last wins.
+func DecMap[T any](b []byte, elem func([]byte) (T, []byte, error)) (map[string]T, []byte, error) {
+	n, b, err := DecCount(b, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := make(map[string]T, min(n, maxPrealloc))
+	for i := 0; i < n; i++ {
+		var k string
+		if k, b, err = readString(b); err != nil {
+			return nil, nil, err
+		}
+		if m[k], b, err = elem(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	return m, b, nil
+}
+
+// SizeSeq returns the encoded size of AppendSeq(xs, …) given the element
+// size function.
+func SizeSeq[T any](xs []T, size func(T) int) int {
+	n := uvarintLen(uint64(len(xs)))
+	for _, x := range xs {
+		n += size(x)
+	}
+	return n
+}
+
+// SizeMap returns the encoded size of AppendMap(m, …).
+func SizeMap[T any](m map[string]T, size func(T) int) int {
+	n := uvarintLen(uint64(len(m)))
+	for k, x := range m {
+		n += SizeString(k) + size(x)
+	}
+	return n
+}
+
+// AppendStrings appends a count-prefixed string list.
+func AppendStrings(dst []byte, ss []string) []byte { return AppendSeq(dst, ss, AppendString) }
+
+// DecStrings consumes one count-prefixed string list.
+func DecStrings(b []byte) ([]string, []byte, error) { return DecSeq(b, 1, readString) }
+
+// SizeStrings returns the encoded size of AppendStrings(ss).
+func SizeStrings(ss []string) int { return SizeSeq(ss, SizeString) }
+
+// AppendStringMap appends a count-prefixed string map.
+func AppendStringMap(dst []byte, m map[string]string) []byte { return AppendMap(dst, m, AppendString) }
+
+// DecStringMap consumes one count-prefixed string map.
+func DecStringMap(b []byte) (map[string]string, []byte, error) { return DecMap(b, readString) }
+
+// SizeStringMap returns the encoded size of AppendStringMap(m).
+func SizeStringMap(m map[string]string) int { return SizeMap(m, SizeString) }
+
 // BinaryBody is a payload body with a hand-rolled binary codec: everything
 // a frame needs to carry it without reflection.
 type BinaryBody interface {
@@ -203,7 +330,8 @@ type BinaryBody interface {
 }
 
 // BinaryFrame builds a frame around a binary-codec body in one exact-size
-// allocation — the non-reflective counterpart of NewFrame.
+// allocation. Everything a dock, device or station sends on its own is
+// built here; NewFrame is for the operator-plane bodies only.
 func BinaryFrame(kind Kind, from, to string, body BinaryBody) Frame {
 	payload := body.AppendBinary(make([]byte, 0, body.EncodedSize()))
 	return Frame{Kind: kind, From: from, To: to, Payload: payload}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,5 +121,63 @@ func TestBinaryTimeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSeqAndMapRoundTrip(t *testing.T) {
+	ss := []string{"b", "", "a"}
+	m := map[string]string{"z": "1", "a": "", "m": "3"}
+	var b []byte
+	b = AppendStrings(b, ss)
+	b = AppendStrings(b, nil)
+	b = AppendStringMap(b, m)
+	b = AppendStringMap(b, nil)
+	if want := SizeStrings(ss) + SizeStrings(nil) + SizeStringMap(m) + SizeStringMap(nil); len(b) != want {
+		t.Fatalf("encoded %d bytes, sizes sum to %d", len(b), want)
+	}
+	// Maps encode in sorted key order whatever the iteration order.
+	if want := []byte{3, 1, 'a', 0, 1, 'm', 1, '3', 1, 'z', 1, '1'}; !bytes.Equal(AppendStringMap(nil, m), want) {
+		t.Fatalf("map encoding %v, want %v", AppendStringMap(nil, m), want)
+	}
+
+	gotSS, rest, err := DecStrings(b)
+	if err != nil || !reflect.DeepEqual(gotSS, ss) {
+		t.Fatalf("strings: %v %v", gotSS, err)
+	}
+	empty, rest, err := DecStrings(rest)
+	if err != nil || empty != nil {
+		t.Fatalf("empty list: %v %v, want nil", empty, err)
+	}
+	gotM, rest, err := DecStringMap(rest)
+	if err != nil || !reflect.DeepEqual(gotM, m) {
+		t.Fatalf("map: %v %v", gotM, err)
+	}
+	emptyM, rest, err := DecStringMap(rest)
+	if err != nil || emptyM == nil || len(emptyM) != 0 || len(rest) != 0 {
+		t.Fatalf("empty map: %v %v, %d bytes left; want a non-nil empty map", emptyM, err, len(rest))
+	}
+
+	// A forged count fails before anything is reserved for it.
+	hostile := AppendUvarint(nil, 1<<40)
+	if _, _, err := DecStrings(hostile); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("hostile list count: %v", err)
+	}
+	if _, _, err := DecStringMap(hostile); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("hostile map count: %v", err)
+	}
+	if _, _, err := DecStrings([]byte{2, 1, 'a'}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("truncated list: %v", err)
+	}
+}
+
+func TestDecVersion(t *testing.T) {
+	rest, err := DecVersion([]byte{1, 9}, 1)
+	if err != nil || !bytes.Equal(rest, []byte{9}) {
+		t.Fatalf("DecVersion = %v, %v", rest, err)
+	}
+	for _, payload := range [][]byte{nil, {0, 9}, {2, 9}, []byte(`{"OK":true}`)} {
+		if rest, err := DecVersion(payload, 1); !errors.Is(err, ErrMalformed) || rest != nil {
+			t.Errorf("DecVersion(%v) = %v, %v; want nil, ErrMalformed", payload, rest, err)
+		}
 	}
 }

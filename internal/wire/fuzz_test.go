@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -83,6 +84,38 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if fr.EncodedSize() > len(data) {
 			t.Fatalf("accepted frame of size %d from %d input bytes", fr.EncodedSize(), len(data))
+		}
+	})
+}
+
+// FuzzDecodeError feeds arbitrary bytes to the error-reply decoder: no
+// panic, allocation bounded by the input length, and whatever decodes
+// re-encodes to its declared size and decodes again to an equal value.
+func FuzzDecodeError(f *testing.F) {
+	golden := (&Error{Code: "overloaded", Message: "gate: queue full"}).AppendBinary(nil)
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte(`{"Code":"handler"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.Decode(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<18) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := got.AppendBinary(nil)
+		if len(enc) != got.EncodedSize() {
+			t.Fatalf("EncodedSize %d, encoded %d", got.EncodedSize(), len(enc))
+		}
+		var again Error
+		if err := again.Decode(enc); err != nil || again != got {
+			t.Fatalf("re-decode of an accepted error: %+v, %v; want %+v", again, err, got)
 		}
 	})
 }

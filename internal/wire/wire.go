@@ -4,8 +4,14 @@
 //
 // A Frame is a typed, addressed envelope. The frame header (Kind, From, To,
 // Seq) is encoded with a hand-rolled binary codec — length-prefixed strings
-// and varints — while the Payload remains a gob-encoded operation body,
-// where type flexibility matters. Frames are what transports move; their
+// and varints — and the Payload is opaque bytes owned by the protocol that
+// defines the Kind. Everything a dock, device or station sends on its own
+// builds its payload from the binary primitives in binary.go (BinaryFrame);
+// the six operator-plane bodies a human or the fleet master sends
+// (server.ControlBody/ControlReplyBody, fleet.WaveBody/WaveReplyBody/
+// NodesBody/NodesReplyBody) are JSON (NewFrame/Frame.Body). Which of the
+// two a Kind carries is fixed by its body type; no decoder inspects a
+// payload to choose a parser. Frames are what transports move; their
 // encoded size is what the network substrates meter, so all traffic
 // accounting in the experiments reflects the real encoded bytes.
 //
@@ -24,9 +30,8 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,10 +97,9 @@ type Frame struct {
 	From, To string
 	// Seq correlates requests and replies on a connection. Its high
 	// bits may carry the caller's remaining time budget — see
-	// PackBudget; legacy decoders read the packed value as an opaque
-	// correlation number, unchanged.
+	// PackBudget.
 	Seq uint64
-	// Payload is the gob-encoded operation body.
+	// Payload is the encoded operation body, opaque to the frame codec.
 	Payload []byte
 	// ReceivedAt is stamped by the receiving fabric when the frame
 	// comes off the wire; it is not encoded. BudgetContext measures
@@ -108,7 +112,7 @@ type Frame struct {
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 	ErrTruncated     = errors.New("wire: truncated frame")
-	ErrMalformed     = errors.New("wire: malformed frame header")
+	ErrMalformed     = errors.New("wire: malformed encoding")
 )
 
 // MaxFrameSize bounds a single frame body on the wire (16 MiB). Naplet
@@ -116,25 +120,25 @@ var (
 // hostile length prefixes.
 const MaxFrameSize = 16 << 20
 
-// Marshal gob-encodes a payload body for embedding in a Frame.
+// Marshal JSON-encodes an operator-plane body for embedding in a Frame.
 func Marshal(body any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
+	payload, err := json.Marshal(body)
+	if err != nil {
 		return nil, fmt.Errorf("wire: marshal %T: %w", body, err)
 	}
-	return buf.Bytes(), nil
+	return payload, nil
 }
 
 // Unmarshal decodes a payload produced by Marshal into out, which must be a
 // pointer.
 func Unmarshal(payload []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
+	if err := json.Unmarshal(payload, out); err != nil {
 		return fmt.Errorf("wire: unmarshal into %T: %w", out, err)
 	}
 	return nil
 }
 
-// NewFrame builds a frame with a marshalled body.
+// NewFrame builds a frame around an operator-plane body (see Marshal).
 func NewFrame(kind Kind, from, to string, body any) (Frame, error) {
 	payload, err := Marshal(body)
 	if err != nil {
@@ -351,6 +355,34 @@ func readFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
 type Error struct {
 	Code    string
 	Message string
+}
+
+// errorCodecVersion is the leading version byte of an encoded Error.
+const errorCodecVersion = 1
+
+// EncodedSize returns the exact encoded size of the error body.
+func (e *Error) EncodedSize() int {
+	return 1 + SizeString(e.Code) + SizeString(e.Message)
+}
+
+// AppendBinary appends [version] [string code] [string message] to dst.
+func (e *Error) AppendBinary(dst []byte) []byte {
+	dst = append(dst, errorCodecVersion)
+	dst = AppendString(dst, e.Code)
+	return AppendString(dst, e.Message)
+}
+
+// Decode parses an error-reply payload.
+func (e *Error) Decode(payload []byte) error {
+	rest, err := DecVersion(payload, errorCodecVersion)
+	if err != nil {
+		return err
+	}
+	if e.Code, rest, err = DecString(rest); err != nil {
+		return err
+	}
+	e.Message, _, err = DecString(rest)
+	return err
 }
 
 // Error implements the error interface.

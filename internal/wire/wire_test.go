@@ -315,3 +315,37 @@ func TestPropDecodeNeverPanicsOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestErrorCodec: the error reply is [version] [code] [message], survives
+// encode→decode→encode byte for byte, and rejects what is not that.
+func TestErrorCodec(t *testing.T) {
+	in := Error{Code: "deadline-past", Message: "budget spent before dispatch"}
+	enc := in.AppendBinary(nil)
+	if len(enc) != in.EncodedSize() {
+		t.Fatalf("EncodedSize %d, encoded %d", in.EncodedSize(), len(enc))
+	}
+	want := append([]byte{1, 13}, "deadline-past"...)
+	want = append(append(want, 28), "budget spent before dispatch"...)
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("encoding %x, want %x", enc, want)
+	}
+	var out Error
+	if err := out.Decode(enc); err != nil || out != in {
+		t.Fatalf("decoded %+v, %v", out, err)
+	}
+	if re := out.AppendBinary(nil); !bytes.Equal(re, enc) {
+		t.Fatalf("re-encoding %x, want %x", re, enc)
+	}
+	for name, payload := range map[string][]byte{
+		"empty":     nil,
+		"version 0": append([]byte{0}, enc[1:]...),
+		"version 2": append([]byte{2}, enc[1:]...),
+		"json":      []byte(`{"Code":"handler","Message":"x"}`),
+		"truncated": enc[:len(enc)-3],
+	} {
+		var got Error
+		if err := got.Decode(payload); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: Decode error = %v, want ErrMalformed", name, err)
+		}
+	}
+}
