@@ -5,13 +5,16 @@
 # connection scratch state, or lock-free metric hot paths. It also fails
 # if any non-test package imports encoding/gob: the wire primitives are
 # the one codec for what docks send, JSON the one for operator bodies.
+# bench/ is a module of its own that decodes the program's transfer bodies
+# and compiles against its public API, so it is vetted and tested here too.
 verify:
 	go vet ./...
 	go build ./...
 	@if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob; then \
 		echo "verify: the packages above import encoding/gob"; exit 1; fi
 	go test ./...
-	go test -race ./internal/wire/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
+	go -C bench vet ./... && go -C bench test ./...
+	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
 	go run ./cmd/migrationbench -check BENCH_migration.json
 	go run ./cmd/directorybench -check BENCH_directory.json
 	go run ./cmd/fleetbench -check BENCH_fleet.json
@@ -59,8 +62,8 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s ./internal/wire/
 
 # bench-migration regenerates BENCH_migration.json: record/mail codec
-# cost, plus full naplet hops (landing, transfer, ack) over real TCP and
-# the simulated WAN. `migrationbench -check` (run by verify) fails if allocs/op regress
+# cost, plus full warm naplet hops (one transfer round trip to a proven
+# dock) over real TCP and the simulated WAN. `migrationbench -check` (run by verify) fails if allocs/op regress
 # >10% against the committed file.
 bench-migration:
 	go run ./cmd/migrationbench -count 5 -o BENCH_migration.json

@@ -1,7 +1,7 @@
 // Command migrationbench benchmarks the migration hot path: record and
-// mail serialization, and full naplet hops — landing negotiation,
-// transfer, ack — over real TCP and over a simulated WAN. Results land in
-// BENCH_migration.json via `make bench-migration`.
+// mail serialization, and full warm naplet hops — one transfer and its ack
+// to a proven dock — over real TCP and over a simulated WAN. Results land
+// in BENCH_migration.json via `make bench-migration`.
 //
 // With -check <file>, the deterministic codec benchmarks are re-run and
 // compared against the committed baseline: a >10% regression in allocs/op
@@ -212,9 +212,10 @@ type benchAgent struct{}
 func (benchAgent) OnStart(ctx *naplet.Context) error { return nil }
 
 // benchHop ping-pongs one naplet between two servers; each iteration is a
-// complete migration: landing request/grant, record transfer, ack, and
-// directory bookkeeping. Code moves only on the first hop (warm caches
-// after that, like a real tour).
+// complete warm migration: one record transfer and its ack, with every
+// landing check run on the transfer. The landing request/grant and the code
+// move only on the two warm-up hops (each origin then holds proof of its
+// peer, like a real tour's second lap).
 func benchHop(b *testing.B, fab transport.Fabric, addrA, addrB string) {
 	reg := registry.New()
 	reg.MustRegister(&registry.Codebase{
@@ -242,8 +243,9 @@ func benchHop(b *testing.B, fab transport.Fabric, addrA, addrB string) {
 		return <-to.landed
 	}
 
-	// Warm-up hops: load the code cache at both ends so the measured loop
-	// is steady state, the way a mid-tour hop is.
+	// Warm-up hops: load the code cache at both ends and prove each end to
+	// the other, so the measured loop is steady state, the way a mid-tour
+	// hop is.
 	rec = hop(na, nb, nameB, rec)
 	rec = hop(nb, na, nameA, rec)
 

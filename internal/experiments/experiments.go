@@ -245,7 +245,8 @@ func E2ServerRoundTrip(w io.Writer, opts Options) error {
 			float64(res.FramesSent)/float64(n), res.Elapsed)
 	}
 	table.WriteTo(w)
-	fmt.Fprintln(w, "\nEach hop engages the full Figure-2 path: landing request, transfer,")
-	fmt.Fprintln(w, "directory/home registration, monitor admission, mailbox, status report.")
+	fmt.Fprintln(w, "\nEach hop engages the full Figure-2 path: landing request (first contact")
+	fmt.Fprintln(w, "only: a fresh fleet per row), transfer, arrival registration, monitor")
+	fmt.Fprintln(w, "admission, mailbox; the tour ends with its result and a completed report.")
 	return nil
 }

@@ -90,7 +90,7 @@ func (b *LandingReplyBody) Decode(payload []byte) error {
 // EncodedSize returns the exact encoded size of the body.
 func (b *TransferBody) EncodedSize() int {
 	return 1 + wire.SizeBytes(b.Record) + wire.SizeBytes(b.Code) +
-		wire.SizeString(b.TransferID)
+		wire.SizeString(b.TransferID) + wire.SizeString(b.CodeDigest)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -98,7 +98,8 @@ func (b *TransferBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendBytes(dst, b.Record)
 	dst = wire.AppendBytes(dst, b.Code)
-	return wire.AppendString(dst, b.TransferID)
+	dst = wire.AppendString(dst, b.TransferID)
+	return wire.AppendString(dst, b.CodeDigest)
 }
 
 // Decode parses a transfer payload. Record and Code alias the payload;
@@ -115,20 +116,25 @@ func (b *TransferBody) Decode(payload []byte) error {
 	if b.Code, rest, err = wire.DecBytes(rest); err != nil {
 		return err
 	}
-	b.TransferID, _, err = wire.DecString(rest)
+	if b.TransferID, rest, err = wire.DecString(rest); err != nil {
+		return err
+	}
+	b.CodeDigest, _, err = wire.DecString(rest)
 	return err
 }
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *TransferAckBody) EncodedSize() int {
-	return 1 + wire.SizeBool + wire.SizeString(b.Reason)
+	return 1 + 3*wire.SizeBool + wire.SizeString(b.Reason)
 }
 
 // AppendBinary appends the body's binary form to dst.
 func (b *TransferAckBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendBool(dst, b.Accepted)
-	return wire.AppendString(dst, b.Reason)
+	dst = wire.AppendString(dst, b.Reason)
+	dst = wire.AppendBool(dst, b.NeedCode)
+	return wire.AppendBool(dst, b.Denied)
 }
 
 // Decode parses a transfer ack payload.
@@ -140,7 +146,13 @@ func (b *TransferAckBody) Decode(payload []byte) error {
 	if b.Accepted, rest, err = wire.DecBool(rest); err != nil {
 		return err
 	}
-	b.Reason, _, err = wire.DecString(rest)
+	if b.Reason, rest, err = wire.DecString(rest); err != nil {
+		return err
+	}
+	if b.NeedCode, rest, err = wire.DecBool(rest); err != nil {
+		return err
+	}
+	b.Denied, _, err = wire.DecBool(rest)
 	return err
 }
 

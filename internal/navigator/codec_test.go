@@ -31,8 +31,8 @@ func codecBodies() (samples []body, zero []func() body) {
 		&LandingRequestBody{NapletID: nid, Codebase: "test.Agent", StateSize: 512, CodeDigest: "abc",
 			Credential: cred.Credential{NapletID: nid, Codebase: "test.Agent", Roles: []string{"guest"}, IssuedAt: codecTime, Signature: []byte{1, 2}}},
 		&LandingReplyBody{Granted: true, NeedCode: true, Reason: "r"},
-		&TransferBody{Record: []byte("NR\x02rec"), Code: []byte("code"), TransferID: "sa#1"},
-		&TransferAckBody{Accepted: true, Reason: "ok"},
+		&TransferBody{Record: []byte("NR\x02rec"), Code: []byte("code"), TransferID: "sa#1", CodeDigest: "abc"},
+		&TransferAckBody{Reason: "at capacity", Denied: true},
 		&CodeFetchBody{Codebase: "test.Agent"},
 		&CodeBundleBody{Data: []byte("bundle")},
 		&HomeEventBody{NapletID: nid, Server: "sb", Arrival: true, At: codecTime},
@@ -94,6 +94,11 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Add(uint8(i), enc[:len(enc)/2])
 	}
 	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// The direct path's shapes: a code-less transfer naming its digest, the
+	// re-ask that answers it on a cold dock, and a plain acceptance.
+	f.Add(uint8(2), (&TransferBody{Record: []byte("NR\x02rec"), TransferID: "sa/boot/2", CodeDigest: strings.Repeat("a", 64)}).AppendBinary(nil))
+	f.Add(uint8(3), (&TransferAckBody{NeedCode: true}).AppendBinary(nil))
+	f.Add(uint8(3), (&TransferAckBody{Accepted: true}).AppendBinary(nil))
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		mk := zero[int(which)%len(zero)]
 		got := mk()

@@ -8,14 +8,22 @@
 //  2. It contacts the destination Navigator for a LANDING permission. The
 //     destination consults its own security manager (and resource
 //     admission), and — modelling lazy code loading — tells the origin
-//     whether it still needs the naplet's code bundle.
-//  3. The naplet record (and the code bundle, in push mode) transfers.
+//     whether it still needs the naplet's code bundle. An origin holding
+//     proof that this destination recently accepted the same code skips
+//     the step: the transfer below runs every one of these checks again on
+//     the real record, so one round trip carries the whole migration.
+//  3. The naplet record (and the code bundle, in push mode) transfers. The
+//     destination decides here — replay dedup, admission, LANDING
+//     permission, credential, code — and answers accepted, refused, or
+//     "resend with the code" (a cold push-mode cache; nothing landed).
 //  4. The destination registers the ARRIVAL event (with the directory
 //     and/or the naplet's home manager) and only then starts execution:
 //     "We postpone the execution of the naplet until the arrival
-//     registration is acknowledged."
-//  5. The origin receives the acknowledgement, registers the DEPART event,
-//     and releases the resources occupied by the naplet.
+//     registration is acknowledged." That arrival is the hop's one
+//     directory write: it supersedes the previous stop's by itself, and a
+//     failed dispatch never moved the entry.
+//  5. The origin receives the acknowledgement, records the departure in its
+//     own visit trace, and releases the resources occupied by the naplet.
 //
 // In pull mode the destination fetches the code bundle from the naplet's
 // home (the codebase URL's location) instead of receiving it from the
@@ -53,7 +61,8 @@ type CodeDelivery int
 // Code delivery modes.
 const (
 	// Push: the origin attaches the bundle to the transfer when the
-	// destination reports a cold cache.
+	// destination reports a cold cache (in its landing reply, or by
+	// answering a code-less transfer with NeedCode).
 	Push CodeDelivery = iota
 	// Pull: the destination fetches the bundle from the naplet's home
 	// after the transfer, before starting execution.
@@ -98,12 +107,27 @@ type TransferBody struct {
 	// so a retry after a lost acknowledgement does not land the naplet
 	// twice.
 	TransferID string
+	// CodeDigest is the content digest of the codebase's bundle, as in
+	// LandingRequestBody, set on a transfer sent without a landing request:
+	// it still lands warm on a destination that holds the bytes under
+	// another name. Empty after a landing request, which carried it.
+	CodeDigest string
 }
 
-// TransferAckBody acknowledges a completed landing.
+// TransferAckBody answers a transfer: landed, refused, or — nothing landed
+// yet — resend with the code.
 type TransferAckBody struct {
 	Accepted bool
 	Reason   string
+	// NeedCode asks the origin to resend the same transfer with the code
+	// bundle attached: a push-mode destination's cache is cold and the
+	// transfer carried no code. Nothing landed and the transfer ID stays
+	// unmarked.
+	NeedCode bool
+	// Denied classes a refusal as a policy decision (LANDING permission or
+	// the admission veto), which the origin reports as ErrLandingDenied;
+	// every other refusal is ErrRejected.
+	Denied bool
 }
 
 // CodeFetchBody requests a code bundle by name (pull mode).
@@ -116,8 +140,9 @@ type CodeBundleBody struct {
 	Data []byte
 }
 
-// HomeEventBody reports an arrival or departure to the naplet's home
-// manager (the distributed directory of §4.1).
+// HomeEventBody reports an arrival to the naplet's home manager (the
+// distributed directory of §4.1). Docks send arrivals only; the Arrival
+// flag keeps the body's wire layout.
 type HomeEventBody struct {
 	NapletID id.NapletID
 	Server   string
@@ -167,6 +192,11 @@ type Stats struct {
 	// DupTransfers counts replayed TRANSFER frames absorbed by the
 	// idempotency window (re-acknowledged without landing again).
 	DupTransfers int64
+	// DirectTransfers counts dispatches that skipped the landing request
+	// because the destination was proven warm.
+	DirectTransfers int64
+	// CodeReasks counts NeedCode answers received to a code-less transfer.
+	CodeReasks int64
 }
 
 // metrics holds the navigator's registered telemetry handles.
@@ -180,6 +210,8 @@ type metrics struct {
 	homeReports *telemetry.Counter
 	retries     *telemetry.Counter
 	dupTransfer *telemetry.Counter
+	direct      *telemetry.Counter
+	codeReasks  *telemetry.Counter
 	hopLatency  *telemetry.Histogram
 	backoff     *telemetry.Histogram
 }
@@ -192,9 +224,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		codePushed:  reg.Counter("naplet_navigator_code_pushed_total", "code bundles attached to outbound transfers"),
 		codePulled:  reg.Counter("naplet_navigator_code_pulled_total", "code bundles fetched from naplet homes"),
 		codeServed:  reg.Counter("naplet_navigator_code_served_total", "code bundles served to cold caches"),
-		homeReports: reg.Counter("naplet_navigator_home_reports_total", "arrival/departure events reported to homes"),
+		homeReports: reg.Counter("naplet_navigator_home_reports_total", "arrival events reported to homes"),
 		retries:     reg.Counter("naplet_navigator_dispatch_retries_total", "dispatch re-attempts under the backoff policy"),
 		dupTransfer: reg.Counter("naplet_navigator_dup_transfers_total", "replayed TRANSFER frames absorbed by the dedup window"),
+		direct:      reg.Counter("naplet_navigator_direct_transfers_total", "dispatches that skipped the landing request (destination proven warm)"),
+		codeReasks:  reg.Counter("naplet_navigator_code_reasks_total", "NeedCode answers received to a code-less transfer"),
 		hopLatency: reg.Histogram("naplet_navigator_hop_latency_seconds",
 			"end-to-end migration (dispatch) latency", telemetry.LatencyBuckets),
 		backoff: reg.Histogram("naplet_navigator_backoff_seconds",
@@ -213,15 +247,15 @@ type AdmitFunc func(req LandingRequestBody) error
 type Config struct {
 	// CodeDelivery selects push or pull bundle transport.
 	CodeDelivery CodeDelivery
-	// Directory, when set, receives ARRIVAL/DEPART registrations: a
+	// Directory, when set, receives ARRIVAL registrations: a
 	// single-node client or a sharded, replicated plane. Takes precedence
 	// over DirectoryAddr.
 	Directory directory.Directory
 	// DirectoryAddr, when set (and Directory is nil), names a single
 	// directory node to register with.
 	DirectoryAddr string
-	// ReportHome, when set, sends arrival/departure events to each
-	// naplet's home manager (distributed directory mode).
+	// ReportHome, when set, sends arrival events to each naplet's home
+	// manager (distributed directory mode).
 	ReportHome bool
 	// CallTimeout bounds each protocol call (default 30s).
 	CallTimeout time.Duration
@@ -265,9 +299,10 @@ type Navigator struct {
 	clock  func() time.Time
 	dir    directory.Directory
 
-	onLand  LandFunc
-	admit   AdmitFunc
-	persist func(rec *naplet.Record)
+	onLand     LandFunc
+	admit      AdmitFunc
+	beforeLand func(nid id.NapletID)
+	persist    func(rec *naplet.Record)
 
 	tidSeq   atomic.Uint64
 	bootID   string        // random per-boot nonce scoping transfer IDs
@@ -278,6 +313,8 @@ type Navigator struct {
 	// to settle (and be absorbed by the window), not land a second copy.
 	landingMu sync.Mutex
 	landing   map[string]chan struct{}
+
+	warm proofs // destinations this origin may send to without asking
 
 	met *metrics
 }
@@ -339,6 +376,14 @@ func (n *Navigator) SetLandFunc(f LandFunc) { n.onLand = f }
 // SetAdmitFunc installs the resource-admission veto.
 func (n *Navigator) SetAdmitFunc(f AdmitFunc) { n.admit = f }
 
+// SetBeforeLandFunc installs a hook HandleTransfer calls with the naplet's
+// ID once a transfer is known not to be a replay and before any landing
+// check or state change. It may block: the server holds a returning naplet
+// here until its previous stay on this dock has been released. Replays and
+// landing requests never wait, so an origin still resolving a lost ack is
+// always answered.
+func (n *Navigator) SetBeforeLandFunc(f func(nid id.NapletID)) { n.beforeLand = f }
+
 // SetPersistFunc installs a hook called synchronously inside HandleTransfer
 // with the newly landed record, after the landing is accepted and marked
 // but before the acknowledgement returns to the origin. A durable dock
@@ -363,15 +408,17 @@ func (n *Navigator) RestoreAccepted(ids []string) {
 // registry.
 func (n *Navigator) Stats() Stats {
 	return Stats{
-		Dispatched:   n.met.dispatched.Value(),
-		Landed:       n.met.landed.Value(),
-		Refused:      n.met.refused.Value(),
-		CodePushed:   n.met.codePushed.Value(),
-		CodePulled:   n.met.codePulled.Value(),
-		CodeServed:   n.met.codeServed.Value(),
-		HomeReports:  n.met.homeReports.Value(),
-		Retries:      n.met.retries.Value(),
-		DupTransfers: n.met.dupTransfer.Value(),
+		Dispatched:      n.met.dispatched.Value(),
+		Landed:          n.met.landed.Value(),
+		Refused:         n.met.refused.Value(),
+		CodePushed:      n.met.codePushed.Value(),
+		CodePulled:      n.met.codePulled.Value(),
+		CodeServed:      n.met.codeServed.Value(),
+		HomeReports:     n.met.homeReports.Value(),
+		Retries:         n.met.retries.Value(),
+		DupTransfers:    n.met.dupTransfer.Value(),
+		DirectTransfers: n.met.direct.Value(),
+		CodeReasks:      n.met.codeReasks.Value(),
 	}
 }
 
@@ -396,6 +443,10 @@ func (n *Navigator) DispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	bd, err := n.dispatchID(ctx, rec, dest, transferID)
 	if err == nil {
 		n.met.hopLatency.ObserveDuration(bd.Total)
+	} else {
+		// Any failed call or refusal says this origin's picture of dest is
+		// stale: the next attempt asks for landing permission first.
+		n.warm.drop(dest)
 	}
 	if n.cfg.Tracer != nil {
 		span := telemetry.HopSpan{
@@ -445,80 +496,75 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	bd.Serialize = n.clock().Sub(serStart)
 	bd.RecordBytes = len(recordBytes)
 
-	// 2. LANDING permission at the destination. The request carries the
-	// bundle's content digest so a destination that already holds the
-	// bytes (under any codebase name) can skip the code transfer.
-	negStart := n.clock()
-	req := LandingRequestBody{
-		NapletID:   rec.ID,
-		Credential: rec.Credential,
-		Codebase:   rec.Codebase,
-		StateSize:  len(recordBytes),
-	}
+	// The bundle's content digest travels with whichever frame reaches the
+	// destination first, so one that already holds the bytes (under any
+	// codebase name) can skip the code transfer.
+	transfer := TransferBody{Record: recordBytes, TransferID: transferID}
+	digest := ""
 	if n.reg != nil {
-		req.CodeDigest, _ = n.reg.BundleDigest(rec.Codebase)
-	}
-	f := wire.BinaryFrame(wire.KindLandingRequest, "", "", &req)
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
-	reply, err := n.node.Call(cctx, dest, f)
-	cancel()
-	if err != nil {
-		return bd, fmt.Errorf("navigator: landing request to %s: %w", dest, err)
-	}
-	var landing LandingReplyBody
-	if err := landing.Decode(reply.Payload); err != nil {
-		return bd, err
-	}
-	bd.Negotiation = n.clock().Sub(negStart)
-	if !landing.Granted {
-		return bd, fmt.Errorf("%w by %s: %s", ErrLandingDenied, dest, landing.Reason)
+		digest, _ = n.reg.BundleDigest(rec.Codebase)
 	}
 
-	// 3. Transfer, attaching code in push mode when the destination needs
-	// it.
-	transfer := TransferBody{Record: recordBytes, TransferID: transferID}
-	if landing.NeedCode && n.cfg.CodeDelivery == Push {
-		bundle, err := n.reg.Bundle(rec.Codebase)
+	// 2. LANDING permission at the destination — skipped when dest is proven
+	// warm for this code and still held alive: the transfer re-runs every
+	// check the request would, and only a first contact needs the request's
+	// other property, that losing it is never ambiguous.
+	if n.warm.has(dest, digest) && n.cfg.Health.State(dest) == health.StateAlive {
+		n.met.direct.Inc()
+		transfer.CodeDigest = digest
+	} else {
+		negStart := n.clock()
+		req := LandingRequestBody{
+			NapletID:   rec.ID,
+			Credential: rec.Credential,
+			Codebase:   rec.Codebase,
+			StateSize:  len(recordBytes),
+			CodeDigest: digest,
+		}
+		reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindLandingRequest, "", "", &req))
 		if err != nil {
+			return bd, fmt.Errorf("navigator: landing request to %s: %w", dest, err)
+		}
+		var landing LandingReplyBody
+		if err := landing.Decode(reply.Payload); err != nil {
 			return bd, err
 		}
-		transfer.Code = bundle
-		bd.CodeBytes = len(bundle)
-		n.met.codePushed.Inc()
-	}
-	trStart := n.clock()
-	tf := wire.BinaryFrame(wire.KindNapletTransfer, "", "", &transfer)
-	// Register the DEPART event before the transfer so the destination's
-	// ARRIVAL registration is always the newer record: this preserves the
-	// paper's invariant that the directory holds current information
-	// (§4.1 — if the latest entry is a departure the naplet is in transit,
-	// if an arrival it is at that server).
-	departAt := n.clock()
-	n.RegisterEvent(ctx, rec, directory.Departure, n.server, dest, departAt)
-	cctx, cancel = context.WithTimeout(ctx, n.cfg.CallTimeout)
-	ackReply, err := n.node.Call(cctx, dest, tf)
-	cancel()
-	if err == nil {
-		var ack TransferAckBody
-		if derr := ack.Decode(ackReply.Payload); derr != nil {
-			// The destination replied, so the handler ran — and may have
-			// landed the naplet — but the ack is unreadable.
-			err = fmt.Errorf("%w: transfer ack from %s: %v", ErrTransferUnresolved, dest, derr)
-		} else if !ack.Accepted {
-			err = fmt.Errorf("%w by %s: %s", ErrRejected, dest, ack.Reason)
+		bd.Negotiation = n.clock().Sub(negStart)
+		if !landing.Granted {
+			return bd, fmt.Errorf("%w by %s: %s", ErrLandingDenied, dest, landing.Reason)
 		}
-	} else if transport.Refused(err) {
-		// Refused before delivery: the naplet provably did not land.
-		err = fmt.Errorf("navigator: transfer to %s: %w", dest, err)
-	} else {
-		// Lost somewhere past the send: the transfer may have landed.
-		err = fmt.Errorf("%w: transfer to %s: %w", ErrTransferUnresolved, dest, err)
+		if landing.NeedCode && n.cfg.CodeDelivery == Push {
+			if err := n.attachCode(rec, &transfer, &bd); err != nil {
+				return bd, err
+			}
+		}
 	}
-	if err != nil {
-		// The naplet never left: correct the directory with a fresh
-		// arrival at this server.
-		n.RegisterEvent(ctx, rec, directory.Arrival, n.server, "", n.clock())
+
+	// 3. Transfer. A destination whose cache went cold since it was proven
+	// (or since its landing reply) answers NeedCode without landing
+	// anything; resend once under the same transfer ID with the bundle.
+	trStart := n.clock()
+	ack, err := n.transfer(ctx, dest, &transfer)
+	reasked := err == nil && ack.NeedCode
+	if reasked {
+		n.met.codeReasks.Inc()
+		n.warm.drop(dest)
+		if err := n.attachCode(rec, &transfer, &bd); err != nil {
+			return bd, err
+		}
+		bd.Negotiation += n.clock().Sub(trStart)
+		trStart = n.clock()
+		ack, err = n.transfer(ctx, dest, &transfer)
+	}
+	switch {
+	case err != nil:
 		return bd, err
+	case ack.NeedCode:
+		return bd, fmt.Errorf("%w by %s: code bundle refused", ErrRejected, dest)
+	case ack.Denied:
+		return bd, fmt.Errorf("%w by %s: %s", ErrLandingDenied, dest, ack.Reason)
+	case !ack.Accepted:
+		return bd, fmt.Errorf("%w by %s: %s", ErrRejected, dest, ack.Reason)
 	}
 	bd.Transfer = n.clock().Sub(trStart)
 
@@ -529,57 +575,85 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	}
 	rec.Log.RecordDeparture(n.server, now)
 	n.met.dispatched.Inc()
+	if !reasked {
+		n.warm.add(dest, digest)
+	}
 	bd.Total = n.clock().Sub(start)
 	return bd, nil
 }
 
-// eventSeq derives the registration's tie-breaking sequence from the
-// naplet's navigation log, which travels with the record and so is
-// monotone across servers. Arrivals register after RecordArrival (the log
-// already holds the new hop), departures before RecordDeparture (it does
-// not yet), so hop k yields arrival seq 2k-1 and departure seq 2k.
-func eventSeq(rec *naplet.Record, ev directory.Event) uint64 {
-	hops := uint64(rec.Log.Len())
-	if ev == directory.Arrival {
-		if hops == 0 {
-			return 0
-		}
-		return 2*hops - 1
-	}
-	return 2 * hops
+// call is one protocol round trip to dest under the call timeout.
+func (n *Navigator) call(ctx context.Context, dest string, f wire.Frame) (wire.Frame, error) {
+	cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
+	defer cancel()
+	return n.node.Call(cctx, dest, f)
 }
 
-// RegisterEvent reports an arrival/departure to the directory and/or the
-// naplet's home manager, best effort. dest is the migration destination of
-// a departure (the forwarding pointer lookups resolve to) and empty for
-// arrivals. It is exported so the server can register launch-time arrivals
-// and clone births.
-func (n *Navigator) RegisterEvent(ctx context.Context, rec *naplet.Record, ev directory.Event, server, dest string, at time.Time) {
+// attachCode adds the codebase's bundle to an outbound transfer.
+func (n *Navigator) attachCode(rec *naplet.Record, transfer *TransferBody, bd *Breakdown) error {
+	bundle, err := n.reg.Bundle(rec.Codebase)
+	if err != nil {
+		return err
+	}
+	transfer.Code = bundle
+	bd.CodeBytes = len(bundle)
+	n.met.codePushed.Inc()
+	return nil
+}
+
+// transfer sends the transfer frame and reads the destination's answer. An
+// error is either refused before delivery (transport.Refused: the naplet
+// provably did not land) or ErrTransferUnresolved.
+func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBody) (TransferAckBody, error) {
+	var ack TransferAckBody
+	reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindNapletTransfer, "", "", body))
+	switch {
+	case err == nil:
+		if derr := ack.Decode(reply.Payload); derr != nil {
+			// The destination replied, so the handler ran — and may have
+			// landed the naplet — but the ack is unreadable.
+			return ack, fmt.Errorf("%w: transfer ack from %s: %v", ErrTransferUnresolved, dest, derr)
+		}
+		return ack, nil
+	case transport.Refused(err):
+		return ack, fmt.Errorf("navigator: transfer to %s: %w", dest, err)
+	default:
+		// Lost somewhere past the send: the transfer may have landed.
+		return ack, fmt.Errorf("%w: transfer to %s: %w", ErrTransferUnresolved, dest, err)
+	}
+}
+
+// RegisterArrival reports the naplet's arrival at this server to the
+// directory and/or the naplet's home manager, best effort. It is the only
+// location event a dock writes: the next stop's arrival supersedes it. The
+// sequence number comes from the navigation log, which travels with the
+// record and so is monotone across servers. Exported so the server can
+// register launch-time arrivals and clone births.
+func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record, at time.Time) {
 	if n.dir != nil {
+		var seq uint64
+		if hops := uint64(rec.Log.Len()); hops > 0 {
+			seq = 2*hops - 1
+		}
 		cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
 		_ = n.dir.RegisterEvent(cctx, directory.Registration{
-			NapletID: rec.ID, Event: ev,
-			Server: server, Dest: dest,
-			At: at, Seq: eventSeq(rec, ev),
+			NapletID: rec.ID, Event: directory.Arrival,
+			Server: n.server, At: at, Seq: seq,
 		})
 		cancel()
 	}
-	if n.cfg.ReportHome && rec.Home != n.server {
-		body := HomeEventBody{
-			NapletID: rec.ID,
-			Server:   server,
-			Arrival:  ev == directory.Arrival,
-			At:       at,
+	if !n.cfg.ReportHome {
+		return
+	}
+	if rec.Home == n.server {
+		if n.mgr != nil {
+			n.mgr.HomeRecord(rec.ID, n.server, true, at)
 		}
-		f := wire.BinaryFrame(wire.KindHomeEvent, "", "", &body)
-		cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
-		_, _ = n.node.Call(cctx, rec.Home, f)
-		cancel()
-		n.met.homeReports.Inc()
+		return
 	}
-	if n.cfg.ReportHome && rec.Home == n.server && n.mgr != nil {
-		n.mgr.HomeRecord(rec.ID, server, ev == directory.Arrival, at)
-	}
+	body := HomeEventBody{NapletID: rec.ID, Server: n.server, Arrival: true, At: at}
+	_, _ = n.call(ctx, rec.Home, wire.BinaryFrame(wire.KindHomeEvent, "", "", &body))
+	n.met.homeReports.Inc()
 }
 
 // ---- Destination side ----
@@ -613,24 +687,28 @@ func (n *Navigator) HandleLandingRequest(from string, f wire.Frame) (wire.Frame,
 	return wire.BinaryFrame(wire.KindLandingReply, f.To, f.From, &reply), nil
 }
 
-// HandleTransfer answers a KindNapletTransfer frame: it decodes the
-// naplet, completes code loading, registers the arrival (synchronously,
-// before execution), and hands the naplet to the visit engine.
+// HandleTransfer answers a KindNapletTransfer frame, and is the one place
+// that decides a landing: a transfer may arrive without a landing request
+// before it, and a request's grant is not trusted to match the transfer. In
+// order: replay dedup, the before-land hook, admission veto, LANDING
+// permission on the record's own credential, credential↔ID match, code loading, arrival registration
+// (synchronously, before execution and before the ack), dock commit, hand
+// over to the visit engine.
 func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error) {
+	// Every refusal is a typed ack, not an error frame: it proves to the
+	// origin that nothing landed here, which its failover logic relies on.
+	// (An error frame would be ambiguous — it is also what a handler panic
+	// produces.)
+	answer := func(ack TransferAckBody) (wire.Frame, error) {
+		return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &ack), nil
+	}
 	var transfer TransferBody
 	if err := transfer.Decode(f.Payload); err != nil {
-		// Reply with a typed rejection, not an error frame: a rejection
-		// proves to the origin that nothing landed here, which its
-		// failover logic relies on. (An error frame would be ambiguous —
-		// it is also what a handler panic produces.)
-		return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: err.Error()}), nil
+		return answer(TransferAckBody{Reason: err.Error()})
 	}
-	rec, err := DecodeRecord(transfer.Record)
-	if err != nil {
-		return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: err.Error()}), nil
-	}
-	// Deduplicate replayed transfers: if the acknowledgement of a landing
-	// was lost (or the frame itself was duplicated in flight), the same
+	// Deduplicate replayed transfers before anything else (the record is
+	// not even decoded for one): if the acknowledgement of a landing was
+	// lost (or the frame itself was duplicated in flight), the same
 	// transfer ID arrives again; the naplet already landed, so just
 	// re-acknowledge. The window is keyed by transfer ID alone, so even a
 	// stale replay arriving after a newer migration of the same naplet is
@@ -643,7 +721,7 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 		for {
 			if n.accepted.Seen(transfer.TransferID) {
 				n.met.dupTransfer.Inc()
-				return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true}), nil
+				return answer(TransferAckBody{Accepted: true})
 			}
 			n.landingMu.Lock()
 			settled, busy := n.landing[transfer.TransferID]
@@ -662,38 +740,54 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 			n.landingMu.Unlock()
 		}()
 	}
-	// Re-verify the credential on the actual record: the landing request
-	// is not trusted to match the transfer.
+	rec, err := DecodeRecord(transfer.Record)
+	if err != nil {
+		return answer(TransferAckBody{Reason: err.Error()})
+	}
+	if n.beforeLand != nil {
+		n.beforeLand(rec.ID)
+	}
+	if n.admit != nil {
+		err := n.admit(LandingRequestBody{
+			NapletID:   rec.ID,
+			Credential: rec.Credential,
+			Codebase:   rec.Codebase,
+			StateSize:  len(transfer.Record),
+			CodeDigest: transfer.CodeDigest,
+		})
+		if err != nil {
+			n.met.refused.Inc()
+			return answer(TransferAckBody{Denied: true, Reason: err.Error()})
+		}
+	}
 	if n.sec != nil {
 		if err := n.sec.CheckLanding(&rec.Credential); err != nil {
 			n.met.refused.Inc()
-			return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: err.Error()}), nil
+			return answer(TransferAckBody{Denied: true, Reason: err.Error()})
 		}
 	}
 	if !rec.Credential.NapletID.Equal(rec.ID) {
 		n.met.refused.Inc()
-		return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: "credential does not certify this naplet"}), nil
+		return answer(TransferAckBody{Reason: "credential does not certify this naplet"})
 	}
 
 	// Lazy code loading. Received bundles are cached under their content
 	// digest too (self-certified by hashing the received bytes), so later
-	// landings of any codebase with the same content skip the transfer.
+	// landings of any codebase with the same content skip the transfer. A
+	// name the cache does not know may still be warm by content: the alias
+	// lands it without a refetch.
 	if len(transfer.Code) > 0 {
 		n.cache.LoadedDigest(rec.Codebase, bundleDigest(transfer.Code), len(transfer.Code))
-	} else if !n.cache.Has(rec.Codebase) {
-		if n.cfg.CodeDelivery == Pull {
-			if err := n.pullCode(rec); err != nil {
-				return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: err.Error()}), nil
-			}
-		} else {
-			// Push mode but the origin sent no code (cache raced or origin
-			// skipped it): fall back to the local registry, charging a
-			// local load.
-			bundle, err := n.reg.Bundle(rec.Codebase)
-			if err != nil {
-				return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Reason: err.Error()}), nil
-			}
-			n.cache.LoadedDigest(rec.Codebase, bundleDigest(bundle), len(bundle))
+	} else if !n.cache.Has(rec.Codebase) && !n.cache.Alias(rec.Codebase, transfer.CodeDigest) {
+		if n.cfg.CodeDelivery == Push {
+			// Cold, and the origin sent no code (it skipped the landing
+			// request on stale proof, or the cache was evicted since the
+			// reply): ask for it. Nothing has landed and the window stays
+			// unmarked, so the resend under the same ID lands normally.
+			return answer(TransferAckBody{NeedCode: true})
+		}
+		if err := n.pullCode(rec); err != nil {
+			return answer(TransferAckBody{Reason: err.Error()})
 		}
 	}
 
@@ -703,7 +797,7 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 		n.mgr.RecordArrival(rec.ID, rec.Codebase, from, now)
 	}
 	rec.Log.RecordArrival(n.server, now)
-	n.RegisterEvent(context.Background(), rec, directory.Arrival, n.server, "", now)
+	n.RegisterArrival(context.Background(), rec, now)
 	n.met.landed.Inc()
 	// Mark only after the landing fully succeeded: a transfer that failed
 	// validation or code loading must stay retryable under the same ID.
@@ -720,16 +814,13 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 	if n.onLand != nil {
 		go n.onLand(rec, from)
 	}
-	return wire.BinaryFrame(wire.KindTransferAck, f.To, f.From, &TransferAckBody{Accepted: true}), nil
+	return answer(TransferAckBody{Accepted: true})
 }
 
 // pullCode fetches the bundle from the naplet's home server.
 func (n *Navigator) pullCode(rec *naplet.Record) error {
 	body := CodeFetchBody{Codebase: rec.Codebase}
-	f := wire.BinaryFrame(wire.KindCodeFetch, "", "", &body)
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	reply, err := n.node.Call(ctx, rec.Home, f)
+	reply, err := n.call(context.Background(), rec.Home, wire.BinaryFrame(wire.KindCodeFetch, "", "", &body))
 	if err != nil {
 		return fmt.Errorf("navigator: code fetch from %s: %w", rec.Home, err)
 	}

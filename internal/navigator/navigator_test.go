@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cred"
 	"repro/internal/directory"
 	"repro/internal/fault"
+	"repro/internal/health"
 	"repro/internal/id"
 	"repro/internal/itinerary"
 	"repro/internal/manager"
@@ -45,6 +47,15 @@ type node struct {
 	mgr    *manager.Manager
 	cache  *registry.Cache
 	landed chan *naplet.Record
+
+	mu        sync.Mutex
+	transfers []TransferBody // every transfer frame received, in order
+}
+
+func (n *node) received() []TransferBody {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]TransferBody(nil), n.transfers...)
 }
 
 func attach(t *testing.T, net *netsim.Network, name string, reg *registry.Registry, sec *security.Manager, cfg Config) *node {
@@ -66,6 +77,12 @@ func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Reg
 		case wire.KindLandingRequest:
 			return n.nav.HandleLandingRequest(from, f)
 		case wire.KindNapletTransfer:
+			var body TransferBody
+			if body.Decode(f.Payload) == nil {
+				n.mu.Lock()
+				n.transfers = append(n.transfers, TransferBody{TransferID: body.TransferID, Code: append([]byte(nil), body.Code...)})
+				n.mu.Unlock()
+			}
 			return n.nav.HandleTransfer(from, f)
 		case wire.KindCodeFetch:
 			return n.nav.HandleCodeFetch(from, f)
@@ -81,6 +98,15 @@ func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Reg
 	n.nav = New(cfg, name, tnode, sec, n.mgr, reg, n.cache, nil)
 	n.nav.SetLandFunc(func(rec *naplet.Record, source string) { n.landed <- rec })
 	return n
+}
+
+// recordN is record with a distinct naplet ID per n.
+func recordN(t *testing.T, home string, n int) *naplet.Record {
+	t.Helper()
+	rec := record(t, nil, home)
+	rec.ID = id.MustNew("czxu", home, t0.Add(time.Duration(n)*time.Second))
+	rec.Credential.NapletID = rec.ID
+	return rec
 }
 
 func record(t *testing.T, ring *cred.KeyRing, home string) *naplet.Record {
@@ -251,8 +277,8 @@ func TestTransferCredentialMismatchRejected(t *testing.T) {
 }
 
 func TestDirectoryEventOrdering(t *testing.T) {
-	// The DEPART event must be registered before the destination's ARRIVAL
-	// so the directory's latest record is always current (§4.1).
+	// The destination's ARRIVAL is the hop's one directory write and
+	// supersedes the entry the previous stop left (§4.1).
 	net := netsim.New(netsim.Config{})
 	reg := newRegistry(t)
 	svc := directory.NewService()
@@ -277,27 +303,62 @@ func TestDirectoryEventOrdering(t *testing.T) {
 	}
 }
 
+// TestDispatchFailureRestoresDirectory: the directory names the server
+// where the live copy is after a dispatch that did not cleanly succeed. The
+// origin writes nothing around a transfer, so a refused transfer leaves the
+// entry at the origin, and a transfer whose ack was lost leaves the
+// destination's arrival standing: lookups resolve to the copy that runs,
+// not the held one the origin is about to end (the server package's
+// TestLostTransferAckMailFollowsLiveCopy drives a Messenger.Post through
+// the same state).
 func TestDispatchFailureRestoresDirectory(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	reg := newRegistry(t)
-	svc := directory.NewService()
-	svc.Serve(net, "dir")
-	a := attach(t, net, "a", reg, nil, Config{DirectoryAddr: "dir"})
-	b := attach(t, net, "b", reg, nil, Config{DirectoryAddr: "dir"})
-	b.nav.SetLandFunc(nil)
-	// Make the transfer fail after the landing grant: partition a->b after
-	// the landing negotiation is impossible mid-call, so instead reject via
-	// transfer-time credential check.
-	rec := record(t, nil, "a")
-	rec.Credential.NapletID = id.MustNew("other", "a", t0)
-	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	if _, err := a.nav.Dispatch(context.Background(), rec, "b"); err == nil {
-		t.Fatal("dispatch must fail")
+	setup := func(t *testing.T, fab func(transport.Fabric) transport.Fabric) (*directory.Service, *node, *node, *naplet.Record) {
+		net := netsim.New(netsim.Config{})
+		reg := newRegistry(t)
+		svc := directory.NewService()
+		if _, err := svc.Serve(net, "dir"); err != nil {
+			t.Fatal(err)
+		}
+		f := fab(net)
+		a := attachOn(t, f, "a", reg, nil, Config{DirectoryAddr: "dir"})
+		b := attachOn(t, f, "b", reg, nil, Config{DirectoryAddr: "dir"})
+		rec := record(t, nil, "a")
+		a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
+		a.nav.RegisterArrival(context.Background(), rec, time.Now())
+		return svc, a, b, rec
 	}
-	entries := svc.Snapshot()
-	if len(entries) != 1 || entries[0].Event != directory.Arrival || entries[0].Server != "a" {
-		t.Fatalf("failed dispatch must restore arrival at origin: %+v", entries)
+	at := func(t *testing.T, svc *directory.Service, want string) {
+		t.Helper()
+		entries := svc.Snapshot()
+		if len(entries) != 1 || entries[0].Event != directory.Arrival || entries[0].Server != want {
+			t.Fatalf("directory must hold one arrival at %s: %+v", want, entries)
+		}
 	}
+
+	t.Run("refused transfer", func(t *testing.T) {
+		svc, a, _, rec := setup(t, func(f transport.Fabric) transport.Fabric { return f })
+		// Granted by the landing request, rejected by the transfer-time
+		// credential check.
+		rec.Credential.NapletID = id.MustNew("other", "a", t0)
+		if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrRejected) {
+			t.Fatalf("want ErrRejected, got %v", err)
+		}
+		at(t, svc, "a")
+	})
+
+	t.Run("lost transfer ack", func(t *testing.T) {
+		inj := fault.New(fault.Config{
+			Seed:  1,
+			P:     fault.Probabilities{DropReply: 1},
+			Kinds: func(k wire.Kind) bool { return k == wire.KindNapletTransfer },
+		})
+		svc, a, b, rec := setup(t, inj.Fabric)
+		if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrTransferUnresolved) {
+			t.Fatalf("want ErrTransferUnresolved, got %v", err)
+		}
+		<-b.landed
+		at(t, svc, "b")
+	})
 }
 
 func TestHomeEventReporting(t *testing.T) {
@@ -444,6 +505,7 @@ func TestConcurrentTransferReplaySingleFlights(t *testing.T) {
 	reg := newRegistry(t)
 	dir := &blockingDirectory{gate: make(chan struct{}), arrived: make(chan struct{})}
 	dst := attach(t, net, "b", reg, nil, Config{Directory: dir})
+	dst.cache.Loaded("test.Agent", 2048)
 
 	rec := record(t, nil, "a")
 	data, err := EncodeRecord(rec)
@@ -564,4 +626,157 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 	if errors.Is(err, ErrTransferUnresolved) {
 		t.Fatalf("refused-before-delivery dispatch must stay resolved, got: %v", err)
 	}
+}
+
+// prime dispatches one naplet a→b the two-step way, leaving a with proof
+// that b accepts test.Agent's bundle.
+func prime(t *testing.T, a, b *node) {
+	t.Helper()
+	if _, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 100), "b"); err != nil {
+		t.Fatal(err)
+	}
+	<-b.landed
+	if got := a.nav.Stats().DirectTransfers; got != 0 {
+		t.Fatalf("first contact skipped the landing request (%d direct)", got)
+	}
+}
+
+// TestNeedCodeReask: a proven dock that lost its cache (evicted, restarted)
+// answers the code-less direct transfer with NeedCode. The origin resends
+// once, under the same transfer ID, with the bundle; the naplet lands once;
+// and the proof is gone, so the dispatch after that asks first.
+func TestNeedCodeReask(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	reg := newRegistry(t)
+	a := attach(t, net, "a", reg, nil, Config{CodeDelivery: Push})
+	b := attach(t, net, "b", reg, nil, Config{CodeDelivery: Push})
+	prime(t, a, b)
+	b.cache.Evict("test.Agent")
+
+	tid := a.nav.NewTransferID()
+	bd, err := a.nav.DispatchID(context.Background(), recordN(t, "a", 1), "b", tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-b.landed
+	if bd.CodeBytes != 2048 || bd.Negotiation <= 0 {
+		t.Fatalf("the re-ask pushes the bundle and counts as negotiation: %+v", bd)
+	}
+	got := b.received()[1:] // past the priming transfer
+	if len(got) != 2 || got[0].TransferID != tid || got[1].TransferID != tid ||
+		len(got[0].Code) != 0 || len(got[1].Code) != 2048 {
+		t.Fatalf("want a code-less transfer and one resend with code under %q, got %+v", tid, got)
+	}
+	as, bs := a.nav.Stats(), b.nav.Stats()
+	if as.DirectTransfers != 1 || as.CodeReasks != 1 || as.Dispatched != 2 {
+		t.Fatalf("origin stats: %+v", as)
+	}
+	if bs.Landed != 2 || bs.DupTransfers != 0 {
+		t.Fatalf("destination stats (one landing per dispatch, no replay): %+v", bs)
+	}
+
+	if _, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 2), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.nav.Stats().DirectTransfers; got != 1 {
+		t.Fatalf("the dispatch after a re-ask must ask first (%d direct)", got)
+	}
+}
+
+// TestFailedCallDropsProof: the landing request is skipped only on fresh
+// evidence. A failed call to the destination drops the proof, and proof is
+// ignored while the failure detector does not hold the peer alive — either
+// way the next attempt is the two-step path, whose loss is never ambiguous.
+func TestFailedCallDropsProof(t *testing.T) {
+	net := netsim.New(netsim.Config{CallTimeout: 5 * time.Millisecond})
+	reg := newRegistry(t)
+	hd := health.New(health.Config{})
+	a := attach(t, net, "a", reg, nil, Config{Health: hd})
+	b := attach(t, net, "b", reg, nil, Config{})
+	prime(t, a, b)
+	dispatch := func(n int) error {
+		t.Helper()
+		_, err := a.nav.Dispatch(context.Background(), recordN(t, "a", n), "b")
+		if err == nil {
+			<-b.landed
+		}
+		return err
+	}
+	direct := func() int64 { return a.nav.Stats().DirectTransfers }
+
+	if err := dispatch(1); err != nil || direct() != 1 {
+		t.Fatalf("proven dock: err=%v direct=%d, want a direct transfer", err, direct())
+	}
+
+	net.Partition("a", "b", true)
+	if err := dispatch(2); err == nil || direct() != 2 {
+		t.Fatalf("partitioned: err=%v direct=%d, want a failed direct transfer", err, direct())
+	}
+	net.Partition("a", "b", false)
+	if err := dispatch(3); err != nil || direct() != 2 {
+		t.Fatalf("after a failed call: err=%v direct=%d, want the two-step path", err, direct())
+	}
+	if err := dispatch(4); err != nil || direct() != 3 {
+		t.Fatalf("re-proven: err=%v direct=%d, want a direct transfer", err, direct())
+	}
+
+	for i := 0; i < health.DefaultSuspectThreshold; i++ {
+		hd.ReportFailure("b") // as the messenger or the directory plane would
+	}
+	if err := dispatch(5); err != nil || direct() != 3 {
+		t.Fatalf("suspect peer: err=%v direct=%d, want the two-step path", err, direct())
+	}
+	hd.ReportSuccess("b")
+	if err := dispatch(6); err != nil || direct() != 4 {
+		t.Fatalf("peer alive again: err=%v direct=%d, want a direct transfer", err, direct())
+	}
+}
+
+// TestDirectTransferWarmHits: what made a landing warm on the two-step
+// path makes it warm on the direct one. A pull-mode destination with a cold
+// cache fetches from the naplet's home instead of re-asking, and a
+// destination holding the bundle under another name lands by digest alias.
+func TestDirectTransferWarmHits(t *testing.T) {
+	t.Run("pull", func(t *testing.T) {
+		net := netsim.New(netsim.Config{})
+		reg := newRegistry(t)
+		a := attach(t, net, "a", reg, nil, Config{CodeDelivery: Pull})
+		b := attach(t, net, "b", reg, nil, Config{CodeDelivery: Pull})
+		prime(t, a, b)
+		b.cache.Evict("test.Agent")
+
+		bd, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 1), "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-b.landed
+		as, bs := a.nav.Stats(), b.nav.Stats()
+		if bd.CodeBytes != 0 || as.DirectTransfers != 1 || as.CodeReasks != 0 || bs.CodePulled != 2 {
+			t.Fatalf("pull mode fetches from home, never re-asks: %+v origin %+v destination %+v", bd, as, bs)
+		}
+	})
+	t.Run("digest alias", func(t *testing.T) {
+		net := netsim.New(netsim.Config{})
+		reg := newRegistry(t)
+		a := attach(t, net, "a", reg, nil, Config{CodeDelivery: Push})
+		b := attach(t, net, "b", reg, nil, Config{CodeDelivery: Push})
+		prime(t, a, b)
+		dig, err := reg.BundleDigest("test.Agent")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The name goes cold; the bytes stay, under another name.
+		b.cache.LoadedDigest("test.AgentV1Alias", dig, 2048)
+		b.cache.Evict("test.Agent")
+
+		bd, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 1), "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-b.landed
+		as, cs := a.nav.Stats(), b.cache.Stats()
+		if bd.CodeBytes != 0 || as.DirectTransfers != 1 || as.CodeReasks != 0 || cs.AliasHits != 1 {
+			t.Fatalf("digest-warm destination lands without code: %+v origin %+v cache %+v", bd, as, cs)
+		}
+	})
 }

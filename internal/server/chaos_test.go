@@ -205,8 +205,10 @@ func runChaos(t *testing.T, seed int64) {
 	}
 
 	// Replayed transfers (a duplicated TRANSFER frame, or a retry after a
-	// dropped ack) must show up as dedup hits, never as second landings.
-	var transferReplays, dedupHits int64
+	// dropped ack) must show up as dedup hits, never as second landings. A
+	// replayed code-less transfer to a cold dock landed nothing the first
+	// time either: it is a re-ask for the code, not a dedup hit.
+	var transferReplays, dedupHits, codeReasks int64
 	for _, ev := range inj.Trail() {
 		if ev.Frame == wire.KindNapletTransfer &&
 			(ev.Fault == fault.FaultDuplicate || ev.Fault == fault.FaultDropReply) {
@@ -214,12 +216,14 @@ func runChaos(t *testing.T, seed int64) {
 		}
 	}
 	for _, srv := range servers {
-		dedupHits += srv.Navigator().Stats().DupTransfers
+		st := srv.Navigator().Stats()
+		dedupHits += st.DupTransfers
+		codeReasks += st.CodeReasks
 	}
-	if dedupHits < transferReplays {
+	if dedupHits+codeReasks < transferReplays {
 		dumpTrail(t, inj)
-		t.Fatalf("seed %d: %d transfer replays injected but only %d dedup hits",
-			seed, transferReplays, dedupHits)
+		t.Fatalf("seed %d: %d transfer replays injected but only %d dedup hits and %d code re-asks",
+			seed, transferReplays, dedupHits, codeReasks)
 	}
 
 	// Invariant 4: the telemetry counters, the injector's own totals and a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/directory"
 	"repro/internal/dock"
 	"repro/internal/id"
 	"repro/internal/itinerary"
@@ -136,7 +135,7 @@ func (s *Server) restoreFromDock() error {
 			// PhaseVisiting re-runs the pending visit (at-least-once
 			// within a visit); PhaseResident resumes at the next decision.
 			arrived := r.Phase == dock.PhaseVisiting
-			s.nav.RegisterEvent(context.Background(), rec, directory.Arrival, s.name, "", now)
+			s.nav.RegisterArrival(context.Background(), rec, now)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -151,15 +150,17 @@ func (s *Server) restoreFromDock() error {
 // failure the naplet's failover policy applies; a reroute re-enters the
 // visit engine as a resident.
 func (s *Server) resumeDispatch(rec *naplet.Record, dest, tid string) {
-	err := s.dispatchWithRetryID(rec, dest, tid)
+	err := s.migrate(rec, dest, tid)
 	if err == nil {
-		s.departed(rec, dest)
 		return
 	}
 	switch s.applyFailover(rec, rec.Pending, rec.PendingAlts, err) {
 	case failoverContinue:
 		rec.Pending = itinerary.Visit{}
 		rec.PendingAlts = nil
+		// Provably still here, and the shutdown withdrew this server's
+		// directory entries: put the naplet's back.
+		s.nav.RegisterArrival(context.Background(), rec, s.clock())
 		s.dockResident(rec, dock.PhaseResident, "", "")
 		s.lifecycle(rec, false, nil)
 	case failoverDeparted:

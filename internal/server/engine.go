@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cred"
-	"repro/internal/directory"
 	"repro/internal/dock"
 	"repro/internal/id"
 	"repro/internal/itinerary"
@@ -91,7 +90,7 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, e
 	s.mgr.RecordLaunch(nid, opts.Listener)
 	s.mgr.RecordArrival(nid, opts.Codebase, "origin", now)
 	rec.Log.RecordArrival(s.name, now)
-	s.nav.RegisterEvent(ctx, rec, directory.Arrival, s.name, "", now)
+	s.nav.RegisterArrival(ctx, rec, now)
 	s.msgr.CreateMailbox(nid)
 	s.mgr.SetStatus(nid, manager.StatusRunning, "")
 	s.emit("launch", rec, s.name, s.name, opts.Codebase)
@@ -275,7 +274,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 			rec.PendingAlts = d.Alternates
 			tid := s.nav.NewTransferID()
 			s.dockResident(rec, dock.PhaseDeparting, d.Visit.Server, tid)
-			if err := s.dispatchWithRetryID(rec, d.Visit.Server, tid); err != nil {
+			if err := s.migrate(rec, d.Visit.Server, tid); err != nil {
 				switch s.applyFailover(rec, d.Visit, d.Alternates, err) {
 				case failoverContinue:
 					// Rerouted: the itinerary was rewritten in place;
@@ -289,9 +288,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 				}
 				s.trap(rec, fmt.Errorf("dispatch to %s: %w", d.Visit.Server, err))
 				s.cleanup(rec, true)
-				return
 			}
-			s.departed(rec, d.Visit.Server)
 			return
 		}
 	}
@@ -367,12 +364,10 @@ func (s *Server) applyFailover(rec *naplet.Record, v itinerary.Visit, alts []*it
 		rec.PendingAlts = nil
 		tid := s.nav.NewTransferID()
 		s.dockResident(rec, dock.PhaseDeparting, rec.Home, tid)
-		if err := s.dispatchWithRetryID(rec, rec.Home, tid); err != nil {
+		if err := s.migrate(rec, rec.Home, tid); err != nil {
 			s.trap(rec, fmt.Errorf("failover home to %s: %w", rec.Home, err))
 			s.cleanup(rec, true)
-			return failoverDeparted
 		}
-		s.departed(rec, rec.Home)
 		return failoverDeparted
 	default:
 		return failoverNone
@@ -413,17 +408,17 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 	s.emit("reroute", rec, s.name, dest, "evacuate")
 	tid := s.nav.NewTransferID()
 	s.dockResident(rec, dock.PhaseDeparting, dest, tid)
-	if err := s.dispatchWithRetryID(rec, dest, tid); err != nil {
+	if err := s.migrate(rec, dest, tid); err != nil {
 		s.trap(rec, fmt.Errorf("evacuate to %s: %w", dest, err))
 		s.cleanup(rec, true)
-		return
 	}
-	s.departed(rec, dest)
 }
 
 // departed releases a dispatched naplet's local residency: dock entry,
-// mailbox (leftovers forwarded to the destination), monitor group, and the
-// in-transit status report.
+// mailbox (leftovers forwarded to the destination) and monitor group. Only
+// the first hop, which leaves from home, changes the home table's status:
+// nothing sets it back on arrival, so a report from any later stop would
+// re-assert what the table already says at one call per hop.
 func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.dockRemove(rec.ID)
 	left := s.msgr.CloseMailbox(rec.ID)
@@ -439,23 +434,93 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.msgr.PushMigration(pctx, rec.ID, dest)
 	pcancel()
 	s.emit("depart", rec, s.name, dest, "")
-	s.reportStatus(rec, manager.StatusInTransit, "")
+	if rec.Home == s.name {
+		s.mgr.SetStatus(rec.ID, manager.StatusInTransit, "")
+	}
 }
 
-// dispatchWithRetryID migrates the naplet under the navigator's retry
-// policy: exponential backoff with jitter, one transfer ID for the whole
-// logical migration (the destination deduplicates replays after a lost
-// acknowledgement), and fail-fast on policy refusals — the destination's
-// decision is authoritative. The caller mints (and docks) the transfer ID
-// so a crash mid-dispatch can replay under the same identity.
-func (s *Server) dispatchWithRetryID(rec *naplet.Record, dest, tid string) error {
+// migrate moves the naplet to dest under the navigator's retry policy —
+// exponential backoff with jitter, one transfer ID for the whole logical
+// migration (the destination deduplicates replays after a lost
+// acknowledgement), fail-fast on policy refusals — and, once the transfer
+// is acknowledged, releases the local residency. The caller mints (and
+// docks) the transfer ID so a crash mid-dispatch can replay under the same
+// identity.
+//
+// The destination starts the naplet before its acknowledgement is back
+// here, and a proven hop is a single round trip, so a short visit can have
+// the naplet land on this dock again before departed has run. A transfer
+// of a naplet therefore waits (awaitLeave, the navigator's before-land
+// hook) while a migration of it is open here: the returning copy finds no
+// stale admission, mailbox, trace or dock entry of its previous stay.
+// Replays and landing requests do not wait — the open migration may be
+// waiting for exactly those to resolve a lost ack.
+func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
+	s.leaveMu.Lock()
+	s.leaving = append(s.leaving, leave{id: rec.ID})
+	s.leaveMu.Unlock()
+	defer func() {
+		s.leaveMu.Lock()
+		i := s.leavingIndex(rec.ID)
+		settled := s.leaving[i].settled
+		last := len(s.leaving) - 1
+		s.leaving[i] = s.leaving[last]
+		s.leaving[last] = leave{}
+		s.leaving = s.leaving[:last]
+		s.leaveMu.Unlock()
+		if settled != nil {
+			close(settled)
+		}
+	}()
+
 	pol := s.dispatchPolicy()
 	// A naplet carrying a failover policy has somewhere to go when the
 	// destination is presumed dead, so its dispatch consults the failure
 	// detector and fails fast; one without rides the full retry budget.
 	pol.FailFast = rec.Failover != naplet.FailoverNone
-	_, err := s.nav.DispatchRetryID(context.Background(), rec, dest, tid, pol, s.closed)
-	return err
+	if _, err := s.nav.DispatchRetryID(context.Background(), rec, dest, tid, pol, s.closed); err != nil {
+		return err
+	}
+	s.departed(rec, dest)
+	return nil
+}
+
+// leave is one open migration away from this server. The few open at any
+// moment sit in a slice searched by ID: no per-hop key string or channel —
+// settled is made by the first landing that has to wait, which is rare.
+type leave struct {
+	id      id.NapletID
+	settled chan struct{}
+}
+
+// leavingIndex finds the naplet's open migration, or -1; leaveMu held.
+func (s *Server) leavingIndex(nid id.NapletID) int {
+	for i := range s.leaving {
+		if s.leaving[i].id.Equal(nid) {
+			return i
+		}
+	}
+	return -1
+}
+
+// awaitLeave blocks while a migration of the naplet away from this server
+// is open (see migrate), or until the server closes.
+func (s *Server) awaitLeave(nid id.NapletID) {
+	s.leaveMu.Lock()
+	i := s.leavingIndex(nid)
+	if i < 0 {
+		s.leaveMu.Unlock()
+		return
+	}
+	if s.leaving[i].settled == nil {
+		s.leaving[i].settled = make(chan struct{})
+	}
+	settled := s.leaving[i].settled
+	s.leaveMu.Unlock()
+	select {
+	case <-settled:
+	case <-s.closed:
+	}
 }
 
 // dispatchPolicy derives the migration backoff policy from the server
@@ -569,7 +634,7 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 	for _, clone := range clones {
 		s.mgr.RecordArrival(clone.ID, clone.Codebase, "clone:"+rec.ID.Key(), now)
 		clone.Log.RecordArrival(s.name, now)
-		s.nav.RegisterEvent(context.Background(), clone, directory.Arrival, s.name, "", now)
+		s.nav.RegisterArrival(context.Background(), clone, now)
 		s.msgr.CreateMailbox(clone.ID)
 		clone := clone
 		s.wg.Add(1)

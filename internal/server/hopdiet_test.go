@@ -1,0 +1,411 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cred"
+	"repro/internal/directory"
+	"repro/internal/fault"
+	"repro/internal/id"
+	"repro/internal/itinerary"
+	"repro/internal/locator"
+	"repro/internal/manager"
+	"repro/internal/naplet"
+	"repro/internal/navigator"
+	"repro/internal/registry"
+	"repro/internal/security"
+	"repro/internal/telemetry"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// kindCounter is a fabric decorator that counts the calls its nodes send,
+// by frame kind.
+type kindCounter struct {
+	inner transport.Fabric
+	mu    sync.Mutex
+	calls map[wire.Kind]int
+}
+
+func (k *kindCounter) Attach(addr string, h transport.Handler) (transport.Node, error) {
+	node, err := k.inner.Attach(addr, h)
+	if err != nil {
+		return nil, err
+	}
+	return &countingNode{Node: node, k: k}, nil
+}
+
+// take returns the counts so far and starts over.
+func (k *kindCounter) take() map[wire.Kind]int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	out := k.calls
+	k.calls = make(map[wire.Kind]int)
+	return out
+}
+
+type countingNode struct {
+	transport.Node
+	k *kindCounter
+}
+
+func (n *countingNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	n.k.mu.Lock()
+	n.k.calls[f.Kind]++
+	n.k.mu.Unlock()
+	return n.Node.Call(ctx, to, f)
+}
+
+// TestWarmTourCallBudget pins what a hop costs on the fabric. The first
+// tour of a fresh fleet asks every dock for landing permission (nobody
+// holds proof of anybody); the second tour of the same route is one
+// transfer and one arrival registration per hop, plus the launch's
+// registration and the two reports that end a tour — 19 calls for 8 hops.
+func TestWarmTourCallBudget(t *testing.T) {
+	counter := &kindCounter{calls: make(map[wire.Kind]int)}
+	route := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
+	sp := newSpace(t, spaceOpts{
+		mode:      locator.ModeDirectory,
+		directory: true,
+		mutate:    func(_ string, cfg *Config) { counter.inner = cfg.Fabric; cfg.Fabric = counter },
+	}, append([]string{"home"}, route...)...)
+
+	tour := func() (map[wire.Kind]int, []telemetry.HopSpan) {
+		t.Helper()
+		nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+			Owner:    "czxu",
+			Codebase: "test.Collector",
+			Pattern:  itinerary.SeqVisits(route, ""),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+		var spans []telemetry.HopSpan
+		for _, s := range sp.servers {
+			spans = append(spans, s.Tracer().Spans(nid.Key())...)
+		}
+		return counter.take(), spans
+	}
+	direct := func() (n int64) {
+		for _, s := range sp.servers {
+			n += s.Navigator().Stats().DirectTransfers
+		}
+		return n
+	}
+
+	cold, spans := tour()
+	if cold[wire.KindLandingRequest] != 8 || cold[wire.KindNapletTransfer] != 8 || direct() != 0 {
+		t.Fatalf("first tour must take the two-step path at every dock: %v, %d direct", cold, direct())
+	}
+	for _, span := range spans {
+		if span.Negotiation == 0 {
+			t.Fatalf("a two-step hop negotiates: %+v", span)
+		}
+	}
+
+	warm, spans := tour()
+	want := map[wire.Kind]int{
+		wire.KindNapletTransfer: 8,
+		wire.KindDirRegister:    9, // the launch, then one arrival per hop
+		wire.KindReport:         2, // the collector's result, then "completed"
+	}
+	total := 0
+	for _, n := range warm {
+		total += n
+	}
+	for kind, n := range want {
+		if warm[kind] != n {
+			t.Errorf("warm tour sent %d %s calls, want %d", warm[kind], kind, n)
+		}
+	}
+	if total != 19 || direct() != 8 {
+		t.Fatalf("warm tour sent %d calls (%v) with %d direct transfers, want 19 and 8", total, warm, direct())
+	}
+	if len(spans) != 8 {
+		t.Fatalf("warm tour recorded %d hop spans, want 8", len(spans))
+	}
+	for _, span := range spans {
+		if span.Negotiation != 0 || span.Outcome != telemetry.OutcomeOK {
+			t.Fatalf("a proven hop has no negotiation phase: %+v", span)
+		}
+	}
+}
+
+var handRecords atomic.Int64
+
+// handRecord builds a naplet record as Launch would, for tests that drive
+// the navigator directly to see its typed errors.
+func handRecord(owner, codebase, home string) *naplet.Record {
+	// IDs resolve to the second: space the ones one test mints.
+	nid := id.MustNew(owner, home, time.Now().Add(time.Duration(handRecords.Add(1))*time.Second))
+	rec := naplet.NewRecord(nid, cred.Credential{NapletID: nid, Codebase: codebase}, codebase, home, itinerary.MustNew(itinerary.SeqVisits([]string{"s1"}, "")))
+	rec.Log.RecordArrival(home, time.Now())
+	return rec
+}
+
+// waitResidents polls until srv holds exactly n resident naplets.
+func waitResidents(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Manager().Resident() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s holds %d residents, want %d", srv.Name(), srv.Manager().Resident(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRefusalMatrixBothPaths: every way a destination says no reads the
+// same whether the origin asked first (two-step) or sent the transfer
+// straight to a proven dock — same typed error, a refused/failed span,
+// nothing landed, nothing retried.
+func TestRefusalMatrixBothPaths(t *testing.T) {
+	policy := security.Policy{
+		Rules: []security.Rule{
+			{Principal: "owner:guest", Permissions: []security.Permission{security.PermLanding}, Effect: security.Deny},
+			{Principal: "*", Permissions: []security.Permission{"*"}, Effect: security.Allow},
+		},
+	}
+	cases := []struct {
+		name    string
+		arrange func(t *testing.T, sp *space) *naplet.Record
+		want    error
+		reason  string
+	}{
+		{
+			name: "policy denial",
+			arrange: func(t *testing.T, sp *space) *naplet.Record {
+				return handRecord("guest", "test.Collector", "home")
+			},
+			want: navigator.ErrLandingDenied, reason: "permission denied",
+		},
+		{
+			name: "credential does not certify the ID",
+			arrange: func(t *testing.T, sp *space) *naplet.Record {
+				rec := handRecord("czxu", "test.Collector", "home")
+				rec.Credential.NapletID = id.MustNew("mallory", "home", time.Now())
+				return rec
+			},
+			want: navigator.ErrRejected, reason: "does not certify",
+		},
+		{
+			name: "draining",
+			arrange: func(t *testing.T, sp *space) *naplet.Record {
+				if err := sp.servers["s1"].Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				return handRecord("czxu", "test.Collector", "home")
+			},
+			want: navigator.ErrLandingDenied, reason: "draining",
+		},
+		{
+			name: "at capacity",
+			arrange: func(t *testing.T, sp *space) *naplet.Record {
+				if _, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+					Owner: "czxu", Codebase: "test.Sleeper", Pattern: itinerary.SeqVisits([]string{"s1"}, ""),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				waitResidents(t, sp.servers["s1"], 1)
+				return handRecord("czxu", "test.Collector", "home")
+			},
+			want: navigator.ErrLandingDenied, reason: "at capacity",
+		},
+	}
+	for _, tc := range cases {
+		for _, proven := range []bool{false, true} {
+			tc, proven := tc, proven
+			t.Run(fmt.Sprintf("%s/proven=%v", tc.name, proven), func(t *testing.T) {
+				sp := newSpace(t, spaceOpts{policy: &policy, residents: 1}, "home", "s1")
+				home, s1 := sp.servers["home"], sp.servers["s1"]
+				if proven {
+					// An accepted dispatch is the proof; the collector ends
+					// at s1 and frees the one resident slot again.
+					if _, err := home.nav.Dispatch(context.Background(), handRecord("czxu", "test.Collector", "home"), "s1"); err != nil {
+						t.Fatal(err)
+					}
+					waitResidents(t, s1, 0)
+				}
+				rec := tc.arrange(t, sp)
+				before, landed := home.nav.Stats(), s1.nav.Stats().Landed
+
+				pol := navigator.Backoff{Retries: 3, Initial: time.Millisecond, Max: time.Millisecond}
+				_, err := home.nav.DispatchRetry(context.Background(), rec, "s1", pol, nil)
+				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.reason) {
+					t.Fatalf("dispatch error = %v, want %v naming %q", err, tc.want, tc.reason)
+				}
+				if errors.Is(err, navigator.ErrTransferUnresolved) {
+					t.Fatalf("a refusal proves nothing landed, got unresolved: %v", err)
+				}
+				after := home.nav.Stats()
+				if got := after.DirectTransfers - before.DirectTransfers; (got == 1) != proven {
+					t.Fatalf("direct transfers = %d with proven=%v", got, proven)
+				}
+				if after.Retries != before.Retries {
+					t.Fatalf("a refusal is final, yet the dispatch retried %d times", after.Retries-before.Retries)
+				}
+				if got := s1.nav.Stats().Landed; got != landed {
+					t.Fatalf("refused naplet landed (%d -> %d)", landed, got)
+				}
+				spans := home.Tracer().Spans(rec.ID.Key())
+				wantOutcome := telemetry.OutcomeFailed
+				if tc.want == navigator.ErrLandingDenied {
+					wantOutcome = telemetry.OutcomeRefused
+				}
+				if len(spans) != 1 || spans[0].Outcome != wantOutcome {
+					t.Fatalf("spans = %+v, want one with outcome %v", spans, wantOutcome)
+				}
+			})
+		}
+	}
+}
+
+// TestLostTransferAckMailFollowsLiveCopy: when a transfer lands but its
+// acknowledgement is lost, the origin holds (and then ends) its copy while
+// the live one runs at the destination. The origin writes nothing to the
+// directory around a transfer, so the destination's arrival stands and mail
+// addressed through the directory reaches the copy that is alive — not the
+// origin, where the naplet's trace has ended and late mail errors.
+func TestLostTransferAckMailFollowsLiveCopy(t *testing.T) {
+	inj := fault.New(fault.Config{
+		Seed:  1,
+		P:     fault.Probabilities{DropReply: 1},
+		Kinds: func(k wire.Kind) bool { return k == wire.KindNapletTransfer },
+	})
+	sp := newSpace(t, spaceOpts{
+		mode:      locator.ModeDirectory,
+		directory: true,
+		mutate:    func(_ string, cfg *Config) { cfg.Fabric = inj.Fabric(cfg.Fabric) },
+	}, "home", "s1")
+	home := sp.servers["home"]
+
+	got := make(chan string, 1)
+	sp.reg.MustRegister(&registry.Codebase{
+		Name: "test.Receiver",
+		New: func() naplet.Behavior {
+			return behaviorFunc(func(ctx *naplet.Context) error {
+				msg, err := ctx.Messenger.Receive(ctx.Cancel)
+				if err != nil {
+					return err
+				}
+				got <- ctx.Server + ":" + msg.Subject
+				return nil
+			})
+		},
+	})
+	nid, err := home.Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Receiver",
+		Pattern:  itinerary.SeqVisits([]string{"s1"}, ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The origin copy is held: trapped, its residency at home ended.
+	waitDone(t, home, nid, manager.StatusTrapped)
+	if _, errText, _ := home.Status(nid); !strings.Contains(errText, "transfer outcome unknown") {
+		t.Fatalf("trap = %q, want an unresolved transfer", errText)
+	}
+
+	entry, err := directory.NewClient(home.Node(), "dir").Lookup(context.Background(), nid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Server != "s1" || entry.Event != directory.Arrival {
+		t.Fatalf("directory entry = %+v, want the arrival at s1", entry)
+	}
+
+	sender := naplet.NewRecord(id.MustNew("tx", "home", time.Now()), cred.Credential{}, "test.Receiver", "home", nil)
+	sender.Book.Add(nid, "home") // a stale hint; the directory decides
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := home.Messenger().Post(ctx, sender, nid, "wake", nil); err != nil {
+		t.Fatalf("post to the live copy: %v", err)
+	}
+	select {
+	case where := <-got:
+		if where != "s1:wake" {
+			t.Fatalf("message received at %q, want s1:wake", where)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the live copy never received the message")
+	}
+}
+
+// TestBounceTourLandsOnAReleasedDock: the destination starts a naplet
+// before its acknowledgement is back at the origin, and a proven hop is one
+// round trip, so on an A→B→A bounce with a short visit the naplet is back
+// at A before A has released its previous stay. The landing waits for that
+// release (migrate/awaitLeave) instead of trapping on the stale admission.
+func TestBounceTourLandsOnAReleasedDock(t *testing.T) {
+	sp := newSpace(t, spaceOpts{}, "home", "s1")
+	const laps = 150
+	var route []string
+	for i := 0; i < laps; i++ {
+		route = append(route, "s1", "home")
+	}
+	results := make(chan string, 1)
+	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Collector",
+		Pattern:  itinerary.SeqVisits(route, ""),
+		Listener: func(r manager.Result) { results <- string(r.Body) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+	if got := <-results; got != strings.Join(route, ",") {
+		t.Fatalf("tour of %d laps reported %d stops", laps, len(strings.Split(got, ",")))
+	}
+	if got := sp.servers["home"].Navigator().Stats().DirectTransfers; got != laps-1 {
+		t.Fatalf("home sent %d direct transfers, want %d (every lap after the first)", got, laps-1)
+	}
+}
+
+// TestBounceTourSurvivesLostAck: the wait above must not close a cycle. The
+// ack of home→s1 is lost, so home's migration stays open, retrying, while
+// the naplet — landed and already done at s1 — is on its way back. Its
+// transfer waits at home; home's retry (a landing request and a replay of
+// the first transfer) is answered by s1 without waiting, resolves the lost
+// ack, and only then does the naplet land at home.
+func TestBounceTourSurvivesLostAck(t *testing.T) {
+	var dropped atomic.Bool
+	inj := fault.New(fault.Config{
+		Seed: 1,
+		P:    fault.Probabilities{DropReply: 1},
+		Kinds: func(k wire.Kind) bool {
+			return k == wire.KindNapletTransfer && dropped.CompareAndSwap(false, true)
+		},
+	})
+	sp := newSpace(t, spaceOpts{mutate: func(_ string, cfg *Config) {
+		cfg.Fabric = inj.Fabric(cfg.Fabric)
+		cfg.DispatchRetries = 5
+		cfg.DispatchRetryDelay = time.Millisecond
+	}}, "home", "s1")
+	results := make(chan string, 1)
+	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Collector",
+		Pattern:  itinerary.SeqVisits([]string{"s1", "home"}, ""),
+		Listener: func(r manager.Result) { results <- string(r.Body) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+	if got := <-results; got != "s1,home" {
+		t.Fatalf("tour = %q, want s1,home", got)
+	}
+	if got := sp.servers["s1"].Navigator().Stats(); got.DupTransfers != 1 || got.Landed != 1 {
+		t.Fatalf("s1 must land once and absorb the replay: %+v", got)
+	}
+}

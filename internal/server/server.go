@@ -61,7 +61,7 @@ type Config struct {
 	// LocatorTTL bounds the locator cache; 0 disables caching.
 	LocatorTTL time.Duration
 	// DirectoryAddr is the central directory address (required for
-	// ModeDirectory; also receives arrival/departure registrations).
+	// ModeDirectory; also receives arrival registrations).
 	DirectoryAddr string
 	// DirectoryAddrs, when set, names the nodes of a sharded, replicated
 	// directory plane and takes precedence over DirectoryAddr. With more
@@ -73,7 +73,7 @@ type Config struct {
 	// DirReplicas is the replica-group size per shard (default 2, clamped
 	// to the node count). Meaningful only with DirectoryAddrs.
 	DirReplicas int
-	// ReportHome sends arrival/departure events to each naplet's home
+	// ReportHome sends arrival events to each naplet's home
 	// manager (the distributed directory of §4.1).
 	ReportHome bool
 	// CodeDelivery selects push or pull code-bundle transport.
@@ -153,6 +153,9 @@ type Server struct {
 	dockMu      sync.Mutex
 	dockStore   *dock.Store
 	dockEntries map[string]*dock.Resident
+
+	leaveMu sync.Mutex
+	leaving []leave // open migrations away from here
 
 	sinkMu sync.RWMutex
 	sink   func(Event)
@@ -312,6 +315,7 @@ func New(cfg Config) (*Server, error) {
 	}, s.name, node, s.sec, s.mgr, s.reg, s.cache, clock)
 
 	s.nav.SetLandFunc(s.land)
+	s.nav.SetBeforeLandFunc(s.awaitLeave)
 	s.nav.SetAdmitFunc(func(req navigator.LandingRequestBody) error {
 		if s.draining.Load() {
 			return fmt.Errorf("server %s: draining, not accepting naplets", s.name)
