@@ -25,13 +25,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Frame kinds of the SNMP-over-fabric protocol.
-const (
-	KindSNMPRequest wire.Kind = "snmp.request"
-	KindSNMPReply   wire.Kind = "snmp.reply"
-)
-
-// RequestBody is the wire body of a KindSNMPRequest frame.
+// RequestBody is the wire body of a wire.KindSNMPRequest frame.
 type RequestBody struct {
 	Community string
 	Op        snmp.PDUOp
@@ -40,7 +34,7 @@ type RequestBody struct {
 	SetValues []string
 }
 
-// ReplyBody is the wire body of a KindSNMPReply frame.
+// ReplyBody is the wire body of a wire.KindSNMPReply frame.
 type ReplyBody struct {
 	OIDs   []string
 	Values []string
@@ -75,7 +69,7 @@ func (r *Responder) Served() int64 { return r.served.Load() }
 func (r *Responder) Close() error { return r.node.Close() }
 
 func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
-	if f.Kind != KindSNMPRequest {
+	if f.Kind != wire.KindSNMPRequest {
 		return wire.Frame{}, fmt.Errorf("cnmp: unexpected kind %q", f.Kind)
 	}
 	var body RequestBody
@@ -88,7 +82,7 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 	for i, s := range body.OIDs {
 		oid, err := snmp.ParseOID(s)
 		if err != nil {
-			return wire.BinaryFrame(KindSNMPReply, f.To, f.From, &ReplyBody{Err: err.Error()}), nil
+			return wire.BinaryFrame(wire.KindSNMPReply, f.To, f.From, &ReplyBody{Err: err.Error()}), nil
 		}
 		vb := snmp.VarBind{OID: oid}
 		if body.Op == snmp.OpSet && i < len(body.SetValues) {
@@ -102,7 +96,7 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 		reply.OIDs = append(reply.OIDs, b.OID.String())
 		reply.Values = append(reply.Values, b.Value.Render())
 	}
-	return wire.BinaryFrame(KindSNMPReply, f.To, f.From, &reply), nil
+	return wire.BinaryFrame(wire.KindSNMPReply, f.To, f.From, &reply), nil
 }
 
 // Stats summarizes one collection run.
@@ -143,7 +137,7 @@ type Station struct {
 func NewStation(fabric transport.Fabric, addr string) (*Station, error) {
 	s := &Station{}
 	node, err := fabric.Attach(addr, func(from string, f wire.Frame) (wire.Frame, error) {
-		if f.Kind == KindSNMPTrap {
+		if f.Kind == wire.KindSNMPTrap {
 			return s.handleTrap(f)
 		}
 		return wire.Frame{}, errors.New("cnmp: station serves no requests")
@@ -164,7 +158,7 @@ func (s *Station) Close() error { return s.node.Close() }
 // get performs one SNMP round trip to a device responder.
 func (s *Station) get(ctx context.Context, device, community string, oids []string) ([]string, []string, error) {
 	body := RequestBody{Community: community, Op: snmp.OpGet, OIDs: oids}
-	reply, err := s.node.Call(ctx, device, wire.BinaryFrame(KindSNMPRequest, "", "", &body))
+	reply, err := s.node.Call(ctx, device, wire.BinaryFrame(wire.KindSNMPRequest, "", "", &body))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -159,5 +159,5 @@ func TestResponderServedCounterAndUnknownKind(t *testing.T) {
 // newFrame builds a request frame for tests.
 func newFrame(t *testing.T, body RequestBody) (wire.Frame, error) {
 	t.Helper()
-	return wire.BinaryFrame(KindSNMPRequest, "", "", &body), nil
+	return wire.BinaryFrame(wire.KindSNMPRequest, "", "", &body), nil
 }

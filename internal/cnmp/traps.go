@@ -8,9 +8,6 @@ import (
 	"repro/internal/wire"
 )
 
-// KindSNMPTrap is the wire kind of an asynchronous trap notification.
-const KindSNMPTrap wire.Kind = "snmp.trap"
-
 // TrapBody is the wire body of one trap notification. Conventional SNMP
 // sends one PDU per trap; the forwarder mirrors that, one frame per trap.
 type TrapBody struct {
@@ -23,7 +20,7 @@ type TrapBody struct {
 func (r *Responder) ForwardTraps(ctx context.Context, station string) (int, error) {
 	traps := r.device.TakeTraps()
 	for _, tr := range traps {
-		f := wire.BinaryFrame(KindSNMPTrap, "", "", &TrapBody{Trap: tr})
+		f := wire.BinaryFrame(wire.KindSNMPTrap, "", "", &TrapBody{Trap: tr})
 		if _, err := r.node.Call(ctx, station, f); err != nil {
 			return 0, err
 		}
@@ -70,5 +67,5 @@ func (s *Station) handleTrap(f wire.Frame) (wire.Frame, error) {
 		return wire.Frame{}, err
 	}
 	s.sink.add(body.Trap)
-	return wire.Frame{Kind: KindSNMPTrap, From: f.To, To: f.From}, nil
+	return wire.Frame{Kind: wire.KindSNMPTrap, From: f.To, To: f.From}, nil
 }

@@ -1,6 +1,8 @@
 package dock
 
 import (
+	"fmt"
+
 	"repro/internal/naplet"
 	"repro/internal/wire"
 )
@@ -12,15 +14,16 @@ import (
 //	[uvarint r] r×Resident    ([string id] [bytes record] [string phase]
 //	                           [string dest] [string transferID])
 //	[msgmap held] [msgmap mailboxes]
-//	  where msgmap = [uvarint n] n× (sorted by key)
-//	                 ([string key] [uvarint m] m×[Message])
+//	  where msgmap = [uvarint n] n× (ascending by key, front-coded)
+//	                 ([byte shared] [string suffix] [uvarint m] m×[Message])
 //	[uvarint h] h×HomeEntry   ([string id] [string server] [bool arrival]
 //	                           [time at])
 //	[uvarint a] a×[string transferID]
 //	[uvarint d] d×[string msgID]
 //
-// Map keys are emitted sorted so encoding is deterministic (golden-byte
-// fixtures depend on it). Messages reuse the naplet binary message codec.
+// The mail tables are wire.AppendMap's, so encoding is deterministic
+// (golden-byte fixtures depend on it). Messages reuse the naplet binary
+// message codec.
 
 func sizeMsgs(msgs []naplet.Message) int {
 	return wire.SizeSeq(msgs, naplet.Message.EncodedSize)
@@ -92,7 +95,8 @@ func (s *Snapshot) AppendBinary(dst []byte) []byte {
 	return wire.AppendStrings(dst, s.DeliveredMsgs)
 }
 
-// DecodeSnapshotBinary parses a version-2 binary snapshot payload. The
+// DecodeSnapshotBinary parses a binary snapshot payload, all of b: the
+// envelope delimits it, so bytes past the last field are an error. The
 // returned snapshot does not alias b.
 func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	snap := new(Snapshot)
@@ -163,8 +167,11 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	if snap.AcceptedTransfers, b, err = wire.DecStrings(b); err != nil {
 		return nil, err
 	}
-	if snap.DeliveredMsgs, _, err = wire.DecStrings(b); err != nil {
+	if snap.DeliveredMsgs, b, err = wire.DecStrings(b); err != nil {
 		return nil, err
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", wire.ErrMalformed, len(b))
 	}
 	return snap, nil
 }

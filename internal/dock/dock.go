@@ -7,7 +7,7 @@
 // envelope:
 //
 //	magic   [8]byte  "NAPDOCK\n"
-//	version uint16   big-endian; 2 is the only version written or loaded
+//	version uint16   big-endian; 3 is the only version written or loaded
 //	length  uint32   big-endian payload byte count
 //	payload []byte   Snapshot.AppendBinary (codec.go)
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
@@ -34,8 +34,9 @@ import (
 // Snapshot format constants.
 const (
 	// Version is the snapshot format version: a hand-rolled binary
-	// payload (see codec.go). Any other version fails Load.
-	Version = 2
+	// payload (see codec.go), as of 3 with front-coded mail-table keys
+	// and version-3 records. Any other version fails Load.
+	Version = 3
 	// FileName is the live snapshot file inside the store directory.
 	FileName = "dock.snap"
 )

@@ -54,7 +54,7 @@ func E11EnterpriseSweep(w io.Writer, opts Options) error {
 	table.WriteTo(w)
 	fmt.Fprintln(w, "\nThe CNMP station pays one request/reply round trip per variable per")
 	fmt.Fprintln(w, "device on its own links; the MAN station pays one launch and one")
-	fmt.Fprintln(w, "batched report per device wave. The ratio holds near 3x at every")
+	fmt.Fprintln(w, "batched report per device wave. The ratio holds near 6x at every")
 	fmt.Fprintln(w, "scale while the absolute station load diverges in megabytes — the")
 	fmt.Fprintln(w, "paper's traffic-locality claim.")
 

@@ -166,7 +166,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				// so the invariants stay sharp.
 				Kinds: func(k wire.Kind) bool {
 					return k != wire.KindReport &&
-						k != cnmp.KindSNMPRequest && k != cnmp.KindSNMPReply
+						k != wire.KindSNMPRequest && k != wire.KindSNMPReply
 				},
 				Telemetry: reg,
 				MaxTrail:  1 << 16,

@@ -14,9 +14,11 @@
 //     traffic), and writes the results to the ServiceWriter.
 //   - NMNaplet: the naplet of §6.2. On arrival it opens a service channel
 //     to NetManagement, passes its MIB parameters, stores the results in
-//     its protected state under "DeviceStatus", and travels on. Its
-//     ResultReport post-action reports the gathered status to the home
-//     listener.
+//     its protected state under "DeviceStatus/<device>" — one key per
+//     device, so a stop writes what it gathered and never decodes, re-sorts
+//     and re-encodes what earlier stops did — and travels on. Its
+//     ResultReport post-action folds those keys into one report for the
+//     home listener.
 //   - Station: the management station. It launches NMNaplets with a
 //     sequential itinerary (one agent tours all devices and reports once)
 //     or the paper's broadcast itinerary (a clone per device, individual
@@ -53,9 +55,10 @@ const CodebaseName = "naplet.NMNaplet"
 const (
 	// paramsKey holds the MIB parameter list ([]string of OIDs).
 	paramsKey = "man.params"
-	// statusKey holds the gathered DeviceStatus map (paper §6.2), stored
-	// protected so only the home server could update it.
-	statusKey = "DeviceStatus"
+	// statusPrefix starts the keys of the gathered DeviceStatus (paper
+	// §6.2): "DeviceStatus/<device>" holds that device's OID → value map,
+	// stored protected so only the home server could update it.
+	statusPrefix = "DeviceStatus/"
 )
 
 // NewNetManagementService builds the privileged-service factory for one
@@ -122,7 +125,7 @@ type NMNaplet struct{}
 // OnStart is the naplet's single entry point at each device: it opens the
 // NetManagement service channel, passes its parameters through the
 // NapletWriter, reads the results from the NapletReader, and stores them
-// under the DeviceStatus state entry keyed by device.
+// under this device's DeviceStatus state entry.
 func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 	var params []string
 	if err := ctx.State().Load(paramsKey, &params); err != nil {
@@ -141,28 +144,35 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 		return err
 	}
 
+	// A device visited twice adds to what it reported before.
+	key := statusPrefix + ctx.Server
 	status := make(map[string]string)
-	if err := ctx.State().Load(statusKey, &status); err != nil && !errors.Is(err, state.ErrNoSuchKey) {
+	if err := ctx.State().Load(key, &status); err != nil && !errors.Is(err, state.ErrNoSuchKey) {
 		return err
 	}
 	for _, pair := range strings.Split(line, ";") {
 		if k, v, ok := strings.Cut(pair, "="); ok {
-			status[ctx.Server+"|"+k] = v
+			status[k] = v
 		}
 	}
-	return ctx.State().SetProtected(statusKey, status, ctx.Record.Home)
+	return ctx.State().SetProtected(key, status, ctx.Record.Home)
 }
 
 // reportPayload is the wire form of a naplet's status report:
 //
 //	[version] [map[string]string status] [[]string route]
+//
+// Status is flat, keyed "<device>|<oid>"; the map codec's front coding is
+// what keeps a device's name and an OID's leading arcs from travelling once
+// per variable.
 type reportPayload struct {
 	Status map[string]string
 	Route  []string
 }
 
 // reportCodecVersion is the leading version byte of both report payloads.
-const reportCodecVersion = 1
+// Version 2 front-codes the map keys.
+const reportCodecVersion = 2
 
 func (p *reportPayload) encode() []byte {
 	dst := make([]byte, 0, 1+wire.SizeStringMap(p.Status)+wire.SizeStrings(p.Route))
@@ -186,8 +196,18 @@ func (p *reportPayload) decode(body []byte) error {
 // gathered DeviceStatus back home through the listener.
 func resultReport(ctx *naplet.Context) error {
 	status := make(map[string]string)
-	if err := ctx.State().Load(statusKey, &status); err != nil && !errors.Is(err, state.ErrNoSuchKey) {
-		return err
+	for _, key := range ctx.State().Keys() {
+		dev, ok := strings.CutPrefix(key, statusPrefix)
+		if !ok {
+			continue
+		}
+		var vals map[string]string
+		if err := ctx.State().Load(key, &vals); err != nil {
+			return err
+		}
+		for oid, v := range vals {
+			status[dev+"|"+oid] = v
+		}
 	}
 	report := reportPayload{Status: status, Route: ctx.Log().Route()}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

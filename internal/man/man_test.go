@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cnmp"
 	"repro/internal/manager"
+	"repro/internal/naplet"
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/snmp"
@@ -288,6 +289,97 @@ func TestWalkCommandThroughFullStack(t *testing.T) {
 	}
 }
 
+// TestSweepRecordGrowsByOneDevicePerStop: on a 16-device sequential sweep
+// of 16 variables, the record that leaves each stop is bigger than the one
+// that arrived by that device's own results and a log entry — a bounded
+// step, the same at stop 15 as at stop 1 — because a stop adds a state key
+// of its own instead of rewriting a map of everything gathered so far.
+func TestSweepRecordGrowsByOneDevicePerStop(t *testing.T) {
+	const devices, vars, maxStep = 16, 16, 260
+	tb := testbed(t, devices, vars)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	report, _, err := tb.Station.CollectSequential(ctx, tb.DeviceNames, tb.QueryOIDs(vars))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range tb.DeviceNames {
+		if len(report[d]) != vars {
+			t.Fatalf("%s reported %d variables, want %d", d, len(report[d]), vars)
+		}
+	}
+	// One hop span per migration, recorded at its origin: hop 1 leaves the
+	// station, hop k+1 leaves device k-1.
+	leaving := make(map[int]int)
+	for _, srv := range tb.Servers() {
+		for _, span := range srv.Tracer().All() {
+			leaving[span.Hop] = span.RecordBytes
+		}
+	}
+	if len(leaving) != devices {
+		t.Fatalf("%d hop spans, want %d", len(leaving), devices)
+	}
+	for hop := 2; hop <= devices; hop++ {
+		if step := leaving[hop] - leaving[hop-1]; step <= 0 || step > maxStep {
+			t.Errorf("record leaving stop %d: %d bytes, %d more than the one that arrived; want a step within (0, %d]",
+				hop-1, leaving[hop], step, maxStep)
+		}
+	}
+	if last := leaving[devices]; last > leaving[1]+(devices-1)*maxStep {
+		t.Errorf("record leaving stop %d is %d bytes (launched at %d)", devices-1, last, leaving[1])
+	}
+}
+
+// lineService is a naplet.ServicesAPI whose one channel answers every line
+// with reply.
+type lineService struct{ reply string }
+
+func (s lineService) CallOpen(string, []string) (string, error) {
+	return "", errors.New("no open services")
+}
+func (s lineService) Channels() []string                                { return []string{ServiceName} }
+func (s lineService) OpenChannel(string) (naplet.ServiceChannel, error) { return s, nil }
+func (s lineService) WriteLine(string) error                            { return nil }
+func (s lineService) ReadLine() (string, error)                         { return s.reply, nil }
+func (s lineService) Close() error                                      { return nil }
+
+// TestOnStartTouchesOnlyItsOwnDevice: a stop reads and writes its own
+// DeviceStatus key and no other. The other device's entry here holds a
+// value no status map could be loaded from, so reading it would fail the
+// visit; it must come through byte for byte.
+func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
+	st := state.New()
+	if err := st.SetPrivate(paramsKey, []string{"1.3.6.1.2.1.1.5.0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetProtected(statusPrefix+"dev0", 7, "station"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &naplet.Context{
+		Server:   "dev1",
+		Record:   &naplet.Record{Home: "station", State: st},
+		Services: lineService{reply: "1.3.6.1.2.1.1.5.0=core-1;1.3.6.1.2.1.1.3.0=error:noSuchName"},
+	}
+	for visit := 0; visit < 2; visit++ { // a device visited twice keeps one entry
+		if err := new(NMNaplet).OnStart(ctx); err != nil {
+			t.Fatalf("visit %d: %v", visit, err)
+		}
+	}
+	var own map[string]string
+	if err := st.Load(statusPrefix+"dev1", &own); err != nil || len(own) != 2 || own["1.3.6.1.2.1.1.5.0"] != "core-1" {
+		t.Fatalf("dev1's status = %v, %v", own, err)
+	}
+	if mode, _ := st.ModeOf(statusPrefix + "dev1"); mode != state.Protected {
+		t.Fatalf("dev1's status is %v, want protected", mode)
+	}
+	if v, err := st.Get(statusPrefix + "dev0"); err != nil || v != 7 {
+		t.Fatalf("dev0's entry = %v, %v; want it untouched", v, err)
+	}
+	if want := []string{statusPrefix + "dev0", statusPrefix + "dev1", paramsKey}; !reflect.DeepEqual(st.Keys(), want) {
+		t.Fatalf("state keys %v, want %v", st.Keys(), want)
+	}
+}
+
 // TestReportPayloadCodecs: both report payloads survive
 // encode→decode→encode byte for byte, and anything that does not lead with
 // the version byte — a plain-text report, a truncated one — is an error.
@@ -297,8 +389,13 @@ func TestReportPayloadCodecs(t *testing.T) {
 		Route:  []string{"station", "dev0", "dev1"},
 	}
 	enc := rep.encode()
-	if want := append([]byte{1, 2, 22}, "dev0|1.3.6.1.2.1.1.3.0"...); !bytes.HasPrefix(enc, want) {
-		t.Fatalf("status report does not lead with the version and the sorted first key: %x", enc)
+	// Version, two entries, the sorted first key whole, and the second
+	// sharing "dev" with it.
+	want := append([]byte{2, 2, 0, 22}, "dev0|1.3.6.1.2.1.1.3.0"...)
+	want = append(append(want, 4), "4711"...)
+	want = append(append(want, 3, 19), "1|1.3.6.1.2.1.1.5.0"...)
+	if !bytes.HasPrefix(enc, want) {
+		t.Fatalf("status report does not lead with the version and its front-coded keys:\n got %x\nwant %x", enc, want)
 	}
 	var back reportPayload
 	if err := back.decode(enc); err != nil || !reflect.DeepEqual(back, rep) {
@@ -326,6 +423,7 @@ func TestReportPayloadCodecs(t *testing.T) {
 		"text":      []byte("toured: sa -> sb"),
 		"empty":     nil,
 		"truncated": enc[:len(enc)/2],
+		"version 1": append([]byte{1}, enc[1:]...),
 	} {
 		if err := new(reportPayload).decode(payload); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: status report decode error = %v, want wire.ErrMalformed", name, err)

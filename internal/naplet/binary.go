@@ -2,6 +2,7 @@ package naplet
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cred"
 	"repro/internal/id"
@@ -17,8 +18,9 @@ import (
 // requires bumping RecordCodecVersion and regenerating the fixtures.
 
 // RecordCodecVersion is the version byte carried after the record magic.
-// Version 2 carries state values in the tagged value codec.
-const RecordCodecVersion = 2
+// Version 3 front-codes map keys (the state container and the map-typed
+// state values) and carries the navigation log's times as deltas.
+const RecordCodecVersion = 3
 
 // recordMagic prefixes encoded records.
 var recordMagic = [2]byte{'N', 'R'}
@@ -121,6 +123,7 @@ func DecodeBookBinary(b []byte) (*AddressBook, []byte, error) {
 		return nil, nil, err
 	}
 	book := NewAddressBook()
+	prev := ""
 	for i := 0; i < cnt; i++ {
 		nid, rest, err := id.DecodeBinary(b)
 		if err != nil {
@@ -130,46 +133,144 @@ func DecodeBookBinary(b []byte) (*AddressBook, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		book.entries[nid.Key()] = AddressEntry{NapletID: nid, ServerURN: urn}
-		b = rest
+		// Entries travel in identifier order; anything else — a repeated
+		// identifier above all — is not a book AppendBinary wrote.
+		key := nid.Key()
+		if i > 0 && key <= prev {
+			return nil, nil, fmt.Errorf("%w: address book entries out of order", wire.ErrMalformed)
+		}
+		book.entries[key] = AddressEntry{NapletID: nid, ServerURN: urn}
+		b, prev = rest, key
 	}
 	return book, b, nil
 }
 
 // ---- NavigationLog ----
 
+// The log's timestamps travel as a chain. A hop's arrival and departure,
+// and one hop's departure and the next one's arrival, are microseconds to
+// seconds apart, so after the first every time is a difference:
+//
+//	[0]                                       the zero time (an open hop)
+//	[1] [varint unix seconds] [uvarint nanos] absolute, as wire.AppendTime
+//	[2] [varint nanoseconds]                  since the previous non-zero
+//	                                          time of the same log
+//
+// The first non-zero time is absolute; so is one too far from its
+// predecessor for a Duration to hold (centuries). Everything else is a
+// delta, which may be negative: clocks step back. Differences are taken
+// over wall-clock readings (Round(0)): a monotonic difference need not
+// match the wall one, and time.Time.Equal must hold across a round trip.
+const timeDelta = 2
+
+// timeChain carries the previous non-zero time of a log being encoded,
+// sized or decoded; the zero value starts a chain.
+type timeChain struct{ prev time.Time }
+
+// delta returns t's distance from the chain's previous time and whether a
+// delta can carry it.
+func (c *timeChain) delta(t time.Time) (time.Duration, bool) {
+	if c.prev.IsZero() {
+		return 0, false
+	}
+	d := t.Sub(c.prev)
+	return d, c.prev.Add(d).Equal(t)
+}
+
+// link advances the chain to t and reports how t travels: as the delta d,
+// or else in wire's own time form.
+func (c *timeChain) link(t time.Time) (wall time.Time, d time.Duration, asDelta bool) {
+	if t.IsZero() {
+		return t, 0, false
+	}
+	wall = t.Round(0)
+	d, asDelta = c.delta(wall)
+	c.prev = wall
+	return wall, d, asDelta
+}
+
+func (c *timeChain) size(t time.Time) int {
+	t, d, asDelta := c.link(t)
+	if asDelta {
+		return 1 + wire.SizeVarint(int64(d))
+	}
+	return wire.SizeTime(t)
+}
+
+func (c *timeChain) append(dst []byte, t time.Time) []byte {
+	t, d, asDelta := c.link(t)
+	if asDelta {
+		return wire.AppendVarint(append(dst, timeDelta), int64(d))
+	}
+	return wire.AppendTime(dst, t)
+}
+
+// decode consumes one chained time. It accepts only what append writes: a
+// delta needs a predecessor and must land where Add says, and an absolute
+// time where a delta would have done is malformed.
+func (c *timeChain) decode(b []byte) (time.Time, []byte, error) {
+	if len(b) == 0 || b[0] != timeDelta {
+		t, rest, err := wire.DecTime(b)
+		if err != nil || t.IsZero() {
+			return t, rest, err
+		}
+		if _, ok := c.delta(t); ok {
+			return time.Time{}, nil, fmt.Errorf("%w: absolute log time where a delta fits", wire.ErrMalformed)
+		}
+		c.prev = t
+		return t, rest, nil
+	}
+	d, rest, err := wire.DecVarint(b[1:])
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	t := c.prev.Add(time.Duration(d))
+	if c.prev.IsZero() || t.IsZero() || t.Sub(c.prev) != time.Duration(d) {
+		return time.Time{}, nil, fmt.Errorf("%w: log time delta without a base, or out of range", wire.ErrMalformed)
+	}
+	c.prev = t
+	return t, rest, nil
+}
+
 // EncodedSize returns the exact binary-encoded size of the log.
 func (l *NavigationLog) EncodedSize() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	var times timeChain
 	sz := wire.SizeUvarint(uint64(len(l.hops)))
 	for _, h := range l.hops {
-		sz += wire.SizeString(h.Server) + wire.SizeTime(h.Arrive) + wire.SizeTime(h.Depart)
+		sz += wire.SizeString(h.Server) + times.size(h.Arrive) + times.size(h.Depart)
 	}
 	sz += wire.SizeUvarint(uint64(len(l.reroutes)))
 	for _, r := range l.reroutes {
 		sz += wire.SizeString(r.Visit) + wire.SizeString(r.Policy) +
-			wire.SizeString(r.Detail) + wire.SizeTime(r.At)
+			wire.SizeString(r.Detail) + times.size(r.At)
 	}
 	return sz
 }
 
-// AppendBinary appends the log's binary form to dst.
+// AppendBinary appends the log's binary form to dst:
+//
+//	[uvarint h] h×([string server] [time arrive] [time depart])
+//	[uvarint r] r×([string visit] [string policy] [string detail] [time at])
+//
+// with every time a link of one chain, in that order.
 func (l *NavigationLog) AppendBinary(dst []byte) []byte {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	var times timeChain
 	dst = wire.AppendUvarint(dst, uint64(len(l.hops)))
 	for _, h := range l.hops {
 		dst = wire.AppendString(dst, h.Server)
-		dst = wire.AppendTime(dst, h.Arrive)
-		dst = wire.AppendTime(dst, h.Depart)
+		dst = times.append(dst, h.Arrive)
+		dst = times.append(dst, h.Depart)
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(l.reroutes)))
 	for _, r := range l.reroutes {
 		dst = wire.AppendString(dst, r.Visit)
 		dst = wire.AppendString(dst, r.Policy)
 		dst = wire.AppendString(dst, r.Detail)
-		dst = wire.AppendTime(dst, r.At)
+		dst = times.append(dst, r.At)
 	}
 	return dst
 }
@@ -181,6 +282,7 @@ func DecodeLogBinary(b []byte) (*NavigationLog, []byte, error) {
 		return nil, nil, err
 	}
 	log := NewNavigationLog()
+	var times timeChain
 	if hcnt > 0 {
 		log.hops = make([]Hop, hcnt)
 		for i := range log.hops {
@@ -188,10 +290,10 @@ func DecodeLogBinary(b []byte) (*NavigationLog, []byte, error) {
 			if h.Server, b, err = wire.DecString(b); err != nil {
 				return nil, nil, err
 			}
-			if h.Arrive, b, err = wire.DecTime(b); err != nil {
+			if h.Arrive, b, err = times.decode(b); err != nil {
 				return nil, nil, err
 			}
-			if h.Depart, b, err = wire.DecTime(b); err != nil {
+			if h.Depart, b, err = times.decode(b); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -213,7 +315,7 @@ func DecodeLogBinary(b []byte) (*NavigationLog, []byte, error) {
 			if r.Detail, b, err = wire.DecString(b); err != nil {
 				return nil, nil, err
 			}
-			if r.At, b, err = wire.DecTime(b); err != nil {
+			if r.At, b, err = times.decode(b); err != nil {
 				return nil, nil, err
 			}
 		}

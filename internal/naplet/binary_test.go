@@ -3,10 +3,12 @@ package naplet
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/itinerary"
 	"repro/internal/state"
+	"repro/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden fixtures in testdata/")
@@ -141,7 +144,7 @@ func TestRecordGoldenBytes(t *testing.T) {
 	if len(got) != rec.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, encoded %d bytes", rec.EncodedSize(), len(got))
 	}
-	checkGolden(t, "record_v2.hex", got)
+	checkGolden(t, "record_v3.hex", got)
 
 	dec, err := DecodeRecordBinary(got)
 	if err != nil {
@@ -355,10 +358,14 @@ func TestDecodeRecordRejectsBadInput(t *testing.T) {
 	if _, err := DecodeRecordBinary([]byte("XX")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	bumped := append([]byte(nil), enc...)
-	bumped[2] = 99
-	if _, err := DecodeRecordBinary(bumped); err == nil {
-		t.Error("unknown version accepted")
+	// One decoder: the retired versions are refused by number like any
+	// unknown one, never parsed.
+	for _, v := range []byte{1, 2, 99} {
+		other := append([]byte(nil), enc...)
+		other[2] = v
+		if _, err := DecodeRecordBinary(other); err == nil || !strings.Contains(err.Error(), "unsupported record codec version") {
+			t.Errorf("version %d: %v, want the unsupported-version error", v, err)
+		}
 	}
 	for cut := 1; cut < len(enc); cut += 7 {
 		if _, err := DecodeRecordBinary(enc[:cut]); err == nil {
@@ -368,5 +375,133 @@ func TestDecodeRecordRejectsBadInput(t *testing.T) {
 	trailing := append(append([]byte(nil), enc...), 0x00)
 	if _, err := DecodeRecordBinary(trailing); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// logRoundTrip encodes and decodes a log, checking the size function on
+// the way.
+func logRoundTrip(t *testing.T, log *NavigationLog) (*NavigationLog, []byte) {
+	t.Helper()
+	enc := log.AppendBinary(nil)
+	if len(enc) != log.EncodedSize() {
+		t.Fatalf("EncodedSize %d, encoded %d", log.EncodedSize(), len(enc))
+	}
+	dec, rest, err := DecodeLogBinary(enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+	}
+	if re := dec.AppendBinary(nil); !bytes.Equal(enc, re) {
+		t.Fatalf("encode→decode→encode not byte-identical:\n %x\n %x", enc, re)
+	}
+	return dec, enc
+}
+
+// TestLogTimesTravelAsDeltas: readings taken from the real clock — with
+// monotonic parts, a clock that steps back between two of them, an open
+// last hop, reroutes — come back Equal, the open hop's departure still
+// zero, and a hop costs a handful of bytes, not two absolute times.
+func TestLogTimesTravelAsDeltas(t *testing.T) {
+	now := time.Now() // carries a monotonic reading
+	log := NewNavigationLog()
+	at := now
+	var want []time.Time
+	for i, step := range []time.Duration{0, 180 * time.Microsecond, 40 * time.Microsecond, -3 * time.Second, 75 * time.Microsecond, time.Millisecond} {
+		at = at.Add(step)
+		want = append(want, at)
+		server := "dock" + string(rune('0'+i/2))
+		if i%2 == 0 {
+			log.RecordArrival(server, at)
+		} else if err := log.RecordDeparture(server, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.RecordArrival("dock3", at.Add(time.Second)) // open: no departure yet
+	log.RecordReroute(Reroute{Visit: "dock9", Policy: "skip", Detail: "refused", At: at.Add(-time.Minute)})
+	log.RecordReroute(Reroute{Visit: "dock8", Policy: "skip", Detail: "refused"}) // zero time
+
+	dec, _ := logRoundTrip(t, log)
+	hops := dec.Hops()
+	if len(hops) != 4 {
+		t.Fatalf("%d hops decoded, want 4", len(hops))
+	}
+	for i, h := range hops[:3] {
+		if !h.Arrive.Equal(want[2*i]) || !h.Depart.Equal(want[2*i+1]) {
+			t.Errorf("hop %d: %v → %v, want %v → %v", i, h.Arrive, h.Depart, want[2*i], want[2*i+1])
+		}
+	}
+	if open := hops[3]; !open.Arrive.Equal(at.Add(time.Second)) || !open.Depart.IsZero() {
+		t.Errorf("open hop: %v → %v, want %v → zero", open.Arrive, open.Depart, at.Add(time.Second))
+	}
+	rr := dec.Reroutes()
+	if len(rr) != 2 || !rr[0].At.Equal(at.Add(-time.Minute)) || !rr[1].At.IsZero() {
+		t.Errorf("reroutes %+v", rr)
+	}
+
+	// What it is for: a tour's hops are microseconds apart, so after the
+	// one absolute time (11 bytes) a closed hop's two times take 8 bytes
+	// where two absolute ones took 22.
+	tour := NewNavigationLog()
+	at = now
+	for i := 0; i < 8; i++ {
+		tour.RecordArrival("dock0", at.Add(200*time.Microsecond))
+		at = at.Add(300 * time.Microsecond)
+		if err := tour.RecordDeparture("dock0", at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, enc := logRoundTrip(t, tour); len(enc) > 2+11+8*(6+8) {
+		t.Errorf("8 closed hops take %d bytes, want at most %d", len(enc), 2+11+8*(6+8))
+	}
+
+	// Times too far apart for a Duration fall back to the absolute form.
+	far := NewNavigationLog()
+	far.RecordArrival("a", time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC))
+	far.RecordArrival("b", now)
+	fdec, _ := logRoundTrip(t, far)
+	if h := fdec.Hops(); !h[0].Arrive.Equal(time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC)) || !h[1].Arrive.Equal(now) {
+		t.Errorf("far-apart hops: %+v", h)
+	}
+}
+
+// TestLogDecodeRejectsNonCanonicalTimes: a delta with nothing before it, an
+// absolute time where a delta would have done, a time flag past the three
+// defined.
+func TestLogDecodeRejectsNonCanonicalTimes(t *testing.T) {
+	abs := wire.AppendTime(nil, goldenTime)
+	hop := func(arrive, depart []byte) []byte {
+		b := append([]byte{1, 1, 'a'}, arrive...)
+		return append(append(b, depart...), 0) // one hop, no reroutes
+	}
+	if _, _, err := DecodeLogBinary(hop(abs, []byte{timeDelta, 2})); err != nil {
+		t.Fatalf("absolute then delta: %v", err)
+	}
+	for name, enc := range map[string][]byte{
+		"delta before any absolute time": hop([]byte{timeDelta, 2}, []byte{0}),
+		"delta after only a zero time":   hop([]byte{0}, []byte{timeDelta, 2}),
+		"absolute where a delta fits":    hop(abs, wire.AppendTime(nil, goldenTime.Add(time.Second))),
+		"unknown time flag":              hop(abs, []byte{3, 2}),
+		"truncated delta":                hop(abs, []byte{timeDelta, 0x80}),
+	} {
+		if _, _, err := DecodeLogBinary(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: %v, want wire.ErrMalformed", name, err)
+		}
+	}
+}
+
+// TestBookDecodeRejectsUnorderedEntries: the same identifier twice (the
+// second used to win silently) or entries out of identifier order.
+func TestBookDecodeRejectsUnorderedEntries(t *testing.T) {
+	a, b := id.MustNew("amgr", "sb2", goldenTime), id.MustNew("czxu", "sa1", goldenTime)
+	entry := func(dst []byte, n id.NapletID) []byte { return wire.AppendString(n.AppendBinary(dst), "naplet://x") }
+	if _, _, err := DecodeBookBinary(entry(entry([]byte{2}, a), b)); err != nil {
+		t.Fatalf("ordered book: %v", err)
+	}
+	for name, enc := range map[string][]byte{
+		"repeated":   entry(entry([]byte{2}, a), a),
+		"descending": entry(entry([]byte{2}, b), a),
+	} {
+		if _, _, err := DecodeBookBinary(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: %v, want wire.ErrMalformed", name, err)
+		}
 	}
 }

@@ -15,13 +15,87 @@ import (
 // wire.ErrMalformed (DESIGN.md §11).
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
-const bodyCodecVersion = 1
+// Version 2 carries code digests raw (see appendDigest).
+const bodyCodecVersion = 2
+
+// A code digest is the hex SHA-256 of a bundle in memory — it is a cache
+// key and a proof-table entry — and 32 raw bytes behind a flag on the wire:
+//
+//	[1] [32 bytes]   a digest of 64 lower-case hex digits
+//	[0] [string]     anything else: none, or a test's short name
+//
+// The conversions go through arrays on the stack: a warm hop carries one
+// digest, and a heap round trip through encoding/hex cost it three
+// allocations.
+const (
+	digestString = 0
+	digestRaw    = 1
+)
+
+// unhex returns the value of one lower-case hex digit, or 0xff.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0xff
+}
+
+// rawDigest converts a digest of exactly 64 lower-case hex digits, the only
+// spelling hex.EncodeToString gives back, and reports whether d was one.
+func rawDigest(d string) (raw [sha256.Size]byte, ok bool) {
+	if len(d) != 2*sha256.Size {
+		return raw, false
+	}
+	for i := range raw {
+		hi, lo := unhex(d[2*i]), unhex(d[2*i+1])
+		if hi|lo == 0xff {
+			return raw, false
+		}
+		raw[i] = hi<<4 | lo
+	}
+	return raw, true
+}
+
+func sizeDigest(d string) int {
+	if _, ok := rawDigest(d); ok {
+		return 1 + sha256.Size
+	}
+	return 1 + wire.SizeString(d)
+}
+
+func appendDigest(dst []byte, d string) []byte {
+	if raw, ok := rawDigest(d); ok {
+		return append(append(dst, digestRaw), raw[:]...)
+	}
+	return wire.AppendString(append(dst, digestString), d)
+}
+
+// decodeDigest consumes one digest. A string form that the raw form could
+// have carried is malformed: each digest has one encoding.
+func decodeDigest(b []byte) (string, []byte, error) {
+	switch {
+	case len(b) > sha256.Size && b[0] == digestRaw:
+		var text [2 * sha256.Size]byte
+		hex.Encode(text[:], b[1:1+sha256.Size])
+		return string(text[:]), b[1+sha256.Size:], nil
+	case len(b) > 0 && b[0] == digestString:
+		d, rest, err := wire.DecString(b[1:])
+		if _, ok := rawDigest(d); ok {
+			err = wire.ErrMalformed
+		}
+		return d, rest, err
+	}
+	return "", nil, wire.ErrMalformed
+}
 
 // EncodedSize returns the exact encoded size of the body.
 func (b *LandingRequestBody) EncodedSize() int {
 	return 1 + b.NapletID.EncodedSize() + b.Credential.EncodedSize() +
 		wire.SizeString(b.Codebase) + wire.SizeUvarint(uint64(b.StateSize)) +
-		wire.SizeString(b.CodeDigest)
+		sizeDigest(b.CodeDigest)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -31,7 +105,7 @@ func (b *LandingRequestBody) AppendBinary(dst []byte) []byte {
 	dst = b.Credential.AppendBinary(dst)
 	dst = wire.AppendString(dst, b.Codebase)
 	dst = wire.AppendUvarint(dst, uint64(b.StateSize))
-	return wire.AppendString(dst, b.CodeDigest)
+	return appendDigest(dst, b.CodeDigest)
 }
 
 // Decode parses a landing request payload.
@@ -54,7 +128,7 @@ func (b *LandingRequestBody) Decode(payload []byte) error {
 		return err
 	}
 	b.StateSize = int(size)
-	b.CodeDigest, _, err = wire.DecString(rest)
+	b.CodeDigest, _, err = decodeDigest(rest)
 	return err
 }
 
@@ -90,7 +164,7 @@ func (b *LandingReplyBody) Decode(payload []byte) error {
 // EncodedSize returns the exact encoded size of the body.
 func (b *TransferBody) EncodedSize() int {
 	return 1 + wire.SizeBytes(b.Record) + wire.SizeBytes(b.Code) +
-		wire.SizeString(b.TransferID) + wire.SizeString(b.CodeDigest)
+		wire.SizeString(b.TransferID) + sizeDigest(b.CodeDigest)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -99,7 +173,7 @@ func (b *TransferBody) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendBytes(dst, b.Record)
 	dst = wire.AppendBytes(dst, b.Code)
 	dst = wire.AppendString(dst, b.TransferID)
-	return wire.AppendString(dst, b.CodeDigest)
+	return appendDigest(dst, b.CodeDigest)
 }
 
 // Decode parses a transfer payload. Record and Code alias the payload;
@@ -119,7 +193,7 @@ func (b *TransferBody) Decode(payload []byte) error {
 	if b.TransferID, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
-	b.CodeDigest, _, err = wire.DecString(rest)
+	b.CodeDigest, _, err = decodeDigest(rest)
 	return err
 }
 

@@ -31,7 +31,7 @@ func codecBodies() (samples []body, zero []func() body) {
 		&LandingRequestBody{NapletID: nid, Codebase: "test.Agent", StateSize: 512, CodeDigest: "abc",
 			Credential: cred.Credential{NapletID: nid, Codebase: "test.Agent", Roles: []string{"guest"}, IssuedAt: codecTime, Signature: []byte{1, 2}}},
 		&LandingReplyBody{Granted: true, NeedCode: true, Reason: "r"},
-		&TransferBody{Record: []byte("NR\x02rec"), Code: []byte("code"), TransferID: "sa#1", CodeDigest: "abc"},
+		&TransferBody{Record: []byte("NR\x03rec"), Code: []byte("code"), TransferID: "sa#1", CodeDigest: "abc"},
 		&TransferAckBody{Reason: "at capacity", Denied: true},
 		&CodeFetchBody{Codebase: "test.Agent"},
 		&CodeBundleBody{Data: []byte("bundle")},
@@ -50,16 +50,17 @@ func codecBodies() (samples []body, zero []func() body) {
 }
 
 // TestBodiesRejectOldFormats: a payload whose first byte is not the body
-// version — version 0, version 2, a gob stream, nothing — is
-// wire.ErrMalformed and leaves the body untouched; there is no second
-// parser to hand it to.
+// version — version 0, the retired version 1, version 3, a gob stream,
+// nothing — is wire.ErrMalformed and leaves the body untouched; there is no
+// second parser to hand it to.
 func TestBodiesRejectOldFormats(t *testing.T) {
 	samples, zero := codecBodies()
 	for i, sample := range samples {
 		good := sample.AppendBinary(nil)
 		for name, payload := range map[string][]byte{
 			"version 0": append([]byte{0}, good[1:]...),
-			"version 2": append([]byte{2}, good[1:]...),
+			"version 1": append([]byte{1}, good[1:]...),
+			"version 3": append([]byte{3}, good[1:]...),
 			"gob":       gobStream(t),
 			"empty":     nil,
 		} {
@@ -74,6 +75,50 @@ func TestBodiesRejectOldFormats(t *testing.T) {
 	}
 }
 
+// TestDigestTravelsRaw: a real digest — 64 lower-case hex digits — costs
+// 33 bytes on the wire where its string took 65, comes back the same
+// string, and converts without touching the heap beyond that string; any
+// other spelling rides the string form; and each has only its one encoding.
+func TestDigestTravelsRaw(t *testing.T) {
+	digest := bundleDigest([]byte("bundle"))
+	for _, d := range []string{digest, "", "abc", strings.ToUpper(digest), digest[:63] + "g", digest + "00"} {
+		enc := appendDigest(nil, d)
+		wantSize := 1 + wire.SizeString(d)
+		if d == digest {
+			wantSize = 33
+		}
+		if len(enc) != wantSize || len(enc) != sizeDigest(d) {
+			t.Errorf("%q: %d bytes, sizeDigest %d, want %d", d, len(enc), sizeDigest(d), wantSize)
+		}
+		got, rest, err := decodeDigest(enc)
+		if err != nil || got != d || len(rest) != 0 {
+			t.Errorf("%q: decoded %q, %v, %d bytes left", d, got, err, len(rest))
+		}
+	}
+	raw := appendDigest(nil, digest)
+	for name, enc := range map[string][]byte{
+		"empty":                  nil,
+		"31-byte raw digest":     raw[:32],
+		"unknown flag":           append([]byte{2}, raw[1:]...),
+		"hex digest as a string": wire.AppendString([]byte{digestString}, digest),
+		"truncated string":       {digestString, 5, 'a'},
+	} {
+		if got, _, err := decodeDigest(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: decoded %q, %v; want wire.ErrMalformed", name, got, err)
+		}
+	}
+	body := TransferBody{Record: []byte("NR"), TransferID: "sa/boot/2", CodeDigest: digest}
+	dst := make([]byte, 0, body.EncodedSize())
+	if n := testing.AllocsPerRun(100, func() { dst = body.AppendBinary(dst[:0]) }); n != 0 {
+		t.Errorf("encoding a transfer with a digest: %v allocs, want 0", n)
+	}
+	var out TransferBody
+	// The transfer ID and the digest: one string each, as before.
+	if n := testing.AllocsPerRun(100, func() { _ = out.Decode(dst) }); n != 2 {
+		t.Errorf("decoding a transfer with a digest: %v allocs, want 2", n)
+	}
+}
+
 // gobStream is what a gob-era sender would have put in a payload.
 func gobStream(t *testing.T) []byte {
 	var buf bytes.Buffer
@@ -85,7 +130,8 @@ func gobStream(t *testing.T) []byte {
 
 // FuzzDecodeBodies feeds arbitrary bytes to every body decoder: no panic,
 // allocation bounded by the input length, and whatever decodes re-encodes
-// to its declared size and decodes again to an equal value.
+// to its declared size, decodes again to an equal value, and was the one
+// encoding of that value to begin with.
 func FuzzDecodeBodies(f *testing.F) {
 	samples, zero := codecBodies()
 	for i, sample := range samples {
@@ -93,10 +139,12 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Add(uint8(i), enc)
 		f.Add(uint8(i), enc[:len(enc)/2])
 	}
-	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(uint8(0), []byte{bodyCodecVersion, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// The direct path's shapes: a code-less transfer naming its digest, the
 	// re-ask that answers it on a cold dock, and a plain acceptance.
-	f.Add(uint8(2), (&TransferBody{Record: []byte("NR\x02rec"), TransferID: "sa/boot/2", CodeDigest: strings.Repeat("a", 64)}).AppendBinary(nil))
+	direct := (&TransferBody{Record: []byte("NR\x03rec"), TransferID: "sa/boot/2", CodeDigest: strings.Repeat("a", 64)}).AppendBinary(nil)
+	f.Add(uint8(2), direct)
+	f.Add(uint8(2), direct[:len(direct)-1]) // a 31-byte raw digest
 	f.Add(uint8(3), (&TransferAckBody{NeedCode: true}).AppendBinary(nil))
 	f.Add(uint8(3), (&TransferAckBody{Accepted: true}).AppendBinary(nil))
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
@@ -123,27 +171,32 @@ func FuzzDecodeBodies(f *testing.F) {
 		if !reflect.DeepEqual(got, again) {
 			t.Fatalf("%T: re-decoded value differs:\n got %+v\nwant %+v", got, again, got)
 		}
+		// Bodies ignore bytes past their last field, so the input may be
+		// longer than canonical, never different before that.
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("%T: accepted body is not canonical:\n  in %x\n out %x", got, data, enc)
+		}
 	})
 }
 
 // TestRecordRejectsOldFormats: a gob-encoded record, and a record with the
-// NR magic but the retired version byte, fail with a descriptive error.
+// NR magic but a retired version byte, fail with a descriptive error.
 func TestRecordRejectsOldFormats(t *testing.T) {
 	rec := record(t, nil, "a")
 	good, err := EncodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), good...)
-	v1[2] = 1
-	for name, data := range map[string][]byte{"gob": gobStream(t), "NR version 1": v1} {
+	v2 := append([]byte(nil), good...)
+	v2[2] = 2
+	for name, data := range map[string][]byte{"gob": gobStream(t), "NR version 2": v2} {
 		got, err := DecodeRecord(data)
 		if err == nil || got != nil {
 			t.Errorf("%s: DecodeRecord = %v, %v; want nil and an error", name, got, err)
 		}
 	}
-	if _, err := DecodeRecord(v1); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("NR version 1: error %v does not name the version", err)
+	if _, err := DecodeRecord(v2); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("NR version 2: error %v does not name the version", err)
 	}
 	if _, err := DecodeRecord(gobStream(t)); !errors.Is(err, wire.ErrMalformed) {
 		t.Errorf("gob: error %v, want wire.ErrMalformed", err)

@@ -35,15 +35,17 @@ import (
 //     loss, no duplication;
 //  3. the dead-stop dispatches show up as failovers, never as traps.
 //
-// The subtest name records the dock snapshot format the crash image was
-// written and recovered in.
+// The subtest names are fixed strings that CI history and the test floor
+// key on. Their "snap=v2" dates from when seeds alternated between dock
+// snapshot formats 1 and 2; there is one format now (dock.Version, whatever
+// its number), and bumping it must not rename ten subtests.
 func TestChaosRestartSeeds(t *testing.T) {
 	seeds := chaosSeeds
 	if *chaosSeed != 0 {
 		seeds = []int64{*chaosSeed}
 	}
 	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d/snap=v%d", seed, dock.Version), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d/snap=v2", seed), func(t *testing.T) {
 			runChaosRestart(t, seed)
 		})
 	}

@@ -27,11 +27,16 @@ import (
 )
 
 // kindCounter is a fabric decorator that counts the calls its nodes send,
-// by frame kind.
+// by frame kind, and the bytes both frames of each call take on the wire.
 type kindCounter struct {
 	inner transport.Fabric
 	mu    sync.Mutex
 	calls map[wire.Kind]int
+	bytes map[wire.Kind]int
+}
+
+func newKindCounter() *kindCounter {
+	return &kindCounter{calls: make(map[wire.Kind]int), bytes: make(map[wire.Kind]int)}
 }
 
 func (k *kindCounter) Attach(addr string, h transport.Handler) (transport.Node, error) {
@@ -42,13 +47,22 @@ func (k *kindCounter) Attach(addr string, h transport.Handler) (transport.Node, 
 	return &countingNode{Node: node, k: k}, nil
 }
 
-// take returns the counts so far and starts over.
-func (k *kindCounter) take() map[wire.Kind]int {
+func (k *kindCounter) totalBytes() (n int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := k.calls
-	k.calls = make(map[wire.Kind]int)
-	return out
+	for _, b := range k.bytes {
+		n += b
+	}
+	return n
+}
+
+// take returns the counts so far and starts over.
+func (k *kindCounter) take() (calls, bytes map[wire.Kind]int) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	calls, bytes = k.calls, k.bytes
+	k.calls, k.bytes = make(map[wire.Kind]int), make(map[wire.Kind]int)
+	return calls, bytes
 }
 
 type countingNode struct {
@@ -57,10 +71,18 @@ type countingNode struct {
 }
 
 func (n *countingNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	reply, err := n.Node.Call(ctx, to, f)
+	// The fabric stamps the request with its addresses and a Seq that the
+	// reply echoes, budget and all: restamped, f is the frame it metered.
+	f.From, f.To, f.Seq = n.Addr(), to, reply.Seq
 	n.k.mu.Lock()
 	n.k.calls[f.Kind]++
+	if err == nil {
+		n.k.bytes[f.Kind] += f.EncodedSize()
+		n.k.bytes[reply.Kind] += reply.EncodedSize()
+	}
 	n.k.mu.Unlock()
-	return n.Node.Call(ctx, to, f)
+	return reply, err
 }
 
 // TestWarmTourCallBudget pins what a hop costs on the fabric. The first
@@ -69,7 +91,7 @@ func (n *countingNode) Call(ctx context.Context, to string, f wire.Frame) (wire.
 // transfer and one arrival registration per hop, plus the launch's
 // registration and the two reports that end a tour — 19 calls for 8 hops.
 func TestWarmTourCallBudget(t *testing.T) {
-	counter := &kindCounter{calls: make(map[wire.Kind]int)}
+	counter := newKindCounter()
 	route := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
 	sp := newSpace(t, spaceOpts{
 		mode:      locator.ModeDirectory,
@@ -92,7 +114,8 @@ func TestWarmTourCallBudget(t *testing.T) {
 		for _, s := range sp.servers {
 			spans = append(spans, s.Tracer().Spans(nid.Key())...)
 		}
-		return counter.take(), spans
+		calls, _ := counter.take()
+		return calls, spans
 	}
 	direct := func() (n int64) {
 		for _, s := range sp.servers {
@@ -136,6 +159,73 @@ func TestWarmTourCallBudget(t *testing.T) {
 		if span.Negotiation != 0 || span.Outcome != telemetry.OutcomeOK {
 			t.Fatalf("a proven hop has no negotiation phase: %+v", span)
 		}
+	}
+}
+
+// TestWarmTourByteBudget pins what a warm hop weighs, frame kind by frame
+// kind, the way TestWarmTourCallBudget pins how many frames it is: the same
+// 8-hop directory-mode tour, on a frozen clock so that every timestamp and
+// identifier has one size. A codec change that adds a byte to any of the
+// frames a tour is made of fails here, not in the benchmark a PR
+// later. The sums are also checked against what the fabric itself metered.
+func TestWarmTourByteBudget(t *testing.T) {
+	counter := newKindCounter()
+	frozen := time.Date(2026, 1, 2, 3, 4, 5, 600700800, time.UTC)
+	route := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
+	sp := newSpace(t, spaceOpts{
+		mode:      locator.ModeDirectory,
+		directory: true,
+		mutate: func(_ string, cfg *Config) {
+			counter.inner, cfg.Fabric = cfg.Fabric, counter
+			cfg.Clock = func() time.Time { return frozen }
+		},
+	}, append([]string{"home"}, route...)...)
+	tour := func() map[wire.Kind]int {
+		t.Helper()
+		before := sp.net.TotalStats().BytesSent
+		nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+			Owner:    "czxu",
+			Codebase: "test.Collector",
+			Pattern:  itinerary.SeqVisits(route, ""),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+		// The fabric meters a frame when it is sent, the counter when its
+		// call returns: the two agree once the last call — the one whose
+		// handling completed the tour — is back.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			total, metered := counter.totalBytes(), int(sp.net.TotalStats().BytesSent-before)
+			if total == metered {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("frames add up to %d bytes, the fabric metered %d", total, metered)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		_, bytes := counter.take()
+		return bytes
+	}
+	tour() // first contact: landing requests, cold code
+	warm := tour()
+	want := map[wire.Kind]int{
+		wire.KindNapletTransfer: 1937, // 8: a record that grows by a log entry and a visited name per hop
+		wire.KindTransferAck:    162,  // 8 acceptances
+		wire.KindDirRegister:    472,  // 9: the launch, then one arrival per hop
+		wire.KindDirReply:       245,  // 9
+		wire.KindReport:         102,  // the collector's result and "completed"
+		wire.KindControlReply:   33,   // their two acknowledgements
+	}
+	for kind, n := range want {
+		if warm[kind] != n {
+			t.Errorf("warm tour: %d bytes of %s, want %d", warm[kind], kind, n)
+		}
+	}
+	if len(warm) != len(want) {
+		t.Errorf("warm tour sent frames of other kinds: %v", warm)
 	}
 }
 

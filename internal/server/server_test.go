@@ -235,7 +235,18 @@ func TestSequentialTour(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no report received")
 	}
-	// Footprints: each visited server recorded the alien naplet.
+	// No residents remain anywhere — once every dock's dispatch goroutine
+	// has run its release, which the report does not wait for.
+	for name, srv := range sp.servers {
+		waitResidents(t, srv, 0)
+		for deadline := time.Now().Add(5 * time.Second); srv.Monitor().Resident() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s monitor still has groups", name)
+			}
+		}
+	}
+	// Footprints: each visited server recorded the alien naplet, and the
+	// release that emptied it closed the footprint.
 	for _, name := range []string{"s1", "s2", "s3"} {
 		fps := sp.servers[name].Manager().Footprints()
 		if len(fps) != 1 || !fps[0].NapletID.Equal(nid) {
@@ -243,15 +254,6 @@ func TestSequentialTour(t *testing.T) {
 		}
 		if fps[0].LeftAt.IsZero() {
 			t.Fatalf("%s footprint not closed", name)
-		}
-	}
-	// No residents remain anywhere.
-	for name, srv := range sp.servers {
-		if srv.Manager().Resident() != 0 {
-			t.Fatalf("%s still has residents", name)
-		}
-		if srv.Monitor().Resident() != 0 {
-			t.Fatalf("%s monitor still has groups", name)
 		}
 	}
 }

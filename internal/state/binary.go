@@ -11,11 +11,13 @@ import (
 // length-prefixed byte string: a dock forwards values it never decodes.
 // Layout:
 //
-//	[uvarint n] then n× (sorted by key):
-//	  [string key] [uvarint mode] [uvarint s] s×[string server] [bytes payload]
+//	[uvarint n] then n× (ascending by key):
+//	  [key] [uvarint mode] [uvarint s] s×[string server] [bytes payload]
 //
-// Keys are emitted in sorted order so the encoding is deterministic, which
-// the golden-byte and encode→decode→encode tests rely on.
+// The container is a wire.AppendMap: keys ascending, so the encoding is
+// deterministic (the golden-byte and encode→decode→encode tests rely on
+// it), and front-coded, each as [byte shared] [string suffix] against the
+// key before it — an agent's keys tend to share their start.
 
 func sizeEntry(e entry) int {
 	return wire.SizeUvarint(uint64(e.Mode)) + wire.SizeStrings(e.Servers) + wire.SizeBytes(e.Payload)

@@ -13,7 +13,7 @@ import (
 // closed set of types, each encoded as one tag byte plus a payload built
 // from the wire primitives. Get returns the concrete Go type that was
 // stored; anything outside the set is ErrUnsupportedType at Set time.
-// Tags are pinned by testdata/state_values_v1.hex.
+// Tags are pinned by testdata/state_values_v2.hex.
 //
 //	tag  Go type              payload
 //	 1   string               [string]
@@ -25,12 +25,14 @@ import (
 //	 7   []string             [uvarint n] n×[string]
 //	 8   []int                [uvarint n] n×[varint]
 //	 9   []any                [uvarint n] n×[value]
-//	10   map[string]string    [uvarint n] n×([string key] [string])
-//	11   map[string][]string  [uvarint n] n×([string key] [[]string payload])
-//	12   map[string]any       [uvarint n] n×([string key] [value])
+//	10   map[string]string    [uvarint n] n×([key] [string])
+//	11   map[string][]string  [uvarint n] n×([key] [[]string payload])
+//	12   map[string]any       [uvarint n] n×([key] [value])
 //
-// Maps encode in sorted key order. Empty slices decode to nil, empty maps
-// to non-nil empty maps (agents write into a map they just loaded).
+// Maps are wire.AppendMap's: keys ascending, each front-coded against the
+// one before it as [byte shared] [string suffix]. Empty slices decode to
+// nil, empty maps to non-nil empty maps (agents write into a map they just
+// loaded).
 const (
 	tagString byte = iota + 1
 	tagInt

@@ -13,11 +13,19 @@
 //	varint (signed)   zigzag, binary.AppendVarint
 //	time.Time         [flag byte: 0 = zero time] or
 //	                  [1] [varint unix seconds] [uvarint nanoseconds]
-//	sequence / map    [uvarint n] n×element — see AppendSeq, AppendMap
+//	sequence          [uvarint n] n×element — see AppendSeq
+//	map               [uvarint n] n×([byte shared] [string suffix] element),
+//	                  keys ascending and front-coded — see AppendMap
 //
 // A protocol body leads with one version byte (DecVersion); a payload
 // whose first byte is anything else is malformed, never handed to a
 // second parser.
+//
+// Every value has exactly one encoding, and the decoders accept no other:
+// varints in their shortest form, bools 0 or 1, the zero time only as its
+// flag, map keys strictly ascending and sharing all they can. What a
+// decoder accepts therefore re-encodes to the bytes it was given, which is
+// what the fuzz targets assert.
 //
 // The explicit zero flag matters because the zero time.Time is year 1, far
 // outside the varint-friendly Unix range, and IsZero must survive a round
@@ -35,7 +43,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -100,7 +108,7 @@ func DecString(b []byte) (string, []byte, error) {
 // zero length decodes to nil.
 func DecBytes(b []byte) ([]byte, []byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
+	if sz <= 0 || sz > 1 && b[sz-1] == 0 || n > uint64(len(b)-sz) { // shortest form only: see DecUvarint
 		return nil, nil, ErrMalformed
 	}
 	if n == 0 {
@@ -118,10 +126,12 @@ func DecBool(b []byte) (bool, []byte, error) {
 	return b[0] == 1, b[1:], nil
 }
 
-// DecUvarint consumes one unsigned varint.
+// DecUvarint consumes one unsigned varint. Only the shortest form — the
+// one AppendUvarint emits — is accepted, so that every value has exactly
+// one encoding; a longer form ends in a zero byte that adds nothing.
 func DecUvarint(b []byte) (uint64, []byte, error) {
 	x, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || sz > 1 && b[sz-1] == 0 {
 		return 0, nil, ErrMalformed
 	}
 	return x, b[sz:], nil
@@ -129,11 +139,12 @@ func DecUvarint(b []byte) (uint64, []byte, error) {
 
 // DecVarint consumes one zigzag-encoded signed varint.
 func DecVarint(b []byte) (int64, []byte, error) {
-	x, sz := binary.Varint(b)
-	if sz <= 0 {
-		return 0, nil, ErrMalformed
+	ux, b, err := DecUvarint(b)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	return x, b[sz:], nil
+	return x, b, err
 }
 
 // DecTime consumes one flagged time. Non-zero times decode as UTC.
@@ -152,10 +163,11 @@ func DecTime(b []byte) (time.Time, []byte, error) {
 	if err != nil {
 		return time.Time{}, nil, err
 	}
-	if nsec >= 1e9 {
+	t := time.Unix(sec, int64(nsec)).UTC()
+	if nsec >= 1e9 || t.IsZero() { // the zero time travels as its flag alone
 		return time.Time{}, nil, ErrMalformed
 	}
-	return time.Unix(sec, int64(nsec)).UTC(), rest, nil
+	return t, rest, nil
 }
 
 // DecCount consumes an element count that prefixes a sequence, rejecting
@@ -206,10 +218,14 @@ func SizeTime(t time.Time) int {
 	return 1 + SizeVarint(t.Unix()) + uvarintLen(uint64(t.Nanosecond()))
 }
 
-// Sequences and string-keyed maps share one shape — a uvarint count, then
-// the elements, map entries as [string key] [element] in sorted key order
-// so that equal values encode to equal bytes — whatever the element codec.
-// The element functions are the primitives above or a domain codec's own.
+// A sequence is a uvarint count, then the elements, whatever the element
+// codec: the element functions are the primitives above or a domain
+// codec's own. A string-keyed map is a count, then its entries in ascending
+// key order — equal values encode to equal bytes — each key front-coded
+// against the one before it: [byte shared] [string suffix], the key being
+// the previous key's first shared bytes followed by suffix. Keys of one map
+// tend to repeat their start ("DeviceStatus/dev12", an OID's first ten
+// arcs), and that start was most of what a state-heavy record weighed.
 
 // AppendSeq appends a count-prefixed sequence.
 func AppendSeq[T any](dst []byte, xs []T, elem func([]byte, T) []byte) []byte {
@@ -220,23 +236,57 @@ func AppendSeq[T any](dst []byte, xs []T, elem func([]byte, T) []byte) []byte {
 	return dst
 }
 
-// AppendMap appends a count-prefixed map in sorted key order.
-func AppendMap[T any](dst []byte, m map[string]T, elem func([]byte, T) []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(m)))
-	for _, k := range SortedKeys(m) {
-		dst = elem(AppendString(dst, k), m[k])
+// maxSharedPrefix clamps how much of its predecessor a map key may reuse.
+// Front coding amplifies: one long key, then many entries of a few bytes that
+// each "share" all of it, would decode to far more memory than they
+// occupy. With the clamp a decoded key is at most this much longer than
+// its own bytes on the wire, which keeps decoder allocation proportional
+// to input (the fuzz targets' bound). 64 covers every key in the tree.
+const maxSharedPrefix = 64
+
+// sharedPrefix returns how many leading bytes of k the encoder takes from
+// prev: all they have in common, up to the clamp.
+func sharedPrefix(prev, k string) int {
+	n := min(len(prev), len(k), maxSharedPrefix)
+	for i := 0; i < n; i++ {
+		if prev[i] != k[i] {
+			return i
+		}
 	}
-	return dst
+	return n
 }
 
-// SortedKeys returns m's keys in sorted order.
-func SortedKeys[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// smallMapKeys is how many keys AppendMap and SizeMap sort on the stack;
+// a larger map's key list is heap-allocated.
+const smallMapKeys = 32
+
+// sortedKeys returns m's keys in ascending order, in buf if they fit.
+func sortedKeys[T any](m map[string]T, buf []string) []string {
+	if len(m) > cap(buf) {
+		buf = make([]string, 0, len(m))
 	}
-	sort.Strings(keys)
-	return keys
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// SortedKeys returns m's keys in ascending order.
+func SortedKeys[T any](m map[string]T) []string { return sortedKeys(m, nil) }
+
+// AppendMap appends a count-prefixed map, keys ascending and front-coded.
+func AppendMap[T any](dst []byte, m map[string]T, elem func([]byte, T) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	var stack [smallMapKeys]string
+	prev := ""
+	for _, k := range sortedKeys(m, stack[:0]) {
+		shared := sharedPrefix(prev, k)
+		dst = AppendString(append(dst, byte(shared)), k[shared:])
+		dst = elem(dst, m[k])
+		prev = k
+	}
+	return dst
 }
 
 // maxPrealloc bounds what DecSeq and DecMap reserve on the strength of a
@@ -262,20 +312,47 @@ func DecSeq[T any](b []byte, minElemSize int, elem func([]byte) (T, []byte, erro
 	return xs, b, nil
 }
 
+// decKey consumes one front-coded map key whose predecessor is prev (first
+// says there is none). A key that shares more than prev has or the clamp
+// allows, less than it could, or that does not sort after prev is malformed:
+// the last rule also makes a duplicate key an error, not a silent overwrite.
+func decKey(b []byte, prev string, first bool) (string, []byte, error) {
+	if len(b) == 0 || int(b[0]) > min(len(prev), maxSharedPrefix) {
+		return "", nil, ErrMalformed
+	}
+	shared := int(b[0])
+	suffix, b, err := DecBytes(b[1:])
+	if err != nil {
+		return "", nil, err
+	}
+	tail := prev[shared:]
+	if shared < maxSharedPrefix && tail != "" && len(suffix) > 0 && tail[0] == suffix[0] {
+		return "", nil, ErrMalformed
+	}
+	if !first && string(suffix) <= tail {
+		return "", nil, ErrMalformed
+	}
+	// Assembled on the stack, so a key costs the one allocation its string
+	// needs (longer keys spill to the heap).
+	var scratch [2 * maxSharedPrefix]byte
+	key := append(append(scratch[:0], prev[:shared]...), suffix...)
+	return string(key), b, nil
+}
+
 // DecMap consumes one count-prefixed map. An empty map decodes to a
-// non-nil empty map; of duplicate keys the last wins.
+// non-nil empty map.
 func DecMap[T any](b []byte, elem func([]byte) (T, []byte, error)) (map[string]T, []byte, error) {
-	n, b, err := DecCount(b, 2)
+	n, b, err := DecCount(b, 3) // shared, suffix length, one element byte
 	if err != nil {
 		return nil, nil, err
 	}
 	m := make(map[string]T, min(n, maxPrealloc))
+	prev := ""
 	for i := 0; i < n; i++ {
-		var k string
-		if k, b, err = readString(b); err != nil {
+		if prev, b, err = decKey(b, prev, i == 0); err != nil {
 			return nil, nil, err
 		}
-		if m[k], b, err = elem(b); err != nil {
+		if m[prev], b, err = elem(b); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -292,11 +369,15 @@ func SizeSeq[T any](xs []T, size func(T) int) int {
 	return n
 }
 
-// SizeMap returns the encoded size of AppendMap(m, …).
+// SizeMap returns the encoded size of AppendMap(m, …). A key's size depends
+// on its predecessor, so this walks the keys in the order AppendMap does.
 func SizeMap[T any](m map[string]T, size func(T) int) int {
 	n := uvarintLen(uint64(len(m)))
-	for k, x := range m {
-		n += SizeString(k) + size(x)
+	var stack [smallMapKeys]string
+	prev := ""
+	for _, k := range sortedKeys(m, stack[:0]) {
+		n += 1 + SizeString(k[sharedPrefix(prev, k):]) + size(m[k])
+		prev = k
 	}
 	return n
 }

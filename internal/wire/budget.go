@@ -6,22 +6,26 @@ import (
 )
 
 // Deadline propagation rides inside the Seq field rather than adding a
-// header field, which keeps the frame layout — and every deployed
-// decoder — unchanged. Seq is opaque end to end: the caller assigns it,
-// the responder echoes it verbatim, and the client mux correlates on
-// the full packed value, so folding the budget into its unused high
-// bits is invisible to anything that does not explicitly unpack it.
+// field to Frame. In memory Seq is opaque end to end: the caller assigns
+// it, the responder echoes it verbatim, and the client mux correlates on
+// the full packed value, so folding the budget into its unused high bits
+// is invisible to anything that does not explicitly unpack it.
 //
-// Packed layout (big to small):
+// Packed layout in memory (big to small):
 //
 //	bit  63     budget-present flag
 //	bits 41..62 remaining budget, milliseconds (saturating, ~69.9 min max)
 //	bits 0..40  sequence number (2^41 calls per connection)
 //
-// A frame without a budget is bit-for-bit identical to the previous
-// frame version; a frame with one is still a valid uvarint Seq (it
-// merely grows to the full 10-byte uvarint), which the golden fixtures
-// under testdata/ pin down.
+// On the wire the two halves travel apart, because a uvarint of the packed
+// value is ten bytes whenever the flag is set — on every request and again
+// on the reply that echoes it:
+//
+//	[uvarint sequence<<1 | hasBudget] [uvarint budget ms, if hasBudget]
+//
+// which is three to five bytes for the budgets and sequence numbers calls
+// really carry. Decoding re-packs, so Frame.Seq reads the same on both
+// sides; the golden fixtures under testdata/ pin both forms.
 const (
 	budgetFlag  = uint64(1) << 63
 	budgetBits  = 22
@@ -95,4 +99,37 @@ func (f *Frame) BudgetContext(parent context.Context) (context.Context, context.
 		base = time.Now()
 	}
 	return context.WithDeadline(parent, base.Add(d))
+}
+
+// sizeSeq returns the encoded size of appendSeq(seq).
+func sizeSeq(seq uint64) int {
+	if seq&budgetFlag == 0 {
+		return uvarintLen(seq << 1)
+	}
+	return uvarintLen((seq&seqMask)<<1|1) + uvarintLen(seq>>seqBits&maxBudgetMS)
+}
+
+// appendSeq appends a packed Seq in its wire form (see the layout above).
+// A Seq without the budget flag keeps all 63 of its bits.
+func appendSeq(dst []byte, seq uint64) []byte {
+	if seq&budgetFlag == 0 {
+		return AppendUvarint(dst, seq<<1)
+	}
+	dst = AppendUvarint(dst, (seq&seqMask)<<1|1)
+	return AppendUvarint(dst, seq>>seqBits&maxBudgetMS)
+}
+
+// decodeSeq consumes one wire-form Seq and returns it packed. A budget or
+// a budgeted sequence number too large for its field is malformed, never
+// truncated into its neighbour's bits.
+func decodeSeq(b []byte) (uint64, []byte, error) {
+	first, b, err := DecUvarint(b)
+	if err != nil || first&1 == 0 {
+		return first >> 1, b, err
+	}
+	ms, b, err := DecUvarint(b)
+	if err != nil || first>>1 > seqMask || ms > maxBudgetMS {
+		return 0, nil, ErrMalformed
+	}
+	return first>>1 | budgetFlag | ms<<seqBits, b, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -55,58 +56,104 @@ func goldenFrame(seq uint64) Frame {
 	}
 }
 
-// TestFrameGoldenBytes pins the budget-less encoding: a frame that
-// carries no budget must stay bit-for-bit identical to the previous
-// frame version, so decoders that predate budget packing read it
-// unchanged.
+// TestFrameGoldenBytes pins the budget-less version-2 encoding: version
+// bits in the length word, a one-byte kind, the sequence number shifted
+// past the budget flag.
 func TestFrameGoldenBytes(t *testing.T) {
 	got, err := Encode(goldenFrame(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "frame_v1.hex", got)
+	checkGolden(t, "frame_v2.hex", got)
 }
 
-// TestFrameBudgetGoldenBytes pins the budget-bearing encoding: the
-// packed Seq is still an ordinary uvarint (it merely grows to the full
-// 10-byte form), so a legacy decoder parses the frame successfully and
-// sees only an opaque sequence number.
+// TestFrameBudgetGoldenBytes pins the budget-bearing encoding: the flag
+// rides the sequence varint's low bit and the milliseconds follow as a
+// varint of their own — three bytes here where the packed Seq took ten.
 func TestFrameBudgetGoldenBytes(t *testing.T) {
 	f := goldenFrame(PackBudget(42, 1500*time.Millisecond))
 	got, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "frame_v1_budget.hex", got)
+	checkGolden(t, "frame_v2_budget.hex", got)
 
-	// The legacy-compat proof: both fixtures decode with the same
-	// (unchanged) Decode, and differ only in the Seq value.
 	dec, _, err := Decode(got)
 	if err != nil {
-		t.Fatalf("budget frame must decode with the unversioned codec: %v", err)
+		t.Fatal(err)
 	}
-	if dec.BareSeq() != 42 {
-		t.Fatalf("BareSeq = %d, want 42", dec.BareSeq())
+	if dec.Seq != f.Seq || dec.BareSeq() != 42 {
+		t.Fatalf("Seq = %#x (bare %d), want %#x (bare 42)", dec.Seq, dec.BareSeq(), f.Seq)
 	}
 	if d, ok := dec.Budget(); !ok || d != 1500*time.Millisecond {
 		t.Fatalf("Budget = (%v, %v), want (1.5s, true)", d, ok)
 	}
-
 	plain, err := Encode(goldenFrame(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got, plain) {
-		t.Fatal("budget frame should differ from plain frame in Seq bytes")
+	if len(got) != len(plain)+2 {
+		t.Fatalf("a 1.5 s budget costs %d bytes, want 2", len(got)-len(plain))
 	}
-	// Beyond the body-length prefix and Seq, the layouts are identical:
-	// decode both and compare every field but Seq.
-	pdec, _, err := Decode(plain)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFrameV1Refused: the two fixtures the previous frame version pinned
+// carry no version bits. Both are refused by version — not misparsed with
+// their len(Kind) byte read as a table index.
+func TestFrameV1Refused(t *testing.T) {
+	for name, fixture := range map[string]string{
+		"frame_v1":        "000000300e6d657373656e6765722e706f737408646f636b2d613a3108646f636b2d623a322a676f6c64656e207061796c6f6164",
+		"frame_v1_budget": "000000390e6d657373656e6765722e706f737408646f636b2d613a3108646f636b2d623a32aa8080808080ee858001676f6c64656e207061796c6f6164",
+	} {
+		data, err := hex.DecodeString(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(data); !errors.Is(err, ErrFrameVersion) {
+			t.Errorf("%s: Decode error = %v, want ErrFrameVersion", name, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(data)); !errors.Is(err, ErrFrameVersion) {
+			t.Errorf("%s: ReadFrame error = %v, want ErrFrameVersion", name, err)
+		}
 	}
-	if pdec.Kind != dec.Kind || pdec.From != dec.From || pdec.To != dec.To || !bytes.Equal(pdec.Payload, dec.Payload) {
-		t.Fatalf("non-Seq fields drifted: plain %+v budget %+v", pdec, dec)
+}
+
+// TestSeqWireForm: whatever the budget, the packed in-memory Seq — what
+// the mux correlates on and Budget/BareSeq unpack — is bit for bit what
+// the layout in budget.go says, survives the wire unchanged, and
+// EncodedSize stays exact. The sizes are the point of splitting the two
+// halves on the wire.
+func TestSeqWireForm(t *testing.T) {
+	const seq = 300
+	cases := []struct {
+		name      string
+		remaining time.Duration
+		packed    uint64
+		seqBytes  int
+	}{
+		{"none", 0, seq, 2},
+		{"1 ms", time.Millisecond, seq | 1<<63 | 1<<41, 3},
+		{"sub-ms rounds up", time.Microsecond, seq | 1<<63 | 1<<41, 3},
+		{"30 s", 30 * time.Second, seq | 1<<63 | 30000<<41, 5},
+		{"max", MaxBudget, seq | 1<<63 | (1<<22-1)<<41, 6},
+		{"saturating", 48 * time.Hour, seq | 1<<63 | (1<<22-1)<<41, 6},
+	}
+	for _, tc := range cases {
+		f := Frame{Kind: KindDirRegister, From: "a", To: "b", Seq: PackBudget(seq, tc.remaining)}
+		if f.Seq != tc.packed {
+			t.Errorf("%s: PackBudget = %#x, want %#x", tc.name, f.Seq, tc.packed)
+		}
+		data, err := Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 4 length word, 1 kind, 2+2 addresses, then Seq.
+		if len(data) != f.EncodedSize() || len(data)-9 != tc.seqBytes {
+			t.Errorf("%s: %d bytes (EncodedSize %d), Seq takes %d, want %d", tc.name, len(data), f.EncodedSize(), len(data)-9, tc.seqBytes)
+		}
+		if dec, _, err := Decode(data); err != nil || dec.Seq != f.Seq {
+			t.Errorf("%s: decoded Seq %#x, %v; want %#x", tc.name, dec.Seq, err, f.Seq)
+		}
 	}
 }
 

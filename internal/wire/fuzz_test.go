@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -23,14 +22,23 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, data, data[:len(data)/2])
 	}
-	hostile := make([]byte, 8)
-	binary.BigEndian.PutUint32(hostile, MaxFrameSize+1)
+	budgeted, err := Encode(Frame{Kind: KindDirRegister, From: "a", To: "b", Seq: PackBudget(7, MaxBudget), Payload: []byte{1}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v1 := []byte{0, 0, 0, 5, 1, 'k', 0, 0, 7} // a version-1 frame: no version bits
 	seeds = append(seeds,
-		hostile,
-		[]byte{0, 0, 0, 3, 200, 'a', 'b'}, // kind length prefix overruns body
-		[]byte{0, 0, 0, 4, 0, 0, 0, 0x80}, // dangling uvarint continuation
-		[]byte{0xff, 0xff},                // short length prefix
-		bytes.Repeat([]byte{0x80}, 32),    // varint that never terminates
+		budgeted,
+		v1,
+		append(lengthWord(MaxFrameSize+1), 0, 0, 0, 0),                                  // hostile length
+		append(lengthWord(4), 0, 200, 'a', 'b'),                                         // escaped kind's length overruns body
+		append(lengthWord(4), byte(len(kindTable)), 0, 0, 0),                            // kind byte past the table
+		append(lengthWord(4), 1, 0, 0, 0x80),                                            // dangling uvarint continuation
+		append(lengthWord(4), 1, 0, 0, 0x01),                                            // budget flag with no budget bytes
+		append(lengthWord(8), 1, 0, 0, 0x01, 0xff, 0xff, 0xff, 0x7f),                    // budget past its 22 bits
+		append(lengthWord(11), 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x01), // budgeted sequence past its 41 bits
+		[]byte{0xff, 0xff},             // short length word
+		bytes.Repeat([]byte{0x80}, 32), // varint that never terminates
 	)
 	return seeds
 }
@@ -50,8 +58,8 @@ func FuzzDecode(f *testing.F) {
 		if n < 4 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		// Non-minimal varints may make the input longer than canonical,
-		// never shorter.
+		// A table kind sent through the escape makes the input longer
+		// than canonical; nothing makes it shorter.
 		if fr.EncodedSize() > n {
 			t.Fatalf("EncodedSize %d exceeds consumed %d", fr.EncodedSize(), n)
 		}

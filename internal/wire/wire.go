@@ -15,13 +15,14 @@
 // encoded size is what the network substrates meter, so all traffic
 // accounting in the experiments reflects the real encoded bytes.
 //
-// Wire layout (see DESIGN.md §7 for the full specification):
+// Wire layout, frame version 2 (see DESIGN.md §7 for the full
+// specification):
 //
-//	[4-byte big-endian body length n]
-//	[uvarint len(Kind)] [Kind bytes]
+//	[4-byte big-endian word: version in the top 4 bits, body length n below]
+//	[kind byte: index into the kind table; 0 escapes to [string Kind]]
 //	[uvarint len(From)] [From bytes]
 //	[uvarint len(To)]   [To bytes]
-//	[uvarint Seq]
+//	[uvarint sequence<<1 | hasBudget] [uvarint budget ms, if hasBudget]
 //	[Payload bytes — the remainder of the body]
 //
 // Because every field's size is known arithmetically, EncodedSize is O(1)
@@ -87,7 +88,63 @@ const (
 	KindFleetWave      Kind = "fleet.wave"
 	KindFleetNodes     Kind = "fleet.nodes"
 	KindFleetReply     Kind = "fleet.reply"
+
+	// Conventional SNMP polling, the §6 baseline (package cnmp).
+	KindSNMPRequest Kind = "snmp.request"
+	KindSNMPReply   Kind = "snmp.reply"
+	KindSNMPTrap    Kind = "snmp.trap"
 )
+
+// kindTable is the wire code of every kind above: a table kind travels as
+// its index, one byte. Code 0 is the escape — the kind follows as a string —
+// for kinds outside the table (an application's own, a "<kind>.error"
+// reply). Codes are append-only: one that has shipped is never reassigned.
+var kindTable = [...]Kind{
+	1:  KindLandingRequest,
+	2:  KindLandingReply,
+	3:  KindNapletTransfer,
+	4:  KindTransferAck,
+	5:  KindCodeFetch,
+	6:  KindCodeBundle,
+	7:  KindDirRegister,
+	8:  KindDirLookup,
+	9:  KindDirReply,
+	10: KindDirDeregister,
+	11: KindPost,
+	12: KindPostConfirm,
+	13: KindPostForward,
+	14: KindControl,
+	15: KindControlReply,
+	16: KindReport,
+	17: KindHomeEvent,
+	18: KindLocatorQuery,
+	19: KindLocatorReply,
+	20: KindLocatorInvalidate,
+	21: KindServiceInvoke,
+	22: KindServiceReply,
+	23: KindFleetRegister,
+	24: KindFleetHeartbeat,
+	25: KindFleetEvents,
+	26: KindFleetSubscribe,
+	27: KindFleetWave,
+	28: KindFleetNodes,
+	29: KindFleetReply,
+	30: KindSNMPRequest,
+	31: KindSNMPReply,
+	32: KindSNMPTrap,
+}
+
+// kindEscape is the kind byte that announces a string kind.
+const kindEscape = 0
+
+// kindCodes inverts kindTable for the encoder.
+var kindCodes = func() map[Kind]byte {
+	codes := make(map[Kind]byte, len(kindTable))
+	for code, kind := range kindTable[1:] {
+		codes[kind] = byte(code + 1)
+	}
+	return codes
+}()
 
 // Frame is the unit of inter-server communication.
 type Frame struct {
@@ -111,6 +168,7 @@ type Frame struct {
 // Errors reported by the codec.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
+	ErrFrameVersion  = errors.New("wire: unsupported frame version")
 	ErrTruncated     = errors.New("wire: truncated frame")
 	ErrMalformed     = errors.New("wire: malformed encoding")
 )
@@ -119,6 +177,29 @@ var (
 // state and code bundles fit comfortably; the bound protects servers from
 // hostile length prefixes.
 const MaxFrameSize = 16 << 20
+
+// frameVersion is the frame layout version. It rides in the top bits of the
+// length word, which MaxFrameSize leaves unused, so it costs no byte; a
+// frame of any other version — version 1 had none and reads as 0 — is
+// refused with ErrFrameVersion before a byte of its header is interpreted.
+const (
+	frameVersion = 2
+	versionShift = 28
+	lengthMask   = 1<<versionShift - 1
+)
+
+// bodyLength checks a length word's version and bound and returns the body
+// length it announces.
+func bodyLength(word uint32) (int, error) {
+	if v := word >> versionShift; v != frameVersion {
+		return 0, fmt.Errorf("%w %d", ErrFrameVersion, v)
+	}
+	n := word & lengthMask
+	if n > MaxFrameSize {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return int(n), nil
+}
 
 // Marshal JSON-encodes an operator-plane body for embedding in a Frame.
 func Marshal(body any) ([]byte, error) {
@@ -156,12 +237,13 @@ func uvarintLen(x uint64) int {
 }
 
 // headerSize returns the encoded size of the frame header fields (everything
-// between the length prefix and the payload).
-func (f *Frame) headerSize() int {
-	return uvarintLen(uint64(len(f.Kind))) + len(f.Kind) +
-		uvarintLen(uint64(len(f.From))) + len(f.From) +
-		uvarintLen(uint64(len(f.To))) + len(f.To) +
-		uvarintLen(f.Seq)
+// between the length prefix and the payload) given the kind's wire code.
+func (f *Frame) headerSize(code byte) int {
+	n := 1 + SizeString(f.From) + SizeString(f.To) + sizeSeq(f.Seq)
+	if code == kindEscape {
+		n += SizeString(string(f.Kind))
+	}
+	return n
 }
 
 // EncodedSize returns the number of bytes the frame occupies on the wire,
@@ -170,34 +252,26 @@ func (f *Frame) headerSize() int {
 // Encode. Frames whose body exceeds MaxFrameSize still report their true
 // size here; Encode is where the bound is enforced.
 func (f *Frame) EncodedSize() int {
-	return 4 + f.headerSize() + len(f.Payload)
+	return 4 + f.headerSize(kindCodes[f.Kind]) + len(f.Payload)
 }
 
-// appendHeader appends the encoded header fields to dst.
-func appendHeader(dst []byte, f *Frame) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(f.Kind)))
-	dst = append(dst, f.Kind...)
-	dst = binary.AppendUvarint(dst, uint64(len(f.From)))
-	dst = append(dst, f.From...)
-	dst = binary.AppendUvarint(dst, uint64(len(f.To)))
-	dst = append(dst, f.To...)
-	dst = binary.AppendUvarint(dst, f.Seq)
-	return dst
-}
-
-// appendFrame appends the full wire form (length prefix, header, payload)
+// appendFrame appends the full wire form (length word, header, payload)
 // to dst, enforcing MaxFrameSize.
 func appendFrame(dst []byte, f *Frame) ([]byte, error) {
-	body := f.headerSize() + len(f.Payload)
+	code := kindCodes[f.Kind]
+	body := f.headerSize(code) + len(f.Payload)
 	if body > MaxFrameSize {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
 	}
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(body))
-	dst = append(dst, lenbuf[:]...)
-	dst = appendHeader(dst, f)
-	dst = append(dst, f.Payload...)
-	return dst, nil
+	dst = binary.BigEndian.AppendUint32(dst, frameVersion<<versionShift|uint32(body))
+	dst = append(dst, code)
+	if code == kindEscape {
+		dst = AppendString(dst, string(f.Kind))
+	}
+	dst = AppendString(dst, f.From)
+	dst = AppendString(dst, f.To)
+	dst = appendSeq(dst, f.Seq)
+	return append(dst, f.Payload...), nil
 }
 
 // Encode serializes a frame to its wire form in a single allocation.
@@ -208,34 +282,38 @@ func Encode(f Frame) ([]byte, error) {
 
 // readString consumes one length-prefixed string from b.
 func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, ErrMalformed
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	p, rest, err := DecBytes(b)
+	return string(p), rest, err
 }
 
-// decodeBody parses the frame body (header + payload, no length prefix).
-// The returned frame's Payload aliases body.
+// decodeBody parses the frame body (header + payload, no length word).
+// The returned frame's Payload aliases body. A table kind decodes to the
+// table's own constant, so it allocates nothing.
 func decodeBody(body []byte) (Frame, error) {
 	var f Frame
-	kind, rest, err := readString(body)
-	if err != nil {
-		return Frame{}, err
+	if len(body) == 0 || int(body[0]) >= len(kindTable) {
+		return Frame{}, ErrMalformed
 	}
-	f.Kind = Kind(kind)
+	code, rest := body[0], body[1:]
+	f.Kind = kindTable[code]
+	var err error
+	if code == kindEscape {
+		var kind string
+		if kind, rest, err = readString(rest); err != nil {
+			return Frame{}, err
+		}
+		f.Kind = Kind(kind)
+	}
 	if f.From, rest, err = readString(rest); err != nil {
 		return Frame{}, err
 	}
 	if f.To, rest, err = readString(rest); err != nil {
 		return Frame{}, err
 	}
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Frame{}, ErrMalformed
+	if f.Seq, rest, err = decodeSeq(rest); err != nil {
+		return Frame{}, err
 	}
-	f.Seq = seq
-	if rest = rest[n:]; len(rest) > 0 {
+	if len(rest) > 0 {
 		f.Payload = rest
 	}
 	return f, nil
@@ -249,18 +327,18 @@ func Decode(data []byte) (Frame, int, error) {
 	if len(data) < 4 {
 		return Frame{}, 0, ErrTruncated
 	}
-	n := binary.BigEndian.Uint32(data)
-	if n > MaxFrameSize {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	n, err := bodyLength(binary.BigEndian.Uint32(data))
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if uint64(len(data)-4) < uint64(n) {
+	if len(data)-4 < n {
 		return Frame{}, 0, ErrTruncated
 	}
 	f, err := decodeBody(data[4 : 4+n])
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	return f, int(4 + n), nil
+	return f, 4 + n, nil
 }
 
 // encBufPool recycles encode buffers across WriteFrame calls. Buffers that
@@ -329,9 +407,9 @@ func readFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
 	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
 		return Frame{}, scratch, err
 	}
-	n := int(binary.BigEndian.Uint32(lenbuf[:]))
-	if n > MaxFrameSize {
-		return Frame{}, scratch, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	n, err := bodyLength(binary.BigEndian.Uint32(lenbuf[:]))
+	if err != nil {
+		return Frame{}, scratch, err
 	}
 	if cap(scratch) < n {
 		scratch = make([]byte, n)

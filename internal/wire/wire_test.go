@@ -79,10 +79,14 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// lengthWord builds a current-version length word announcing n body bytes.
+func lengthWord(n uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, frameVersion<<versionShift|n)
+}
+
 func TestDecodeOversizedPrefix(t *testing.T) {
-	var data [8]byte
-	binary.BigEndian.PutUint32(data[:], MaxFrameSize+1)
-	if _, _, err := Decode(data[:]); !errors.Is(err, ErrFrameTooLarge) {
+	data := append(lengthWord(MaxFrameSize+1), 0, 0, 0, 0)
+	if _, _, err := Decode(data); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 }
@@ -123,39 +127,80 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 }
 
 func TestReadFrameRejectsHostileLength(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(lengthWord(MaxFrameSize + 1))); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 }
 
-// allKinds enumerates every protocol kind the framework defines, for
-// round-trip coverage.
-var allKinds = []Kind{
-	KindLandingRequest, KindLandingReply, KindNapletTransfer, KindTransferAck,
-	KindCodeFetch, KindCodeBundle,
-	KindDirRegister, KindDirLookup, KindDirReply,
-	KindPost, KindPostConfirm, KindPostForward,
-	KindControl, KindControlReply, KindReport, KindHomeEvent,
-	KindLocatorQuery, KindLocatorReply, KindServiceInvoke, KindServiceReply,
-}
-
+// TestRoundTripAllKinds: every kind the framework defines is in the table
+// and travels as one byte; a kind outside it rides the escape as a string,
+// and a kind byte past the table is malformed.
 func TestRoundTripAllKinds(t *testing.T) {
-	for _, k := range allKinds {
+	roundTrip := func(k Kind) []byte {
+		t.Helper()
 		in := Frame{Kind: k, From: "src", To: "dst", Seq: 9, Payload: []byte{0xff, 0, 1}}
 		data, err := Encode(in)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
 		out, n, err := Decode(data)
-		if err != nil || n != len(data) {
-			t.Fatalf("%s: decode n=%d err=%v", k, n, err)
+		if err != nil || n != len(data) || n != in.EncodedSize() {
+			t.Fatalf("%s: decode n=%d of %d (EncodedSize %d) err=%v", k, n, len(data), in.EncodedSize(), err)
 		}
 		if out.Kind != in.Kind || out.From != in.From || out.To != in.To ||
 			out.Seq != in.Seq || !bytes.Equal(out.Payload, in.Payload) {
 			t.Fatalf("%s: round trip mismatch: %+v", k, out)
 		}
+		return data
+	}
+	seen := map[Kind]bool{}
+	for code, k := range kindTable {
+		if code == kindEscape {
+			continue
+		}
+		if k == "" || seen[k] {
+			t.Fatalf("kind table code %d: empty or repeated kind %q", code, k)
+		}
+		seen[k] = true
+		// 4 length word, 1 kind, 4+4 addresses, 1 seq, 3 payload.
+		if data := roundTrip(k); len(data) != 17 || data[4] != byte(code) {
+			t.Errorf("%s: %d bytes with kind byte %d, want 17 with %d", k, len(data), data[4], code)
+		}
+	}
+	for _, k := range []Kind{"", "app.probe", KindReport + ".error", "приложение.зонд"} {
+		if data := roundTrip(k); len(data) != 17+SizeString(string(k)) || data[4] != kindEscape {
+			t.Errorf("%q: %d bytes with kind byte %d, want the escape and the string", k, len(data), data[4])
+		}
+	}
+	data := roundTrip(KindPost)
+	data[4] = byte(len(kindTable))
+	if _, _, err := Decode(data); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("kind byte past the table: %v, want ErrMalformed", err)
+	}
+}
+
+// TestKindTableIsComplete: a kind added to the const block without a table
+// code would still work, through the escape, at twenty bytes a frame; this
+// fails instead. The list is every Kind constant of wire.go.
+func TestKindTableIsComplete(t *testing.T) {
+	for _, k := range []Kind{
+		KindLandingRequest, KindLandingReply, KindNapletTransfer, KindTransferAck,
+		KindCodeFetch, KindCodeBundle,
+		KindDirRegister, KindDirLookup, KindDirReply, KindDirDeregister,
+		KindPost, KindPostConfirm, KindPostForward,
+		KindControl, KindControlReply, KindReport, KindHomeEvent,
+		KindLocatorQuery, KindLocatorReply, KindLocatorInvalidate,
+		KindServiceInvoke, KindServiceReply,
+		KindFleetRegister, KindFleetHeartbeat, KindFleetEvents, KindFleetSubscribe,
+		KindFleetWave, KindFleetNodes, KindFleetReply,
+		KindSNMPRequest, KindSNMPReply, KindSNMPTrap,
+	} {
+		if kindCodes[k] == kindEscape {
+			t.Errorf("%s has no table code", k)
+		}
+	}
+	if len(kindCodes) != len(kindTable)-1 {
+		t.Errorf("%d codes for %d table entries", len(kindCodes), len(kindTable)-1)
 	}
 }
 
@@ -165,11 +210,13 @@ func TestRoundTripAllKinds(t *testing.T) {
 // multi-byte UTF-8 addresses.
 func TestEncodedSizeMatchesEncode(t *testing.T) {
 	maxFrame := Frame{Kind: KindNapletTransfer, From: "origin", To: "dest"}
-	maxFrame.Payload = make([]byte, MaxFrameSize-maxFrame.headerSize())
+	maxFrame.Payload = make([]byte, MaxFrameSize-maxFrame.headerSize(kindCodes[maxFrame.Kind]))
 	frames := []Frame{
 		{},
 		{Kind: KindPost, From: "a", To: "b"},
 		{Kind: KindPost, From: "a", To: "b", Seq: 1 << 63, Payload: []byte("x")},
+		{Kind: KindPost, From: "a", To: "b", Seq: 1<<63 - 1},
+		{Kind: KindPost, From: "a", To: "b", Seq: ^uint64(0)},
 		{Kind: "приложение.зонд", From: "сервер-α", To: "数据中心", Seq: 300, Payload: []byte("πληρωμή")},
 		{Kind: KindDirLookup, From: "s1", To: "s2", Seq: 127, Payload: make([]byte, 4096)},
 		maxFrame,
@@ -197,12 +244,16 @@ func TestEncodeRejectsOversizedBody(t *testing.T) {
 
 func TestDecodeMalformedHeader(t *testing.T) {
 	cases := map[string][]byte{
-		// Body length says 3 but the kind length prefix claims 200 bytes.
-		"length overrun": {0, 0, 0, 3, 200, 'a', 'b'},
+		// Body length says 4 but the escaped kind's length claims 200 bytes.
+		"length overrun": append(lengthWord(4), 0, 200, 'a', 'b'),
 		// Body present but empty: no header fields at all.
-		"empty body": {0, 0, 0, 0},
+		"empty body": lengthWord(0),
 		// Unterminated uvarint for Seq (continuation bit set at end).
-		"dangling varint": {0, 0, 0, 4, 0, 0, 0, 0x80},
+		"dangling varint": append(lengthWord(4), 1, 0, 0, 0x80),
+		// The budget flag with no budget bytes after it.
+		"budget flag alone": append(lengthWord(4), 1, 0, 0, 0x01),
+		// A varint in other than its shortest form.
+		"over-long varint": append(lengthWord(5), 1, 0, 0, 0x82, 0x00),
 	}
 	for name, data := range cases {
 		if _, _, err := Decode(data); !errors.Is(err, ErrMalformed) {
