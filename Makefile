@@ -5,6 +5,10 @@
 # connection scratch state, or lock-free metric hot paths. It also fails
 # if any non-test package imports encoding/gob: the wire primitives are
 # the one codec for what docks send, JSON the one for operator bodies.
+# A codec is an append and a decode: it also fails if a size method comes
+# back beside them — an EncodedSize outside the frame (which the fabrics
+# meter) and the two the benchmark harness reads, or a call to a wire.Size*
+# helper.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
 verify:
@@ -12,6 +16,9 @@ verify:
 	go build ./...
 	@if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob; then \
 		echo "verify: the packages above import encoding/gob"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' -e 'EncodedSize() int' -e 'wire\.Size[A-Z]' internal cmd \
+		| grep -v -e '^internal/wire/wire.go:.*(f \*Frame)' -e '^internal/state/' -e '^internal/dock/'; then \
+		echo "verify: the lines above bring back a size function beside a codec's append"; exit 1; fi
 	go test ./...
 	go -C bench vet ./... && go -C bench test ./...
 	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...

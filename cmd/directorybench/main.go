@@ -49,6 +49,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/directory/shard"
 	"repro/internal/id"
+	"repro/internal/wire"
 )
 
 // report extends the shared envelope with the workload shape and the
@@ -456,13 +457,13 @@ func benchRegisterEncodeBinary(b *testing.B) {
 	body := benchBody()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		body.AppendBinary(make([]byte, 0, body.EncodedSize()))
+		wire.EncodeBody(&body)
 	}
 }
 
 func benchRegisterDecodeBinary(b *testing.B) {
 	body := benchBody()
-	buf := body.AppendBinary(make([]byte, 0, body.EncodedSize()))
+	buf := wire.EncodeBody(&body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -479,7 +480,7 @@ func benchReplyRoundTripBinary(b *testing.B) {
 	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := rep.AppendBinary(make([]byte, 0, rep.EncodedSize()))
+		buf := wire.EncodeBody(&rep)
 		var dec directory.ReplyBody
 		if err := dec.Decode(buf); err != nil {
 			b.Fatal(err)

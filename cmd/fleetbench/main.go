@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/benchcheck"
 	"repro/internal/fleet"
+	"repro/internal/wire"
 )
 
 // report extends the shared envelope with the workload shape.
@@ -137,7 +138,7 @@ func benchHeartbeatRoundTrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := hb.AppendBinary(make([]byte, 0, hb.EncodedSize()))
+		buf := wire.EncodeBody(&hb)
 		var dec fleet.HeartbeatBody
 		if err := dec.Decode(buf); err != nil {
 			b.Fatal(err)
@@ -150,13 +151,13 @@ func benchEventBatchEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch.AppendBinary(make([]byte, 0, batch.EncodedSize()))
+		wire.EncodeBody(&batch)
 	}
 }
 
 func benchEventBatchDecode(b *testing.B) {
 	batch := benchBatch()
-	buf := batch.AppendBinary(make([]byte, 0, batch.EncodedSize()))
+	buf := wire.EncodeBody(&batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -163,7 +163,7 @@ func benchMailRoundTripBinary(b *testing.B) {
 	msg := benchMail()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		enc := msg.AppendBinary(make([]byte, 0, msg.EncodedSize()))
+		enc := wire.EncodeBody(&msg)
 		if _, _, err := naplet.DecodeMessageBinary(enc); err != nil {
 			b.Fatal(err)
 		}

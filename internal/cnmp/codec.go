@@ -15,12 +15,6 @@ import (
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *RequestBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.Community) + wire.SizeUvarint(uint64(b.Op)) +
-		wire.SizeStrings(b.OIDs) + wire.SizeStrings(b.SetValues)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *RequestBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -54,11 +48,6 @@ func (b *RequestBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *ReplyBody) EncodedSize() int {
-	return 1 + wire.SizeStrings(b.OIDs) + wire.SizeStrings(b.Values) + wire.SizeString(b.Err)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *ReplyBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -81,13 +70,6 @@ func (b *ReplyBody) Decode(payload []byte) error {
 	}
 	b.Err, _, err = wire.DecString(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *TrapBody) EncodedSize() int {
-	t := &b.Trap
-	return 1 + wire.SizeString(t.Device) + wire.SizeUvarint(uint64(t.Kind)) +
-		wire.SizeVarint(int64(t.Seq)) + wire.SizeVarint(int64(t.Round)) + wire.SizeString(t.Detail)
 }
 
 // AppendBinary appends the body's binary form to dst.

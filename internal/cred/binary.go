@@ -11,13 +11,6 @@ import (
 //	[NapletID] [string codebase] [uvarint n] n×[string role]
 //	[time issuedAt] [time expiresAt] [bytes signature]
 
-// EncodedSize returns the exact binary-encoded size of the credential.
-func (c *Credential) EncodedSize() int {
-	return c.NapletID.EncodedSize() + wire.SizeString(c.Codebase) +
-		wire.SizeStrings(c.Roles) + wire.SizeTime(c.IssuedAt) +
-		wire.SizeTime(c.ExpiresAt) + wire.SizeBytes(c.Signature)
-}
-
 // AppendBinary appends the credential's binary form to dst.
 func (c *Credential) AppendBinary(dst []byte) []byte {
 	dst = c.NapletID.AppendBinary(dst)

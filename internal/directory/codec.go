@@ -18,12 +18,6 @@ const bodyCodecVersion = 1
 //
 //	[NapletID] [uvarint event] [string server] [string dest] [time at] [uvarint seq]
 
-func sizeEntry(e *Entry) int {
-	return e.NapletID.EncodedSize() + wire.SizeUvarint(uint64(e.Event)) +
-		wire.SizeString(e.Server) + wire.SizeString(e.Dest) +
-		wire.SizeTime(e.At) + wire.SizeUvarint(e.Seq)
-}
-
 func appendEntry(dst []byte, e *Entry) []byte {
 	dst = e.NapletID.AppendBinary(dst)
 	dst = wire.AppendUvarint(dst, uint64(e.Event))
@@ -58,9 +52,6 @@ func decodeEntry(e *Entry, rest []byte) (err error) {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *RegisterBody) EncodedSize() int { return 1 + sizeEntry((*Entry)(b)) }
-
 // AppendBinary appends the body's binary form to dst.
 func (b *RegisterBody) AppendBinary(dst []byte) []byte {
 	return appendEntry(append(dst, bodyCodecVersion), (*Entry)(b))
@@ -73,11 +64,6 @@ func (b *RegisterBody) Decode(payload []byte) error {
 		return err
 	}
 	return decodeEntry((*Entry)(b), rest)
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *LookupBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize()
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -96,11 +82,6 @@ func (b *LookupBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *DeregisterBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.Server)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *DeregisterBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -115,14 +96,6 @@ func (b *DeregisterBody) Decode(payload []byte) error {
 	}
 	b.Server, _, err = wire.DecString(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *ReplyBody) EncodedSize() int {
-	if !b.Found {
-		return 1 + wire.SizeBool
-	}
-	return 1 + wire.SizeBool + sizeEntry(&b.Entry)
 }
 
 // AppendBinary appends the body's binary form to dst. A not-found reply

@@ -25,10 +25,6 @@ import (
 // (golden-byte fixtures depend on it). Messages reuse the naplet binary
 // message codec.
 
-func sizeMsgs(msgs []naplet.Message) int {
-	return wire.SizeSeq(msgs, naplet.Message.EncodedSize)
-}
-
 func appendMsgs(dst []byte, msgs []naplet.Message) []byte {
 	return wire.AppendSeq(dst, msgs, func(dst []byte, m naplet.Message) []byte { return m.AppendBinary(dst) })
 }
@@ -47,50 +43,70 @@ func decodeMsgMap(b []byte) (map[string][]naplet.Message, []byte, error) {
 	return m, b, err
 }
 
-// EncodedSize returns the exact binary-encoded payload size of the
-// snapshot.
+func appendResident(dst []byte, r Resident) []byte {
+	dst = wire.AppendString(dst, r.ID)
+	dst = wire.AppendBytes(dst, r.Record)
+	dst = wire.AppendString(dst, r.Phase)
+	dst = wire.AppendString(dst, r.Dest)
+	return wire.AppendString(dst, r.TransferID)
+}
+
+// decodeResident copies the record, so the resident does not alias b.
+func decodeResident(b []byte) (r Resident, _ []byte, err error) {
+	if r.ID, b, err = wire.DecString(b); err != nil {
+		return Resident{}, nil, err
+	}
+	rec, b, err := wire.DecBytes(b)
+	if err != nil {
+		return Resident{}, nil, err
+	}
+	if rec != nil {
+		r.Record = append([]byte(nil), rec...)
+	}
+	if r.Phase, b, err = wire.DecString(b); err != nil {
+		return Resident{}, nil, err
+	}
+	if r.Dest, b, err = wire.DecString(b); err != nil {
+		return Resident{}, nil, err
+	}
+	r.TransferID, b, err = wire.DecString(b)
+	return r, b, err
+}
+
+func appendHomeEntry(dst []byte, h HomeEntry) []byte {
+	dst = wire.AppendString(dst, h.ID)
+	dst = wire.AppendString(dst, h.Server)
+	dst = wire.AppendBool(dst, h.Arrival)
+	return wire.AppendTime(dst, h.At)
+}
+
+func decodeHomeEntry(b []byte) (h HomeEntry, _ []byte, err error) {
+	if h.ID, b, err = wire.DecString(b); err != nil {
+		return HomeEntry{}, nil, err
+	}
+	if h.Server, b, err = wire.DecString(b); err != nil {
+		return HomeEntry{}, nil, err
+	}
+	if h.Arrival, b, err = wire.DecBool(b); err != nil {
+		return HomeEntry{}, nil, err
+	}
+	h.At, b, err = wire.DecTime(b)
+	return h, b, err
+}
+
+// EncodedSize returns the length of the snapshot's payload encoding.
 func (s *Snapshot) EncodedSize() int {
-	sz := wire.SizeString(s.Server) + wire.SizeTime(s.SavedAt)
-	sz += wire.SizeUvarint(uint64(len(s.Residents)))
-	for i := range s.Residents {
-		r := &s.Residents[i]
-		sz += wire.SizeString(r.ID) + wire.SizeBytes(r.Record) +
-			wire.SizeString(r.Phase) + wire.SizeString(r.Dest) +
-			wire.SizeString(r.TransferID)
-	}
-	sz += wire.SizeMap(s.Held, sizeMsgs) + wire.SizeMap(s.Mailboxes, sizeMsgs)
-	sz += wire.SizeUvarint(uint64(len(s.Home)))
-	for i := range s.Home {
-		h := &s.Home[i]
-		sz += wire.SizeString(h.ID) + wire.SizeString(h.Server) +
-			wire.SizeBool + wire.SizeTime(h.At)
-	}
-	return sz + wire.SizeStrings(s.AcceptedTransfers) + wire.SizeStrings(s.DeliveredMsgs)
+	return len(s.AppendBinary(nil))
 }
 
 // AppendBinary appends the snapshot's binary payload form to dst.
 func (s *Snapshot) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, s.Server)
 	dst = wire.AppendTime(dst, s.SavedAt)
-	dst = wire.AppendUvarint(dst, uint64(len(s.Residents)))
-	for i := range s.Residents {
-		r := &s.Residents[i]
-		dst = wire.AppendString(dst, r.ID)
-		dst = wire.AppendBytes(dst, r.Record)
-		dst = wire.AppendString(dst, r.Phase)
-		dst = wire.AppendString(dst, r.Dest)
-		dst = wire.AppendString(dst, r.TransferID)
-	}
+	dst = wire.AppendSeq(dst, s.Residents, appendResident)
 	dst = wire.AppendMap(dst, s.Held, appendMsgs)
 	dst = wire.AppendMap(dst, s.Mailboxes, appendMsgs)
-	dst = wire.AppendUvarint(dst, uint64(len(s.Home)))
-	for i := range s.Home {
-		h := &s.Home[i]
-		dst = wire.AppendString(dst, h.ID)
-		dst = wire.AppendString(dst, h.Server)
-		dst = wire.AppendBool(dst, h.Arrival)
-		dst = wire.AppendTime(dst, h.At)
-	}
+	dst = wire.AppendSeq(dst, s.Home, appendHomeEntry)
 	dst = wire.AppendStrings(dst, s.AcceptedTransfers)
 	return wire.AppendStrings(dst, s.DeliveredMsgs)
 }
@@ -107,34 +123,8 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	if snap.SavedAt, b, err = wire.DecTime(b); err != nil {
 		return nil, err
 	}
-	rcnt, b, err := wire.DecCount(b, 5)
-	if err != nil {
+	if snap.Residents, b, err = wire.DecSeq(b, 5, decodeResident); err != nil {
 		return nil, err
-	}
-	if rcnt > 0 {
-		snap.Residents = make([]Resident, rcnt)
-		for i := range snap.Residents {
-			r := &snap.Residents[i]
-			if r.ID, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-			var rec []byte
-			if rec, b, err = wire.DecBytes(b); err != nil {
-				return nil, err
-			}
-			if rec != nil {
-				r.Record = append([]byte(nil), rec...)
-			}
-			if r.Phase, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-			if r.Dest, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-			if r.TransferID, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if snap.Held, b, err = decodeMsgMap(b); err != nil {
 		return nil, err
@@ -142,27 +132,8 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	if snap.Mailboxes, b, err = decodeMsgMap(b); err != nil {
 		return nil, err
 	}
-	hcnt, b, err := wire.DecCount(b, 4)
-	if err != nil {
+	if snap.Home, b, err = wire.DecSeq(b, 4, decodeHomeEntry); err != nil {
 		return nil, err
-	}
-	if hcnt > 0 {
-		snap.Home = make([]HomeEntry, hcnt)
-		for i := range snap.Home {
-			h := &snap.Home[i]
-			if h.ID, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-			if h.Server, b, err = wire.DecString(b); err != nil {
-				return nil, err
-			}
-			if h.Arrival, b, err = wire.DecBool(b); err != nil {
-				return nil, err
-			}
-			if h.At, b, err = wire.DecTime(b); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if snap.AcceptedTransfers, b, err = wire.DecStrings(b); err != nil {
 		return nil, err

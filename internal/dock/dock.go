@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/naplet"
+	"repro/internal/wire"
 )
 
 // Snapshot format constants.
@@ -157,7 +158,7 @@ func (s *Store) DiskUsage() (uint64, error) {
 
 // Save atomically replaces the live snapshot.
 func (s *Store) Save(snap *Snapshot) error {
-	payload := snap.AppendBinary(make([]byte, 0, snap.EncodedSize()))
+	payload := wire.EncodeBody(snap)
 	buf := make([]byte, 0, len(magic)+2+4+len(payload)+4)
 	buf = append(buf, magic[:]...)
 	buf = binary.BigEndian.AppendUint16(buf, Version)

@@ -267,13 +267,13 @@ func RunE5TTL(mode locator.Mode, hops int, ttl time.Duration, seed int64) (E5Res
 	servers := make(map[string]*server.Server, len(names))
 	for _, name := range names {
 		srv, err := server.New(server.Config{
-			Name:          name,
-			Fabric:        net,
-			Registry:      reg,
-			LocatorMode:   mode,
-			LocatorTTL:    ttl,
-			DirectoryAddr: dirAddr,
-			ReportHome:    mode == locator.ModeHome,
+			Name:           name,
+			Fabric:         net,
+			Registry:       reg,
+			LocatorMode:    mode,
+			LocatorTTL:     ttl,
+			DirectoryAddrs: []string{dirAddr},
+			ReportHome:     mode == locator.ModeHome,
 		})
 		if err != nil {
 			return res, err

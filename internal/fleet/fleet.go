@@ -72,19 +72,9 @@ type Event struct {
 	Elapsed time.Duration
 }
 
-// EncodedSize returns the exact encoded size of the event.
-func (e *Event) EncodedSize() int {
-	return wire.SizeUvarint(e.Seq) + wire.SizeString(e.Node) +
-		wire.SizeString(e.Kind) + wire.SizeString(e.Naplet) +
-		wire.SizeUvarint(uint64(e.Hop)) + wire.SizeString(e.From) +
-		wire.SizeString(e.To) + wire.SizeTime(e.At) +
-		wire.SizeString(e.Outcome) + wire.SizeString(e.Detail) +
-		wire.SizeUvarint(uint64(e.Bytes)) + wire.SizeVarint(int64(e.Elapsed))
-}
-
-// AppendBinary appends the event's binary form to dst. Events are nested
+// appendEvent appends the event's binary form to dst. Events are nested
 // inside body codecs, so they carry no version byte of their own.
-func (e *Event) AppendBinary(dst []byte) []byte {
+func appendEvent(dst []byte, e Event) []byte {
 	dst = wire.AppendUvarint(dst, e.Seq)
 	dst = wire.AppendString(dst, e.Node)
 	dst = wire.AppendString(dst, e.Kind)

@@ -29,6 +29,11 @@ type fakeFleet struct {
 	launchErrAt string
 	// waitDelay simulates naplet run time.
 	waitDelay time.Duration
+	// holdUntil, with released, keeps every Wait from completing before
+	// this many launches are placed: no completion frees a node while the
+	// wave is still being spread.
+	holdUntil int
+	released  chan struct{}
 }
 
 func newFakeFleet(nodes ...string) *fakeFleet {
@@ -66,6 +71,9 @@ func (f *fakeFleet) Launch(_ context.Context, node string, spec LaunchSpec) (str
 		return "", errors.New("connection refused")
 	}
 	f.nextID++
+	if f.nextID == f.holdUntil {
+		close(f.released)
+	}
 	f.running[node]++
 	if f.running[node] > f.maxSeen[node] {
 		f.maxSeen[node] = f.running[node]
@@ -74,6 +82,13 @@ func (f *fakeFleet) Launch(_ context.Context, node string, spec LaunchSpec) (str
 }
 
 func (f *fakeFleet) Wait(ctx context.Context, node, nid string) (string, string, error) {
+	if f.released != nil {
+		select {
+		case <-f.released:
+		case <-ctx.Done():
+			return "", "", ctx.Err()
+		}
+	}
 	if f.waitDelay > 0 {
 		select {
 		case <-time.After(f.waitDelay):
@@ -109,6 +124,9 @@ func newTestScheduler(t *testing.T, f *fakeFleet) *Scheduler {
 
 func TestSchedulerSpreadsWaveAcrossNodes(t *testing.T) {
 	f := newFakeFleet("d1", "d2", "d3")
+	// The even spread below is what least-loaded placement gives while
+	// load only rises; the default cap of 4 a node holds all 12 at once.
+	f.holdUntil, f.released = 12, make(chan struct{})
 	s := newTestScheduler(t, f)
 	res, err := s.Run(context.Background(), WaveSpec{
 		Name:     "w",

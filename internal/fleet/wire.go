@@ -28,12 +28,6 @@ type RegisterBody struct {
 	Labels []string
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *RegisterBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.Node) + wire.SizeString(b.MetricsAddr) +
-		wire.SizeStrings(b.Labels)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *RegisterBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -65,12 +59,6 @@ type RegisterReplyBody struct {
 	// HeartbeatEvery is the cadence the master expects; the agent adopts
 	// it so one knob (the master's) paces the whole fleet.
 	HeartbeatEvery time.Duration
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *RegisterReplyBody) EncodedSize() int {
-	return 1 + wire.SizeBool + wire.SizeString(b.Err) +
-		wire.SizeVarint(int64(b.HeartbeatEvery))
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -113,13 +101,6 @@ type HeartbeatBody struct {
 	DiskUsedBytes uint64
 	// Draining reports a graceful shutdown in progress.
 	Draining bool
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *HeartbeatBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.Node) + wire.SizeUvarint(b.Seq) +
-		wire.SizeUvarint(uint64(b.Residents)) + wire.SizeUvarint(b.DiskUsedBytes) +
-		wire.SizeBool
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -167,11 +148,6 @@ type HeartbeatReplyBody struct {
 	Throttle bool
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *HeartbeatReplyBody) EncodedSize() int {
-	return 1 + wire.SizeBool + wire.SizeString(b.Err) + wire.SizeBool
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *HeartbeatReplyBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -204,24 +180,11 @@ type EventBatchBody struct {
 	Events []Event
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *EventBatchBody) EncodedSize() int {
-	n := 1 + wire.SizeString(b.Node) + wire.SizeUvarint(uint64(len(b.Events)))
-	for i := range b.Events {
-		n += b.Events[i].EncodedSize()
-	}
-	return n
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *EventBatchBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendString(dst, b.Node)
-	dst = wire.AppendUvarint(dst, uint64(len(b.Events)))
-	for i := range b.Events {
-		dst = b.Events[i].AppendBinary(dst)
-	}
-	return dst
+	return wire.AppendSeq(dst, b.Events, appendEvent)
 }
 
 // minEventSize is the smallest possible encoded Event (every string
@@ -247,9 +210,6 @@ type EventAckBody struct {
 	// Throttle mirrors the heartbeat backpressure signal.
 	Throttle bool
 }
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *EventAckBody) EncodedSize() int { return 1 + 2*wire.SizeBool }
 
 // AppendBinary appends the body's binary form to dst.
 func (b *EventAckBody) AppendBinary(dst []byte) []byte {
@@ -283,12 +243,6 @@ type SubscribeBody struct {
 	Buf uint32
 	// Max bounds the events returned by one poll (0 = master default).
 	Max uint32
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *SubscribeBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.ID) + wire.SizeUvarint(uint64(b.Buf)) +
-		wire.SizeUvarint(uint64(b.Max))
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -334,24 +288,11 @@ type SubscribeReplyBody struct {
 	Err    string
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *SubscribeReplyBody) EncodedSize() int {
-	n := 1 + wire.SizeString(b.ID) + wire.SizeUvarint(uint64(len(b.Events))) +
-		wire.SizeUvarint(b.Dropped) + wire.SizeBool + wire.SizeString(b.Err)
-	for i := range b.Events {
-		n += b.Events[i].EncodedSize()
-	}
-	return n
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *SubscribeReplyBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendString(dst, b.ID)
-	dst = wire.AppendUvarint(dst, uint64(len(b.Events)))
-	for i := range b.Events {
-		dst = b.Events[i].AppendBinary(dst)
-	}
+	dst = wire.AppendSeq(dst, b.Events, appendEvent)
 	dst = wire.AppendUvarint(dst, b.Dropped)
 	dst = wire.AppendBool(dst, b.Closed)
 	return wire.AppendString(dst, b.Err)

@@ -12,16 +12,6 @@ import (
 // Identifiers are embedded unversioned; the container that carries them
 // (record, credential, snapshot) owns the version byte.
 
-// EncodedSize returns the exact binary-encoded size of the identifier.
-func (n NapletID) EncodedSize() int {
-	sz := wire.SizeString(n.owner) + wire.SizeString(n.host) +
-		wire.SizeTime(n.created) + wire.SizeUvarint(uint64(len(n.heritage)))
-	for _, g := range n.heritage {
-		sz += wire.SizeUvarint(uint64(g))
-	}
-	return sz
-}
-
 // AppendBinary appends the identifier's binary form to dst.
 func (n NapletID) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, n.owner)

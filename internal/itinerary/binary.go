@@ -21,11 +21,6 @@ import (
 // are a handful of levels; the cap only exists for decoder safety.
 const maxPatternDepth = 512
 
-// EncodedSize returns the exact binary-encoded size of the visit.
-func (v Visit) EncodedSize() int {
-	return wire.SizeString(v.Server) + wire.SizeString(v.Guard) + wire.SizeString(v.Action)
-}
-
 // AppendBinary appends the visit's binary form to dst.
 func (v Visit) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, v.Server)
@@ -47,24 +42,6 @@ func DecodeVisit(b []byte) (Visit, []byte, error) {
 		return Visit{}, nil, err
 	}
 	return v, b, nil
-}
-
-// EncodedSize returns the exact binary-encoded size of the pattern tree.
-// A nil pattern has size zero and must be guarded by a presence flag (see
-// AppendOptPattern).
-func (p *Pattern) EncodedSize() int {
-	if p == nil {
-		return 0
-	}
-	sz := wire.SizeUvarint(uint64(p.Kind))
-	if p.Kind == KindSingleton {
-		return sz + p.V.EncodedSize()
-	}
-	sz += wire.SizeUvarint(uint64(len(p.Subs)))
-	for _, s := range p.Subs {
-		sz += s.EncodedSize()
-	}
-	return sz
 }
 
 // AppendBinary appends the pattern tree's binary form to dst. The pattern
@@ -130,11 +107,6 @@ func AppendOptPattern(dst []byte, p *Pattern) []byte {
 	return dst
 }
 
-// SizeOptPattern returns the encoded size of AppendOptPattern(p).
-func SizeOptPattern(p *Pattern) int {
-	return wire.SizeBool + p.EncodedSize()
-}
-
 // DecodeOptPattern consumes one presence-flagged pattern from b.
 func DecodeOptPattern(b []byte) (*Pattern, []byte, error) {
 	present, b, err := wire.DecBool(b)
@@ -145,18 +117,6 @@ func DecodeOptPattern(b []byte) (*Pattern, []byte, error) {
 		return nil, b, nil
 	}
 	return DecodePattern(b)
-}
-
-// EncodedSize returns the exact binary-encoded size of the itinerary. A
-// nil itinerary is legal (a completed plan) and encodes as one flag byte
-// through AppendBinary on a nil receiver guarded by the record codec; the
-// itinerary itself always encodes its remaining pattern with a presence
-// flag.
-func (it *Itinerary) EncodedSize() int {
-	if it == nil {
-		return SizeOptPattern(nil)
-	}
-	return SizeOptPattern(it.Remaining)
 }
 
 // AppendBinary appends the itinerary's binary form to dst. Safe on a nil

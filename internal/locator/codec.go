@@ -12,11 +12,6 @@ import (
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *QueryBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize()
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *QueryBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -31,11 +26,6 @@ func (b *QueryBody) Decode(payload []byte) error {
 	}
 	b.NapletID, _, err = id.DecodeBinary(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *ReplyBody) EncodedSize() int {
-	return 1 + wire.SizeBool + wire.SizeString(b.Server)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -56,11 +46,6 @@ func (b *ReplyBody) Decode(payload []byte) error {
 	}
 	b.Server, _, err = wire.DecString(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *InvalidateBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize() + wire.SizeString(b.Server)
 }
 
 // AppendBinary appends the body's binary form to dst.

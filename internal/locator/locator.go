@@ -100,12 +100,8 @@ type Config struct {
 	Mode Mode
 	// Directory is the directory plane to consult in ModeDirectory: a
 	// single-node *directory.Client or a sharded, replicated
-	// *shard.Client. When nil, New builds a single-node client from
-	// DirectoryAddr (once — not per lookup).
+	// *shard.Client.
 	Directory directory.Directory
-	// DirectoryAddr is the directory service address (ModeDirectory),
-	// used only when Directory is nil.
-	DirectoryAddr string
 	// CacheTTL bounds the age of cached locations; 0 disables caching.
 	CacheTTL time.Duration
 	// MissThreshold is how many consecutive delivery misses against a
@@ -166,7 +162,6 @@ type Locator struct {
 	mgr   *manager.Manager
 	clock func() time.Time
 	met   *metrics
-	dir   directory.Directory
 
 	mu      sync.Mutex
 	cache   map[string]cached
@@ -189,19 +184,12 @@ func New(cfg Config, node transport.Node, mgr *manager.Manager, clock func() tim
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	dir := cfg.Directory
-	if dir == nil && cfg.DirectoryAddr != "" {
-		// Built once and reused for every lookup; the client is stateless
-		// and safe for concurrent use.
-		dir = directory.NewClient(node, cfg.DirectoryAddr)
-	}
 	return &Locator{
 		cfg:     cfg,
 		node:    node,
 		mgr:     mgr,
 		clock:   clock,
 		met:     newMetrics(reg),
-		dir:     dir,
 		cache:   make(map[string]cached),
 		misses:  make(map[string]int),
 		flights: make(map[string]*flight),
@@ -361,11 +349,11 @@ func (l *Locator) Refresh(nid id.NapletID, server string) {
 }
 
 func (l *Locator) locateViaDirectory(ctx context.Context, nid id.NapletID) (string, error) {
-	if l.dir == nil {
+	if l.cfg.Directory == nil {
 		return "", fmt.Errorf("%w: no directory configured", ErrNotFound)
 	}
 	l.met.directory.Inc()
-	entry, err := l.dir.Lookup(ctx, nid)
+	entry, err := l.cfg.Directory.Lookup(ctx, nid)
 	if err != nil {
 		return "", err
 	}
@@ -423,7 +411,7 @@ func (l *Locator) HandleQuery(from string, f wire.Frame) (wire.Frame, error) {
 	// The home manager only tracks live residents; a naplet that has
 	// retired (or was launched elsewhere) may still have a last-known
 	// location in the directory plane.
-	if !reply.Found && l.dir != nil {
+	if !reply.Found && l.cfg.Directory != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		if server, err := l.locateViaDirectory(ctx, body.NapletID); err == nil {
 			reply.Found = true

@@ -51,7 +51,7 @@ func newRig(t *testing.T, mode Mode, ttl time.Duration) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	homeLoc = New(Config{Mode: mode, DirectoryAddr: "dir"}, homeNode, r.homeMgr, clock)
+	homeLoc = New(Config{Mode: mode, Directory: directory.NewClient(homeNode, "dir")}, homeNode, r.homeMgr, clock)
 
 	r.s1Mgr = manager.New("s1", clock)
 	s1Node, err := r.net.Attach("s1", func(string, wire.Frame) (wire.Frame, error) {
@@ -60,7 +60,7 @@ func newRig(t *testing.T, mode Mode, ttl time.Duration) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.s1Loc = New(Config{Mode: mode, DirectoryAddr: "dir", CacheTTL: ttl}, s1Node, r.s1Mgr, clock)
+	r.s1Loc = New(Config{Mode: mode, Directory: directory.NewClient(s1Node, "dir"), CacheTTL: ttl}, s1Node, r.s1Mgr, clock)
 	return r
 }
 

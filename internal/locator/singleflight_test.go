@@ -156,27 +156,21 @@ func TestHandleInvalidateRefreshesCache(t *testing.T) {
 
 func TestLocatorBodyCodecRoundTrip(t *testing.T) {
 	q := QueryBody{NapletID: nid}
-	buf := q.AppendBinary(make([]byte, 0, q.EncodedSize()))
-	if len(buf) != q.EncodedSize() {
-		t.Fatalf("query size: %d want %d", len(buf), q.EncodedSize())
-	}
+	buf := q.AppendBinary(nil)
 	var qb QueryBody
 	if err := qb.Decode(buf); err != nil || qb.NapletID.Key() != nid.Key() {
 		t.Fatalf("query round trip: %+v %v", qb, err)
 	}
 
 	rep := ReplyBody{Found: true, Server: "s3"}
-	buf = rep.AppendBinary(make([]byte, 0, rep.EncodedSize()))
+	buf = rep.AppendBinary(nil)
 	var rb ReplyBody
 	if err := rb.Decode(buf); err != nil || rb != rep {
 		t.Fatalf("reply round trip: %+v %v", rb, err)
 	}
 
 	inv := InvalidateBody{NapletID: nid, Server: "s4"}
-	buf = inv.AppendBinary(make([]byte, 0, inv.EncodedSize()))
-	if len(buf) != inv.EncodedSize() {
-		t.Fatalf("invalidate size: %d want %d", len(buf), inv.EncodedSize())
-	}
+	buf = inv.AppendBinary(nil)
 	var ib InvalidateBody
 	if err := ib.Decode(buf); err != nil || ib.NapletID.Key() != nid.Key() || ib.Server != "s4" {
 		t.Fatalf("invalidate round trip: %+v %v", ib, err)

@@ -174,8 +174,7 @@ type reportPayload struct {
 // Version 2 front-codes the map keys.
 const reportCodecVersion = 2
 
-func (p *reportPayload) encode() []byte {
-	dst := make([]byte, 0, 1+wire.SizeStringMap(p.Status)+wire.SizeStrings(p.Route))
+func (p *reportPayload) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendStringMap(append(dst, reportCodecVersion), p.Status)
 	return wire.AppendStrings(dst, p.Route)
 }
@@ -212,7 +211,7 @@ func resultReport(ctx *naplet.Context) error {
 	report := reportPayload{Status: status, Route: ctx.Log().Route()}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return ctx.Listener.Report(rctx, report.encode())
+	return ctx.Listener.Report(rctx, wire.EncodeBody(&report))
 }
 
 // RegisterCodebase installs the NMNaplet codebase in a registry.

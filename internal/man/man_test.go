@@ -388,7 +388,7 @@ func TestReportPayloadCodecs(t *testing.T) {
 		Status: map[string]string{"dev1|1.3.6.1.2.1.1.5.0": "core-1", "dev0|1.3.6.1.2.1.1.3.0": "4711"},
 		Route:  []string{"station", "dev0", "dev1"},
 	}
-	enc := rep.encode()
+	enc := wire.EncodeBody(&rep)
 	// Version, two entries, the sorted first key whole, and the second
 	// sharing "dev" with it.
 	want := append([]byte{2, 2, 0, 22}, "dev0|1.3.6.1.2.1.1.3.0"...)
@@ -401,7 +401,7 @@ func TestReportPayloadCodecs(t *testing.T) {
 	if err := back.decode(enc); err != nil || !reflect.DeepEqual(back, rep) {
 		t.Fatalf("status report: %+v, %v", back, err)
 	}
-	if re := back.encode(); !bytes.Equal(re, enc) {
+	if re := wire.EncodeBody(&back); !bytes.Equal(re, enc) {
 		t.Fatalf("status report re-encoding differs:\n got %x\nwant %x", re, enc)
 	}
 	got, route, err := DecodeReport(enc)
@@ -410,12 +410,12 @@ func TestReportPayloadCodecs(t *testing.T) {
 	}
 
 	mon := monitorReport{Device: "dev3", Seen: 40, Filtered: 37, Alerts: []string{"linkDown eth2 down @r3"}}
-	menc := mon.encode()
+	menc := wire.EncodeBody(&mon)
 	var mback monitorReport
 	if err := mback.decode(menc); err != nil || !reflect.DeepEqual(mback, mon) {
 		t.Fatalf("monitor report: %+v, %v", mback, err)
 	}
-	if re := mback.encode(); !bytes.Equal(re, menc) {
+	if re := wire.EncodeBody(&mback); !bytes.Equal(re, menc) {
 		t.Fatalf("monitor report re-encoding differs:\n got %x\nwant %x", re, menc)
 	}
 

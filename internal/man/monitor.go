@@ -72,9 +72,7 @@ type monitorReport struct {
 	Alerts   []string
 }
 
-func (r *monitorReport) encode() []byte {
-	dst := make([]byte, 0, 1+wire.SizeString(r.Device)+wire.SizeUvarint(uint64(r.Seen))+
-		wire.SizeUvarint(uint64(r.Filtered))+wire.SizeStrings(r.Alerts))
+func (r *monitorReport) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(append(dst, reportCodecVersion), r.Device)
 	dst = wire.AppendUvarint(dst, uint64(r.Seen))
 	dst = wire.AppendUvarint(dst, uint64(r.Filtered))
@@ -117,6 +115,17 @@ func (MonitorNaplet) OnStart(ctx *naplet.Context) error {
 
 	report := monitorReport{Device: ctx.Server}
 	for {
+		// The round is read before the poll, not after: a round the device
+		// has completed is wholly in the stream by then, so the poll that
+		// follows the target round leaves none of its traps behind.
+		if err := ch.WriteLine("round"); err != nil {
+			return err
+		}
+		roundLine, err := ch.ReadLine()
+		if err != nil {
+			return err
+		}
+		round, _ := strconv.Atoi(strings.TrimSpace(roundLine))
 		if err := ch.WriteLine("poll"); err != nil {
 			return err
 		}
@@ -139,14 +148,6 @@ func (MonitorNaplet) OnStart(ctx *naplet.Context) error {
 				}
 			}
 		}
-		if err := ch.WriteLine("round"); err != nil {
-			return err
-		}
-		roundLine, err := ch.ReadLine()
-		if err != nil {
-			return err
-		}
-		round, _ := strconv.Atoi(strings.TrimSpace(roundLine))
 		if round >= rounds {
 			break
 		}
@@ -159,7 +160,7 @@ func (MonitorNaplet) OnStart(ctx *naplet.Context) error {
 
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return ctx.Listener.Report(rctx, report.encode())
+	return ctx.Listener.Report(rctx, wire.EncodeBody(&report))
 }
 
 // RegisterMonitorCodebase installs the event-monitoring naplet.

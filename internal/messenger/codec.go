@@ -12,11 +12,6 @@ import (
 // bodyCodecVersion is the leading version byte of binary message bodies.
 const bodyCodecVersion = 1
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *PostBody) EncodedSize() int {
-	return 1 + b.Msg.EncodedSize() + wire.SizeUvarint(uint64(b.Hops))
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *PostBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -39,12 +34,6 @@ func (b *PostBody) Decode(payload []byte) error {
 	}
 	b.Hops = int(hops)
 	return nil
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *ConfirmBody) EncodedSize() int {
-	return 1 + 2*wire.SizeBool + wire.SizeString(b.Server) +
-		wire.SizeUvarint(uint64(b.Hops))
 }
 
 // AppendBinary appends the body's binary form to dst.

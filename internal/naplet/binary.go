@@ -27,17 +27,6 @@ var recordMagic = [2]byte{'N', 'R'}
 
 // ---- Message ----
 
-// EncodedSize returns the exact binary-encoded size of the message.
-func (m Message) EncodedSize() int {
-	return wire.SizeString(m.ID) +
-		m.From.EncodedSize() + m.To.EncodedSize() +
-		wire.SizeUvarint(uint64(m.Class)) +
-		wire.SizeString(string(m.Control)) +
-		wire.SizeString(m.Subject) +
-		wire.SizeBytes(m.Body) +
-		wire.SizeTime(m.SentAt)
-}
-
 // AppendBinary appends the message's binary form to dst. Messages are
 // embedded unversioned; the container (post body, dock snapshot) owns the
 // version byte.
@@ -94,29 +83,17 @@ func DecodeMessageBinary(b []byte) (Message, []byte, error) {
 
 // ---- AddressBook ----
 
-// EncodedSize returns the exact binary-encoded size of the book.
-func (b *AddressBook) EncodedSize() int {
-	entries := b.Entries()
-	sz := wire.SizeUvarint(uint64(len(entries)))
-	for _, e := range entries {
-		sz += e.NapletID.EncodedSize() + wire.SizeString(e.ServerURN)
-	}
-	return sz
-}
-
 // AppendBinary appends the book's binary form to dst, entries in sorted
 // identifier order (deterministic for the golden-byte tests).
 func (b *AddressBook) AppendBinary(dst []byte) []byte {
-	entries := b.Entries()
-	dst = wire.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = e.NapletID.AppendBinary(dst)
-		dst = wire.AppendString(dst, e.ServerURN)
-	}
-	return dst
+	return wire.AppendSeq(dst, b.Entries(), func(dst []byte, e AddressEntry) []byte {
+		return wire.AppendString(e.NapletID.AppendBinary(dst), e.ServerURN)
+	})
 }
 
 // DecodeBookBinary consumes one address book from b and returns the rest.
+// The entries go straight into the book's map: wire.DecSeq would build a
+// slice per landing only to copy it out.
 func DecodeBookBinary(b []byte) (*AddressBook, []byte, error) {
 	cnt, b, err := wire.DecCount(b, 2)
 	if err != nil {
@@ -163,8 +140,8 @@ func DecodeBookBinary(b []byte) (*AddressBook, []byte, error) {
 // match the wall one, and time.Time.Equal must hold across a round trip.
 const timeDelta = 2
 
-// timeChain carries the previous non-zero time of a log being encoded,
-// sized or decoded; the zero value starts a chain.
+// timeChain carries the previous non-zero time of a log being encoded or
+// decoded; the zero value starts a chain.
 type timeChain struct{ prev time.Time }
 
 // delta returns t's distance from the chain's previous time and whether a
@@ -187,14 +164,6 @@ func (c *timeChain) link(t time.Time) (wall time.Time, d time.Duration, asDelta 
 	d, asDelta = c.delta(wall)
 	c.prev = wall
 	return wall, d, asDelta
-}
-
-func (c *timeChain) size(t time.Time) int {
-	t, d, asDelta := c.link(t)
-	if asDelta {
-		return 1 + wire.SizeVarint(int64(d))
-	}
-	return wire.SizeTime(t)
 }
 
 func (c *timeChain) append(dst []byte, t time.Time) []byte {
@@ -232,23 +201,6 @@ func (c *timeChain) decode(b []byte) (time.Time, []byte, error) {
 	return t, rest, nil
 }
 
-// EncodedSize returns the exact binary-encoded size of the log.
-func (l *NavigationLog) EncodedSize() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var times timeChain
-	sz := wire.SizeUvarint(uint64(len(l.hops)))
-	for _, h := range l.hops {
-		sz += wire.SizeString(h.Server) + times.size(h.Arrive) + times.size(h.Depart)
-	}
-	sz += wire.SizeUvarint(uint64(len(l.reroutes)))
-	for _, r := range l.reroutes {
-		sz += wire.SizeString(r.Visit) + wire.SizeString(r.Policy) +
-			wire.SizeString(r.Detail) + times.size(r.At)
-	}
-	return sz
-}
-
 // AppendBinary appends the log's binary form to dst:
 //
 //	[uvarint h] h×([string server] [time arrive] [time depart])
@@ -259,102 +211,57 @@ func (l *NavigationLog) AppendBinary(dst []byte) []byte {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var times timeChain
-	dst = wire.AppendUvarint(dst, uint64(len(l.hops)))
-	for _, h := range l.hops {
+	dst = wire.AppendSeq(dst, l.hops, func(dst []byte, h Hop) []byte {
 		dst = wire.AppendString(dst, h.Server)
 		dst = times.append(dst, h.Arrive)
-		dst = times.append(dst, h.Depart)
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(l.reroutes)))
-	for _, r := range l.reroutes {
+		return times.append(dst, h.Depart)
+	})
+	return wire.AppendSeq(dst, l.reroutes, func(dst []byte, r Reroute) []byte {
 		dst = wire.AppendString(dst, r.Visit)
 		dst = wire.AppendString(dst, r.Policy)
 		dst = wire.AppendString(dst, r.Detail)
-		dst = times.append(dst, r.At)
-	}
-	return dst
+		return times.append(dst, r.At)
+	})
 }
 
 // DecodeLogBinary consumes one navigation log from b and returns the rest.
 func DecodeLogBinary(b []byte) (*NavigationLog, []byte, error) {
-	hcnt, b, err := wire.DecCount(b, 3)
-	if err != nil {
-		return nil, nil, err
-	}
 	log := NewNavigationLog()
 	var times timeChain
-	if hcnt > 0 {
-		log.hops = make([]Hop, hcnt)
-		for i := range log.hops {
-			h := &log.hops[i]
-			if h.Server, b, err = wire.DecString(b); err != nil {
-				return nil, nil, err
-			}
-			if h.Arrive, b, err = times.decode(b); err != nil {
-				return nil, nil, err
-			}
-			if h.Depart, b, err = times.decode(b); err != nil {
-				return nil, nil, err
-			}
+	var err error
+	log.hops, b, err = wire.DecSeq(b, 3, func(b []byte) (h Hop, _ []byte, err error) {
+		if h.Server, b, err = wire.DecString(b); err != nil {
+			return Hop{}, nil, err
 		}
-	}
-	rcnt, b, err := wire.DecCount(b, 4)
+		if h.Arrive, b, err = times.decode(b); err != nil {
+			return Hop{}, nil, err
+		}
+		h.Depart, b, err = times.decode(b)
+		return h, b, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if rcnt > 0 {
-		log.reroutes = make([]Reroute, rcnt)
-		for i := range log.reroutes {
-			r := &log.reroutes[i]
-			if r.Visit, b, err = wire.DecString(b); err != nil {
-				return nil, nil, err
-			}
-			if r.Policy, b, err = wire.DecString(b); err != nil {
-				return nil, nil, err
-			}
-			if r.Detail, b, err = wire.DecString(b); err != nil {
-				return nil, nil, err
-			}
-			if r.At, b, err = times.decode(b); err != nil {
-				return nil, nil, err
-			}
+	log.reroutes, b, err = wire.DecSeq(b, 4, func(b []byte) (r Reroute, _ []byte, err error) {
+		if r.Visit, b, err = wire.DecString(b); err != nil {
+			return Reroute{}, nil, err
 		}
+		if r.Policy, b, err = wire.DecString(b); err != nil {
+			return Reroute{}, nil, err
+		}
+		if r.Detail, b, err = wire.DecString(b); err != nil {
+			return Reroute{}, nil, err
+		}
+		r.At, b, err = times.decode(b)
+		return r, b, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return log, b, nil
 }
 
 // ---- Record ----
-
-// EncodedSize returns the exact binary-encoded size of the record,
-// including the magic and version prefix.
-func (r *Record) EncodedSize() int {
-	sz := len(recordMagic) + 1 + // magic + version byte
-		r.ID.EncodedSize() +
-		r.Credential.EncodedSize() +
-		wire.SizeString(r.Codebase) +
-		wire.SizeString(r.Home)
-	sz += wire.SizeBool // state presence
-	if r.State != nil {
-		sz += r.State.EncodedSize()
-	}
-	sz += wire.SizeBool // itinerary presence
-	if r.Itin != nil {
-		sz += r.Itin.EncodedSize()
-	}
-	sz += wire.SizeBool // book presence
-	if r.Book != nil {
-		sz += r.Book.EncodedSize()
-	}
-	sz += wire.SizeBool // log presence
-	if r.Log != nil {
-		sz += r.Log.EncodedSize()
-	}
-	sz += r.Pending.EncodedSize()
-	sz += wire.SizeSeq(r.PendingAlts, itinerary.SizeOptPattern)
-	return sz +
-		wire.SizeString(string(r.Failover)) +
-		wire.SizeUvarint(uint64(r.CloneSeq))
-}
 
 // AppendBinary appends the record's binary form to dst:
 //

@@ -3,6 +3,7 @@ package navigator
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 
 	"repro/internal/cred"
 	"repro/internal/id"
@@ -59,13 +60,6 @@ func rawDigest(d string) (raw [sha256.Size]byte, ok bool) {
 	return raw, true
 }
 
-func sizeDigest(d string) int {
-	if _, ok := rawDigest(d); ok {
-		return 1 + sha256.Size
-	}
-	return 1 + wire.SizeString(d)
-}
-
 func appendDigest(dst []byte, d string) []byte {
 	if raw, ok := rawDigest(d); ok {
 		return append(append(dst, digestRaw), raw[:]...)
@@ -89,13 +83,6 @@ func decodeDigest(b []byte) (string, []byte, error) {
 		return d, rest, err
 	}
 	return "", nil, wire.ErrMalformed
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *LandingRequestBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize() + b.Credential.EncodedSize() +
-		wire.SizeString(b.Codebase) + wire.SizeUvarint(uint64(b.StateSize)) +
-		sizeDigest(b.CodeDigest)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -132,11 +119,6 @@ func (b *LandingRequestBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *LandingReplyBody) EncodedSize() int {
-	return 1 + 2*wire.SizeBool + wire.SizeString(b.Reason)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *LandingReplyBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -161,14 +143,12 @@ func (b *LandingReplyBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *TransferBody) EncodedSize() int {
-	return 1 + wire.SizeBytes(b.Record) + wire.SizeBytes(b.Code) +
-		wire.SizeString(b.TransferID) + sizeDigest(b.CodeDigest)
-}
-
-// AppendBinary appends the body's binary form to dst.
+// AppendBinary appends the body's binary form to dst. A cold push-mode
+// transfer's bundle can be MiB, so dst grows once to hold the whole body:
+// grown by append, the fields after the bundle would outgrow the buffer
+// the bundle sized and copy it all again.
 func (b *TransferBody) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, len(b.Record)+len(b.Code)+len(b.TransferID)+64)
 	dst = append(dst, bodyCodecVersion)
 	dst = wire.AppendBytes(dst, b.Record)
 	dst = wire.AppendBytes(dst, b.Code)
@@ -195,11 +175,6 @@ func (b *TransferBody) Decode(payload []byte) error {
 	}
 	b.CodeDigest, _, err = decodeDigest(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *TransferAckBody) EncodedSize() int {
-	return 1 + 3*wire.SizeBool + wire.SizeString(b.Reason)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -230,11 +205,6 @@ func (b *TransferAckBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *CodeFetchBody) EncodedSize() int {
-	return 1 + wire.SizeString(b.Codebase)
-}
-
 // AppendBinary appends the body's binary form to dst.
 func (b *CodeFetchBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
@@ -251,13 +221,10 @@ func (b *CodeFetchBody) Decode(payload []byte) error {
 	return err
 }
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *CodeBundleBody) EncodedSize() int {
-	return 1 + wire.SizeBytes(b.Data)
-}
-
-// AppendBinary appends the body's binary form to dst.
+// AppendBinary appends the body's binary form to dst, grown once to hold
+// the bundle.
 func (b *CodeBundleBody) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, len(b.Data)+16)
 	dst = append(dst, bodyCodecVersion)
 	return wire.AppendBytes(dst, b.Data)
 }
@@ -270,12 +237,6 @@ func (b *CodeBundleBody) Decode(payload []byte) error {
 	}
 	b.Data, _, err = wire.DecBytes(rest)
 	return err
-}
-
-// EncodedSize returns the exact encoded size of the body.
-func (b *HomeEventBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize() + wire.SizeString(b.Server) +
-		wire.SizeBool + wire.SizeTime(b.At)
 }
 
 // AppendBinary appends the body's binary form to dst.
@@ -316,7 +277,7 @@ func bundleDigest(data []byte) string {
 // EncodeRecord serializes a naplet record for transfer using the binary
 // record codec (magic 'N' 'R' + version byte).
 func EncodeRecord(rec *naplet.Record) ([]byte, error) {
-	return rec.AppendBinary(make([]byte, 0, rec.EncodedSize())), nil
+	return wire.EncodeBody(rec), nil
 }
 
 // DecodeRecord reverses EncodeRecord. Data without the record magic, or

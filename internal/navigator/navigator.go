@@ -248,12 +248,8 @@ type Config struct {
 	// CodeDelivery selects push or pull bundle transport.
 	CodeDelivery CodeDelivery
 	// Directory, when set, receives ARRIVAL registrations: a
-	// single-node client or a sharded, replicated plane. Takes precedence
-	// over DirectoryAddr.
+	// single-node client or a sharded, replicated plane.
 	Directory directory.Directory
-	// DirectoryAddr, when set (and Directory is nil), names a single
-	// directory node to register with.
-	DirectoryAddr string
 	// ReportHome, when set, sends arrival events to each naplet's home
 	// manager (distributed directory mode).
 	ReportHome bool
@@ -297,7 +293,6 @@ type Navigator struct {
 	reg    *registry.Registry
 	cache  *registry.Cache
 	clock  func() time.Time
-	dir    directory.Directory
 
 	onLand     LandFunc
 	admit      AdmitFunc
@@ -336,12 +331,6 @@ func New(cfg Config, server string, node transport.Node, sec *security.Manager, 
 	if _, err := cryptorand.Read(nonce[:]); err != nil {
 		panic(fmt.Sprintf("navigator: boot nonce: %v", err))
 	}
-	dir := cfg.Directory
-	if dir == nil && cfg.DirectoryAddr != "" {
-		// Built once; registrations reuse it instead of constructing a
-		// client per event.
-		dir = directory.NewClient(node, cfg.DirectoryAddr)
-	}
 	return &Navigator{
 		cfg:      cfg,
 		server:   server,
@@ -351,7 +340,6 @@ func New(cfg Config, server string, node transport.Node, sec *security.Manager, 
 		reg:      reg,
 		cache:    cache,
 		clock:    clock,
-		dir:      dir,
 		bootID:   hex.EncodeToString(nonce[:]),
 		met:      newMetrics(treg),
 		accepted: dedup.NewWindow(cfg.DedupMax, cfg.DedupTTL, clock),
@@ -630,13 +618,13 @@ func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBod
 // record and so is monotone across servers. Exported so the server can
 // register launch-time arrivals and clone births.
 func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record, at time.Time) {
-	if n.dir != nil {
+	if n.cfg.Directory != nil {
 		var seq uint64
 		if hops := uint64(rec.Log.Len()); hops > 0 {
 			seq = 2*hops - 1
 		}
 		cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
-		_ = n.dir.RegisterEvent(cctx, directory.Registration{
+		_ = n.cfg.Directory.RegisterEvent(cctx, directory.Registration{
 			NapletID: rec.ID, Event: directory.Arrival,
 			Server: n.server, At: at, Seq: seq,
 		})

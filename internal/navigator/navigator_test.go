@@ -58,14 +58,16 @@ func (n *node) received() []TransferBody {
 	return append([]TransferBody(nil), n.transfers...)
 }
 
-func attach(t *testing.T, net *netsim.Network, name string, reg *registry.Registry, sec *security.Manager, cfg Config) *node {
+func attach(t *testing.T, net *netsim.Network, name string, reg *registry.Registry, sec *security.Manager, cfg Config, dirAddr ...string) *node {
 	t.Helper()
-	return attachOn(t, net, name, reg, sec, cfg)
+	return attachOn(t, net, name, reg, sec, cfg, dirAddr...)
 }
 
 // attachOn is attach over any fabric — tests that wrap the network in a
-// fault injector pass the injected fabric here.
-func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Registry, sec *security.Manager, cfg Config) *node {
+// fault injector pass the injected fabric here. A dirAddr makes the
+// navigator register arrivals with the directory there, through its own
+// node.
+func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Registry, sec *security.Manager, cfg Config, dirAddr ...string) *node {
 	t.Helper()
 	n := &node{
 		mgr:    manager.New(name, func() time.Time { return time.Now() }),
@@ -94,6 +96,9 @@ func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Reg
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, addr := range dirAddr {
+		cfg.Directory = directory.NewClient(tnode, addr)
 	}
 	n.nav = New(cfg, name, tnode, sec, n.mgr, reg, n.cache, nil)
 	n.nav.SetLandFunc(func(rec *naplet.Record, source string) { n.landed <- rec })
@@ -285,8 +290,8 @@ func TestDirectoryEventOrdering(t *testing.T) {
 	if _, err := svc.Serve(net, "dir"); err != nil {
 		t.Fatal(err)
 	}
-	a := attach(t, net, "a", reg, nil, Config{DirectoryAddr: "dir"})
-	b := attach(t, net, "b", reg, nil, Config{DirectoryAddr: "dir"})
+	a := attach(t, net, "a", reg, nil, Config{}, "dir")
+	b := attach(t, net, "b", reg, nil, Config{}, "dir")
 	_ = b
 
 	rec := record(t, nil, "a")
@@ -320,8 +325,8 @@ func TestDispatchFailureRestoresDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fab(net)
-		a := attachOn(t, f, "a", reg, nil, Config{DirectoryAddr: "dir"})
-		b := attachOn(t, f, "b", reg, nil, Config{DirectoryAddr: "dir"})
+		a := attachOn(t, f, "a", reg, nil, Config{}, "dir")
+		b := attachOn(t, f, "b", reg, nil, Config{}, "dir")
 		rec := record(t, nil, "a")
 		a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
 		a.nav.RegisterArrival(context.Background(), rec, time.Now())

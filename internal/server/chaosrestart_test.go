@@ -15,7 +15,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/messenger"
 	"repro/internal/naplet"
-	"repro/internal/navigator"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
@@ -123,18 +122,14 @@ func runChaosRestart(t *testing.T, seed int64) {
 	}
 	// A tight backoff so the dead-stop dispatch exhausts quickly: the
 	// failover policy, not the retry budget, is under test here.
-	backoff := navigator.Backoff{
-		Initial: 200 * time.Microsecond,
-		Max:     2 * time.Millisecond,
-		Retries: 12,
-	}
 	mkConfig := func(name string) Config {
 		cfg := Config{
-			Name:            name,
-			Fabric:          inj.Fabric(net),
-			Registry:        codebases,
-			Telemetry:       reg,
-			DispatchBackoff: &backoff,
+			Name:               name,
+			Fabric:             inj.Fabric(net),
+			Registry:           codebases,
+			Telemetry:          reg,
+			DispatchRetries:    12,
+			DispatchRetryDelay: 200 * time.Microsecond,
 			Messenger: messenger.Config{
 				SendRetries: 8,
 				RetryDelay:  200 * time.Microsecond,

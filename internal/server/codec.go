@@ -15,12 +15,6 @@ import (
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
 const bodyCodecVersion = 1
 
-// EncodedSize returns the exact encoded size of the body.
-func (b *ReportBody) EncodedSize() int {
-	return 1 + b.NapletID.EncodedSize() + 1 + wire.SizeUvarint(uint64(b.Status)) +
-		wire.SizeString(b.Err) + wire.SizeBytes(b.Body)
-}
-
 // AppendBinary appends the body's binary form to dst:
 //
 //	[version] [NapletID] [kind byte] [uvarint status] [string err] [bytes body]

@@ -524,18 +524,10 @@ func (s *Server) awaitLeave(nid id.NapletID) {
 }
 
 // dispatchPolicy derives the migration backoff policy from the server
-// config: DispatchBackoff when set, otherwise the legacy knobs. The
-// legacy delay bounds the growth near the configured pacing so tight
-// (millisecond-scale) test configurations don't balloon into
-// multi-second sleeps.
+// config. The delay bounds the growth near the configured pacing so tight
+// (millisecond-scale) test configurations don't balloon into multi-second
+// sleeps.
 func (s *Server) dispatchPolicy() navigator.Backoff {
-	if s.cfg.DispatchBackoff != nil {
-		pol := *s.cfg.DispatchBackoff
-		if pol.Retries == 0 {
-			pol.Retries = s.cfg.DispatchRetries
-		}
-		return pol
-	}
 	pol := navigator.Backoff{Retries: s.cfg.DispatchRetries}
 	if d := s.cfg.DispatchRetryDelay; d > 0 {
 		pol.Initial = d

@@ -147,47 +147,12 @@ func TestPartitionHealsMidTour(t *testing.T) {
 }
 
 func TestLandingDeniedDoesNotRetry(t *testing.T) {
-	// Policy refusals are authoritative: the engine must not burn retries
-	// (a single retry would stall this test for an hour).
+	// Policy refusals are authoritative: the engine must trap on the first
+	// attempt, zero retries recorded (a single one would stall this test
+	// for an hour).
 	net, servers := failSpace(t, netsim.Config{}, func(c *Config) {
 		c.DispatchRetries = 1000
 		c.DispatchRetryDelay = time.Hour
-	}, "home")
-	reg := servers["home"].reg
-	deny, err := New(Config{Name: "s1", Fabric: net, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { deny.Close() })
-	deny.Navigator().SetAdmitFunc(func(navigatorLandingRequest) error {
-		return errNoLanding
-	})
-
-	nid, err := servers["home"].Launch(context.Background(), LaunchOptions{
-		Owner:    "czxu",
-		Codebase: "test.Collector",
-		Pattern:  itinerary.SeqVisits([]string{"s1"}, ""),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := servers["home"].WaitDone(ctx, nid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != manager.StatusTrapped {
-		t.Fatalf("status = %v", st)
-	}
-}
-
-func TestDispatchBackoffPolicyFailsFastOnDenial(t *testing.T) {
-	// Same regression under an explicit Backoff override: a permanent
-	// refusal must trap on the first attempt — zero retries recorded —
-	// even with an hour-scale policy and a huge budget.
-	net, servers := failSpace(t, netsim.Config{}, func(c *Config) {
-		c.DispatchBackoff = &navigator.Backoff{Retries: 1000, Initial: time.Hour, Max: time.Hour}
 	}, "home")
 	reg := servers["home"].reg
 	deny, err := New(Config{Name: "s1", Fabric: net, Registry: reg})
@@ -235,7 +200,7 @@ func TestDirectoryOutageFallsBackToBookHint(t *testing.T) {
 	for _, name := range []string{"home", "s1"} {
 		srv, err := New(Config{
 			Name: name, Fabric: net, Registry: reg,
-			LocatorMode: locator.ModeDirectory, DirectoryAddr: "dir",
+			LocatorMode: locator.ModeDirectory, DirectoryAddrs: []string{"dir"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -471,8 +436,8 @@ func TestBandwidthBudgetKillsChattyNaplet(t *testing.T) {
 func TestUnresolvedDispatchTrapsInsteadOfForking(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	inj := fault.New(fault.Config{
-		Seed: 1,
-		P:    fault.Probabilities{DropReply: 1},
+		Seed:  1,
+		P:     fault.Probabilities{DropReply: 1},
 		Kinds: func(k wire.Kind) bool { return k == wire.KindNapletTransfer },
 	})
 	reg := newTestRegistry(t)

@@ -60,11 +60,9 @@ type Config struct {
 	LocatorMode locator.Mode
 	// LocatorTTL bounds the locator cache; 0 disables caching.
 	LocatorTTL time.Duration
-	// DirectoryAddr is the central directory address (required for
-	// ModeDirectory; also receives arrival registrations).
-	DirectoryAddr string
-	// DirectoryAddrs, when set, names the nodes of a sharded, replicated
-	// directory plane and takes precedence over DirectoryAddr. With more
+	// DirectoryAddrs names the nodes of the directory plane (required for
+	// ModeDirectory; also receives arrival registrations): one address is
+	// the central directory, more a sharded, replicated plane. With more
 	// than one node the server routes registrations and lookups by
 	// rendezvous hashing over the NapletID's owner/home prefix, writing
 	// through to DirReplicas replicas per shard and failing lookups over
@@ -94,10 +92,6 @@ type Config struct {
 	// grows exponentially, capped at 16x (defaults to the navigator's
 	// backoff policy defaults when unset).
 	DispatchRetryDelay time.Duration
-	// DispatchBackoff overrides the full migration retry policy; when
-	// set it takes precedence over DispatchRetryDelay (a zero Retries
-	// field inherits DispatchRetries).
-	DispatchBackoff *navigator.Backoff
 	// Clock is the server time source; nil means time.Now.
 	Clock func() time.Time
 	// Telemetry collects every component's metrics; nil creates a
@@ -277,19 +271,15 @@ func New(cfg Config) (*Server, error) {
 	// plane when several nodes are configured, a single-node client
 	// otherwise. Built once; the locator, navigator, and shutdown path all
 	// share it.
-	dirAddrs := cfg.DirectoryAddrs
-	if len(dirAddrs) == 0 && cfg.DirectoryAddr != "" {
-		dirAddrs = []string{cfg.DirectoryAddr}
-	}
 	switch {
-	case len(dirAddrs) > 1:
+	case len(cfg.DirectoryAddrs) > 1:
 		s.dir = shard.New(node, shard.Config{
-			Nodes:    dirAddrs,
+			Nodes:    cfg.DirectoryAddrs,
 			Replicas: cfg.DirReplicas,
 			Health:   hd,
 		})
-	case len(dirAddrs) == 1:
-		s.dir = directory.NewClient(node, dirAddrs[0])
+	case len(cfg.DirectoryAddrs) == 1:
+		s.dir = directory.NewClient(node, cfg.DirectoryAddrs[0])
 	}
 
 	s.loc = locator.New(locator.Config{

@@ -174,16 +174,16 @@ func newSpace(t *testing.T, opts spaceOpts, names ...string) *space {
 	}
 	for _, name := range names {
 		cfg := Config{
-			Name:          name,
-			Fabric:        sp.net,
-			Registry:      sp.reg,
-			KeyRing:       opts.ring,
-			Policy:        opts.policy,
-			LocatorMode:   opts.mode,
-			DirectoryAddr: dirAddr,
-			ReportHome:    opts.reportHm,
-			MonitorPolicy: opts.monitor,
-			MaxResidents:  opts.residents,
+			Name:           name,
+			Fabric:         sp.net,
+			Registry:       sp.reg,
+			KeyRing:        opts.ring,
+			Policy:         opts.policy,
+			LocatorMode:    opts.mode,
+			DirectoryAddrs: []string{dirAddr},
+			ReportHome:     opts.reportHm,
+			MonitorPolicy:  opts.monitor,
+			MaxResidents:   opts.residents,
 		}
 		if opts.mutate != nil {
 			opts.mutate(name, &cfg)

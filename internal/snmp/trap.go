@@ -75,10 +75,8 @@ type trapBuffer struct {
 	signif int
 }
 
-// emit appends a trap.
+// emit appends a trap; the caller holds b.mu.
 func (b *trapBuffer) emit(device string, kind TrapKind, detail string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.seq++
 	b.total++
 	if kind.Significant() {
@@ -126,12 +124,11 @@ func (d *Device) TickEvents(dt time.Duration) {
 	ifaces := d.ifaces
 	d.mu.Unlock()
 
+	// One critical section per round: a reader that sees the round sees
+	// every trap it produced (TrapRound's "completed").
 	d.trapsBuf.mu.Lock()
+	defer d.trapsBuf.mu.Unlock()
 	d.trapsBuf.round++
-	round := d.trapsBuf.round
-	d.trapsBuf.mu.Unlock()
-	_ = round
-
 	d.trapsBuf.emit(name, TrapHeartbeat, "alive")
 	// Threshold noise: ~2 per round on a busy device.
 	for i := 0; i < ifaces; i++ {

@@ -19,10 +19,6 @@ import (
 // it), and front-coded, each as [byte shared] [string suffix] against the
 // key before it — an agent's keys tend to share their start.
 
-func sizeEntry(e entry) int {
-	return wire.SizeUvarint(uint64(e.Mode)) + wire.SizeStrings(e.Servers) + wire.SizeBytes(e.Payload)
-}
-
 func appendEntry(dst []byte, e entry) []byte {
 	dst = wire.AppendUvarint(dst, uint64(e.Mode))
 	dst = wire.AppendStrings(dst, e.Servers)
@@ -53,11 +49,9 @@ func decodeEntry(b []byte) (entry, []byte, error) {
 	return e, b, nil
 }
 
-// EncodedSize returns the exact binary-encoded size of the container.
+// EncodedSize returns the length of the container's encoding.
 func (s *State) EncodedSize() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return wire.SizeMap(s.entries, sizeEntry)
+	return len(s.AppendBinary(nil))
 }
 
 // AppendBinary appends the container's binary form to dst.

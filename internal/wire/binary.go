@@ -1,9 +1,10 @@
 // Binary field primitives shared by the hand-rolled payload codecs: naplet
 // records, state values, mail, protocol bodies, error replies and dock
 // snapshots. The building blocks mirror the frame header's conventions —
-// uvarint length prefixes, no reflection, sizes computable arithmetically —
-// so every codec in the system speaks one dialect and DESIGN.md §11
-// documents it once.
+// uvarint length prefixes, no reflection — so every codec in the system
+// speaks one dialect and DESIGN.md §11 documents it once. A type's codec is
+// two functions, an append and a decode; nothing computes a size ahead of
+// the bytes (EncodeBody).
 //
 // Encoding conventions:
 //
@@ -189,35 +190,6 @@ func DecCount(b []byte, minElemSize int) (int, []byte, error) {
 	return int(n), rest, nil
 }
 
-// SizeString returns the encoded size of AppendString(s).
-func SizeString(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
-}
-
-// SizeBytes returns the encoded size of AppendBytes(b).
-func SizeBytes(b []byte) int {
-	return uvarintLen(uint64(len(b))) + len(b)
-}
-
-// SizeUvarint returns the encoded size of AppendUvarint(x).
-func SizeUvarint(x uint64) int { return uvarintLen(x) }
-
-// SizeVarint returns the encoded size of AppendVarint(x).
-func SizeVarint(x int64) int {
-	return uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-// SizeBool is the encoded size of a boolean.
-const SizeBool = 1
-
-// SizeTime returns the encoded size of AppendTime(t).
-func SizeTime(t time.Time) int {
-	if t.IsZero() {
-		return 1
-	}
-	return 1 + SizeVarint(t.Unix()) + uvarintLen(uint64(t.Nanosecond()))
-}
-
 // A sequence is a uvarint count, then the elements, whatever the element
 // codec: the element functions are the primitives above or a domain
 // codec's own. A string-keyed map is a count, then its entries in ascending
@@ -256,8 +228,8 @@ func sharedPrefix(prev, k string) int {
 	return n
 }
 
-// smallMapKeys is how many keys AppendMap and SizeMap sort on the stack;
-// a larger map's key list is heap-allocated.
+// smallMapKeys is how many keys AppendMap sorts on the stack; a larger
+// map's key list is heap-allocated.
 const smallMapKeys = 32
 
 // sortedKeys returns m's keys in ascending order, in buf if they fit.
@@ -359,37 +331,11 @@ func DecMap[T any](b []byte, elem func([]byte) (T, []byte, error)) (map[string]T
 	return m, b, nil
 }
 
-// SizeSeq returns the encoded size of AppendSeq(xs, …) given the element
-// size function.
-func SizeSeq[T any](xs []T, size func(T) int) int {
-	n := uvarintLen(uint64(len(xs)))
-	for _, x := range xs {
-		n += size(x)
-	}
-	return n
-}
-
-// SizeMap returns the encoded size of AppendMap(m, …). A key's size depends
-// on its predecessor, so this walks the keys in the order AppendMap does.
-func SizeMap[T any](m map[string]T, size func(T) int) int {
-	n := uvarintLen(uint64(len(m)))
-	var stack [smallMapKeys]string
-	prev := ""
-	for _, k := range sortedKeys(m, stack[:0]) {
-		n += 1 + SizeString(k[sharedPrefix(prev, k):]) + size(m[k])
-		prev = k
-	}
-	return n
-}
-
 // AppendStrings appends a count-prefixed string list.
 func AppendStrings(dst []byte, ss []string) []byte { return AppendSeq(dst, ss, AppendString) }
 
 // DecStrings consumes one count-prefixed string list.
 func DecStrings(b []byte) ([]string, []byte, error) { return DecSeq(b, 1, readString) }
-
-// SizeStrings returns the encoded size of AppendStrings(ss).
-func SizeStrings(ss []string) int { return SizeSeq(ss, SizeString) }
 
 // AppendStringMap appends a count-prefixed string map.
 func AppendStringMap(dst []byte, m map[string]string) []byte { return AppendMap(dst, m, AppendString) }
@@ -397,23 +343,34 @@ func AppendStringMap(dst []byte, m map[string]string) []byte { return AppendMap(
 // DecStringMap consumes one count-prefixed string map.
 func DecStringMap(b []byte) (map[string]string, []byte, error) { return DecMap(b, readString) }
 
-// SizeStringMap returns the encoded size of AppendStringMap(m).
-func SizeStringMap(m map[string]string) int { return SizeMap(m, SizeString) }
-
 // BinaryBody is a payload body with a hand-rolled binary codec: everything
 // a frame needs to carry it without reflection.
 type BinaryBody interface {
-	// EncodedSize returns the exact encoded byte count, computed
-	// arithmetically without encoding.
-	EncodedSize() int
 	// AppendBinary appends the encoded form to dst and returns it.
 	AppendBinary(dst []byte) []byte
 }
 
-// BinaryFrame builds a frame around a binary-codec body in one exact-size
-// allocation. Everything a dock, device or station sends on its own is
-// built here; NewFrame is for the operator-plane bodies only.
+// EncodeBody returns body's encoding in a slice of exactly its length: one
+// AppendBinary walk into scratch from the WriteFrame pool, then one
+// allocation for the copy. The copy is made before the scratch goes back,
+// so the result never aliases pooled memory; scratch a large body grew past
+// maxPooledBuf is dropped, as in WriteFrame.
+func EncodeBody(body BinaryBody) []byte {
+	encBufGets.Add(1)
+	bp := encBufPool.Get().(*[]byte)
+	buf := body.AppendBinary((*bp)[:0])
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf[:0]
+		encBufPool.Put(bp)
+	}
+	return out
+}
+
+// BinaryFrame builds a frame around a binary-codec body; the payload is
+// EncodeBody's one allocation. Everything a dock, device or station sends
+// on its own is built here; NewFrame is for the operator-plane bodies only.
 func BinaryFrame(kind Kind, from, to string, body BinaryBody) Frame {
-	payload := body.AppendBinary(make([]byte, 0, body.EncodedSize()))
-	return Frame{Kind: kind, From: from, To: to, Payload: payload}
+	return Frame{Kind: kind, From: from, To: to, Payload: EncodeBody(body)}
 }

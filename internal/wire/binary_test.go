@@ -63,35 +63,6 @@ func TestBinaryPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinarySizesExact(t *testing.T) {
-	times := []time.Time{
-		{},
-		time.Unix(0, 0),
-		time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
-		time.Date(2026, 8, 8, 1, 2, 3, 4, time.UTC),
-	}
-	for _, tm := range times {
-		if got, want := SizeTime(tm), len(AppendTime(nil, tm)); got != want {
-			t.Errorf("SizeTime(%v) = %d, encoded %d", tm, got, want)
-		}
-	}
-	for _, x := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
-		if got, want := SizeVarint(x), len(AppendVarint(nil, x)); got != want {
-			t.Errorf("SizeVarint(%d) = %d, encoded %d", x, got, want)
-		}
-	}
-	for _, x := range []uint64{0, 127, 128, math.MaxUint64} {
-		if got, want := SizeUvarint(x), len(AppendUvarint(nil, x)); got != want {
-			t.Errorf("SizeUvarint(%d) = %d, encoded %d", x, got, want)
-		}
-	}
-	for _, s := range []string{"", "x", "приложение"} {
-		if got, want := SizeString(s), len(AppendString(nil, s)); got != want {
-			t.Errorf("SizeString(%q) = %d, encoded %d", s, got, want)
-		}
-	}
-}
-
 func TestBinaryDecodeMalformed(t *testing.T) {
 	if _, _, err := DecString([]byte{5, 'a'}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short string: %v", err)
@@ -157,9 +128,6 @@ func TestSeqAndMapRoundTrip(t *testing.T) {
 	b = AppendStrings(b, nil)
 	b = AppendStringMap(b, m)
 	b = AppendStringMap(b, nil)
-	if want := SizeStrings(ss) + SizeStrings(nil) + SizeStringMap(m) + SizeStringMap(nil); len(b) != want {
-		t.Fatalf("encoded %d bytes, sizes sum to %d", len(b), want)
-	}
 	// Maps encode in sorted key order whatever the iteration order, each
 	// key as [shared] [suffix].
 	if want := []byte{3, 0, 1, 'a', 0, 0, 1, 'm', 1, '3', 0, 1, 'z', 1, '1'}; !bytes.Equal(AppendStringMap(nil, m), want) {
@@ -226,19 +194,15 @@ func genMap(r *rand.Rand, n int) map[string]string {
 }
 
 // TestMapFrontCodingProperties: over generated maps of 0, 1, 17 and 300
-// entries (below, at and past what sorts on the stack), the size function
-// is exact, the round trip is lossless, and the encoding is the canonical
-// one: keys ascending, each sharing all it can with its predecessor up to
-// the clamp.
+// entries (below, at and past what sorts on the stack), the round trip is
+// lossless, and the encoding is the canonical one: keys ascending, each
+// sharing all it can with its predecessor up to the clamp.
 func TestMapFrontCodingProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, n := range []int{0, 1, 17, smallMapKeys, smallMapKeys + 1, 300} {
 		for round := 0; round < 20; round++ {
 			m := genMap(r, n)
 			enc := AppendStringMap(nil, m)
-			if len(enc) != SizeStringMap(m) {
-				t.Fatalf("n=%d: encoded %d bytes, SizeStringMap %d", n, len(enc), SizeStringMap(m))
-			}
 			got, rest, err := DecStringMap(enc)
 			if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, m) {
 				t.Fatalf("n=%d: round trip: %v, %d bytes left, equal=%v", n, err, len(rest), reflect.DeepEqual(got, m))
@@ -273,9 +237,9 @@ func TestMapFrontCodingProperties(t *testing.T) {
 	}
 	plain := 0
 	for k, v := range sweep {
-		plain += SizeString(k) + SizeString(v)
+		plain += sizeString(k) + sizeString(v)
 	}
-	if got := SizeStringMap(sweep); got*2 > plain {
+	if got := len(AppendStringMap(nil, sweep)); got*2 > plain {
 		t.Errorf("256 sweep keys: %d bytes front-coded, %d plain; want less than half", got, plain)
 	}
 }
@@ -312,20 +276,17 @@ func TestDecMapRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestMapCodecAllocations: encoding and sizing a small map sorts on the
-// stack, and decoding costs one allocation per key beyond the map itself —
+// TestMapCodecAllocations: encoding a small map sorts on the stack, and
+// decoding costs one allocation per key beyond the map itself —
 // the budget the hop benchmarks were cut against.
 func TestMapCodecAllocations(t *testing.T) {
 	m := map[string]string{}
 	for i := 0; i < 17; i++ {
 		m["DeviceStatus/dev"+strconv.Itoa(i)] = ""
 	}
-	dst := make([]byte, 0, SizeStringMap(m))
+	dst := AppendStringMap(nil, m)
 	if n := testing.AllocsPerRun(100, func() { dst = AppendStringMap(dst[:0], m) }); n != 0 {
 		t.Errorf("AppendStringMap of %d keys: %v allocs, want 0", len(m), n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = SizeStringMap(m) }); n != 0 {
-		t.Errorf("SizeStringMap of %d keys: %v allocs, want 0", len(m), n)
 	}
 	one := AppendStringMap(nil, map[string]string{"DeviceStatus/dev1": ""})
 	// The map header and bucket, and the key.

@@ -98,7 +98,7 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzDecodeError feeds arbitrary bytes to the error-reply decoder: no
 // panic, allocation bounded by the input length, and whatever decodes
-// re-encodes to its declared size and decodes again to an equal value.
+// re-encodes and decodes again to an equal value.
 func FuzzDecodeError(f *testing.F) {
 	golden := (&Error{Code: "overloaded", Message: "gate: queue full"}).AppendBinary(nil)
 	f.Add(golden)
@@ -118,9 +118,6 @@ func FuzzDecodeError(f *testing.F) {
 			return
 		}
 		enc := got.AppendBinary(nil)
-		if len(enc) != got.EncodedSize() {
-			t.Fatalf("EncodedSize %d, encoded %d", got.EncodedSize(), len(enc))
-		}
 		var again Error
 		if err := again.Decode(enc); err != nil || again != got {
 			t.Fatalf("re-decode of an accepted error: %+v, %v; want %+v", again, err, got)

@@ -236,12 +236,17 @@ func uvarintLen(x uint64) int {
 	return (bits.Len64(x|1) + 6) / 7
 }
 
+// sizeString returns the encoded size of AppendString(s).
+func sizeString(s string) int {
+	return uvarintLen(uint64(len(s))) + len(s)
+}
+
 // headerSize returns the encoded size of the frame header fields (everything
 // between the length prefix and the payload) given the kind's wire code.
 func (f *Frame) headerSize(code byte) int {
-	n := 1 + SizeString(f.From) + SizeString(f.To) + sizeSeq(f.Seq)
+	n := 1 + sizeString(f.From) + sizeString(f.To) + sizeSeq(f.Seq)
 	if code == kindEscape {
-		n += SizeString(string(f.Kind))
+		n += sizeString(string(f.Kind))
 	}
 	return n
 }
@@ -341,8 +346,9 @@ func Decode(data []byte) (Frame, int, error) {
 	return f, 4 + n, nil
 }
 
-// encBufPool recycles encode buffers across WriteFrame calls. Buffers that
-// grew past maxPooledBuf are dropped rather than pinned in the pool.
+// encBufPool recycles encode buffers across WriteFrame and EncodeBody calls.
+// Buffers that grew past maxPooledBuf are dropped rather than pinned in the
+// pool.
 var encBufPool = sync.Pool{
 	New: func() any {
 		encBufMisses.Add(1)
@@ -351,7 +357,7 @@ var encBufPool = sync.Pool{
 	},
 }
 
-// Pool accounting: gets counts every WriteFrame buffer acquisition, misses
+// Pool accounting: gets counts every buffer acquisition, misses
 // counts the ones the pool could not satisfy (fresh allocations). The
 // telemetry layer samples these at scrape time via PoolCounters, keeping
 // this package dependency-free.
@@ -437,11 +443,6 @@ type Error struct {
 
 // errorCodecVersion is the leading version byte of an encoded Error.
 const errorCodecVersion = 1
-
-// EncodedSize returns the exact encoded size of the error body.
-func (e *Error) EncodedSize() int {
-	return 1 + SizeString(e.Code) + SizeString(e.Message)
-}
 
 // AppendBinary appends [version] [string code] [string message] to dst.
 func (e *Error) AppendBinary(dst []byte) []byte {
