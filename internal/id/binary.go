@@ -27,32 +27,41 @@ func (n NapletID) AppendBinary(dst []byte) []byte {
 // DecodeBinary consumes one identifier from b and returns the rest. Unlike
 // Parse it accepts the zero identifier (empty owner and host), which is a
 // legal embedded value (e.g. Message.From on control messages).
+//
+// owner and host are read as views into b and copied out by seal, once, as
+// part of the identifier's text: the result never aliases b, which on the
+// TCP fabric is a pooled read buffer.
 func DecodeBinary(b []byte) (NapletID, []byte, error) {
-	var n NapletID
-	var err error
-	if n.owner, b, err = wire.DecString(b); err != nil {
+	owner, b, err := wire.DecBytes(b)
+	if err != nil {
 		return NapletID{}, nil, err
 	}
-	if n.host, b, err = wire.DecString(b); err != nil {
+	host, b, err := wire.DecBytes(b)
+	if err != nil {
 		return NapletID{}, nil, err
 	}
-	if n.created, b, err = wire.DecTime(b); err != nil {
+	created, b, err := wire.DecTime(b)
+	if err != nil {
 		return NapletID{}, nil, err
 	}
 	cnt, b, err := wire.DecCount(b, 1)
 	if err != nil {
 		return NapletID{}, nil, err
 	}
+	var heritage Heritage
 	if cnt > 0 {
-		n.heritage = make(Heritage, cnt)
-		for i := range n.heritage {
+		heritage = make(Heritage, cnt)
+		for i := range heritage {
 			g, rest, err := wire.DecUvarint(b)
 			if err != nil {
 				return NapletID{}, nil, err
 			}
-			n.heritage[i] = int(g)
+			heritage[i] = int(g)
 			b = rest
 		}
 	}
-	return n, b, nil
+	if len(owner) == 0 && len(host) == 0 && created.IsZero() && cnt == 0 {
+		return NapletID{}, b, nil
+	}
+	return seal(owner, host, created, heritage), b, nil
 }

@@ -60,14 +60,18 @@ func (h Heritage) String() string {
 	if len(h) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	return string(h.appendText(nil))
+}
+
+// appendText appends the dot-separated textual form to b.
+func (h Heritage) appendText(b []byte) []byte {
 	for i, n := range h {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.Itoa(n))
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Depth reports the number of generations recorded in the heritage. An
@@ -142,12 +146,42 @@ func (h Heritage) Compare(other Heritage) int {
 
 // NapletID is the system-wide unique, immutable identifier of a naplet
 // (§2.1). It is a value type; all accessors return copies so the identifier
-// cannot be mutated after creation.
+// cannot be mutated after creation. Because it cannot change, it carries
+// its canonical text, built once by seal: every component of a dock files
+// a naplet under that text, several times per hop. owner and host are
+// substrings of text, not strings of their own.
 type NapletID struct {
+	text     string
 	owner    string
 	host     string
 	created  time.Time
 	heritage Heritage
+}
+
+// seal is the one place an identifier's text is formatted, and the one way
+// an identifier with a text is made: owner@host:YYMMDDhhmmss[:heritage],
+// assembled on the stack and copied into the one string the identifier
+// keeps. Nothing of owner or host is retained, so they may be views into a
+// buffer the caller is about to reuse.
+func seal[S ~string | ~[]byte](owner, host S, created time.Time, heritage Heritage) NapletID {
+	var arr [96]byte
+	b := append(arr[:0], owner...)
+	b = append(b, '@')
+	b = append(b, host...)
+	b = append(b, ':')
+	b = created.AppendFormat(b, TimeLayout)
+	if len(heritage) > 0 {
+		b = heritage.appendText(append(b, ':'))
+	}
+	text := string(b)
+	hostAt := len(owner) + 1
+	return NapletID{
+		text:     text,
+		owner:    text[:len(owner)],
+		host:     text[hostAt : hostAt+len(host)],
+		created:  created,
+		heritage: heritage,
+	}
 }
 
 // ErrMalformed is returned by Parse for strings that do not follow the
@@ -158,13 +192,17 @@ var ErrMalformed = errors.New("id: malformed naplet identifier")
 // owner on host at the given time. The time is truncated to second precision
 // to match the textual form.
 func New(owner, host string, created time.Time) (NapletID, error) {
+	return newID(owner, host, created, nil)
+}
+
+func newID(owner, host string, created time.Time, heritage Heritage) (NapletID, error) {
 	if owner == "" || strings.ContainsAny(owner, "@:") {
 		return NapletID{}, fmt.Errorf("%w: bad owner %q", ErrMalformed, owner)
 	}
 	if host == "" || strings.ContainsAny(host, "@:") {
 		return NapletID{}, fmt.Errorf("%w: bad host %q", ErrMalformed, host)
 	}
-	return NapletID{owner: owner, host: host, created: created.UTC().Truncate(time.Second)}, nil
+	return seal(owner, host, created.UTC().Truncate(time.Second), heritage), nil
 }
 
 // MustNew is like New but panics on error. It is intended for tests and for
@@ -204,12 +242,7 @@ func Parse(s string) (NapletID, error) {
 			return NapletID{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 	}
-	nid, err := New(owner, host, created)
-	if err != nil {
-		return NapletID{}, err
-	}
-	nid.heritage = h
-	return nid, nil
+	return newID(owner, host, created, h)
 }
 
 // Owner returns the user name of the naplet creator.
@@ -253,9 +286,7 @@ func (n NapletID) Clone(k int) (NapletID, error) {
 	if k < 1 {
 		return NapletID{}, fmt.Errorf("id: clone index must be ≥ 1, got %d", k)
 	}
-	c := n
-	c.heritage = n.heritage.Child(k)
-	return c, nil
+	return seal(n.owner, n.host, n.created, n.heritage.Child(k)), nil
 }
 
 // Originator returns the identifier that names the originator within this
@@ -266,19 +297,18 @@ func (n NapletID) Originator() NapletID {
 	if len(n.heritage) == 0 {
 		return n
 	}
-	o := n
 	h := n.Heritage()
 	h[len(h)-1] = 0
-	o.heritage = h
-	return o
+	return seal(n.owner, n.host, n.created, h)
 }
 
 // Root returns the identifier of the root of the clone tree: the original
 // naplet with empty heritage.
 func (n NapletID) Root() NapletID {
-	r := n
-	r.heritage = nil
-	return r
+	if len(n.heritage) == 0 {
+		return n
+	}
+	return seal(n.owner, n.host, n.created, nil)
 }
 
 // SameLineage reports whether two identifiers descend from the same original
@@ -292,24 +322,18 @@ func (n NapletID) Equal(other NapletID) bool {
 	return n.SameLineage(other) && n.heritage.Equal(other.heritage)
 }
 
-// String renders the identifier in its canonical textual form.
+// String returns the identifier's canonical textual form: the text it was
+// sealed with. Only the zero value has none, and is formatted on demand.
 func (n NapletID) String() string {
-	var b strings.Builder
-	b.WriteString(n.owner)
-	b.WriteByte('@')
-	b.WriteString(n.host)
-	b.WriteByte(':')
-	b.WriteString(n.created.Format(TimeLayout))
-	if len(n.heritage) > 0 {
-		b.WriteByte(':')
-		b.WriteString(n.heritage.String())
+	if n.text == "" {
+		return seal(n.owner, n.host, n.created, n.heritage).text
 	}
-	return b.String()
+	return n.text
 }
 
-// Key returns a canonical map key for the identifier. It is the same as
-// String; the method exists to make intent explicit at call sites that use
-// identifiers as map keys.
+// Key returns the canonical map key for the identifier. It is String, and
+// like String costs nothing: the identifier carries the text. The method
+// exists so that a call site filing a naplet in a map says so.
 func (n NapletID) Key() string { return n.String() }
 
 // MarshalText implements encoding.TextMarshaler, so identifiers serialize

@@ -320,7 +320,12 @@ func TestPropIDStringParseRoundTrip(t *testing.T) {
 		base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 		created := base.Add(time.Duration(r.Int63n(int64(68 * 365 * 24 * time.Hour))))
 		nid := MustNew(owner, host, created)
-		nid.heritage = randomHeritage(r)
+		for _, g := range randomHeritage(r) {
+			var err error
+			if nid, err = nid.Clone(g + 1); err != nil {
+				return false
+			}
+		}
 		back, err := Parse(nid.String())
 		if err != nil {
 			return false

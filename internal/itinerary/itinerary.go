@@ -98,6 +98,12 @@ func (k Kind) String() string {
 
 // Pattern is a node of the itinerary pattern tree. Patterns travel with
 // the naplet in the binary codec of binary.go.
+//
+// A pattern is immutable once built: only the constructors, the decoder and
+// Clone write a node's fields. Next relies on it — the remainder it leaves
+// behind shares the operands it did not consume with the pattern it stepped.
+// Clone is for handing a tree to another owner: a naplet clone's Par branch,
+// a caller's pattern entering New.
 type Pattern struct {
 	Kind Kind
 	// V is the visit of a Singleton node.
@@ -465,23 +471,25 @@ func step(p *Pattern, ev Evaluator) (Decision, *Pattern, error) {
 	}
 }
 
-// seqRemainder rebuilds a Seq remainder from the rest of the current operand
-// and the not-yet-started later operands.
+// seqRemainder builds a Seq remainder from the rest of the current operand
+// and the not-yet-started later operands, which it shares with the pattern
+// being stepped: a tour pays for the node it leaves, not for the tail it has
+// still to travel.
 func seqRemainder(rest *Pattern, later []*Pattern) *Pattern {
-	subs := make([]*Pattern, 0, 1+len(later))
 	if rest != nil {
-		subs = append(subs, rest)
+		if len(later) == 0 {
+			return rest
+		}
+		subs := make([]*Pattern, 0, 1+len(later))
+		later = append(append(subs, rest), later...)
 	}
-	for _, l := range later {
-		subs = append(subs, l.Clone())
-	}
-	switch len(subs) {
+	switch len(later) {
 	case 0:
 		return nil
 	case 1:
-		return subs[0]
+		return later[0]
 	default:
-		return Seq(subs...)
+		return &Pattern{Kind: KindSeq, Subs: later}
 	}
 }
 

@@ -205,15 +205,16 @@ func (l *Locator) Mode() Mode { return l.cfg.Mode }
 // that (§4.2).
 func (l *Locator) Locate(ctx context.Context, nid id.NapletID, hint string) (string, error) {
 	l.met.lookups.Inc()
+	key := nid.Key()
 	l.mu.Lock()
 	if l.cfg.CacheTTL > 0 {
-		if c, ok := l.cache[nid.Key()]; ok {
+		if c, ok := l.cache[key]; ok {
 			if l.clock().Sub(c.at) <= l.cfg.CacheTTL {
 				l.mu.Unlock()
 				l.met.cacheHits.Inc()
 				return c.server, nil
 			}
-			delete(l.cache, nid.Key())
+			delete(l.cache, key)
 			l.met.cacheEvict.Inc()
 		}
 	}
@@ -301,20 +302,22 @@ func (l *Locator) remember(nid id.NapletID, server string) {
 	if l.cfg.CacheTTL <= 0 {
 		return
 	}
+	key := nid.Key()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.cache[nid.Key()] = cached{server: server, at: l.clock()}
-	delete(l.misses, nid.Key())
+	l.cache[key] = cached{server: server, at: l.clock()}
+	delete(l.misses, key)
 }
 
 // Invalidate drops a cached location, e.g. after a delivery failure or a
 // migration notice.
 func (l *Locator) Invalidate(nid id.NapletID) {
+	key := nid.Key()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.misses, nid.Key())
-	if _, ok := l.cache[nid.Key()]; ok {
-		delete(l.cache, nid.Key())
+	delete(l.misses, key)
+	if _, ok := l.cache[key]; ok {
+		delete(l.cache, key)
 		l.met.cacheEvict.Inc()
 	}
 }

@@ -191,6 +191,9 @@ const (
 	maxTracked        = 1024
 )
 
+// pushTimeout bounds one departure's round of PushMigration notices.
+const pushTimeout = 5 * time.Second
+
 // New builds the messenger of a server. node sends outbound frames; loc
 // resolves targets; mgr supplies visit traces for forwarding; nil clock
 // means time.Now.
@@ -316,9 +319,10 @@ func (m *Messenger) Mailbox(nid id.NapletID) (*Mailbox, bool) {
 // CloseMailbox removes a departing naplet's mailbox and returns any
 // undelivered messages so the caller can forward them after the naplet.
 func (m *Messenger) CloseMailbox(nid id.NapletID) []naplet.Message {
+	key := nid.Key()
 	m.mu.Lock()
-	mb, ok := m.mailboxes[nid.Key()]
-	delete(m.mailboxes, nid.Key())
+	mb, ok := m.mailboxes[key]
+	delete(m.mailboxes, key)
 	m.mu.Unlock()
 	if !ok {
 		return nil
@@ -635,7 +639,9 @@ func (m *Messenger) noteCorrespondent(nid id.NapletID, peer string) {
 // server for dest, refreshing their locator caches in place (the paper's
 // "buffered naplet location information can be updated on migration",
 // pushed instead of polled). Best effort: an unreachable peer just misses
-// the notice and falls back to lookup-on-miss. Returns how many peers were
+// the notice and falls back to lookup-on-miss. The whole round is bounded by
+// pushTimeout, each push by ForwardTimeout; most departures have no
+// correspondent and build no context at all. Returns how many peers were
 // notified.
 func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest string) int {
 	key := nid.Key()
@@ -643,6 +649,11 @@ func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest str
 	peers := m.correspondents[key]
 	delete(m.correspondents, key)
 	m.mu.Unlock()
+	if len(peers) == 0 {
+		return 0
+	}
+	ctx, cancel := context.WithTimeout(ctx, pushTimeout)
+	defer cancel()
 	pushed := 0
 	for peer := range peers {
 		if peer == dest {

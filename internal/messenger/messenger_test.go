@@ -24,6 +24,7 @@ var t0 = time.Date(2001, 5, 12, 17, 27, 20, 0, time.UTC)
 type rig struct {
 	net  *netsim.Network
 	mgrs map[string]*manager.Manager
+	locs map[string]*locator.Locator
 	msgr map[string]*Messenger
 }
 
@@ -32,6 +33,7 @@ func newRig(t *testing.T, servers ...string) *rig {
 	r := &rig{
 		net:  netsim.New(netsim.Config{}),
 		mgrs: make(map[string]*manager.Manager),
+		locs: make(map[string]*locator.Locator),
 		msgr: make(map[string]*Messenger),
 	}
 	clock := func() time.Time { return t0 }
@@ -39,18 +41,23 @@ func newRig(t *testing.T, servers ...string) *rig {
 		s := s
 		mgr := manager.New(s, clock)
 		var msgr *Messenger
+		var loc *locator.Locator
 		node, err := r.net.Attach(s, func(from string, f wire.Frame) (wire.Frame, error) {
-			if f.Kind == wire.KindPost {
+			switch f.Kind {
+			case wire.KindPost:
 				return msgr.HandlePost(from, f)
+			case wire.KindLocatorInvalidate:
+				return loc.HandleInvalidate(from, f)
 			}
 			return wire.Frame{}, fmt.Errorf("unexpected kind %q", f.Kind)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		loc := locator.New(locator.Config{Mode: locator.ModeForward}, node, mgr, clock)
+		loc = locator.New(locator.Config{Mode: locator.ModeForward}, node, mgr, clock)
 		msgr = New(Config{}, s, node, loc, mgr, clock)
 		r.mgrs[s] = mgr
+		r.locs[s] = loc
 		r.msgr[s] = msgr
 	}
 	return r
@@ -481,3 +488,32 @@ func TestViewAPI(t *testing.T) {
 // Interface conformance.
 var _ naplet.MessengerAPI = (*View)(nil)
 var _ transport.Handler = (*Messenger)(nil).HandlePost
+
+// TestPushMigrationBuildsAContextOnlyToPush: a departure with someone to
+// tell pushes as before; one with nobody to tell — nearly all of them —
+// looks the naplet up and is done, with no context built for the round.
+func TestPushMigrationBuildsAContextOnlyToPush(t *testing.T) {
+	r := newRig(t, "sa", "sb")
+	a := r.land(t, "a", "sa", "sa")
+	b := r.land(t, "b", "sb", "sb")
+	a.Book.Add(b.ID, "sb")
+	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "greet", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.msgr["sb"].PushMigration(context.Background(), b.ID, "sc"); n != 1 {
+		t.Fatalf("pushed %d notices, want 1 (to sa, which posted to the naplet)", n)
+	}
+	if got := r.locs["sa"].Stats().PushInval; got != 1 {
+		t.Fatalf("sa received %d push invalidations, want 1", got)
+	}
+	// The notice is spent: the naplet has no correspondents left here.
+	sb := r.msgr["sb"]
+	n := testing.AllocsPerRun(100, func() {
+		if sb.PushMigration(context.Background(), b.ID, "sc") != 0 {
+			t.Fatal("pushed a notice with no correspondent to push to")
+		}
+	})
+	if n != 0 && !raceEnabled {
+		t.Errorf("PushMigration with no correspondents: %v allocs, want 0", n)
+	}
+}

@@ -227,9 +227,10 @@ func (m *Monitor) Group(nid id.NapletID) (*Group, error) {
 
 // Remove releases a naplet's group after departure or completion.
 func (m *Monitor) Remove(nid id.NapletID) {
+	key := nid.Key()
 	m.mu.Lock()
-	g, ok := m.groups[nid.Key()]
-	delete(m.groups, nid.Key())
+	g, ok := m.groups[key]
+	delete(m.groups, key)
 	m.mu.Unlock()
 	if ok {
 		g.setState(StateDone)

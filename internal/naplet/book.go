@@ -24,8 +24,10 @@ type AddressEntry struct {
 // the naplet grows and is inherited on clone. It is safe for concurrent use
 // (the messenger reads it while the agent may be extending it).
 type AddressBook struct {
-	mu      sync.RWMutex
-	entries map[string]AddressEntry // keyed by NapletID.Key()
+	mu sync.RWMutex
+	// entries is keyed by NapletID.Key(): the text the identifier carries,
+	// so filing under it formats and allocates nothing.
+	entries map[string]AddressEntry
 }
 
 // NewAddressBook returns an empty address book.
@@ -67,9 +69,10 @@ func (b *AddressBook) Knows(nid id.NapletID) bool {
 func (b *AddressBook) Update(nid id.NapletID, serverURN string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e, ok := b.entries[nid.Key()]; ok {
+	key := nid.Key()
+	if e, ok := b.entries[key]; ok {
 		e.ServerURN = serverURN
-		b.entries[nid.Key()] = e
+		b.entries[key] = e
 	}
 }
 

@@ -175,9 +175,7 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		return err
 	}
 	for attempt := 0; ; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, 2*n.cfg.CallTimeout)
-		bd, err = n.DispatchID(actx, rec, dest, tid)
-		cancel()
+		bd, err = n.DispatchID(ctx, rec, dest, tid)
 		if err == nil {
 			hd.ReportSuccess(dest)
 			br.OnSuccess(dest)

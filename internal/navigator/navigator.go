@@ -36,6 +36,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,7 +356,12 @@ func New(cfg Config, server string, node transport.Node, sec *security.Manager, 
 // counter restarting at 1 would make a fresh transfer look like a replay
 // and be absorbed without ever landing.
 func (n *Navigator) NewTransferID() string {
-	return fmt.Sprintf("%s/%s/%d", n.server, n.bootID, n.tidSeq.Add(1))
+	var arr [64]byte
+	b := append(arr[:0], n.server...)
+	b = append(b, '/')
+	b = append(b, n.bootID...)
+	b = append(b, '/')
+	return string(strconv.AppendUint(b, n.tidSeq.Add(1), 10))
 }
 
 // SetLandFunc installs the execution engine invoked for accepted naplets.
@@ -509,7 +515,7 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 			StateSize:  len(recordBytes),
 			CodeDigest: digest,
 		}
-		reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindLandingRequest, "", "", &req))
+		reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindLandingRequest, "", "", &req), n.callBudget(start))
 		if err != nil {
 			return bd, fmt.Errorf("navigator: landing request to %s: %w", dest, err)
 		}
@@ -532,7 +538,7 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	// (or since its landing reply) answers NeedCode without landing
 	// anything; resend once under the same transfer ID with the bundle.
 	trStart := n.clock()
-	ack, err := n.transfer(ctx, dest, &transfer)
+	ack, err := n.transfer(ctx, dest, &transfer, n.callBudget(start))
 	reasked := err == nil && ack.NeedCode
 	if reasked {
 		n.met.codeReasks.Inc()
@@ -542,7 +548,7 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 		}
 		bd.Negotiation += n.clock().Sub(trStart)
 		trStart = n.clock()
-		ack, err = n.transfer(ctx, dest, &transfer)
+		ack, err = n.transfer(ctx, dest, &transfer, n.callBudget(start))
 	}
 	switch {
 	case err != nil:
@@ -570,11 +576,18 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	return bd, nil
 }
 
-// call is one protocol round trip to dest under the call timeout.
-func (n *Navigator) call(ctx context.Context, dest string, f wire.Frame) (wire.Frame, error) {
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
+// call is one protocol round trip to dest under the given timeout.
+func (n *Navigator) call(ctx context.Context, dest string, f wire.Frame, timeout time.Duration) (wire.Frame, error) {
+	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	return n.node.Call(cctx, dest, f)
+}
+
+// callBudget is the timeout of the next call of a dispatch attempt that
+// began at start: the call timeout, cut short so that the attempt — which
+// blocks nowhere but in its at most three calls — ends within twice that.
+func (n *Navigator) callBudget(start time.Time) time.Duration {
+	return min(n.cfg.CallTimeout, 2*n.cfg.CallTimeout-n.clock().Sub(start))
 }
 
 // attachCode adds the codebase's bundle to an outbound transfer.
@@ -592,9 +605,9 @@ func (n *Navigator) attachCode(rec *naplet.Record, transfer *TransferBody, bd *B
 // transfer sends the transfer frame and reads the destination's answer. An
 // error is either refused before delivery (transport.Refused: the naplet
 // provably did not land) or ErrTransferUnresolved.
-func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBody) (TransferAckBody, error) {
+func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBody, timeout time.Duration) (TransferAckBody, error) {
 	var ack TransferAckBody
-	reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindNapletTransfer, "", "", body))
+	reply, err := n.call(ctx, dest, wire.BinaryFrame(wire.KindNapletTransfer, "", "", body), timeout)
 	switch {
 	case err == nil:
 		if derr := ack.Decode(reply.Payload); derr != nil {
@@ -640,7 +653,7 @@ func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record, at 
 		return
 	}
 	body := HomeEventBody{NapletID: rec.ID, Server: n.server, Arrival: true, At: at}
-	_, _ = n.call(ctx, rec.Home, wire.BinaryFrame(wire.KindHomeEvent, "", "", &body))
+	_, _ = n.call(ctx, rec.Home, wire.BinaryFrame(wire.KindHomeEvent, "", "", &body), n.cfg.CallTimeout)
 	n.met.homeReports.Inc()
 }
 
@@ -808,7 +821,7 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 // pullCode fetches the bundle from the naplet's home server.
 func (n *Navigator) pullCode(rec *naplet.Record) error {
 	body := CodeFetchBody{Codebase: rec.Codebase}
-	reply, err := n.call(context.Background(), rec.Home, wire.BinaryFrame(wire.KindCodeFetch, "", "", &body))
+	reply, err := n.call(context.Background(), rec.Home, wire.BinaryFrame(wire.KindCodeFetch, "", "", &body), n.cfg.CallTimeout)
 	if err != nil {
 		return fmt.Errorf("navigator: code fetch from %s: %w", rec.Home, err)
 	}

@@ -430,9 +430,7 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.mon.Remove(rec.ID)
 	// Tell recent correspondents where the naplet went so their locator
 	// caches refresh in place instead of chasing forwarding pointers.
-	pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	s.msgr.PushMigration(pctx, rec.ID, dest)
-	pcancel()
+	s.msgr.PushMigration(context.Background(), rec.ID, dest)
 	s.emit("depart", rec, s.name, dest, "")
 	if rec.Home == s.name {
 		s.mgr.SetStatus(rec.ID, manager.StatusInTransit, "")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -226,6 +227,47 @@ func TestWarmTourByteBudget(t *testing.T) {
 	}
 	if len(warm) != len(want) {
 		t.Errorf("warm tour sent frames of other kinds: %v", warm)
+	}
+}
+
+// TestWarmTourAllocBudget pins what a warm hop allocates, the way the two
+// tests above pin its frames and bytes: the same 8-hop directory-mode tour
+// on netsim, malloc count of the whole process over 200 tours, per hop —
+// launch, directory service, reports and the test's own waiting included,
+// so it is not the benchmark's allocs_per_op. It reads 97.0 run after run
+// (170.2 before the identifier carried its text, an attempt one context per
+// call and the itinerary its shared tail); the budget is that plus 15 %. An
+// allocation per map look-up, per call or per step coming back fails here,
+// not in the benchmark a PR later.
+func TestWarmTourAllocBudget(t *testing.T) {
+	const allocBudget = 112
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	route := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
+	sp := newSpace(t, spaceOpts{mode: locator.ModeDirectory, directory: true}, append([]string{"home"}, route...)...)
+	pattern := itinerary.SeqVisits(route, "")
+	tour := func() {
+		t.Helper()
+		nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{Owner: "czxu", Codebase: "test.Collector", Pattern: pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+	}
+	tour() // first contact: landing requests, cold code
+	tour()
+	const tours = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tours; i++ {
+		tour()
+	}
+	runtime.ReadMemStats(&after)
+	perHop := float64(after.Mallocs-before.Mallocs) / (tours * float64(len(route)))
+	t.Logf("%.1f allocs per hop", perHop)
+	if perHop > allocBudget {
+		t.Errorf("a warm hop allocates %.1f times, budget %d", perHop, allocBudget)
 	}
 }
 

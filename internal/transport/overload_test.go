@@ -247,15 +247,17 @@ func TestTCPCancelAbortsStalledWrite(t *testing.T) {
 	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
 	defer client.Close()
 
+	// The largest legal frame body cannot fit the stalled peer's buffers:
+	// without the ctx watcher this write blocks forever. Allocating it takes
+	// over 10 ms on a busy box, so it is made — and the clock read — before
+	// the canceller's 100 ms start to run.
+	req := wire.Frame{Kind: wire.KindPost, Payload: make([]byte, wire.MaxFrameSize-64)}
+	start := time.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	// The largest legal frame body cannot fit the stalled peer's buffers:
-	// without the ctx watcher this write blocks forever.
-	req := wire.Frame{Kind: wire.KindPost, Payload: make([]byte, wire.MaxFrameSize-64)}
-	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
 		_, err := client.Call(ctx, ln.Addr().String(), req)
