@@ -1,4 +1,4 @@
-# Tier-1 verification and perf-trajectory targets.
+# Tier-1 verification and measurement targets.
 
 # verify is the extended tier-1 gate: vet, build, full test suite, and a
 # race pass over the packages that share sync.Pool buffers, per-
@@ -11,6 +11,9 @@
 # helper.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
+# Every Benchmark* function runs once (-short shrinks the million-entry
+# directory planes), so none can stop compiling or start panicking unseen;
+# what is gated is allocation ceilings, and those are tests in `go test ./...`.
 verify:
 	go vet ./...
 	go build ./...
@@ -20,11 +23,9 @@ verify:
 		| grep -v -e '^internal/wire/wire.go:.*(f \*Frame)' -e '^internal/state/' -e '^internal/dock/'; then \
 		echo "verify: the lines above bring back a size function beside a codec's append"; exit 1; fi
 	go test ./...
+	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
 	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
-	go run ./cmd/migrationbench -check BENCH_migration.json
-	go run ./cmd/directorybench -check BENCH_directory.json
-	go run ./cmd/fleetbench -check BENCH_fleet.json
 	go run ./cmd/napletctl loadgen -check BENCH_loadgen.json
 	$(MAKE) chaos
 
@@ -49,41 +50,20 @@ chaos:
 	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 
-# bench regenerates BENCH_wire.json, the codec/fabric perf baseline future
-# PRs compare against. Samples each benchmark 5 times with allocation
-# accounting (the -benchmem -count=5 quantities).
+# bench runs every Benchmark* function in the module with allocation
+# accounting: the experiment headlines (bench_test.go) and each package's
+# own — a warm hop between bare navigators, a TCP round trip bare and
+# instrumented, the directory planes at a million entries, the fleet's wave
+# and fan-out. Timings are this box's, this hour's: compare sub-benchmarks
+# of one run, and quote allocs and bytes across commits.
 bench:
-	go run ./cmd/wirebench -count 5 -o BENCH_wire.json
-
-# bench-telemetry regenerates BENCH_telemetry.json and enforces the
-# telemetry cost contract: counter increments ≤25 ns/op with 0 allocs, and
-# the instrumented TCP frame path within 5% of the BENCH_wire.json
-# baseline.
-bench-telemetry:
-	go run ./cmd/telemetrybench -count 5 -o BENCH_telemetry.json
+	go test -run '^$$' -bench . -benchmem ./...
 
 # fuzz runs the wire codec fuzz targets briefly; CI-sized smoke, not a
 # campaign.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 15s ./internal/wire/
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s ./internal/wire/
-
-# bench-migration regenerates BENCH_migration.json: record/mail codec
-# cost, plus full warm naplet hops (one transfer round trip to a proven
-# dock) over real TCP and the simulated WAN. `migrationbench -check` (run by verify) fails if allocs/op regress
-# >10% against the committed file.
-bench-migration:
-	go run ./cmd/migrationbench -count 5 -o BENCH_migration.json
-
-# bench-directory regenerates BENCH_directory.json: the location plane at
-# one million registered naplets — the global-mutex single-node baseline
-# against the sharded, replicated plane (per-node and aggregate), plus the
-# directory body codecs and rendezvous routing. Generation self-asserts
-# the sharded plane's aggregate lookup throughput at >= 4x the baseline;
-# `directorybench -check` (run by verify) fails if the deterministic
-# codec/ring benches regress allocs/op >10% against the committed file.
-bench-directory:
-	go run ./cmd/directorybench -count 5 -o BENCH_directory.json
 
 # loadgen runs the full enterprise-scale load generation scenario: the
 # man-sweep profile (2000 simulated SNMP devices, sustained mixed agent
@@ -104,14 +84,6 @@ loadgen:
 # violations (goodput floor, control-plane SLO, shed reconciliation).
 bench-loadgen:
 	go run ./cmd/napletctl loadgen -profile short -fabric netsim-wan -extra overload:netsim-lan -o BENCH_loadgen.json
-
-# bench-fleet regenerates BENCH_fleet.json: the fleet control plane's
-# protocol codecs, broadcaster fan-out with 64 live subscribers, the
-# watchdog rate estimator, and wave-scheduling throughput across 200
-# simulated docks. `fleetbench -check` (run by verify) fails if the
-# deterministic benches regress allocs/op >10% against the committed file.
-bench-fleet:
-	go run ./cmd/fleetbench -count 5 -o BENCH_fleet.json
 
 # compose-smoke builds the deploy/ images, boots a master + three docks
 # under docker compose, waits for every dock to turn ready, runs a launch
@@ -136,4 +108,4 @@ fuzz-smoke:
 	for pkg in navigator messenger directory locator fleet cnmp server; do \
 		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 
-.PHONY: verify chaos bench bench-telemetry bench-migration bench-directory bench-fleet loadgen bench-loadgen compose-smoke fuzz fuzz-smoke
+.PHONY: verify chaos bench loadgen bench-loadgen compose-smoke fuzz fuzz-smoke

@@ -11,18 +11,17 @@ import (
 // byte is wire.ErrMalformed.
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
-const bodyCodecVersion = 1
+const bodyCodecVersion = 2
 
 // A RegisterBody and the Entry inside a ReplyBody carry the same fields in
 // the same layout:
 //
-//	[NapletID] [uvarint event] [string server] [string dest] [time at] [uvarint seq]
+//	[NapletID] [uvarint event] [string server] [time at] [uvarint seq]
 
 func appendEntry(dst []byte, e *Entry) []byte {
 	dst = e.NapletID.AppendBinary(dst)
 	dst = wire.AppendUvarint(dst, uint64(e.Event))
 	dst = wire.AppendString(dst, e.Server)
-	dst = wire.AppendString(dst, e.Dest)
 	dst = wire.AppendTime(dst, e.At)
 	return wire.AppendUvarint(dst, e.Seq)
 }
@@ -35,14 +34,11 @@ func decodeEntry(e *Entry, rest []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	if ev > uint64(Departure) {
+	if ev != uint64(Arrival) {
 		return wire.ErrMalformed
 	}
 	e.Event = Event(ev)
 	if e.Server, rest, err = wire.DecString(rest); err != nil {
-		return err
-	}
-	if e.Dest, rest, err = wire.DecString(rest); err != nil {
 		return err
 	}
 	if e.At, rest, err = wire.DecTime(rest); err != nil {

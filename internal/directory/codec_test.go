@@ -23,7 +23,7 @@ type body interface {
 func codecBodies() (samples []body, zero []func() body) {
 	nid := id.MustNew("u", "home", t0)
 	samples = []body{
-		&RegisterBody{NapletID: nid, Event: Departure, Server: "s1", Dest: "s2", At: t0, Seq: 9},
+		&RegisterBody{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 9},
 		&LookupBody{NapletID: nid},
 		&DeregisterBody{Server: "s1"},
 		&ReplyBody{Found: true, Entry: Entry{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 4}},
@@ -47,16 +47,16 @@ func gobStream(t *testing.T) []byte {
 }
 
 // TestBodiesRejectOldFormats: a payload whose first byte is not the body
-// version — version 0, version 2, a gob stream, nothing — is
-// wire.ErrMalformed and leaves the body untouched; there is no second
+// version — version 1 (whose entries still carried a departure's
+// destination), version 3, a gob stream, nothing — is wire.ErrMalformed and leaves the body untouched; there is no second
 // parser to hand it to.
 func TestBodiesRejectOldFormats(t *testing.T) {
 	samples, zero := codecBodies()
 	for i, sample := range samples {
 		good := sample.AppendBinary(nil)
 		for name, payload := range map[string][]byte{
-			"version 0": append([]byte{0}, good[1:]...),
-			"version 2": append([]byte{2}, good[1:]...),
+			"version 1": append([]byte{1}, good[1:]...),
+			"version 3": append([]byte{3}, good[1:]...),
 			"gob":       gobStream(t),
 			"empty":     nil,
 		} {
@@ -97,7 +97,7 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Add(uint8(i), enc)
 		f.Add(uint8(i), enc[:len(enc)/2])
 	}
-	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(uint8(0), []byte{bodyCodecVersion, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		mk := zero[int(which)%len(zero)]
 		got := mk()
@@ -120,4 +120,31 @@ func FuzzDecodeBodies(f *testing.F) {
 			t.Fatalf("%T: re-decoded value differs:\n got %+v\nwant %+v", got, again, got)
 		}
 	})
+}
+
+// TestCodecAllocations holds what the bodies of a register and of a lookup
+// reply — one of each per naplet hop and per chased message — take from the
+// heap: the exact-size payload to encode, the identifier's text and the
+// server name to decode.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector say nothing about the code")
+	}
+	nid := id.MustNew("czxu", "sa", t0)
+	reg := RegisterBody{NapletID: nid, Event: Arrival, Server: "srv7", At: t0, Seq: 11}
+	regEnc := wire.EncodeBody(&reg)
+	rep := ReplyBody{Found: true, Entry: Entry{NapletID: nid, Server: "srv3", At: t0, Seq: 5}}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"register encode", 1, func() { wire.EncodeBody(&reg) }},
+		{"register decode", 2, func() { new(RegisterBody).Decode(regEnc) }},
+		{"reply round trip", 3, func() { new(ReplyBody).Decode(wire.EncodeBody(&rep)) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n > tc.max {
+			t.Errorf("%s: %v allocs, want at most %v", tc.name, n, tc.max)
+		}
+	}
 }

@@ -34,25 +34,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Event is the registered life-cycle event kind.
+// Event is the registered life-cycle event kind. Docks register arrivals
+// only; the type and its one value stay because bench/ledger.go names them.
 type Event int
 
-// Directory events.
-const (
-	// Arrival: the naplet landed at Entry.Server and is (or was) running
-	// there.
-	Arrival Event = iota
-	// Departure: the naplet was dispatched from Entry.Server and is in
-	// transit.
-	Departure
-)
+// Arrival: the naplet landed at Entry.Server and is (or was) running there.
+const Arrival Event = 0
 
 // String returns the event name.
 func (e Event) String() string {
 	if e == Arrival {
 		return "arrival"
 	}
-	return "departure"
+	return fmt.Sprintf("event(%d)", int(e))
 }
 
 // Entry is the latest registered event for one naplet.
@@ -60,17 +54,11 @@ type Entry struct {
 	NapletID id.NapletID
 	Event    Event
 	Server   string
-	// Dest is the migration destination of a Departure event: the
-	// forwarding pointer. A lookup that finds an in-transit naplet resolves
-	// straight to where it is headed instead of chasing the visit-trace
-	// chain from the origin — the compressed form of the paper's
-	// forwarding mode.
-	Dest string
-	At   time.Time
+	At       time.Time
 	// Seq orders events that share a timestamp: the naplet's navigation-log
 	// event index at registration time. Events race over the network (and
-	// are retried), so At alone cannot order an arrival and the departure
-	// that follows it within one clock tick.
+	// are retried), so At alone cannot order two registrations made within
+	// one clock tick.
 	Seq uint64
 }
 
@@ -79,7 +67,6 @@ type Registration struct {
 	NapletID id.NapletID
 	Event    Event
 	Server   string
-	Dest     string
 	At       time.Time
 	Seq      uint64
 }
@@ -107,7 +94,6 @@ type RegisterBody struct {
 	NapletID id.NapletID
 	Event    Event
 	Server   string
-	Dest     string
 	At       time.Time
 	Seq      uint64
 }
@@ -225,18 +211,10 @@ func (s *Service) Handle(from string, f wire.Frame) (wire.Frame, error) {
 // of the same event set converges on the same entry:
 //
 //  1. a later At always wins;
-//  2. at equal At, an Arrival wins over a Departure: the arrival
-//     registration is the acknowledged one the paper's invariant hinges on
-//     ("execution postponed until the arrival is acknowledged"), so a
-//     stale or duplicated Departure report must never displace it — at
-//     worst the forwarding pointer chases one extra hop;
-//  3. at equal At and kind, the higher navigation-log sequence wins.
+//  2. at equal At, the higher navigation-log sequence wins.
 func newer(in RegisterBody, cur Entry) bool {
 	if !in.At.Equal(cur.At) {
 		return in.At.After(cur.At)
-	}
-	if in.Event != cur.Event {
-		return in.Event == Arrival
 	}
 	return in.Seq >= cur.Seq
 }
@@ -262,8 +240,7 @@ func (s *Service) Register(body RegisterBody) {
 	}
 	st.entries[key] = Entry{
 		NapletID: body.NapletID, Event: body.Event,
-		Server: body.Server, Dest: body.Dest,
-		At: body.At, Seq: body.Seq,
+		Server: body.Server, At: body.At, Seq: body.Seq,
 	}
 }
 
@@ -376,15 +353,14 @@ func (c *Client) Addr() string { return c.addr }
 func (c *Client) RegisterEvent(ctx context.Context, r Registration) error {
 	f := wire.BinaryFrame(wire.KindDirRegister, "", "", &RegisterBody{
 		NapletID: r.NapletID, Event: r.Event,
-		Server: r.Server, Dest: r.Dest, At: r.At, Seq: r.Seq,
+		Server: r.Server, At: r.At, Seq: r.Seq,
 	})
 	_, err := c.node.Call(ctx, c.addr, f)
 	return err
 }
 
-// Register reports a life-cycle event with no forwarding destination or
-// sequence — the pre-shard registration shape, kept for callers that track
-// only (event, server, at).
+// Register reports a life-cycle event with no sequence, for callers that
+// track only (event, server, at).
 func (c *Client) Register(ctx context.Context, nid id.NapletID, event Event, server string, at time.Time) error {
 	return c.RegisterEvent(ctx, Registration{NapletID: nid, Event: event, Server: server, At: at})
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package directory
+
+// raceEnabled gates the allocation-count assertions: under the race
+// detector the counts say nothing about the code.
+const raceEnabled = true

@@ -170,9 +170,8 @@ func TestReplicasConvergeUnderRacingRegistrations(t *testing.T) {
 	nid := id.MustNew("u", "home", t0)
 	events := []directory.Registration{
 		{NapletID: nid, Event: directory.Arrival, Server: "s1", At: t0, Seq: 1},
-		{NapletID: nid, Event: directory.Departure, Server: "s1", Dest: "s2", At: t0.Add(time.Second), Seq: 2},
 		{NapletID: nid, Event: directory.Arrival, Server: "s2", At: t0.Add(time.Second), Seq: 3},
-		{NapletID: nid, Event: directory.Departure, Server: "s2", Dest: "s3", At: t0.Add(2 * time.Second), Seq: 4},
+		{NapletID: nid, Event: directory.Arrival, Server: "s4", At: t0.Add(2 * time.Second), Seq: 4},
 		{NapletID: nid, Event: directory.Arrival, Server: "s3", At: t0.Add(2 * time.Second), Seq: 5},
 	}
 	rng := rand.New(rand.NewSource(3))

@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,38 +9,7 @@ import (
 	"repro/internal/id"
 )
 
-// Regression for the equal-timestamp tie: a Departure report arriving with
-// the same At as the registered Arrival must not overwrite it. The arrival
-// registration is the acknowledged one (execution is postponed until it is
-// acked), so displacing it with a racing departure would break lookups for
-// a naplet that is demonstrably running.
-func TestEqualTimestampArrivalWins(t *testing.T) {
-	_, c := setup(t)
-	nid := id.MustNew("u", "home", t0)
-	ctx := context.Background()
-
-	c.RegisterEvent(ctx, Registration{NapletID: nid, Event: Arrival, Server: "s2", At: t0, Seq: 3})
-	// A duplicated/retried departure report with the identical timestamp.
-	c.RegisterEvent(ctx, Registration{NapletID: nid, Event: Departure, Server: "s1", Dest: "s2", At: t0, Seq: 2})
-	e, err := c.Lookup(ctx, nid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Event != Arrival || e.Server != "s2" {
-		t.Fatalf("equal-At departure overwrote arrival: %+v", e)
-	}
-
-	// And the same rule applied in the other arrival order.
-	nid2 := id.MustNew("u2", "home", t0)
-	c.RegisterEvent(ctx, Registration{NapletID: nid2, Event: Departure, Server: "s1", Dest: "s2", At: t0, Seq: 2})
-	c.RegisterEvent(ctx, Registration{NapletID: nid2, Event: Arrival, Server: "s2", At: t0, Seq: 3})
-	e, _ = c.Lookup(ctx, nid2)
-	if e.Event != Arrival || e.Server != "s2" {
-		t.Fatalf("arrival did not supersede equal-At departure: %+v", e)
-	}
-}
-
-// At equal At and equal kind, the higher navigation-log sequence wins, so a
+// At equal At, the higher navigation-log sequence wins, so a
 // retried duplicate of hop N cannot displace hop N+2 registered within the
 // same clock tick.
 func TestEqualTimestampSeqBreaksSameKind(t *testing.T) {
@@ -102,9 +70,8 @@ func TestRegisterOrderIndependence(t *testing.T) {
 	nid := id.MustNew("u", "home", t0)
 	events := []RegisterBody{
 		{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 1},
-		{NapletID: nid, Event: Departure, Server: "s1", Dest: "s2", At: t0.Add(time.Second), Seq: 2},
 		{NapletID: nid, Event: Arrival, Server: "s2", At: t0.Add(time.Second), Seq: 3},
-		{NapletID: nid, Event: Departure, Server: "s2", Dest: "s3", At: t0.Add(2 * time.Second), Seq: 4},
+		{NapletID: nid, Event: Arrival, Server: "s4", At: t0.Add(2 * time.Second), Seq: 4},
 		{NapletID: nid, Event: Arrival, Server: "s3", At: t0.Add(2 * time.Second), Seq: 5},
 	}
 	want := Entry{NapletID: nid, Event: Arrival, Server: "s3", At: t0.Add(2 * time.Second), Seq: 5}
@@ -121,7 +88,7 @@ func TestRegisterOrderIndependence(t *testing.T) {
 		got, ok := svc.Lookup(nid)
 		if !ok || got.NapletID.Key() != want.NapletID.Key() ||
 			got.Event != want.Event || got.Server != want.Server ||
-			got.Dest != want.Dest || !got.At.Equal(want.At) || got.Seq != want.Seq {
+			!got.At.Equal(want.At) || got.Seq != want.Seq {
 			t.Fatalf("perm %v diverged: got %+v want %+v", perm, got, want)
 		}
 	}
@@ -159,19 +126,19 @@ func TestConcurrentRegisterLookup(t *testing.T) {
 
 func TestBodyCodecRoundTrip(t *testing.T) {
 	nid := id.MustNew("u", "home", t0)
-	reg := RegisterBody{NapletID: nid, Event: Departure, Server: "s1", Dest: "s2", At: t0, Seq: 9}
+	reg := RegisterBody{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 9}
 	buf := reg.AppendBinary(nil)
 	var back RegisterBody
 	if err := back.Decode(buf); err != nil {
 		t.Fatal(err)
 	}
 	if back.NapletID.Key() != reg.NapletID.Key() || back.Event != reg.Event ||
-		back.Server != reg.Server || back.Dest != reg.Dest ||
+		back.Server != reg.Server ||
 		!back.At.Equal(reg.At) || back.Seq != reg.Seq {
 		t.Fatalf("round trip: %+v != %+v", back, reg)
 	}
 
-	rep := ReplyBody{Found: true, Entry: Entry{NapletID: nid, Event: Departure, Server: "s1", Dest: "s2", At: t0, Seq: 9}}
+	rep := ReplyBody{Found: true, Entry: Entry{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 9}}
 	buf = rep.AppendBinary(nil)
 	var rback ReplyBody
 	if err := rback.Decode(buf); err != nil {
@@ -179,7 +146,7 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 	}
 	if !rback.Found || rback.Entry.NapletID.Key() != rep.Entry.NapletID.Key() ||
 		rback.Entry.Event != rep.Entry.Event || rback.Entry.Server != rep.Entry.Server ||
-		rback.Entry.Dest != rep.Entry.Dest || !rback.Entry.At.Equal(rep.Entry.At) ||
+		!rback.Entry.At.Equal(rep.Entry.At) ||
 		rback.Entry.Seq != rep.Entry.Seq {
 		t.Fatalf("reply round trip: %+v != %+v", rback, rep)
 	}

@@ -38,23 +38,22 @@ type AgentConfig struct {
 	// HeartbeatEvery is the initial cadence (default 1s); the master's
 	// register reply overrides it.
 	HeartbeatEvery time.Duration
-	// QueueCap bounds the event queue (default 4096); events beyond it
-	// are dropped at the source — exporting telemetry never blocks the
-	// dock's engine.
-	QueueCap int
-	// BatchMax bounds events per export frame (default 256).
-	BatchMax int
 	// FlushEvery paces batch export when the queue stays shallow
 	// (default 200ms).
 	FlushEvery time.Duration
 	// CallTimeout bounds one master round-trip (default 5s).
 	CallTimeout time.Duration
-	// OnRegistered fires after every successful registration (readiness
-	// gating).
-	OnRegistered func()
 	// Telemetry, when set, exports agent-side drop counters.
 	Telemetry *telemetry.Registry
 }
+
+const (
+	// queueCap bounds the agent's event queue; events beyond it are dropped
+	// at the source — exporting telemetry never blocks the dock's engine.
+	queueCap = 4096
+	// batchMax bounds events per export frame.
+	batchMax = 256
+)
 
 // Agent is the dock-side half of the fleet protocol: it registers with
 // the master, heartbeats on the master's cadence, and exports hop spans
@@ -92,12 +91,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 4096
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 256
-	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 200 * time.Millisecond
 	}
@@ -106,7 +99,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:   cfg,
-		queue: make(chan Event, cfg.QueueCap),
+		queue: make(chan Event, queueCap),
 		stop:  make(chan struct{}),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -169,11 +162,11 @@ func (a *Agent) loop() {
 	for {
 		select {
 		case <-a.stop:
-			// Final drain: one flush exports at most BatchMax events, so a
-			// busy dock needs several batches to empty a QueueCap-deep
+			// Final drain: one flush exports at most batchMax events, so a
+			// busy dock needs several batches to empty a queueCap-deep
 			// queue. Bounded by the queue's batch count so a concurrent
 			// publisher cannot hold shutdown open.
-			for i := 0; i <= a.cfg.QueueCap/a.cfg.BatchMax; i++ {
+			for i := 0; i <= queueCap/batchMax; i++ {
 				if len(a.queue) == 0 {
 					break
 				}
@@ -220,9 +213,6 @@ func (a *Agent) register() time.Duration {
 			var rb RegisterReplyBody
 			if derr := rb.Decode(resp.Payload); derr == nil && rb.OK {
 				a.registered.Store(true)
-				if a.cfg.OnRegistered != nil {
-					a.cfg.OnRegistered()
-				}
 				if rb.HeartbeatEvery > 0 {
 					return rb.HeartbeatEvery
 				}
@@ -268,10 +258,10 @@ func (a *Agent) heartbeat(seq uint64) bool {
 	return true
 }
 
-// flush drains up to BatchMax queued events into one export frame.
+// flush drains up to batchMax queued events into one export frame.
 func (a *Agent) flush() {
 	var evs []Event
-	for len(evs) < a.cfg.BatchMax {
+	for len(evs) < batchMax {
 		select {
 		case ev := <-a.queue:
 			evs = append(evs, ev)

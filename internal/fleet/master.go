@@ -35,11 +35,6 @@ type Config struct {
 	// (default 1024); SubscriberPolicy the overflow policy.
 	SubscriberBuf    int
 	SubscriberPolicy DropPolicy
-	// SubscriberTTL reaps subscriptions not polled for this long
-	// (default 1m).
-	SubscriberTTL time.Duration
-	// PollMax bounds events returned per subscriber poll (default 512).
-	PollMax int
 	// Watchdog configures the per-node backpressure watchdog.
 	Watchdog WatchdogConfig
 	// Health overrides the built-in failure detector (tests).
@@ -49,6 +44,13 @@ type Config struct {
 	// Telemetry, when set, exports fleet metrics.
 	Telemetry *telemetry.Registry
 }
+
+const (
+	// subscriberTTL reaps event subscriptions not polled for this long.
+	subscriberTTL = time.Minute
+	// pollMax bounds the events returned per subscriber poll.
+	pollMax = 512
+)
 
 // Master is the fleet control plane: it holds the node table, judges
 // liveness from heartbeats, schedules launch waves across the healthy
@@ -92,12 +94,6 @@ func NewMaster(cfg Config) (*Master, error) {
 	}
 	if cfg.SubscriberBuf <= 0 {
 		cfg.SubscriberBuf = 1024
-	}
-	if cfg.SubscriberTTL <= 0 {
-		cfg.SubscriberTTL = time.Minute
-	}
-	if cfg.PollMax <= 0 {
-		cfg.PollMax = 512
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -172,7 +168,7 @@ func (m *Master) monitor() {
 			return
 		case <-t.C:
 			m.reg.CheckLiveness()
-			m.bc.Reap(m.cfg.SubscriberTTL)
+			m.bc.Reap(subscriberTTL)
 		}
 	}
 }
@@ -288,8 +284,8 @@ func (m *Master) handleSubscribe(f wire.Frame) (wire.Frame, error) {
 	}
 	rb.ID = b.ID
 	max := int(b.Max)
-	if max <= 0 || max > m.cfg.PollMax {
-		max = m.cfg.PollMax
+	if max <= 0 || max > pollMax {
+		max = pollMax
 	}
 	evs, dropped, err := m.bc.Poll(b.ID, max)
 	rb.Events, rb.Dropped = evs, dropped

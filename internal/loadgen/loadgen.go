@@ -92,7 +92,7 @@ type Result struct {
 	// Elapsed is the wall-clock run time.
 	Elapsed time.Duration
 	// Metrics are the scalar measurements for baseline gating
-	// (benchcheck.CompareValues).
+	// (Baseline.Check).
 	Metrics map[string]float64
 }
 

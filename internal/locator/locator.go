@@ -104,11 +104,6 @@ type Config struct {
 	Directory directory.Directory
 	// CacheTTL bounds the age of cached locations; 0 disables caching.
 	CacheTTL time.Duration
-	// MissThreshold is how many consecutive delivery misses against a
-	// cached location are tolerated before the entry is invalidated
-	// (default 2). A single miss is often a transient network fault —
-	// dropping the cache for it trades a cheap retry for a full lookup.
-	MissThreshold int
 	// Telemetry receives the locator's counters; nil uses a private
 	// registry (counters still work, nothing is exported).
 	Telemetry *telemetry.Registry
@@ -169,14 +164,17 @@ type Locator struct {
 	flights map[string]*flight
 }
 
+// missThreshold is how many consecutive delivery misses against a cached
+// location are tolerated before the entry is invalidated. A single miss is
+// often a transient network fault — dropping the cache for it trades a cheap
+// retry for a full lookup.
+const missThreshold = 2
+
 // New builds a locator for a server. node is the server's fabric node
 // (used for directory and home queries); mgr is the local manager (used to
 // answer home queries and to shortcut local naplets); nil clock means
 // time.Now.
 func New(cfg Config, node transport.Node, mgr *manager.Manager, clock func() time.Time) *Locator {
-	if cfg.MissThreshold <= 0 {
-		cfg.MissThreshold = 2
-	}
 	if clock == nil {
 		clock = time.Now
 	}
@@ -324,7 +322,7 @@ func (l *Locator) Invalidate(nid id.NapletID) {
 
 // Miss records a delivery failure against the naplet's cached location.
 // One miss is tolerated as a likely transient network fault; once the
-// consecutive-miss count reaches MissThreshold the cache entry is dropped
+// consecutive-miss count reaches missThreshold the cache entry is dropped
 // so the next Locate performs a real lookup. Reports whether the entry
 // was invalidated.
 func (l *Locator) Miss(nid id.NapletID) bool {
@@ -332,7 +330,7 @@ func (l *Locator) Miss(nid id.NapletID) bool {
 	defer l.mu.Unlock()
 	key := nid.Key()
 	l.misses[key]++
-	if l.misses[key] < l.cfg.MissThreshold {
+	if l.misses[key] < missThreshold {
 		return false
 	}
 	delete(l.misses, key)
@@ -359,12 +357,6 @@ func (l *Locator) locateViaDirectory(ctx context.Context, nid id.NapletID) (stri
 	entry, err := l.cfg.Directory.Lookup(ctx, nid)
 	if err != nil {
 		return "", err
-	}
-	// A departure entry carries the migration destination: the compressed
-	// forwarding pointer. Resolving straight to it saves chasing the
-	// naplet's visit trace hop by hop.
-	if entry.Event == directory.Departure && entry.Dest != "" {
-		return entry.Dest, nil
 	}
 	return entry.Server, nil
 }

@@ -96,22 +96,6 @@ func TestSingleflightSuppressesDuplicateLookups(t *testing.T) {
 	}
 }
 
-// A departure entry resolves straight to its destination — the compressed
-// forwarding pointer — instead of the server the naplet already left.
-func TestLocateResolvesDepartureDest(t *testing.T) {
-	r := newRig(t, ModeDirectory, 0)
-	ctx := context.Background()
-	cnode := attachIdle(t, r.net, "reg")
-	dc := directory.NewClient(cnode, "dir")
-	dc.RegisterEvent(ctx, directory.Registration{
-		NapletID: nid, Event: directory.Departure, Server: "s7", Dest: "s8", At: t0, Seq: 2,
-	})
-	server, err := r.s1Loc.Locate(ctx, nid, "")
-	if err != nil || server != "s8" {
-		t.Fatalf("Locate = %q %v, want s8 (the forwarding destination)", server, err)
-	}
-}
-
 // A push-invalidation with the destination refreshes the cache in place;
 // the next Locate answers from cache with no directory round trip.
 func TestHandleInvalidateRefreshesCache(t *testing.T) {

@@ -127,10 +127,6 @@ type InterruptSink func(to id.NapletID, msg naplet.Message) bool
 
 // Config parameterizes a messenger.
 type Config struct {
-	// MaxHops bounds the forwarding chain (default 16).
-	MaxHops int
-	// ForwardTimeout bounds each forwarding call (default 10s).
-	ForwardTimeout time.Duration
 	// SendRetries bounds re-attempts of a failed post or forward-chase
 	// leg on transient network errors (default 2; negative disables
 	// retries). The message ID stays stable across retries, so a retry
@@ -140,12 +136,6 @@ type Config struct {
 	// RetryDelay is the initial backoff between send retries; it doubles
 	// per attempt (default 5ms).
 	RetryDelay time.Duration
-	// DedupMax bounds the delivered-message-ID window (default
-	// dedup.DefaultMax).
-	DedupMax int
-	// DedupTTL bounds how long delivered message IDs are remembered
-	// (default dedup.DefaultTTL).
-	DedupTTL time.Duration
 	// Telemetry receives the messenger's counters and confirm-RTT
 	// histogram; nil uses a private registry.
 	Telemetry *telemetry.Registry
@@ -191,19 +181,19 @@ const (
 	maxTracked        = 1024
 )
 
-// pushTimeout bounds one departure's round of PushMigration notices.
-const pushTimeout = 5 * time.Second
+const (
+	// maxHops bounds the forwarding chain of one post.
+	maxHops = 16
+	// forwardTimeout bounds each forwarding call.
+	forwardTimeout = 10 * time.Second
+	// pushTimeout bounds one departure's round of PushMigration notices.
+	pushTimeout = 5 * time.Second
+)
 
 // New builds the messenger of a server. node sends outbound frames; loc
 // resolves targets; mgr supplies visit traces for forwarding; nil clock
 // means time.Now.
 func New(cfg Config, server string, node transport.Node, loc *locator.Locator, mgr *manager.Manager, clock func() time.Time) *Messenger {
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 16
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 10 * time.Second
-	}
 	if cfg.SendRetries < 0 {
 		cfg.SendRetries = 0
 	} else if cfg.SendRetries == 0 {
@@ -227,7 +217,7 @@ func New(cfg Config, server string, node transport.Node, loc *locator.Locator, m
 		mgr:            mgr,
 		clock:          clock,
 		met:            newMetrics(reg),
-		delivered:      dedup.NewWindow(cfg.DedupMax, cfg.DedupTTL, clock),
+		delivered:      dedup.NewWindow(dedup.DefaultMax, dedup.DefaultTTL, clock),
 		mailboxes:      make(map[string]*Mailbox),
 		special:        make(map[string][]naplet.Message),
 		correspondents: make(map[string]map[string]struct{}),
@@ -505,11 +495,11 @@ func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 	}
 	m.noteCorrespondent(body.Msg.To, from)
 	// The forwarding context inherits the poster's propagated budget (if
-	// the frame carries one), additionally bounded by ForwardTimeout —
+	// the frame carries one), additionally bounded by forwardTimeout —
 	// a chase has no business outliving the caller waiting on it.
 	parent, pcancel := f.BudgetContext(context.Background())
 	defer pcancel()
-	ctx, cancel := context.WithTimeout(parent, m.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(parent, forwardTimeout)
 	defer cancel()
 	confirm, err := m.deliverOrForward(ctx, body)
 	if err != nil {
@@ -534,7 +524,7 @@ func (m *Messenger) deliverOrForward(ctx context.Context, body PostBody) (Confir
 			if tr.Dest == "" {
 				return ConfirmBody{}, fmt.Errorf("%w: %s", ErrNapletGone, to)
 			}
-			if body.Hops+1 > m.cfg.MaxHops {
+			if body.Hops+1 > maxHops {
 				return ConfirmBody{}, fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
 			}
 			m.met.forwarded.Inc()
@@ -603,11 +593,12 @@ func (m *Messenger) deliverLocal(msg naplet.Message) bool {
 	m.mu.Lock()
 	mb, ok := m.mailboxes[msg.To.Key()]
 	m.mu.Unlock()
-	if !ok {
+	// CloseMailbox may have closed the mailbox since the lookup: the naplet
+	// is leaving, and the post goes the way of one that found no mailbox.
+	if !ok || !mb.put(msg) {
 		return false
 	}
 	m.met.delivered.Inc()
-	mb.put(msg)
 	m.markDelivered(msg)
 	return true
 }
@@ -640,7 +631,7 @@ func (m *Messenger) noteCorrespondent(nid id.NapletID, peer string) {
 // "buffered naplet location information can be updated on migration",
 // pushed instead of polled). Best effort: an unreachable peer just misses
 // the notice and falls back to lookup-on-miss. The whole round is bounded by
-// pushTimeout, each push by ForwardTimeout; most departures have no
+// pushTimeout, each push by forwardTimeout; most departures have no
 // correspondent and build no context at all. Returns how many peers were
 // notified.
 func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest string) int {
@@ -661,7 +652,7 @@ func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest str
 		}
 		body := locator.InvalidateBody{NapletID: nid, Server: dest}
 		f := wire.BinaryFrame(wire.KindLocatorInvalidate, m.server, peer, &body)
-		cctx, cancel := context.WithTimeout(ctx, m.cfg.ForwardTimeout)
+		cctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 		_, err := m.node.Call(cctx, peer, f)
 		cancel()
 		if err == nil {
@@ -824,17 +815,19 @@ func newMailbox() *Mailbox {
 	return &Mailbox{wake: make(chan struct{}, 1)}
 }
 
-func (b *Mailbox) put(msg naplet.Message) {
+// put queues msg and reports whether it did: a closed mailbox takes nothing.
+func (b *Mailbox) put(msg naplet.Message) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return
+		return false
 	}
 	b.msgs = append(b.msgs, msg)
 	select {
 	case b.wake <- struct{}{}:
 	default:
 	}
+	return true
 }
 
 // TryReceive returns the next message without blocking.

@@ -297,6 +297,43 @@ func TestLeftoverForwarding(t *testing.T) {
 	}
 }
 
+// TestPostIntoClosingMailboxIsForwarded: a post that found the mailbox just
+// before CloseMailbox closed it is not confirmed Delivered and dropped. The
+// closed mailbox is left in sb's table, which is the state such a post sees
+// between its lookup and its put; the departure is already on the trace (the
+// navigator records it before the server closes the mailbox), so the post
+// chases the naplet.
+func TestPostIntoClosingMailboxIsForwarded(t *testing.T) {
+	r := newRig(t, "sa", "sb", "sc")
+	a := r.land(t, "a", "sa", "sa")
+	b := r.land(t, "b", "sb", "sb")
+	a.Book.Add(b.ID, "sb")
+
+	old, _ := r.msgr["sb"].Mailbox(b.ID)
+	if err := r.mgrs["sb"].RecordDeparture(b.ID, "sc", t0); err != nil {
+		t.Fatal(err)
+	}
+	old.close()
+	if old.put(naplet.Message{ID: "x"}) || old.Len() != 0 {
+		t.Fatal("a closed mailbox took a message")
+	}
+	r.mgrs["sc"].RecordArrival(b.ID, "cb", "sb", t0)
+	mb := r.msgr["sc"].CreateMailbox(b.ID)
+
+	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "late", []byte("still yours")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, ok := mb.TryReceive(); !ok || string(msg.Body) != "still yours" {
+		t.Fatalf("the post did not reach the naplet's new mailbox: %+v %v", msg, ok)
+	}
+	if st := r.msgr["sb"].Stats(); st.Delivered != 0 || st.Forwarded != 1 {
+		t.Fatalf("sb counted a delivery it did not make: %+v", st)
+	}
+	if ids := r.msgr["sb"].DeliveredSnapshot(); len(ids) != 0 {
+		t.Fatalf("sb marked %v delivered: a retry of the post would be absorbed", ids)
+	}
+}
+
 func TestSelfServerShortCircuit(t *testing.T) {
 	r := newRig(t, "sa")
 	a := r.land(t, "a", "sa", "sa")

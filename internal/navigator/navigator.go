@@ -262,13 +262,6 @@ type Config struct {
 	// Tracer, when non-nil, records one HopSpan per dispatch attempt,
 	// extending the paper's NavigationLog with cost and outcome detail.
 	Tracer *telemetry.HopTracer
-	// DedupMax bounds the transfer-ID idempotency window (default
-	// dedup.DefaultMax entries).
-	DedupMax int
-	// DedupTTL bounds how long an accepted transfer ID is remembered
-	// (default dedup.DefaultTTL). A replay older than this is landed
-	// again; the window must outlive any plausible retry schedule.
-	DedupTTL time.Duration
 	// Health, when non-nil, receives per-peer reachability observations
 	// from the dispatch path and gates retries: dispatch to a peer the
 	// detector presumes dead fails fast with ErrPeerDead instead of
@@ -343,7 +336,7 @@ func New(cfg Config, server string, node transport.Node, sec *security.Manager, 
 		clock:    clock,
 		bootID:   hex.EncodeToString(nonce[:]),
 		met:      newMetrics(treg),
-		accepted: dedup.NewWindow(cfg.DedupMax, cfg.DedupTTL, clock),
+		accepted: dedup.NewWindow(dedup.DefaultMax, dedup.DefaultTTL, clock),
 		landing:  make(map[string]chan struct{}),
 	}
 }

@@ -30,7 +30,7 @@ type nullAgent struct{}
 
 func (nullAgent) OnStart(ctx *naplet.Context) error { return nil }
 
-func newRegistry(t *testing.T) *registry.Registry {
+func newRegistry(t testing.TB) *registry.Registry {
 	t.Helper()
 	reg := registry.New()
 	reg.MustRegister(&registry.Codebase{
@@ -48,6 +48,7 @@ type node struct {
 	cache  *registry.Cache
 	landed chan *naplet.Record
 
+	quiet     bool // a benchmark's node keeps no transfers
 	mu        sync.Mutex
 	transfers []TransferBody // every transfer frame received, in order
 }
@@ -64,23 +65,23 @@ func attach(t *testing.T, net *netsim.Network, name string, reg *registry.Regist
 }
 
 // attachOn is attach over any fabric — tests that wrap the network in a
-// fault injector pass the injected fabric here. A dirAddr makes the
-// navigator register arrivals with the directory there, through its own
-// node.
-func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Registry, sec *security.Manager, cfg Config, dirAddr ...string) *node {
+// fault injector pass the injected fabric here. The navigator is named by
+// the address the fabric gave it (a TCP fabric asked for port 0 picks one).
+// A dirAddr makes the navigator register arrivals with the directory there,
+// through its own node.
+func attachOn(t testing.TB, fab transport.Fabric, addr string, reg *registry.Registry, sec *security.Manager, cfg Config, dirAddr ...string) *node {
 	t.Helper()
 	n := &node{
-		mgr:    manager.New(name, func() time.Time { return time.Now() }),
 		cache:  registry.NewCache(),
 		landed: make(chan *naplet.Record, 8),
 	}
-	tnode, err := fab.Attach(name, func(from string, f wire.Frame) (wire.Frame, error) {
+	tnode, err := fab.Attach(addr, func(from string, f wire.Frame) (wire.Frame, error) {
 		switch f.Kind {
 		case wire.KindLandingRequest:
 			return n.nav.HandleLandingRequest(from, f)
 		case wire.KindNapletTransfer:
 			var body TransferBody
-			if body.Decode(f.Payload) == nil {
+			if !n.quiet && body.Decode(f.Payload) == nil {
 				n.mu.Lock()
 				n.transfers = append(n.transfers, TransferBody{TransferID: body.TransferID, Code: append([]byte(nil), body.Code...)})
 				n.mu.Unlock()
@@ -100,6 +101,8 @@ func attachOn(t *testing.T, fab transport.Fabric, name string, reg *registry.Reg
 	for _, addr := range dirAddr {
 		cfg.Directory = directory.NewClient(tnode, addr)
 	}
+	name := tnode.Addr()
+	n.mgr = manager.New(name, func() time.Time { return time.Now() })
 	n.nav = New(cfg, name, tnode, sec, n.mgr, reg, n.cache, nil)
 	n.nav.SetLandFunc(func(rec *naplet.Record, source string) { n.landed <- rec })
 	return n

@@ -85,16 +85,12 @@ func Liveness(err error) bool {
 // every call path treats nil as "allow").
 type Options struct {
 	// Admission gate (see GateConfig).
-	MaxInFlight   int
-	MaxQueue      int
-	QueueTarget   time.Duration
-	QueueInterval time.Duration
-	MaxWait       time.Duration
+	MaxInFlight int
+	MaxQueue    int
+	MaxWait     time.Duration
 
 	// Circuit breaker (see BreakerConfig).
 	BreakerFailures int
-	BreakerOpenFor  time.Duration
-	BreakerProbes   int
 
 	// Retry budgets: tokens earned per first attempt and the bucket
 	// cap. Ratio 0.1 means sustained retries are capped at ~10% of the

@@ -238,7 +238,7 @@ func runChaosDirectory(t *testing.T, seed int64) {
 
 	// Every tour naplet registered through the degraded plane; each must
 	// still resolve to a server inside the space (an arrival at a tour
-	// stop, or a departure whose forwarding destination is one).
+	// stop).
 	inSpace := map[string]bool{"home": true, "s1": true, "s2": true, "s3": true}
 	for _, nid := range nids {
 		e, err := lookupRetry(servers["home"].Directory(), nid)
@@ -247,9 +247,6 @@ func runChaosDirectory(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: tour naplet %s lookup: %v", seed, nid, err)
 		}
 		where := e.Server
-		if e.Event == directory.Departure && e.Dest != "" {
-			where = e.Dest
-		}
 		if !inSpace[where] {
 			dumpTrail(t, inj)
 			t.Fatalf("seed %d: tour naplet %s resolves to %q, outside the space", seed, nid, where)

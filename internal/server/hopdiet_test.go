@@ -215,8 +215,8 @@ func TestWarmTourByteBudget(t *testing.T) {
 	want := map[wire.Kind]int{
 		wire.KindNapletTransfer: 1937, // 8: a record that grows by a log entry and a visited name per hop
 		wire.KindTransferAck:    162,  // 8 acceptances
-		wire.KindDirRegister:    472,  // 9: the launch, then one arrival per hop
-		wire.KindDirReply:       245,  // 9
+		wire.KindDirRegister:    463,  // 9: the launch, then one arrival per hop
+		wire.KindDirReply:       236,  // 9
 		wire.KindReport:         102,  // the collector's result and "completed"
 		wire.KindControlReply:   33,   // their two acknowledgements
 	}

@@ -203,16 +203,12 @@ func New(cfg Config) (*Server, error) {
 		gate = overload.NewGate(overload.GateConfig{
 			MaxInFlight: o.MaxInFlight,
 			MaxQueue:    o.MaxQueue,
-			Target:      o.QueueTarget,
-			Interval:    o.QueueInterval,
 			MaxWait:     o.MaxWait,
 			Clock:       clock,
 			Telemetry:   cfg.Telemetry,
 		})
 		brk = overload.NewBreakers(overload.BreakerConfig{
 			FailureThreshold: o.BreakerFailures,
-			OpenFor:          o.BreakerOpenFor,
-			HalfOpenProbes:   o.BreakerProbes,
 			Clock:            clock,
 			Health:           hd,
 			Telemetry:        cfg.Telemetry,

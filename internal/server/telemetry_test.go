@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/itinerary"
 	"repro/internal/manager"
@@ -103,11 +104,19 @@ func TestSharedRegistryExposesComponentFamilies(t *testing.T) {
 	}
 	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	// An origin counts its dispatch once the ack is back, and the last one
+	// can still be on its way when home already shows the tour completed.
+	var text string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		text = sb.String()
+		if strings.Contains(text, "naplet_navigator_dispatched_total 2") || time.Now().After(deadline) {
+			break
+		}
 	}
-	text := sb.String()
 
 	components := make(map[string]bool)
 	for _, line := range strings.Split(text, "\n") {

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -170,6 +172,32 @@ func TestConcurrentHotPaths(t *testing.T) {
 	}
 }
 
+// TestHotPathsAllocateNothing is the package's cost contract: what runs on
+// every frame, call and hop — a counter increment, a histogram observation,
+// a hop span record — takes nothing from the heap.
+func TestHotPathsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector say nothing about the code")
+	}
+	r := NewRegistry()
+	c := r.Counter("naplet_test_events_total", "")
+	h := r.Histogram("naplet_test_seconds", "", LatencyBuckets)
+	tr := NewHopTracer(1024)
+	span := HopSpan{Naplet: "czxu:home:20260805120000", Hop: 1, From: "a", To: "b", Outcome: OutcomeOK}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"Histogram.Observe", func() { h.Observe(0.0042) }},
+		{"HopTracer.Record", func() { tr.Record(span) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.f); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, n)
+		}
+	}
+}
+
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("naplet_bench_total", "")
@@ -194,5 +222,27 @@ func BenchmarkHopRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Record(span)
+	}
+}
+
+// BenchmarkScrape renders a registry with a realistic series population:
+// the cost a /metrics poll puts on the daemon.
+func BenchmarkScrape(b *testing.B) {
+	reg := NewRegistry()
+	for i := 0; i < 30; i++ {
+		reg.Counter(fmt.Sprintf("naplet_bench_c%d_total", i), "bench").Add(int64(i))
+	}
+	for i := 0; i < 5; i++ {
+		h := reg.Histogram(fmt.Sprintf("naplet_bench_h%d_seconds", i), "bench", LatencyBuckets)
+		for j := 0; j < 100; j++ {
+			h.Observe(float64(j) * 1e-5)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

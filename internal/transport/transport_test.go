@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -337,5 +338,46 @@ func TestTCPCallTimeoutLeavesConnUsable(t *testing.T) {
 	reply.Body(&body)
 	if body.Text != "after" {
 		t.Fatalf("reply = %q", body.Text)
+	}
+}
+
+// BenchmarkTCPRoundTrip is one small request and its reply over loopback,
+// on a bare fabric and on an instrumented one. The two are comparable only
+// as sub-benchmarks of one run: the difference is what metering costs the
+// frame path, and timings cut hours apart on a shared box do not show it.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		reg  *telemetry.Registry
+	}{{"bare", nil}, {"instrumented", telemetry.NewRegistry()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			fab := NewTCPFabric()
+			if tc.reg != nil {
+				fab.Instrument(tc.reg)
+			}
+			srv, err := fab.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
+				return wire.Frame{Kind: wire.KindPostConfirm, From: f.To, To: f.From, Payload: []byte{1}}, nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			cli, err := fab.Attach("127.0.0.1:0", func(string, wire.Frame) (wire.Frame, error) {
+				return wire.Frame{}, nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cli.Close()
+			req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cli.Call(ctx, srv.Addr(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

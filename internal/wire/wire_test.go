@@ -397,3 +397,23 @@ func TestErrorCodec(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamWriteRead writes a 1 KiB frame to a stream and reads it
+// back into reused scratch: the per-frame codec cost of a connection, where
+// BenchmarkFrameCodec (bench_test.go) is the one-shot Encode/Decode pair.
+func BenchmarkStreamWriteRead(b *testing.B) {
+	f := Frame{Kind: KindPost, From: "station", To: "device-7", Seq: 42, Payload: make([]byte, 1024)}
+	var buf bytes.Buffer
+	var scratch []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteFrame(&buf, f); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if _, scratch, err = ReadFrameReuse(&buf, scratch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
