@@ -51,8 +51,8 @@ chaos:
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 
 # bench runs every Benchmark* function in the module with allocation
-# accounting: the experiment headlines (bench_test.go) and each package's
-# own — a warm hop between bare navigators, a TCP round trip bare and
+# accounting: the E1, E4, E5, E8 and E9 headlines (bench_test.go) and
+# each package's own — a warm hop between bare navigators, a TCP round trip bare and
 # instrumented, the directory planes at a million entries, the fleet's wave
 # and fan-out. Timings are this box's, this hour's: compare sub-benchmarks
 # of one run, and quote allocs and bytes across commits.

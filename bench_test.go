@@ -12,14 +12,15 @@ import (
 	"repro/internal/itinerary"
 	"repro/internal/locator"
 	"repro/internal/man"
-	"repro/internal/navigator"
+	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/snmp"
 	"repro/internal/wire"
 )
 
-// The benchmarks below regenerate each experiment's headline measurement
-// (see EXPERIMENTS.md). cmd/manbench prints the corresponding full tables.
+// The benchmarks below regenerate the headline measurement of each
+// experiment cmd/manbench runs (E1, E4, E5, E8, E9; see EXPERIMENTS.md),
+// which prints the corresponding full tables.
 
 // BenchmarkE1CloneID measures the identifier codec (E1 / Figure 1): clone
 // derivation plus textual round trip.
@@ -38,44 +39,6 @@ func BenchmarkE1CloneID(b *testing.B) {
 	}
 }
 
-// BenchmarkE2ServerRoundTrip measures one complete agent tour across four
-// servers: the full Figure-2 component path per hop (E2).
-func BenchmarkE2ServerRoundTrip(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunRoundTrip(4, netsim.Loopback, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Tour == "" {
-			b.Fatal("empty tour")
-		}
-	}
-}
-
-// BenchmarkE3ManVsCnmp measures one management sweep (8 devices × 16 vars)
-// per strategy (E3 / Figure 3): the headline MAN-vs-CNMP comparison.
-func BenchmarkE3ManVsCnmp(b *testing.B) {
-	for _, strat := range []experiments.Strategy{
-		experiments.StratCNMPMicro,
-		experiments.StratCNMPBatch,
-		experiments.StratMANSeq,
-		experiments.StratMANBcast,
-	} {
-		b.Run(string(strat), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cell, err := experiments.RunE3Cell(strat, 8, 16, netsim.LAN,
-					experiments.E3BundleSize, 0, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(cell.StationBytes), "stationB")
-				b.ReportMetric(float64(cell.TotalBytes), "totalB")
-			}
-		})
-	}
-}
-
 // BenchmarkE4Itinerary measures completion time per itinerary shape over
 // four servers with 5 ms of work per visit (E4 / §3).
 func BenchmarkE4Itinerary(b *testing.B) {
@@ -84,7 +47,7 @@ func BenchmarkE4Itinerary(b *testing.B) {
 	} {
 		b.Run(string(shape), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunE4(shape, 4, 5, netsim.LAN, 1, int64(i)); err != nil {
+				if _, err := experiments.RunE4(shape, 4, 5, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -98,7 +61,7 @@ func BenchmarkE5Locate(b *testing.B) {
 	for _, mode := range []locator.Mode{locator.ModeDirectory, locator.ModeHome, locator.ModeForward} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunE5(mode, 4, int64(i))
+				res, err := experiments.RunE5(mode, 4, 0, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,44 +71,10 @@ func BenchmarkE5Locate(b *testing.B) {
 	}
 }
 
-// BenchmarkE6PostOffice measures exactly-once delivery of 16 messages to a
-// naplet migrating across 4 servers (E6 / §4.2).
-func BenchmarkE6PostOffice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE6(4, 16, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Received != res.Sent {
-			b.Fatalf("delivery broken: %+v", res)
-		}
-	}
-}
-
-// BenchmarkE7Migration measures a single naplet dispatch (E7 / §2.1),
-// cold and warm code cache.
-func BenchmarkE7Migration(b *testing.B) {
-	for _, mode := range []navigator.CodeDelivery{navigator.Push, navigator.Pull} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			rig, err := experiments.NewE7Rig(32<<10, mode, netsim.Loopback, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rig.Dispatch(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE8ServiceChannel measures one service-channel round trip (E8 /
 // §5.3).
 func BenchmarkE8ServiceChannel(b *testing.B) {
-	res, err := experiments.RunE8(b.N, 1)
+	res, err := experiments.RunE8(b.N)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,7 +85,7 @@ func BenchmarkE8ServiceChannel(b *testing.B) {
 // onto 2 slots plus budget enforcement (E9 / §5.2).
 func BenchmarkE9Monitor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE9(16, 2, int64(i))
+		res, err := experiments.RunE9(16, 2, monitor.SchedulePriority)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,21 +206,5 @@ func BenchmarkNMNapletVisit(b *testing.B) {
 		if _, _, err := tb.Station.CollectSequential(ctx, tb.DeviceNames, oids); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkE10EventMonitoring measures one event-monitoring run (4 devices
-// × 20 rounds) per strategy (E10).
-func BenchmarkE10EventMonitoring(b *testing.B) {
-	for _, strat := range []experiments.Strategy{experiments.StratCNMPTraps, experiments.StratMANFilter} {
-		b.Run(string(strat), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cell, err := experiments.RunE10(strat, 4, 20, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(cell.StationFrames), "stationFrames")
-			}
-		})
 	}
 }

@@ -1,10 +1,11 @@
-// Command manbench runs the reproduction experiments E1–E10 (see DESIGN.md
-// and EXPERIMENTS.md) and prints their tables.
+// Command manbench runs the reproduction experiments that no test,
+// benchmark or loadgen run already proves (E1, E4, E5, E8 and E9; see
+// DESIGN.md and EXPERIMENTS.md) and prints their tables.
 //
 // Usage:
 //
 //	manbench                 # run every experiment
-//	manbench -exp e3         # run one experiment
+//	manbench -exp e4         # run one experiment
 //	manbench -quick          # shrunken sweeps
 //	manbench -seed 7         # fix the random processes
 package main
@@ -20,7 +21,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (e1..e10, or all)")
+	ids := make([]string, 0, len(experiments.All()))
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	choices := strings.Join(ids, ", ") + ", or all"
+	exp := flag.String("exp", "all", "experiment to run ("+choices+")")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast run")
 	seed := flag.Int64("seed", 42, "seed for all random processes")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -40,7 +46,7 @@ func main() {
 	} else {
 		e, ok := experiments.Lookup(strings.ToLower(*exp))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "manbench: unknown experiment %q (e1..e10 or all)\n", *exp)
+			fmt.Fprintf(os.Stderr, "manbench: unknown experiment %q (%s)\n", *exp, choices)
 			os.Exit(2)
 		}
 		selected = []experiments.Experiment{e}

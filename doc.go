@@ -15,7 +15,8 @@
 // internal/cnmp).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks in
-// bench_test.go regenerate each experiment's headline measurement;
-// cmd/manbench prints the full tables.
+// EXPERIMENTS.md for the paper-versus-measured record. cmd/manbench prints
+// the tables of the experiments nothing else proves (E1, E4, E5, E8, E9)
+// and the benchmarks in bench_test.go regenerate their headlines; tests,
+// the bench/ module and `napletctl loadgen` hold the rest.
 package repro

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,156 +11,11 @@ import (
 
 	"repro/internal/cred"
 	"repro/internal/id"
-	"repro/internal/itinerary"
-	"repro/internal/manager"
 	"repro/internal/monitor"
-	"repro/internal/naplet"
-	"repro/internal/navigator"
-	"repro/internal/netsim"
-	"repro/internal/registry"
 	"repro/internal/resource"
 	"repro/internal/security"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
-
-// ---------------------------------------------------------------------------
-// E7 — §2.1: lazy code loading and migration cost.
-
-// E7Result is one dispatch's measured breakdown.
-type E7Result struct {
-	Breakdown navigator.Breakdown
-	// FabricBytes is the total bytes the dispatch put on the network.
-	FabricBytes int64
-}
-
-// E7Rig is a minimal two-navigator rig for migration measurements.
-type E7Rig struct {
-	net    *netsim.Network
-	reg    *registry.Registry
-	orig   *navigator.Navigator
-	origM  *manager.Manager
-	dest   *navigator.Navigator
-	destC  *registry.Cache
-	landed chan struct{}
-	seq    int
-}
-
-func NewE7Rig(bundleSize int, delivery navigator.CodeDelivery, link netsim.Link, seed int64) (*E7Rig, error) {
-	r := &E7Rig{
-		net:    netsim.New(netsim.Config{DefaultLink: link, Seed: seed}),
-		reg:    registry.New(),
-		landed: make(chan struct{}, 64),
-	}
-	r.reg.MustRegister(&registry.Codebase{
-		Name:       "exp.Mig",
-		New:        func() naplet.Behavior { return workerAgent{} },
-		BundleSize: bundleSize,
-	})
-	attach := func(name string) (*navigator.Navigator, *manager.Manager, *registry.Cache, error) {
-		mgr := manager.New(name, nil)
-		cache := registry.NewCache()
-		var nav *navigator.Navigator
-		node, err := r.net.Attach(name, func(from string, f wire.Frame) (wire.Frame, error) {
-			switch f.Kind {
-			case wire.KindLandingRequest:
-				return nav.HandleLandingRequest(from, f)
-			case wire.KindNapletTransfer:
-				return nav.HandleTransfer(from, f)
-			case wire.KindCodeFetch:
-				return nav.HandleCodeFetch(from, f)
-			default:
-				return wire.Frame{}, fmt.Errorf("e7: unexpected kind %q", f.Kind)
-			}
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		nav = navigator.New(navigator.Config{CodeDelivery: delivery}, name, node, nil, mgr, r.reg, cache, nil)
-		nav.SetLandFunc(func(rec *naplet.Record, source string) { r.landed <- struct{}{} })
-		return nav, mgr, cache, nil
-	}
-	var err error
-	r.orig, r.origM, _, err = attach("orig")
-	if err != nil {
-		return nil, err
-	}
-	r.dest, _, r.destC, err = attach("dest")
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Dispatch migrates one fresh naplet with stateBytes of agent state.
-func (r *E7Rig) Dispatch(stateBytes int) (E7Result, error) {
-	var res E7Result
-	r.seq++
-	nid := id.MustNew("czxu", "orig", time.Unix(int64(r.seq)*7+1e9, 0))
-	rec := naplet.NewRecord(nid, cred.Credential{NapletID: nid, Codebase: "exp.Mig"}, "exp.Mig", "orig",
-		itinerary.MustNew(itinerary.SeqVisits([]string{"dest"}, "")))
-	if stateBytes > 0 {
-		rec.State.SetPrivate("payload", bytes.Repeat([]byte{0xab}, stateBytes))
-	}
-	rec.Log.RecordArrival("orig", time.Now())
-	r.origM.RecordArrival(nid, rec.Codebase, "origin", time.Now())
-
-	before := r.net.TotalStats().BytesSent
-	bd, err := r.orig.Dispatch(context.Background(), rec, "dest")
-	if err != nil {
-		return res, err
-	}
-	select {
-	case <-r.landed:
-	case <-time.After(10 * time.Second):
-		return res, errors.New("e7: landing never signalled")
-	}
-	res.Breakdown = bd
-	res.FabricBytes = r.net.TotalStats().BytesSent - before
-	return res, nil
-}
-
-// E7Migration sweeps bundle size × delivery mode × cache temperature and
-// prints the migration cost breakdown.
-func E7Migration(w io.Writer, opts Options) error {
-	bundles := []int{1 << 10, 32 << 10, 256 << 10}
-	if opts.Quick {
-		bundles = []int{1 << 10, 32 << 10}
-	}
-	table := stats.NewTable("bundle", "mode", "cache", "record", "code", "fabric", "state 64KiB fabric")
-	for _, bundle := range bundles {
-		for _, mode := range []navigator.CodeDelivery{navigator.Push, navigator.Pull} {
-			rig, err := NewE7Rig(bundle, mode, netsim.LAN, opts.Seed)
-			if err != nil {
-				return err
-			}
-			cold, err := rig.Dispatch(0)
-			if err != nil {
-				return err
-			}
-			warm, err := rig.Dispatch(0)
-			if err != nil {
-				return err
-			}
-			big, err := rig.Dispatch(64 << 10)
-			if err != nil {
-				return err
-			}
-			table.AddRow(stats.Bytes(int64(bundle)), mode.String(), "cold",
-				stats.Bytes(int64(cold.Breakdown.RecordBytes)),
-				stats.Bytes(rig.destC.Stats().BytesFetched),
-				stats.Bytes(cold.FabricBytes), "-")
-			table.AddRow(stats.Bytes(int64(bundle)), mode.String(), "warm",
-				stats.Bytes(int64(warm.Breakdown.RecordBytes)), "0B",
-				stats.Bytes(warm.FabricBytes), stats.Bytes(big.FabricBytes))
-		}
-	}
-	table.WriteTo(w)
-	fmt.Fprintln(w, "\nExpected shape: cold-cache fabric bytes grow with the bundle; warm")
-	fmt.Fprintln(w, "dispatches pay only the record; push and pull move the same bundle")
-	fmt.Fprintln(w, "bytes over different edges (origin->dest vs home->dest).")
-	return nil
-}
 
 // ---------------------------------------------------------------------------
 // E8 — §5.3: service channels vs open services.
@@ -176,7 +30,7 @@ type E8Result struct {
 
 // RunE8 measures open-service call rate, service-channel round-trip rate,
 // channel allocation rate, and verifies access-control enforcement.
-func RunE8(iters int, seed int64) (E8Result, error) {
+func RunE8(iters int) (E8Result, error) {
 	var res E8Result
 	ring := cred.NewKeyRing()
 	ring.Register("admin", []byte("ka"))
@@ -257,7 +111,7 @@ func E8ServiceChannel(w io.Writer, opts Options) error {
 	if opts.Quick {
 		iters = 5000
 	}
-	res, err := RunE8(iters, opts.Seed)
+	res, err := RunE8(iters)
 	if err != nil {
 		return err
 	}
@@ -289,15 +143,10 @@ type E9Result struct {
 }
 
 // RunE9 admits 2×n naplets (half high, half low priority) onto `slots`
-// execution slots under the priority policy, measures start-time ordering,
-// then verifies budget kills.
-func RunE9(n, slots int, seed int64) (E9Result, error) {
-	return RunE9Policy(n, slots, monitor.SchedulePriority, seed)
-}
-
-// RunE9Policy is RunE9 with an explicit scheduling policy (the FIFO
-// ablation shows what the priority mechanism buys).
-func RunE9Policy(n, slots int, policy monitor.SchedulingPolicy, seed int64) (E9Result, error) {
+// execution slots under the given scheduling policy, measures start-time
+// ordering, then verifies budget kills. The FIFO policy is the ablation
+// that shows what the priority mechanism buys.
+func RunE9(n, slots int, policy monitor.SchedulingPolicy) (E9Result, error) {
 	var res E9Result
 	mon := monitor.NewWithPolicy(slots, policy, nil)
 	t0 := time.Unix(1e9, 0)
@@ -395,11 +244,11 @@ func E9Monitor(w io.Writer, opts Options) error {
 	if opts.Quick {
 		n = 8
 	}
-	res, err := RunE9(n, slots, opts.Seed)
+	res, err := RunE9(n, slots, monitor.SchedulePriority)
 	if err != nil {
 		return err
 	}
-	fifo, err := RunE9Policy(n, slots, monitor.ScheduleFIFO, opts.Seed)
+	fifo, err := RunE9(n, slots, monitor.ScheduleFIFO)
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
+	"context"
 	"testing"
+	"time"
 
+	"repro/internal/itinerary"
 	"repro/internal/locator"
+	"repro/internal/manager"
+	"repro/internal/naplet"
 	"repro/internal/netsim"
+	"repro/internal/registry"
+	"repro/internal/server"
 )
 
 // TestAllExperimentsQuick runs every experiment end to end in quick mode:
@@ -27,64 +33,23 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if _, ok := Lookup("e3"); !ok {
-		t.Fatal("e3 must exist")
+	if _, ok := Lookup("e4"); !ok {
+		t.Fatal("e4 must exist")
 	}
-	if _, ok := Lookup("e99"); ok {
-		t.Fatal("e99 must not exist")
+	if _, ok := Lookup("e3"); ok {
+		t.Fatal("e3 must not exist")
 	}
-	if len(All()) != 11 {
+	if len(All()) != 5 {
 		t.Fatalf("experiment count = %d", len(All()))
 	}
 }
 
-func TestE3ShapesHold(t *testing.T) {
-	// Station traffic: CNMP micro-management must dominate MAN at high
-	// variable counts.
-	cnmpCell, err := RunE3Cell(StratCNMPMicro, 8, 32, netsim.LAN, E3BundleSize, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manCell, err := RunE3Cell(StratMANSeq, 8, 32, netsim.LAN, E3BundleSize, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnmpCell.StationBytes < 2*manCell.StationBytes {
-		t.Fatalf("station shape: cnmp=%d man=%d", cnmpCell.StationBytes, manCell.StationBytes)
-	}
-	// Crossover: at one variable, total traffic favors CNMP.
-	cnmp1, err := RunE3Cell(StratCNMPMicro, 4, 1, netsim.LAN, 64<<10, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man1, err := RunE3Cell(StratMANSeq, 4, 1, netsim.LAN, 64<<10, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnmp1.TotalBytes >= man1.TotalBytes {
-		t.Fatalf("crossover shape: cnmp=%d man=%d", cnmp1.TotalBytes, man1.TotalBytes)
-	}
-	// WAN latency: man-seq must beat cnmp-micro at high V (fewer
-	// round trips over the slow link).
-	cnmpWAN, err := RunE3Cell(StratCNMPMicro, 8, 32, netsim.WAN, E3BundleSize, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manWAN, err := RunE3Cell(StratMANSeq, 8, 32, netsim.WAN, E3BundleSize, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if manWAN.ModeledLatency >= cnmpWAN.ModeledLatency {
-		t.Fatalf("WAN latency shape: man=%v cnmp=%v", manWAN.ModeledLatency, cnmpWAN.ModeledLatency)
-	}
-}
-
 func TestE4ParBeatsSeq(t *testing.T) {
-	seq, err := RunE4(ShapeSeq, 4, 20, netsim.LAN, 1, 1)
+	seq, err := RunE4(ShapeSeq, 4, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunE4(ShapePar, 4, 20, netsim.LAN, 1, 1)
+	par, err := RunE4(ShapePar, 4, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,80 +60,55 @@ func TestE4ParBeatsSeq(t *testing.T) {
 
 func TestE5AllModesComplete(t *testing.T) {
 	for _, mode := range []locator.Mode{locator.ModeDirectory, locator.ModeHome, locator.ModeForward} {
-		if _, err := RunE5(mode, 3, 1); err != nil {
+		if _, err := RunE5(mode, 3, 0, 1); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
 }
 
-func TestE6ExactlyOnce(t *testing.T) {
-	res, err := RunE6(4, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Received != 12 || res.Dups != 0 {
-		t.Fatalf("delivery: %+v", res)
-	}
-}
-
+// TestE7WarmCheaperThanCold launches the same 64 KiB codebase from home to
+// one stop twice: the first (cold) trip carries the bundle, the second finds
+// it cached at the stop and puts fewer bytes on the fabric.
 func TestE7WarmCheaperThanCold(t *testing.T) {
-	rig, err := NewE7Rig(64<<10, 0, netsim.LAN, 1)
+	const bundle = 64 << 10
+	net := netsim.New(netsim.Config{DefaultLink: netsim.LAN, Seed: 1})
+	reg := registry.New()
+	reg.MustRegister(&registry.Codebase{
+		Name:       "exp.Mig",
+		New:        func() naplet.Behavior { return workerAgent{} },
+		BundleSize: bundle,
+	})
+	docks, stops, err := fleet(net, server.Config{Registry: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := rig.Dispatch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := rig.Dispatch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.FabricBytes >= cold.FabricBytes {
-		t.Fatalf("warm (%d) must be cheaper than cold (%d)", warm.FabricBytes, cold.FabricBytes)
-	}
-	if cold.FabricBytes < 64<<10 {
-		t.Fatalf("cold dispatch must carry the 64 KiB bundle: %d", cold.FabricBytes)
-	}
-}
+	defer closeAll(docks)
 
-func TestE2TourCoversAllServers(t *testing.T) {
-	res, err := RunRoundTrip(3, netsim.Loopback, 1)
-	if err != nil {
-		t.Fatal(err)
+	trip := func() int64 {
+		t.Helper()
+		reports := make(chan struct{}, 1)
+		before := net.TotalStats().BytesSent
+		if _, err := docks[0].Launch(context.Background(), server.LaunchOptions{
+			Owner:    "czxu",
+			Codebase: "exp.Mig",
+			Pattern:  itinerary.SeqVisits(stops, ""),
+			Listener: func(manager.Result) { reports <- struct{}{} },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-reports:
+		case <-time.After(10 * time.Second):
+			t.Fatal("naplet never reported")
+		}
+		return net.TotalStats().BytesSent - before
 	}
-	if len(strings.Split(res.Tour, ",")) != 3 {
-		t.Fatalf("tour = %q", res.Tour)
+	cold := trip()
+	warm := trip()
+	if warm >= cold {
+		t.Fatalf("warm (%d) must be cheaper than cold (%d)", warm, cold)
 	}
-	if res.FramesSent == 0 {
-		t.Fatal("no protocol traffic recorded")
-	}
-}
-
-func TestE10ShapesHold(t *testing.T) {
-	cn, err := RunE10(StratCNMPTraps, 4, 20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mn, err := RunE10(StratMANFilter, 4, 20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical seeded workloads.
-	if cn.EventsTotal != mn.EventsTotal || cn.Significant != mn.Significant {
-		t.Fatalf("workloads diverged: %+v vs %+v", cn, mn)
-	}
-	// No missed alerts on either path.
-	if cn.AlertsGot != cn.Significant || mn.AlertsGot != mn.Significant {
-		t.Fatalf("missed alerts: cnmp %d/%d, man %d/%d",
-			cn.AlertsGot, cn.Significant, mn.AlertsGot, mn.Significant)
-	}
-	// The centralized station receives the full event stream; the MAN
-	// station only the per-device reports.
-	if cn.StationFrames != int64(cn.EventsTotal) {
-		t.Fatalf("cnmp station frames %d != events %d", cn.StationFrames, cn.EventsTotal)
-	}
-	if mn.StationFrames*4 > cn.StationFrames {
-		t.Fatalf("filtering shape violated: man %d frames vs cnmp %d", mn.StationFrames, cn.StationFrames)
+	if cold < bundle {
+		t.Fatalf("cold dispatch must carry the 64 KiB bundle: %d", cold)
 	}
 }

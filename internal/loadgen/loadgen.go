@@ -106,6 +106,27 @@ var faultProbabilities = fault.Probabilities{
 	Delay:       0.02,
 }
 
+// newFabric builds the transport a run's hosts attach to: the simulator on
+// a LAN or WAN link, which tallies modeled delay without sleeping it, or an
+// instrumented TCP fabric on loopback. netw is the simulator (nil on TCP);
+// attach maps a logical host name to the address handed to Attach.
+func newFabric(name string, seed int64, reg *telemetry.Registry) (netw *netsim.Network, fab transport.Fabric, attach func(string) string, err error) {
+	switch name {
+	case FabricNetsimLAN, FabricNetsimWAN:
+		link := netsim.LAN
+		if name == FabricNetsimWAN {
+			link = netsim.WAN
+		}
+		netw = netsim.New(netsim.Config{DefaultLink: link, Seed: seed, CallTimeout: 10 * time.Second})
+		return netw, netw, func(host string) string { return host }, nil
+	case FabricTCP:
+		tf := transport.NewTCPFabric()
+		tf.Instrument(reg)
+		return nil, tf, func(string) string { return "127.0.0.1:0" }, nil
+	}
+	return nil, nil, nil, fmt.Errorf("loadgen: unknown fabric %q", name)
+}
+
 // Run executes one load-generation run and returns its outcome. A
 // non-empty Result.Violations means the run failed its objectives; err is
 // reserved for the harness itself breaking (setup failure, timeout).
@@ -135,54 +156,32 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// --- Fabric ---
 	reg := telemetry.NewRegistry()
-	var (
-		netw   *netsim.Network
-		fab    transport.Fabric
-		attach func(string) string
-		inj    *fault.Injector
-	)
-	switch cfg.Fabric {
-	case FabricNetsimLAN, FabricNetsimWAN:
-		link := netsim.LAN
-		if cfg.Fabric == FabricNetsimWAN {
-			link = netsim.WAN
-		}
-		netw = netsim.New(netsim.Config{
-			DefaultLink: link,
-			TimeScale:   0, // pure accounting: modeled delay tallied, not slept
-			Seed:        cfg.Seed,
-			CallTimeout: 10 * time.Second,
+	if cfg.Faults && cfg.Fabric == FabricTCP {
+		return nil, fmt.Errorf("loadgen: fault injection needs a netsim fabric (scripted faults address simulator names)")
+	}
+	netw, fab, attach, err := newFabric(cfg.Fabric, cfg.Seed, reg)
+	if err != nil {
+		return nil, err
+	}
+	var inj *fault.Injector
+	if cfg.Faults {
+		inj = fault.New(fault.Config{
+			Seed:       cfg.Seed,
+			P:          faultProbabilities,
+			DelaySpike: 100 * time.Microsecond,
+			Schedule:   plan.Schedule,
+			// Owner reports are the harness's observation channel and
+			// the SNMP request/reply pair is the CNMP baseline under
+			// comparison, not a protocol under test: keep both clean
+			// so the invariants stay sharp.
+			Kinds: func(k wire.Kind) bool {
+				return k != wire.KindReport &&
+					k != wire.KindSNMPRequest && k != wire.KindSNMPReply
+			},
+			Telemetry: reg,
+			MaxTrail:  1 << 16,
 		})
-		fab = netw
-		if cfg.Faults {
-			inj = fault.New(fault.Config{
-				Seed:       cfg.Seed,
-				P:          faultProbabilities,
-				DelaySpike: 100 * time.Microsecond,
-				Schedule:   plan.Schedule,
-				// Owner reports are the harness's observation channel and
-				// the SNMP request/reply pair is the CNMP baseline under
-				// comparison, not a protocol under test: keep both clean
-				// so the invariants stay sharp.
-				Kinds: func(k wire.Kind) bool {
-					return k != wire.KindReport &&
-						k != wire.KindSNMPRequest && k != wire.KindSNMPReply
-				},
-				Telemetry: reg,
-				MaxTrail:  1 << 16,
-			})
-			fab = inj.Fabric(netw)
-		}
-	case FabricTCP:
-		if cfg.Faults {
-			return nil, fmt.Errorf("loadgen: fault injection needs a netsim fabric (scripted faults address simulator names)")
-		}
-		tf := transport.NewTCPFabric()
-		tf.Instrument(reg)
-		fab = tf
-		attach = func(string) string { return "127.0.0.1:0" }
-	default:
-		return nil, fmt.Errorf("loadgen: unknown fabric %q", cfg.Fabric)
+		fab = inj.Fabric(netw)
 	}
 
 	// --- Testbed ---

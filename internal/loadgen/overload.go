@@ -8,10 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/overload"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -83,27 +81,9 @@ func runOverload(ctx context.Context, cfg Config) (*Result, error) {
 	defer cancel()
 
 	reg := telemetry.NewRegistry()
-	var fab transport.Fabric
-	addr := func(name string) string { return name }
-	switch cfg.Fabric {
-	case FabricNetsimLAN, FabricNetsimWAN:
-		link := netsim.LAN
-		if cfg.Fabric == FabricNetsimWAN {
-			link = netsim.WAN
-		}
-		fab = netsim.New(netsim.Config{
-			DefaultLink: link,
-			TimeScale:   0,
-			Seed:        cfg.Seed,
-			CallTimeout: 10 * time.Second,
-		})
-	case FabricTCP:
-		tf := transport.NewTCPFabric()
-		tf.Instrument(reg)
-		fab = tf
-		addr = func(string) string { return "127.0.0.1:0" }
-	default:
-		return nil, fmt.Errorf("loadgen: unknown fabric %q", cfg.Fabric)
+	_, fab, addr, err := newFabric(cfg.Fabric, cfg.Seed, reg)
+	if err != nil {
+		return nil, err
 	}
 
 	violate := func(format string, args ...any) {

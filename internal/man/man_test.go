@@ -207,6 +207,44 @@ func TestE3CrossoverFewVariables(t *testing.T) {
 	t.Logf("total bytes at V=1: CNMP=%d MAN=%d", cnmpTotal, manTotal)
 }
 
+func TestE3WANLatencyFavorsAgent(t *testing.T) {
+	// "Overcoming network latency" (Lange & Oshima, cited in §1): over WAN
+	// links one touring agent finishes well before a round trip per
+	// variable per device does. The fabric sleeps nothing; the transit
+	// delay it tallies is the completion latency of a sequential strategy.
+	tb, err := NewTestbed(TestbedConfig{
+		Devices:    8,
+		ExtraVars:  32,
+		Link:       netsim.WAN,
+		Seed:       1,
+		BundleSize: 8 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	oids := tb.QueryOIDs(32)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	tb.Net.ResetStats()
+	if _, _, err := tb.Station.CollectSequential(ctx, tb.DeviceNames, oids); err != nil {
+		t.Fatal(err)
+	}
+	manDelay := tb.Net.TotalStats().ModeledDelay
+
+	tb.Net.ResetStats()
+	if _, _, err := tb.CNMP.Collect(ctx, tb.ResponderNames, oids, cnmp.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	cnmpDelay := tb.Net.TotalStats().ModeledDelay
+
+	if manDelay >= cnmpDelay {
+		t.Fatalf("WAN latency shape violated: man-seq %v, cnmp-micro %v", manDelay, cnmpDelay)
+	}
+	t.Logf("modeled WAN latency at 8x32: CNMP=%v MAN=%v", cnmpDelay, manDelay)
+}
+
 func TestQueryOIDs(t *testing.T) {
 	tb := testbed(t, 1, 8)
 	if got := tb.QueryOIDs(2); len(got) != 2 {

@@ -98,3 +98,68 @@ func TestMonitorAllFiltersOnSite(t *testing.T) {
 		t.Fatalf("device coverage: %v", res.Alerts)
 	}
 }
+
+func TestMonitorAllCutsStationFrames(t *testing.T) {
+	// Trap forwarding hauls every event to the station, one frame each;
+	// resident monitors filter on site and ship home only the significant
+	// alerts. Each path runs the same seeded workload on a testbed of its
+	// own.
+	const devices, rounds = 4, 20
+	newTestbed := func() *Testbed {
+		tb, err := NewTestbed(TestbedConfig{Devices: devices, Seed: 2, Link: netsim.LAN, BundleSize: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tb.Close)
+		tb.Net.ResetStats()
+		return tb
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	cn := newTestbed()
+	for r := 0; r < rounds; r++ {
+		cn.TickEvents(time.Second)
+		if _, err := cn.ForwardAllTraps(ctx, CNMPHost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, signif := cn.TrapTotals()
+	if got := len(cn.CNMP.SignificantTraps()); got != signif {
+		t.Fatalf("trap forwarding delivered %d of %d significant events", got, signif)
+	}
+	cnFrames := cn.Net.HostStats(CNMPHost).FramesRecv
+	if cnFrames != int64(events) {
+		t.Fatalf("CNMP station frames %d != events %d", cnFrames, events)
+	}
+
+	mn := newTestbed()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			mn.TickEvents(time.Second)
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	res, err := mn.Station.MonitorAll(ctx, mn.DeviceNames, rounds)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, s := mn.TrapTotals(); e != events || s != signif {
+		t.Fatalf("workloads diverged: %d/%d events vs %d/%d", e, s, events, signif)
+	}
+	alerts := 0
+	for _, a := range res.Alerts {
+		alerts += len(a)
+	}
+	if alerts != signif {
+		t.Fatalf("monitors delivered %d of %d significant events", alerts, signif)
+	}
+	mnFrames := mn.Net.HostStats(StationHost).FramesRecv
+	if mnFrames*4 > cnFrames {
+		t.Fatalf("filtering shape violated: MAN station %d frames, CNMP %d", mnFrames, cnFrames)
+	}
+	t.Logf("station frames over %d events: CNMP=%d MAN=%d", events, cnFrames, mnFrames)
+}

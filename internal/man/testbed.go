@@ -15,7 +15,8 @@ import (
 )
 
 // TestbedConfig parameterizes a simulated managed network: the rig behind
-// the E3 experiment and the §6 example.
+// the §6 example, the MAN-vs-CNMP shape tests, loadgen and the benchmark's
+// sweep. Its simulator tallies modeled delay without sleeping it.
 type TestbedConfig struct {
 	// Devices is the managed device count.
 	Devices int
@@ -26,9 +27,6 @@ type TestbedConfig struct {
 	// Link is the link characteristic between all hosts (e.g. netsim.LAN
 	// or netsim.WAN).
 	Link netsim.Link
-	// TimeScale compresses modeled time (0 = no sleeping, pure traffic
-	// accounting).
-	TimeScale float64
 	// Seed seeds device workloads and the loss process.
 	Seed int64
 	// BundleSize models the NMNaplet code bundle (0 = registry default).
@@ -39,7 +37,7 @@ type TestbedConfig struct {
 	// Fabric, when set, overrides the internally-built netsim network —
 	// the loadgen harness passes a fault-wrapped simulator or a real TCP
 	// fabric here. With an override, Net stays nil and byte accounting
-	// via HostStats is unavailable; Link/TimeScale are ignored.
+	// via HostStats is unavailable; Link is ignored.
 	Fabric transport.Fabric
 	// AttachAddr maps a logical host name ("dev3", "dev3:161", "station")
 	// to the address handed to Fabric.Attach. Nil is the identity (netsim
@@ -108,7 +106,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	} else {
 		tb.Net = netsim.New(netsim.Config{
 			DefaultLink: cfg.Link,
-			TimeScale:   cfg.TimeScale,
 			Seed:        cfg.Seed,
 			CallTimeout: 5 * time.Second,
 		})

@@ -160,6 +160,10 @@ func TestDispatchPushMode(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("naplet never landed")
 	}
+	cold := net.TotalStats().BytesSent
+	if cold < 2048 {
+		t.Fatalf("cold dispatch sent %d bytes, less than the 2 KiB bundle", cold)
+	}
 	// Origin trace records the departure.
 	tr := a.mgr.TraceNaplet(rec.ID)
 	if tr.Present || tr.Dest != "b" {
@@ -181,6 +185,16 @@ func TestDispatchPushMode(t *testing.T) {
 	}
 	if bd2.CodeBytes != 0 {
 		t.Fatalf("warm cache must not push code: %+v", bd2)
+	}
+	select {
+	case <-b.landed:
+	case <-time.After(time.Second):
+		t.Fatal("second naplet never landed")
+	}
+	// The warm dispatch saves at least the bundle: it also skips the landing
+	// request, so one that carried the code would still undercut the cold one.
+	if warm := net.TotalStats().BytesSent - cold; warm+2048 > cold {
+		t.Fatalf("warm dispatch sent %d bytes, not the 2 KiB bundle fewer than the cold one's %d", warm, cold)
 	}
 	if s := b.cache.Stats(); s.BytesFetched != 2048 {
 		t.Fatalf("cache stats: %+v", s)
