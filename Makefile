@@ -42,12 +42,14 @@ verify:
 # (TestChaosFleetSeeds), plus the overload suite that runs the fleet
 # through synthesized overload sheds with the admission gate, breakers
 # and retry budgets live, and reconciles every shed against the injector
-# trail and telemetry (TestChaosOverloadSeeds). Reproduce a failing seed
-# with:
+# trail and telemetry (TestChaosOverloadSeeds), plus the free-running chase
+# that posts to a touring mover without waiting to learn where it is and
+# asserts every message arrives exactly once and no dock is left holding
+# mail (TestFreeRunningChaseExactlyOnce). Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
 chaos:
-	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds' ./internal/server/
+	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 
 # bench runs every Benchmark* function in the module with allocation
@@ -58,12 +60,6 @@ chaos:
 # of one run, and quote allocs and bytes across commits.
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
-
-# fuzz runs the wire codec fuzz targets briefly; CI-sized smoke, not a
-# campaign.
-fuzz:
-	go test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 15s ./internal/wire/
-	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s ./internal/wire/
 
 # loadgen runs the full enterprise-scale load generation scenario: the
 # man-sweep profile (2000 simulated SNMP devices, sustained mixed agent
@@ -108,4 +104,4 @@ fuzz-smoke:
 	for pkg in navigator messenger directory locator fleet cnmp server; do \
 		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 
-.PHONY: verify chaos bench loadgen bench-loadgen compose-smoke fuzz fuzz-smoke
+.PHONY: verify chaos bench loadgen bench-loadgen compose-smoke fuzz-smoke

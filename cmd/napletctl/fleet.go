@@ -151,8 +151,8 @@ func printWave(res *fleet.WaveResult) {
 		if l.Attempts > 1 {
 			line += fmt.Sprintf(" (%d attempts)", l.Attempts)
 		}
-		if l.Result != "" {
-			line += " — " + l.Result
+		if len(l.Result) > 0 {
+			line += fmt.Sprintf(" — %q", l.Result)
 		}
 		if l.Err != "" {
 			line += " — " + l.Err

@@ -13,7 +13,7 @@ import (
 //	[string server] [time savedAt]
 //	[uvarint r] r×Resident    ([string id] [bytes record] [string phase]
 //	                           [string dest] [string transferID])
-//	[msgmap held] [msgmap mailboxes]
+//	[msgmap mail]
 //	  where msgmap = [uvarint n] n× (ascending by key, front-coded)
 //	                 ([byte shared] [string suffix] [uvarint m] m×[Message])
 //	[uvarint h] h×HomeEntry   ([string id] [string server] [bool arrival]
@@ -21,7 +21,7 @@ import (
 //	[uvarint a] a×[string transferID]
 //	[uvarint d] d×[string msgID]
 //
-// The mail tables are wire.AppendMap's, so encoding is deterministic
+// The mail table is wire.AppendMap's, so encoding is deterministic
 // (golden-byte fixtures depend on it). Messages reuse the naplet binary
 // message codec.
 
@@ -104,8 +104,7 @@ func (s *Snapshot) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, s.Server)
 	dst = wire.AppendTime(dst, s.SavedAt)
 	dst = wire.AppendSeq(dst, s.Residents, appendResident)
-	dst = wire.AppendMap(dst, s.Held, appendMsgs)
-	dst = wire.AppendMap(dst, s.Mailboxes, appendMsgs)
+	dst = wire.AppendMap(dst, s.Mail, appendMsgs)
 	dst = wire.AppendSeq(dst, s.Home, appendHomeEntry)
 	dst = wire.AppendStrings(dst, s.AcceptedTransfers)
 	return wire.AppendStrings(dst, s.DeliveredMsgs)
@@ -126,10 +125,7 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	if snap.Residents, b, err = wire.DecSeq(b, 5, decodeResident); err != nil {
 		return nil, err
 	}
-	if snap.Held, b, err = decodeMsgMap(b); err != nil {
-		return nil, err
-	}
-	if snap.Mailboxes, b, err = decodeMsgMap(b); err != nil {
+	if snap.Mail, b, err = decodeMsgMap(b); err != nil {
 		return nil, err
 	}
 	if snap.Home, b, err = wire.DecSeq(b, 4, decodeHomeEntry); err != nil {

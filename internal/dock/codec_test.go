@@ -54,8 +54,7 @@ func goldenSnapshot(t testing.TB) *Snapshot {
 				Record: []byte{0x40, 0x01, 0x02},
 			},
 		},
-		Held:              map[string][]naplet.Message{to.Key(): {msg}},
-		Mailboxes:         map[string][]naplet.Message{from.Key(): {msg, msg}},
+		Mail:              map[string][]naplet.Message{to.Key(): {msg}, from.Key(): {msg, msg}},
 		Home:              []HomeEntry{{ID: from.String(), Server: "sb:2", Arrival: true, At: goldenTime.Add(time.Minute)}},
 		AcceptedTransfers: []string{"xfer-41", "xfer-40"},
 		DeliveredMsgs:     []string{"sa/m-8"},
@@ -94,7 +93,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if len(got) != snap.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, encoded %d bytes", snap.EncodedSize(), len(got))
 	}
-	checkGolden(t, "snapshot_v3.hex", got)
+	checkGolden(t, "snapshot_v4.hex", got)
 
 	dec, err := DecodeSnapshotBinary(got)
 	if err != nil {
@@ -109,10 +108,11 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 }
 
 // TestLoadRejectsV1Envelope: an envelope of a retired version — 1, the gob
-// payload; 2, plain map keys and version-2 records — with an intact CRC
-// fails Load loudly instead of being parsed.
+// payload; 2, plain map keys and version-2 records; 3, separate held and
+// mailbox tables — with an intact CRC fails Load loudly instead of being
+// parsed.
 func TestLoadRejectsV1Envelope(t *testing.T) {
-	for _, version := range []uint16{1, 2} {
+	for _, version := range []uint16{1, 2, 3} {
 		loadRejectsVersion(t, version)
 	}
 }
@@ -195,15 +195,9 @@ func TestSnapshotEncodeDecodeEncodeIdentical(t *testing.T) {
 			snap.Residents = append(snap.Residents, res)
 		}
 		if r.Intn(3) != 0 {
-			snap.Held = map[string][]naplet.Message{}
-			for j := 1 + r.Intn(3); j > 0; j-- {
-				snap.Held[randString(r, 8)+"k"] = randMsgs(r)
-			}
-		}
-		if r.Intn(3) != 0 {
-			snap.Mailboxes = map[string][]naplet.Message{}
-			for j := 1 + r.Intn(3); j > 0; j-- {
-				snap.Mailboxes[randString(r, 8)+"k"] = randMsgs(r)
+			snap.Mail = map[string][]naplet.Message{}
+			for j := 1 + r.Intn(5); j > 0; j-- {
+				snap.Mail[randString(r, 8)+"k"] = randMsgs(r)
 			}
 		}
 		for j := r.Intn(3); j > 0; j-- {
@@ -246,16 +240,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(append(append([]byte(nil), golden...), 0)) // a trailing byte
-	// An otherwise empty snapshot around a hand-built held-mail table.
-	withHeld := func(table ...byte) []byte {
+	// An otherwise empty snapshot around a hand-built mail table.
+	withMail := func(table ...byte) []byte {
 		b := wire.AppendTime(wire.AppendString(nil, "s"), time.Time{})
 		b = append(append(b, 0), table...) // no residents, then the table
-		return append(b, 0, 0, 0, 0)       // no mailboxes, home entries, transfers, messages
+		return append(b, 0, 0, 0)          // no home entries, transfers, messages
 	}
-	f.Add(withHeld(2, 0, 1, 'k', 0, 0, 1, 'l', 0)) // two keys, in order
-	f.Add(withHeld(2, 0, 1, 'k', 0, 1, 0, 0))      // the same key twice
-	f.Add(withHeld(2, 0, 1, 'k', 0, 2, 1, 'x', 0)) // sharing more than the previous key has
-	f.Add(withHeld(2, 0, 1, 'l', 0, 0, 1, 'k', 0)) // descending
+	f.Add(withMail(2, 0, 1, 'k', 0, 0, 1, 'l', 0)) // two keys, in order
+	f.Add(withMail(2, 0, 1, 'k', 0, 1, 0, 0))      // the same key twice
+	f.Add(withMail(2, 0, 1, 'k', 0, 2, 1, 'x', 0)) // sharing more than the previous key has
+	f.Add(withMail(2, 0, 1, 'l', 0, 0, 1, 'k', 0)) // descending
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshotBinary(data)

@@ -1,5 +1,5 @@
 // Package dock persists one naplet server's recoverable state — resident
-// naplet records, the Messenger's held/undelivered mail, and home-track
+// naplet records, the Messenger's mail slots, and home-track
 // registrations — so a crashed-and-restarted server picks up exactly where
 // it stopped.
 //
@@ -7,7 +7,7 @@
 // envelope:
 //
 //	magic   [8]byte  "NAPDOCK\n"
-//	version uint16   big-endian; 3 is the only version written or loaded
+//	version uint16   big-endian; 4 is the only version written or loaded
 //	length  uint32   big-endian payload byte count
 //	payload []byte   Snapshot.AppendBinary (codec.go)
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
@@ -35,9 +35,9 @@ import (
 // Snapshot format constants.
 const (
 	// Version is the snapshot format version: a hand-rolled binary
-	// payload (see codec.go), as of 3 with front-coded mail-table keys
-	// and version-3 records. Any other version fails Load.
-	Version = 3
+	// payload (see codec.go) with version-3 records and, as of 4, one
+	// front-coded mail table. Any other version fails Load.
+	Version = 4
 	// FileName is the live snapshot file inside the store directory.
 	FileName = "dock.snap"
 )
@@ -96,12 +96,10 @@ type Snapshot struct {
 	SavedAt time.Time
 	// Residents are the naplets docked here (any phase).
 	Residents []Resident
-	// Held is the Messenger's special mailbox: mail awaiting naplets
-	// that have not arrived (or whose mailbox closed).
-	Held map[string][]naplet.Message
-	// Mailboxes are the queued-but-unreceived messages of open
-	// mailboxes, keyed by naplet ID key.
-	Mailboxes map[string][]naplet.Message
+	// Mail is the Messenger's mail slots, keyed by naplet ID key: mail
+	// held for naplets that have not landed and mail queued unread in
+	// residents' mailboxes. All of it is restored as held mail.
+	Mail map[string][]naplet.Message
 	// Home is the manager's home-track table.
 	Home []HomeEntry
 	// AcceptedTransfers are the navigator's landing-dedup transfer IDs:

@@ -24,11 +24,8 @@ func sampleSnapshot() *Snapshot {
 			{ID: "alice:n1@h1", Record: []byte{1, 2, 3}, Phase: PhaseResident},
 			{ID: "alice:n2@h1", Record: []byte{4, 5}, Phase: PhaseDeparting, Dest: "h2:7001", TransferID: "h1:7001/17"},
 		},
-		Held: map[string][]naplet.Message{
-			nid.Key(): {{ID: "m1", To: nid, Subject: "hi", Body: []byte("x")}},
-		},
-		Mailboxes: map[string][]naplet.Message{
-			nid.Key(): {{ID: "m2", To: nid, Subject: "queued"}},
+		Mail: map[string][]naplet.Message{
+			nid.Key(): {{ID: "m1", To: nid, Subject: "hi", Body: []byte("x")}, {ID: "m2", To: nid, Subject: "queued"}},
 		},
 		Home: []HomeEntry{{ID: nid.Key(), Server: "h2:7001", Arrival: true, At: time.Unix(99, 0).UTC()}},
 	}

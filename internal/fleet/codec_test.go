@@ -232,3 +232,23 @@ func TestEventBatchDecodeRejectsHostileCount(t *testing.T) {
 		t.Fatal("hostile count accepted")
 	}
 }
+
+// TestWaveReplyKeepsResultBytes: a report body need not be UTF-8, and the
+// JSON wave reply carries it byte for byte.
+func TestWaveReplyKeepsResultBytes(t *testing.T) {
+	body := []byte{0xff, 0x00}
+	f, err := wire.NewFrame(wire.KindFleetReply, "m", "ctl", WaveReplyBody{
+		OK:     true,
+		Result: &WaveResult{Total: 1, Launches: []Launch{{Status: "completed", Result: body}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rb WaveReplyBody
+	if err := f.Body(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.Result.Launches[0].Result; !bytes.Equal(got, body) {
+		t.Fatalf("result = %x, want %x", got, body)
+	}
+}

@@ -173,7 +173,7 @@ func TestMasterWaveLaunchesAcrossFleet(t *testing.T) {
 	}
 	wantTours := map[string]string{"seq(d1,d2)": "d1 -> d2", "seq(d2,d3)": "d2 -> d3"}
 	for _, l := range res.Launches {
-		if l.Result != wantTours[l.Route] {
+		if string(l.Result) != wantTours[l.Route] {
 			t.Fatalf("launch %d tour = %q, want %q", l.Index, l.Result, wantTours[l.Route])
 		}
 	}

@@ -125,8 +125,9 @@ type Launch struct {
 	Status string
 	Err    string
 	// Result is the naplet's first report body, fetched for completed
-	// launches.
-	Result string
+	// launches. It is bytes, not text: a report body need not be UTF-8,
+	// and JSON carries []byte exactly (as base64).
+	Result []byte
 	// Attempts counts launch attempts consumed (1 = no retry).
 	Attempts int
 }
@@ -253,7 +254,10 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 	// finish records a terminal outcome. Callers hold mu.
 	finish := func(a assignment, node, nid, status, errText, result string) {
 		l := &res.Launches[a.idx]
-		l.Node, l.NapletID, l.Status, l.Err, l.Result = node, nid, status, errText, result
+		l.Node, l.NapletID, l.Status, l.Err = node, nid, status, errText
+		if result != "" {
+			l.Result = []byte(result)
+		}
 		l.Attempts = a.attempts + a.launchFails
 		if status == "completed" {
 			res.Completed++

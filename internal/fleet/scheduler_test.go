@@ -147,7 +147,7 @@ func TestSchedulerSpreadsWaveAcrossNodes(t *testing.T) {
 		}
 	}
 	for i, l := range res.Launches {
-		if l.Status != "completed" || l.NapletID == "" || l.Result == "" {
+		if l.Status != "completed" || l.NapletID == "" || len(l.Result) == 0 {
 			t.Fatalf("launch %d = %+v", i, l)
 		}
 		if want := []string{"seq(a,b)", "seq(b,c)", "seq(c,a)"}[i%3]; l.Route != want {

@@ -2,19 +2,26 @@
 // messaging protocol of §4.2: persistent, asynchronous, location-independent
 // inter-naplet communication.
 //
-// On receiving a naplet, the messenger creates a mailbox for its
-// correspondence. Posting a message resolves the target's most recent
-// server through the Locator (or the sender's address book) and sends it
-// there. The receiving messenger then follows the paper's three cases:
+// Each naplet has at most one mail slot per server. A slot is held while
+// the naplet has not opened it — mail waits there for the landing — and
+// open while the naplet is resident, when it is the naplet's mailbox.
+// Posting a message resolves the target's most recent server through the
+// Locator (or the sender's address book) and sends it there. The receiving
+// messenger then follows the paper's three cases:
 //
-//  1. the naplet is running there: deliver to its mailbox (user messages)
-//     or cast an interrupt (system messages) and confirm to the sender;
+//  1. the naplet is running there: deliver to its open slot (user
+//     messages) or cast an interrupt (system messages) and confirm to the
+//     sender;
 //  2. the naplet has moved on: consult the NapletManager's visit trace and
 //     forward to the server the naplet left for, repeating "until the
 //     message catches up" with the naplet;
 //  3. the naplet has not arrived yet (it may be blocked in the network):
-//     hold the message in a special mailbox and deliver it when the naplet
-//     lands.
+//     hold the message in its slot — the paper's "special mailbox" — and
+//     deliver it when the naplet lands and opens the slot.
+//
+// The case is decided under one lock, the one a landing opens and a
+// departure deletes the slot under, so a post is never parked after the
+// landing took the slot's mail, nor held for a naplet that already left.
 //
 // Delivery confirmations flow back along the forwarding chain and carry the
 // delivering server, which refreshes the sender's locator cache and address
@@ -52,8 +59,8 @@ type ConfirmBody struct {
 	// Delivered reports the message reached the naplet's mailbox (or its
 	// interrupt handler, for system messages).
 	Delivered bool
-	// Held reports the message was parked in a special mailbox awaiting
-	// the naplet's arrival (case 3).
+	// Held reports the message was parked in the naplet's held slot
+	// awaiting its arrival (case 3).
 	Held bool
 	// Server is where the message ended up: the delivering server or the
 	// holding server. Senders refresh their caches from it.
@@ -77,7 +84,7 @@ type Stats struct {
 	Posted      int64 // messages sent from this server
 	Delivered   int64 // messages delivered into local mailboxes
 	Forwarded   int64 // messages forwarded to another server
-	Held        int64 // messages parked in the special mailbox
+	Held        int64 // messages parked in held slots
 	DrainedH    int64 // held messages later delivered on arrival
 	Interrupts  int64 // system messages cast as interrupts
 	Reconfirmed int64 // duplicate deliveries absorbed and re-confirmed
@@ -107,7 +114,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		posted:      reg.Counter("naplet_messenger_posted_total", "messages sent from this server"),
 		delivered:   reg.Counter("naplet_messenger_delivered_total", "messages delivered into local mailboxes"),
 		forwarded:   reg.Counter("naplet_messenger_forwarded_total", "messages forwarded along visit traces"),
-		held:        reg.Counter("naplet_messenger_held_total", "messages parked in the special mailbox"),
+		held:        reg.Counter("naplet_messenger_held_total", "messages held for naplets that have not landed"),
 		drained:     reg.Counter("naplet_messenger_drained_held_total", "held messages delivered on arrival"),
 		interrupts:  reg.Counter("naplet_messenger_interrupts_total", "system messages cast as interrupts"),
 		reconfirmed: reg.Counter("naplet_messenger_reconfirmed_total", "duplicate deliveries absorbed and re-confirmed"),
@@ -122,7 +129,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 }
 
 // InterruptSink casts a system message onto a resident naplet; it reports
-// false when the naplet has no running group here.
+// false when the naplet has no running group here. The messenger calls it
+// under the lock its delivery decisions are taken under, so it must not
+// block or call back into the messenger.
 type InterruptSink func(to id.NapletID, msg naplet.Message) bool
 
 // Config parameterizes a messenger.
@@ -162,9 +171,9 @@ type Messenger struct {
 	msgSeq    atomic.Uint64
 	delivered *dedup.Window // message IDs already delivered here
 
-	mu        sync.Mutex
-	mailboxes map[string]*Mailbox
-	special   map[string][]naplet.Message
+	mu sync.Mutex
+	// slots holds each naplet's mail slot, held or open, by naplet key.
+	slots     map[string]*Mailbox
 	interrupt InterruptSink
 	// correspondents remembers, per resident naplet, which servers
 	// recently posted mail to it here — the peers worth telling when the
@@ -218,8 +227,7 @@ func New(cfg Config, server string, node transport.Node, loc *locator.Locator, m
 		clock:          clock,
 		met:            newMetrics(reg),
 		delivered:      dedup.NewWindow(dedup.DefaultMax, dedup.DefaultTTL, clock),
-		mailboxes:      make(map[string]*Mailbox),
-		special:        make(map[string][]naplet.Message),
+		slots:          make(map[string]*Mailbox),
 		correspondents: make(map[string]map[string]struct{}),
 	}
 }
@@ -256,45 +264,29 @@ func (m *Messenger) mintMsgID() string {
 
 // ---- Mailbox lifecycle ----
 
-// CreateMailbox opens the mailbox for an arriving naplet and drains any
-// messages held for it in the special mailbox (§4.2 case 3: "On receiving
-// the naplet B, Sb's Messenger creates a mailbox and dumps the B's messages
-// in the special mailbox to B's mailbox"). Held system messages are cast
-// as interrupts, not queued: a suspend or terminate that raced the
-// naplet's landing still takes effect.
+// CreateMailbox opens the arriving naplet's slot in place: the mail held in
+// it becomes the naplet's mailbox (§4.2 case 3: "On receiving the naplet B,
+// Sb's Messenger creates a mailbox and dumps the B's messages in the
+// special mailbox to B's mailbox"). Held system messages are cast as
+// interrupts, not queued: a suspend or terminate that raced the naplet's
+// landing still takes effect. Opening an open slot returns it as it is.
 func (m *Messenger) CreateMailbox(nid id.NapletID) *Mailbox {
-	m.mu.Lock()
 	key := nid.Key()
-	mb, ok := m.mailboxes[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mb, ok := m.slots[key]
 	if !ok {
 		mb = newMailbox()
-		m.mailboxes[key] = mb
+		m.slots[key] = mb
 	}
-	held := m.special[key]
-	delete(m.special, key)
-	sink := m.interrupt
-	var drained, interrupts int64
-	m.mu.Unlock()
-
-	for _, msg := range held {
-		if msg.ID != "" && m.delivered.Seen(msg.ID) {
-			// A duplicate was held while another copy already reached the
-			// naplet (or its mailbox): absorb it.
-			m.met.reconfirmed.Inc()
-			continue
+	if !mb.open {
+		mb.open = true
+		held := mb.take()
+		for _, msg := range held {
+			m.deposit(mb, msg)
 		}
-		if msg.IsSystem() && sink != nil && sink(nid, msg) {
-			m.markDelivered(msg)
-			interrupts++
-			continue
-		}
-		mb.put(msg)
-		m.markDelivered(msg)
-		drained++
+		m.met.drained.Add(int64(len(held)))
 	}
-	m.met.drained.Add(drained + interrupts)
-	m.met.delivered.Add(drained)
-	m.met.interrupts.Add(interrupts)
 	return mb
 }
 
@@ -302,21 +294,23 @@ func (m *Messenger) CreateMailbox(nid id.NapletID) *Mailbox {
 func (m *Messenger) Mailbox(nid id.NapletID) (*Mailbox, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mb, ok := m.mailboxes[nid.Key()]
-	return mb, ok
+	mb, ok := m.slots[nid.Key()]
+	return mb, ok && mb.open
 }
 
-// CloseMailbox removes a departing naplet's mailbox and returns any
-// undelivered messages so the caller can forward them after the naplet.
+// CloseMailbox deletes a naplet's slot and returns the mail left in it so
+// the caller can forward it after a departing naplet. The caller records
+// the departure or the end on the visit trace first: a post that comes
+// after the slot is gone then follows the trace instead of being held.
 func (m *Messenger) CloseMailbox(nid id.NapletID) []naplet.Message {
 	key := nid.Key()
 	m.mu.Lock()
-	mb, ok := m.mailboxes[key]
-	delete(m.mailboxes, key)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	mb, ok := m.slots[key]
 	if !ok {
 		return nil
 	}
+	delete(m.slots, key)
 	return mb.close()
 }
 
@@ -509,97 +503,83 @@ func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 }
 
 // deliverOrForward applies the paper's three delivery cases at this server.
+// The decision is taken under m.mu: the post goes into the naplet's slot,
+// open or held, or — with no slot here and a visit trace saying the naplet
+// left — chases it. Lock order is messenger, then manager.
 func (m *Messenger) deliverOrForward(ctx context.Context, body PostBody) (ConfirmBody, error) {
-	to := body.Msg.To
-
-	// Case 1: the naplet is here.
-	if delivered := m.deliverLocal(body.Msg); delivered {
+	msg := body.Msg
+	m.mu.Lock()
+	if msg.ID != "" && m.delivered.Seen(msg.ID) {
+		// A retried post whose confirmation was lost, or a duplicated
+		// frame: absorb and re-confirm it without a second delivery.
+		m.mu.Unlock()
+		m.met.reconfirmed.Inc()
 		return ConfirmBody{Delivered: true, Server: m.server, Hops: body.Hops}, nil
 	}
-
-	// Case 2: the naplet moved on — chase it along the visit trace.
-	if m.mgr != nil {
-		tr := m.mgr.TraceNaplet(to)
-		if tr.Known && !tr.Present {
-			if tr.Dest == "" {
-				return ConfirmBody{}, fmt.Errorf("%w: %s", ErrNapletGone, to)
-			}
-			if body.Hops+1 > maxHops {
-				return ConfirmBody{}, fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
-			}
-			m.met.forwarded.Inc()
-			next := PostBody{Msg: body.Msg, Hops: body.Hops + 1}
-			confirm, err := m.sendRetry(ctx, tr.Dest, next)
-			if err == nil && confirm.Delivered && confirm.Server != "" && confirm.Server != tr.Dest {
-				// The chase ran past tr.Dest: compress this server's
-				// forwarding pointer so the next message through here jumps
-				// straight to where the naplet actually is.
-				m.mgr.CompressTrace(to, confirm.Server)
-				m.met.compressed.Inc()
-			}
-			return confirm, err
-		}
-		if tr.Known && tr.Present {
-			// Present but no mailbox/interrupt target — a system message
-			// for a naplet without a group, or a race with landing.
-			// Hold it; the landing will drain the special mailbox.
-			return m.hold(body), nil
-		}
-	}
-
-	// Case 3: not arrived yet — park in the special mailbox.
-	return m.hold(body), nil
-}
-
-func (m *Messenger) hold(body PostBody) ConfirmBody {
-	m.mu.Lock()
-	key := body.Msg.To.Key()
-	if body.Msg.ID != "" {
-		for _, held := range m.special[key] {
-			if held.ID == body.Msg.ID {
+	key := msg.To.Key()
+	mb, ok := m.slots[key]
+	if !ok {
+		if m.mgr != nil {
+			// Case 2: the naplet moved on (or ended) here.
+			if tr := m.mgr.TraceNaplet(msg.To); tr.Known && !tr.Present {
 				m.mu.Unlock()
-				m.met.reconfirmed.Inc()
-				return ConfirmBody{Held: true, Server: m.server, Hops: body.Hops}
+				return m.forward(ctx, body, tr.Dest)
 			}
 		}
+		// Case 3: not landed yet — hold the mail in a new slot.
+		mb = newMailbox()
+		m.slots[key] = mb
 	}
-	m.special[key] = append(m.special[key], body.Msg)
+	delivered := m.deposit(mb, msg)
 	m.mu.Unlock()
-	m.met.held.Inc()
-	return ConfirmBody{Held: true, Server: m.server, Hops: body.Hops}
+	return ConfirmBody{Delivered: delivered, Held: !delivered, Server: m.server, Hops: body.Hops}, nil
 }
 
-// deliverLocal tries local delivery: interrupts for system messages,
-// mailbox for user messages. A message whose ID is already in the
-// delivered window is a duplicate — a retried post whose confirmation was
-// lost, or a duplicated frame — and is absorbed and re-confirmed without
-// a second delivery.
-func (m *Messenger) deliverLocal(msg naplet.Message) bool {
-	if msg.ID != "" && m.delivered.Seen(msg.ID) {
-		m.met.reconfirmed.Inc()
+// forward chases a naplet that left this server for dest along its visit
+// trace (case 2); an empty dest means its life cycle ended here.
+func (m *Messenger) forward(ctx context.Context, body PostBody, dest string) (ConfirmBody, error) {
+	to := body.Msg.To
+	if dest == "" {
+		return ConfirmBody{}, fmt.Errorf("%w: %s", ErrNapletGone, to)
+	}
+	if body.Hops+1 > maxHops {
+		return ConfirmBody{}, fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
+	}
+	m.met.forwarded.Inc()
+	next := PostBody{Msg: body.Msg, Hops: body.Hops + 1}
+	confirm, err := m.sendRetry(ctx, dest, next)
+	if err == nil && confirm.Delivered && confirm.Server != "" && confirm.Server != dest {
+		// The chase ran past dest: compress this server's forwarding
+		// pointer so the next message through here jumps straight to
+		// where the naplet actually is.
+		m.mgr.CompressTrace(to, confirm.Server)
+		m.met.compressed.Inc()
+	}
+	return confirm, err
+}
+
+// deposit puts msg into its naplet's slot; m.mu held. An open slot
+// delivers it — as an interrupt when it is a system message the naplet's
+// monitor takes, into the mailbox otherwise — and deposit reports true. A
+// held slot keeps one copy per message ID for the landing and reports
+// false.
+func (m *Messenger) deposit(mb *Mailbox, msg naplet.Message) bool {
+	if !mb.open {
+		if msg.ID != "" && mb.holds(msg.ID) {
+			m.met.reconfirmed.Inc()
+			return false
+		}
+		mb.put(msg)
+		m.met.held.Inc()
+		return false
+	}
+	m.markDelivered(msg)
+	if msg.IsSystem() && m.interrupt != nil && m.interrupt(msg.To, msg) {
+		m.met.interrupts.Inc()
 		return true
 	}
-	if msg.IsSystem() {
-		m.mu.Lock()
-		sink := m.interrupt
-		m.mu.Unlock()
-		if sink != nil && sink(msg.To, msg) {
-			m.markDelivered(msg)
-			m.met.interrupts.Inc()
-			return true
-		}
-		return false
-	}
-	m.mu.Lock()
-	mb, ok := m.mailboxes[msg.To.Key()]
-	m.mu.Unlock()
-	// CloseMailbox may have closed the mailbox since the lookup: the naplet
-	// is leaving, and the post goes the way of one that found no mailbox.
-	if !ok || !mb.put(msg) {
-		return false
-	}
+	mb.put(msg)
 	m.met.delivered.Inc()
-	m.markDelivered(msg)
 	return true
 }
 
@@ -673,40 +653,36 @@ func (m *Messenger) markDelivered(msg naplet.Message) {
 	}
 }
 
-// HeldCount reports how many messages are parked for a naplet (tests and
-// introspection).
+// HeldCount reports how many messages wait in a naplet's slot: held for
+// its landing, or unread in its open mailbox (tests and introspection).
 func (m *Messenger) HeldCount(nid id.NapletID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.special[nid.Key()])
+	if mb, ok := m.slots[nid.Key()]; ok {
+		return mb.Len()
+	}
+	return 0
 }
 
 // ---- Durability and drain ----
 
-// HeldSnapshot deep-copies the special mailbox for a dock snapshot.
-func (m *Messenger) HeldSnapshot() map[string][]naplet.Message {
+// HeldSnapshot deep-copies the mail in held slots: mail waiting for
+// naplets that have not landed here.
+func (m *Messenger) HeldSnapshot() map[string][]naplet.Message { return m.mail(false) }
+
+// MailSnapshot deep-copies the mail in every slot, held or open, for a dock
+// snapshot. A crash loses in-flight receipt, but mail the naplet never took
+// survives the restart and is delivered when the naplet's slot reopens.
+func (m *Messenger) MailSnapshot() map[string][]naplet.Message { return m.mail(true) }
+
+func (m *Messenger) mail(withOpen bool) map[string][]naplet.Message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string][]naplet.Message, len(m.special))
-	for key, msgs := range m.special {
-		out[key] = append([]naplet.Message(nil), msgs...)
-	}
-	return out
-}
-
-// MailboxSnapshot deep-copies the queued-but-unreceived messages of every
-// open mailbox for a dock snapshot. A crash loses in-flight receipt, but a
-// queued message that was never handed to the naplet survives the restart
-// as held mail and is re-drained when the naplet's mailbox reopens.
-func (m *Messenger) MailboxSnapshot() map[string][]naplet.Message {
-	m.mu.Lock()
-	boxes := make(map[string]*Mailbox, len(m.mailboxes))
-	for key, mb := range m.mailboxes {
-		boxes[key] = mb
-	}
-	m.mu.Unlock()
 	out := make(map[string][]naplet.Message)
-	for key, mb := range boxes {
+	for key, mb := range m.slots {
+		if mb.open && !withOpen {
+			continue
+		}
 		if msgs := mb.snapshot(); len(msgs) > 0 {
 			out[key] = msgs
 		}
@@ -714,30 +690,24 @@ func (m *Messenger) MailboxSnapshot() map[string][]naplet.Message {
 	return out
 }
 
-// RestoreHeld reseeds the special mailbox from a restored dock snapshot.
-// A message whose ID is already held for the same key, or already in the
-// delivered window, is absorbed rather than duplicated — restoring after a
-// crash must not double mail that also survived in flight.
-func (m *Messenger) RestoreHeld(held map[string][]naplet.Message) {
-	for key, msgs := range held {
+// RestoreMail puts mail back into the slots: a restored dock snapshot's,
+// or what a drain could not move on. Each message goes in as a post would,
+// delivered into an open slot and held otherwise, where a copy already
+// held is absorbed rather than doubled.
+func (m *Messenger) RestoreMail(mail map[string][]naplet.Message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key, msgs := range mail {
+		if len(msgs) == 0 {
+			continue
+		}
+		mb, ok := m.slots[key]
+		if !ok {
+			mb = newMailbox()
+			m.slots[key] = mb
+		}
 		for _, msg := range msgs {
-			if msg.ID != "" && m.delivered.Seen(msg.ID) {
-				continue
-			}
-			m.mu.Lock()
-			dup := false
-			if msg.ID != "" {
-				for _, h := range m.special[key] {
-					if h.ID == msg.ID {
-						dup = true
-						break
-					}
-				}
-			}
-			if !dup {
-				m.special[key] = append(m.special[key], msg)
-			}
-			m.mu.Unlock()
+			m.deposit(mb, msg)
 		}
 	}
 }
@@ -745,48 +715,40 @@ func (m *Messenger) RestoreHeld(held map[string][]naplet.Message) {
 // FlushHeld attempts onward delivery of every held message (graceful
 // drain): each target is located and its mail forwarded to that server.
 // Messages whose target cannot be located, or that locate back to this
-// draining server, stay held for the final dock snapshot. Returns how many
-// messages moved.
+// draining server, go back into their slots for the final dock snapshot.
+// Returns how many messages moved.
 func (m *Messenger) FlushHeld(ctx context.Context) int {
 	m.mu.Lock()
-	pending := m.special
-	m.special = make(map[string][]naplet.Message)
+	pending := make(map[string][]naplet.Message)
+	for key, mb := range m.slots {
+		if !mb.open {
+			pending[key] = mb.close()
+			delete(m.slots, key)
+		}
+	}
 	m.mu.Unlock()
 
 	flushed := 0
+	kept := make(map[string][]naplet.Message)
 	for key, msgs := range pending {
-		if len(msgs) == 0 {
-			continue
-		}
 		var dest string
 		if m.loc != nil {
 			if s, err := m.loc.Locate(ctx, msgs[0].To, ""); err == nil && s != m.server {
 				dest = s
 			}
 		}
-		if dest == "" {
-			m.restoreHeldKey(key, msgs)
-			continue
-		}
-		var kept []naplet.Message
 		for _, msg := range msgs {
-			if _, err := m.sendRetry(ctx, dest, PostBody{Msg: msg}); err != nil {
-				kept = append(kept, msg)
-				continue
+			if dest != "" {
+				if _, err := m.sendRetry(ctx, dest, PostBody{Msg: msg}); err == nil {
+					flushed++
+					continue
+				}
 			}
-			flushed++
-		}
-		if len(kept) > 0 {
-			m.restoreHeldKey(key, kept)
+			kept[key] = append(kept[key], msg)
 		}
 	}
+	m.RestoreMail(kept)
 	return flushed
-}
-
-func (m *Messenger) restoreHeldKey(key string, msgs []naplet.Message) {
-	m.mu.Lock()
-	m.special[key] = append(m.special[key], msgs...)
-	m.mu.Unlock()
 }
 
 // DeliveredSnapshot returns the message IDs in the delivery dedup window,
@@ -803,8 +765,12 @@ func (m *Messenger) RestoreDelivered(ids []string) {
 
 // ---- Mailbox ----
 
-// Mailbox is one naplet's message queue at its current server.
+// Mailbox is one naplet's mail slot at a server: held until the naplet
+// opens it on landing, then the naplet's message queue.
 type Mailbox struct {
+	// open is guarded by the Messenger's mu, not by the mailbox's.
+	open bool
+
 	mu     sync.Mutex
 	msgs   []naplet.Message
 	wake   chan struct{}
@@ -815,19 +781,39 @@ func newMailbox() *Mailbox {
 	return &Mailbox{wake: make(chan struct{}, 1)}
 }
 
-// put queues msg and reports whether it did: a closed mailbox takes nothing.
-func (b *Mailbox) put(msg naplet.Message) bool {
+// put queues msg; a closed mailbox drops it.
+func (b *Mailbox) put(msg naplet.Message) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return false
+		return
 	}
 	b.msgs = append(b.msgs, msg)
 	select {
 	case b.wake <- struct{}{}:
 	default:
 	}
-	return true
+}
+
+// holds reports whether a message with the given ID is queued.
+func (b *Mailbox) holds(msgID string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, msg := range b.msgs {
+		if msg.ID == msgID {
+			return true
+		}
+	}
+	return false
+}
+
+// take empties the queue and returns what it held.
+func (b *Mailbox) take() []naplet.Message {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	msgs := b.msgs
+	b.msgs = nil
+	return msgs
 }
 
 // TryReceive returns the next message without blocking.

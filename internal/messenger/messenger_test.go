@@ -200,9 +200,9 @@ func TestEarlyMessageHeldAndDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.msgr["sb"].HeldCount(nid) != 1 {
-		t.Fatal("message must be held in the special mailbox")
+		t.Fatal("message must be held in the naplet's slot")
 	}
-	// The naplet lands: mailbox creation drains the special mailbox.
+	// The naplet lands: opening the slot dumps the held mail into its mailbox.
 	r.mgrs["sb"].RecordArrival(nid, "cb", "home", t0)
 	mb := r.msgr["sb"].CreateMailbox(nid)
 	msg, ok := mb.TryReceive()
@@ -210,7 +210,7 @@ func TestEarlyMessageHeldAndDrained(t *testing.T) {
 		t.Fatalf("held message not drained: %v %v", msg, ok)
 	}
 	if r.msgr["sb"].HeldCount(nid) != 0 {
-		t.Fatal("special mailbox must be empty after drain")
+		t.Fatal("the slot must hold nothing after the drain")
 	}
 	s := r.msgr["sb"].Stats()
 	if s.Held != 1 || s.DrainedH != 1 {
@@ -297,40 +297,126 @@ func TestLeftoverForwarding(t *testing.T) {
 	}
 }
 
-// TestPostIntoClosingMailboxIsForwarded: a post that found the mailbox just
-// before CloseMailbox closed it is not confirmed Delivered and dropped. The
-// closed mailbox is left in sb's table, which is the state such a post sees
-// between its lookup and its put; the departure is already on the trace (the
-// navigator records it before the server closes the mailbox), so the post
-// chases the naplet.
+// TestPostIntoClosingMailboxIsForwarded: a post racing the naplet's
+// departure from sb — the trace records it, then the slot is deleted —
+// either lands in the slot and leaves with the leftovers, or follows the
+// trace. Either way it reaches the naplet's next mailbox exactly once and is
+// not held at sb.
 func TestPostIntoClosingMailboxIsForwarded(t *testing.T) {
+	const iterations = 2000
 	r := newRig(t, "sa", "sb", "sc")
 	a := r.land(t, "a", "sa", "sa")
-	b := r.land(t, "b", "sb", "sb")
-	a.Book.Add(b.ID, "sb")
+	ctx := context.Background()
+	for i := 0; i < iterations; i++ {
+		b := r.land(t, fmt.Sprintf("b%d", i), "sb", "sb")
+		a.Book.Add(b.ID, "sb")
+		r.mgrs["sc"].RecordArrival(b.ID, "cb", "sb", t0)
+		mb := r.msgr["sc"].CreateMailbox(b.ID)
 
-	old, _ := r.msgr["sb"].Mailbox(b.ID)
-	if err := r.mgrs["sb"].RecordDeparture(b.ID, "sc", t0); err != nil {
-		t.Fatal(err)
+		var left []naplet.Message
+		done := make(chan error, 1)
+		go func() {
+			err := r.mgrs["sb"].RecordDeparture(b.ID, "sc", t0)
+			left = r.msgr["sb"].CloseMailbox(b.ID)
+			done <- err
+		}()
+		err := r.msgr["sa"].Post(ctx, a, b.ID, "late", []byte("still yours"))
+		if derr := <-done; derr != nil {
+			t.Fatal(derr)
+		}
+		if err != nil {
+			t.Fatalf("iteration %d: post: %v", i, err)
+		}
+		if err := r.msgr["sb"].ForwardLeftovers(ctx, "sc", left); err != nil {
+			t.Fatalf("iteration %d: leftovers: %v", i, err)
+		}
+		if msg, ok := mb.TryReceive(); !ok || string(msg.Body) != "still yours" {
+			t.Fatalf("iteration %d: the post did not reach the naplet's new mailbox: %+v %v", i, msg, ok)
+		}
+		if n := mb.Len(); n != 0 {
+			t.Fatalf("iteration %d: %d more copies in the new mailbox", i, n)
+		}
+		if n := r.msgr["sb"].HeldCount(b.ID); n != 0 {
+			t.Fatalf("iteration %d: sb holds %d messages for a naplet that left", i, n)
+		}
 	}
-	old.close()
-	if old.put(naplet.Message{ID: "x"}) || old.Len() != 0 {
-		t.Fatal("a closed mailbox took a message")
-	}
-	r.mgrs["sc"].RecordArrival(b.ID, "cb", "sb", t0)
-	mb := r.msgr["sc"].CreateMailbox(b.ID)
+}
 
-	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "late", []byte("still yours")); err != nil {
-		t.Fatal(err)
+// raceIterations sizes the landing and end races below.
+const raceIterations = 20000
+
+// racePost is a post frame from sa for nid, the i-th of a race.
+func racePost(i int, nid id.NapletID) wire.Frame {
+	msg := naplet.Message{ID: fmt.Sprintf("sa/m%d", i), To: nid, Class: naplet.UserMessage}
+	return wire.BinaryFrame(wire.KindPost, "sa", "sb", &PostBody{Msg: msg})
+}
+
+// TestPostRacingLandingIsNeverStranded: a post racing a fresh naplet's
+// landing — the trace records the arrival, then the naplet opens its slot —
+// ends in the naplet's mailbox whichever comes first: held and dumped on
+// opening, or delivered into the open slot.
+func TestPostRacingLandingIsNeverStranded(t *testing.T) {
+	r := newRig(t, "sb")
+	sb := r.msgr["sb"]
+	stranded := 0
+	for i := 0; i < raceIterations; i++ {
+		nid := id.MustNew(fmt.Sprintf("n%d", i), "sb", t0)
+		var mb *Mailbox
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.mgrs["sb"].RecordArrival(nid, "cb", "sa", t0)
+			mb = sb.CreateMailbox(nid)
+		}()
+		_, err := sb.HandlePost("sa", racePost(i, nid))
+		<-done
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if _, ok := mb.TryReceive(); !ok || sb.HeldCount(nid) != 0 {
+			stranded++
+		}
 	}
-	if msg, ok := mb.TryReceive(); !ok || string(msg.Body) != "still yours" {
-		t.Fatalf("the post did not reach the naplet's new mailbox: %+v %v", msg, ok)
+	if stranded > 0 {
+		t.Fatalf("%d of %d posts racing a landing were stranded outside the mailbox", stranded, raceIterations)
 	}
-	if st := r.msgr["sb"].Stats(); st.Delivered != 0 || st.Forwarded != 1 {
-		t.Fatalf("sb counted a delivery it did not make: %+v", st)
+}
+
+// TestPostRacingEndIsNotHeld: a post racing a naplet's end — the trace
+// records the end, then the slot is deleted, the order the server's cleanup
+// keeps — is either mail left in the slot or ErrNapletGone. It is never
+// held for a naplet that will not come back.
+func TestPostRacingEndIsNotHeld(t *testing.T) {
+	r := newRig(t, "sb")
+	sb := r.msgr["sb"]
+	held := 0
+	for i := 0; i < raceIterations; i++ {
+		nid := id.MustNew(fmt.Sprintf("n%d", i), "sb", t0)
+		r.mgrs["sb"].RecordArrival(nid, "cb", "sa", t0)
+		sb.CreateMailbox(nid)
+		var left []naplet.Message
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.mgrs["sb"].RecordEnd(nid, t0)
+			left = sb.CloseMailbox(nid)
+		}()
+		_, err := sb.HandlePost("sa", racePost(i, nid))
+		<-done
+		switch {
+		case err == nil && len(left) == 1:
+		case errors.Is(err, ErrNapletGone) && len(left) == 0:
+		case err == nil || errors.Is(err, ErrNapletGone):
+			held++
+		default:
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if sb.HeldCount(nid) != 0 {
+			held++
+		}
 	}
-	if ids := r.msgr["sb"].DeliveredSnapshot(); len(ids) != 0 {
-		t.Fatalf("sb marked %v delivered: a retry of the post would be absorbed", ids)
+	if held > 0 {
+		t.Fatalf("%d of %d posts racing an end were held for a naplet that will not come back", held, raceIterations)
 	}
 }
 
@@ -453,7 +539,7 @@ func TestDuplicatePostReconfirmedOnce(t *testing.T) {
 
 func TestHeldDuplicateAbsorbed(t *testing.T) {
 	// Case 3 duplicates: the target has not arrived yet, so both copies hit
-	// the special mailbox — only one may be parked there.
+	// the naplet's held slot — only one may be parked there.
 	r := newRig(t, "sa", "sb")
 	a := r.land(t, "a", "sa", "sa")
 	future := id.MustNew("late", "sb", t0)
@@ -552,5 +638,41 @@ func TestPushMigrationBuildsAContextOnlyToPush(t *testing.T) {
 	})
 	if n != 0 && !raceEnabled {
 		t.Errorf("PushMigration with no correspondents: %v allocs, want 0", n)
+	}
+}
+
+// TestRestoredMailIsDeliveredOnce: a dock snapshot's mail table carries
+// both kinds of slot. Restored into a fresh messenger, mail that was
+// queued unread in an open mailbox and mail held for a naplet still on its
+// way each reach the naplet exactly once when its slot opens, though the
+// queued mail's ID is already in the restored delivered window and the
+// held mail's sender retries it.
+func TestRestoredMailIsDeliveredOnce(t *testing.T) {
+	r := newRig(t, "sa", "sb")
+	sb := r.msgr["sb"]
+	resident := r.land(t, "b", "sb", "sb").ID
+	coming := id.MustNew("c", "sb", t0)
+	queued := racePost(1, resident)
+	held := racePost(2, coming)
+	for _, f := range []wire.Frame{queued, held} {
+		if _, err := sb.HandlePost("sa", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mail, delivered := sb.MailSnapshot(), sb.DeliveredSnapshot()
+
+	fresh := newRig(t, "sa", "sb").msgr["sb"]
+	fresh.RestoreDelivered(delivered)
+	fresh.RestoreMail(mail)
+	for _, f := range []wire.Frame{queued, held} {
+		if _, err := fresh.HandlePost("sa", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, nid := range []id.NapletID{resident, coming} {
+		mb := fresh.CreateMailbox(nid)
+		if n := mb.Len(); n != 1 {
+			t.Fatalf("%s: %d messages after the restart, want 1", nid, n)
+		}
 	}
 }

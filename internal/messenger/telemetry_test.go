@@ -153,7 +153,7 @@ func TestHeldMailCounters(t *testing.T) {
 		t.Errorf("sa confirm-RTT samples = %d, want 1", got)
 	}
 
-	// Landing drains the special mailbox.
+	// Landing opens the slot and drains its held mail.
 	mb := r.msgr["sb"].CreateMailbox(nid)
 	if got := r.counter("sb", "naplet_messenger_drained_held_total"); got != 1 {
 		t.Errorf("sb drained = %d, want 1", got)

@@ -4,26 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/naplet"
 	"repro/internal/overload"
 )
 
-// Backoff is the migration retry policy: exponential growth from Initial
-// by Factor up to Max, with symmetric multiplicative jitter, over a budget
-// of Retries re-attempts. The zero value selects the defaults below.
+// Backoff is the migration retry policy: the delay doubles from Initial up
+// to Max, over a budget of Retries re-attempts. The zero value selects the
+// defaults below.
 type Backoff struct {
 	// Initial is the delay before the first retry (default 25ms).
 	Initial time.Duration
 	// Max caps the grown delay (default 2s).
 	Max time.Duration
-	// Factor multiplies the delay per retry (default 2).
-	Factor float64
-	// Jitter spreads each delay uniformly over ±Jitter fraction of its
-	// nominal value (default 0.2), de-synchronizing retry storms.
-	Jitter float64
 	// Retries is the retry budget beyond the first attempt; 0 means no
 	// retries (negative values are treated as 0).
 	Retries int
@@ -40,8 +34,6 @@ type Backoff struct {
 const (
 	DefaultBackoffInitial = 25 * time.Millisecond
 	DefaultBackoffMax     = 2 * time.Second
-	DefaultBackoffFactor  = 2.0
-	DefaultBackoffJitter  = 0.2
 )
 
 // withDefaults fills unset fields.
@@ -55,12 +47,6 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max < b.Initial {
 		b.Max = b.Initial
 	}
-	if b.Factor < 1 {
-		b.Factor = DefaultBackoffFactor
-	}
-	if b.Jitter < 0 || b.Jitter > 1 {
-		b.Jitter = DefaultBackoffJitter
-	}
 	if b.Retries < 0 {
 		b.Retries = 0
 	}
@@ -68,30 +54,15 @@ func (b Backoff) withDefaults() Backoff {
 }
 
 // Delay returns the backoff before retry number attempt (0-based: the
-// delay between the first failure and the first retry is Delay(0)). rnd
-// supplies a uniform sample in [0,1) for the jitter; nil disables jitter.
-// The jittered delay stays within [nominal*(1-Jitter), nominal*(1+Jitter)]
-// where nominal = min(Max, Initial*Factor^attempt).
-func (b Backoff) Delay(attempt int, rnd func() float64) time.Duration {
+// delay between the first failure and the first retry is Delay(0)):
+// min(Max, Initial*2^attempt).
+func (b Backoff) Delay(attempt int) time.Duration {
 	b = b.withDefaults()
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
+	d := b.Initial
+	for i := 0; i < attempt && d < b.Max; i++ {
+		d *= 2
 	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if rnd != nil && b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rnd()-1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return min(d, b.Max)
 }
 
 // IsPermanent reports whether a dispatch error is a policy decision that
@@ -112,11 +83,11 @@ var ErrPeerDead = errors.New("navigator: destination presumed dead")
 
 // DispatchRetry migrates rec to dest under the given retry policy: one
 // transfer ID for the whole logical migration (so the destination
-// deduplicates replays after a lost acknowledgement), exponential backoff
-// with jitter between attempts, and fail-fast on permanent (policy)
-// errors. stop aborts the backoff wait early (a closing server); ctx
-// bounds the whole operation, and each attempt is additionally bounded by
-// twice the navigator's call timeout. Retries and backoff sleeps feed the
+// deduplicates replays after a lost acknowledgement), doubling backoff
+// between attempts, and fail-fast on permanent (policy) errors. stop
+// aborts the backoff wait early (a closing server); ctx bounds the whole
+// operation, and each attempt is additionally bounded by twice the
+// navigator's call timeout. Retries and backoff sleeps feed the
 // naplet_navigator_dispatch_retries_total counter and the
 // naplet_navigator_backoff_seconds histogram.
 func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest string, pol Backoff, stop <-chan struct{}) (Breakdown, error) {
@@ -224,7 +195,7 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 			// The breaker opened mid-loop (threshold crossed above).
 			return bd, mark(fmt.Errorf("%w: %w", ErrPeerDead, berr))
 		}
-		delay := pol.Delay(attempt, jitterRand)
+		delay := pol.Delay(attempt)
 		n.met.retries.Inc()
 		n.met.backoff.ObserveDuration(delay)
 		t := time.NewTimer(delay)
@@ -239,8 +210,3 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		}
 	}
 }
-
-// jitterRand is the process-wide jitter source. Jitter exists to spread
-// retries in time, not to drive test-visible decisions, so the global
-// (goroutine-safe) generator is sufficient.
-func jitterRand() float64 { return rand.Float64() }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBackoffDelayGrowthAndCap(t *testing.T) {
-	pol := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0}
+	pol := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond}
 	cases := []struct {
 		attempt int
 		want    time.Duration
@@ -21,46 +21,24 @@ func TestBackoffDelayGrowthAndCap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("attempt%d", tc.attempt), func(t *testing.T) {
-			if got := pol.Delay(tc.attempt, nil); got != tc.want {
+			if got := pol.Delay(tc.attempt); got != tc.want {
 				t.Fatalf("Delay(%d) = %v, want %v", tc.attempt, got, tc.want)
 			}
 		})
 	}
 }
 
-func TestBackoffJitterBounds(t *testing.T) {
-	// With Jitter j the delay must stay within [nominal*(1-j), nominal*(1+j)]
-	// across the whole [0,1) sample space, and the extremes must be reached.
-	pol := Backoff{Initial: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.2}
-	nominal := 200 * time.Millisecond // attempt 1
-	lo := time.Duration(float64(nominal) * 0.8)
-	hi := time.Duration(float64(nominal) * 1.2)
-	samples := []float64{0, 0.25, 0.5, 0.75, 0.999999}
-	for _, s := range samples {
-		got := pol.Delay(1, func() float64 { return s })
-		if got < lo || got > hi {
-			t.Fatalf("Delay with rnd=%v = %v, outside [%v, %v]", s, got, lo, hi)
-		}
-	}
-	if got := pol.Delay(1, func() float64 { return 0 }); got != lo {
-		t.Fatalf("rnd=0 must hit the lower bound: %v != %v", got, lo)
-	}
-	if got := pol.Delay(1, func() float64 { return 0.5 }); got != nominal {
-		t.Fatalf("rnd=0.5 must be the nominal delay: %v != %v", got, nominal)
-	}
-}
-
 func TestBackoffDefaults(t *testing.T) {
 	var pol Backoff
-	if got := pol.Delay(0, nil); got != DefaultBackoffInitial {
+	if got := pol.Delay(0); got != DefaultBackoffInitial {
 		t.Fatalf("zero-value Delay(0) = %v, want %v", got, DefaultBackoffInitial)
 	}
-	if got := pol.Delay(20, nil); got != DefaultBackoffMax {
+	if got := pol.Delay(20); got != DefaultBackoffMax {
 		t.Fatalf("zero-value Delay(20) = %v, want the %v cap", got, DefaultBackoffMax)
 	}
 	// A Max below Initial is lifted to Initial, never inverted.
-	inverted := Backoff{Initial: time.Second, Max: time.Millisecond, Jitter: 0}
-	if got := inverted.Delay(5, nil); got != time.Second {
+	inverted := Backoff{Initial: time.Second, Max: time.Millisecond}
+	if got := inverted.Delay(5); got != time.Second {
 		t.Fatalf("inverted Max: Delay = %v, want %v", got, time.Second)
 	}
 }

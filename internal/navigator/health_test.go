@@ -75,7 +75,7 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 		t.Fatalf("state(b) = %v after %d misses, want dead", hd.State("b"), health.DefaultDeadThreshold)
 	}
 
-	pol := Backoff{Initial: time.Millisecond, Retries: 5, Jitter: 0, FailFast: true}
+	pol := Backoff{Initial: time.Millisecond, Retries: 5, FailFast: true}
 
 	// First dispatch of the interval holds the probe slot: exactly one
 	// attempt reaches the network, then ErrPeerDead — no retry budget burn.

@@ -48,7 +48,7 @@ func TestDispatchOverloadLiveness(t *testing.T) {
 	}
 
 	rec := record(t, nil, "a")
-	pol := Backoff{Initial: time.Millisecond, Retries: 5, Jitter: 0}
+	pol := Backoff{Initial: time.Millisecond, Retries: 5}
 	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); err != nil {
 		t.Fatalf("dispatch through overload: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestDispatchBreakerOpensAndRefuses(t *testing.T) {
 	}
 
 	rec := record(t, nil, "a")
-	pol := Backoff{Initial: time.Millisecond, Retries: 10, Jitter: 0}
+	pol := Backoff{Initial: time.Millisecond, Retries: 10}
 	_, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil)
 	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("err = %v, want ErrPeerDead", err)
@@ -132,7 +132,7 @@ func TestDispatchRetryBudgetExhausted(t *testing.T) {
 	}
 
 	rec := record(t, nil, "a")
-	pol := Backoff{Initial: time.Millisecond, Retries: 10, Jitter: 0}
+	pol := Backoff{Initial: time.Millisecond, Retries: 10}
 	_, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil)
 	if !errors.Is(err, overload.ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrRetryBudgetExhausted", err)

@@ -52,8 +52,8 @@ func (s *Server) dockRemove(nid id.NapletID) {
 	s.dockCommit()
 }
 
-// dockCommit writes the current recoverable state — residents, held and
-// queued mail, home-track table, and both dedup windows — to the dock.
+// dockCommit writes the current recoverable state — residents, the mail
+// slots, home-track table, and both dedup windows — to the dock.
 func (s *Server) dockCommit() {
 	if s.dockStore == nil {
 		return
@@ -75,8 +75,7 @@ func (s *Server) dockCommit() {
 		Server:            s.name,
 		SavedAt:           s.clock(),
 		Residents:         residents,
-		Held:              s.msgr.HeldSnapshot(),
-		Mailboxes:         s.msgr.MailboxSnapshot(),
+		Mail:              s.msgr.MailSnapshot(),
 		Home:              entries,
 		AcceptedTransfers: s.nav.AcceptedSnapshot(),
 		DeliveredMsgs:     s.msgr.DeliveredSnapshot(),
@@ -97,10 +96,8 @@ func (s *Server) restoreFromDock() error {
 	}
 	s.nav.RestoreAccepted(snap.AcceptedTransfers)
 	s.msgr.RestoreDelivered(snap.DeliveredMsgs)
-	// Queued-but-unreceived mailbox mail re-enters as held mail: it drains
-	// back into the naplet's mailbox when the resident's engine reopens it.
-	s.msgr.RestoreHeld(snap.Held)
-	s.msgr.RestoreHeld(snap.Mailboxes)
+	// Mail re-enters held slots: a resident's engine reopens its slot.
+	s.msgr.RestoreMail(snap.Mail)
 	if len(snap.Home) > 0 {
 		evs := make([]manager.HomeEvent, len(snap.Home))
 		for i, h := range snap.Home {
@@ -166,6 +163,6 @@ func (s *Server) resumeDispatch(rec *naplet.Record, dest, tid string) {
 	case failoverDeparted:
 	default:
 		s.trap(rec, fmt.Errorf("dispatch to %s: %w", dest, err))
-		s.cleanup(rec, true)
+		s.cleanup(rec)
 	}
 }

@@ -91,7 +91,6 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, e
 	s.mgr.RecordArrival(nid, opts.Codebase, "origin", now)
 	rec.Log.RecordArrival(s.name, now)
 	s.nav.RegisterArrival(ctx, rec, now)
-	s.msgr.CreateMailbox(nid)
 	s.mgr.SetStatus(nid, manager.StatusRunning, "")
 	s.emit("launch", rec, s.name, s.name, opts.Codebase)
 
@@ -171,7 +170,7 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived bool, polOverride *monito
 	behavior, err := s.reg.Instantiate(rec.Codebase)
 	if err != nil {
 		s.trap(rec, err)
-		s.cleanup(rec, true)
+		s.cleanup(rec)
 		return
 	}
 
@@ -201,7 +200,7 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived bool, polOverride *monito
 				return
 			}
 			s.trap(rec, err)
-			s.cleanup(rec, true)
+			s.cleanup(rec)
 			return
 		}
 		rec.Pending = itinerary.Visit{}
@@ -225,13 +224,13 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 				return
 			}
 			s.trap(rec, err)
-			s.cleanup(rec, true)
+			s.cleanup(rec)
 			return
 		}
 		d, err := rec.Itin.Next(ev)
 		if err != nil {
 			s.trap(rec, err)
-			s.cleanup(rec, true)
+			s.cleanup(rec)
 			return
 		}
 		switch d.Kind {
@@ -241,7 +240,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 			}
 			// Release residency before telling the owner: when WaitDone
 			// returns, the footprints and traces are already final.
-			s.cleanup(rec, true)
+			s.cleanup(rec)
 			s.emit("complete", rec, s.name, rec.Home, "")
 			s.reportStatus(rec, manager.StatusCompleted, "")
 			return
@@ -249,7 +248,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 		case itinerary.DecisionFork:
 			if err := s.forkAll(rec, d.Branches); err != nil {
 				s.trap(rec, fmt.Errorf("fork: %w", err))
-				s.cleanup(rec, true)
+				s.cleanup(rec)
 				return
 			}
 
@@ -262,7 +261,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 						return
 					}
 					s.trap(rec, err)
-					s.cleanup(rec, true)
+					s.cleanup(rec)
 					return
 				}
 				continue
@@ -287,7 +286,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 					return
 				}
 				s.trap(rec, fmt.Errorf("dispatch to %s: %w", d.Visit.Server, err))
-				s.cleanup(rec, true)
+				s.cleanup(rec)
 			}
 			return
 		}
@@ -366,7 +365,7 @@ func (s *Server) applyFailover(rec *naplet.Record, v itinerary.Visit, alts []*it
 		s.dockResident(rec, dock.PhaseDeparting, rec.Home, tid)
 		if err := s.migrate(rec, rec.Home, tid); err != nil {
 			s.trap(rec, fmt.Errorf("failover home to %s: %w", rec.Home, err))
-			s.cleanup(rec, true)
+			s.cleanup(rec)
 		}
 		return failoverDeparted
 	default:
@@ -394,7 +393,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 		dest = rec.Home
 	}
 	if dest == "" {
-		s.cleanup(rec, true)
+		s.cleanup(rec)
 		s.reportStatus(rec, manager.StatusTerminated, "evacuated: server draining")
 		return
 	}
@@ -410,7 +409,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 	s.dockResident(rec, dock.PhaseDeparting, dest, tid)
 	if err := s.migrate(rec, dest, tid); err != nil {
 		s.trap(rec, fmt.Errorf("evacuate to %s: %w", dest, err))
-		s.cleanup(rec, true)
+		s.cleanup(rec)
 	}
 }
 
@@ -438,12 +437,11 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 }
 
 // migrate moves the naplet to dest under the navigator's retry policy —
-// exponential backoff with jitter, one transfer ID for the whole logical
-// migration (the destination deduplicates replays after a lost
-// acknowledgement), fail-fast on policy refusals — and, once the transfer
-// is acknowledged, releases the local residency. The caller mints (and
-// docks) the transfer ID so a crash mid-dispatch can replay under the same
-// identity.
+// doubling backoff, one transfer ID for the whole logical migration (the
+// destination deduplicates replays after a lost acknowledgement),
+// fail-fast on policy refusals — and, once the transfer is acknowledged,
+// releases the local residency. The caller mints (and docks) the transfer
+// ID so a crash mid-dispatch can replay under the same identity.
 //
 // The destination starts the naplet before its acknowledgement is back
 // here, and a proven hop is a single round trip, so a short visit can have
@@ -625,7 +623,6 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 		s.mgr.RecordArrival(clone.ID, clone.Codebase, "clone:"+rec.ID.Key(), now)
 		clone.Log.RecordArrival(s.name, now)
 		s.nav.RegisterArrival(context.Background(), clone, now)
-		s.msgr.CreateMailbox(clone.ID)
 		clone := clone
 		s.wg.Add(1)
 		go func() {
@@ -644,15 +641,13 @@ func (s *Server) trap(rec *naplet.Record, err error) {
 	s.reportStatus(rec, manager.StatusTrapped, err.Error())
 }
 
-// cleanup releases a naplet's local residency. When end is true the life
-// cycle is over: the visit trace records the end so late messages error
-// rather than forward.
-func (s *Server) cleanup(rec *naplet.Record, end bool) {
+// cleanup releases the local residency of a naplet whose life cycle ended
+// here. The visit trace records the end before the mail slot goes, so a late
+// message errors rather than being held for a naplet that will not come.
+func (s *Server) cleanup(rec *naplet.Record) {
+	s.mgr.RecordEnd(rec.ID, s.clock())
 	s.msgr.CloseMailbox(rec.ID)
-	if end {
-		s.mgr.RecordEnd(rec.ID, s.clock())
-		s.dockRemove(rec.ID)
-	}
+	s.dockRemove(rec.ID)
 	s.mon.Remove(rec.ID)
 }
 
