@@ -8,7 +8,7 @@
 # A codec is an append and a decode: it also fails if a size method comes
 # back beside them — an EncodedSize outside the frame (which the fabrics
 # meter) and the two the benchmark harness reads, or a call to a wire.Size*
-# helper.
+# helper. It fails, too, if gofmt would rewrite any file.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
 # Every Benchmark* function runs once (-short shrinks the million-entry
@@ -16,6 +16,7 @@
 # what is gated is allocation ceilings, and those are tests in `go test ./...`.
 verify:
 	go vet ./...
+	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo "verify: the files above are not gofmt-formatted"; exit 1; fi
 	go build ./...
 	@if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob; then \
 		echo "verify: the packages above import encoding/gob"; exit 1; fi
@@ -40,9 +41,10 @@ verify:
 # the master reschedules its launches with exactly-once landings while a
 # slow event subscriber is shed without stalling ingest
 # (TestChaosFleetSeeds), plus the overload suite that runs the fleet
-# through synthesized overload sheds with the admission gate, breakers
-# and retry budgets live, and reconciles every shed against the injector
-# trail and telemetry (TestChaosOverloadSeeds), plus the free-running chase
+# through synthesized overload sheds with the admission gate and retry
+# budgets live, reconciles every shed against the injector trail and
+# telemetry, and asserts in a shed-only pass that no failure detector
+# counted a shed as a miss (TestChaosOverloadSeeds), plus the free-running chase
 # that posts to a touring mover without waiting to learn where it is and
 # asserts every message arrives exactly once and no dock is left holding
 # mail (TestFreeRunningChaseExactlyOnce). Reproduce a failing seed with:

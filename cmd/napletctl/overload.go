@@ -13,16 +13,15 @@ import (
 )
 
 // overloadFamilies are the series the overload subcommand surfaces: the
-// admission gate's books, the breaker lattice, the retry budgets, and
-// the transport-level shed counters.
+// admission gate's books, the failure detector's per-peer verdicts, the
+// retry budgets, and the transport-level shed counters.
 var overloadFamilies = []string{
 	"naplet_overload_admitted_total",
 	"naplet_overload_shed_total",
 	"naplet_overload_inflight",
 	"naplet_overload_queued",
-	"naplet_breaker_open_total",
-	"naplet_breaker_rejected_total",
-	"naplet_breaker_peers",
+	"naplet_health_peers",
+	"naplet_health_transitions_total",
 	"naplet_retry_budget_exhausted_total",
 	"naplet_retry_budget_tokens",
 	"naplet_transport_deadline_shed_total",
@@ -31,7 +30,8 @@ var overloadFamilies = []string{
 
 // overloadCmd fetches a napletd telemetry endpoint and pretty-prints its
 // overload posture: what the admission gate admitted and shed (by class
-// and reason), breaker state and open transitions, retry-budget
+// and reason), how many peers the failure detector holds alive, suspect
+// or dead and how often it changed its mind, retry-budget
 // exhaustion, and the transport's deadline sheds and late replies — the
 // one-stop view of "is this dock shedding, and is every shed accounted".
 func overloadCmd(addr string) {
@@ -59,11 +59,15 @@ func overloadCmd(addr string) {
 	}
 	var rows []sample
 	var admitted, shed float64
+	gated := false
 	for _, s := range samples {
 		if !wanted[s.family] {
 			continue
 		}
 		rows = append(rows, s)
+		// Health gauges exist on every dock; only the gate's own series
+		// say the overload stack is on.
+		gated = gated || strings.HasPrefix(s.family, "naplet_overload_")
 		switch s.family {
 		case "naplet_overload_admitted_total":
 			admitted += s.value
@@ -71,7 +75,7 @@ func overloadCmd(addr string) {
 			shed += s.value
 		}
 	}
-	if len(rows) == 0 {
+	if !gated {
 		fmt.Println("no overload series — this napletd runs without -overload (or has served no traffic)")
 		return
 	}

@@ -96,11 +96,10 @@ func main() {
 	chaosDup := flag.Float64("chaos-dup", 0.05, "chaos: probability of duplicating a frame")
 	chaosDelay := flag.Float64("chaos-delay", 0.05, "chaos: probability of a latency spike")
 	chaosOverload := flag.Float64("chaos-overload", 0, "chaos: probability of synthesizing a typed overload shed")
-	overloadOn := flag.Bool("overload", false, "enable the overload-resilience stack: admission gate, per-peer circuit breakers, retry budgets")
+	overloadOn := flag.Bool("overload", false, "enable the overload-resilience stack: admission gate, retry budgets")
 	ovInFlight := flag.Int("overload-inflight", 0, "overload: max concurrently executing bulk requests (0 = default 64)")
 	ovQueue := flag.Int("overload-queue", 0, "overload: bulk admission queue depth (0 = default 2x inflight)")
 	ovMaxWait := flag.Duration("overload-max-wait", 0, "overload: longest a bulk request may queue before a typed shed (0 = default 1s)")
-	ovBreakerFails := flag.Int("overload-breaker-failures", 0, "overload: consecutive transport failures that open a peer's breaker (0 = default 5)")
 	ovRetryRatio := flag.Float64("overload-retry-ratio", 0, "overload: retry-budget token earned per first attempt (0 = default 0.2)")
 	ovRetryBurst := flag.Float64("overload-retry-burst", 0, "overload: retry-budget bucket cap and initial fill (0 = default 10)")
 	flag.Parse()
@@ -175,12 +174,11 @@ func main() {
 	var ovOpts *overload.Options
 	if *overloadOn {
 		ovOpts = &overload.Options{
-			MaxInFlight:     *ovInFlight,
-			MaxQueue:        *ovQueue,
-			MaxWait:         *ovMaxWait,
-			BreakerFailures: *ovBreakerFails,
-			RetryRatio:      *ovRetryRatio,
-			RetryBurst:      *ovRetryBurst,
+			MaxInFlight: *ovInFlight,
+			MaxQueue:    *ovQueue,
+			MaxWait:     *ovMaxWait,
+			RetryRatio:  *ovRetryRatio,
+			RetryBurst:  *ovRetryBurst,
 		}
 		log.Printf("napletd: overload stack enabled (inspect with `napletctl overload <metrics-addr>`)")
 	}

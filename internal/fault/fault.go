@@ -71,9 +71,10 @@ var (
 	ErrCrashed           = fmt.Errorf("fault: node crashed (%w)", transport.ErrRefused)
 	ErrInjectedPartition = fmt.Errorf("fault: injected partition (%w)", transport.ErrRefused)
 	// ErrInjectedOverload synthesizes an admission-gate shed: it wraps
-	// overload.ErrOverloaded so clients exercise exactly the retry,
-	// breaker and budget paths a real overloaded dock would trigger
-	// (and transport.Refused treats it as provably undelivered).
+	// overload.ErrOverloaded so clients exercise exactly the retry and
+	// budget paths a real overloaded dock would trigger (the failure
+	// detector reads it as proof of life, and transport.Refused treats
+	// it as provably undelivered).
 	ErrInjectedOverload = fmt.Errorf("fault: injected overload shed (%w)", overload.ErrOverloaded)
 )
 

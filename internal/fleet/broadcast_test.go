@@ -125,7 +125,7 @@ func TestBroadcasterReap(t *testing.T) {
 
 func TestBroadcasterSubscribeClampsBuf(t *testing.T) {
 	b := NewBroadcaster(BroadcasterConfig{Buf: 8, MaxBuf: 16})
-	id := b.Subscribe(1 << 20, DownSample)
+	id := b.Subscribe(1<<20, DownSample)
 	for i := 0; i < 20; i++ {
 		b.Publish(Event{Hop: i})
 	}

@@ -25,7 +25,7 @@ func TestRateEstimatorConvergesToSteadyRate(t *testing.T) {
 func TestRateEstimatorDecays(t *testing.T) {
 	e := NewRateEstimator(time.Second)
 	now := time.Unix(0, 0)
-	e.Observe(1 << 20, now)
+	e.Observe(1<<20, now)
 	r0 := e.Rate(now)
 	// One half-life later the rate has halved; ten later it is gone.
 	r1 := e.Rate(now.Add(time.Second))

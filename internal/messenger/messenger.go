@@ -148,9 +148,6 @@ type Config struct {
 	// Telemetry receives the messenger's counters and confirm-RTT
 	// histogram; nil uses a private registry.
 	Telemetry *telemetry.Registry
-	// Breakers, when non-nil, gates remote post/forward legs per
-	// destination server; an open breaker fails the leg locally.
-	Breakers *overload.Breakers
 	// RetryBudget, when non-nil, bounds send retries to a fraction of
 	// first attempts (see overload.RetryBudget). Nil leaves retries
 	// bounded only by SendRetries.
@@ -454,24 +451,11 @@ func (m *Messenger) send(ctx context.Context, server string, body PostBody) (Con
 	if server == m.server {
 		return m.deliverOrForward(ctx, body)
 	}
-	if berr := m.cfg.Breakers.Allow(server); berr != nil {
-		return ConfirmBody{}, berr
-	}
 	f := wire.BinaryFrame(wire.KindPost, "", "", &body)
 	reply, err := m.node.Call(ctx, server, f)
 	if err != nil {
-		// Any reply composed by the peer — a protocol verdict or an
-		// overload shed — proves it alive; only transport-level silence
-		// feeds the breaker's failure count.
-		var werr *wire.Error
-		if errors.As(err, &werr) || overload.Liveness(err) {
-			m.cfg.Breakers.OnSuccess(server)
-		} else {
-			m.cfg.Breakers.OnFailure(server)
-		}
 		return ConfirmBody{}, err
 	}
-	m.cfg.Breakers.OnSuccess(server)
 	var confirm ConfirmBody
 	if err := confirm.Decode(reply.Payload); err != nil {
 		return ConfirmBody{}, err

@@ -110,13 +110,6 @@ func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest 
 func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, dest string, tid string, pol Backoff, stop <-chan struct{}) (Breakdown, error) {
 	pol = pol.withDefaults()
 	hd := n.cfg.Health
-	br := n.cfg.Breakers
-	if berr := br.Allow(dest); berr != nil {
-		// The circuit breaker refused locally: no network attempt, no
-		// probe slot burned. The destination is presumed dead for
-		// failover purposes.
-		return Breakdown{}, fmt.Errorf("%w: %w", ErrPeerDead, berr)
-	}
 	probing := false
 	if pol.FailFast && hd.Dead(dest) {
 		if !hd.Allow(dest) {
@@ -149,7 +142,6 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		bd, err = n.DispatchID(ctx, rec, dest, tid)
 		if err == nil {
 			hd.ReportSuccess(dest)
-			br.OnSuccess(dest)
 			return bd, nil
 		}
 		if errors.Is(err, ErrTransferUnresolved) {
@@ -160,20 +152,17 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		if IsPermanent(err) {
 			// The peer answered — its refusal proves it is alive.
 			hd.ReportSuccess(dest)
-			br.OnSuccess(dest)
 			return bd, mark(err)
 		}
 		if overload.Liveness(err) {
 			// An overload or deadline shed is an answer the peer sent:
-			// proof of life, not of death. Feed the detector and breaker
-			// success (liveness) and keep retrying under backoff — the
-			// backoff itself is the load-shedding response.
+			// proof of life, not of death. Feed the detector success and
+			// keep retrying under backoff — the backoff itself is the
+			// load-shedding response.
 			hd.ReportSuccess(dest)
-			br.OnSuccess(dest)
 			probing = false
 		} else {
 			hd.ReportFailure(dest)
-			br.OnFailure(dest)
 			if probing {
 				// The one probe this interval allowed just failed: the
 				// peer stays presumed dead and this dispatch ends here.
@@ -190,10 +179,6 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 			// The token bucket ran dry: retrying further would amplify
 			// the very overload the peer is shedding.
 			return bd, mark(fmt.Errorf("%w: %w", overload.ErrRetryBudgetExhausted, err))
-		}
-		if berr := br.Allow(dest); berr != nil {
-			// The breaker opened mid-loop (threshold crossed above).
-			return bd, mark(fmt.Errorf("%w: %w", ErrPeerDead, berr))
 		}
 		delay := pol.Delay(attempt)
 		n.met.retries.Inc()

@@ -263,14 +263,11 @@ type Config struct {
 	// extending the paper's NavigationLog with cost and outcome detail.
 	Tracer *telemetry.HopTracer
 	// Health, when non-nil, receives per-peer reachability observations
-	// from the dispatch path and gates retries: dispatch to a peer the
-	// detector presumes dead fails fast with ErrPeerDead instead of
-	// burning the full backoff budget.
+	// from the dispatch path. It is the one liveness verdict a dispatch
+	// consults, and only under Backoff.FailFast: a dispatch that opted
+	// into failover and starts against a peer presumed dead fails fast
+	// with ErrPeerDead instead of burning the full backoff budget.
 	Health *health.Detector
-	// Breakers, when non-nil, gates dispatches per destination: an open
-	// breaker fails the dispatch locally with ErrPeerDead before any
-	// network attempt. Dispatch outcomes feed it.
-	Breakers *overload.Breakers
 	// RetryBudget, when non-nil, bounds dispatch retries to a fraction
 	// of first attempts (see overload.RetryBudget). Nil — the default —
 	// leaves retries bounded only by the Backoff policy.

@@ -1,11 +1,12 @@
 // Package overload implements the dock's defenses against its own load:
 // a two-class admission gate (control-plane traffic is never queued
-// behind bulk migrations and mail), per-peer circuit breakers integrated
-// with the health detector's liveness lattice, and token-bucket retry
-// budgets that keep client retries a bounded fraction of first attempts.
+// behind bulk migrations and mail) and token-bucket retry budgets that
+// keep client retries a bounded fraction of first attempts. Per-peer
+// liveness is not its business: that verdict is the health detector's
+// alone, and a shed (see Liveness) is proof of life to it.
 //
 // The package sits below transport in the dependency order (it imports
-// only wire, health and telemetry) so both fabrics and every component
+// only wire and telemetry) so both fabrics and every component
 // can share its typed errors. The errors travel the wire as wire.Error
 // codes (see CodeFor / FromCode) and are re-hydrated into the same
 // sentinels on the caller's side, so errors.Is works across a hop.
@@ -32,10 +33,6 @@ var (
 	// work was shed instead of burning cycles on an answer nobody is
 	// waiting for.
 	ErrDeadlinePast = errors.New("overload: deadline already past")
-
-	// ErrBreakerOpen: the per-peer circuit breaker is open; the call
-	// was refused locally without touching the network.
-	ErrBreakerOpen = errors.New("overload: circuit breaker open")
 
 	// ErrRetryBudgetExhausted: the token-bucket retry budget ran dry;
 	// the failed attempt is surfaced instead of amplified.
@@ -73,7 +70,7 @@ func FromCode(code string) error {
 
 // Liveness reports whether err, for all its badness, proves the peer is
 // up: an overload or deadline shed is an answer the peer composed and
-// sent, so it must not feed failure suspicion or trip breakers.
+// sent, so it must not feed failure suspicion.
 func Liveness(err error) bool {
 	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDeadlinePast)
 }
@@ -81,16 +78,13 @@ func Liveness(err error) bool {
 // Options is the flat, flag-friendly bundle a server (or napletd) uses
 // to switch the whole overload stack on. The zero value of each field
 // takes the corresponding component default; a nil *Options disables
-// the stack entirely (gate, breakers and budgets all stay nil, and
+// the stack entirely (gate and budgets both stay nil, and
 // every call path treats nil as "allow").
 type Options struct {
 	// Admission gate (see GateConfig).
 	MaxInFlight int
 	MaxQueue    int
 	MaxWait     time.Duration
-
-	// Circuit breaker (see BreakerConfig).
-	BreakerFailures int
 
 	// Retry budgets: tokens earned per first attempt and the bucket
 	// cap. Ratio 0.1 means sustained retries are capped at ~10% of the

@@ -17,7 +17,7 @@ func TestCodeRoundTrip(t *testing.T) {
 		{ErrDeadlinePast, CodeDeadlinePast},
 		{fmt.Errorf("wrapped: %w", ErrOverloaded), CodeOverloaded},
 		{errors.New("plain"), ""},
-		{ErrBreakerOpen, ""}, // breaker refusals are local, never cross a hop
+		{ErrRetryBudgetExhausted, ""}, // budget refusals are local, never cross a hop
 	}
 	for _, tc := range cases {
 		if got := CodeFor(tc.err); got != tc.code {
@@ -46,7 +46,6 @@ func TestLiveness(t *testing.T) {
 		}
 	}
 	for _, err := range []error{
-		ErrBreakerOpen,
 		ErrRetryBudgetExhausted,
 		errors.New("connection refused"),
 		nil,

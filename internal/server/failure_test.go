@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/directory"
 	"repro/internal/fault"
+	"repro/internal/health"
 	"repro/internal/id"
 	"repro/internal/itinerary"
 	"repro/internal/locator"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/naplet"
 	"repro/internal/navigator"
 	"repro/internal/netsim"
+	"repro/internal/overload"
 	"repro/internal/registry"
 	"repro/internal/state"
 	"repro/internal/wire"
@@ -113,6 +115,44 @@ func TestDispatchFailsWithoutRetries(t *testing.T) {
 	_, errText, _ := servers["home"].Status(nid)
 	if !strings.Contains(errText, "dispatch to s1") {
 		t.Fatalf("trap error = %q", errText)
+	}
+}
+
+// TestDeadVerdictDoesNotTrapNapletWithoutFailover: §10's fail-fast rule
+// holds with the overload stack on. The origin's detector presumes s1
+// dead, but the naplet opted into no failover, so the verdict must not
+// refuse its dispatch: it rides its retries, lands, and the landing walks
+// the detector back to alive.
+func TestDeadVerdictDoesNotTrapNapletWithoutFailover(t *testing.T) {
+	_, servers := failSpace(t, netsim.Config{}, func(c *Config) {
+		c.Overload = &overload.Options{}
+		c.DispatchRetries = 2
+	}, "home", "s1")
+	home := servers["home"]
+	for i := 0; i < health.DefaultDeadThreshold; i++ {
+		home.Health().ReportFailure("s1")
+	}
+	if !home.Health().Dead("s1") {
+		t.Fatalf("state(s1) = %v, want dead", home.Health().State("s1"))
+	}
+
+	results := make(chan string, 1)
+	nid, err := home.Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Collector",
+		Pattern:  itinerary.SeqVisits([]string{"s1"}, ""),
+		Failover: naplet.FailoverNone,
+		Listener: func(r manager.Result) { results <- string(r.Body) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, home, nid, manager.StatusCompleted)
+	if got := <-results; got != "s1" {
+		t.Fatalf("tour = %q, want %q", got, "s1")
+	}
+	if got := home.Health().State("s1"); got != health.StateAlive {
+		t.Fatalf("state(s1) = %v after the landing, want alive", got)
 	}
 }
 

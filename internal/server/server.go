@@ -106,10 +106,11 @@ type Config struct {
 	Health *health.Detector
 	// Overload, when non-nil, switches on the overload-resilience stack:
 	// a two-class admission gate fronting the frame handler (control
-	// traffic is never queued behind bulk migrations and mail), per-peer
-	// circuit breakers wired into the health detector, and retry budgets
-	// for the navigator's and messenger's retry loops. Nil disables the
-	// whole stack — every request is admitted, every retry allowed.
+	// traffic is never queued behind bulk migrations and mail) and retry
+	// budgets for the navigator's and messenger's retry loops. Per-peer
+	// liveness stays the health detector's alone, as without the stack.
+	// Nil disables the whole stack — every request is admitted, every
+	// retry allowed.
 	Overload *overload.Options
 	// Dock, when non-nil, persists resident naplets, held mail and home
 	// registrations across restarts: the server snapshots to it at every
@@ -138,7 +139,6 @@ type Server struct {
 	tracer    *telemetry.HopTracer
 	hd        *health.Detector
 	gate      *overload.Gate
-	brk       *overload.Breakers
 	failovers *telemetry.Counter
 
 	mintMu sync.Mutex
@@ -193,11 +193,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// The overload stack is all-or-nothing: one Options bundle builds the
-	// admission gate, the per-peer breakers (sharing the health detector,
-	// so breaker state and failure suspicion reinforce each other), and a
-	// retry budget per retrying component.
+	// admission gate and a retry budget per retrying component.
 	var gate *overload.Gate
-	var brk *overload.Breakers
 	var navBudget, msgrBudget *overload.RetryBudget
 	if o := cfg.Overload; o != nil {
 		gate = overload.NewGate(overload.GateConfig{
@@ -206,12 +203,6 @@ func New(cfg Config) (*Server, error) {
 			MaxWait:     o.MaxWait,
 			Clock:       clock,
 			Telemetry:   cfg.Telemetry,
-		})
-		brk = overload.NewBreakers(overload.BreakerConfig{
-			FailureThreshold: o.BreakerFailures,
-			Clock:            clock,
-			Health:           hd,
-			Telemetry:        cfg.Telemetry,
 		})
 		navBudget = overload.NewRetryBudget(overload.RetryBudgetConfig{
 			Ratio:     o.RetryRatio,
@@ -236,7 +227,6 @@ func New(cfg Config) (*Server, error) {
 		tracer:      cfg.Tracer,
 		hd:          hd,
 		gate:        gate,
-		brk:         brk,
 		minted:      make(map[string]time.Time),
 		dockStore:   cfg.Dock,
 		dockEntries: make(map[string]*dock.Resident),
@@ -286,7 +276,6 @@ func New(cfg Config) (*Server, error) {
 	}, node, s.mgr, clock)
 	msgrCfg := cfg.Messenger
 	msgrCfg.Telemetry = s.telem
-	msgrCfg.Breakers = brk
 	msgrCfg.RetryBudget = msgrBudget
 	s.msgr = messenger.New(msgrCfg, s.name, node, s.loc, s.mgr, clock)
 	s.nav = navigator.New(navigator.Config{
@@ -296,7 +285,6 @@ func New(cfg Config) (*Server, error) {
 		Telemetry:    s.telem,
 		Tracer:       s.tracer,
 		Health:       hd,
-		Breakers:     brk,
 		RetryBudget:  navBudget,
 	}, s.name, node, s.sec, s.mgr, s.reg, s.cache, clock)
 
@@ -383,10 +371,6 @@ func (s *Server) Health() *health.Detector { return s.hd }
 // OverloadGate returns the server's admission gate (nil when Config.Overload
 // was nil).
 func (s *Server) OverloadGate() *overload.Gate { return s.gate }
-
-// Breakers returns the server's per-peer circuit breakers (nil when
-// Config.Overload was nil).
-func (s *Server) Breakers() *overload.Breakers { return s.brk }
 
 // Draining reports whether the server has stopped accepting new work
 // (Drain was called). A health endpoint should turn not-ready on this.
