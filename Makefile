@@ -14,6 +14,10 @@
 # Every Benchmark* function runs once (-short shrinks the million-entry
 # directory planes), so none can stop compiling or start panicking unseen;
 # what is gated is allocation ceilings, and those are tests in `go test ./...`.
+# The full-length overload-resilience scenario runs last before chaos: its
+# exit code is its gate (goodput floor, control-plane SLO, a filled queue,
+# and every shed reconciled three ways). loadgen's byte and work-total
+# trajectory is pinned in `go test ./...` (loadgen.TestShortProfileNetsim).
 verify:
 	go vet ./...
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo "verify: the files above are not gofmt-formatted"; exit 1; fi
@@ -27,7 +31,7 @@ verify:
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
 	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
-	go run ./cmd/napletctl loadgen -check BENCH_loadgen.json
+	go run ./cmd/napletctl loadgen -profile overload -fabric netsim-lan
 	$(MAKE) chaos
 
 # chaos runs the seeded fault-injection suites under the race detector:
@@ -73,16 +77,6 @@ loadgen:
 	go run ./cmd/napletctl loadgen -profile man-sweep -devices 2000
 	go run ./cmd/napletctl loadgen -profile man-sweep -faults -fabric netsim-lan
 
-# bench-loadgen regenerates BENCH_loadgen.json, the loadgen trajectory
-# baseline: work totals and station byte counts of the deterministic
-# short-profile netsim run are gated; latency scalars ride along as
-# context. The overload-resilience scenario is recorded as an extra run:
-# `napletctl loadgen -check` (run by verify) replays the recorded
-# profile/fabric/seed, then replays each extra and fails on its own
-# violations (goodput floor, control-plane SLO, shed reconciliation).
-bench-loadgen:
-	go run ./cmd/napletctl loadgen -profile short -fabric netsim-wan -extra overload:netsim-lan -o BENCH_loadgen.json
-
 # compose-smoke builds the deploy/ images, boots a master + three docks
 # under docker compose, waits for every dock to turn ready, runs a launch
 # wave through napletctl, and asserts the tour results. Needs a docker
@@ -106,4 +100,4 @@ fuzz-smoke:
 	for pkg in navigator messenger directory locator fleet cnmp server; do \
 		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 
-.PHONY: verify chaos bench loadgen bench-loadgen compose-smoke fuzz-smoke
+.PHONY: verify chaos bench loadgen compose-smoke fuzz-smoke

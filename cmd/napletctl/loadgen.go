@@ -20,13 +20,10 @@ import (
 func loadgenCmd(args []string) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	profile := fs.String("profile", "short", "traffic profile: "+profileNames())
-	fabric := fs.String("fabric", "", "fabric: netsim-lan, netsim-wan, tcp or both (default both; netsim-wan with -check)")
+	fabric := fs.String("fabric", "", "fabric: netsim-lan, netsim-wan, tcp or both (default both)")
 	devices := fs.Int("devices", 0, "override the profile's device count")
 	seed := fs.Int64("loadgen.seed", 1, "seed for the deterministic plan (replay a CI failure by its printed seed)")
 	faults := fs.Bool("faults", false, "enable seeded fault injection (netsim fabrics only)")
-	check := fs.String("check", "", "compare a run against this baseline JSON and exit non-zero on regression")
-	out := fs.String("o", "", "write the run's baseline JSON here (trajectory record)")
-	extra := fs.String("extra", "", "comma-separated profile:fabric runs to record alongside the main one (with -o); replayed by -check")
 	fs.Parse(args)
 
 	prof, ok := loadgen.Profiles[*profile]
@@ -36,56 +33,6 @@ func loadgenCmd(args []string) {
 	}
 	if *devices > 0 {
 		prof.Devices = *devices
-	}
-
-	if *check != "" {
-		base, err := loadgen.ReadBaseline(*check)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "napletctl loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		// The gate replays the baseline's own recorded configuration so
-		// the comparison is like-for-like; explicit flags still override.
-		cfg := loadgen.Config{Profile: prof, Fabric: base.Fabric, Seed: base.Seed, Out: os.Stdout}
-		if bp, ok := loadgen.Profiles[base.Profile]; ok && *profile == "short" && base.Profile != "short" {
-			cfg.Profile = bp
-		}
-		if *fabric != "" {
-			cfg.Fabric = *fabric
-		}
-		res, err := loadgen.Run(context.Background(), cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "napletctl loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		fails := base.Check(res)
-		// Replay the recorded extra runs (the overload scenario chiefly):
-		// each judges itself through its own Violations.
-		for _, e := range base.Extra {
-			eprof, ok := loadgen.Profiles[e.Profile]
-			if !ok {
-				fails = append(fails, fmt.Sprintf("extra run names unknown profile %q", e.Profile))
-				continue
-			}
-			fmt.Println()
-			eres, err := loadgen.Run(context.Background(), loadgen.Config{
-				Profile: eprof, Fabric: e.Fabric, Seed: e.Seed, Out: os.Stdout,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "napletctl loadgen: extra %s/%s: %v\n", e.Profile, e.Fabric, err)
-				os.Exit(1)
-			}
-			fails = append(fails, e.Check(eres)...)
-		}
-		if len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "napletctl loadgen: %d regressions vs %s:\n", len(fails), *check)
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "  - %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen check vs %s: ok\n", *check)
-		return
 	}
 
 	fabrics := []string{loadgen.FabricNetsimWAN, loadgen.FabricTCP}
@@ -100,7 +47,6 @@ func loadgenCmd(args []string) {
 	}
 
 	failed := false
-	var last *loadgen.Result
 	for i, fb := range fabrics {
 		if i > 0 {
 			fmt.Println()
@@ -120,38 +66,6 @@ func loadgenCmd(args []string) {
 		if len(res.Violations) > 0 {
 			failed = true
 		}
-		last = res
-	}
-	if *out != "" && last != nil {
-		base := loadgen.NewBaseline(last)
-		for _, spec := range strings.Split(*extra, ",") {
-			if spec == "" {
-				continue
-			}
-			pname, fb, ok := strings.Cut(spec, ":")
-			eprof, have := loadgen.Profiles[pname]
-			if !ok || !have {
-				fmt.Fprintf(os.Stderr, "napletctl loadgen: -extra wants profile:fabric with a known profile, got %q\n", spec)
-				os.Exit(2)
-			}
-			fmt.Println()
-			eres, err := loadgen.Run(context.Background(), loadgen.Config{
-				Profile: eprof, Fabric: fb, Seed: *seed, Out: os.Stdout,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "napletctl loadgen: extra %s: %v\n", spec, err)
-				os.Exit(1)
-			}
-			if len(eres.Violations) > 0 {
-				failed = true
-			}
-			base.Extra = append(base.Extra, loadgen.NewExtra(eres))
-		}
-		if err := loadgen.WriteBaseline(*out, base); err != nil {
-			fmt.Fprintf(os.Stderr, "napletctl loadgen: write %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
 	}
 	if failed {
 		os.Exit(1)

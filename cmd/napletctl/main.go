@@ -127,7 +127,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       napletctl metrics <metrics-addr>[,<metrics-addr>...]")
 	fmt.Fprintln(os.Stderr, "       napletctl overload <metrics-addr>")
 	fmt.Fprintln(os.Stderr, "       napletctl spans <metrics-addr> [naplet-id]")
-	fmt.Fprintln(os.Stderr, "       napletctl loadgen [-profile short|mixed|man-sweep|overload] [-fabric netsim-wan|tcp|both] [-loadgen.seed N] [-faults] [-check BENCH_loadgen.json] [-o file] [-extra profile:fabric]")
+	fmt.Fprintln(os.Stderr, "       napletctl loadgen [-profile short|mixed|man-sweep|overload] [-fabric netsim-wan|tcp|both] [-loadgen.seed N] [-faults]")
 	os.Exit(2)
 }
 

@@ -296,9 +296,6 @@ func (i *Injector) Counts() map[string]int64 {
 	return out
 }
 
-// Calls reports the number of intercepted calls so far.
-func (i *Injector) Calls() int64 { return i.calls.Load() }
-
 // record appends a trail event, stamps counters and telemetry.
 func (i *Injector) record(ev Event) {
 	ev.At = time.Now()

@@ -117,9 +117,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 // registration with the master.
 func (a *Agent) Registered() bool { return a.registered.Load() }
 
-// Throttled reports whether the master's backpressure signal is active.
-func (a *Agent) Throttled() bool { return a.throttled.Load() }
-
 // Publish queues an event for export. It never blocks: a full queue
 // drops the event, and under master throttle span events are kept only
 // 1 in 4 (nav-log events always pass).

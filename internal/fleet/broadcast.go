@@ -206,13 +206,6 @@ func (b *Broadcaster) Poll(id string, max int) ([]Event, uint64, error) {
 	return out, s.dropped, nil
 }
 
-// Unsubscribe removes a subscription. Unknown handles are a no-op.
-func (b *Broadcaster) Unsubscribe(id string) {
-	b.mu.Lock()
-	delete(b.subs, id)
-	b.mu.Unlock()
-}
-
 // Reap removes subscriptions not polled for at least idle, returning how
 // many died — the garbage collection for watchers that went away without
 // unsubscribing.

@@ -38,15 +38,6 @@ func Parse(input string) (*Pattern, error) {
 	return pat, nil
 }
 
-// MustParse is like Parse but panics on error; for tests and constants.
-func MustParse(input string) *Pattern {
-	pat, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return pat
-}
-
 type parser struct {
 	src string
 	pos int

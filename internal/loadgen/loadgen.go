@@ -66,7 +66,8 @@ type Result struct {
 	Fabric  string
 	Seed    int64
 	Faults  bool
-	// PlanDigest fingerprints the deterministic schedule.
+	// PlanDigest fingerprints the deterministic schedule (empty for the
+	// overload profile, which has none).
 	PlanDigest string
 	// ToursCompleted counts completed tour launches (seq + par).
 	ToursCompleted int
@@ -82,7 +83,7 @@ type Result struct {
 	CNMPBytes   int64
 	NapletBytes int64
 	// ByteRatio is CNMPBytes/NapletBytes — the paper's §6 traffic-
-	// locality claim, gated against the committed baseline.
+	// locality claim.
 	ByteRatio float64
 	// SLOs holds every evaluated objective.
 	SLOs []telemetry.SLOResult
@@ -91,9 +92,6 @@ type Result struct {
 	Violations []string
 	// Elapsed is the wall-clock run time.
 	Elapsed time.Duration
-	// Metrics are the scalar measurements for baseline gating
-	// (Baseline.Check).
-	Metrics map[string]float64
 }
 
 // faultProbabilities is the probabilistic mix loadgen injects. Milder
@@ -148,7 +146,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Seed:       cfg.Seed,
 		Faults:     cfg.Faults,
 		PlanDigest: plan.Digest(),
-		Metrics:    map[string]float64{},
 	}
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, prof.Timeout)
@@ -256,7 +253,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res.Elapsed = time.Since(start)
-	fillMetrics(res, reg)
 	report(cfg.Out, res)
 	return res, nil
 }
@@ -609,30 +605,6 @@ func reconcileFaults(tb *man.Testbed, inj *fault.Injector, reg *telemetry.Regist
 	if dedupHits < transferReplays {
 		violate("%d transfer replays injected but only %d dedup hits — a replay may have landed twice",
 			transferReplays, dedupHits)
-	}
-}
-
-// fillMetrics flattens the run into the named scalars the baseline gate
-// compares.
-func fillMetrics(res *Result, reg *telemetry.Registry) {
-	res.Metrics["tours_completed"] = float64(res.ToursCompleted)
-	res.Metrics["messages_delivered"] = float64(res.MessagesDelivered)
-	res.Metrics["landings"] = float64(res.Landings)
-	res.Metrics["elapsed_ms"] = float64(res.Elapsed.Milliseconds())
-	if res.CNMPBytes > 0 {
-		res.Metrics["cnmp_station_bytes"] = float64(res.CNMPBytes)
-	}
-	if res.NapletBytes > 0 {
-		res.Metrics["naplet_station_bytes"] = float64(res.NapletBytes)
-	}
-	if res.ByteRatio > 0 {
-		res.Metrics["byte_ratio"] = res.ByteRatio
-	}
-	if sum, ok := reg.SummaryOf("naplet_navigator_hop_latency_seconds"); ok {
-		res.Metrics["hop_p99_ms"] = sum.P99 * 1000
-	}
-	if sum, ok := reg.SummaryOf("naplet_messenger_confirm_rtt_seconds"); ok {
-		res.Metrics["confirm_p99_ms"] = sum.P99 * 1000
 	}
 }
 

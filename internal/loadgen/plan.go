@@ -81,7 +81,7 @@ var Profiles = map[string]Profile{
 		Overload: &OverloadSpec{
 			Workers:         4,
 			Work:            5 * time.Millisecond,
-			Multiple:        2,
+			Multiple:        3,
 			Phase:           1500 * time.Millisecond,
 			MaxInFlight:     4,
 			MaxQueue:        4,

@@ -102,9 +102,13 @@ type ShedEvent struct {
 type Gate struct {
 	cfg   GateConfig
 	slots chan struct{}
+	// room holds one token per bulk request from arrival to release,
+	// waiting or running: MaxInFlight+MaxQueue of them, so a full room
+	// is a full queue and each request is counted exactly once. A slot
+	// is taken after its room token and returned before it.
+	room chan struct{}
 
 	mu         sync.Mutex
-	queued     int
 	firstAbove time.Time // first sojourn observation at/above Target
 	dropping   bool
 	trail      []ShedEvent
@@ -126,6 +130,7 @@ type Gate struct {
 func NewGate(cfg GateConfig) *Gate {
 	g := &Gate{cfg: cfg.withDefaults()}
 	g.slots = make(chan struct{}, g.cfg.MaxInFlight)
+	g.room = make(chan struct{}, g.cfg.MaxInFlight+g.cfg.MaxQueue)
 	g.shed = make(map[string]*atomic.Int64, len(ShedReasons))
 	for _, r := range ShedReasons {
 		g.shed[r] = new(atomic.Int64)
@@ -149,11 +154,7 @@ func NewGate(cfg GateConfig) *Gate {
 			"requests currently executing", func() float64 { return float64(g.ctlInFlight.Load()) },
 			"class", ClassControl.String())
 		reg.GaugeFunc("naplet_overload_queued",
-			"bulk requests waiting for an in-flight slot", func() float64 {
-				g.mu.Lock()
-				defer g.mu.Unlock()
-				return float64(g.queued)
-			})
+			"bulk requests waiting for an in-flight slot", func() float64 { return float64(g.queued()) })
 	}
 	return g
 }
@@ -180,6 +181,11 @@ func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
 	}
 
 	g.bulkArrivals.Add(1)
+	select {
+	case g.room <- struct{}{}:
+	default:
+		return nil, g.shedLocked(ReasonQueueFull, ErrOverloaded)
+	}
 	// Fast path: a free slot means the queue is empty — take it and
 	// clear any standing-delay history.
 	select {
@@ -190,41 +196,37 @@ func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
 	}
 
 	g.mu.Lock()
-	if g.queued >= g.cfg.MaxQueue {
-		g.mu.Unlock()
-		return nil, g.shedLocked(ReasonQueueFull, ErrOverloaded)
-	}
-	if g.dropping {
-		g.mu.Unlock()
+	dropping := g.dropping
+	g.mu.Unlock()
+	if dropping {
+		<-g.room
 		return nil, g.shedLocked(ReasonQueueDelay, ErrOverloaded)
 	}
-	g.queued++
-	g.mu.Unlock()
 
 	enqueued := g.cfg.Clock()
 	timer := time.NewTimer(g.cfg.MaxWait)
 	defer timer.Stop()
 	select {
 	case g.slots <- struct{}{}:
-		g.dequeue()
 		g.noteSojourn(g.cfg.Clock().Sub(enqueued))
 		return g.admitBulk(), nil
 	case <-ctx.Done():
-		g.dequeue()
+		<-g.room
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
 		}
 		return nil, g.shedLocked(ReasonCanceled, ErrOverloaded)
 	case <-timer.C:
-		g.dequeue()
+		<-g.room
 		return nil, g.shedLocked(ReasonQueueTimeout, ErrOverloaded)
 	}
 }
 
-func (g *Gate) dequeue() {
-	g.mu.Lock()
-	g.queued--
-	g.mu.Unlock()
+// queued counts bulk requests holding room but no slot: those waiting.
+// The two lengths are read apart, so under churn it is an estimate; it is
+// exact once the gate is idle.
+func (g *Gate) queued() int {
+	return max(len(g.room)-len(g.slots), 0)
 }
 
 func (g *Gate) admitBulk() func() {
@@ -238,6 +240,7 @@ func (g *Gate) admitBulk() func() {
 		once.Do(func() {
 			g.bulkInFlight.Add(-1)
 			<-g.slots
+			<-g.room
 		})
 	}
 }
@@ -322,8 +325,8 @@ func (g *Gate) Stats() GateStats {
 	for _, r := range ShedReasons {
 		st.Shed[r] = g.shed[r].Load()
 	}
+	st.Queued = g.queued()
 	g.mu.Lock()
-	st.Queued = g.queued
 	st.Dropping = g.dropping
 	g.mu.Unlock()
 	return st

@@ -100,6 +100,39 @@ func TestGateQueueFullShed(t *testing.T) {
 	}
 }
 
+// TestGateQueueFullCountsOnce: as many closed-loop callers as there are
+// slots plus queue places can never fill the queue, so none may be shed
+// queue-full — not even in the instant between a waiter winning a freed
+// slot and leaving the queue. Target and MaxWait are out of reach, so
+// queue-full is the only shed that could fire.
+func TestGateQueueFullCountsOnce(t *testing.T) {
+	const slots, places = 4, 4
+	g := NewGate(GateConfig{MaxInFlight: slots, MaxQueue: places, Target: time.Hour, MaxWait: time.Minute})
+	stop := time.Now().Add(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	for i := 0; i < slots+places; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				release, err := g.Admit(context.Background(), ClassBulk)
+				if err != nil {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				time.Sleep(2 * time.Millisecond)
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	st := g.Stats()
+	if st.TotalShed() != 0 {
+		t.Fatalf("%d callers on %d slots + %d queue places: shed %v of %d arrivals",
+			slots+places, slots, places, st.Shed, st.BulkArrivals)
+	}
+}
+
 func TestGateQueueTimeout(t *testing.T) {
 	g := NewGate(GateConfig{MaxInFlight: 1, MaxWait: 20 * time.Millisecond})
 	release, err := g.Admit(context.Background(), ClassBulk)

@@ -353,9 +353,6 @@ func (s *Server) Directory() directory.Directory { return s.dir }
 // Resources returns the server's ResourceManager.
 func (s *Server) Resources() *resource.Manager { return s.res }
 
-// Security returns the server's NapletSecurityManager.
-func (s *Server) Security() *security.Manager { return s.sec }
-
 // Cache returns the server's codebase cache.
 func (s *Server) Cache() *registry.Cache { return s.cache }
 

@@ -248,13 +248,3 @@ func (d *Device) Tick(dt time.Duration) {
 	}
 	mib.Adjust(OIDIP.Append(3, 0), d.rng.Int63n(1<<16))
 }
-
-// InterfaceStatusOIDs lists the ifOperStatus column, a typical
-// status-sweep query set.
-func (d *Device) InterfaceStatusOIDs() []OID {
-	out := make([]OID, d.ifaces)
-	for i := 1; i <= d.ifaces; i++ {
-		out[i-1] = OIDIfTable.Append(colIfOperStatus, i)
-	}
-	return out
-}
