@@ -2,7 +2,8 @@
 
 # verify is the extended tier-1 gate: vet, build, full test suite, and a
 # race pass over the packages that share sync.Pool buffers, per-
-# connection scratch state, or lock-free metric hot paths. It also fails
+# connection scratch state, or lock-free metric hot paths, and over the
+# manager, whose End hands results to listeners between two lock sections. It also fails
 # if any non-test package imports encoding/gob: the wire primitives are
 # the one codec for what docks send, JSON the one for operator bodies.
 # A codec is an append and a decode: it also fails if a size method comes
@@ -30,7 +31,7 @@ verify:
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
-	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/...
+	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/...
 	go run ./cmd/napletctl loadgen -profile overload -fabric netsim-lan
 	$(MAKE) chaos
 
@@ -51,11 +52,14 @@ verify:
 # counted a shed as a miss (TestChaosOverloadSeeds), plus the free-running chase
 # that posts to a touring mover without waiting to learn where it is and
 # asserts every message arrives exactly once and no dock is left holding
-# mail (TestFreeRunningChaseExactlyOnce). Reproduce a failing seed with:
+# mail (TestFreeRunningChaseExactlyOnce), plus the end report that must
+# reach the owner's listener once when its first attempt is dropped,
+# loses its reply or is duplicated, and when a lost transfer ack holds the
+# origin copy (TestEndReportExactlyOnce). Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
 chaos:
-	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce' ./internal/server/
+	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce|TestEndReportExactlyOnce' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 
 # bench runs every Benchmark* function in the module with allocation

@@ -57,9 +57,7 @@ func (greeter) OnStart(ctx *naplet.Context) error {
 func (greeter) OnDestroy(ctx *naplet.Context) {
 	var tour []string
 	ctx.State().Load("tour", &tour)
-	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctx.Listener.Report(rctx, []byte("toured: "+strings.Join(tour, " -> ")))
+	ctx.Listener.Report(context.Background(), []byte("toured: "+strings.Join(tour, " -> ")))
 }
 
 func buildRegistry() (*registry.Registry, error) {

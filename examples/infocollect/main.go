@@ -47,9 +47,7 @@ func (collectAgent) OnStart(ctx *naplet.Context) error {
 func (collectAgent) OnDestroy(ctx *naplet.Context) {
 	var collected []string
 	ctx.State().Load("collected", &collected)
-	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctx.Listener.Report(rctx, []byte(strings.Join(collected, ",")))
+	ctx.Listener.Report(context.Background(), []byte(strings.Join(collected, ",")))
 }
 
 func buildSpace(names []string) (*netsim.Network, map[string]*server.Server, error) {

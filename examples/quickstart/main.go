@@ -40,9 +40,7 @@ func (greeter) OnStart(ctx *naplet.Context) error {
 func (greeter) OnDestroy(ctx *naplet.Context) {
 	var greetings []string
 	ctx.State().Load("greetings", &greetings)
-	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctx.Listener.Report(rctx, []byte(strings.Join(greetings, "; ")))
+	ctx.Listener.Report(context.Background(), []byte(strings.Join(greetings, "; ")))
 }
 
 func main() {

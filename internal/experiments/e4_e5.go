@@ -67,9 +67,7 @@ func (workerAgent) OnStart(ctx *naplet.Context) error {
 }
 
 func (workerAgent) OnDestroy(ctx *naplet.Context) {
-	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctx.Listener.Report(rctx, []byte("done"))
+	ctx.Listener.Report(context.Background(), []byte("done"))
 }
 
 // E4Shape names one itinerary shape in the comparison.
@@ -236,9 +234,7 @@ func (targetAgent) OnStart(ctx *naplet.Context) error {
 }
 
 func (targetAgent) OnDestroy(ctx *naplet.Context) {
-	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctx.Listener.Report(rctx, []byte("toured"))
+	ctx.Listener.Report(context.Background(), []byte("toured"))
 }
 
 // E5Result is one mode's measured outcome.

@@ -354,12 +354,17 @@ func runTour(ctx context.Context, tb *man.Testbed, ti int, spec TourSpec, route 
 	if !spec.Par {
 		// Clones of a Par launch aren't tracked by the home manager's
 		// status machine; their branch reports below are the completion
-		// signal. Sequential tours have a single tracked naplet.
+		// signal. Sequential tours have a single tracked naplet, whose
+		// report comes home with its completion: the listener has it by
+		// the time WaitDone returns.
 		if st, err := tb.Station.Server.WaitDone(ctx, nid); err != nil {
 			return 0, fmt.Errorf("wait: %w", err)
 		} else if st != manager.StatusCompleted {
 			_, errText, _ := tb.Station.Server.Status(nid)
 			return 0, fmt.Errorf("status %v (%s)", st, errText)
+		}
+		if len(reports) == 0 {
+			return 0, fmt.Errorf("completed with 0/%d reports", wantReports)
 		}
 	}
 	got := make([]string, 0, wantReports)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,12 +101,22 @@ type Result struct {
 // the paper's NapletListener callback.
 type Listener func(Result)
 
+// EndKey identifies one end of a naplet's life: the dock it ended at and
+// the length of its navigation log there. A retried or duplicated report of
+// that end carries the same key; a held copy and its live copy end under
+// two.
+type EndKey struct {
+	Dock string
+	Len  int
+}
+
 // launched tracks one locally launched naplet.
 type launched struct {
 	status   Status
 	err      string
 	listener Listener
 	results  []Result
+	ends     []EndKey      // the ends already recorded
 	done     chan struct{} // closed on terminal status
 }
 
@@ -168,22 +179,15 @@ func (m *Manager) RecordLaunch(nid id.NapletID, listener Listener) {
 	}
 }
 
-// SetStatus updates the status of a locally launched naplet; unknown
-// naplets are ignored (status reports can outlive their table entry).
-func (m *Manager) SetStatus(nid id.NapletID, s Status, errText string) {
+// SetStatus records a non-terminal status (running, in transit) of a
+// locally launched naplet; an end goes through End. Unknown naplets and
+// ended ones are left alone: a dispatch's in-transit write can come after
+// the naplet already ended at its destination.
+func (m *Manager) SetStatus(nid id.NapletID, s Status) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l, ok := m.launchedT[nid.Key()]
-	if !ok {
-		return
-	}
-	if l.status.Terminal() {
-		return
-	}
-	l.status = s
-	l.err = errText
-	if s.Terminal() {
-		close(l.done)
+	if l, ok := m.launchedT[nid.Key()]; ok && !l.status.Terminal() {
+		l.status = s
 	}
 }
 
@@ -212,29 +216,62 @@ func (m *Manager) Launched() []id.NapletID {
 	return out
 }
 
-// Deliver dispatches a report from a travelling naplet to its listener and
-// stores it in the result log. Reports for unknown naplets (e.g. clones the
-// home first hears of via their report) create a table entry on the fly, so
-// "the spawned naplets will report their results individually" (§6.2) works
-// without pre-registration.
-func (m *Manager) Deliver(nid id.NapletID, body []byte) {
-	res := Result{NapletID: nid, Body: append([]byte(nil), body...), ReceivedAt: m.clock()}
-	m.mu.Lock()
+// entry returns the table entry of a naplet, creating one for a naplet the
+// home first hears of by its report: clones report under their own ID and
+// inherit the originator's listener when one exists. m.mu held.
+func (m *Manager) entry(nid id.NapletID) *launched {
 	l, ok := m.launchedT[nid.Key()]
 	if !ok {
 		l = &launched{status: StatusRunning, done: make(chan struct{})}
-		// Clones report under their own ID; inherit the originator's
-		// listener when one exists.
 		if root, rok := m.launchedT[nid.Root().Key()]; rok {
 			l.listener = root.listener
 		}
 		m.launchedT[nid.Key()] = l
 	}
+	return l
+}
+
+// Deliver dispatches a mid-tour report from a travelling naplet to its
+// listener and stores it in the result log. Reports for unknown naplets
+// (e.g. clones the home first hears of via their report) create a table
+// entry on the fly, so "the spawned naplets will report their results
+// individually" (§6.2) works without pre-registration.
+func (m *Manager) Deliver(nid id.NapletID, body []byte) {
+	res := Result{NapletID: nid, Body: append([]byte(nil), body...), ReceivedAt: m.clock()}
+	m.mu.Lock()
+	l := m.entry(nid)
 	l.results = append(l.results, res)
 	listener := l.listener
 	m.mu.Unlock()
 	if listener != nil {
 		listener(res)
+	}
+}
+
+// End records the end of a naplet's life: the results it reported while
+// ending and its terminal status. A replay of an end already recorded
+// (same key) is dropped whole, so a retried or duplicated end report
+// reaches the listener once. The listener runs before WaitDone returns, and
+// the first terminal status wins: a held copy's trap and its live copy's
+// completion are two ends, both of whose results are delivered. Unknown
+// naplets get an entry as in Deliver.
+func (m *Manager) End(nid id.NapletID, key EndKey, s Status, errText string, results [][]byte) {
+	m.mu.Lock()
+	l := m.entry(nid)
+	if slices.Contains(l.ends, key) {
+		m.mu.Unlock()
+		return
+	}
+	l.ends = append(l.ends, key)
+	m.mu.Unlock()
+	for _, body := range results {
+		m.Deliver(nid, body)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !l.status.Terminal() {
+		l.status, l.err = s, errText
+		close(l.done)
 	}
 }
 

@@ -3,7 +3,9 @@ package manager
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,14 +26,14 @@ func TestLaunchStatusLifecycle(t *testing.T) {
 	if err != nil || s != StatusLaunched {
 		t.Fatalf("status = %v %v", s, err)
 	}
-	m.SetStatus(nid, StatusRunning, "")
-	m.SetStatus(nid, StatusCompleted, "")
+	m.SetStatus(nid, StatusRunning)
+	m.End(nid, EndKey{Dock: "s2", Len: 2}, StatusCompleted, "", nil)
 	s, _, _ = m.Status(nid)
 	if s != StatusCompleted {
 		t.Fatalf("status = %v", s)
 	}
 	// Terminal status is sticky.
-	m.SetStatus(nid, StatusRunning, "")
+	m.SetStatus(nid, StatusRunning)
 	if s, _, _ := m.Status(nid); s != StatusCompleted {
 		t.Fatal("terminal status must not regress")
 	}
@@ -46,7 +48,7 @@ func TestStatusUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SetStatus for unknown naplets is a no-op, not a panic.
-	m.SetStatus(id.MustNew("u", "s1", t0), StatusRunning, "")
+	m.SetStatus(id.MustNew("u", "s1", t0), StatusRunning)
 }
 
 func TestDeliverToListener(t *testing.T) {
@@ -116,7 +118,7 @@ func TestWaitDone(t *testing.T) {
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	m.SetStatus(nid, StatusCompleted, "")
+	m.End(nid, EndKey{Dock: "s1", Len: 1}, StatusCompleted, "", nil)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -134,6 +136,104 @@ func TestWaitDone(t *testing.T) {
 	defer cancel()
 	if _, err := m.WaitDone(ctx, other); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal(err)
+	}
+}
+
+// endRecorder is a listener that keeps what it was handed.
+type endRecorder struct {
+	mu  sync.Mutex
+	got []string
+}
+
+func (r *endRecorder) listen(res Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.got = append(r.got, res.NapletID.Key()+"="+string(res.Body))
+}
+
+func (r *endRecorder) bodies() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.got...)
+}
+
+// TestEnd covers the one write that ends a naplet: its results reach the
+// listener once per end, however often the end is reported, and before
+// WaitDone returns; the first terminal status wins; a clone the home has
+// never heard of gets an entry with its originator's listener.
+func TestEnd(t *testing.T) {
+	orig := id.MustNew("u", "s1", t0)
+	clone, _ := orig.Clone(2)
+	atS2 := EndKey{Dock: "s2", Len: 3}
+	for _, tc := range []struct {
+		name       string
+		ends       func(m *Manager)
+		waitFor    id.NapletID
+		wantStatus Status
+		wantErr    string
+		want       []string
+	}{{
+		name: "replay dropped",
+		ends: func(m *Manager) {
+			m.End(orig, atS2, StatusCompleted, "", [][]byte{[]byte("r")})
+			m.End(orig, atS2, StatusCompleted, "", [][]byte{[]byte("r")})
+		},
+		waitFor: orig, wantStatus: StatusCompleted,
+		want: []string{orig.Key() + "=r"},
+	}, {
+		name: "clone inherits the listener",
+		ends: func(m *Manager) {
+			m.End(clone, atS2, StatusCompleted, "", [][]byte{[]byte("branch")})
+		},
+		waitFor: clone, wantStatus: StatusCompleted,
+		want: []string{clone.Key() + "=branch"},
+	}, {
+		name: "first terminal status wins",
+		ends: func(m *Manager) {
+			m.End(orig, EndKey{Dock: "s1", Len: 1}, StatusTrapped, "held", nil)
+			m.End(orig, atS2, StatusCompleted, "", [][]byte{[]byte("live")})
+		},
+		waitFor: orig, wantStatus: StatusTrapped, wantErr: "held",
+		want: []string{orig.Key() + "=live"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMgr()
+			var rec endRecorder
+			m.RecordLaunch(orig, rec.listen)
+			tc.ends(m)
+			st, err := m.WaitDone(context.Background(), tc.waitFor)
+			if err != nil || st != tc.wantStatus {
+				t.Fatalf("WaitDone = %v %v, want %v", st, err, tc.wantStatus)
+			}
+			if _, errText, _ := m.Status(tc.waitFor); errText != tc.wantErr {
+				t.Fatalf("error text = %q, want %q", errText, tc.wantErr)
+			}
+			if got := rec.bodies(); !slices.Equal(got, tc.want) {
+				t.Fatalf("listener got %q, want %q", got, tc.want)
+			}
+			if rs := m.Results(tc.waitFor); len(rs) != len(tc.want) {
+				t.Fatalf("results = %v, want %d", rs, len(tc.want))
+			}
+		})
+	}
+}
+
+// TestEndListenerRunsBeforeWaitDone: an owner woken by WaitDone finds the
+// end's results already delivered, even with the listener still slow.
+func TestEndListenerRunsBeforeWaitDone(t *testing.T) {
+	m := newMgr()
+	nid := id.MustNew("u", "s1", t0)
+	var delivered atomic.Bool
+	m.RecordLaunch(nid, func(Result) {
+		time.Sleep(20 * time.Millisecond)
+		delivered.Store(true)
+	})
+	go m.End(nid, EndKey{Dock: "s2", Len: 2}, StatusCompleted, "", [][]byte{[]byte("r")})
+	if st, err := m.WaitDone(context.Background(), nid); err != nil || st != StatusCompleted {
+		t.Fatalf("WaitDone = %v %v", st, err)
+	}
+	if !delivered.Load() {
+		t.Fatal("WaitDone returned before the listener had the result")
 	}
 }
 
@@ -269,6 +369,7 @@ func TestConcurrentAccess(t *testing.T) {
 			m.RecordLaunch(nid, nil)
 			m.RecordArrival(nid, "cb", "home", t0)
 			m.Deliver(nid, []byte("r"))
+			m.End(nid, EndKey{Dock: "s2", Len: 2}, StatusCompleted, "", [][]byte{[]byte("end")})
 			m.TraceNaplet(nid)
 			m.RecordDeparture(nid, "s2", t0)
 			m.HomeRecord(nid, "s2", true, t0)

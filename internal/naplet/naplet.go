@@ -221,7 +221,11 @@ type ServiceChannel interface {
 
 // ListenerAPI lets a travelling naplet report back to its owner: the
 // paper's NapletListener with its report() callback, reached through the
-// naplet's home manager.
+// naplet's home manager. A report made mid-tour is one call home whose
+// error the naplet sees. A report made from OnDestroy travels with the
+// naplet's end: it is sent with the terminal status, retried, recorded
+// once however often it arrives, and delivered before the owner's WaitDone
+// returns; Report itself returns nil.
 type ListenerAPI interface {
 	Report(ctx context.Context, body []byte) error
 }

@@ -25,10 +25,13 @@ type body interface {
 func codecBodies() (samples []body, zero []func() body) {
 	nid := id.MustNew("czxu", "sa", time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
 	samples = []body{
-		&ReportBody{NapletID: nid, Kind: ReportStatus, Status: manager.StatusTrapped, Err: "boom"},
-		&ReportBody{NapletID: nid, Kind: ReportResult, Body: []byte("toured: sa -> sb")},
+		&ReportBody{NapletID: nid, Kind: ReportEnd, Status: manager.StatusTrapped, Err: "boom", Len: 3},
+		&ReportBody{NapletID: nid, Kind: ReportEnd, Status: manager.StatusCompleted, Len: 9,
+			Results: [][]byte{[]byte("toured: sa -> sb"), []byte("second")}},
+		&ReportBody{NapletID: nid, Kind: ReportResult, Results: [][]byte{[]byte("found at sb")}},
 	}
 	zero = []func() body{
+		func() body { return new(ReportBody) },
 		func() body { return new(ReportBody) },
 		func() body { return new(ReportBody) },
 	}
@@ -45,7 +48,7 @@ func gobStream(t *testing.T) []byte {
 }
 
 // TestReportBodyRejectsOldFormats: a payload whose first byte is not the body
-// version — version 0, version 2, a gob stream, nothing — is
+// version — version 0, version 1, version 3, a gob stream, nothing — is
 // wire.ErrMalformed and leaves the body untouched; there is no second
 // parser to hand it to.
 func TestReportBodyRejectsOldFormats(t *testing.T) {
@@ -54,7 +57,8 @@ func TestReportBodyRejectsOldFormats(t *testing.T) {
 		good := sample.AppendBinary(nil)
 		for name, payload := range map[string][]byte{
 			"version 0": append([]byte{0}, good[1:]...),
-			"version 2": append([]byte{2}, good[1:]...),
+			"version 1": append([]byte{1}, good[1:]...),
+			"version 3": append([]byte{3}, good[1:]...),
 			"gob":       gobStream(t),
 			"empty":     nil,
 		} {
@@ -66,6 +70,16 @@ func TestReportBodyRejectsOldFormats(t *testing.T) {
 				t.Errorf("%T, %s: rejected payload left a partial result %+v", sample, name, got)
 			}
 		}
+	}
+}
+
+// TestReportEndNeedsTerminalStatus: an end that would leave the naplet
+// running is malformed, so no peer can close a WaitDone on a live naplet.
+func TestReportEndNeedsTerminalStatus(t *testing.T) {
+	nid := id.MustNew("czxu", "sa", time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
+	end := &ReportBody{NapletID: nid, Kind: ReportEnd, Status: manager.StatusRunning}
+	if err := new(ReportBody).Decode(end.AppendBinary(nil)); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("Decode of a running end = %v, want wire.ErrMalformed", err)
 	}
 }
 
@@ -95,7 +109,7 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Add(uint8(i), enc)
 		f.Add(uint8(i), enc[:len(enc)/2])
 	}
-	f.Add(uint8(0), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(uint8(0), []byte{bodyCodecVersion, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		mk := zero[int(which)%len(zero)]
 		got := mk()

@@ -91,7 +91,7 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, e
 	s.mgr.RecordArrival(nid, opts.Codebase, "origin", now)
 	rec.Log.RecordArrival(s.name, now)
 	s.nav.RegisterArrival(ctx, rec, now)
-	s.mgr.SetStatus(nid, manager.StatusRunning, "")
+	s.mgr.SetStatus(nid, manager.StatusRunning)
 	s.emit("launch", rec, s.name, s.name, opts.Codebase)
 
 	s.wg.Add(1)
@@ -235,14 +235,17 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 		}
 		switch d.Kind {
 		case itinerary.DecisionDone:
+			// What OnDestroy reports goes home with the end, in one call.
+			lp := nctx.Listener.(*listenerProxy)
 			if dst, ok := behavior.(naplet.Destroyable); ok {
+				lp.ending = true
 				dst.OnDestroy(nctx)
 			}
 			// Release residency before telling the owner: when WaitDone
 			// returns, the footprints and traces are already final.
 			s.cleanup(rec)
 			s.emit("complete", rec, s.name, rec.Home, "")
-			s.reportStatus(rec, manager.StatusCompleted, "")
+			s.reportEnd(rec, manager.StatusCompleted, "", lp.results)
 			return
 
 		case itinerary.DecisionFork:
@@ -394,7 +397,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 	}
 	if dest == "" {
 		s.cleanup(rec)
-		s.reportStatus(rec, manager.StatusTerminated, "evacuated: server draining")
+		s.reportEnd(rec, manager.StatusTerminated, "evacuated: server draining", nil)
 		return
 	}
 	rec.Log.RecordReroute(naplet.Reroute{
@@ -432,7 +435,7 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.msgr.PushMigration(context.Background(), rec.ID, dest)
 	s.emit("depart", rec, s.name, dest, "")
 	if rec.Home == s.name {
-		s.mgr.SetStatus(rec.ID, manager.StatusInTransit, "")
+		s.mgr.SetStatus(rec.ID, manager.StatusInTransit)
 	}
 }
 
@@ -638,7 +641,7 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 // traps for its execution exceptions").
 func (s *Server) trap(rec *naplet.Record, err error) {
 	s.emit("trap", rec, s.name, rec.Home, err.Error())
-	s.reportStatus(rec, manager.StatusTrapped, err.Error())
+	s.reportEnd(rec, manager.StatusTrapped, err.Error(), nil)
 }
 
 // cleanup releases the local residency of a naplet whose life cycle ended
@@ -651,16 +654,22 @@ func (s *Server) cleanup(rec *naplet.Record) {
 	s.mon.Remove(rec.ID)
 }
 
-// reportStatus updates the naplet's home naplet-table, locally or over the
-// fabric. Status reports matter to the owner (WaitDone blocks on them), so
-// transient network failures are retried.
-func (s *Server) reportStatus(rec *naplet.Record, st manager.Status, errText string) {
+// reportEnd tells the naplet's home manager that its life ended here, with
+// the terminal status, its error text and the results reported while
+// ending: one write of the home's naplet table, made locally or in one
+// report over the fabric. The owner waits on it (WaitDone), so transient
+// network failures are retried; the home drops a replay by the end's key —
+// this dock and the naplet's log length — so a retry after a lost reply
+// delivers the results once.
+func (s *Server) reportEnd(rec *naplet.Record, st manager.Status, errText string, results [][]byte) {
 	if rec.Home == s.name {
-		s.mgr.SetStatus(rec.ID, st, errText)
+		s.mgr.End(rec.ID, manager.EndKey{Dock: s.name, Len: rec.Log.Len()}, st, errText, results)
 		return
 	}
-	f := wire.BinaryFrame(wire.KindReport, "", "",
-		&ReportBody{NapletID: rec.ID, Kind: ReportStatus, Status: st, Err: errText})
+	f := wire.BinaryFrame(wire.KindReport, "", "", &ReportBody{
+		NapletID: rec.ID, Kind: ReportEnd, Status: st, Err: errText,
+		Len: rec.Log.Len(), Results: results,
+	})
 	for attempt := 0; attempt < 20; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		_, err := s.node.Call(ctx, rec.Home, f)
@@ -712,16 +721,24 @@ func (m *meteredMessenger) TryReceive() (naplet.Message, bool) {
 type listenerProxy struct {
 	server *Server
 	rec    *naplet.Record
+	// ending is set while OnDestroy runs: its reports are kept in results
+	// and go home with the end (reportEnd).
+	ending  bool
+	results [][]byte
 }
 
 // Report implements naplet.ListenerAPI.
 func (p *listenerProxy) Report(ctx context.Context, body []byte) error {
+	if p.ending {
+		p.results = append(p.results, append([]byte(nil), body...))
+		return nil
+	}
 	if p.rec.Home == p.server.name {
 		p.server.mgr.Deliver(p.rec.ID, body)
 		return nil
 	}
 	f := wire.BinaryFrame(wire.KindReport, "", "",
-		&ReportBody{NapletID: p.rec.ID, Kind: ReportResult, Body: body})
+		&ReportBody{NapletID: p.rec.ID, Kind: ReportResult, Results: [][]byte{body}})
 	_, err := p.server.node.Call(ctx, p.rec.Home, f)
 	return err
 }

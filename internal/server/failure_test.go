@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -527,4 +528,132 @@ func TestUnresolvedDispatchTrapsInsteadOfForking(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// TestEndReportExactlyOnce: a naplet that ends away from home sends its last
+// result and its terminal status home in one report, retried and keyed by
+// the end (the dock and the naplet's log length). Whatever the fabric does
+// to the first attempt of that report — loses it, loses its reply, delivers
+// it twice — the owner's listener has the result when WaitDone returns and
+// hears it exactly once.
+func TestEndReportExactlyOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		p     fault.Probabilities
+		calls int // report calls the last stop makes, retries included
+	}{
+		{"DropRequest", fault.Probabilities{DropRequest: 1}, 2},
+		{"DropReply", fault.Probabilities{DropReply: 1}, 2},
+		{"Duplicate", fault.Probabilities{Duplicate: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var faulted atomic.Bool
+			inj := fault.New(fault.Config{
+				Seed: 1,
+				P:    tc.p,
+				Kinds: func(k wire.Kind) bool {
+					return k == wire.KindReport && faulted.CompareAndSwap(false, true)
+				},
+			})
+			counter := newKindCounter()
+			sp := newSpace(t, spaceOpts{mutate: func(name string, cfg *Config) {
+				if name == "s2" {
+					counter.inner, cfg.Fabric = inj.Fabric(cfg.Fabric), counter
+				}
+			}}, "home", "s1", "s2")
+			results := make(chan string, 4)
+			nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+				Owner:    "czxu",
+				Codebase: "test.Collector",
+				Pattern:  itinerary.SeqVisits([]string{"s1", "s2"}, ""),
+				Listener: func(r manager.Result) { results <- string(r.Body) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+			if n := len(results); n != 1 {
+				t.Fatalf("completed with %d/1 results", n)
+			}
+			// Once the last stop's report calls are back, nothing more of
+			// this end can arrive.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				counter.mu.Lock()
+				sent := counter.calls[wire.KindReport]
+				counter.mu.Unlock()
+				if sent >= tc.calls {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("s2 made %d report calls, want %d", sent, tc.calls)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := <-results; got != "s1,s2" {
+				t.Fatalf("result = %q, want s1,s2", got)
+			}
+			if n := len(results); n != 0 {
+				t.Fatalf("the listener heard the end %d more times", n)
+			}
+			if rs := sp.servers["home"].Results(nid); len(rs) != 1 {
+				t.Fatalf("home recorded %d results, want 1", len(rs))
+			}
+		})
+	}
+
+	// A transfer whose ack is lost holds the origin copy: it traps at
+	// home while the live copy runs on. The two copies end under two keys;
+	// the trap, first, is the status, and the live copy's result still
+	// reaches the listener, once.
+	t.Run("LostTransferAck", func(t *testing.T) {
+		inj := fault.New(fault.Config{
+			Seed:  1,
+			P:     fault.Probabilities{DropReply: 1},
+			Kinds: func(k wire.Kind) bool { return k == wire.KindNapletTransfer },
+		})
+		sp := newSpace(t, spaceOpts{mutate: func(name string, cfg *Config) {
+			if name == "home" {
+				cfg.Fabric = inj.Fabric(cfg.Fabric)
+			}
+		}}, "home", "s1")
+		gate := make(chan struct{})
+		sp.reg.MustRegister(&registry.Codebase{
+			Name: "test.GatedAtS1",
+			New: func() naplet.Behavior {
+				return gateAgent{at: "s1", gate: gate, arrived: make(chan struct{}, 1)}
+			},
+		})
+		home := sp.servers["home"]
+		results := make(chan string, 4)
+		nid, err := home.Launch(context.Background(), LaunchOptions{
+			Owner:    "czxu",
+			Codebase: "test.GatedAtS1",
+			Pattern:  itinerary.SeqVisits([]string{"s1"}, ""),
+			Listener: func(r manager.Result) { results <- string(r.Body) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, home, nid, manager.StatusTrapped)
+		close(gate)
+		select {
+		case got := <-results:
+			if got != "s1" {
+				t.Fatalf("live copy reported %q, want s1", got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the live copy's result never arrived")
+		}
+		sp.servers["s1"].Close() // its end report is back
+		if n := len(results); n != 0 {
+			t.Fatalf("the listener heard %d more results", n)
+		}
+		if st, errText, _ := home.Status(nid); st != manager.StatusTrapped || !strings.Contains(errText, "transfer outcome unknown") {
+			t.Fatalf("status = %v (%q), want the hold's trap", st, errText)
+		}
+		if rs := home.Results(nid); len(rs) != 1 {
+			t.Fatalf("home recorded %d results, want 1", len(rs))
+		}
+	})
 }

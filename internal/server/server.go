@@ -546,39 +546,47 @@ func (s *Server) handle(from string, f wire.Frame) (wire.Frame, error) {
 	}
 }
 
-// ReportBody carries naplet-to-home traffic: results for the listener and
-// status updates for the naplet table.
+// ReportBody carries naplet-to-home traffic: a report made mid-tour, or
+// the end of a naplet's life — its terminal status, error text and the
+// results it reported while ending, in one message.
 type ReportBody struct {
 	NapletID id.NapletID
 	Kind     ReportKind
-	Status   manager.Status
-	Err      string
-	Body     []byte
+	// Status and Err are an end's terminal status and its error text.
+	Status manager.Status
+	Err    string
+	// Len is the naplet's navigation-log length where it ended; with the
+	// sending dock it keys the end, so a replay is recognised.
+	Len     int
+	Results [][]byte
 }
 
-// ReportKind says which half of a ReportBody is meaningful; it is one byte
-// on the wire.
+// ReportKind says what a ReportBody reports; it is one byte on the wire.
 type ReportKind uint8
 
 // Report kinds.
 const (
-	// ReportResult delivers Body to the owner's listener.
+	// ReportResult delivers Results to the owner's listener at once.
 	ReportResult ReportKind = iota + 1
-	// ReportStatus updates the naplet table with Status and Err.
-	ReportStatus
+	// ReportEnd ends the naplet: Results, then Status and Err, recorded
+	// once per end (manager.End).
+	ReportEnd
 )
 
 // handleReport routes a naplet's report to this server's manager (this
-// server is the naplet's home).
+// server is the naplet's home). An end is keyed by the dock that sent it.
 func (s *Server) handleReport(from string, f wire.Frame) (wire.Frame, error) {
 	var body ReportBody
 	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
-	if body.Kind == ReportResult {
-		s.mgr.Deliver(body.NapletID, body.Body)
+	if body.Kind == ReportEnd {
+		key := manager.EndKey{Dock: from, Len: body.Len}
+		s.mgr.End(body.NapletID, key, body.Status, body.Err, body.Results)
 	} else {
-		s.mgr.SetStatus(body.NapletID, body.Status, body.Err)
+		for _, r := range body.Results {
+			s.mgr.Deliver(body.NapletID, r)
+		}
 	}
 	// The ack is the frame itself; no caller reads a body from it.
 	return wire.Frame{Kind: wire.KindControlReply, From: f.To, To: f.From}, nil
