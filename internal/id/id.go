@@ -165,11 +165,7 @@ type NapletID struct {
 // buffer the caller is about to reuse.
 func seal[S ~string | ~[]byte](owner, host S, created time.Time, heritage Heritage) NapletID {
 	var arr [96]byte
-	b := append(arr[:0], owner...)
-	b = append(b, '@')
-	b = append(b, host...)
-	b = append(b, ':')
-	b = created.AppendFormat(b, TimeLayout)
+	b := appendText(arr[:0], owner, host, created)
 	if len(heritage) > 0 {
 		b = heritage.appendText(append(b, ':'))
 	}
@@ -182,6 +178,16 @@ func seal[S ~string | ~[]byte](owner, host S, created time.Time, heritage Herita
 		created:  created,
 		heritage: heritage,
 	}
+}
+
+// appendText appends the text of an identifier up to its heritage:
+// owner@host:YYMMDDhhmmss.
+func appendText[S ~string | ~[]byte](b []byte, owner, host S, created time.Time) []byte {
+	b = append(b, owner...)
+	b = append(b, '@')
+	b = append(b, host...)
+	b = append(b, ':')
+	return created.AppendFormat(b, TimeLayout)
 }
 
 // ErrMalformed is returned by Parse for strings that do not follow the

@@ -12,7 +12,7 @@ import (
 //	Pattern  [uvarint kind] then, for Singleton, [Visit];
 //	         otherwise [uvarint n] n×[Pattern]
 //	OptPattern  [bool present] [Pattern if present]
-//	Itinerary   [OptPattern remaining]
+//	Itinerary   [Pattern remaining], or nothing once done
 //
 // Pattern trees are recursive; decoding caps the nesting depth so hostile
 // input cannot blow the stack.
@@ -60,41 +60,46 @@ func (p *Pattern) AppendBinary(dst []byte) []byte {
 
 // DecodePattern consumes one pattern tree from b and returns the rest.
 func DecodePattern(b []byte) (*Pattern, []byte, error) {
-	return decodePattern(b, 0)
-}
-
-func decodePattern(b []byte, depth int) (*Pattern, []byte, error) {
-	if depth > maxPatternDepth {
-		return nil, nil, fmt.Errorf("%w: pattern nesting exceeds %d", wire.ErrMalformed, maxPatternDepth)
-	}
-	kind, b, err := wire.DecUvarint(b)
+	p := new(Pattern)
+	rest, err := decodePattern(p, b, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch Kind(kind) {
+	return p, rest, nil
+}
+
+// decodePattern fills p from b. A node's operands are decoded into one
+// block, so a tour of n remaining stops costs the block and its pointer
+// slice, not n separate nodes.
+func decodePattern(p *Pattern, b []byte, depth int) ([]byte, error) {
+	if depth > maxPatternDepth {
+		return nil, fmt.Errorf("%w: pattern nesting exceeds %d", wire.ErrMalformed, maxPatternDepth)
+	}
+	kind, b, err := wire.DecUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	p.Kind = Kind(kind)
+	switch p.Kind {
 	case KindSingleton:
-		v, rest, err := DecodeVisit(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Pattern{Kind: KindSingleton, V: v}, rest, nil
+		p.V, b, err = DecodeVisit(b)
+		return b, err
 	case KindSeq, KindAlt, KindPar:
-		cnt, rest, err := wire.DecCount(b, 1)
-		if err != nil {
-			return nil, nil, err
+		cnt, b, err := wire.DecCount(b, 1)
+		if err != nil || cnt == 0 {
+			return b, err
 		}
-		p := &Pattern{Kind: Kind(kind)}
-		if cnt > 0 {
-			p.Subs = make([]*Pattern, cnt)
-			for i := range p.Subs {
-				if p.Subs[i], rest, err = decodePattern(rest, depth+1); err != nil {
-					return nil, nil, err
-				}
+		block := make([]Pattern, cnt)
+		p.Subs = make([]*Pattern, cnt)
+		for i := range block {
+			p.Subs[i] = &block[i]
+			if b, err = decodePattern(&block[i], b, depth+1); err != nil {
+				return nil, err
 			}
 		}
-		return p, rest, nil
+		return b, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown pattern kind %d", wire.ErrMalformed, kind)
+		return nil, fmt.Errorf("%w: unknown pattern kind %d", wire.ErrMalformed, kind)
 	}
 }
 
@@ -119,20 +124,28 @@ func DecodeOptPattern(b []byte) (*Pattern, []byte, error) {
 	return DecodePattern(b)
 }
 
-// AppendBinary appends the itinerary's binary form to dst. Safe on a nil
-// receiver: a nil itinerary encodes like an exhausted one.
+// AppendBinary appends the itinerary's binary form to dst: its remaining
+// pattern, or nothing once it is done. An itinerary travels as a
+// length-delimited record section, whose length tells the two apart. Safe
+// on a nil receiver: a nil itinerary encodes like an exhausted one.
 func (it *Itinerary) AppendBinary(dst []byte) []byte {
-	if it == nil {
-		return AppendOptPattern(dst, nil)
+	if it.Done() {
+		return dst
 	}
-	return AppendOptPattern(dst, it.Remaining)
+	return it.Remaining.AppendBinary(dst)
 }
 
-// DecodeBinary consumes one itinerary from b and returns the rest.
-func DecodeBinary(b []byte) (*Itinerary, []byte, error) {
-	p, b, err := DecodeOptPattern(b)
-	if err != nil {
-		return nil, nil, err
+// DecodeBinary decodes an itinerary from all of b.
+func DecodeBinary(b []byte) (*Itinerary, error) {
+	if len(b) == 0 {
+		return &Itinerary{}, nil
 	}
-	return &Itinerary{Remaining: p}, b, nil
+	p, rest, err := DecodePattern(b)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d bytes after the itinerary", wire.ErrMalformed, len(rest))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Itinerary{Remaining: p}, nil
 }

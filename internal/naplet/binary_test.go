@@ -141,7 +141,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func TestRecordGoldenBytes(t *testing.T) {
 	rec := goldenRecord(t)
 	got := rec.AppendBinary(nil)
-	checkGolden(t, "record_v3.hex", got)
+	checkGolden(t, "record_v4.hex", got)
 
 	dec, err := DecodeRecordBinary(got)
 	if err != nil {
@@ -348,7 +348,7 @@ func TestDecodeRecordRejectsBadInput(t *testing.T) {
 	}
 	// One decoder: the retired versions are refused by number like any
 	// unknown one, never parsed.
-	for _, v := range []byte{1, 2, 99} {
+	for _, v := range []byte{1, 2, 3, 99} {
 		other := append([]byte(nil), enc...)
 		other[2] = v
 		if _, err := DecodeRecordBinary(other); err == nil || !strings.Contains(err.Error(), "unsupported record codec version") {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/id"
+	"repro/internal/wire"
 )
 
 // AddressEntry associates a naplet identifier with a known residing server.
@@ -28,6 +29,10 @@ type AddressBook struct {
 	// entries is keyed by NapletID.Key(): the text the identifier carries,
 	// so filing under it formats and allocates nothing.
 	entries map[string]AddressEntry
+	// raw, while entries is nil, is the encoded book this one was decoded
+	// from (binary.go): AppendBinary re-emits it and Len reads its count;
+	// anything else decodes it first.
+	raw []byte
 }
 
 // NewAddressBook returns an empty address book.
@@ -35,10 +40,32 @@ func NewAddressBook() *AddressBook {
 	return &AddressBook{entries: make(map[string]AddressEntry)}
 }
 
+// decode turns a still-encoded book into entries. Callers hold the write
+// lock.
+func (b *AddressBook) decode() {
+	if b.entries == nil {
+		b.entries, b.raw = decodeBook(b.raw), nil
+	}
+}
+
+// rlockDecoded read-locks b with its entries decoded.
+func (b *AddressBook) rlockDecoded() {
+	b.mu.RLock()
+	if b.entries != nil {
+		return
+	}
+	b.mu.RUnlock()
+	b.mu.Lock()
+	b.decode()
+	b.mu.Unlock()
+	b.mu.RLock()
+}
+
 // Add records (or replaces) the entry for a peer naplet.
 func (b *AddressBook) Add(nid id.NapletID, serverURN string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.decode()
 	b.entries[nid.Key()] = AddressEntry{NapletID: nid, ServerURN: serverURN}
 }
 
@@ -46,12 +73,13 @@ func (b *AddressBook) Add(nid id.NapletID, serverURN string) {
 func (b *AddressBook) Remove(nid id.NapletID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.decode()
 	delete(b.entries, nid.Key())
 }
 
 // Lookup returns the entry for a peer, if present.
 func (b *AddressBook) Lookup(nid id.NapletID) (AddressEntry, bool) {
-	b.mu.RLock()
+	b.rlockDecoded()
 	defer b.mu.RUnlock()
 	e, ok := b.entries[nid.Key()]
 	return e, ok
@@ -69,6 +97,7 @@ func (b *AddressBook) Knows(nid id.NapletID) bool {
 func (b *AddressBook) Update(nid id.NapletID, serverURN string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.decode()
 	key := nid.Key()
 	if e, ok := b.entries[key]; ok {
 		e.ServerURN = serverURN
@@ -79,7 +108,7 @@ func (b *AddressBook) Update(nid id.NapletID, serverURN string) {
 // Entries returns all entries sorted by identifier key, a stable order for
 // collective-communication post-actions (cf. the paper's DataComm).
 func (b *AddressBook) Entries() []AddressEntry {
-	b.mu.RLock()
+	b.rlockDecoded()
 	defer b.mu.RUnlock()
 	keys := make([]string, 0, len(b.entries))
 	for k := range b.entries {
@@ -97,6 +126,10 @@ func (b *AddressBook) Entries() []AddressEntry {
 func (b *AddressBook) Len() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	if b.entries == nil {
+		n, _, _ := wire.DecUvarint(b.raw) // the count leads the book
+		return int(n)
+	}
 	return len(b.entries)
 }
 
@@ -108,7 +141,14 @@ func (b *AddressBook) Merge(other *AddressBook) {
 }
 
 // Clone deep-copies the book; clones inherit their parent's address book.
+// A still-encoded book shares its bytes, which nothing writes.
 func (b *AddressBook) Clone() *AddressBook {
+	b.mu.RLock()
+	raw := b.raw
+	b.mu.RUnlock()
+	if raw != nil {
+		return &AddressBook{raw: raw}
+	}
 	c := NewAddressBook()
 	c.Merge(b)
 	return c

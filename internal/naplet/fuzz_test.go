@@ -7,7 +7,10 @@ import (
 
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must
 // never panic or over-allocate, and any record it accepts is the one
-// encoding of what it decoded to — encode(decode(x)) == x, byte for byte.
+// encoding of what it decoded to — encode(decode(x)) == x, byte for byte —
+// both while its sections are still encoded and once every one of them has
+// been decoded. A section is checked when the record is decoded, so
+// decoding it later cannot fail or change a byte.
 func FuzzDecodeRecord(f *testing.F) {
 	golden := goldenRecord(f).AppendBinary(nil)
 	f.Add(golden)
@@ -16,13 +19,14 @@ func FuzzDecodeRecord(f *testing.F) {
 	corrupt := append([]byte(nil), golden...)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
-	f.Add([]byte("NR\x03"))
+	f.Add([]byte("NR\x04"))
 	f.Add([]byte{'N', 'R', RecordCodecVersion, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// A retired version byte, and a state entry whose protection mode
-	// is past Public: both must be rejected, not reinterpreted.
+	// Retired version bytes, and a state entry whose protection mode
+	// is past Public: all must be rejected, not reinterpreted.
 	retired := append([]byte(nil), golden...)
 	retired[2] = 2
 	f.Add(retired)
+	f.Add(readHexFixture(f, "record_v3.hex"))
 	mutate := func(at []byte, offset int, to byte) {
 		bad := append([]byte(nil), golden...)
 		bad[bytes.Index(bad, at)+offset] = to
@@ -38,15 +42,22 @@ func FuzzDecodeRecord(f *testing.F) {
 	// and the flag byte of its departure (a delta) turned absolute.
 	mutate([]byte("\x04sa:1\x01"), 5, 2)
 	mutate([]byte("\x04sb:2\x02"), 5, 1)
+	// Sections whose length marks are sound around bytes that are not.
+	for _, bad := range malformedSections(f) {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecordBinary(data)
 		if err != nil {
 			return
 		}
-		enc := rec.AppendBinary(nil)
-		if !bytes.Equal(enc, data) {
+		if enc := rec.AppendBinary(nil); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted record is not canonical:\n  in %x\n out %x", data, enc)
+		}
+		touchAll(rec)
+		if enc := rec.AppendBinary(nil); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted record re-encodes differently once its sections are decoded:\n  in %x\n out %x", data, enc)
 		}
 	})
 }

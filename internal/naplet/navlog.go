@@ -49,6 +49,33 @@ type NavigationLog struct {
 	mu       sync.RWMutex
 	hops     []Hop
 	reroutes []Reroute
+	// enc, while its raw is set, is the encoded log this one was decoded
+	// from (binary.go), and hops holds only the hops recorded since: a dock
+	// appends its arrival and departure to the encoded hops, and anything
+	// that reads the log decodes it first.
+	enc encodedLog
+}
+
+// decode turns a still-encoded log into hops and reroutes. Callers hold
+// the write lock.
+func (l *NavigationLog) decode() {
+	if l.enc.raw != nil {
+		l.hops, l.reroutes = decodeLog(l.enc, l.hops)
+		l.enc = encodedLog{}
+	}
+}
+
+// rlockDecoded read-locks l with its encoding decoded.
+func (l *NavigationLog) rlockDecoded() {
+	l.mu.RLock()
+	if l.enc.raw == nil {
+		return
+	}
+	l.mu.RUnlock()
+	l.mu.Lock()
+	l.decode()
+	l.mu.Unlock()
+	l.mu.RLock()
 }
 
 // NewNavigationLog returns an empty log.
@@ -60,6 +87,9 @@ func NewNavigationLog() *NavigationLog {
 func (l *NavigationLog) RecordArrival(server string, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.enc.rerouted() {
+		l.decode() // the reroutes' times chain on from the last hop's
+	}
 	l.hops = append(l.hops, Hop{Server: server, Arrive: at})
 }
 
@@ -68,6 +98,9 @@ func (l *NavigationLog) RecordArrival(server string, at time.Time) {
 func (l *NavigationLog) RecordDeparture(server string, at time.Time) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if len(l.hops) == 0 {
+		l.decode() // the open hop, if any, is an encoded one
+	}
 	if len(l.hops) == 0 {
 		return fmt.Errorf("naplet: departure from %q with empty log", server)
 	}
@@ -86,19 +119,20 @@ func (l *NavigationLog) RecordDeparture(server string, at time.Time) error {
 func (l *NavigationLog) RecordReroute(r Reroute) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.decode()
 	l.reroutes = append(l.reroutes, r)
 }
 
 // Reroutes returns a copy of the recorded failover decisions in order.
 func (l *NavigationLog) Reroutes() []Reroute {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	return append([]Reroute(nil), l.reroutes...)
 }
 
 // Hops returns a copy of the recorded hops in order.
 func (l *NavigationLog) Hops() []Hop {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	return append([]Hop(nil), l.hops...)
 }
@@ -107,12 +141,12 @@ func (l *NavigationLog) Hops() []Hop {
 func (l *NavigationLog) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.hops)
+	return l.enc.hops + len(l.hops)
 }
 
 // Current returns the open hop (arrived, not yet departed), if any.
 func (l *NavigationLog) Current() (Hop, bool) {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	if len(l.hops) == 0 {
 		return Hop{}, false
@@ -126,7 +160,7 @@ func (l *NavigationLog) Current() (Hop, bool) {
 
 // TotalDwell sums the time spent at servers across all completed hops.
 func (l *NavigationLog) TotalDwell() time.Duration {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	var total time.Duration
 	for _, h := range l.hops {
@@ -138,7 +172,7 @@ func (l *NavigationLog) TotalDwell() time.Duration {
 // TotalTransit sums the time between departures and next arrivals: the time
 // the naplet spent in the network.
 func (l *NavigationLog) TotalTransit() time.Duration {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	var total time.Duration
 	for i := 1; i < len(l.hops); i++ {
@@ -152,7 +186,7 @@ func (l *NavigationLog) TotalTransit() time.Duration {
 
 // Route returns the sequence of visited server names.
 func (l *NavigationLog) Route() []string {
-	l.mu.RLock()
+	l.rlockDecoded()
 	defer l.mu.RUnlock()
 	out := make([]string, len(l.hops))
 	for i, h := range l.hops {
@@ -167,7 +201,14 @@ func (l *NavigationLog) String() string {
 }
 
 // Clone deep-copies the log; clones inherit the travel history that led to
-// their creation.
+// their creation. A still-encoded log shares its bytes, which nothing
+// writes.
 func (l *NavigationLog) Clone() *NavigationLog {
-	return &NavigationLog{hops: l.Hops(), reroutes: l.Reroutes()}
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return &NavigationLog{
+		hops:     append([]Hop(nil), l.hops...),
+		reroutes: append([]Reroute(nil), l.reroutes...),
+		enc:      l.enc,
+	}
 }

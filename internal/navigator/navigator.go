@@ -731,6 +731,10 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 			n.landingMu.Unlock()
 		}()
 	}
+	// transfer.Record is a view of the frame's payload, which the fabric
+	// may reuse once this handler returns; the decode takes one copy of
+	// the record's state, book and log sections, checked but left
+	// encoded, so the landed naplet keeps nothing of the frame.
 	rec, err := DecodeRecord(transfer.Record)
 	if err != nil {
 		return answer(TransferAckBody{Reason: err.Error()})

@@ -214,7 +214,7 @@ func TestWarmTourByteBudget(t *testing.T) {
 	tour() // first contact: landing requests, cold code
 	warm := tour()
 	want := map[wire.Kind]int{
-		wire.KindNapletTransfer: 1937, // 8: a record that grows by a log entry and a visited name per hop
+		wire.KindNapletTransfer: 1929, // 8: a record that grows by a log entry and a visited name per hop; 1937 with record v3's itinerary presence flag
 		wire.KindTransferAck:    162,  // 8 acceptances
 		wire.KindDirRegister:    463,  // 9: the launch, then one arrival per hop
 		wire.KindDirReply:       236,  // 9
@@ -235,14 +235,15 @@ func TestWarmTourByteBudget(t *testing.T) {
 // tests above pin its frames and bytes: the same 8-hop directory-mode tour
 // on netsim, malloc count of the whole process over 200 tours, per hop —
 // launch, directory service, reports and the test's own waiting included,
-// so it is not the benchmark's allocs_per_op. It reads 96.6 run after run
-// (97.0 while a tour ended in two reports home, 170.2 before the identifier
+// so it is not the benchmark's allocs_per_op. It reads 87.7 run after run
+// (96.6 while a landing decoded the record's state, book and log, 97.0
+// while a tour ended in two reports home, 170.2 before the identifier
 // carried its text, an attempt one context per call and the itinerary its
 // shared tail); the budget is that plus 15 %. An
 // allocation per map look-up, per call or per step coming back fails here,
 // not in the benchmark a PR later.
 func TestWarmTourAllocBudget(t *testing.T) {
-	const allocBudget = 112
+	const allocBudget = 101
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}

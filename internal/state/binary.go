@@ -18,35 +18,114 @@ import (
 // deterministic (the golden-byte and encode→decode→encode tests rely on
 // it), and front-coded, each as [byte shared] [string suffix] against the
 // key before it — an agent's keys tend to share their start.
+//
+// A decoded container stays encoded (State.raw) until something needs more
+// than one key of it. Everything that reads those bytes reads them through
+// one cursor: the check DecodeBinary makes, the search a Get makes, and
+// the decode a write or a listing forces.
 
 func appendEntry(dst []byte, e entry) []byte {
 	dst = wire.AppendUvarint(dst, uint64(e.Mode))
-	dst = wire.AppendStrings(dst, e.Servers)
+	if len(e.Servers) == 0 {
+		dst = append(dst, 0) // an empty allow list
+	} else {
+		dst = append(dst, e.Servers...)
+	}
 	return wire.AppendBytes(dst, e.Payload)
 }
 
-// decodeEntry copies the payload, so the entry does not alias b.
-func decodeEntry(b []byte) (entry, []byte, error) {
-	var e entry
+// cursor steps through an encoded container one entry at a time, checking
+// each as it goes and allocating nothing: the key is a wire.MapKeys, the
+// allow list and payload are views into the container.
+type cursor struct {
+	keys    wire.MapKeys
+	left    int    // entries not yet read
+	rest    []byte // what follows the current entry
+	mode    Mode
+	servers []byte // the current entry's allow list, encoded
+	payload []byte
+}
+
+func newCursor(b []byte) (cursor, error) {
+	n, rest, err := wire.DecCount(b, 3) // shared, suffix length, and more
+	return cursor{left: n, rest: rest}, err
+}
+
+// next reads the next entry; false when the container is done.
+func (c *cursor) next() (bool, error) {
+	if c.left == 0 {
+		return false, nil
+	}
+	c.left--
+	b, err := c.keys.Next(c.rest)
+	if err != nil {
+		return false, err
+	}
 	mode, b, err := wire.DecUvarint(b)
 	if err != nil {
-		return entry{}, nil, err
+		return false, err
 	}
 	if mode > uint64(Public) {
-		return entry{}, nil, fmt.Errorf("%w: state mode %d", wire.ErrMalformed, mode)
+		return false, fmt.Errorf("%w: state mode %d", wire.ErrMalformed, mode)
 	}
-	e.Mode = Mode(mode)
-	if e.Servers, b, err = wire.DecStrings(b); err != nil {
-		return entry{}, nil, err
+	c.mode = Mode(mode)
+	servers := b
+	cnt, b, err := wire.DecCount(b, 1)
+	for i := 0; i < cnt && err == nil; i++ {
+		_, b, err = wire.DecBytes(b)
 	}
-	payload, b, err := wire.DecBytes(b)
 	if err != nil {
-		return entry{}, nil, err
+		return false, err
 	}
-	if payload != nil {
-		e.Payload = append([]byte(nil), payload...)
+	c.servers = servers[:len(servers)-len(b)]
+	if c.payload, c.rest, err = wire.DecBytes(b); err != nil {
+		return false, err
 	}
-	return e, b, nil
+	return true, nil
+}
+
+// entry returns the current entry. Its allow list and payload alias the
+// container.
+func (c *cursor) entry() entry {
+	return entry{Mode: c.mode, Servers: c.servers, Payload: c.payload}
+}
+
+// scan checks that b starts with one container and returns its length.
+func scan(b []byte) (int, error) {
+	c, err := newCursor(b)
+	for ok := err == nil; ok; {
+		ok, err = c.next()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(b) - len(c.rest), nil
+}
+
+// find looks key up in the encoded container raw.
+func find(raw []byte, key string) (entry, bool) {
+	c, err := newCursor(raw)
+	for err == nil {
+		var ok bool
+		if ok, err = c.next(); !ok {
+			break
+		}
+		if c.keys.Is(key) {
+			return c.entry(), true
+		}
+	}
+	return entry{}, false
+}
+
+// decodeEntries builds the entry map of the encoded container raw, which
+// DecodeBinary has checked.
+func decodeEntries(raw []byte) map[string]entry {
+	c, _ := newCursor(raw)
+	entries := make(map[string]entry, c.left)
+	for ok, _ := c.next(); ok; ok, _ = c.next() {
+		entries[c.keys.String()] = c.entry()
+	}
+	return entries
 }
 
 // EncodedSize returns the length of the container's encoding.
@@ -54,18 +133,25 @@ func (s *State) EncodedSize() int {
 	return len(s.AppendBinary(nil))
 }
 
-// AppendBinary appends the container's binary form to dst.
+// AppendBinary appends the container's binary form to dst: the bytes it
+// was decoded from, while nothing has changed it.
 func (s *State) AppendBinary(dst []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.raw != nil {
+		return append(dst, s.raw...)
+	}
 	return wire.AppendMap(dst, s.entries, appendEntry)
 }
 
-// DecodeBinary consumes one container from b and returns the rest.
+// DecodeBinary consumes one container from b and returns the rest. The
+// container is checked in full but stays encoded: the state keeps a view
+// of b, which the caller must not change afterwards, and decodes it when
+// first written or listed. Payloads, decoded or not, alias b.
 func DecodeBinary(b []byte) (*State, []byte, error) {
-	entries, b, err := wire.DecMap(b, decodeEntry)
+	n, err := scan(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &State{entries: entries}, b, nil
+	return &State{raw: b[:n:n]}, b[n:], nil
 }

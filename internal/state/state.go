@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,9 +70,12 @@ var (
 // encoded so the container is always serializable and so stored values are
 // isolated from later mutation by the caller.
 type entry struct {
-	Mode    Mode
-	Servers []string // for Protected: sorted server names allowed to access
-	Payload []byte   // value-codec encoding of the value
+	Mode Mode
+	// Servers lists the server names allowed to access a Protected entry,
+	// kept as wire.AppendStrings encodes it: an entry decoded from a
+	// record reads its list where it lies. Set sorts the names.
+	Servers []byte
+	Payload []byte // value-codec encoding of the value
 }
 
 // State is the serializable container of application-specific agent state.
@@ -83,6 +87,11 @@ type entry struct {
 type State struct {
 	mu      sync.RWMutex
 	entries map[string]entry
+	// raw, while entries is nil, is the encoded container the state was
+	// decoded from (binary.go). A read of one key searches it, and
+	// AppendBinary re-emits it verbatim; the first write or listing
+	// decodes it into entries and drops it.
+	raw []byte
 }
 
 // New returns an empty state container.
@@ -99,15 +108,49 @@ func (s *State) Set(key string, value any, mode Mode, servers ...string) error {
 	if err != nil {
 		return err
 	}
-	var allowed []string
+	var allowed []byte
 	if mode == Protected {
-		allowed = append([]string(nil), servers...)
-		sort.Strings(allowed)
+		var stack [8]string
+		names := append(stack[:0], servers...)
+		slices.Sort(names)
+		allowed = wire.AppendStrings(nil, names)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.decode()
 	s.entries[key] = entry{Mode: mode, Servers: allowed, Payload: payload}
 	return nil
+}
+
+// decode turns a still-encoded container into entries. Callers hold the
+// write lock.
+func (s *State) decode() {
+	if s.entries == nil {
+		s.entries, s.raw = decodeEntries(s.raw), nil
+	}
+}
+
+// rlockDecoded read-locks s with its entries decoded.
+func (s *State) rlockDecoded() {
+	s.mu.RLock()
+	if s.entries != nil {
+		return
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	s.decode()
+	s.mu.Unlock()
+	s.mu.RLock()
+}
+
+// lookup returns the entry under key, from the encoding while there is one.
+// Callers hold the read lock.
+func (s *State) lookup(key string) (entry, bool) {
+	if s.entries == nil {
+		return find(s.raw, key)
+	}
+	e, ok := s.entries[key]
+	return e, ok
 }
 
 // SetPrivate is shorthand for Set(key, value, Private).
@@ -125,7 +168,7 @@ func (s *State) SetProtected(key string, value any, servers ...string) error {
 // access) and returns it as a decoded any.
 func (s *State) Get(key string) (any, error) {
 	s.mu.RLock()
-	e, ok := s.entries[key]
+	e, ok := s.lookup(key)
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
@@ -155,6 +198,7 @@ func (s *State) Load(key string, out any) error {
 func (s *State) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.decode()
 	delete(s.entries, key)
 }
 
@@ -162,7 +206,7 @@ func (s *State) Delete(key string) {
 func (s *State) ModeOf(key string) (Mode, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[key]
+	e, ok := s.lookup(key)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
@@ -171,7 +215,7 @@ func (s *State) ModeOf(key string) (Mode, error) {
 
 // Keys returns all keys in the container, sorted.
 func (s *State) Keys() []string {
-	s.mu.RLock()
+	s.rlockDecoded()
 	defer s.mu.RUnlock()
 	return wire.SortedKeys(s.entries)
 }
@@ -180,6 +224,10 @@ func (s *State) Keys() []string {
 func (s *State) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.entries == nil {
+		n, _, _ := wire.DecUvarint(s.raw) // the count leads the container
+		return int(n)
+	}
 	return len(s.entries)
 }
 
@@ -206,8 +254,14 @@ func (v *ServerView) allowed(e entry) bool {
 	case Public:
 		return true
 	case Protected:
-		i := sort.SearchStrings(e.Servers, v.server)
-		return i < len(e.Servers) && e.Servers[i] == v.server
+		n, b, err := wire.DecCount(e.Servers, 1)
+		for i := 0; i < n && err == nil; i++ {
+			var name []byte
+			if name, b, err = wire.DecBytes(b); err == nil && string(name) == v.server {
+				return true
+			}
+		}
+		return false
 	default:
 		return false
 	}
@@ -216,7 +270,7 @@ func (v *ServerView) allowed(e entry) bool {
 // Get retrieves the value under key if the view's server may access it.
 func (v *ServerView) Get(key string) (any, error) {
 	v.state.mu.RLock()
-	e, ok := v.state.entries[key]
+	e, ok := v.state.lookup(key)
 	v.state.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
@@ -239,6 +293,7 @@ func (v *ServerView) Update(key string, value any) error {
 	}
 	v.state.mu.Lock()
 	defer v.state.mu.Unlock()
+	v.state.decode()
 	e, ok := v.state.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchKey, key)
@@ -253,7 +308,7 @@ func (v *ServerView) Update(key string, value any) error {
 
 // Keys lists the keys the view's server may access, sorted.
 func (v *ServerView) Keys() []string {
-	v.state.mu.RLock()
+	v.state.rlockDecoded()
 	defer v.state.mu.RUnlock()
 	var keys []string
 	for k, e := range v.state.entries {
@@ -266,15 +321,19 @@ func (v *ServerView) Keys() []string {
 }
 
 // Clone returns a deep copy of the container, used when a naplet is cloned
-// for a Par itinerary branch: each clone carries independent state.
+// for a Par itinerary branch: each clone carries independent state. A
+// still-encoded container shares its bytes, which nothing writes.
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.entries == nil {
+		return &State{raw: s.raw}
+	}
 	c := New()
 	for k, e := range s.entries {
 		ce := entry{
 			Mode:    e.Mode,
-			Servers: append([]string(nil), e.Servers...),
+			Servers: append([]byte(nil), e.Servers...),
 			Payload: append([]byte(nil), e.Payload...),
 		}
 		c.entries[k] = ce
@@ -285,7 +344,7 @@ func (s *State) Clone() *State {
 // Size returns the total payload bytes held, an input to migration cost
 // accounting.
 func (s *State) Size() int {
-	s.mu.RLock()
+	s.rlockDecoded()
 	defer s.mu.RUnlock()
 	n := 0
 	for _, e := range s.entries {

@@ -42,6 +42,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -284,31 +285,79 @@ func DecSeq[T any](b []byte, minElemSize int, elem func([]byte) (T, []byte, erro
 	return xs, b, nil
 }
 
-// decKey consumes one front-coded map key whose predecessor is prev (first
-// says there is none). A key that shares more than prev has or the clamp
-// allows, less than it could, or that does not sort after prev is malformed:
-// the last rule also makes a duplicate key an error, not a silent overwrite.
-func decKey(b []byte, prev string, first bool) (string, []byte, error) {
-	if len(b) == 0 || int(b[0]) > min(len(prev), maxSharedPrefix) {
-		return "", nil, ErrMalformed
+// MapKeys follows the keys of one encoded map without building them: it
+// holds the current key as the first bytes it shares with its predecessor,
+// kept in an array, and its suffix, a view into the input. Next checks each
+// key against the one before it exactly as DecMap does — DecMap reads its
+// keys through it — so a section that stays encoded is checked by the same
+// rules, with no allocation, and a key costs a string only when one is
+// wanted (String).
+type MapKeys struct {
+	head   [maxSharedPrefix]byte // the key's first bytes, up to the clamp
+	shared int                   // how many of them it took from its predecessor
+	suffix []byte                // the rest of the key, aliasing the input
+	read   int                   // keys consumed so far
+}
+
+// Next consumes one front-coded key from b and returns the rest. A key that
+// shares more than its predecessor has or the clamp allows, less than it
+// could, or that does not sort after its predecessor is malformed: the last
+// rule also makes a duplicate key an error, not a silent overwrite.
+func (k *MapKeys) Next(b []byte) ([]byte, error) {
+	if len(b) == 0 || int(b[0]) > min(k.shared+len(k.suffix), maxSharedPrefix) {
+		return nil, ErrMalformed
 	}
 	shared := int(b[0])
 	suffix, b, err := DecBytes(b[1:])
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	tail := prev[shared:]
-	if shared < maxSharedPrefix && tail != "" && len(suffix) > 0 && tail[0] == suffix[0] {
-		return "", nil, ErrMalformed
+	// The predecessor's bytes past the shared ones, in two pieces: what is
+	// left of its head, then its suffix.
+	var lead, tail []byte
+	if shared < k.shared {
+		lead, tail = k.head[shared:k.shared], k.suffix
+	} else {
+		tail = k.suffix[shared-k.shared:]
 	}
-	if !first && string(suffix) <= tail {
-		return "", nil, ErrMalformed
+	first := lead
+	if len(first) == 0 {
+		first = tail
 	}
-	// Assembled on the stack, so a key costs the one allocation its string
-	// needs (longer keys spill to the heap).
+	if shared < maxSharedPrefix && len(first) > 0 && len(suffix) > 0 && first[0] == suffix[0] {
+		return nil, ErrMalformed
+	}
+	if k.read > 0 && compareJoined(suffix, lead, tail) <= 0 {
+		return nil, ErrMalformed
+	}
+	copy(k.head[shared:], suffix)
+	k.shared, k.suffix = shared, suffix
+	k.read++
+	return b, nil
+}
+
+// compareJoined compares x with the concatenation of a and b.
+func compareJoined(x, a, b []byte) int {
+	n := min(len(x), len(a))
+	if c := bytes.Compare(x[:n], a[:n]); c != 0 || n < len(a) {
+		if c == 0 {
+			return -1 // x is a proper prefix of a
+		}
+		return c
+	}
+	return bytes.Compare(x[n:], b)
+}
+
+// Is reports whether the current key is s.
+func (k *MapKeys) Is(s string) bool {
+	return len(s) == k.shared+len(k.suffix) && string(k.head[:k.shared]) == s[:k.shared] && string(k.suffix) == s[k.shared:]
+}
+
+// String returns the current key. It is assembled on the stack, so a key
+// costs the one allocation its string needs (longer keys spill to the heap).
+func (k *MapKeys) String() string {
 	var scratch [2 * maxSharedPrefix]byte
-	key := append(append(scratch[:0], prev[:shared]...), suffix...)
-	return string(key), b, nil
+	return string(append(append(scratch[:0], k.head[:k.shared]...), k.suffix...))
 }
 
 // DecMap consumes one count-prefixed map. An empty map decodes to a
@@ -319,12 +368,12 @@ func DecMap[T any](b []byte, elem func([]byte) (T, []byte, error)) (map[string]T
 		return nil, nil, err
 	}
 	m := make(map[string]T, min(n, maxPrealloc))
-	prev := ""
+	var keys MapKeys
 	for i := 0; i < n; i++ {
-		if prev, b, err = decKey(b, prev, i == 0); err != nil {
+		if b, err = keys.Next(b); err != nil {
 			return nil, nil, err
 		}
-		if m[prev], b, err = elem(b); err != nil {
+		if m[keys.String()], b, err = elem(b); err != nil {
 			return nil, nil, err
 		}
 	}
