@@ -3,7 +3,9 @@
 # verify is the extended tier-1 gate: vet, build, full test suite, and a
 # race pass over the packages that share sync.Pool buffers, per-
 # connection scratch state, or lock-free metric hot paths, and over the
-# manager, whose End hands results to listeners between two lock sections. It also fails
+# manager, whose End hands results to listeners between two lock sections,
+# and over the monitor's scheduler and the resource manager's service-channel
+# pipes, whose tests run goroutines by the dozen. It also fails
 # if any non-test package imports encoding/gob: the wire primitives are
 # the one codec for what docks send, JSON the one for operator bodies.
 # A codec is an append and a decode: it also fails if a size method comes
@@ -31,7 +33,7 @@ verify:
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
-	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/...
+	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/... ./internal/monitor/... ./internal/resource/...
 	go run ./cmd/napletctl loadgen -profile overload -fabric netsim-lan
 	$(MAKE) chaos
 
@@ -63,8 +65,8 @@ chaos:
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 
 # bench runs every Benchmark* function in the module with allocation
-# accounting: the E1, E4, E5, E8 and E9 headlines (bench_test.go) and
-# each package's own — a warm hop between bare navigators, a TCP round trip bare and
+# accounting: the micro-benchmarks in bench_test.go and each package's
+# own — a warm hop between bare navigators, a TCP round trip bare and
 # instrumented, the directory planes at a million entries, the fleet's wave
 # and fan-out. Timings are this box's, this hour's: compare sub-benchmarks
 # of one run, and quote allocs and bytes across commits.

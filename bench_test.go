@@ -4,98 +4,18 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/cnmp"
-	"repro/internal/experiments"
-	"repro/internal/id"
 	"repro/internal/itinerary"
-	"repro/internal/locator"
 	"repro/internal/man"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/snmp"
 	"repro/internal/wire"
 )
 
-// The benchmarks below regenerate the headline measurement of each
-// experiment cmd/manbench runs (E1, E4, E5, E8, E9; see EXPERIMENTS.md),
-// which prints the corresponding full tables.
-
-// BenchmarkE1CloneID measures the identifier codec (E1 / Figure 1): clone
-// derivation plus textual round trip.
-func BenchmarkE1CloneID(b *testing.B) {
-	root := id.MustNew("czxu", "ece.eng.wayne.edu", time.Unix(989688440, 0))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c, err := root.Clone(i%9 + 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, _ := c.Clone(1)
-		if _, err := id.Parse(g.String()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4Itinerary measures completion time per itinerary shape over
-// four servers with 5 ms of work per visit (E4 / §3).
-func BenchmarkE4Itinerary(b *testing.B) {
-	for _, shape := range []experiments.E4Shape{
-		experiments.ShapeSeq, experiments.ShapePar, experiments.ShapeParOfSeq,
-	} {
-		b.Run(string(shape), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunE4(shape, 4, 5, int64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE5Locate measures the ping-pong tour per location mode (E5 /
-// §4.1).
-func BenchmarkE5Locate(b *testing.B) {
-	for _, mode := range []locator.Mode{locator.ModeDirectory, locator.ModeHome, locator.ModeForward} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunE5(mode, 4, 0, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Frames), "frames")
-			}
-		})
-	}
-}
-
-// BenchmarkE8ServiceChannel measures one service-channel round trip (E8 /
-// §5.3).
-func BenchmarkE8ServiceChannel(b *testing.B) {
-	res, err := experiments.RunE8(b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.ChannelRTTPerSec, "rtt/s")
-}
-
-// BenchmarkE9Monitor measures priority-scheduled admission of 32 naplets
-// onto 2 slots plus budget enforcement (E9 / §5.2).
-func BenchmarkE9Monitor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE9(16, 2, monitor.SchedulePriority)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Killed != 4 {
-			b.Fatalf("budget kills = %d", res.Killed)
-		}
-	}
-}
-
-// ---- micro-benchmarks on the core data structures ----
+// Micro-benchmarks on the core data structures and the unit costs behind
+// the §6 comparison. The experiments of EXPERIMENTS.md are tests in the
+// packages that own their claims; each section there names its test.
 
 // BenchmarkItineraryStep measures one Next() decision on a 32-stop tour.
 func BenchmarkItineraryStep(b *testing.B) {

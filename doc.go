@@ -15,8 +15,8 @@
 // internal/cnmp).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. cmd/manbench prints
-// the tables of the experiments nothing else proves (E1, E4, E5, E8, E9)
-// and the benchmarks in bench_test.go regenerate their headlines; tests,
-// the bench/ module and `napletctl loadgen` hold the rest.
+// EXPERIMENTS.md for the paper-versus-measured record: each experiment's
+// claim is a shape that a test in the owning package asserts, or a number
+// the bench/ module or `napletctl loadgen` holds. bench_test.go holds
+// micro-benchmarks of the core data structures.
 package repro

@@ -358,6 +358,11 @@ func TestPropCloneAncestry(t *testing.T) {
 			if !next.SameLineage(nid) {
 				return false
 			}
+			// Figure 1 at any depth: the originator of a generation is its
+			// parent's heritage followed by 0 (2.1.3 → 2.1.0).
+			if !next.Originator().Heritage().Equal(cur.Heritage().Child(0)) {
+				return false
+			}
 			cur = next
 		}
 		return true

@@ -168,16 +168,11 @@ func (m *Monitor) Instrument(reg *telemetry.Registry) {
 // New creates a monitor with the given number of concurrent execution
 // slots (≤ 0 means unlimited) and clock (nil means time.Now).
 func New(slots int, clock func() time.Time) *Monitor {
-	return NewWithPolicy(slots, SchedulePriority, clock)
-}
-
-// NewWithPolicy creates a monitor with an explicit scheduling policy.
-func NewWithPolicy(slots int, policy SchedulingPolicy, clock func() time.Time) *Monitor {
 	if clock == nil {
 		clock = time.Now
 	}
 	return &Monitor{
-		sched:  NewSchedulerWithPolicy(slots, policy),
+		sched:  NewScheduler(slots),
 		clock:  clock,
 		groups: make(map[string]*Group),
 	}
@@ -586,36 +581,14 @@ func (g *Group) dispatchInterrupt(h func(naplet.Message), msg naplet.Message) {
 	}()
 }
 
-// SchedulingPolicy orders waiting naplets for execution slots. The paper
-// defers "various scheduling policies" to future releases; the mechanism
-// here accepts any ordering.
-type SchedulingPolicy int
-
-// Scheduling policies.
-const (
-	// SchedulePriority wakes the highest-priority waiter first, FIFO
-	// within a priority class (the default).
-	SchedulePriority SchedulingPolicy = iota
-	// ScheduleFIFO ignores priorities: strict arrival order.
-	ScheduleFIFO
-)
-
-// String returns the policy name.
-func (p SchedulingPolicy) String() string {
-	if p == ScheduleFIFO {
-		return "fifo"
-	}
-	return "priority"
-}
-
-// Scheduler is a policy-ordered counting semaphore: it admits at most
-// capacity concurrent naplet executions and wakes waiters in policy order
-// ("it schedules the execution of the naplets according to resource
-// management policies", §5.2).
+// Scheduler is a priority-ordered counting semaphore: it admits at most
+// capacity concurrent naplet executions and wakes the highest-priority
+// waiter first, in arrival order within a priority ("it schedules the
+// execution of the naplets according to resource management policies",
+// §5.2).
 type Scheduler struct {
 	mu       sync.Mutex
 	capacity int
-	policy   SchedulingPolicy
 	running  int
 	waiters  waiterHeap
 	order    uint64
@@ -627,14 +600,8 @@ func NewScheduler(capacity int) *Scheduler {
 	return &Scheduler{capacity: capacity}
 }
 
-// NewSchedulerWithPolicy builds a scheduler with an explicit policy.
-func NewSchedulerWithPolicy(capacity int, policy SchedulingPolicy) *Scheduler {
-	return &Scheduler{capacity: capacity, policy: policy}
-}
-
 type waiter struct {
 	priority int
-	fifo     bool
 	order    uint64 // FIFO within a priority
 	ready    chan struct{}
 }
@@ -643,7 +610,7 @@ type waiterHeap []*waiter
 
 func (h waiterHeap) Len() int { return len(h) }
 func (h waiterHeap) Less(i, j int) bool {
-	if !h[i].fifo && h[i].priority != h[j].priority {
+	if h[i].priority != h[j].priority {
 		return h[i].priority > h[j].priority
 	}
 	return h[i].order < h[j].order
@@ -673,7 +640,7 @@ func (s *Scheduler) Acquire(ctx context.Context, priority int) error {
 		s.mu.Unlock()
 		return nil
 	}
-	w := &waiter{priority: priority, fifo: s.policy == ScheduleFIFO, order: s.order, ready: make(chan struct{})}
+	w := &waiter{priority: priority, order: s.order, ready: make(chan struct{})}
 	s.order++
 	heap.Push(&s.waiters, w)
 	s.mu.Unlock()

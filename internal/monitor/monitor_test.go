@@ -317,6 +317,88 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 	}
 }
 
+// TestPriorityGroupsStartFirst is §5.2's scheduling claim at the monitor's
+// surface (E9 in EXPERIMENTS.md): 8 priority-9 and 8 priority-1 groups,
+// admitted alternately and queued behind a warm-up group that holds both
+// execution slots, start priority 9 first, every one of them.
+func TestPriorityGroupsStartFirst(t *testing.T) {
+	const slots, perClass = 2, 8
+	m := New(slots, nil)
+	var wg sync.WaitGroup
+	run := func(g *Group, f func(context.Context) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.Run(f); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	queued := func() int {
+		m.sched.mu.Lock()
+		defer m.sched.mu.Unlock()
+		return m.sched.waiters.Len()
+	}
+
+	warm, err := m.Admit(nid(t, "warm"), Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	for i := 0; i < slots; i++ {
+		run(warm, func(context.Context) error { <-release; return nil })
+	}
+	until("the warm-up group to hold every slot", func() bool { return m.sched.Running() == slots })
+
+	var (
+		mu     sync.Mutex
+		cond   = sync.NewCond(&mu)
+		starts []int // priorities, in start order
+	)
+	contend := func(prio int) func(context.Context) error {
+		return func(context.Context) error {
+			mu.Lock()
+			defer mu.Unlock()
+			starts = append(starts, prio)
+			cond.Broadcast()
+			// Hold the slot until the next group has started: a slot then
+			// frees only after every group granted before it has recorded
+			// its start, so starts are recorded in grant order.
+			for next := len(starts) + 1; len(starts) < next && len(starts) < 2*perClass; {
+				cond.Wait()
+			}
+			return nil
+		}
+	}
+	// One at a time, so the queue's arrival order alternates 9, 1, 9, ...
+	for i := 0; i < 2*perClass; i++ {
+		prio := 9 - 8*(i%2)
+		g, err := m.Admit(nid(t, fmt.Sprintf("u%d", i)), Policy{Priority: prio})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(g, contend(prio))
+		until(fmt.Sprintf("%d queued groups", i+1), func() bool { return queued() == i+1 })
+	}
+	close(release)
+	wg.Wait()
+
+	t.Logf("%d slots, start order by priority: %v", slots, starts)
+	for i, prio := range starts {
+		if want := 9 - 8*(i/perClass); prio != want {
+			t.Fatalf("start %d is a priority-%d group, want priority %d: %v", i+1, prio, want, starts)
+		}
+	}
+}
+
 func TestSchedulerAcquireCancelled(t *testing.T) {
 	s := NewScheduler(1)
 	s.Acquire(context.Background(), 0)
@@ -378,50 +460,5 @@ func TestGroupStateString(t *testing.T) {
 	}
 	if GroupState(42).String() != "GroupState(42)" {
 		t.Fatal("unknown state formatting")
-	}
-}
-
-func TestSchedulerFIFOPolicyIgnoresPriority(t *testing.T) {
-	s := NewSchedulerWithPolicy(1, ScheduleFIFO)
-	if err := s.Acquire(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	grants := make(chan int, 3)
-	for _, prio := range []int{1, 9, 5} {
-		p := prio
-		go func() {
-			if err := s.Acquire(context.Background(), p); err != nil {
-				t.Error(err)
-				return
-			}
-			grants <- p
-		}()
-		// Serialize arrival order so FIFO order is deterministic.
-		time.Sleep(20 * time.Millisecond)
-	}
-	var order []int
-	for i := 0; i < 3; i++ {
-		s.Release()
-		order = append(order, <-grants)
-	}
-	if order[0] != 1 || order[1] != 9 || order[2] != 5 {
-		t.Fatalf("FIFO grant order = %v, want arrival order [1 9 5]", order)
-	}
-}
-
-func TestSchedulingPolicyString(t *testing.T) {
-	if SchedulePriority.String() != "priority" || ScheduleFIFO.String() != "fifo" {
-		t.Fatal("policy names")
-	}
-}
-
-func TestNewWithPolicyWiresScheduler(t *testing.T) {
-	m := NewWithPolicy(1, ScheduleFIFO, nil)
-	g, err := m.Admit(nid(t, "x"), Policy{Priority: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Run(func(ctx context.Context) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -52,7 +52,8 @@ func (l Link) Transit(size int) time.Duration {
 	return d
 }
 
-// Common link presets used by the experiments.
+// Common link presets: the MAN testbed, loadgen, the examples and the
+// benchmark model their links with these.
 var (
 	// LAN models a switched local network: 0.2 ms, 100 MB/s.
 	LAN = Link{Latency: 200 * time.Microsecond, Bandwidth: 100e6}

@@ -207,7 +207,12 @@ func runChaos(t *testing.T, seed int64) {
 	// Replayed transfers (a duplicated TRANSFER frame, or a retry after a
 	// dropped ack) must show up as dedup hits, never as second landings. A
 	// replayed code-less transfer to a cold dock landed nothing the first
-	// time either: it is a re-ask for the code, not a dedup hit.
+	// time either: it is a re-ask for the code, not a dedup hit. A copy
+	// whose ack was dropped lands and tours on while its origin is still
+	// between retries: the dedup hit comes with the retry, which may be
+	// sent after the tour ended. Read the counters once every migration
+	// has settled.
+	waitMigrationsSettled(t, servers)
 	var transferReplays, dedupHits, codeReasks int64
 	for _, ev := range inj.Trail() {
 		if ev.Frame == wire.KindNapletTransfer &&
@@ -243,6 +248,27 @@ func runChaos(t *testing.T, seed int64) {
 			"faults injected by the chaos harness", "fault", kind)
 		if met.Value() != n {
 			t.Fatalf("seed %d: %s: telemetry=%d counts=%d", seed, kind, met.Value(), n)
+		}
+	}
+}
+
+// waitMigrationsSettled waits until no server has a migration open: every
+// dispatch, retries included, has had its last answer.
+func waitMigrationsSettled(t *testing.T, servers map[string]*Server) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for name, srv := range servers {
+		for {
+			srv.leaveMu.Lock()
+			open := len(srv.leaving)
+			srv.leaveMu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s still has %d migrations open", name, open)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

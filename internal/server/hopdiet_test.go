@@ -34,10 +34,26 @@ type kindCounter struct {
 	mu    sync.Mutex
 	calls map[wire.Kind]int
 	bytes map[wire.Kind]int
+	open  int        // calls sent and not yet returned
+	idled *sync.Cond // broadcast when open falls to 0
 }
 
 func newKindCounter() *kindCounter {
-	return &kindCounter{calls: make(map[wire.Kind]int), bytes: make(map[wire.Kind]int)}
+	k := &kindCounter{calls: make(map[wire.Kind]int), bytes: make(map[wire.Kind]int)}
+	k.idled = sync.NewCond(&k.mu)
+	return k
+}
+
+// idle waits until no call is in flight. The fabric meters a frame when it
+// is sent, and the reply after the handler returns: a call whose handling
+// ended a naplet is still sending when its owner hears of the end. Once the
+// calls in flight at that moment are back, the meters are final.
+func (k *kindCounter) idle() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for k.open > 0 {
+		k.idled.Wait()
+	}
 }
 
 func (k *kindCounter) Attach(addr string, h transport.Handler) (transport.Node, error) {
@@ -72,11 +88,17 @@ type countingNode struct {
 }
 
 func (n *countingNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	n.k.mu.Lock()
+	n.k.open++
+	n.k.mu.Unlock()
 	reply, err := n.Node.Call(ctx, to, f)
 	// The fabric stamps the request with its addresses and a Seq that the
 	// reply echoes, budget and all: restamped, f is the frame it metered.
 	f.From, f.To, f.Seq = n.Addr(), to, reply.Seq
 	n.k.mu.Lock()
+	if n.k.open--; n.k.open == 0 {
+		n.k.idled.Broadcast()
+	}
 	n.k.calls[f.Kind]++
 	if err == nil {
 		n.k.bytes[f.Kind] += f.EncodedSize()
@@ -194,19 +216,9 @@ func TestWarmTourByteBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
-		// The fabric meters a frame when it is sent, the counter when its
-		// call returns: the two agree once the last call — the one whose
-		// handling completed the tour — is back.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			total, metered := counter.totalBytes(), int(sp.net.TotalStats().BytesSent-before)
-			if total == metered {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("frames add up to %d bytes, the fabric metered %d", total, metered)
-			}
-			time.Sleep(time.Millisecond)
+		counter.idle()
+		if total, metered := counter.totalBytes(), int(sp.net.TotalStats().BytesSent-before); total != metered {
+			t.Fatalf("frames add up to %d bytes, the fabric metered %d", total, metered)
 		}
 		_, bytes := counter.take()
 		return bytes

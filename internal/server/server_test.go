@@ -23,6 +23,7 @@ import (
 	"repro/internal/resource"
 	"repro/internal/security"
 	"repro/internal/state"
+	"repro/internal/stats"
 )
 
 // ---- test agents ----
@@ -258,84 +259,102 @@ func TestSequentialTour(t *testing.T) {
 	}
 }
 
-func TestParBroadcastClonesReportIndividually(t *testing.T) {
-	// Paper §3 Example 2 / §6.2: a broadcast pattern spawns a child naplet
-	// per server; "the spawned naplets will report their results
-	// individually".
-	sp := newSpace(t, spaceOpts{}, "home", "s1", "s2", "s3")
-	var mu sync.Mutex
-	var got []string
-	done := make(chan struct{}, 3)
-	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
-		Owner:    "czxu",
-		Codebase: "test.Collector",
-		Pattern:  itinerary.ParVisits([]string{"s1", "s2", "s3"}, ""),
-		Listener: func(r manager.Result) {
-			mu.Lock()
-			got = append(got, string(r.Body))
-			mu.Unlock()
-			done <- struct{}{}
+// TestItineraryShapes is §3's claim that par trades clones for time (E4 in
+// EXPERIMENTS.md), read off the tours rather than a clock. Over n stops a
+// seq tour is one naplet that visits all n; a par broadcast is n naplets of
+// one stop each, and "the spawned naplets will report their results
+// individually" (Example 2, §6.2); Example 3's par of two seqs is two
+// naplets of n/2 stops. The longest reported tour is the number of visits
+// on the pattern's critical path: n, 1 and n/2.
+func TestItineraryShapes(t *testing.T) {
+	shapes := []struct {
+		name string
+		// tours splits the stops into the tour each naplet makes.
+		tours   func(stops []string) [][]string
+		pattern func(stops []string) *itinerary.Pattern
+	}{
+		{
+			name:    "seq",
+			tours:   func(stops []string) [][]string { return [][]string{stops} },
+			pattern: func(stops []string) *itinerary.Pattern { return itinerary.SeqVisits(stops, "") },
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of 3 reports arrived", i)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Strings(got)
-	want := []string{"s1", "s2", "s3"}
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("reports = %v", got)
-		}
-	}
-	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
-}
-
-func TestParOfSeqExample3(t *testing.T) {
-	// Paper §3 Example 3: par(seq(s0,s1), seq(s2,s3)) — two naplets, two
-	// stops each.
-	sp := newSpace(t, spaceOpts{}, "home", "s0", "s1", "s2", "s3")
-	var mu sync.Mutex
-	var tours []string
-	done := make(chan struct{}, 2)
-	_, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
-		Owner:    "czxu",
-		Codebase: "test.Collector",
-		Pattern: itinerary.Par(
-			itinerary.SeqVisits([]string{"s0", "s1"}, ""),
-			itinerary.SeqVisits([]string{"s2", "s3"}, ""),
-		),
-		Listener: func(r manager.Result) {
-			mu.Lock()
-			tours = append(tours, string(r.Body))
-			mu.Unlock()
-			done <- struct{}{}
+		{
+			name: "par",
+			tours: func(stops []string) (tours [][]string) {
+				for _, s := range stops {
+					tours = append(tours, []string{s})
+				}
+				return tours
+			},
+			pattern: func(stops []string) *itinerary.Pattern { return itinerary.ParVisits(stops, "") },
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+		{
+			name: "par-of-seq",
+			tours: func(stops []string) [][]string {
+				return [][]string{stops[:len(stops)/2], stops[len(stops)/2:]}
+			},
+			pattern: func(stops []string) *itinerary.Pattern {
+				h := len(stops) / 2
+				return itinerary.Par(itinerary.SeqVisits(stops[:h], ""), itinerary.SeqVisits(stops[h:], ""))
+			},
+		},
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("missing tour report")
+	table := stats.NewTable("stops", "seq", "par", "par-of-seq")
+	for _, n := range []int{2, 4, 8} {
+		stops := make([]string, n)
+		for i := range stops {
+			stops[i] = fmt.Sprintf("s%d", i)
 		}
+		row := []any{n}
+		for _, shape := range shapes {
+			var want []string
+			for _, tour := range shape.tours(stops) {
+				want = append(want, strings.Join(tour, ","))
+			}
+			sort.Strings(want)
+			cell := "failed"
+			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
+				sp := newSpace(t, spaceOpts{}, append([]string{"home"}, stops...)...)
+				reports := make(chan string, len(want)+1)
+				nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
+					Owner:    "czxu",
+					Codebase: "test.Collector",
+					Pattern:  shape.pattern(stops),
+					Listener: func(r manager.Result) { reports <- string(r.Body) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for len(got) < len(want) {
+					select {
+					case tour := <-reports:
+						got = append(got, tour)
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%d of %d end reports arrived: %v", len(got), len(want), got)
+					}
+				}
+				waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+				select {
+				case tour := <-reports:
+					got = append(got, tour)
+				default:
+				}
+				sort.Strings(got)
+				if strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Fatalf("reported tours %q, want %q", got, want)
+				}
+				longest := 0
+				for _, tour := range got {
+					longest = max(longest, len(strings.Split(tour, ",")))
+				}
+				cell = fmt.Sprintf("%d / %d", len(got), longest)
+			})
+			row = append(row, cell)
+		}
+		table.AddRow(row...)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Strings(tours)
-	if tours[0] != "s0,s1" || tours[1] != "s2,s3" {
-		t.Fatalf("tours = %v", tours)
-	}
+	t.Logf("end reports / the longest reported tour:\n%s", table)
 }
 
 func TestConditionalSearchStopsEarly(t *testing.T) {
@@ -549,9 +568,18 @@ func TestMaxResidentsAdmission(t *testing.T) {
 	}
 }
 
+// TestLazyCodeLoadingCache: the first trip to a dock carries the 1 KiB
+// bundle, which the dock caches; the second finds it there and puts at
+// least the bundle fewer bytes on the fabric (E7 in EXPERIMENTS.md).
 func TestLazyCodeLoadingCache(t *testing.T) {
-	sp := newSpace(t, spaceOpts{}, "home", "s1")
-	launch := func() id.NapletID {
+	const bundle = 1024 // test.Collector's
+	counter := newKindCounter()
+	sp := newSpace(t, spaceOpts{
+		mutate: func(_ string, cfg *Config) { counter.inner, cfg.Fabric = cfg.Fabric, counter },
+	}, "home", "s1")
+	trip := func() int64 {
+		t.Helper()
+		before := sp.net.TotalStats().BytesSent
 		nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
 			Owner:    "czxu",
 			Codebase: "test.Collector",
@@ -561,14 +589,19 @@ func TestLazyCodeLoadingCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
-		return nid
+		counter.idle()
+		return sp.net.TotalStats().BytesSent - before
 	}
-	launch()
+	cold := trip()
 	s1 := sp.servers["s1"].Cache().Stats()
-	if s1.Misses == 0 || s1.BytesFetched != 1024 {
+	if s1.Misses == 0 || s1.BytesFetched != bundle {
 		t.Fatalf("first visit must fetch the 1 KiB bundle: %+v", s1)
 	}
-	launch()
+	warm := trip()
+	t.Logf("fabric bytes: cold trip %d, warm trip %d", cold, warm)
+	if warm >= cold || cold-warm < bundle {
+		t.Fatalf("cold trip %d bytes, warm %d: the warm trip must save at least the %d B bundle", cold, warm, bundle)
+	}
 	s2 := sp.servers["s1"].Cache().Stats()
 	if s2.BytesFetched != s1.BytesFetched {
 		t.Fatalf("second visit must not refetch: %+v", s2)

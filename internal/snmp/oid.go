@@ -21,7 +21,8 @@ import (
 // OIDs are value-like; operations return fresh slices.
 type OID []int
 
-// Well-known RFC1213 OIDs used by the MIB builder and the experiments.
+// Well-known RFC1213 OIDs used by the MIB builder, the MAN testbed and the
+// examples.
 var (
 	OIDSystem     = MustParseOID("1.3.6.1.2.1.1")
 	OIDSysDescr   = MustParseOID("1.3.6.1.2.1.1.1.0")

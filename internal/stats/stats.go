@@ -1,7 +1,7 @@
-// Package stats provides the small numeric and formatting helpers shared
-// by the experiment harness (cmd/manbench) and the benchmarks: summary
-// statistics over samples and fixed-width table rendering for the
-// EXPERIMENTS.md outputs.
+// Package stats provides small numeric and formatting helpers: summary
+// statistics over samples (telemetry's histogram summaries, loadgen's SLO
+// table) and the fixed-width tables that napletctl, loadgen, the examples
+// and the experiment tests print.
 package stats
 
 import (
