@@ -47,8 +47,11 @@ verify:
 # plus the fleet suite that crash-kills a dock mid-launch-wave and asserts
 # the master reschedules its launches with exactly-once landings while a
 # slow event subscriber is shed without stalling ingest
-# (TestChaosFleetSeeds), plus the overload suite that runs the fleet
-# through synthesized overload sheds with the admission gate and retry
+# (TestChaosFleetSeeds), plus the fleet regression, 20 runs, that kills a
+# dock between heartbeats while the live docks are at their cap and asserts
+# the master's failure detector takes it out of rotation on its failed
+# launches (TestMasterCrashedDockLeavesRotation), plus the overload suite
+# that runs the fleet through synthesized overload sheds with the admission gate and retry
 # budgets live, reconciles every shed against the injector trail and
 # telemetry, and asserts in a shed-only pass that no failure detector
 # counted a shed as a miss (TestChaosOverloadSeeds), plus the free-running chase
@@ -63,6 +66,7 @@ verify:
 chaos:
 	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce|TestEndReportExactlyOnce' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
+	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 
 # bench runs every Benchmark* function in the module with allocation
 # accounting: the micro-benchmarks in bench_test.go and each package's

@@ -89,7 +89,7 @@ func fleetWave(node transport.Node, master string, args []string) {
 	params := fs.String("params", "", "semicolon-separated agent parameters")
 	failover := fs.String("failover", "skip", "dead-destination policy: none | skip | alternates | home")
 	perNodeCap := fs.Int("per-node-cap", 4, "concurrently running launches per node")
-	retries := fs.Int("retries", 3, "reschedule budget per launch")
+	retries := fs.Int("retries", 3, "reschedule budget per launch: every failed attempt (launch call, dead dock, lost or trapped naplet) spends one")
 	timeout := fs.Duration("timeout", 5*time.Minute, "whole-wave deadline")
 	fs.Parse(args)
 	if *codebase == "" || *routes == "" {

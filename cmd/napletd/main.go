@@ -84,7 +84,6 @@ func main() {
 	slots := flag.Int("slots", 0, "concurrent naplet execution slots (0 = unlimited)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address serving /metrics, /healthz, /readyz and /spans (empty = disabled)")
 	masterAddr := flag.String("master", "", "napletmaster address to register with (empty = no fleet control plane)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "initial fleet heartbeat cadence (the master's register reply overrides it)")
 	fleetLabels := flag.String("fleet-labels", "", "comma-separated operator labels reported to the master")
 	dispatchRetries := flag.Int("dispatch-retries", 8, "migration retry budget per hop (exponential backoff)")
 	dockDir := flag.String("dock-dir", "", "directory for durable dock snapshots; on boot the server restores resident naplets, held mail and dedup state from it (empty = volatile)")
@@ -213,12 +212,11 @@ func main() {
 			}
 		}
 		agent, err = fleet.NewAgent(fleet.AgentConfig{
-			Node:           srv.Node(),
-			Master:         *masterAddr,
-			MetricsAddr:    *metricsAddr,
-			Labels:         labels,
-			HeartbeatEvery: *heartbeat,
-			Telemetry:      telem,
+			Node:        srv.Node(),
+			Master:      *masterAddr,
+			MetricsAddr: *metricsAddr,
+			Labels:      labels,
+			Telemetry:   telem,
 			Stats: func() fleet.NodeStats {
 				st := fleet.NodeStats{
 					Residents: srv.Manager().Resident(),

@@ -35,14 +35,9 @@ type AgentConfig struct {
 	Labels []string
 	// Stats supplies the per-heartbeat snapshot; nil reports zeros.
 	Stats func() NodeStats
-	// HeartbeatEvery is the initial cadence (default 1s); the master's
-	// register reply overrides it.
-	HeartbeatEvery time.Duration
 	// FlushEvery paces batch export when the queue stays shallow
 	// (default 200ms).
 	FlushEvery time.Duration
-	// CallTimeout bounds one master round-trip (default 5s).
-	CallTimeout time.Duration
 	// Telemetry, when set, exports agent-side drop counters.
 	Telemetry *telemetry.Registry
 }
@@ -53,6 +48,11 @@ const (
 	queueCap = 4096
 	// batchMax bounds events per export frame.
 	batchMax = 256
+	// registerBackoff spaces registration attempts until the master
+	// answers; its reply then sets the heartbeat cadence.
+	registerBackoff = 250 * time.Millisecond
+	// callTimeout bounds one master round trip.
+	callTimeout = 5 * time.Second
 )
 
 // Agent is the dock-side half of the fleet protocol: it registers with
@@ -88,14 +88,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Node.Addr()
 	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = time.Second
-	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 200 * time.Millisecond
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 5 * time.Second
 	}
 	a := &Agent{
 		cfg:   cfg,
@@ -187,16 +181,12 @@ func (a *Agent) loop() {
 }
 
 // register loops until the master accepts the registration, returning
-// the heartbeat cadence to use (0 when closed first).
+// the heartbeat cadence its reply carries (0 when closed first).
 func (a *Agent) register() time.Duration {
 	body := RegisterBody{
 		Node:        a.cfg.Name,
 		MetricsAddr: a.cfg.MetricsAddr,
 		Labels:      a.cfg.Labels,
-	}
-	backoff := a.cfg.HeartbeatEvery / 4
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
 	}
 	for {
 		select {
@@ -207,19 +197,17 @@ func (a *Agent) register() time.Duration {
 		f := wire.BinaryFrame(wire.KindFleetRegister, a.cfg.Name, a.cfg.Master, &body)
 		resp, err := a.call(f)
 		if err == nil {
+			// An accepted registration carries the cadence to beat at.
 			var rb RegisterReplyBody
-			if derr := rb.Decode(resp.Payload); derr == nil && rb.OK {
+			if derr := rb.Decode(resp.Payload); derr == nil && rb.OK && rb.HeartbeatEvery > 0 {
 				a.registered.Store(true)
-				if rb.HeartbeatEvery > 0 {
-					return rb.HeartbeatEvery
-				}
-				return a.cfg.HeartbeatEvery
+				return rb.HeartbeatEvery
 			}
 		}
 		select {
 		case <-a.stop:
 			return 0
-		case <-time.After(backoff):
+		case <-time.After(registerBackoff):
 		}
 	}
 }
@@ -291,7 +279,7 @@ drained:
 
 // call performs one bounded round-trip to the master.
 func (a *Agent) call(f wire.Frame) (wire.Frame, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.CallTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
 	return a.cfg.Node.Call(ctx, a.cfg.Master, f)
 }

@@ -75,7 +75,6 @@ type instantFleet struct {
 }
 
 func (f *instantFleet) Schedulable() []string { return f.nodes }
-func (f *instantFleet) Dead(string) bool      { return false }
 
 func (f *instantFleet) Launch(context.Context, string, LaunchSpec) (string, error) {
 	return fmt.Sprintf("n%d", f.nextID.Add(1)), nil

@@ -41,10 +41,9 @@ func (p DropPolicy) String() string {
 
 // BroadcasterConfig parameterises a Broadcaster.
 type BroadcasterConfig struct {
-	// Buf is the default per-subscriber ring capacity (default 1024).
+	// Buf is the default per-subscriber ring capacity (default 1024);
+	// a subscriber may ask for up to 4*Buf.
 	Buf int
-	// MaxBuf caps subscriber-requested ring capacities (default 4*Buf).
-	MaxBuf int
 	// Policy is the overflow policy (default DropSlow).
 	Policy DropPolicy
 	// Clock overrides time.Now for deterministic tests.
@@ -86,9 +85,6 @@ type subscriber struct {
 func NewBroadcaster(cfg BroadcasterConfig) *Broadcaster {
 	if cfg.Buf <= 0 {
 		cfg.Buf = 1024
-	}
-	if cfg.MaxBuf <= 0 {
-		cfg.MaxBuf = 4 * cfg.Buf
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -154,8 +150,8 @@ func (b *Broadcaster) Subscribe(buf int, policy DropPolicy) string {
 	if buf <= 0 {
 		buf = b.cfg.Buf
 	}
-	if buf > b.cfg.MaxBuf {
-		buf = b.cfg.MaxBuf
+	if buf > 4*b.cfg.Buf {
+		buf = 4 * b.cfg.Buf
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -124,14 +124,14 @@ func TestBroadcasterReap(t *testing.T) {
 }
 
 func TestBroadcasterSubscribeClampsBuf(t *testing.T) {
-	b := NewBroadcaster(BroadcasterConfig{Buf: 8, MaxBuf: 16})
+	b := NewBroadcaster(BroadcasterConfig{Buf: 8})
 	id := b.Subscribe(1<<20, DownSample)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 40; i++ {
 		b.Publish(Event{Hop: i})
 	}
 	evs, dropped, _ := b.Poll(id, 0)
-	if len(evs) != 16 || dropped != 4 {
-		t.Fatalf("clamped ring held %d (dropped %d), want 16 and 4", len(evs), dropped)
+	if len(evs) != 32 || dropped != 8 {
+		t.Fatalf("clamped ring held %d (dropped %d), want 32 and 8", len(evs), dropped)
 	}
 }
 

@@ -151,10 +151,9 @@ func runFleetChaos(t *testing.T, seed int64) {
 		}
 		t.Cleanup(func() { srv.Close() })
 		ag, err := fleet.NewAgent(fleet.AgentConfig{
-			Node:           srv.Node(),
-			Master:         "m",
-			HeartbeatEvery: heartbeat,
-			FlushEvery:     10 * time.Millisecond,
+			Node:       srv.Node(),
+			Master:     "m",
+			FlushEvery: 10 * time.Millisecond,
 			Stats: func() fleet.NodeStats {
 				return fleet.NodeStats{Residents: srv.Manager().Resident()}
 			},

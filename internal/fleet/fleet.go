@@ -49,8 +49,9 @@ type Event struct {
 	// Seq is the broadcaster's publication sequence number, assigned at
 	// the master (zero in flight from the node).
 	Seq uint64
-	// Node is the reporting dock (stamped by the master from the batch
-	// envelope, so nodes cannot spoof each other).
+	// Node is the reporting dock. The master stamps every event with the
+	// batch body's Node, or with the frame's sender when that is empty;
+	// like registration and heartbeats, it trusts the name a dock gives.
 	Node string
 	// Kind is one of the Event* constants.
 	Kind string

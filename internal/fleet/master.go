@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/id"
+	"repro/internal/overload"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -24,10 +25,6 @@ type Config struct {
 	// HeartbeatEvery is the fleet heartbeat cadence (default 1s). Every
 	// registering agent adopts it.
 	HeartbeatEvery time.Duration
-	// SuspectThreshold and DeadThreshold are consecutive missed-heartbeat
-	// counts before a node turns suspect or dead (defaults 2 and 4).
-	SuspectThreshold int
-	DeadThreshold    int
 	// StatusPoll paces the master's naplet-status polling while waiting
 	// for a launch to finish (default 200ms).
 	StatusPoll time.Duration
@@ -37,10 +34,6 @@ type Config struct {
 	SubscriberPolicy DropPolicy
 	// Watchdog configures the per-node backpressure watchdog.
 	Watchdog WatchdogConfig
-	// Health overrides the built-in failure detector (tests).
-	Health *health.Detector
-	// Clock overrides time.Now for deterministic tests.
-	Clock func() time.Time
 	// Telemetry, when set, exports fleet metrics.
 	Telemetry *telemetry.Registry
 }
@@ -53,10 +46,11 @@ const (
 )
 
 // Master is the fleet control plane: it holds the node table, judges
-// liveness from heartbeats, schedules launch waves across the healthy
-// docks, fans dock events out to subscribers, and applies watchdog
-// backpressure — all over the same wire/transport fabric the docks use
-// for migration.
+// liveness with one failure detector fed by heartbeats and by every
+// control call it makes to a dock, schedules launch waves across the
+// healthy docks, fans dock events out to subscribers, and applies
+// watchdog backpressure — all over the same wire/transport fabric the
+// docks use for migration.
 type Master struct {
 	cfg  Config
 	node transport.Node
@@ -83,35 +77,15 @@ func NewMaster(cfg Config) (*Master, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
 	}
-	if cfg.SuspectThreshold <= 0 {
-		cfg.SuspectThreshold = 2
-	}
-	if cfg.DeadThreshold <= 0 {
-		cfg.DeadThreshold = 4
-	}
 	if cfg.StatusPoll <= 0 {
 		cfg.StatusPoll = 200 * time.Millisecond
 	}
 	if cfg.SubscriberBuf <= 0 {
 		cfg.SubscriberBuf = 1024
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 
-	det := cfg.Health
-	if det == nil {
-		det = health.New(health.Config{
-			SuspectThreshold: cfg.SuspectThreshold,
-			DeadThreshold:    cfg.DeadThreshold,
-			Clock:            cfg.Clock,
-			Telemetry:        cfg.Telemetry,
-		})
-	}
+	det := health.New(health.Config{Telemetry: cfg.Telemetry})
 	wdCfg := cfg.Watchdog
-	if wdCfg.Clock == nil {
-		wdCfg.Clock = cfg.Clock
-	}
 	if wdCfg.Telemetry == nil {
 		wdCfg.Telemetry = cfg.Telemetry
 	}
@@ -123,14 +97,12 @@ func NewMaster(cfg Config) (*Master, error) {
 		bc: NewBroadcaster(BroadcasterConfig{
 			Buf:       cfg.SubscriberBuf,
 			Policy:    cfg.SubscriberPolicy,
-			Clock:     cfg.Clock,
 			Telemetry: cfg.Telemetry,
 		}),
 		reg: NewRegistry(RegistryConfig{
 			HeartbeatEvery: cfg.HeartbeatEvery,
 			Health:         det,
 			Watchdog:       wd,
-			Clock:          cfg.Clock,
 			Telemetry:      cfg.Telemetry,
 		}),
 		stop: make(chan struct{}),
@@ -138,7 +110,6 @@ func NewMaster(cfg Config) (*Master, error) {
 	sched, err := NewScheduler(SchedulerConfig{
 		Nodes:     m.reg,
 		Launcher:  m,
-		Clock:     cfg.Clock,
 		Telemetry: cfg.Telemetry,
 	})
 	if err != nil {
@@ -390,9 +361,9 @@ func (m *Master) Wait(ctx context.Context, node, napletID string) (string, strin
 			}
 			return status, result, nil
 		}
-		// Transient call errors fall through to the next poll; the
-		// dead-node check above converts persistent silence into a
-		// reschedule once the failure detector catches up.
+		// Transient call errors fall through to the next poll. control
+		// charges each to the dock as a detector miss, so the dead-node
+		// check above turns persistent silence into a reschedule.
 		select {
 		case <-ctx.Done():
 			return "", "", ctx.Err()
@@ -401,13 +372,24 @@ func (m *Master) Wait(ctx context.Context, node, napletID string) (string, strin
 	}
 }
 
-// control performs one control round-trip against a dock.
+// control performs one control round trip against a dock and reports
+// its outcome to the failure detector, as a navigator dispatch does: a
+// reply (an error reply or an overload shed included) is proof of life,
+// a transport failure while ctx is live is a miss, and a call that ctx
+// cut short says nothing about the dock.
 func (m *Master) control(ctx context.Context, node string, body server.ControlBody) (server.ControlReplyBody, error) {
 	f, err := wire.NewFrame(wire.KindControl, m.cfg.Name, node, body)
 	if err != nil {
 		return server.ControlReplyBody{}, err
 	}
 	resp, err := m.node.Call(ctx, node, f)
+	var werr *wire.Error
+	switch {
+	case err == nil, overload.Liveness(err), errors.As(err, &werr):
+		m.det.ReportSuccess(node)
+	case ctx.Err() == nil:
+		m.det.ReportFailure(node)
+	}
 	if err != nil {
 		return server.ControlReplyBody{}, err
 	}

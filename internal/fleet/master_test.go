@@ -3,15 +3,19 @@ package fleet_test
 import (
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/health"
 	"repro/internal/naplet"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -54,13 +58,20 @@ type testFleet struct {
 
 func newTestFleet(t *testing.T, masterCfg fleet.Config, docks ...string) *testFleet {
 	t.Helper()
+	net := netsim.New(netsim.Config{})
+	masterCfg.Fabric = net
+	return startTestFleet(t, net, newFleetRegistry(t), masterCfg, docks...)
+}
+
+// startTestFleet attaches the master through masterCfg.Fabric, which may
+// wrap net, and the docks to net itself.
+func startTestFleet(t *testing.T, net *netsim.Network, reg *registry.Registry, masterCfg fleet.Config, docks ...string) *testFleet {
+	t.Helper()
 	tf := &testFleet{
-		net:    netsim.New(netsim.Config{}),
+		net:    net,
 		docks:  make(map[string]*server.Server),
 		agents: make(map[string]*fleet.Agent),
 	}
-	reg := newFleetRegistry(t)
-	masterCfg.Fabric = tf.net
 	if masterCfg.Name == "" {
 		masterCfg.Name = "m"
 	}
@@ -92,8 +103,7 @@ func newTestFleet(t *testing.T, masterCfg fleet.Config, docks ...string) *testFl
 					Draining:  srv.Draining(),
 				}
 			},
-			HeartbeatEvery: masterCfg.HeartbeatEvery,
-			FlushEvery:     10 * time.Millisecond,
+			FlushEvery: 10 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -314,5 +324,98 @@ func TestMasterMarksSilentNodeDeadAndThrottleSignal(t *testing.T) {
 	tf.master.Watchdog().ObserveDisk("d1", 5000)
 	if got := tf.master.Registry().Schedulable(); len(got) != 0 {
 		t.Fatalf("over-watermark node still schedulable: %v", got)
+	}
+}
+
+// blocker holds its naplet at its first stop until release closes.
+type blocker struct{ release <-chan struct{} }
+
+func (b blocker) OnStart(*naplet.Context) error {
+	<-b.release
+	return nil
+}
+
+// controlCounter wraps the master's fabric and counts the control calls it
+// makes to one dock.
+type controlCounter struct {
+	transport.Fabric
+	to    string
+	calls atomic.Int32
+}
+
+func (c *controlCounter) Attach(addr string, h transport.Handler) (transport.Node, error) {
+	n, err := c.Fabric.Attach(addr, h)
+	return countingNode{Node: n, c: c}, err
+}
+
+type countingNode struct {
+	transport.Node
+	c *controlCounter
+}
+
+func (n countingNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	if to == n.c.to && f.Kind == wire.KindControl {
+		n.c.calls.Add(1)
+	}
+	return n.Node.Call(ctx, to, f)
+}
+
+// A dock that crashes between heartbeats leaves rotation on the failures
+// of the launches sent to it, not on the heartbeat sweep: with both live
+// docks at their cap, the wave's pending assignments must not spend their
+// budgets relaunching at the crashed one.
+func TestMasterCrashedDockLeavesRotation(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	reg := newFleetRegistry(t)
+	reg.MustRegister(&registry.Codebase{
+		Name: "test.Blocker",
+		New:  func() naplet.Behavior { return blocker{release: release} },
+	})
+	net := netsim.New(netsim.Config{})
+	counter := &controlCounter{Fabric: net, to: "d3"}
+	// A heartbeat cadence no test run outlasts: the sweep never charges
+	// d3 a miss, so only the launch failures can.
+	tf := startTestFleet(t, net, reg, fleet.Config{Fabric: counter, HeartbeatEvery: time.Minute}, "d1", "d2", "d3")
+	tf.waitNodes(t, 3)
+	tf.agents["d3"].Close()
+	tf.docks["d3"].Close()
+
+	// Hold d1's and d2's first naplets, so both stay at their cap of 1
+	// while six assignments wait, until d3 is dead or 300 ms have passed.
+	// An assignment that failed at d3 waits for d1 or d2, so d3 may see
+	// fewer launches than it takes to be presumed dead.
+	go func() {
+		deadline := time.Now().Add(300 * time.Millisecond)
+		for !tf.master.Health().Dead("d3") && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		free()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := tf.master.Wave(ctx, fleet.WaveSpec{
+		Count:      8,
+		Routes:     []string{"seq(d1)"},
+		Codebase:   "test.Blocker",
+		PerNodeCap: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxAttempts := 0
+	for _, l := range res.Launches {
+		maxAttempts = max(maxAttempts, l.Attempts)
+	}
+	if res.Failed != 0 || res.Completed != res.Total {
+		t.Fatalf("%d failed, attempts=%d, d3 state %v", res.Failed, maxAttempts, tf.master.Health().State("d3"))
+	}
+	if n := counter.calls.Load(); n > health.DefaultDeadThreshold {
+		t.Fatalf("crashed dock got %d launches, want at most %d", n, health.DefaultDeadThreshold)
+	}
+	if res.PerNode["d3"] != 0 {
+		t.Fatalf("per-node = %v", res.PerNode)
 	}
 }

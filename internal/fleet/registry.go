@@ -15,7 +15,8 @@ type RegistryConfig struct {
 	// HeartbeatEvery is the cadence the master serves to registering
 	// agents and the interval liveness misses are judged against.
 	HeartbeatEvery time.Duration
-	// Health judges liveness from the heartbeat stream; required.
+	// Health judges liveness; required. The registry feeds it the
+	// heartbeat stream, the master its control calls.
 	Health *health.Detector
 	// Watchdog, when set, gates Schedulable on watermark latches.
 	Watchdog *Watchdog

@@ -40,10 +40,9 @@ type Launcher interface {
 }
 
 // NodeSource supplies the scheduler's view of the fleet: who can take a
-// launch, and who is gone. The Registry implements it.
+// launch. The Registry implements it.
 type NodeSource interface {
 	Schedulable() []string
-	Dead(node string) bool
 }
 
 // WaveSpec describes one launch wave: Count naplets per route, fanned
@@ -66,10 +65,11 @@ type WaveSpec struct {
 	// PerNodeCap bounds concurrently running launches per node
 	// (default 4).
 	PerNodeCap int
-	// Retries is the reschedule budget per assignment after a wait-phase
-	// failure — a dead node, a lost naplet (default 3). Launch-call
-	// failures get 4x this budget: a transiently unreachable node should
-	// not burn the assignment.
+	// Retries is the reschedule budget per assignment (default 3): every
+	// failed attempt — a launch call that failed, a dead node, a lost or
+	// trapped naplet — spends one. A dock whose calls keep failing leaves
+	// rotation through the master's failure detector, so its failures
+	// stop costing budget once it is presumed dead.
 	Retries int
 	// LaunchTimeout bounds one launch call (default 10s); WaitTimeout
 	// bounds one naplet's run (default 2m).
@@ -160,8 +160,6 @@ type SchedulerConfig struct {
 	// had zero schedulable nodes for this long (default 10s) — all-at-cap
 	// is a normal wait, an empty fleet is not worth spinning on.
 	NoNodesAfter time.Duration
-	// Clock overrides time.Now for elapsed accounting.
-	Clock func() time.Time
 	// Telemetry, when set, exports wave and launch counters.
 	Telemetry *telemetry.Registry
 }
@@ -188,9 +186,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.NoNodesAfter <= 0 {
 		cfg.NoNodesAfter = 10 * time.Second
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	s := &Scheduler{cfg: cfg}
 	if reg := cfg.Telemetry; reg != nil {
 		s.waves = reg.Counter("naplet_fleet_waves_total", "launch waves run")
@@ -206,12 +201,10 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 type assignment struct {
 	idx   int
 	route string
-	// attempts and launchFails consume the two retry budgets.
-	attempts    int
-	launchFails int
-	// lastNode is avoided on the next pick when alternatives exist, so
-	// a crashing node does not burn the whole budget before the failure
-	// detector catches up.
+	// attempts counts the attempts made, failed ones against Retries.
+	attempts int
+	// lastNode is the node the last attempt failed on; the next pick
+	// avoids it while any other node is schedulable.
 	lastNode string
 }
 
@@ -229,7 +222,7 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 	if s.waves != nil {
 		s.waves.Inc()
 	}
-	start := s.cfg.Clock()
+	start := time.Now()
 	total := spec.Count * len(spec.Routes)
 
 	res := &WaveResult{
@@ -258,7 +251,7 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 		if result != "" {
 			l.Result = []byte(result)
 		}
-		l.Attempts = a.attempts + a.launchFails
+		l.Attempts = a.attempts
 		if status == "completed" {
 			res.Completed++
 			res.PerNode[node]++
@@ -269,14 +262,10 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 	}
 	// requeue returns the assignment to the queue, or fails it when its
 	// budget ran out. Callers hold mu.
-	requeue := func(a assignment, node, nid, errText string, launchFail bool) {
+	requeue := func(a assignment, node, nid, errText string) {
 		a.lastNode = node
-		if launchFail {
-			a.launchFails++
-		} else {
-			a.attempts++
-		}
-		if a.attempts > spec.Retries || a.launchFails > 4*spec.Retries {
+		a.attempts++
+		if a.attempts > spec.Retries {
 			finish(a, node, nid, "failed", errText, "")
 			return
 		}
@@ -327,7 +316,7 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 		}
 		nodes := s.cfg.Nodes.Schedulable()
 		if len(nodes) == 0 {
-			now := s.cfg.Clock()
+			now := time.Now()
 			if noNodesSince.IsZero() {
 				noNodesSince = now
 			} else if now.Sub(noNodesSince) >= s.cfg.NoNodesAfter {
@@ -365,7 +354,7 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 				// is usually infrastructure (a dead stop, an exhausted
 				// dispatch) — relaunch on the wave's budget; a
 				// deterministic agent bug burns the budget and fails.
-				requeue(a, node, nid, "trapped: "+result, false)
+				requeue(a, node, nid, "trapped: "+result)
 			case err == nil:
 				a.attempts++
 				if status == "completed" {
@@ -376,37 +365,30 @@ func (s *Scheduler) Run(ctx context.Context, spec WaveSpec) (*WaveResult, error)
 					// error.
 					finish(a, node, nid, status, result, "")
 				}
-			case nid == "":
-				requeue(a, node, nid, err.Error(), true)
 			default:
-				requeue(a, node, nid, err.Error(), false)
+				requeue(a, node, nid, err.Error())
 			}
 		}(a, node)
 	}
 	wg.Wait()
-	res.Elapsed = s.cfg.Clock().Sub(start)
+	res.Elapsed = time.Since(start)
 	return res, ctx.Err()
 }
 
 // pickNode chooses the least-loaded node with spare capacity from the
-// schedulable set, avoiding `avoid` when any alternative exists.
+// schedulable set. It never picks avoid, the node the assignment last
+// failed on, while another node is schedulable: if those are all at
+// their cap the assignment waits for one of them, rather than spending
+// its budget on the node that just failed it.
 func (s *Scheduler) pickNode(nodes []string, inflight map[string]int, cap int, avoid string) string {
 	best, bestLoad := "", 0
 	for _, n := range nodes {
 		load := inflight[n]
-		if load >= cap || n == avoid {
+		if load >= cap || (n == avoid && len(nodes) > 1) {
 			continue
 		}
 		if best == "" || load < bestLoad {
 			best, bestLoad = n, load
-		}
-	}
-	if best == "" && avoid != "" {
-		// The avoided node is the only candidate; better than stalling.
-		for _, n := range nodes {
-			if n == avoid && inflight[n] < cap {
-				return n
-			}
 		}
 	}
 	return best

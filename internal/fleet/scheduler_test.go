@@ -58,12 +58,6 @@ func (f *fakeFleet) Schedulable() []string {
 	return out
 }
 
-func (f *fakeFleet) Dead(node string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead[node]
-}
-
 func (f *fakeFleet) Launch(_ context.Context, node string, spec LaunchSpec) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -213,7 +207,11 @@ func TestSchedulerReschedulesOffDeadNode(t *testing.T) {
 	}
 }
 
-func TestSchedulerLaunchErrorsDoNotBurnRetryBudget(t *testing.T) {
+func TestSchedulerAlternativeNodeAbsorbsLaunchErrors(t *testing.T) {
+	// d2 refuses every launch and, with no failure detector behind this
+	// fake, stays schedulable. An assignment that failed there never
+	// goes back while d1 is schedulable, so one budget of a single
+	// retry carries every assignment to d1.
 	f := newFakeFleet("d1", "d2")
 	f.launchErrAt = "d2"
 	s := newTestScheduler(t, f)
@@ -221,7 +219,7 @@ func TestSchedulerLaunchErrorsDoNotBurnRetryBudget(t *testing.T) {
 		Count:    8,
 		Routes:   []string{"seq(a)"},
 		Codebase: "test.Collector",
-		Retries:  1, // tight wait budget; launch failures get 4x
+		Retries:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +229,33 @@ func TestSchedulerLaunchErrorsDoNotBurnRetryBudget(t *testing.T) {
 	}
 	if res.PerNode["d1"] != 8 {
 		t.Fatalf("per-node = %v", res.PerNode)
+	}
+	for _, l := range res.Launches {
+		if l.Attempts > 2 {
+			t.Fatalf("launch %d took %d attempts, want at most 2", l.Index, l.Attempts)
+		}
+	}
+}
+
+func TestPickNodeAvoidsLastFailedNode(t *testing.T) {
+	s := newTestScheduler(t, newFakeFleet())
+	for _, tc := range []struct {
+		name     string
+		nodes    []string
+		inflight map[string]int
+		avoid    string
+		want     string
+	}{
+		{"least loaded", []string{"d1", "d2", "d3"}, map[string]int{"d1": 1, "d3": 1}, "", "d2"},
+		{"avoided although idle", []string{"d1", "d2"}, map[string]int{"d1": 1}, "d2", "d1"},
+		{"waits while the other is at cap", []string{"d1", "d2"}, map[string]int{"d1": 2}, "d2", ""},
+		{"only schedulable node", []string{"d2"}, nil, "d2", "d2"},
+		{"avoided node already gone", []string{"d1"}, nil, "d2", "d1"},
+		{"everyone at cap", []string{"d1", "d2"}, map[string]int{"d1": 2, "d2": 2}, "", ""},
+	} {
+		if got := s.pickNode(tc.nodes, tc.inflight, 2, tc.avoid); got != tc.want {
+			t.Errorf("%s: picked %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

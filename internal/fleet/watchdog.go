@@ -21,8 +21,14 @@ type RateEstimator struct {
 	last     time.Time
 }
 
-// defaultHalfLife smooths rate estimates over a few heartbeat intervals.
-const defaultHalfLife = 5 * time.Second
+const (
+	// defaultHalfLife smooths rate estimates over a few heartbeat
+	// intervals; the watchdog's ingest estimators use it.
+	defaultHalfLife = 5 * time.Second
+	// resumeFraction is the watchdog's hysteresis band: a tripped node
+	// resumes only once every metric falls below watermark*resumeFraction.
+	resumeFraction = 0.85
+)
 
 // NewRateEstimator builds an estimator (half-life <= 0 takes 5s).
 func NewRateEstimator(halfLife time.Duration) *RateEstimator {
@@ -62,12 +68,6 @@ type WatchdogConfig struct {
 	// IngestWatermarkBps trips a node whose event ingest byte-rate
 	// reaches it; 0 disables the ingest watermark.
 	IngestWatermarkBps float64
-	// RateHalfLife is the ingest estimator's half-life (default 5s).
-	RateHalfLife time.Duration
-	// ResumeFraction is the hysteresis band: a tripped node resumes only
-	// once every metric falls below watermark*ResumeFraction (default
-	// 0.85).
-	ResumeFraction float64
 	// Clock overrides time.Now for deterministic tests.
 	Clock func() time.Time
 	// Telemetry, when set, exports the alarm counter and the
@@ -95,12 +95,6 @@ type nodeWatch struct {
 
 // NewWatchdog builds a watchdog (zero config disables both watermarks).
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.RateHalfLife <= 0 {
-		cfg.RateHalfLife = defaultHalfLife
-	}
-	if cfg.ResumeFraction <= 0 || cfg.ResumeFraction >= 1 {
-		cfg.ResumeFraction = 0.85
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -130,7 +124,7 @@ func (w *Watchdog) overCount() int {
 func (w *Watchdog) get(node string) *nodeWatch {
 	nw, ok := w.nodes[node]
 	if !ok {
-		nw = &nodeWatch{est: NewRateEstimator(w.cfg.RateHalfLife)}
+		nw = &nodeWatch{est: NewRateEstimator(defaultHalfLife)}
 		w.nodes[node] = nw
 	}
 	return nw
@@ -152,9 +146,9 @@ func (w *Watchdog) evaluate(nw *nodeWatch, now time.Time) {
 	}
 	// Latched: resume only once both metrics clear the hysteresis band.
 	diskClear := w.cfg.DiskWatermarkBytes == 0 ||
-		float64(nw.disk) < float64(w.cfg.DiskWatermarkBytes)*w.cfg.ResumeFraction
+		float64(nw.disk) < float64(w.cfg.DiskWatermarkBytes)*resumeFraction
 	rateClear := w.cfg.IngestWatermarkBps == 0 ||
-		rate < w.cfg.IngestWatermarkBps*w.cfg.ResumeFraction
+		rate < w.cfg.IngestWatermarkBps*resumeFraction
 	if diskClear && rateClear {
 		nw.over = false
 	}

@@ -41,7 +41,6 @@ func TestWatchdogDiskWatermarkLatch(t *testing.T) {
 	now := time.Unix(0, 0)
 	w := NewWatchdog(WatchdogConfig{
 		DiskWatermarkBytes: 1000,
-		ResumeFraction:     0.8,
 		Clock:              func() time.Time { return now },
 	})
 	w.ObserveDisk("d1", 500)
@@ -57,8 +56,8 @@ func TestWatchdogDiskWatermarkLatch(t *testing.T) {
 	if !w.Over("d1") {
 		t.Fatal("unlatched inside the hysteresis band")
 	}
-	// Below watermark*0.8 the latch releases.
-	w.ObserveDisk("d1", 700)
+	// Below watermark*0.85 the latch releases.
+	w.ObserveDisk("d1", 840)
 	if w.Over("d1") {
 		t.Fatal("still latched below the resume threshold")
 	}
@@ -68,7 +67,6 @@ func TestWatchdogIngestWatermarkUnlatchesByDecay(t *testing.T) {
 	now := time.Unix(0, 0)
 	w := NewWatchdog(WatchdogConfig{
 		IngestWatermarkBps: 1000,
-		RateHalfLife:       time.Second,
 		Clock:              func() time.Time { return now },
 	})
 	// A burst pushes the estimated rate over 1000 B/s.
@@ -76,9 +74,9 @@ func TestWatchdogIngestWatermarkUnlatchesByDecay(t *testing.T) {
 	if !w.Over("d1") {
 		t.Fatalf("rate %.0f B/s did not trip the watermark", w.Rate("d1"))
 	}
-	// With no further traffic the rate decays; Over re-evaluates and the
-	// latch releases on its own.
-	now = now.Add(15 * time.Second)
+	// With no further traffic the rate decays (5 s half-life); Over
+	// re-evaluates and the latch releases on its own.
+	now = now.Add(60 * time.Second)
 	if w.Over("d1") {
 		t.Fatalf("still latched at %.2f B/s", w.Rate("d1"))
 	}
