@@ -11,7 +11,10 @@
 # A codec is an append and a decode: it also fails if a size method comes
 # back beside them — an EncodedSize outside the frame (which the fabrics
 # meter) and the two the benchmark harness reads, or a call to a wire.Size*
-# helper. It fails, too, if gofmt would rewrite any file.
+# helper. The request path lives once, in internal/transport/transport.go:
+# it also fails if a budget is packed, an error reply built or decoded, or
+# a panic recovered anywhere else (the monitor's naplet traps excepted).
+# It fails, too, if gofmt would rewrite any file.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
 # Every Benchmark* function runs once (-short shrinks the million-entry
@@ -30,6 +33,9 @@ verify:
 	@if grep -rn --include='*.go' --exclude='*_test.go' -e 'EncodedSize() int' -e 'wire\.Size[A-Z]' internal cmd \
 		| grep -v -e '^internal/wire/wire.go:.*(f \*Frame)' -e '^internal/state/' -e '^internal/dock/'; then \
 		echo "verify: the lines above bring back a size function beside a codec's append"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' -e 'PackBudget(' -e 'rrorReply(' -e 'wire\.Error{' -e 'recover()' internal cmd \
+		| grep -v -e '^internal/transport/transport.go:' -e '^internal/wire/budget.go:[0-9]*:func PackBudget(' -e '^internal/monitor/'; then \
+		echo "verify: the lines above pack a budget, build or decode an error reply, or recover a panic outside transport's call and serve paths"; exit 1; fi
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...

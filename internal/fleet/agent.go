@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,9 +49,6 @@ const (
 	queueCap = 4096
 	// batchMax bounds events per export frame.
 	batchMax = 256
-	// registerBackoff spaces registration attempts until the master
-	// answers; its reply then sets the heartbeat cadence.
-	registerBackoff = 250 * time.Millisecond
 	// callTimeout bounds one master round trip.
 	callTimeout = 5 * time.Second
 )
@@ -180,36 +178,40 @@ func (a *Agent) loop() {
 	}
 }
 
+// registerPolicy spaces registration attempts 250 ms apart until the
+// master accepts; its reply then sets the heartbeat cadence.
+var registerPolicy = transport.Backoff{Initial: 250 * time.Millisecond, Max: 250 * time.Millisecond, Retries: math.MaxInt}
+
 // register loops until the master accepts the registration, returning
 // the heartbeat cadence its reply carries (0 when closed first).
 func (a *Agent) register() time.Duration {
+	select {
+	case <-a.stop:
+		return 0
+	default:
+	}
 	body := RegisterBody{
 		Node:        a.cfg.Name,
 		MetricsAddr: a.cfg.MetricsAddr,
 		Labels:      a.cfg.Labels,
 	}
-	for {
-		select {
-		case <-a.stop:
-			return 0
-		default:
-		}
+	var every time.Duration
+	registerPolicy.Retry(context.Background(), nil, a.stop, nil, func() (bool, error) {
 		f := wire.BinaryFrame(wire.KindFleetRegister, a.cfg.Name, a.cfg.Master, &body)
 		resp, err := a.call(f)
-		if err == nil {
-			// An accepted registration carries the cadence to beat at.
-			var rb RegisterReplyBody
-			if derr := rb.Decode(resp.Payload); derr == nil && rb.OK && rb.HeartbeatEvery > 0 {
-				a.registered.Store(true)
-				return rb.HeartbeatEvery
-			}
+		if err != nil {
+			return false, err
 		}
-		select {
-		case <-a.stop:
-			return 0
-		case <-time.After(registerBackoff):
+		// An accepted registration carries the cadence to beat at.
+		var rb RegisterReplyBody
+		if err := rb.Decode(resp.Payload); err != nil || !rb.OK || rb.HeartbeatEvery <= 0 {
+			return false, errors.New("fleet: registration refused: " + rb.Err)
 		}
-	}
+		a.registered.Store(true)
+		every = rb.HeartbeatEvery
+		return true, nil
+	})
+	return every
 }
 
 // heartbeat sends one beacon; false means the master no longer knows

@@ -143,7 +143,7 @@ type Config struct {
 	// window, never re-delivered.
 	SendRetries int
 	// RetryDelay is the initial backoff between send retries; it doubles
-	// per attempt (default 5ms).
+	// per attempt up to transport.DefaultBackoffMax (default 5ms).
 	RetryDelay time.Duration
 	// Telemetry receives the messenger's counters and confirm-RTT
 	// histogram; nil uses a private registry.
@@ -403,14 +403,16 @@ func (m *Messenger) route(ctx context.Context, msg naplet.Message, hint string) 
 // confirmation is absorbed and re-confirmed by the receiver's dedup window
 // rather than delivered twice.
 func (m *Messenger) sendRetry(ctx context.Context, server string, body PostBody) (ConfirmBody, error) {
-	delay := m.cfg.RetryDelay
+	pol := transport.Backoff{Initial: m.cfg.RetryDelay, Retries: m.cfg.SendRetries}
 	var confirm ConfirmBody
-	var err error
-	m.cfg.RetryBudget.RecordAttempt()
-	for attempt := 0; ; attempt++ {
+	err := pol.Retry(ctx, m.cfg.RetryBudget, nil, func(delay time.Duration) {
+		m.met.retries.Inc()
+		m.met.retryWait.ObserveDuration(delay)
+	}, func() (bool, error) {
+		var err error
 		confirm, err = m.send(ctx, server, body)
-		if err == nil || attempt >= m.cfg.SendRetries {
-			return confirm, err
+		if err == nil {
+			return true, nil
 		}
 		// Protocol verdicts are authoritative; only transport-level
 		// failures are worth re-attempting. An error *reply* means the
@@ -420,29 +422,11 @@ func (m *Messenger) sendRetry(ctx context.Context, server string, body PostBody)
 		// exception: they come back as typed sentinels, not *wire.Error,
 		// precisely so this loop treats them as transient.
 		var werr *wire.Error
-		if errors.As(err, &werr) {
-			return confirm, err
-		}
-		if errors.Is(err, ErrNapletGone) || errors.Is(err, ErrHopsExceeded) || errors.Is(err, ErrUnknownPeer) {
-			return confirm, err
-		}
-		if ctx.Err() != nil {
-			return confirm, err
-		}
-		if !m.cfg.RetryBudget.AllowRetry() {
-			return confirm, fmt.Errorf("%w: %w", overload.ErrRetryBudgetExhausted, err)
-		}
-		m.met.retries.Inc()
-		m.met.retryWait.ObserveDuration(delay)
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return confirm, err
-		}
-		delay *= 2
-	}
+		final := errors.As(err, &werr) ||
+			errors.Is(err, ErrNapletGone) || errors.Is(err, ErrHopsExceeded) || errors.Is(err, ErrUnknownPeer)
+		return final, err
+	})
+	return confirm, err
 }
 
 // send performs one network leg of the post protocol.

@@ -8,62 +8,8 @@ import (
 
 	"repro/internal/naplet"
 	"repro/internal/overload"
+	"repro/internal/transport"
 )
-
-// Backoff is the migration retry policy: the delay doubles from Initial up
-// to Max, over a budget of Retries re-attempts. The zero value selects the
-// defaults below.
-type Backoff struct {
-	// Initial is the delay before the first retry (default 25ms).
-	Initial time.Duration
-	// Max caps the grown delay (default 2s).
-	Max time.Duration
-	// Retries is the retry budget beyond the first attempt; 0 means no
-	// retries (negative values are treated as 0).
-	Retries int
-	// FailFast consults the navigator's failure detector before spending
-	// the budget: a dispatch against a peer presumed dead returns
-	// ErrPeerDead after at most one probe attempt. Callers set it only
-	// when they have a failover strategy for the dead destination —
-	// without one, the full budget is the better bet against a peer that
-	// may merely be partitioned.
-	FailFast bool
-}
-
-// Backoff defaults.
-const (
-	DefaultBackoffInitial = 25 * time.Millisecond
-	DefaultBackoffMax     = 2 * time.Second
-)
-
-// withDefaults fills unset fields.
-func (b Backoff) withDefaults() Backoff {
-	if b.Initial <= 0 {
-		b.Initial = DefaultBackoffInitial
-	}
-	if b.Max <= 0 {
-		b.Max = DefaultBackoffMax
-	}
-	if b.Max < b.Initial {
-		b.Max = b.Initial
-	}
-	if b.Retries < 0 {
-		b.Retries = 0
-	}
-	return b
-}
-
-// Delay returns the backoff before retry number attempt (0-based: the
-// delay between the first failure and the first retry is Delay(0)):
-// min(Max, Initial*2^attempt).
-func (b Backoff) Delay(attempt int) time.Duration {
-	b = b.withDefaults()
-	d := b.Initial
-	for i := 0; i < attempt && d < b.Max; i++ {
-		d *= 2
-	}
-	return min(d, b.Max)
-}
 
 // IsPermanent reports whether a dispatch error is a policy decision that
 // must not be retried: the destination's refusal is authoritative, and
@@ -90,7 +36,7 @@ var ErrPeerDead = errors.New("navigator: destination presumed dead")
 // navigator's call timeout. Retries and backoff sleeps feed the
 // naplet_navigator_dispatch_retries_total counter and the
 // naplet_navigator_backoff_seconds histogram.
-func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest string, pol Backoff, stop <-chan struct{}) (Breakdown, error) {
+func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest string, pol transport.Backoff, stop <-chan struct{}) (Breakdown, error) {
 	return n.DispatchRetryID(ctx, rec, dest, n.NewTransferID(), pol, stop)
 }
 
@@ -99,29 +45,23 @@ func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest 
 // original ID, so a destination that already landed the naplet re-acks via
 // its dedup window instead of landing a duplicate.
 //
-// When the navigator carries a failure detector and the policy opts in
-// with FailFast, a dispatch that starts against a peer presumed dead fails
-// fast instead of burning the backoff budget: at most one probe attempt
-// per probe interval reaches the network, and every other caller returns
-// ErrPeerDead without touching it. A dispatch that starts against a live
-// peer keeps its full retry budget — the detector learns from its
-// failures but does not cut it short, so transient loss and heal-in-time
-// partitions still ride through.
-func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, dest string, tid string, pol Backoff, stop <-chan struct{}) (Breakdown, error) {
-	pol = pol.withDefaults()
+// A naplet carrying a failover policy has somewhere to go when the
+// destination is presumed dead: with a failure detector, its dispatch to
+// such a peer fails fast — at most one probe attempt per probe interval
+// reaches the network, every other caller gets ErrPeerDead — where one
+// without rides the full budget against a peer that may merely be
+// partitioned. A dispatch that starts against a live peer keeps its full
+// budget: the detector learns from its failures but does not cut it short.
+func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, dest string, tid string, pol transport.Backoff, stop <-chan struct{}) (Breakdown, error) {
 	hd := n.cfg.Health
 	probing := false
-	if pol.FailFast && hd.Dead(dest) {
+	if rec.Failover != naplet.FailoverNone && hd.Dead(dest) {
 		if !hd.Allow(dest) {
 			return Breakdown{}, ErrPeerDead
 		}
 		probing = true
 	}
-	// The retry budget charges the whole logical migration once and each
-	// retry against the earned balance.
-	n.cfg.RetryBudget.RecordAttempt()
 	var bd Breakdown
-	var err error
 	// unresolved tracks whether any attempt so far may have silently
 	// landed the naplet (its transfer was sent but never acknowledged).
 	// Attempts run strictly one after another, so a later definitive
@@ -132,17 +72,15 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 	// Any failure returned while unresolved carries ErrTransferUnresolved
 	// so the caller's failover logic knows not to fork the naplet.
 	unresolved := false
-	mark := func(err error) error {
-		if unresolved && !errors.Is(err, ErrTransferUnresolved) {
-			return fmt.Errorf("%w: %w", ErrTransferUnresolved, err)
-		}
-		return err
-	}
-	for attempt := 0; ; attempt++ {
+	err := pol.Retry(ctx, n.cfg.RetryBudget, stop, func(delay time.Duration) {
+		n.met.retries.Inc()
+		n.met.backoff.ObserveDuration(delay)
+	}, func() (bool, error) {
+		var err error
 		bd, err = n.DispatchID(ctx, rec, dest, tid)
 		if err == nil {
 			hd.ReportSuccess(dest)
-			return bd, nil
+			return true, nil
 		}
 		if errors.Is(err, ErrTransferUnresolved) {
 			unresolved = true
@@ -152,7 +90,7 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		if IsPermanent(err) {
 			// The peer answered — its refusal proves it is alive.
 			hd.ReportSuccess(dest)
-			return bd, mark(err)
+			return true, err
 		}
 		if overload.Liveness(err) {
 			// An overload or deadline shed is an answer the peer sent:
@@ -166,32 +104,13 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 			if probing {
 				// The one probe this interval allowed just failed: the
 				// peer stays presumed dead and this dispatch ends here.
-				return bd, mark(fmt.Errorf("%w: %v", ErrPeerDead, err))
+				return true, fmt.Errorf("%w: %v", ErrPeerDead, err)
 			}
 		}
-		if attempt >= pol.Retries {
-			return bd, mark(err)
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return bd, mark(err)
-		}
-		if !n.cfg.RetryBudget.AllowRetry() {
-			// The token bucket ran dry: retrying further would amplify
-			// the very overload the peer is shedding.
-			return bd, mark(fmt.Errorf("%w: %w", overload.ErrRetryBudgetExhausted, err))
-		}
-		delay := pol.Delay(attempt)
-		n.met.retries.Inc()
-		n.met.backoff.ObserveDuration(delay)
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-stop:
-			t.Stop()
-			return bd, mark(err)
-		case <-ctx.Done():
-			t.Stop()
-			return bd, mark(err)
-		}
+		return false, err
+	})
+	if err != nil && unresolved && !errors.Is(err, ErrTransferUnresolved) {
+		err = fmt.Errorf("%w: %w", ErrTransferUnresolved, err)
 	}
+	return bd, err
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/health"
+	"repro/internal/naplet"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -75,11 +77,13 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 		t.Fatalf("state(b) = %v after %d misses, want dead", hd.State("b"), health.DefaultDeadThreshold)
 	}
 
-	pol := Backoff{Initial: time.Millisecond, Retries: 5, FailFast: true}
+	pol := transport.Backoff{Initial: time.Millisecond, Retries: 5}
 
 	// First dispatch of the interval holds the probe slot: exactly one
 	// attempt reaches the network, then ErrPeerDead — no retry budget burn.
+	// The naplet's failover policy is what lets its dispatch fail fast.
 	rec := record(t, nil, "a")
+	rec.Failover = naplet.FailoverSkip
 	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("probe dispatch err = %v, want ErrPeerDead", err)
 	}

@@ -188,7 +188,8 @@ type Stats struct {
 	CodePulled  int64
 	CodeServed  int64
 	HomeReports int64
-	// Retries counts dispatch re-attempts taken under a Backoff policy.
+	// Retries counts dispatch re-attempts taken under a transport.Backoff
+	// policy.
 	Retries int64
 	// DupTransfers counts replayed TRANSFER frames absorbed by the
 	// idempotency window (re-acknowledged without landing again).
@@ -264,13 +265,13 @@ type Config struct {
 	Tracer *telemetry.HopTracer
 	// Health, when non-nil, receives per-peer reachability observations
 	// from the dispatch path. It is the one liveness verdict a dispatch
-	// consults, and only under Backoff.FailFast: a dispatch that opted
-	// into failover and starts against a peer presumed dead fails fast
-	// with ErrPeerDead instead of burning the full backoff budget.
+	// consults, and only for a naplet carrying a failover policy: its
+	// dispatch against a peer presumed dead fails fast with ErrPeerDead
+	// instead of burning the full backoff budget.
 	Health *health.Detector
 	// RetryBudget, when non-nil, bounds dispatch retries to a fraction
 	// of first attempts (see overload.RetryBudget). Nil — the default —
-	// leaves retries bounded only by the Backoff policy.
+	// leaves retries bounded only by the transport.Backoff policy.
 	RetryBudget *overload.RetryBudget
 }
 

@@ -609,7 +609,7 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	tid := org.nav.NewTransferID()
-	pol := Backoff{Retries: 2, Initial: time.Millisecond, Max: time.Millisecond}
+	pol := transport.Backoff{Retries: 2, Initial: time.Millisecond, Max: time.Millisecond}
 	_, err := org.nav.DispatchRetryID(context.Background(), rec, "b", tid, pol, nil)
 	if err == nil {
 		t.Fatal("dispatch with every ack dropped must fail")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/netsim"
 	"repro/internal/overload"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -46,7 +47,7 @@ func TestDispatchOverloadLiveness(t *testing.T) {
 	}
 
 	rec := record(t, nil, "a")
-	pol := Backoff{Initial: time.Millisecond, Retries: 5}
+	pol := transport.Backoff{Initial: time.Millisecond, Retries: 5}
 	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); err != nil {
 		t.Fatalf("dispatch through overload: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestDispatchRetryBudgetExhausted(t *testing.T) {
 	}
 
 	rec := record(t, nil, "a")
-	pol := Backoff{Initial: time.Millisecond, Retries: 10}
+	pol := transport.Backoff{Initial: time.Millisecond, Retries: 10}
 	_, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil)
 	if !errors.Is(err, overload.ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrRetryBudgetExhausted", err)

@@ -13,8 +13,9 @@
 // WAN links while sleeping only a fraction of the modeled time; all reported
 // delays are in modeled time.
 //
-// netsim implements transport.Fabric, so the full naplet protocol stack runs
-// over it unchanged.
+// netsim implements transport.Fabric as a mover: a host's Link carries the
+// request and the reply legs, and transport's call and serve paths do the
+// rest, so the full naplet protocol stack runs over it unchanged.
 package netsim
 
 import (
@@ -26,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/overload"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -231,36 +231,32 @@ func (n *Network) sleep(ctx context.Context, d time.Duration) error {
 func (n *Network) charge(from, to string, size int, transit time.Duration, dropped bool) {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	hs := n.hostStats[from]
-	if hs == nil {
-		hs = &Stats{}
-		n.hostStats[from] = hs
+	ls := statsOf(n.linkStats, [2]string{from, to})
+	for _, s := range [...]*Stats{statsOf(n.hostStats, from), ls} {
+		s.FramesSent++
+		s.BytesSent += int64(size)
+		s.ModeledDelay += transit
+		if dropped {
+			s.Dropped++
+		}
 	}
-	ls := n.linkStats[[2]string{from, to}]
-	if ls == nil {
-		ls = &Stats{}
-		n.linkStats[[2]string{from, to}] = ls
-	}
-	hs.FramesSent++
-	hs.BytesSent += int64(size)
-	hs.ModeledDelay += transit
-	ls.FramesSent++
-	ls.BytesSent += int64(size)
-	ls.ModeledDelay += transit
 	if dropped {
-		hs.Dropped++
-		ls.Dropped++
 		return
 	}
-	rs := n.hostStats[to]
-	if rs == nil {
-		rs = &Stats{}
-		n.hostStats[to] = rs
+	for _, s := range [...]*Stats{statsOf(n.hostStats, to), ls} {
+		s.FramesRecv++
+		s.BytesRecv += int64(size)
 	}
-	rs.FramesRecv++
-	rs.BytesRecv += int64(size)
-	ls.FramesRecv++
-	ls.BytesRecv += int64(size)
+}
+
+// statsOf returns m's counters for key, creating them; statsMu held.
+func statsOf[K comparable](m map[K]*Stats, key K) *Stats {
+	s := m[key]
+	if s == nil {
+		s = &Stats{}
+		m[key] = s
+	}
+	return s
 }
 
 // HostStats returns a copy of the traffic counters for one host.
@@ -311,139 +307,65 @@ func (n *Network) Attach(addr string, h transport.Handler) (transport.Node, erro
 	}
 	node := &simNode{net: n, addr: addr, handler: h}
 	n.nodes[addr] = node
-	return node, nil
+	return transport.NewEndpoint(addr, node, &n.met), nil
 }
 
-// Detach removes a host from the network (used by failure-injection tests).
-func (n *Network) Detach(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, addr)
-}
-
-// node looks up an attached node.
-func (n *Network) node(addr string) (*simNode, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	node, ok := n.nodes[addr]
-	return node, ok
-}
-
+// simNode is one attached host: the Link under its transport.Endpoint.
 type simNode struct {
 	net     *Network
 	addr    string
 	handler transport.Handler
-	closed  atomic.Bool
-	seq     atomic.Uint64
 }
 
-func (s *simNode) Addr() string { return s.addr }
-
-func (s *simNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
-	if s.closed.Load() {
-		return wire.Frame{}, transport.ErrNodeClosed
-	}
-	f.From = s.addr
-	f.To = to
-	f.Seq = s.seq.Add(1)
-	if deadline, ok := ctx.Deadline(); ok {
-		// Propagate the caller's remaining budget in the Seq high bits,
-		// mirroring the TCP fabric (see wire.PackBudget).
-		f.Seq = wire.PackBudget(f.Seq, time.Until(deadline))
-	}
-
-	met := s.net.met.Load()
-	var start time.Time
-	if met != nil {
-		start = time.Now()
-	}
-
-	peer, ok := s.net.node(to)
-	if !ok || peer.closed.Load() {
+// Move implements transport.Link: the request leg, the peer's Serve, which
+// weighs the modeled transit against the caller's budget, and the reply
+// leg.
+func (s *simNode) Move(ctx context.Context, f wire.Frame) (wire.Frame, error) {
+	to := f.To
+	s.net.mu.RLock()
+	peer, ok := s.net.nodes[to]
+	s.net.mu.RUnlock()
+	if !ok {
 		return wire.Frame{}, fmt.Errorf("%w: %s", transport.ErrUnknownPeer, to)
 	}
-	link, err := s.net.link(s.addr, to)
+	transit, err := s.net.leg(ctx, s.addr, to, f.EncodedSize(), "request")
 	if err != nil {
 		return wire.Frame{}, err
 	}
-
-	// Request leg.
-	reqSize := f.EncodedSize()
-	transit := link.Transit(reqSize)
-	if s.net.lose(link.Loss) {
-		s.net.charge(s.addr, to, reqSize, transit, true)
-		if err := s.net.sleep(ctx, s.net.cfg.CallTimeout); err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{}, fmt.Errorf("%w: %s -> %s (request)", ErrTimeout, s.addr, to)
-	}
-	s.net.charge(s.addr, to, reqSize, transit, false)
-	if err := s.net.sleep(ctx, transit); err != nil {
-		return wire.Frame{}, err
-	}
-
-	var reply wire.Frame
-	if budget, ok := f.Budget(); ok && transit >= budget {
-		// The modeled transit alone consumed the caller's whole budget:
-		// the receiving server sheds the frame before dispatch, exactly
-		// like the TCP fabric's pre-dispatch deadline check.
-		met.DeadlineShed()
-		reply = transport.ErrorReply(f, fmt.Errorf(
-			"%w: %v transit exceeded %v budget", overload.ErrDeadlinePast, transit, budget))
-	} else {
-		f.ReceivedAt = time.Now()
-		var herr error
-		reply, herr = s.safeHandle(peer, f)
-		if herr != nil {
-			reply = transport.ErrorReply(f, herr)
-		}
-	}
-	reply.Seq = f.Seq
+	f.ReceivedAt = time.Now()
+	reply := transport.Serve(peer.handler, f, transit, s.net.met.Load())
 	reply.From, reply.To = to, s.addr
-
-	// Reply leg.
-	back, err := s.net.link(to, s.addr)
-	if err != nil {
+	if _, err := s.net.leg(ctx, to, s.addr, reply.EncodedSize(), "reply"); err != nil {
 		return wire.Frame{}, err
-	}
-	repSize := reply.EncodedSize()
-	transit = back.Transit(repSize)
-	if s.net.lose(back.Loss) {
-		s.net.charge(to, s.addr, repSize, transit, true)
-		if err := s.net.sleep(ctx, s.net.cfg.CallTimeout); err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{}, fmt.Errorf("%w: %s -> %s (reply)", ErrTimeout, to, s.addr)
-	}
-	s.net.charge(to, s.addr, repSize, transit, false)
-	if err := s.net.sleep(ctx, transit); err != nil {
-		return wire.Frame{}, err
-	}
-
-	if met != nil {
-		met.Sent(&f)
-		met.Recv(&reply)
-		met.ObserveCall(f.Kind, time.Since(start))
-	}
-	if werr := transport.IsErrorReply(f.Kind, reply); werr != nil {
-		return reply, werr
 	}
 	return reply, nil
 }
 
-func (s *simNode) safeHandle(peer *simNode, req wire.Frame) (reply wire.Frame, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", transport.ErrHandlerPanic, r)
+// leg carries one frame of size bytes from→to: the link's partition check,
+// its loss draw (a lost frame costs the caller CallTimeout and ends in
+// ErrTimeout), the traffic charge and the scaled sleep. It returns the
+// modeled transit.
+func (n *Network) leg(ctx context.Context, from, to string, size int, dir string) (time.Duration, error) {
+	link, err := n.link(from, to)
+	if err != nil {
+		return 0, err
+	}
+	transit := link.Transit(size)
+	if n.lose(link.Loss) {
+		n.charge(from, to, size, transit, true)
+		if err := n.sleep(ctx, n.cfg.CallTimeout); err != nil {
+			return 0, err
 		}
-	}()
-	return peer.handler(req.From, req)
+		return 0, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, from, to, dir)
+	}
+	n.charge(from, to, size, transit, false)
+	return transit, n.sleep(ctx, transit)
 }
 
+// Close implements transport.Link: the host leaves the network.
 func (s *simNode) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.net.Detach(s.addr)
+	s.net.mu.Lock()
+	defer s.net.mu.Unlock()
+	delete(s.net.nodes, s.addr)
 	return nil
 }

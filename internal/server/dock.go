@@ -58,12 +58,14 @@ func (s *Server) dockCommit() {
 	if s.dockStore == nil {
 		return
 	}
+	// dockMu is held through the save: a snapshot taken before another
+	// commit's and saved after it would erase what that commit added.
 	s.dockMu.Lock()
+	defer s.dockMu.Unlock()
 	residents := make([]dock.Resident, 0, len(s.dockEntries))
 	for _, r := range s.dockEntries {
 		residents = append(residents, *r)
 	}
-	s.dockMu.Unlock()
 	sort.Slice(residents, func(i, j int) bool { return residents[i].ID < residents[j].ID })
 
 	home := s.mgr.HomeSnapshot()

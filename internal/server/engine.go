@@ -17,6 +17,7 @@ import (
 	"repro/internal/navigator"
 	"repro/internal/resource"
 	"repro/internal/state"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -49,8 +50,17 @@ type LaunchOptions struct {
 
 // Launch creates and launches a naplet. The first itinerary decision is
 // taken at this home server: a first visit elsewhere dispatches
-// immediately, a first visit here executes here.
-func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, error) {
+// immediately, a first visit here executes here. A closed server launches
+// nothing: ErrClosed.
+func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (nid id.NapletID, err error) {
+	if !s.enter() {
+		return id.NapletID{}, ErrClosed
+	}
+	defer func() {
+		if err != nil {
+			s.wg.Done()
+		}
+	}()
 	if opts.Owner == "" || opts.Codebase == "" {
 		return id.NapletID{}, fmt.Errorf("server: launch needs owner and codebase")
 	}
@@ -61,7 +71,7 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, e
 	if err != nil {
 		return id.NapletID{}, err
 	}
-	nid, err := s.mintID(opts.Owner)
+	nid, err = s.mintID(opts.Owner)
 	if err != nil {
 		return id.NapletID{}, err
 	}
@@ -94,7 +104,6 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (id.NapletID, e
 	s.mgr.SetStatus(nid, manager.StatusRunning)
 	s.emit("launch", rec, s.name, s.name, opts.Codebase)
 
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.lifecycle(rec, false, opts.MonitorPolicy)
@@ -141,14 +150,11 @@ func (s *Server) launchFromControl(body ControlBody) (id.NapletID, error) {
 // here. Residency bookkeeping (manager arrival, navigation log, directory
 // registration) already happened inside HandleTransfer, before the ack.
 func (s *Server) land(rec *naplet.Record, source string) {
-	select {
-	case <-s.closed:
+	if !s.enter() {
 		return
-	default:
 	}
-	s.emit("arrival", rec, source, s.name, "")
-	s.wg.Add(1)
 	defer s.wg.Done()
+	s.emit("arrival", rec, source, s.name, "")
 	s.lifecycle(rec, true, nil)
 }
 
@@ -472,12 +478,7 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 		}
 	}()
 
-	pol := s.dispatchPolicy()
-	// A naplet carrying a failover policy has somewhere to go when the
-	// destination is presumed dead, so its dispatch consults the failure
-	// detector and fails fast; one without rides the full retry budget.
-	pol.FailFast = rec.Failover != naplet.FailoverNone
-	if _, err := s.nav.DispatchRetryID(context.Background(), rec, dest, tid, pol, s.closed); err != nil {
+	if _, err := s.nav.DispatchRetryID(context.Background(), rec, dest, tid, s.dispatchPolicy(), s.closed); err != nil {
 		return err
 	}
 	s.departed(rec, dest)
@@ -526,8 +527,8 @@ func (s *Server) awaitLeave(nid id.NapletID) {
 // config. The delay bounds the growth near the configured pacing so tight
 // (millisecond-scale) test configurations don't balloon into multi-second
 // sleeps.
-func (s *Server) dispatchPolicy() navigator.Backoff {
-	pol := navigator.Backoff{Retries: s.cfg.DispatchRetries}
+func (s *Server) dispatchPolicy() transport.Backoff {
+	pol := transport.Backoff{Retries: s.cfg.DispatchRetries}
 	if d := s.cfg.DispatchRetryDelay; d > 0 {
 		pol.Initial = d
 		pol.Max = 16 * d
@@ -670,20 +671,16 @@ func (s *Server) reportEnd(rec *naplet.Record, st manager.Status, errText string
 		NapletID: rec.ID, Kind: ReportEnd, Status: st, Err: errText,
 		Len: rec.Log.Len(), Results: results,
 	})
-	for attempt := 0; attempt < 20; attempt++ {
+	endReportPolicy.Retry(context.Background(), nil, s.closed, nil, func() (bool, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
 		_, err := s.node.Call(ctx, rec.Home, f)
-		cancel()
-		if err == nil {
-			return
-		}
-		select {
-		case <-time.After(2 * time.Millisecond):
-		case <-s.closed:
-			return
-		}
-	}
+		return false, err
+	})
 }
+
+// endReportPolicy paces a naplet's end report: 20 tries, 2 ms apart.
+var endReportPolicy = transport.Backoff{Initial: 2 * time.Millisecond, Max: 2 * time.Millisecond, Retries: 19}
 
 // meteredMessenger wraps the per-naplet messaging view with the monitor's
 // network-bandwidth accounting (§5.2: the monitor tracks "consumed system

@@ -384,7 +384,7 @@ func TestRefusalMatrixBothPaths(t *testing.T) {
 				rec := tc.arrange(t, sp)
 				before, landed := home.nav.Stats(), s1.nav.Stats().Landed
 
-				pol := navigator.Backoff{Retries: 3, Initial: time.Millisecond, Max: time.Millisecond}
+				pol := transport.Backoff{Retries: 3, Initial: time.Millisecond, Max: time.Millisecond}
 				_, err := home.nav.DispatchRetry(context.Background(), rec, "s1", pol, nil)
 				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.reason) {
 					t.Fatalf("dispatch error = %v, want %v naming %q", err, tc.want, tc.reason)

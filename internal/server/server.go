@@ -156,10 +156,16 @@ type Server struct {
 
 	draining atomic.Bool
 
-	wg     sync.WaitGroup
-	ready  chan struct{}
-	closed chan struct{}
+	// closeMu orders entering a visit engine (enter) against Close: a
+	// visit either registers in wg before closed closes, or never starts.
+	closeMu sync.Mutex
+	wg      sync.WaitGroup
+	ready   chan struct{}
+	closed  chan struct{}
 }
+
+// ErrClosed is returned by Launch on a closed server.
+var ErrClosed = errors.New("server: closed")
 
 // New builds and attaches a naplet server.
 func New(cfg Config) (*Server, error) {
@@ -426,12 +432,15 @@ func (s *Server) emit(kind string, rec *naplet.Record, from, to, detail string) 
 
 // Close detaches the server and waits for resident visit engines.
 func (s *Server) Close() error {
+	s.closeMu.Lock()
 	select {
 	case <-s.closed:
+		s.closeMu.Unlock()
 		return nil
 	default:
 		close(s.closed)
 	}
+	s.closeMu.Unlock()
 	// Unblock resident naplets so their lifecycle goroutines can exit.
 	s.mon.KillAll()
 	// Withdraw directory state while the node can still send: peers should
@@ -440,6 +449,20 @@ func (s *Server) Close() error {
 	err := s.node.Close()
 	s.wg.Wait()
 	return err
+}
+
+// enter registers one visit engine in wg, or reports false once Close has
+// begun; the caller that entered calls wg.Done when the engine ends.
+func (s *Server) enter() bool {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	select {
+	case <-s.closed:
+		return false
+	default:
+		s.wg.Add(1)
+		return true
+	}
 }
 
 // Drain gracefully evacuates the server ahead of a shutdown: admissions

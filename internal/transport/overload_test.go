@@ -1,6 +1,7 @@
 // Overload-resilience transport tests: deadline propagation in the frame
-// header, pre-dispatch shedding, typed error transit, the stalled-writer
-// cancellation escape hatch, and late-reply accounting.
+// header, the error-reply codes, the stalled-writer cancellation escape
+// hatch, and late-reply accounting. Pre-dispatch shedding and typed error
+// transit run on both fabrics in fabrics_test.go.
 package transport
 
 import (
@@ -63,122 +64,6 @@ func TestTCPBudgetPropagation(t *testing.T) {
 	}
 }
 
-// TestTCPDeadlineShedBeforeDispatch: a request whose budget expires while
-// queued behind the pipeline semaphore is shed with ErrDeadlinePast —
-// counted in telemetry — instead of reaching the handler.
-func TestTCPDeadlineShedBeforeDispatch(t *testing.T) {
-	fab := NewTCPFabric()
-	reg := telemetry.NewRegistry()
-	fab.Instrument(reg)
-	block := make(chan struct{})
-	var handled int64
-	handledCh := make(chan uint64, maxPipelinedPerConn+1)
-	server, err := fab.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
-		<-block
-		handledCh <- f.BareSeq()
-		return echoHandler(from, f)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	// A raw connection gives exact control over Seq and write order.
-	conn, err := net.Dial("tcp", server.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload, _ := wire.Marshal(&echoBody{Text: "x"})
-	// Fill every pipeline slot with requests that block in the handler.
-	for i := 1; i <= maxPipelinedPerConn; i++ {
-		f := wire.Frame{Kind: wire.KindPost, From: "raw", To: server.Addr(), Payload: payload}
-		f.Seq = wire.PackBudget(uint64(i), 10*time.Second)
-		if err := wire.WriteFrame(conn, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The straggler is read and stamped immediately but waits for a slot;
-	// its 50ms budget runs out in that queue.
-	late := wire.Frame{Kind: wire.KindPost, From: "raw", To: server.Addr(), Payload: payload}
-	late.Seq = wire.PackBudget(uint64(maxPipelinedPerConn+1), 50*time.Millisecond)
-	if err := wire.WriteFrame(conn, late); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	close(block)
-
-	var shedReply *wire.Frame
-	for i := 0; i <= maxPipelinedPerConn; i++ {
-		reply, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if reply.BareSeq() == uint64(maxPipelinedPerConn+1) {
-			r := reply
-			shedReply = &r
-		} else {
-			handled++
-		}
-	}
-	if shedReply == nil {
-		t.Fatal("no reply for the budget-expired request")
-	}
-	werr := IsErrorReply(wire.KindPost, *shedReply)
-	if !errors.Is(werr, overload.ErrDeadlinePast) {
-		t.Fatalf("shed reply error = %v, want ErrDeadlinePast", werr)
-	}
-	if !Refused(werr) {
-		t.Fatal("a pre-dispatch shed is a provable refusal")
-	}
-	if handled != maxPipelinedPerConn {
-		t.Fatalf("handled %d of %d admitted requests", handled, maxPipelinedPerConn)
-	}
-	// The handler never saw the shed request.
-	close(handledCh)
-	for seq := range handledCh {
-		if seq == uint64(maxPipelinedPerConn+1) {
-			t.Fatal("shed request reached the handler")
-		}
-	}
-	if got := reg.Counter("naplet_transport_deadline_shed_total",
-		"inbound requests shed because the propagated budget had expired before dispatch").Value(); got != 1 {
-		t.Fatalf("deadline_shed counter = %d, want 1", got)
-	}
-}
-
-// TestTCPOverloadErrorTransit: a handler error wrapping ErrOverloaded
-// crosses the hop as a typed code and re-hydrates into the same sentinel
-// — retryable, Refused, and NOT an authoritative *wire.Error verdict.
-func TestTCPOverloadErrorTransit(t *testing.T) {
-	fab := NewTCPFabric()
-	server, err := fab.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
-		return wire.Frame{}, overload.ErrOverloaded
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
-	defer client.Close()
-
-	req, _ := wire.NewFrame(wire.KindPost, "", "", &echoBody{Text: "x"})
-	_, err = client.Call(context.Background(), server.Addr(), req)
-	if !errors.Is(err, overload.ErrOverloaded) {
-		t.Fatalf("call error = %v, want ErrOverloaded across the hop", err)
-	}
-	if !Refused(err) {
-		t.Fatal("overload shed must count as a provable refusal")
-	}
-	var werr *wire.Error
-	if errors.As(err, &werr) {
-		t.Fatal("re-hydrated overload error must not read as an authoritative wire.Error")
-	}
-	if !overload.Liveness(err) {
-		t.Fatal("an overload reply proves the peer alive")
-	}
-}
-
 // TestErrorReplyCodes pins the handler-error code mapping both ways.
 func TestErrorReplyCodes(t *testing.T) {
 	req := wire.Frame{Kind: wire.KindPost, From: "a", To: "b"}
@@ -192,7 +77,7 @@ func TestErrorReplyCodes(t *testing.T) {
 		{errors.New("boom"), "handler", nil},
 	}
 	for _, tc := range cases {
-		reply := ErrorReply(req, tc.err)
+		reply := errorReply(req, tc.err)
 		var werr wire.Error
 		if err := werr.Decode(reply.Payload); err != nil {
 			t.Fatal(err)
@@ -200,7 +85,7 @@ func TestErrorReplyCodes(t *testing.T) {
 		if werr.Code != tc.code {
 			t.Fatalf("code for %v = %q, want %q", tc.err, werr.Code, tc.code)
 		}
-		back := IsErrorReply(wire.KindPost, reply)
+		back := decodeErrorReply(wire.KindPost, reply)
 		if tc.sentinel != nil {
 			if !errors.Is(back, tc.sentinel) {
 				t.Fatalf("rehydrated %v, want %v", back, tc.sentinel)
@@ -314,7 +199,7 @@ func TestTCPLateReplyCounted(t *testing.T) {
 	}
 
 	// No correlation entry leaked: the shared mux's pending map is empty.
-	tn := client.(*tcpNode)
+	tn := tcp(client)
 	tn.muxMu.Lock()
 	mc := tn.muxes[server.Addr()]
 	tn.muxMu.Unlock()

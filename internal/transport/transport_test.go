@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,50 +52,6 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	}
 	if reply.Seq != 1 {
 		t.Fatalf("seq = %d", reply.Seq)
-	}
-}
-
-func TestTCPHandlerErrorPropagates(t *testing.T) {
-	fab := NewTCPFabric()
-	server, err := fab.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
-		return wire.Frame{}, fmt.Errorf("LANDING denied")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
-	defer client.Close()
-
-	req, _ := wire.NewFrame(wire.KindLandingRequest, "", "", &echoBody{})
-	_, err = client.Call(context.Background(), server.Addr(), req)
-	if err == nil || !strings.Contains(err.Error(), "LANDING denied") {
-		t.Fatalf("want handler error, got %v", err)
-	}
-	var werr *wire.Error
-	if !errors.As(err, &werr) {
-		t.Fatalf("want *wire.Error, got %T", err)
-	}
-}
-
-func TestTCPHandlerPanicRecovered(t *testing.T) {
-	fab := NewTCPFabric()
-	server, _ := fab.Attach("127.0.0.1:0", func(from string, f wire.Frame) (wire.Frame, error) {
-		panic("agent misbehaved")
-	})
-	defer server.Close()
-	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
-	defer client.Close()
-
-	req, _ := wire.NewFrame(wire.KindPost, "", "", &echoBody{})
-	_, err := client.Call(context.Background(), server.Addr(), req)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("want panic error, got %v", err)
-	}
-	// Server must still serve after a handler panic.
-	_, err = client.Call(context.Background(), server.Addr(), req)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("server dead after panic: %v", err)
 	}
 }
 
@@ -168,9 +123,12 @@ func TestTCPConcurrentCalls(t *testing.T) {
 	}
 }
 
+// tcp returns the TCP link under a node the fabric attached.
+func tcp(n Node) *tcpNode { return n.(*Endpoint).link.(*tcpNode) }
+
 func TestIsErrorReplyNonError(t *testing.T) {
 	reply, _ := wire.NewFrame(wire.KindPostConfirm, "a", "b", &echoBody{})
-	if err := IsErrorReply(wire.KindPost, reply); err != nil {
+	if err := decodeErrorReply(wire.KindPost, reply); err != nil {
 		t.Fatalf("non-error reply misdetected: %v", err)
 	}
 }
@@ -181,7 +139,7 @@ func TestTCPConnReuse(t *testing.T) {
 	defer server.Close()
 	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
 	defer client.Close()
-	cn := client.(*tcpNode)
+	cn := tcp(client)
 
 	req, _ := wire.NewFrame(wire.KindPost, "", "", &echoBody{Text: "a"})
 	for i := 0; i < 5; i++ {
@@ -204,7 +162,7 @@ func TestTCPStaleConnRetries(t *testing.T) {
 	defer server.Close()
 	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
 	defer client.Close()
-	cn := client.(*tcpNode)
+	cn := tcp(client)
 
 	req, _ := wire.NewFrame(wire.KindPost, "", "", &echoBody{Text: "x"})
 	if _, err := client.Call(context.Background(), server.Addr(), req); err != nil {
@@ -235,7 +193,7 @@ func TestTCPCallsShareOneConn(t *testing.T) {
 	defer server.Close()
 	client, _ := fab.Attach("127.0.0.1:0", echoHandler)
 	defer client.Close()
-	cn := client.(*tcpNode)
+	cn := tcp(client)
 
 	// Many concurrent calls must multiplex over a single connection.
 	var wg sync.WaitGroup

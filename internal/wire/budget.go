@@ -73,17 +73,6 @@ func (f *Frame) BareSeq() uint64 {
 	return f.Seq & seqMask
 }
 
-// BudgetExpired reports whether the frame's propagated budget had
-// already run out at the given instant, measured from ReceivedAt. It
-// is false for frames without a budget or without a receipt stamp.
-func (f *Frame) BudgetExpired(now time.Time) bool {
-	d, ok := f.Budget()
-	if !ok || f.ReceivedAt.IsZero() {
-		return false
-	}
-	return now.Sub(f.ReceivedAt) >= d
-}
-
 // BudgetContext derives the server-side context for handling this
 // frame: with a propagated budget the context carries the deadline
 // ReceivedAt+budget (falling back to now+budget when the fabric did

@@ -199,25 +199,6 @@ func TestPackBudgetPreservesLowSeqBits(t *testing.T) {
 	}
 }
 
-func TestBudgetExpired(t *testing.T) {
-	now := time.Now()
-	f := Frame{Seq: PackBudget(1, 100*time.Millisecond)}
-	if f.BudgetExpired(now) {
-		t.Fatal("no ReceivedAt stamp: must never report expired")
-	}
-	f.ReceivedAt = now
-	if f.BudgetExpired(now.Add(50 * time.Millisecond)) {
-		t.Fatal("half the budget left: not expired")
-	}
-	if !f.BudgetExpired(now.Add(100 * time.Millisecond)) {
-		t.Fatal("budget fully elapsed: expired")
-	}
-	plain := Frame{Seq: 1, ReceivedAt: now}
-	if plain.BudgetExpired(now.Add(time.Hour)) {
-		t.Fatal("frame without budget never expires")
-	}
-}
-
 func TestBudgetContext(t *testing.T) {
 	now := time.Now()
 	f := Frame{Seq: PackBudget(1, 5*time.Second), ReceivedAt: now}
