@@ -20,9 +20,12 @@
 # Every Benchmark* function runs once (-short shrinks the million-entry
 # directory planes), so none can stop compiling or start panicking unseen;
 # what is gated is allocation ceilings, and those are tests in `go test ./...`.
-# The full-length overload-resilience scenario runs last before chaos: its
-# exit code is its gate (goodput floor, control-plane SLO, a filled queue,
-# and every shed reconciled three ways). loadgen's byte and work-total
+# The mixed loadgen profile on netsim (about 10 600 landings, a fraction of
+# a second) gates its hop and confirm quantiles over every observation of
+# the run; it is the fast profile whose series outgrow a few hundred
+# samples. The full-length overload-resilience scenario runs last before
+# chaos: its exit code is its gate (goodput floor, control-plane SLO, a
+# filled queue, and every shed reconciled three ways). loadgen's byte and work-total
 # trajectory is pinned in `go test ./...` (loadgen.TestShortProfileNetsim).
 verify:
 	go vet ./...
@@ -40,6 +43,7 @@ verify:
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
 	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/... ./internal/monitor/... ./internal/resource/...
+	go run ./cmd/napletctl loadgen -profile mixed -fabric netsim-lan
 	go run ./cmd/napletctl loadgen -profile overload -fabric netsim-lan
 	$(MAKE) chaos
 

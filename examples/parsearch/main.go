@@ -80,9 +80,8 @@ func main() {
 		srv, err := server.New(server.Config{
 			Name: name, Fabric: net, Registry: reg,
 			// Home-manager location mode so terminate messages can find
-			// the moving searchers.
+			// the moving searchers (every arrival is reported home).
 			LocatorMode: locator.ModeHome,
-			ReportHome:  true,
 		})
 		if err != nil {
 			log.Fatal(err)

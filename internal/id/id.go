@@ -366,38 +366,3 @@ func (n *NapletID) UnmarshalText(text []byte) error {
 	*n = parsed
 	return nil
 }
-
-// Generator mints fresh naplet identifiers for one (owner, host) principal.
-// Identifiers created within the same second are disambiguated by advancing
-// the timestamp, preserving system-wide uniqueness without random state.
-// A Generator is not safe for concurrent use; wrap it with a mutex or use
-// one per goroutine.
-type Generator struct {
-	owner string
-	host  string
-	now   func() time.Time
-	last  time.Time
-}
-
-// NewGenerator returns a Generator for the given principal. If now is nil,
-// time.Now is used.
-func NewGenerator(owner, host string, now func() time.Time) (*Generator, error) {
-	if _, err := New(owner, host, time.Unix(0, 0)); err != nil {
-		return nil, err
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Generator{owner: owner, host: host, now: now}, nil
-}
-
-// Next returns a fresh, unique identifier.
-func (g *Generator) Next() NapletID {
-	t := g.now().UTC().Truncate(time.Second)
-	if !t.After(g.last) {
-		t = g.last.Add(time.Second)
-	}
-	g.last = t
-	nid, _ := New(g.owner, g.host, t)
-	return nid
-}

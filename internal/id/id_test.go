@@ -250,41 +250,6 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-func TestGeneratorUniqueness(t *testing.T) {
-	// A frozen clock still yields unique IDs: the generator advances the
-	// timestamp when needed.
-	fixed := func() time.Time { return t0 }
-	g, err := NewGenerator("czxu", "ece", fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		nid := g.Next()
-		if seen[nid.Key()] {
-			t.Fatalf("duplicate ID %v at i=%d", nid, i)
-		}
-		seen[nid.Key()] = true
-	}
-}
-
-func TestGeneratorRejectsBadPrincipal(t *testing.T) {
-	if _, err := NewGenerator("a@b", "h", nil); err == nil {
-		t.Fatal("bad owner accepted")
-	}
-}
-
-func TestGeneratorMonotonic(t *testing.T) {
-	now := t0
-	g, _ := NewGenerator("u", "h", func() time.Time { return now })
-	a := g.Next()
-	now = now.Add(10 * time.Second)
-	b := g.Next()
-	if !b.Created().After(a.Created()) {
-		t.Fatal("generator must be monotonic")
-	}
-}
-
 // randomHeritage generates heritages for property tests.
 func randomHeritage(r *rand.Rand) Heritage {
 	n := r.Intn(6)

@@ -632,8 +632,7 @@ func report(w io.Writer, res *Result) {
 			status = "VIOLATED"
 		}
 		table.AddRow(s.Name, fmt.Sprintf("p%g", s.Quantile*100),
-			time.Duration(s.Observed*float64(time.Second)),
-			time.Duration(s.Max*float64(time.Second)), status)
+			telemetry.FormatSeconds(s.Observed), telemetry.FormatSeconds(s.Max), status)
 	}
 	table.WriteTo(w)
 	if len(res.Violations) == 0 {

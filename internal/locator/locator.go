@@ -324,8 +324,12 @@ func (l *Locator) Invalidate(nid id.NapletID) {
 // One miss is tolerated as a likely transient network fault; once the
 // consecutive-miss count reaches missThreshold the cache entry is dropped
 // so the next Locate performs a real lookup. Reports whether the entry
-// was invalidated.
+// was invalidated. Without a cache there is nothing to invalidate, and no
+// streak is kept.
 func (l *Locator) Miss(nid id.NapletID) bool {
+	if l.cfg.CacheTTL <= 0 {
+		return false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	key := nid.Key()

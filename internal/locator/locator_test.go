@@ -260,6 +260,29 @@ func TestMissStreakResetBySuccess(t *testing.T) {
 	}
 }
 
+// TestMissWithoutCacheKeepsNothing: with no cache (TTL 0, every
+// deployment's setting) a delivery miss has no entry to invalidate, so it
+// must neither grow the streak table nor count an eviction.
+func TestMissWithoutCacheKeepsNothing(t *testing.T) {
+	r := newRig(t, ModeDirectory, 0)
+	for i := 0; i < 1000; i++ {
+		if r.s1Loc.Miss(id.MustNew("u", "h", t0.Add(time.Duration(i)*time.Second))) {
+			t.Fatalf("miss %d invalidated an entry of a cacheless locator", i)
+		}
+	}
+	r.s1Loc.Miss(nid) // two for one naplet: the threshold, with no entry behind it
+	r.s1Loc.Miss(nid)
+	r.s1Loc.mu.Lock()
+	kept := len(r.s1Loc.misses)
+	r.s1Loc.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("misses holds %d entries, want 0", kept)
+	}
+	if s := r.s1Loc.Stats(); s.MissEvict != 0 {
+		t.Fatalf("MissEvict = %d, want 0", s.MissEvict)
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if ModeDirectory.String() != "directory" || ModeHome.String() != "home" || ModeForward.String() != "forward" {
 		t.Fatal("mode names")

@@ -321,7 +321,6 @@ func TestSuspendResumeEndToEnd(t *testing.T) {
 	// Suspend a touring naplet mid-flight via a system message; the tour
 	// pauses; resume lets it complete (§2.2's suspend/resume verbs).
 	_, servers := failSpace(t, netsim.Config{}, func(c *Config) {
-		c.ReportHome = true
 		c.LocatorMode = locator.ModeHome
 	}, "home", "s1", "s2")
 

@@ -111,7 +111,6 @@ func TestLocationModes(t *testing.T) {
 			sp := newSpace(t, spaceOpts{
 				mode:      m.mode,
 				directory: m.mode == locator.ModeDirectory,
-				reportHm:  m.mode == locator.ModeHome,
 				mutate: func(_ string, cfg *Config) {
 					counter.inner, cfg.Fabric = cfg.Fabric, counter
 					cfg.LocatorTTL = m.ttl

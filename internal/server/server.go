@@ -56,7 +56,9 @@ type Config struct {
 	KeyRing *cred.KeyRing
 	// Policy is the security matrix; nil means AllowAll.
 	Policy *security.Policy
-	// LocatorMode selects directory / home / forward location.
+	// LocatorMode selects directory / home / forward location. In home
+	// mode every arrival is also reported to the naplet's home manager
+	// (the distributed directory of §4.1), which is what home mode reads.
 	LocatorMode locator.Mode
 	// LocatorTTL bounds the locator cache; 0 disables caching.
 	LocatorTTL time.Duration
@@ -71,9 +73,6 @@ type Config struct {
 	// DirReplicas is the replica-group size per shard (default 2, clamped
 	// to the node count). Meaningful only with DirectoryAddrs.
 	DirReplicas int
-	// ReportHome sends arrival events to each naplet's home
-	// manager (the distributed directory of §4.1).
-	ReportHome bool
 	// CodeDelivery selects push or pull code-bundle transport.
 	CodeDelivery navigator.CodeDelivery
 	// Slots bounds concurrently executing naplets; ≤0 means unlimited.
@@ -287,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 	s.nav = navigator.New(navigator.Config{
 		CodeDelivery: cfg.CodeDelivery,
 		Directory:    s.dir,
-		ReportHome:   cfg.ReportHome,
+		ReportHome:   cfg.LocatorMode == locator.ModeHome,
 		Telemetry:    s.telem,
 		Tracer:       s.tracer,
 		Health:       hd,

@@ -149,7 +149,6 @@ type space struct {
 type spaceOpts struct {
 	mode      locator.Mode
 	directory bool
-	reportHm  bool
 	policy    *security.Policy
 	ring      *cred.KeyRing
 	monitor   monitor.Policy
@@ -182,7 +181,6 @@ func newSpace(t *testing.T, opts spaceOpts, names ...string) *space {
 			Policy:         opts.policy,
 			LocatorMode:    opts.mode,
 			DirectoryAddrs: []string{dirAddr},
-			ReportHome:     opts.reportHm,
 			MonitorPolicy:  opts.monitor,
 			MaxResidents:   opts.residents,
 		}
@@ -502,7 +500,7 @@ func TestServiceChannelDuringVisit(t *testing.T) {
 }
 
 func TestTerminateRemotely(t *testing.T) {
-	sp := newSpace(t, spaceOpts{reportHm: true, mode: locator.ModeHome}, "home", "s1")
+	sp := newSpace(t, spaceOpts{mode: locator.ModeHome}, "home", "s1")
 	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
 		Owner:    "czxu",
 		Codebase: "test.Sleeper",
@@ -688,10 +686,72 @@ func TestLaunchValidation(t *testing.T) {
 	if _, err := sp.servers["home"].Launch(ctx, LaunchOptions{Owner: "u", Codebase: "test.Collector", Pattern: itinerary.Seq()}); err == nil {
 		t.Fatal("invalid itinerary must fail")
 	}
+	if _, err := sp.servers["home"].Launch(ctx, LaunchOptions{Owner: "a@b", Codebase: "test.Collector", Pattern: itinerary.SeqVisits([]string{"home"}, "")}); err == nil {
+		t.Fatal("an owner that is not a bare name must fail")
+	}
 	ring := cred.NewKeyRing()
 	sp2 := newSpace(t, spaceOpts{ring: ring}, "home2")
 	if _, err := sp2.servers["home2"].Launch(ctx, LaunchOptions{Owner: "nokey", Codebase: "test.Collector", Pattern: itinerary.SeqVisits([]string{"home2"}, "")}); err == nil {
 		t.Fatal("launch without a signing key must fail when a ring is configured")
+	}
+}
+
+// launchOnClock builds a one-dock space whose clock reads what set last
+// stored, and returns a launcher that waits each naplet out: the ID
+// contract of §2.1 is held at Server.Launch, its one minting point.
+func launchOnClock(t *testing.T, start time.Time) (launch func() id.NapletID, set func(time.Time)) {
+	var mu sync.Mutex
+	now := start
+	sp := newSpace(t, spaceOpts{mutate: func(_ string, cfg *Config) {
+		cfg.Clock = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	}}, "home")
+	home := sp.servers["home"]
+	launch = func() id.NapletID {
+		t.Helper()
+		nid, err := home.Launch(context.Background(), LaunchOptions{
+			Owner:    "czxu",
+			Codebase: "test.Collector",
+			Pattern:  itinerary.SeqVisits([]string{"home"}, ""),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, home, nid, manager.StatusCompleted)
+		return nid
+	}
+	set = func(at time.Time) { mu.Lock(); defer mu.Unlock(); now = at }
+	return launch, set
+}
+
+// TestLaunchIDsUniqueWithinASecond: launches by one owner on a frozen
+// clock still get distinct identifiers, each created after the last.
+func TestLaunchIDsUniqueWithinASecond(t *testing.T) {
+	launch, _ := launchOnClock(t, time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
+	seen := make(map[string]bool)
+	var last id.NapletID
+	for i := 0; i < 100; i++ {
+		nid := launch()
+		if seen[nid.Key()] {
+			t.Fatalf("duplicate ID %v at launch %d", nid, i)
+		}
+		seen[nid.Key()] = true
+		if i > 0 && !nid.Created().After(last.Created()) {
+			t.Fatalf("launch %d: created %v, not after %v", i, nid.Created(), last.Created())
+		}
+		last = nid
+	}
+}
+
+// TestLaunchIDsFollowTheClock: once the clock moves on, the next
+// identifier is created at the new time.
+func TestLaunchIDsFollowTheClock(t *testing.T) {
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	launch, set := launchOnClock(t, t0)
+	a := launch()
+	set(t0.Add(10 * time.Second))
+	b := launch()
+	if !b.Created().After(a.Created()) || !b.Created().Equal(t0.Add(10*time.Second)) {
+		t.Fatalf("created %v then %v, want the second at the moved clock", a.Created(), b.Created())
 	}
 }
 
@@ -760,7 +820,7 @@ func TestVisitWallTimeLimitTrapsSleeper(t *testing.T) {
 func TestInterAgentMessagingAcrossSpace(t *testing.T) {
 	// Two long-lived agents exchange a message through the post office
 	// while resident on different servers.
-	sp := newSpace(t, spaceOpts{reportHm: true, mode: locator.ModeHome}, "home", "s1", "s2")
+	sp := newSpace(t, spaceOpts{mode: locator.ModeHome}, "home", "s1", "s2")
 
 	gotMsg := make(chan string, 1)
 	sp.reg.MustRegister(&registry.Codebase{
@@ -880,7 +940,7 @@ func TestDataCommSynchronizesCloneGroup(t *testing.T) {
 	// The paper's Example 3: par(seq(s0,s1), seq(s2,s3)) with a DataComm
 	// post-action after every visit. Both agents must complete two
 	// exchange rounds, each receiving one message per sibling per round.
-	sp := newSpace(t, spaceOpts{reportHm: true, mode: locator.ModeHome}, "home", "s0", "s1", "s2", "s3")
+	sp := newSpace(t, spaceOpts{mode: locator.ModeHome}, "home", "s0", "s1", "s2", "s3")
 	var mu sync.Mutex
 	rounds := map[string]int{}
 	sp.reg.MustRegister(&registry.Codebase{
@@ -1076,7 +1136,7 @@ func TestCallbackInterruptReachesBehavior(t *testing.T) {
 	// §2.2: "the agent behavior can also be remotely controlled by its
 	// creator via onInterrupt()". A custom callback verb must reach the
 	// behaviour's hook at whatever server the agent occupies.
-	sp := newSpace(t, spaceOpts{reportHm: true, mode: locator.ModeHome}, "home", "s1")
+	sp := newSpace(t, spaceOpts{mode: locator.ModeHome}, "home", "s1")
 	got := make(chan string, 2)
 	sp.reg.MustRegister(&registry.Codebase{
 		Name: "test.Callback",

@@ -1,71 +1,18 @@
-// Package stats provides small numeric and formatting helpers: summary
-// statistics over samples (telemetry's histogram summaries, loadgen's SLO
-// table) and the fixed-width tables that napletctl, loadgen, the examples
-// and the experiment tests print.
+// Package stats provides small numeric and formatting helpers: the exact
+// interpolated quantile of a sorted sample set (the benchmark harness's
+// latency percentiles, and the reference the tests hold telemetry's
+// bucket-read quantiles against), human byte counts, and the fixed-width
+// tables that napletctl, loadgen, the examples and the experiment tests
+// print. Nothing on a hot path calls it.
 package stats
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Summary holds order statistics over a sample set.
-type Summary struct {
-	N            int
-	Mean, Stddev float64
-	Min, P50     float64
-	P95, P99     float64
-	Max          float64
-}
-
-// QuantileOf returns the summary's precomputed value for q. Only the
-// retained quantiles (0, 0.5, 0.95, 0.99, 1) are available; q picks the
-// nearest of those, so SLO definitions stay honest about what was kept.
-func (s Summary) QuantileOf(q float64) float64 {
-	switch {
-	case q <= 0.25:
-		return s.Min
-	case q <= 0.725:
-		return s.P50
-	case q <= 0.97:
-		return s.P95
-	case q <= 0.995:
-		return s.P99
-	default:
-		return s.Max
-	}
-}
-
-// Summarize computes a Summary; an empty input yields the zero Summary.
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	var sum, sq float64
-	for _, v := range s {
-		sum += v
-	}
-	mean := sum / float64(len(s))
-	for _, v := range s {
-		sq += (v - mean) * (v - mean)
-	}
-	return Summary{
-		N:      len(s),
-		Mean:   mean,
-		Stddev: math.Sqrt(sq / float64(len(s))),
-		Min:    s[0],
-		P50:    Quantile(s, 0.50),
-		P95:    Quantile(s, 0.95),
-		P99:    Quantile(s, 0.99),
-		Max:    s[len(s)-1],
-	}
-}
 
 // Quantile interpolates the q-quantile of sorted samples.
 func Quantile(sorted []float64, q float64) float64 {
@@ -80,15 +27,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Durations converts a duration slice to float seconds for Summarize.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
 }
 
 // Bytes renders a byte count in human units (KiB/MiB with one decimal).

@@ -4,41 +4,34 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("stddev = %v", s.Stddev)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatal("empty summary")
-	}
-	one := Summarize([]float64{7})
-	if one.P50 != 7 || one.P95 != 7 {
-		t.Fatalf("singleton: %+v", one)
-	}
-}
-
+// TestQuantileInterpolation pins the interpolation semantics the
+// benchmark harness reports and telemetry's estimator tests compare
+// against: position q·(n-1), linear between the neighbouring samples.
 func TestQuantileInterpolation(t *testing.T) {
-	s := Summarize([]float64{0, 10})
-	if s.P50 != 5 {
-		t.Fatalf("P50 = %v", s.P50)
+	uniform := make([]float64, 1000)
+	for i := range uniform {
+		uniform[i] = float64(i) // 0..999
 	}
-	if math.Abs(s.P95-9.5) > 1e-9 {
-		t.Fatalf("P95 = %v", s.P95)
-	}
-}
-
-func TestDurations(t *testing.T) {
-	ds := Durations([]time.Duration{time.Second, 500 * time.Millisecond})
-	if ds[0] != 1 || ds[1] != 0.5 {
-		t.Fatalf("durations = %v", ds)
+	for _, tc := range []struct {
+		name    string
+		sorted  []float64
+		q, want float64
+	}{
+		{"pair p50", []float64{0, 10}, 0.50, 5},
+		{"pair p95", []float64{0, 10}, 0.95, 9.5},
+		{"singleton", []float64{7}, 0.95, 7},
+		{"uniform p0", uniform, 0, 0},
+		{"uniform p50", uniform, 0.50, 499.5},
+		{"uniform p95", uniform, 0.95, 949.05},
+		{"uniform p99", uniform, 0.99, 989.01},
+		{"uniform max", uniform, 1, 999},
+	} {
+		if got := Quantile(tc.sorted, tc.q); math.Abs(got-tc.want) > 1e-6 {
+			t.Errorf("%s = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -83,27 +76,5 @@ func TestTableAlignment(t *testing.T) {
 	col := strings.Index(lines[0], "value")
 	if lines[2][col-1] != ' ' && lines[2][col] == ' ' {
 		t.Fatalf("misaligned row: %q", lines[2])
-	}
-}
-
-func TestPropSummaryBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		clean := raw[:0]
-		for _, v := range raw {
-			// Bound inputs so intermediate sums cannot overflow; the
-			// harness never summarizes astronomically scaled samples.
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e100 {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.Stddev >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

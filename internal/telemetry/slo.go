@@ -2,15 +2,16 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // SLO is a service-level objective over one latency histogram: a bound on
-// a quantile of the recent observation window (Histogram.Summary). The
-// loadgen harness evaluates these after every run and fails CI on a
-// violation, turning perf drift into a named, attributable failure.
+// a quantile of every observation the histogram holds, read from its
+// buckets (HistogramSnapshot.Quantile), so the verdict is exact to within
+// the bucket the quantile falls in. The loadgen harness evaluates these
+// after every run and fails CI on a violation, turning perf drift into a
+// named, attributable failure.
 type SLO struct {
 	// Name labels the objective in tables and failure messages, e.g.
 	// "hop-latency-p99".
@@ -18,26 +19,25 @@ type SLO struct {
 	// Series is the histogram family the objective reads, e.g.
 	// "naplet_navigator_hop_latency_seconds".
 	Series string
-	// Quantile selects the order statistic: 0.5, 0.95, 0.99 or 1 (max).
-	// The summary window retains exactly these; other values snap to the
-	// nearest retained quantile.
+	// Quantile selects the order statistic, any q in [0, 1] (1 is the
+	// max, read as the upper bound of the highest non-empty bucket).
 	Quantile float64
 	// Max is the bound in the histogram's base unit (seconds for every
 	// latency series).
 	Max float64
 	// MinSamples gates evaluation: with fewer observations than this in
 	// the whole histogram the objective is reported as SKIPPED rather
-	// than silently passing on an empty window (default 1).
+	// than silently passing on an empty histogram (default 1).
 	MinSamples uint64
 }
 
 // SLOResult is one evaluated objective.
 type SLOResult struct {
 	SLO
-	// Observed is the measured quantile value.
+	// Observed is the bucket-interpolated quantile over all Count
+	// observations; +Inf when it falls in the overflow bucket.
 	Observed float64
-	// Count is the histogram's total observation count (the summary
-	// window is the most recent min(count, 256) of these).
+	// Count is the histogram's total observation count.
 	Count uint64
 	// Skipped is set when Count < MinSamples; Violated is then false.
 	Skipped bool
@@ -55,16 +55,20 @@ func (r SLOResult) String() string {
 		status = "VIOLATED"
 	}
 	return fmt.Sprintf("%s: p%g %s over %d obs, max %s — %s",
-		r.Name, r.Quantile*100, secondsString(r.Observed), r.Count,
-		secondsString(r.Max), status)
+		r.Name, r.Quantile*100, FormatSeconds(r.Observed), r.Count,
+		FormatSeconds(r.Max), status)
 }
 
-// secondsString renders a base-unit seconds value as a duration.
-func secondsString(v float64) string {
+// FormatSeconds renders a base-unit seconds value as a duration, and an
+// overflow-bucket quantile as "+Inf".
+func FormatSeconds(v float64) string {
+	if math.IsInf(v, 1) {
+		return "+Inf"
+	}
 	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
 }
 
-// CheckSLO evaluates one objective against a histogram's recent window.
+// CheckSLO evaluates one objective against every observation in a histogram.
 func CheckSLO(h *Histogram, slo SLO) SLOResult {
 	if slo.MinSamples == 0 {
 		slo.MinSamples = 1
@@ -79,7 +83,7 @@ func CheckSLO(h *Histogram, slo SLO) SLOResult {
 		res.Skipped = true
 		return res
 	}
-	res.Observed = h.Summary().QuantileOf(slo.Quantile)
+	res.Observed = h.Snapshot().Quantile(slo.Quantile)
 	res.Violated = res.Observed > slo.Max
 	return res
 }
@@ -113,15 +117,4 @@ func (r *Registry) findHistogram(family string) *Histogram {
 		}
 	}
 	return nil
-}
-
-// SummaryOf exposes a registered histogram's recent-window summary by
-// family name; ok is false when the family is unknown. Experiment tables
-// use it to print the same numbers the SLO gate judged.
-func (r *Registry) SummaryOf(family string) (stats.Summary, bool) {
-	h := r.findHistogram(family)
-	if h == nil {
-		return stats.Summary{}, false
-	}
-	return h.Summary(), true
 }

@@ -36,8 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Counter is a monotonically increasing value. The zero value is unusable;
@@ -74,21 +72,16 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// summaryWindow is the number of recent raw observations a histogram
-// retains for order-statistics snapshots (Histogram.Summary).
-const summaryWindow = 256
-
 // Histogram accumulates observations into fixed cumulative buckets. All
 // operations on the observe path are atomic; there is no lock to contend
-// on. Alongside the buckets it keeps a bounded ring of recent raw samples
-// so callers can compute exact order statistics (stats.Summary) over the
-// recent window — the registry's bridge to the experiment harness.
+// on. The buckets are the histogram's only record of its observations:
+// quantiles are read from them (HistogramSnapshot.Quantile), exactly as a
+// Prometheus scrape of the exported series would read them.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf is implicit
 	counts []atomic.Uint64 // len(bounds)+1, last is the overflow bucket
 	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	count  atomic.Uint64   // total observations; also the ring write cursor
-	ring   []atomic.Uint64 // float64 bits of the most recent observations
+	count  atomic.Uint64   // total observations
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -97,7 +90,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: bs,
 		counts: make([]atomic.Uint64, len(bs)+1),
-		ring:   make([]atomic.Uint64, summaryWindow),
 	}
 }
 
@@ -114,8 +106,7 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	n := h.count.Add(1)
-	h.ring[(n-1)%summaryWindow].Store(math.Float64bits(v))
+	h.count.Add(1)
 }
 
 // ObserveDuration records a duration in seconds, the base unit every
@@ -158,20 +149,30 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Summary computes order statistics over the retained window of recent raw
-// observations (up to the last summaryWindow samples), reusing the
-// experiment harness's stats.Summary so histogram snapshots render with
-// the same quantile semantics as EXPERIMENTS.md tables.
-func (h *Histogram) Summary() stats.Summary {
-	n := h.count.Load()
-	if n > summaryWindow {
-		n = summaryWindow
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observations the
+// way Prometheus's histogram_quantile reads the exported series: it finds
+// the bucket holding rank q·total and interpolates linearly between that
+// bucket's bounds, the first bucket starting at 0. The estimate lies in
+// the same bucket as the exact order statistic, so a bucket is its error
+// bound. A rank in the overflow bucket reads +Inf, which no finite bound
+// passes; an empty snapshot reads 0.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	total := s.Cumulative[len(s.Cumulative)-1]
+	if total == 0 {
+		return 0
 	}
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = math.Float64frombits(h.ring[i].Load())
+	rank := q * float64(total)
+	i := sort.Search(len(s.Cumulative), func(i int) bool {
+		return s.Cumulative[i] > 0 && float64(s.Cumulative[i]) >= rank
+	})
+	if i >= len(s.Bounds) {
+		return math.Inf(1)
 	}
-	return stats.Summarize(samples)
+	lo, below := 0.0, uint64(0)
+	if i > 0 {
+		lo, below = s.Bounds[i-1], s.Cumulative[i-1]
+	}
+	return lo + (s.Bounds[i]-lo)*(rank-float64(below))/float64(s.Cumulative[i]-below)
 }
 
 // Default bucket sets shared by the instrumented components.

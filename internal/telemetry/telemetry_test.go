@@ -69,31 +69,6 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	}
 }
 
-func TestHistogramSummaryReusesStats(t *testing.T) {
-	h := newHistogram(LatencyBuckets)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Summary()
-	if s.N != 100 {
-		t.Fatalf("summary N = %d, want 100", s.N)
-	}
-	if s.Min != 1 || s.Max != 100 {
-		t.Fatalf("min/max = %g/%g, want 1/100", s.Min, s.Max)
-	}
-	if math.Abs(s.Mean-50.5) > 1e-9 {
-		t.Fatalf("mean = %g, want 50.5", s.Mean)
-	}
-	// Overflow the ring: the window keeps only the most recent samples.
-	for i := 0; i < summaryWindow; i++ {
-		h.Observe(1000)
-	}
-	s = h.Summary()
-	if s.N != summaryWindow || s.Min != 1000 {
-		t.Fatalf("windowed summary = %+v, want %d samples of 1000", s, summaryWindow)
-	}
-}
-
 func TestHistogramObserveDuration(t *testing.T) {
 	h := newHistogram(LatencyBuckets)
 	h.ObserveDuration(250 * time.Millisecond)
