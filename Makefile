@@ -70,11 +70,15 @@ verify:
 # mail (TestFreeRunningChaseExactlyOnce), plus the end report that must
 # reach the owner's listener once when its first attempt is dropped,
 # loses its reply or is duplicated, and when a lost transfer ack holds the
-# origin copy (TestEndReportExactlyOnce). Reproduce a failing seed with:
+# origin copy (TestEndReportExactlyOnce), plus ten runs of E5's location
+# modes, whose frame, lookup and invalidation-notice counts are pinned
+# exactly and must not depend on the goroutine schedule (TestLocationModes).
+# Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
 chaos:
 	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce|TestEndReportExactlyOnce' ./internal/server/
+	go test -race -count=10 -run 'TestLocationModes' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 

@@ -197,6 +197,10 @@ func New(cfg Config, node transport.Node, mgr *manager.Manager, clock func() tim
 // Mode returns the configured location mode.
 func (l *Locator) Mode() Mode { return l.cfg.Mode }
 
+// Caches reports whether the locator keeps resolved locations (CacheTTL >
+// 0): only then can a migration notice refresh anything here.
+func (l *Locator) Caches() bool { return l.cfg.CacheTTL > 0 }
+
 // Locate resolves the naplet's current (best-known) server. hint is the
 // caller's address-book entry for the naplet and may be empty. The answer
 // may be stale by the time it is used; the messenger's forwarding handles
@@ -205,7 +209,7 @@ func (l *Locator) Locate(ctx context.Context, nid id.NapletID, hint string) (str
 	l.met.lookups.Inc()
 	key := nid.Key()
 	l.mu.Lock()
-	if l.cfg.CacheTTL > 0 {
+	if l.Caches() {
 		if c, ok := l.cache[key]; ok {
 			if l.clock().Sub(c.at) <= l.cfg.CacheTTL {
 				l.mu.Unlock()
@@ -297,7 +301,7 @@ func (l *Locator) fail() {
 // remember caches a resolved location. A fresh location resets the miss
 // streak: the entry has earned its place again.
 func (l *Locator) remember(nid id.NapletID, server string) {
-	if l.cfg.CacheTTL <= 0 {
+	if !l.Caches() {
 		return
 	}
 	key := nid.Key()
@@ -327,7 +331,7 @@ func (l *Locator) Invalidate(nid id.NapletID) {
 // was invalidated. Without a cache there is nothing to invalidate, and no
 // streak is kept.
 func (l *Locator) Miss(nid id.NapletID) bool {
-	if l.cfg.CacheTTL <= 0 {
+	if !l.Caches() {
 		return false
 	}
 	l.mu.Lock()
@@ -409,14 +413,17 @@ func (l *Locator) HandleQuery(from string, f wire.Frame) (wire.Frame, error) {
 	}
 	// The home manager only tracks live residents; a naplet that has
 	// retired (or was launched elsewhere) may still have a last-known
-	// location in the directory plane.
+	// location in the directory plane, asked within the caller's
+	// propagated budget and never longer than 3 s.
 	if !reply.Found && l.cfg.Directory != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		parent, pcancel := f.BudgetContext(context.Background())
+		ctx, cancel := context.WithTimeout(parent, 3*time.Second)
 		if server, err := l.locateViaDirectory(ctx, body.NapletID); err == nil {
 			reply.Found = true
 			reply.Server = server
 		}
 		cancel()
+		pcancel()
 	}
 	return wire.BinaryFrame(wire.KindLocatorReply, f.To, f.From, &reply), nil
 }

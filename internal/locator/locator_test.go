@@ -295,3 +295,36 @@ func TestModeString(t *testing.T) {
 		t.Fatal("Mode()")
 	}
 }
+
+// stallingDirectory answers no lookup: each blocks until its context ends.
+type stallingDirectory struct{ directory.Directory }
+
+func (stallingDirectory) Lookup(ctx context.Context, _ id.NapletID) (directory.Entry, error) {
+	<-ctx.Done()
+	return directory.Entry{}, ctx.Err()
+}
+
+// TestHandleQueryKeepsTheCallersBudget: a home query the manager cannot
+// answer falls through to the directory, and that lookup runs within the
+// budget the query frame carries, not a fresh 3 s of its own.
+func TestHandleQueryKeepsTheCallersBudget(t *testing.T) {
+	clock := func() time.Time { return t0 }
+	home := New(Config{Mode: ModeHome, Directory: stallingDirectory{}}, nil, manager.New("home", clock), clock)
+	f := wire.BinaryFrame(wire.KindLocatorQuery, "s1", "home", &QueryBody{NapletID: nid})
+	f.Seq = wire.PackBudget(1, 20*time.Millisecond)
+	start := time.Now()
+	reply, err := home.HandleQuery("s1", f)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("query with a 20ms budget answered after %v", took)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body ReplyBody
+	if err := body.Decode(reply.Payload); err != nil || body.Found {
+		t.Fatalf("reply %+v, %v: want not found", body, err)
+	}
+	if got := home.Stats().Directory; got != 1 {
+		t.Fatalf("%d directory lookups, want 1", got)
+	}
+}

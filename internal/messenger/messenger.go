@@ -172,22 +172,12 @@ type Messenger struct {
 	// slots holds each naplet's mail slot, held or open, by naplet key.
 	slots     map[string]*Mailbox
 	interrupt InterruptSink
-	// correspondents remembers, per resident naplet, which servers
-	// recently posted mail to it here — the peers worth telling when the
-	// naplet migrates (push-invalidation of their locator caches). Bounded
-	// by maxCorrespondents per naplet and maxTracked naplets.
-	correspondents map[string]map[string]struct{}
 }
 
-// Correspondent-tracking bounds: enough to cover a naplet's active
-// conversation partners without letting a chatty population grow the maps
-// unboundedly.
 const (
+	// maxCorrespondents bounds the peers a slot remembers: enough to cover
+	// a naplet's active conversation partners.
 	maxCorrespondents = 8
-	maxTracked        = 1024
-)
-
-const (
 	// maxHops bounds the forwarding chain of one post.
 	maxHops = 16
 	// forwardTimeout bounds each forwarding call.
@@ -216,16 +206,15 @@ func New(cfg Config, server string, node transport.Node, loc *locator.Locator, m
 		reg = telemetry.NewRegistry()
 	}
 	return &Messenger{
-		cfg:            cfg,
-		server:         server,
-		node:           node,
-		loc:            loc,
-		mgr:            mgr,
-		clock:          clock,
-		met:            newMetrics(reg),
-		delivered:      dedup.NewWindow(dedup.DefaultMax, dedup.DefaultTTL, clock),
-		slots:          make(map[string]*Mailbox),
-		correspondents: make(map[string]map[string]struct{}),
+		cfg:       cfg,
+		server:    server,
+		node:      node,
+		loc:       loc,
+		mgr:       mgr,
+		clock:     clock,
+		met:       newMetrics(reg),
+		delivered: dedup.NewWindow(dedup.DefaultMax, dedup.DefaultTTL, clock),
+		slots:     make(map[string]*Mailbox),
 	}
 }
 
@@ -295,20 +284,22 @@ func (m *Messenger) Mailbox(nid id.NapletID) (*Mailbox, bool) {
 	return mb, ok && mb.open
 }
 
-// CloseMailbox deletes a naplet's slot and returns the mail left in it so
-// the caller can forward it after a departing naplet. The caller records
-// the departure or the end on the visit trace first: a post that comes
-// after the slot is gone then follows the trace instead of being held.
-func (m *Messenger) CloseMailbox(nid id.NapletID) []naplet.Message {
+// CloseMailbox deletes a naplet's slot and returns the mail left in it and
+// the servers that posted into it, so the caller can forward the mail after
+// a departing naplet and tell those servers where it went (PushMigration).
+// The caller records the departure or the end on the visit trace first: a
+// post that comes after the slot is gone then follows the trace instead of
+// being held.
+func (m *Messenger) CloseMailbox(nid id.NapletID) (left []naplet.Message, peers []string) {
 	key := nid.Key()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mb, ok := m.slots[key]
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	delete(m.slots, key)
-	return mb.close()
+	return mb.close(), mb.peers
 }
 
 // ForwardLeftovers re-posts messages left in a departed naplet's mailbox
@@ -433,7 +424,7 @@ func (m *Messenger) sendRetry(ctx context.Context, server string, body PostBody)
 func (m *Messenger) send(ctx context.Context, server string, body PostBody) (ConfirmBody, error) {
 	// A message addressed to a naplet on this very server short-circuits.
 	if server == m.server {
-		return m.deliverOrForward(ctx, body)
+		return m.deliverOrForward(ctx, m.server, body)
 	}
 	f := wire.BinaryFrame(wire.KindPost, "", "", &body)
 	reply, err := m.node.Call(ctx, server, f)
@@ -455,7 +446,6 @@ func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
-	m.noteCorrespondent(body.Msg.To, from)
 	// The forwarding context inherits the poster's propagated budget (if
 	// the frame carries one), additionally bounded by forwardTimeout —
 	// a chase has no business outliving the caller waiting on it.
@@ -463,18 +453,19 @@ func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 	defer pcancel()
 	ctx, cancel := context.WithTimeout(parent, forwardTimeout)
 	defer cancel()
-	confirm, err := m.deliverOrForward(ctx, body)
+	confirm, err := m.deliverOrForward(ctx, from, body)
 	if err != nil {
 		return wire.Frame{}, err
 	}
 	return wire.BinaryFrame(wire.KindPostConfirm, f.To, f.From, &confirm), nil
 }
 
-// deliverOrForward applies the paper's three delivery cases at this server.
-// The decision is taken under m.mu: the post goes into the naplet's slot,
-// open or held, or — with no slot here and a visit trace saying the naplet
-// left — chases it. Lock order is messenger, then manager.
-func (m *Messenger) deliverOrForward(ctx context.Context, body PostBody) (ConfirmBody, error) {
+// deliverOrForward applies the paper's three delivery cases at this server
+// to a post sent by from. The decision is taken under m.mu: the post goes
+// into the naplet's slot, open or held, or — with no slot here and a visit
+// trace saying the naplet left — chases it. Lock order is messenger, then
+// manager.
+func (m *Messenger) deliverOrForward(ctx context.Context, from string, body PostBody) (ConfirmBody, error) {
 	msg := body.Msg
 	m.mu.Lock()
 	if msg.ID != "" && m.delivered.Seen(msg.ID) {
@@ -499,6 +490,7 @@ func (m *Messenger) deliverOrForward(ctx context.Context, body PostBody) (Confir
 		m.slots[key] = mb
 	}
 	delivered := m.deposit(mb, msg)
+	m.noteCorrespondent(mb, from)
 	m.mu.Unlock()
 	return ConfirmBody{Delivered: delivered, Held: !delivered, Server: m.server, Hops: body.Hops}, nil
 }
@@ -551,50 +543,38 @@ func (m *Messenger) deposit(mb *Mailbox, msg naplet.Message) bool {
 	return true
 }
 
-// noteCorrespondent remembers that peer posted mail for nid through this
-// server, so the peer can be told when nid migrates.
-func (m *Messenger) noteCorrespondent(nid id.NapletID, peer string) {
-	if peer == "" || peer == m.server {
+// noteCorrespondent remembers, in the slot a post from peer went into, that
+// peer is worth telling when the naplet migrates; m.mu held. Only a dock
+// whose locator caches keeps correspondents: the fleet runs one LocatorTTL,
+// so a peer's cache that a notice could refresh exists only then.
+func (m *Messenger) noteCorrespondent(mb *Mailbox, peer string) {
+	if peer == "" || peer == m.server || m.loc == nil || !m.loc.Caches() || len(mb.peers) >= maxCorrespondents {
 		return
 	}
-	key := nid.Key()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	peers, ok := m.correspondents[key]
-	if !ok {
-		if len(m.correspondents) >= maxTracked {
+	for _, p := range mb.peers {
+		if p == peer {
 			return
 		}
-		peers = make(map[string]struct{}, 1)
-		m.correspondents[key] = peers
 	}
-	if len(peers) >= maxCorrespondents {
-		return
-	}
-	peers[peer] = struct{}{}
+	mb.peers = append(mb.peers, peer)
 }
 
-// PushMigration tells the naplet's recent correspondents that it left this
-// server for dest, refreshing their locator caches in place (the paper's
-// "buffered naplet location information can be updated on migration",
-// pushed instead of polled). Best effort: an unreachable peer just misses
-// the notice and falls back to lookup-on-miss. The whole round is bounded by
-// pushTimeout, each push by forwardTimeout; most departures have no
-// correspondent and build no context at all. Returns how many peers were
-// notified.
-func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest string) int {
-	key := nid.Key()
-	m.mu.Lock()
-	peers := m.correspondents[key]
-	delete(m.correspondents, key)
-	m.mu.Unlock()
+// PushMigration tells peers — the correspondents CloseMailbox returned with
+// the naplet's slot — that it left this server for dest, refreshing their
+// locator caches in place (the paper's "buffered naplet location
+// information can be updated on migration", pushed instead of polled). Best
+// effort: an unreachable peer just misses the notice and falls back to
+// lookup-on-miss. The whole round is bounded by pushTimeout, each push by
+// forwardTimeout; a departure with no correspondent builds no context at
+// all. Returns how many peers were notified.
+func (m *Messenger) PushMigration(ctx context.Context, nid id.NapletID, dest string, peers []string) int {
 	if len(peers) == 0 {
 		return 0
 	}
 	ctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	pushed := 0
-	for peer := range peers {
+	for _, peer := range peers {
 		if peer == dest {
 			continue
 		}
@@ -736,8 +716,11 @@ func (m *Messenger) RestoreDelivered(ids []string) {
 // Mailbox is one naplet's mail slot at a server: held until the naplet
 // opens it on landing, then the naplet's message queue.
 type Mailbox struct {
-	// open is guarded by the Messenger's mu, not by the mailbox's.
-	open bool
+	// open and peers are guarded by the Messenger's mu, not by the
+	// mailbox's. peers lists the servers whose posts went into the slot
+	// (at most maxCorrespondents), kept only where the locator caches.
+	open  bool
+	peers []string
 
 	mu     sync.Mutex
 	msgs   []naplet.Message

@@ -19,8 +19,8 @@ import (
 
 var t0 = time.Date(2001, 5, 12, 17, 27, 20, 0, time.UTC)
 
-// post office test rig: three servers sa, sb, sc on a netsim, each with a
-// manager, a forward-mode locator, and a messenger.
+// post office test rig: servers on a netsim, each with a manager, a
+// forward-mode locator, and a messenger.
 type rig struct {
 	net  *netsim.Network
 	mgrs map[string]*manager.Manager
@@ -29,6 +29,12 @@ type rig struct {
 }
 
 func newRig(t *testing.T, servers ...string) *rig {
+	t.Helper()
+	return newRigTTL(t, 0, servers...)
+}
+
+// newRigTTL is newRig with every locator caching for ttl.
+func newRigTTL(t *testing.T, ttl time.Duration, servers ...string) *rig {
 	t.Helper()
 	r := &rig{
 		net:  netsim.New(netsim.Config{}),
@@ -54,7 +60,7 @@ func newRig(t *testing.T, servers ...string) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loc = locator.New(locator.Config{Mode: locator.ModeForward}, node, mgr, clock)
+		loc = locator.New(locator.Config{Mode: locator.ModeForward, CacheTTL: ttl}, node, mgr, clock)
 		msgr = New(Config{}, s, node, loc, mgr, clock)
 		r.mgrs[s] = mgr
 		r.locs[s] = loc
@@ -81,7 +87,7 @@ func (r *rig) move(t *testing.T, rec *naplet.Record, from, to string) {
 	if err := r.mgrs[from].RecordDeparture(rec.ID, to, t0); err != nil {
 		t.Fatal(err)
 	}
-	left := r.msgr[from].CloseMailbox(rec.ID)
+	left, _ := r.msgr[from].CloseMailbox(rec.ID)
 	r.mgrs[to].RecordArrival(rec.ID, "cb", from, t0)
 	r.msgr[to].CreateMailbox(rec.ID)
 	if len(left) > 0 {
@@ -317,7 +323,7 @@ func TestPostIntoClosingMailboxIsForwarded(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			err := r.mgrs["sb"].RecordDeparture(b.ID, "sc", t0)
-			left = r.msgr["sb"].CloseMailbox(b.ID)
+			left, _ = r.msgr["sb"].CloseMailbox(b.ID)
 			done <- err
 		}()
 		err := r.msgr["sa"].Post(ctx, a, b.ID, "late", []byte("still yours"))
@@ -399,7 +405,7 @@ func TestPostRacingEndIsNotHeld(t *testing.T) {
 		go func() {
 			defer close(done)
 			r.mgrs["sb"].RecordEnd(nid, t0)
-			left = sb.CloseMailbox(nid)
+			left, _ = sb.CloseMailbox(nid)
 		}()
 		_, err := sb.HandlePost("sa", racePost(i, nid))
 		<-done
@@ -612,10 +618,68 @@ func TestViewAPI(t *testing.T) {
 var _ naplet.MessengerAPI = (*View)(nil)
 var _ transport.Handler = (*Messenger)(nil).HandlePost
 
-// TestPushMigrationBuildsAContextOnlyToPush: a departure with someone to
-// tell pushes as before; one with nobody to tell — nearly all of them —
-// looks the naplet up and is done, with no context built for the round.
+// TestPushMigrationBuildsAContextOnlyToPush: on a caching dock, a
+// departure with someone to tell pushes to the server that posted; one
+// with nobody to tell builds no context for the round and allocates
+// nothing.
 func TestPushMigrationBuildsAContextOnlyToPush(t *testing.T) {
+	r := newRigTTL(t, time.Minute, "sa", "sb")
+	a := r.land(t, "a", "sa", "sa")
+	b := r.land(t, "b", "sb", "sb")
+	a.Book.Add(b.ID, "sb")
+	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "greet", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	sb := r.msgr["sb"]
+	_, peers := sb.CloseMailbox(b.ID)
+	if n := sb.PushMigration(context.Background(), b.ID, "sc", peers); n != 1 {
+		t.Fatalf("pushed %d notices to %v, want 1 (to sa, which posted to the naplet)", n, peers)
+	}
+	if got := r.locs["sa"].Stats().PushInval; got != 1 {
+		t.Fatalf("sa received %d push invalidations, want 1", got)
+	}
+	// The peers went with the slot: closing it again finds none to tell.
+	_, peers = sb.CloseMailbox(b.ID)
+	n := testing.AllocsPerRun(100, func() {
+		if sb.PushMigration(context.Background(), b.ID, "sc", peers) != 0 {
+			t.Fatal("pushed a notice with no correspondent to push to")
+		}
+	})
+	if n != 0 && !raceEnabled {
+		t.Errorf("PushMigration with no correspondents: %v allocs, want 0", n)
+	}
+}
+
+// TestCorrespondentsLeaveWithTheSlot: a naplet's correspondents go when its
+// slot does, so naplets that ended here — however many — leave nothing
+// behind that could stop a later departure from telling its peer.
+func TestCorrespondentsLeaveWithTheSlot(t *testing.T) {
+	r := newRigTTL(t, time.Minute, "sa", "sb")
+	sb := r.msgr["sb"]
+	for i := 0; i < 1100; i++ {
+		nid := r.land(t, fmt.Sprintf("n%d", i), "sb", "sb").ID
+		if _, err := sb.HandlePost("sa", racePost(i, nid)); err != nil {
+			t.Fatal(err)
+		}
+		sb.CloseMailbox(nid) // the naplet ends here
+	}
+	b := r.land(t, "b", "sb", "sb")
+	if _, err := sb.HandlePost("sa", racePost(1100, b.ID)); err != nil {
+		t.Fatal(err)
+	}
+	_, peers := sb.CloseMailbox(b.ID)
+	if n := sb.PushMigration(context.Background(), b.ID, "sc", peers); n != 1 {
+		t.Fatalf("pushed %d notices after 1100 ended naplets, want 1", n)
+	}
+	if got := r.locs["sa"].Stats().PushInval; got != 1 {
+		t.Fatalf("sa received %d push invalidations, want 1", got)
+	}
+}
+
+// TestNoCorrespondentsWithoutACache: a dock whose locator keeps no cache
+// assumes its peers keep none either, so a post records no correspondent
+// and the departure pushes nothing.
+func TestNoCorrespondentsWithoutACache(t *testing.T) {
 	r := newRig(t, "sa", "sb")
 	a := r.land(t, "a", "sa", "sa")
 	b := r.land(t, "b", "sb", "sb")
@@ -623,21 +687,21 @@ func TestPushMigrationBuildsAContextOnlyToPush(t *testing.T) {
 	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "greet", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.msgr["sb"].PushMigration(context.Background(), b.ID, "sc"); n != 1 {
-		t.Fatalf("pushed %d notices, want 1 (to sa, which posted to the naplet)", n)
-	}
-	if got := r.locs["sa"].Stats().PushInval; got != 1 {
-		t.Fatalf("sa received %d push invalidations, want 1", got)
-	}
-	// The notice is spent: the naplet has no correspondents left here.
 	sb := r.msgr["sb"]
+	_, peers := sb.CloseMailbox(b.ID)
+	if len(peers) != 0 {
+		t.Fatalf("cacheless dock kept correspondents %v", peers)
+	}
 	n := testing.AllocsPerRun(100, func() {
-		if sb.PushMigration(context.Background(), b.ID, "sc") != 0 {
-			t.Fatal("pushed a notice with no correspondent to push to")
+		if sb.PushMigration(context.Background(), b.ID, "sc", peers) != 0 {
+			t.Fatal("cacheless dock pushed a notice")
 		}
 	})
 	if n != 0 && !raceEnabled {
-		t.Errorf("PushMigration with no correspondents: %v allocs, want 0", n)
+		t.Errorf("departure from a cacheless dock: %v allocs, want 0", n)
+	}
+	if got := r.locs["sa"].Stats().PushInval; got != 0 {
+		t.Fatalf("sa received %d push invalidations, want 0", got)
 	}
 }
 

@@ -429,7 +429,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 // re-assert what the table already says at one call per hop.
 func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.dockRemove(rec.ID)
-	left := s.msgr.CloseMailbox(rec.ID)
+	left, peers := s.msgr.CloseMailbox(rec.ID)
 	if len(left) > 0 {
 		fctx, fcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		_ = s.msgr.ForwardLeftovers(fctx, dest, left)
@@ -438,7 +438,7 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.mon.Remove(rec.ID)
 	// Tell recent correspondents where the naplet went so their locator
 	// caches refresh in place instead of chasing forwarding pointers.
-	s.msgr.PushMigration(context.Background(), rec.ID, dest)
+	s.msgr.PushMigration(context.Background(), rec.ID, dest, peers)
 	s.emit("depart", rec, s.name, dest, "")
 	if rec.Home == s.name {
 		s.mgr.SetStatus(rec.ID, manager.StatusInTransit)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/state"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // pingController rests at home and answers each arrival announcement of
@@ -76,14 +77,16 @@ func (p pingTarget) OnStart(ctx *naplet.Context) error {
 // every stop, so every round locates a naplet that has just moved. A
 // directory pays two lookups a round and a registration per hop; with the
 // locator's cache (the only end-to-end use of Config.LocatorTTL) each stop
-// looks the controller up and the home the target only once, as every
-// departure pushes the target's next dock into the home's cache. Home
-// mode pays one query of the home a round, by the stop locating the
-// controller; the home answers its own lookups, and no stop asks twice, so
-// the cache saves nothing. Forward mode looks nothing up and, the
-// announcements keeping the books current, forwards nothing either.
-// Lookups and queries are exact, the frames are ordered forward < home <
-// directory, and directory mode's 132 is exact too.
+// looks the controller up and the home the target only once, as each of
+// the target's 7 departures from a stop pushes its next dock into the
+// home's cache: 7 invalidation notices, which cost the frames the 7 saved
+// lookups would have. Home mode pays one query of the home a round, by the stop
+// locating the controller; the home answers its own lookups, and no stop
+// asks twice, so the cache saves nothing and its notices are overhead.
+// Forward mode looks nothing up and, the announcements keeping the books
+// current, forwards nothing either. Without a cache no dock keeps
+// correspondents, so no notice is pushed. Lookups, queries, notices and
+// frames are exact, and the frames are ordered forward < home < directory.
 func TestLocationModes(t *testing.T) {
 	const hops = 8
 	modes := []struct {
@@ -91,20 +94,21 @@ func TestLocationModes(t *testing.T) {
 		mode             locator.Mode
 		ttl              time.Duration
 		lookups, queries int64
-		frames           int64 // 0: pinned only by the ordering
+		notices          int
+		frames           int64
 	}{
-		{"directory", locator.ModeDirectory, 0, 16, 0, 132},
-		{"directory+cache", locator.ModeDirectory, time.Minute, 9, 0, 0},
-		{"home", locator.ModeHome, 0, 0, 8, 0},
-		{"home+cache", locator.ModeHome, time.Minute, 0, 8, 0},
-		{"forward", locator.ModeForward, 0, 0, 0, 0},
+		{"directory", locator.ModeDirectory, 0, 16, 0, 0, 118},
+		{"directory+cache", locator.ModeDirectory, time.Minute, 9, 0, 7, 118},
+		{"home", locator.ModeHome, 0, 0, 8, 0, 98},
+		{"home+cache", locator.ModeHome, time.Minute, 0, 8, 7, 112},
+		{"forward", locator.ModeForward, 0, 0, 0, 0, 66},
 	}
 	stops := make([]string, hops)
 	for i := range stops {
 		stops[i] = fmt.Sprintf("s%d", i)
 	}
 	frames := make(map[string]int64)
-	table := stats.NewTable("mode", "frames", "bytes", "forwarded", "dir lookups", "home queries")
+	table := stats.NewTable("mode", "frames", "bytes", "forwarded", "dir lookups", "home queries", "notices")
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			counter := newKindCounter()
@@ -158,15 +162,19 @@ func TestLocationModes(t *testing.T) {
 				lookups += ls.Directory
 				queries += ls.HomeQuery
 			}
+			counter.mu.Lock()
+			notices := counter.calls[wire.KindLocatorInvalidate]
+			counter.mu.Unlock()
 			total := sp.net.TotalStats()
 			frames[m.name] = total.FramesSent
-			table.AddRow(m.name, total.FramesSent, total.BytesSent, fwd, lookups, queries)
+			table.AddRow(m.name, total.FramesSent, total.BytesSent, fwd, lookups, queries, notices)
 			if lookups != m.lookups || queries != m.queries || fwd != 0 {
 				t.Errorf("%d directory lookups, %d home queries, %d forwarded; want %d, %d, 0",
 					lookups, queries, fwd, m.lookups, m.queries)
 			}
-			if m.frames != 0 && total.FramesSent != m.frames {
-				t.Errorf("%d frames, want %d", total.FramesSent, m.frames)
+			if total.FramesSent != m.frames || notices != m.notices {
+				t.Errorf("%d frames, %d invalidation notices; want %d, %d",
+					total.FramesSent, notices, m.frames, m.notices)
 			}
 		})
 	}
