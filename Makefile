@@ -5,7 +5,10 @@
 # connection scratch state, or lock-free metric hot paths, and over the
 # manager, whose End hands results to listeners between two lock sections,
 # and over the monitor's scheduler and the resource manager's service-channel
-# pipes, whose tests run goroutines by the dozen. It also fails
+# pipes, whose tests run goroutines by the dozen, and over the record's
+# sections that stay encoded until touched — the naplet record, the state
+# whose writes lie over its encoding, and the itinerary, whose Next moves
+# its view of the encoded tail in place. It also fails
 # if any non-test package imports encoding/gob: the wire primitives are
 # the one codec for what docks send, JSON the one for operator bodies.
 # A codec is an append and a decode: it also fails if a size method comes
@@ -42,7 +45,7 @@ verify:
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x -short ./...
 	go -C bench vet ./... && go -C bench test ./...
-	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/... ./internal/monitor/... ./internal/resource/...
+	go test -race ./internal/wire/... ./internal/navigator/... ./internal/transport/... ./internal/netsim/... ./internal/telemetry/... ./internal/messenger/... ./internal/fault/... ./internal/health/... ./internal/dock/... ./internal/naplet/... ./internal/state/... ./internal/itinerary/... ./internal/directory/... ./internal/locator/... ./internal/fleet/... ./internal/overload/... ./internal/manager/... ./internal/monitor/... ./internal/resource/...
 	go run ./cmd/napletctl loadgen -profile mixed -fabric netsim-lan
 	go run ./cmd/napletctl loadgen -profile overload -fabric netsim-lan
 	$(MAKE) chaos
@@ -121,6 +124,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/dock/
 	go test -run '^$$' -fuzz 'FuzzDecodeError$$' -fuzztime 10s ./internal/wire/
 	go test -run '^$$' -fuzz 'FuzzDecodeValue$$' -fuzztime 10s ./internal/state/
+	go test -run '^$$' -fuzz 'FuzzOverlay$$' -fuzztime 10s ./internal/state/
+	go test -run '^$$' -fuzz 'FuzzLazyNext$$' -fuzztime 10s ./internal/itinerary/
 	for pkg in navigator messenger directory locator fleet cnmp server; do \
 		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 

@@ -185,6 +185,16 @@ func (s *Store) Save(snap *Snapshot) error {
 	if err := os.Rename(tmp.Name(), s.Path()); err != nil {
 		return fmt.Errorf("dock: commit snapshot: %w", err)
 	}
+	// The rename is durable once the directory entry is: until then a
+	// power loss can bring back the previous snapshot, or none.
+	dir, err := os.Open(s.dir)
+	if err != nil {
+		return fmt.Errorf("dock: sync directory: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("dock: sync directory: %w", err)
+	}
 	return nil
 }
 

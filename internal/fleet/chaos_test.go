@@ -62,7 +62,7 @@ func (l *landings) inc(ctx *naplet.Context) {
 		hop = ctx.Record.Log.Len()
 	}
 	if ctx.Record.Itin != nil {
-		rem = fmt.Sprint(ctx.Record.Itin.Remaining)
+		rem = ctx.Record.Itin.String()
 	}
 	d := fmt.Sprintf("hop=%d rem=%s at=%s",
 		hop, rem, time.Now().Format("15:04:05.000000"))

@@ -73,7 +73,7 @@ func DecodePattern(b []byte) (*Pattern, []byte, error) {
 // slice, not n separate nodes.
 func decodePattern(p *Pattern, b []byte, depth int) ([]byte, error) {
 	if depth > maxPatternDepth {
-		return nil, fmt.Errorf("%w: pattern nesting exceeds %d", wire.ErrMalformed, maxPatternDepth)
+		return nil, errTooDeep
 	}
 	kind, b, err := wire.DecUvarint(b)
 	if err != nil {
@@ -86,21 +86,63 @@ func decodePattern(p *Pattern, b []byte, depth int) ([]byte, error) {
 		return b, err
 	case KindSeq, KindAlt, KindPar:
 		cnt, b, err := wire.DecCount(b, 1)
-		if err != nil || cnt == 0 {
+		if err != nil {
 			return b, err
 		}
-		block := make([]Pattern, cnt)
-		p.Subs = make([]*Pattern, cnt)
-		for i := range block {
-			p.Subs[i] = &block[i]
-			if b, err = decodePattern(&block[i], b, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return decodeOperands(p, cnt, b, depth+1)
 	default:
-		return nil, fmt.Errorf("%w: unknown pattern kind %d", wire.ErrMalformed, kind)
+		return nil, unknownKind(kind)
 	}
+}
+
+// decodeOperands decodes p's cnt operands from b, each at depth.
+func decodeOperands(p *Pattern, cnt int, b []byte, depth int) ([]byte, error) {
+	if cnt == 0 {
+		return b, nil
+	}
+	block := make([]Pattern, cnt)
+	p.Subs = make([]*Pattern, cnt)
+	var err error
+	for i := range block {
+		p.Subs[i] = &block[i]
+		if b, err = decodePattern(&block[i], b, depth); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// walkPattern checks one pattern tree at the start of b and returns the
+// rest, allocating nothing: it accepts exactly what decodePattern does.
+func walkPattern(b []byte, depth int) ([]byte, error) {
+	if depth > maxPatternDepth {
+		return nil, errTooDeep
+	}
+	kind, b, err := wire.DecUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	switch Kind(kind) {
+	case KindSingleton:
+		for i := 0; i < 3 && err == nil; i++ { // server, guard, action
+			_, b, err = wire.DecBytes(b)
+		}
+		return b, err
+	case KindSeq, KindAlt, KindPar:
+		cnt, b, err := wire.DecCount(b, 1)
+		for i := 0; i < cnt && err == nil; i++ {
+			b, err = walkPattern(b, depth+1)
+		}
+		return b, err
+	default:
+		return nil, unknownKind(kind)
+	}
+}
+
+var errTooDeep = fmt.Errorf("%w: pattern nesting exceeds %d", wire.ErrMalformed, maxPatternDepth)
+
+func unknownKind(kind uint64) error {
+	return fmt.Errorf("%w: unknown pattern kind %d", wire.ErrMalformed, kind)
 }
 
 // AppendOptPattern appends a presence-flagged, possibly-nil pattern.
@@ -127,25 +169,49 @@ func DecodeOptPattern(b []byte) (*Pattern, []byte, error) {
 // AppendBinary appends the itinerary's binary form to dst: its remaining
 // pattern, or nothing once it is done. An itinerary travels as a
 // length-delimited record section, whose length tells the two apart. Safe
-// on a nil receiver: a nil itinerary encodes like an exhausted one.
+// on a nil receiver: a nil itinerary encodes like an exhausted one. A plan
+// still encoded is re-emitted as it lies, behind the Seq header Next
+// re-wrote, which is what encoding the decoded tree would write.
 func (it *Itinerary) AppendBinary(dst []byte) []byte {
-	if it.Done() {
+	switch {
+	case it.Done():
 		return dst
+	case it.tree != nil:
+		return it.tree.AppendBinary(dst)
+	case it.ops > 0:
+		dst = wire.AppendUvarint(wire.AppendUvarint(dst, uint64(KindSeq)), uint64(it.ops))
 	}
-	return it.Remaining.AppendBinary(dst)
+	return append(dst, it.enc...)
 }
 
-// DecodeBinary decodes an itinerary from all of b.
+// DecodeBinary decodes an itinerary from all of b. The pattern is checked
+// in full but stays encoded: the itinerary keeps a view of b, which the
+// caller must not change afterwards, and Next decodes only the visits it
+// hands out while the plan's head is a plain visit.
 func DecodeBinary(b []byte) (*Itinerary, error) {
 	if len(b) == 0 {
 		return &Itinerary{}, nil
 	}
-	p, rest, err := DecodePattern(b)
+	rest, err := walkPattern(b, 0)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%w: %d bytes after the itinerary", wire.ErrMalformed, len(rest))
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Itinerary{Remaining: p}, nil
+	return &Itinerary{enc: b[:len(b):len(b)]}, nil
+}
+
+// decodeRest decodes a plan still encoded: one pattern when ops is at most
+// 1, otherwise the Seq of ops operands whose header was re-written. The
+// bytes were checked when the itinerary was decoded.
+func decodeRest(ops int, enc []byte) *Pattern {
+	p := new(Pattern)
+	if ops <= 1 {
+		decodePattern(p, enc, 0)
+	} else {
+		p.Kind = KindSeq
+		decodeOperands(p, ops, enc, 1)
+	}
+	return p
 }

@@ -34,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Visit is one stop in an itinerary: the server to visit, an optional named
@@ -319,8 +321,19 @@ type Decision struct {
 // Itinerary is the travel plan carried by a naplet: the remaining pattern
 // tree. The zero value is a completed itinerary. It is advanced in place by
 // Next.
+//
+// A decoded itinerary stays encoded while its head is a plain visit: Next
+// steps over the Singleton operands leading a Seq on the bytes, decoding
+// only the visit it hands out, and keeps the Seq's re-written header
+// beside the view of the operands left. A tour therefore pays at a dock
+// for its next stop, not for the stops still ahead. Any other head, and
+// Pattern, decode the tree.
 type Itinerary struct {
-	Remaining *Pattern
+	tree *Pattern
+	// While tree is nil the plan is enc: one encoded pattern when ops is
+	// 0, otherwise the ops operands of a Seq whose header Next re-wrote.
+	enc []byte
+	ops int
 }
 
 // New wraps a validated pattern into an itinerary.
@@ -328,7 +341,7 @@ func New(p *Pattern) (*Itinerary, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Itinerary{Remaining: p.Clone()}, nil
+	return &Itinerary{tree: p.Clone()}, nil
 }
 
 // MustNew is like New but panics on invalid patterns; for tests and
@@ -342,14 +355,35 @@ func MustNew(p *Pattern) *Itinerary {
 }
 
 // Done reports whether the itinerary is complete.
-func (it *Itinerary) Done() bool { return it == nil || it.Remaining == nil }
+func (it *Itinerary) Done() bool { return it == nil || it.tree == nil && len(it.enc) == 0 }
 
-// Clone deep-copies the itinerary.
+// Pattern returns the remaining plan, nil once the itinerary is done. A
+// plan still encoded is decoded afresh on each call. The tree may be
+// shared with the itinerary and, like every pattern, must not be changed.
+func (it *Itinerary) Pattern() *Pattern {
+	switch {
+	case it.Done():
+		return nil
+	case it.tree != nil:
+		return it.tree
+	default:
+		return decodeRest(it.ops, it.enc)
+	}
+}
+
+// Replace makes p the remaining plan; nil completes the itinerary. The
+// itinerary shares p, which must not be changed afterwards.
+func (it *Itinerary) Replace(p *Pattern) {
+	it.tree, it.enc, it.ops = p, nil, 0
+}
+
+// Clone deep-copies the itinerary. A plan still encoded shares its bytes,
+// which nothing writes.
 func (it *Itinerary) Clone() *Itinerary {
 	if it == nil {
 		return nil
 	}
-	return &Itinerary{Remaining: it.Remaining.Clone()}
+	return &Itinerary{tree: it.tree.Clone(), enc: it.enc, ops: it.ops}
 }
 
 // String renders the remaining plan.
@@ -357,7 +391,7 @@ func (it *Itinerary) String() string {
 	if it.Done() {
 		return "ε"
 	}
-	return it.Remaining.String()
+	return it.Pattern().String()
 }
 
 // Next consumes the next step of the itinerary, advancing it in place.
@@ -370,28 +404,75 @@ func (it *Itinerary) String() string {
 //     The caller forks clones and then calls Next again to obtain the
 //     parent's own next visit.
 //   - DecisionDone: nothing remains.
+//
+// A failed guard evaluation returns its error and leaves the itinerary as
+// it was.
 func (it *Itinerary) Next(ev Evaluator) (Decision, error) {
-	for {
-		if it.Done() {
-			return Decision{Kind: DecisionDone}, nil
+	for !it.Done() {
+		p := it.tree
+		if p == nil {
+			d, rest, err := it.stepEncoded(ev)
+			if rest == nil || err != nil {
+				return d, err
+			}
+			p = rest
 		}
-		d, rest, err := step(it.Remaining, ev)
+		d, rest, err := step(p, ev)
 		if err != nil {
 			return Decision{}, err
 		}
-		it.Remaining = rest
-		switch d.Kind {
-		case DecisionDone:
-			// The subtree produced nothing (e.g. all guards false);
-			// continue with the remainder.
-			if it.Done() {
-				return Decision{Kind: DecisionDone}, nil
-			}
-			continue
-		default:
+		it.Replace(rest)
+		if d.Kind != DecisionDone {
 			return d, nil
 		}
+		// The subtree produced nothing (e.g. all guards false); continue
+		// with the remainder.
 	}
+	return Decision{Kind: DecisionDone}, nil
+}
+
+// stepEncoded is step on a plan still encoded, for the heads it can take on
+// the bytes: a lone Singleton, or the Singleton operands leading a Seq,
+// skipped while their guards fail. It advances the itinerary when it hands
+// out a visit or runs out of plan. At any other head it returns the plan
+// left from there decoded, for step, and leaves the itinerary unchanged.
+func (it *Itinerary) stepEncoded(ev Evaluator) (Decision, *Pattern, error) {
+	ops, b := it.ops, it.enc
+	if ops == 0 {
+		kind, rest, _ := wire.DecUvarint(b)
+		switch Kind(kind) {
+		case KindSingleton:
+			ops = 1 // a lone visit steps as a Seq of one
+		case KindSeq:
+			n, rest, _ := wire.DecUvarint(rest)
+			ops, b = int(n), rest
+		default:
+			return Decision{}, decodeRest(0, b), nil
+		}
+	}
+	for ; ops > 0; ops-- {
+		kind, rest, _ := wire.DecUvarint(b)
+		if Kind(kind) != KindSingleton {
+			return Decision{}, decodeRest(ops, b), nil
+		}
+		v, rest, _ := DecodeVisit(rest)
+		ok, err := evalGuard(v.Guard, ev)
+		if err != nil {
+			return Decision{}, nil, err
+		}
+		b = rest
+		if ok {
+			// What seqRemainder leaves: the one operand on its own, or a
+			// Seq of those still ahead.
+			if ops--; ops < 2 {
+				ops = 0
+			}
+			it.enc, it.ops = b, ops
+			return Decision{Kind: DecisionVisit, Visit: v}, nil, nil
+		}
+	}
+	it.Replace(nil)
+	return Decision{Kind: DecisionDone}, nil, nil
 }
 
 // step consumes one decision from p, returning the decision and the

@@ -265,7 +265,7 @@ func TestCloneIndependence(t *testing.T) {
 	it := MustNew(p)
 	it2 := it.Clone()
 	it.Next(nil)
-	if got := it2.Remaining.Servers(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+	if got := it2.Pattern().Servers(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("itinerary clone advanced with original: %v", got)
 	}
 }

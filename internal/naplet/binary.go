@@ -460,11 +460,12 @@ var ErrRecordVersion = errors.New("naplet: unsupported record codec version")
 // consumes all of data; trailing bytes are an error (records travel
 // length-delimited inside transfer bodies and dock snapshots).
 //
-// Every section is checked here, but only the itinerary is decoded: the
+// Every section is checked here, but none is decoded: the itinerary, the
 // state, the address book and the navigation log keep views of one
 // private copy of their bytes — data may be a pooled read buffer — and
 // decode on the first access that needs them, re-emitting the bytes
-// verbatim until then.
+// verbatim until then. Stepping the itinerary over a visit and writing a
+// state key decode only the visit and the key.
 func DecodeRecordBinary(data []byte) (*Record, error) {
 	if len(data) < 3 || data[0] != recordMagic[0] || data[1] != recordMagic[1] {
 		return nil, fmt.Errorf("%w: missing record magic", wire.ErrMalformed)
@@ -504,7 +505,7 @@ func DecodeRecordBinary(data []byte) (*Record, error) {
 	}
 	r.CloneSeq = int(seq)
 	// The sections close the record: the one copy of them is what the
-	// state, book and log keep.
+	// itinerary, state, book and log keep.
 	b = bytes.Clone(b)
 	var sec []byte
 	if sec, b, err = decSection(b); err != nil {

@@ -73,15 +73,13 @@ func goldenRecord(t testing.TB) *Record {
 		Detail: "dial refused",
 		At:     goldenTime.Add(3 * time.Second),
 	})
-	itin := &itinerary.Itinerary{
-		Remaining: itinerary.Seq(
-			itinerary.Singleton(itinerary.Visit{Server: "sc:3", Action: "collect"}),
-			itinerary.Alt(
-				itinerary.Singleton(itinerary.Visit{Server: "sd:4", Guard: "cheap", Action: "buy"}),
-				itinerary.Singleton(itinerary.Visit{Server: "se:5", Action: "buy"}),
-			),
+	itin := itinerary.MustNew(itinerary.Seq(
+		itinerary.Singleton(itinerary.Visit{Server: "sc:3", Action: "collect"}),
+		itinerary.Alt(
+			itinerary.Singleton(itinerary.Visit{Server: "sd:4", Guard: "cheap", Action: "buy"}),
+			itinerary.Singleton(itinerary.Visit{Server: "se:5", Action: "buy"}),
 		),
-	}
+	))
 	return &Record{
 		ID: nid,
 		Credential: cred.Credential{
@@ -259,7 +257,7 @@ func randRecord(r *rand.Rand, t testing.TB) *Record {
 	if r.Intn(4) != 0 {
 		rec.Itin = &itinerary.Itinerary{}
 		if r.Intn(4) != 0 {
-			rec.Itin.Remaining = randPattern(r, 3)
+			rec.Itin.Replace(randPattern(r, 3))
 		}
 	}
 	if r.Intn(4) != 0 {

@@ -144,10 +144,16 @@ func touchAll(rec *Record) {
 }
 
 // sizedRecord is a mid-tour record carrying the key its agent reads beside
-// others more state entries, and hops closed hops in its log.
-func sizedRecord(t testing.TB, others, hops int) *Record {
+// others more state entries, hops closed hops in its log, and a flat tour
+// of stops stops still ahead.
+func sizedRecord(t testing.TB, others, hops, stops int) *Record {
 	t.Helper()
 	rec := goldenRecord(t)
+	servers := make([]string, stops)
+	for i := range servers {
+		servers[i] = fmt.Sprintf("stop%d:7001", i)
+	}
+	rec.Itin = itinerary.MustNew(itinerary.SeqVisits(servers, ""))
 	st := state.New()
 	if err := st.SetPrivate("route", []string{"sa:1", "sb:2"}); err != nil {
 		t.Fatal(err)
@@ -173,51 +179,68 @@ func sizedRecord(t testing.TB, others, hops int) *Record {
 }
 
 // TestUntouchedSectionsCostNothing: what a dock does with a landed record —
-// decode it, read one state key, record its arrival, encode it for the
-// next hop — allocates the same whatever else the record carries, and
-// what the dock did not touch leaves as the bytes it arrived as.
+// decode it, read one state key, take the itinerary's next stop, record
+// its arrival, perhaps write the key back, encode it for the next hop —
+// allocates the same whatever else the record carries: more state entries,
+// a longer log, more stops ahead. What the dock did not touch leaves as the
+// bytes it arrived as, and the whole record as the bytes the same hop on
+// the record as built writes.
 func TestUntouchedSectionsCostNothing(t *testing.T) {
 	arrival := goldenTime.Add(time.Hour)
-	hop := func(enc, dst []byte) []byte {
-		rec, err := DecodeRecordBinary(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	visit := func(rec *Record, write bool) {
 		var route []string
 		if err := rec.State.Load("route", &route); err != nil || len(route) != 2 {
 			t.Fatalf("route = %v, %v", route, err)
 		}
+		if d, err := rec.Itin.Next(nil); err != nil || d.Visit.Server != "stop0:7001" {
+			t.Fatalf("next stop: %+v, %v", d, err)
+		}
 		rec.Log.RecordArrival("dock9:7001", arrival)
+		if write {
+			if err := rec.State.SetPrivate("route", append(route, "dock9:7001")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hop := func(enc, dst []byte, write bool) []byte {
+		rec, err := DecodeRecordBinary(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(rec, write)
 		return rec.AppendBinary(dst)
 	}
-	counts := map[string]float64{}
-	for _, size := range []struct{ others, hops int }{{1, 1}, {64, 1}, {1, 32}, {64, 32}} {
-		name := fmt.Sprintf("%d other entries, %d hops", size.others, size.hops)
-		rec := sizedRecord(t, size.others, size.hops)
-		enc := rec.AppendBinary(nil)
-		out := hop(enc, nil)
-		// The same hop on the record as built, never encoded: the state
-		// and the earlier hops re-encode byte for byte.
-		rec.Log.RecordArrival("dock9:7001", arrival)
-		if want := rec.AppendBinary(nil); !bytes.Equal(out, want) {
-			t.Errorf("%s: the hop re-encoded\n  %x\nwant\n  %x", name, out, want)
+	for _, write := range []bool{false, true} {
+		counts := map[string]float64{}
+		for _, size := range []struct{ others, hops, stops int }{
+			{1, 1, 1}, {64, 1, 1}, {1, 32, 1}, {1, 1, 64}, {64, 32, 64},
+		} {
+			name := fmt.Sprintf("writes %v, %d other entries, %d hops, %d stops", write, size.others, size.hops, size.stops)
+			rec := sizedRecord(t, size.others, size.hops, size.stops)
+			enc := rec.AppendBinary(nil)
+			out := hop(enc, nil, write)
+			// The same hop on the record as built, never encoded.
+			visit(rec, write)
+			if want := rec.AppendBinary(nil); !bytes.Equal(out, want) {
+				t.Errorf("%s: the hop re-encoded\n  %x\nwant\n  %x", name, out, want)
+			}
+			if raceEnabled {
+				continue
+			}
+			dst := make([]byte, 0, 2*len(out))
+			counts[name] = testing.AllocsPerRun(100, func() { dst = hop(enc, dst[:0], write) })
 		}
 		if raceEnabled {
 			continue
 		}
-		dst := make([]byte, 0, 2*len(out))
-		counts[name] = testing.AllocsPerRun(100, func() { dst = hop(enc, dst[:0]) })
-	}
-	if raceEnabled {
-		return
-	}
-	want := counts["1 other entries, 1 hops"]
-	for name, n := range counts {
-		if n != want {
-			t.Errorf("%s: %v allocs, want %v as with one of each: untouched entries and hops must cost nothing", name, n, want)
+		want := counts[fmt.Sprintf("writes %v, 1 other entries, 1 hops, 1 stops", write)]
+		for name, n := range counts {
+			if n != want {
+				t.Errorf("%s: %v allocs, want %v as with one of each: untouched entries, hops and stops must cost nothing", name, n, want)
+			}
 		}
+		t.Logf("writes %v: decode, one key read, a step, an arrival and the encode: %v allocs", write, want)
 	}
-	t.Logf("decode, one key read, an arrival and the encode: %v allocs", want)
 }
 
 // TestConcurrentFirstTouch: goroutines that meet a freshly decoded record
@@ -289,7 +312,7 @@ func TestClonedSectionsShareTheirBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branch := &itinerary.Itinerary{Remaining: itinerary.Singleton(itinerary.Visit{Server: "sf:6"})}
+	branch := itinerary.MustNew(itinerary.Singleton(itinerary.Visit{Server: "sf:6"}))
 	clone, err := parent.CloneFor(1, branch, parent.Credential)
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func TestCloneFor(t *testing.T) {
 		t.Fatal("clone must inherit navigation history")
 	}
 	// Branch itinerary.
-	if got := clone.Itin.Remaining.Servers(); !reflect.DeepEqual(got, []string{"s3"}) {
+	if got := clone.Itin.Pattern().Servers(); !reflect.DeepEqual(got, []string{"s3"}) {
 		t.Fatalf("clone itinerary = %v", got)
 	}
 	if _, err := r.CloneFor(0, branch, cc); err == nil {

@@ -55,9 +55,7 @@ func midTourRecord(tb testing.TB) *naplet.Record {
 		Codebase: "test.Agent",
 		Home:     "sa:1",
 		State:    st,
-		Itin: &itinerary.Itinerary{
-			Remaining: itinerary.SeqVisits([]string{"sd", "se"}, "collect"),
-		},
+		Itin:     itinerary.MustNew(itinerary.SeqVisits([]string{"sd", "se"}, "collect")),
 		Book:     book,
 		Log:      log,
 		Pending:  itinerary.Visit{Server: "sd", Action: "collect"},

@@ -37,7 +37,7 @@ func (s *Server) dockResident(rec *naplet.Record, phase, dest, tid string) {
 		TransferID: tid,
 	}
 	s.dockMu.Unlock()
-	s.dockCommit()
+	s.dockCommit(rec.ID.String())
 }
 
 // dockRemove drops a resident's persisted entry (departed or ended) and
@@ -49,12 +49,15 @@ func (s *Server) dockRemove(nid id.NapletID) {
 	s.dockMu.Lock()
 	delete(s.dockEntries, nid.Key())
 	s.dockMu.Unlock()
-	s.dockCommit()
+	s.dockCommit(nid.String())
 }
 
 // dockCommit writes the current recoverable state — residents, the mail
-// slots, home-track table, and both dedup windows — to the dock.
-func (s *Server) dockCommit() {
+// slots, home-track table, and both dedup windows — to the dock. naplet
+// names the naplet whose change the commit carries, if any. A save that
+// fails is counted and published as a "dock-save-failed" event: the change
+// it carried is not durable.
+func (s *Server) dockCommit(naplet string) {
 	if s.dockStore == nil {
 		return
 	}
@@ -73,7 +76,7 @@ func (s *Server) dockCommit() {
 	for i, ev := range home {
 		entries[i] = dock.HomeEntry{ID: ev.ID, Server: ev.Server, Arrival: ev.Arrival, At: ev.At}
 	}
-	_ = s.dockStore.Save(&dock.Snapshot{
+	err := s.dockStore.Save(&dock.Snapshot{
 		Server:            s.name,
 		SavedAt:           s.clock(),
 		Residents:         residents,
@@ -82,6 +85,12 @@ func (s *Server) dockCommit() {
 		AcceptedTransfers: s.nav.AcceptedSnapshot(),
 		DeliveredMsgs:     s.msgr.DeliveredSnapshot(),
 	})
+	if err != nil {
+		s.dockSaveErrors.Inc()
+		if sink := s.eventSink(); sink != nil {
+			sink(Event{Kind: "dock-save-failed", Naplet: naplet, From: s.name, At: s.clock(), Detail: err.Error()})
+		}
+	}
 }
 
 // restoreFromDock rebuilds the server from the last snapshot: dedup

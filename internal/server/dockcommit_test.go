@@ -1,6 +1,7 @@
 package server
 
 import (
+	"os"
 	"sync"
 	"testing"
 
@@ -41,5 +42,46 @@ func TestConcurrentDockCommitsKeepEveryResident(t *testing.T) {
 		if got := len(snap.Residents); got != residents {
 			t.Fatalf("round %d: snapshot holds %d of %d committed residents", round, got, residents)
 		}
+	}
+}
+
+// TestDockSaveFailureIsCounted: a commit the store cannot save — the dock
+// directory is gone from under a running server — is counted in
+// naplet_server_dock_save_errors_total and published as a
+// "dock-save-failed" event naming the naplet whose change it carried.
+func TestDockSaveFailureIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	st, err := dock.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := newSpace(t, spaceOpts{mutate: func(name string, cfg *Config) { cfg.Dock = st }}, "s1")
+	srv := sp.servers["s1"]
+	var mu sync.Mutex
+	var failed []Event
+	srv.SetEventSink(func(ev Event) {
+		if ev.Kind == "dock-save-failed" {
+			mu.Lock()
+			failed = append(failed, ev)
+			mu.Unlock()
+		}
+	})
+	saveErrors := srv.Telemetry().Counter("naplet_server_dock_save_errors_total", "")
+	rec := handRecord("czxu", "test.Collector", "home")
+	srv.dockResident(rec, dock.PhaseVisiting, "", "")
+	if n := saveErrors.Value(); n != 0 {
+		t.Fatalf("%d save errors while the dock directory exists", n)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv.dockResident(rec, dock.PhaseResident, "", "")
+	if n := saveErrors.Value(); n != 1 {
+		t.Fatalf("naplet_server_dock_save_errors_total = %d after one failed commit, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(failed) != 1 || failed[0].Naplet != rec.ID.String() || failed[0].From != "s1" || failed[0].Detail == "" {
+		t.Fatalf("dock-save-failed events: %+v", failed)
 	}
 }

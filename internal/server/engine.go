@@ -347,9 +347,9 @@ func (s *Server) applyFailover(rec *naplet.Record, v itinerary.Visit, alts []*it
 		if len(alts) > 0 {
 			record("alternate")
 			if len(alts) == 1 {
-				rec.Itin.Remaining = alts[0]
+				rec.Itin.Replace(alts[0])
 			} else {
-				rec.Itin.Remaining = itinerary.Alt(alts...)
+				rec.Itin.Replace(itinerary.Alt(alts...))
 			}
 			return failoverContinue
 		}
@@ -364,7 +364,7 @@ func (s *Server) applyFailover(rec *naplet.Record, v itinerary.Visit, alts []*it
 		// Abandon the tour: nothing remains but returning to the home
 		// server, where the itinerary completes.
 		record("home")
-		rec.Itin.Remaining = nil
+		rec.Itin.Replace(nil)
 		if rec.Home == s.name {
 			return failoverContinue
 		}
@@ -396,7 +396,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 	}
 	if dest == "" && rec.Home != s.name {
 		// No onward stop: take refuge at home, abandoning what remains.
-		rec.Itin.Remaining = nil
+		rec.Itin.Replace(nil)
 		rec.Pending = itinerary.Visit{}
 		rec.PendingAlts = nil
 		dest = rec.Home
@@ -605,10 +605,8 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 	// be altered as the naplet grows" (§2.1). Hints are each member's
 	// first destination (or this server for the parent).
 	firstStop := func(r *naplet.Record) string {
-		if r.Itin != nil && r.Itin.Remaining != nil {
-			if servers := r.Itin.Remaining.Servers(); len(servers) > 0 {
-				return servers[0]
-			}
+		if servers := r.Itin.Pattern().Servers(); len(servers) > 0 {
+			return servers[0]
 		}
 		return s.name
 	}

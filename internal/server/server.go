@@ -139,6 +139,8 @@ type Server struct {
 	hd        *health.Detector
 	gate      *overload.Gate
 	failovers *telemetry.Counter
+	// dockSaveErrors counts dock snapshots the store refused.
+	dockSaveErrors *telemetry.Counter
 
 	mintMu sync.Mutex
 	minted map[string]time.Time
@@ -257,6 +259,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.failovers = s.telem.Counter("naplet_server_failovers_total",
 		"itinerary reroutes taken after a dead destination or evacuation")
+	s.dockSaveErrors = s.telem.Counter("naplet_server_dock_save_errors_total",
+		"dock snapshots the store failed to save: the change each carried is not durable")
 
 	// One directory client for every component: a sharded, replicated
 	// plane when several nodes are configured, a single-node client
@@ -383,10 +387,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // completions, traps, and itinerary reroutes — the live counterpart of
 // the NavigationLog entries the naplet itself carries.
 type Event struct {
-	// Kind is "launch", "arrival", "depart", "complete", "trap", or
-	// "reroute".
+	// Kind is "launch", "arrival", "depart", "complete", "trap",
+	// "reroute", or "dock-save-failed".
 	Kind string
-	// Naplet is the subject naplet's identifier.
+	// Naplet is the subject naplet's identifier; empty for a dock save
+	// that carried no naplet's change (mail, a drain).
 	Naplet string
 	// Hop is the naplet's navigation-log length when the event fired.
 	Hop int
@@ -395,8 +400,8 @@ type Event struct {
 	From, To string
 	// At is the server-clock event time.
 	At time.Time
-	// Detail carries the error text (traps), the failover policy
-	// (reroutes), or the codebase (launches).
+	// Detail carries the error text (traps, dock saves), the failover
+	// policy (reroutes), or the codebase (launches).
 	Detail string
 }
 
@@ -410,11 +415,16 @@ func (s *Server) SetEventSink(fn func(Event)) {
 	s.sinkMu.Unlock()
 }
 
+// eventSink returns the sink SetEventSink registered, or nil.
+func (s *Server) eventSink() func(Event) {
+	s.sinkMu.RLock()
+	defer s.sinkMu.RUnlock()
+	return s.sink
+}
+
 // emit hands one nav-log event to the registered sink, if any.
 func (s *Server) emit(kind string, rec *naplet.Record, from, to, detail string) {
-	s.sinkMu.RLock()
-	sink := s.sink
-	s.sinkMu.RUnlock()
+	sink := s.eventSink()
 	if sink == nil {
 		return
 	}
@@ -503,7 +513,7 @@ func (s *Server) finishDrain(ctx context.Context) {
 	}
 	_ = s.msgr.FlushHeld(fctx)
 	if s.dockStore != nil {
-		s.dockCommit()
+		s.dockCommit("")
 	}
 	s.withdrawRegistrations()
 }
@@ -552,7 +562,7 @@ func (s *Server) handle(from string, f wire.Frame) (wire.Frame, error) {
 		// Commit mail durably before the sender hears its confirmation:
 		// a held or queued message acknowledged here must survive a crash.
 		if err == nil && s.dockStore != nil {
-			s.dockCommit()
+			s.dockCommit("")
 		}
 		return reply, err
 	case wire.KindLocatorQuery:

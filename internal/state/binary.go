@@ -20,9 +20,10 @@ import (
 // key before it — an agent's keys tend to share their start.
 //
 // A decoded container stays encoded (State.raw) until something needs more
-// than one key of it. Everything that reads those bytes reads them through
-// one cursor: the check DecodeBinary makes, the search a Get makes, and
-// the decode a write or a listing forces.
+// than one key of it; keys written meanwhile lie over it (State.written).
+// Everything that reads those bytes reads them through one cursor: the
+// check DecodeBinary makes, the search a Get makes, the merge AppendBinary
+// makes with what was written, and the decode a delete or a listing forces.
 
 func appendEntry(dst []byte, e entry) []byte {
 	dst = wire.AppendUvarint(dst, uint64(e.Mode))
@@ -118,10 +119,10 @@ func find(raw []byte, key string) (entry, bool) {
 }
 
 // decodeEntries builds the entry map of the encoded container raw, which
-// DecodeBinary has checked.
-func decodeEntries(raw []byte) map[string]entry {
+// DecodeBinary has checked, with room for extra more.
+func decodeEntries(raw []byte, extra int) map[string]entry {
 	c, _ := newCursor(raw)
-	entries := make(map[string]entry, c.left)
+	entries := make(map[string]entry, c.left+extra)
 	for ok, _ := c.next(); ok; ok, _ = c.next() {
 		entries[c.keys.String()] = c.entry()
 	}
@@ -134,14 +135,53 @@ func (s *State) EncodedSize() int {
 }
 
 // AppendBinary appends the container's binary form to dst: the bytes it
-// was decoded from, while nothing has changed it.
+// was decoded from, while nothing has changed it, and what decoding them
+// and encoding the entries would write once something has.
 func (s *State) AppendBinary(dst []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.raw != nil {
+	switch {
+	case s.entries != nil:
+		return wire.AppendMap(dst, s.entries, appendEntry)
+	case len(s.written) == 0:
 		return append(dst, s.raw...)
+	default:
+		return s.appendMerged(dst)
 	}
-	return wire.AppendMap(dst, s.entries, appendEntry)
+}
+
+// appendMerged appends raw with written laid over it: the two sorted runs
+// merged by key, a written entry replacing raw's under the same key, and
+// every key front-coded against the one before it as wire.AppendMap codes
+// it. Callers hold the read lock.
+func (s *State) appendMerged(dst []byte) []byte {
+	c, _ := newCursor(s.raw)
+	dst = wire.AppendUvarint(dst, uint64(c.left+s.added))
+	// The key written last and the one being written, on the stack while
+	// they fit.
+	var bufs [2][64]byte
+	prev, key := bufs[0][:0], bufs[1][:0]
+	w := s.written
+	more, _ := c.next()
+	for more || len(w) > 0 {
+		var e entry
+		if more {
+			key = c.keys.Append(key[:0])
+		}
+		if more && (len(w) == 0 || string(key) < w[0].key) {
+			e = c.entry()
+			more, _ = c.next()
+		} else {
+			if more && string(key) == w[0].key {
+				more, _ = c.next()
+			}
+			key, e = append(key[:0], w[0].key...), w[0].entry
+			w = w[1:]
+		}
+		dst = appendEntry(wire.AppendMapKey(dst, prev, key), e)
+		prev, key = key, prev
+	}
+	return dst
 }
 
 // DecodeBinary consumes one container from b and returns the rest. The

@@ -22,6 +22,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/wire"
@@ -88,10 +89,21 @@ type State struct {
 	mu      sync.RWMutex
 	entries map[string]entry
 	// raw, while entries is nil, is the encoded container the state was
-	// decoded from (binary.go). A read of one key searches it, and
-	// AppendBinary re-emits it verbatim; the first write or listing
-	// decodes it into entries and drops it.
-	raw []byte
+	// decoded from (binary.go), and written the entries set on it since,
+	// sorted by key, which take precedence over raw's: a dock that writes
+	// one key of a landed state pays for that key alone. A read of one key
+	// looks in written, then searches raw; AppendBinary re-emits raw
+	// verbatim, or merges written into it. A delete or a listing decodes
+	// both into entries and drops them.
+	raw     []byte
+	written []keyed
+	added   int // keys in written that raw does not hold
+}
+
+// keyed is an entry set on a still-encoded state, with its key.
+type keyed struct {
+	key string
+	entry
 }
 
 // New returns an empty state container.
@@ -117,17 +129,44 @@ func (s *State) Set(key string, value any, mode Mode, servers ...string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.decode()
-	s.entries[key] = entry{Mode: mode, Servers: allowed, Payload: payload}
+	s.put(key, entry{Mode: mode, Servers: allowed, Payload: payload})
 	return nil
+}
+
+// put stores e under key: into entries once decoded, otherwise over the
+// encoding. Callers hold the write lock.
+func (s *State) put(key string, e entry) {
+	if s.entries != nil {
+		s.entries[key] = e
+		return
+	}
+	i, ok := s.search(key)
+	if ok {
+		s.written[i].entry = e
+		return
+	}
+	if _, ok := find(s.raw, key); !ok {
+		s.added++
+	}
+	s.written = slices.Insert(s.written, i, keyed{key: key, entry: e})
+}
+
+// search finds key in written: its index, or where it would go.
+func (s *State) search(key string) (int, bool) {
+	return slices.BinarySearchFunc(s.written, key, func(w keyed, key string) int { return strings.Compare(w.key, key) })
 }
 
 // decode turns a still-encoded container into entries. Callers hold the
 // write lock.
 func (s *State) decode() {
-	if s.entries == nil {
-		s.entries, s.raw = decodeEntries(s.raw), nil
+	if s.entries != nil {
+		return
 	}
+	s.entries = decodeEntries(s.raw, len(s.written))
+	for _, w := range s.written {
+		s.entries[w.key] = w.entry
+	}
+	s.raw, s.written, s.added = nil, nil, 0
 }
 
 // rlockDecoded read-locks s with its entries decoded.
@@ -143,10 +182,14 @@ func (s *State) rlockDecoded() {
 	s.mu.RLock()
 }
 
-// lookup returns the entry under key, from the encoding while there is one.
-// Callers hold the read lock.
+// lookup returns the entry under key, from what was written over the
+// encoding and then the encoding while there is one. Callers hold the read
+// lock.
 func (s *State) lookup(key string) (entry, bool) {
 	if s.entries == nil {
+		if i, ok := s.search(key); ok {
+			return s.written[i].entry, true
+		}
 		return find(s.raw, key)
 	}
 	e, ok := s.entries[key]
@@ -226,7 +269,7 @@ func (s *State) Len() int {
 	defer s.mu.RUnlock()
 	if s.entries == nil {
 		n, _, _ := wire.DecUvarint(s.raw) // the count leads the container
-		return int(n)
+		return int(n) + s.added
 	}
 	return len(s.entries)
 }
@@ -293,8 +336,7 @@ func (v *ServerView) Update(key string, value any) error {
 	}
 	v.state.mu.Lock()
 	defer v.state.mu.Unlock()
-	v.state.decode()
-	e, ok := v.state.entries[key]
+	e, ok := v.state.lookup(key)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
@@ -302,7 +344,7 @@ func (v *ServerView) Update(key string, value any) error {
 		return fmt.Errorf("%w: key %q is %s to server %q", ErrForbidden, key, e.Mode, v.server)
 	}
 	e.Payload = payload
-	v.state.entries[key] = e
+	v.state.put(key, e)
 	return nil
 }
 
@@ -322,12 +364,13 @@ func (v *ServerView) Keys() []string {
 
 // Clone returns a deep copy of the container, used when a naplet is cloned
 // for a Par itinerary branch: each clone carries independent state. A
-// still-encoded container shares its bytes, which nothing writes.
+// still-encoded container shares its bytes and the payloads written over
+// them, which nothing writes.
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.entries == nil {
-		return &State{raw: s.raw}
+		return &State{raw: s.raw, written: slices.Clone(s.written), added: s.added}
 	}
 	c := New()
 	for k, e := range s.entries {
@@ -339,16 +382,4 @@ func (s *State) Clone() *State {
 		c.entries[k] = ce
 	}
 	return c
-}
-
-// Size returns the total payload bytes held, an input to migration cost
-// accounting.
-func (s *State) Size() int {
-	s.rlockDecoded()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, e := range s.entries {
-		n += len(e.Payload)
-	}
-	return n
 }

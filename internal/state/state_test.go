@@ -274,19 +274,27 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestSizeAccounting: the encoded size grows with content, and a state
+// written while still encoded measures what it encodes to.
 func TestSizeAccounting(t *testing.T) {
 	s := New()
-	if s.Size() != 0 {
-		t.Fatal("empty size must be 0")
+	if s.EncodedSize() != 1 {
+		t.Fatal("an empty container is its count alone")
 	}
 	s.SetPrivate("k", "some payload")
-	if s.Size() <= 0 {
+	small := s.EncodedSize()
+	if small <= 1 {
 		t.Fatal("size must grow with content")
 	}
-	small := s.Size()
-	s.SetPrivate("k2", bytes.Repeat([]byte("x"), 1024))
-	if s.Size() <= small {
-		t.Fatal("size must grow with larger content")
+	landed, _, err := DecodeBinary(s.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*State{s, landed} {
+		st.SetPrivate("k2", bytes.Repeat([]byte("x"), 1024))
+		if n := st.EncodedSize(); n <= small || n != len(st.AppendBinary(nil)) {
+			t.Fatalf("size %d after a larger entry, from %d", n, small)
+		}
 	}
 }
 
@@ -311,25 +319,41 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess: goroutines writing, reading, listing and encoding
+// one container at once — built with New, or landed and still encoded, its
+// writes lying over the bytes until a listing decodes it midway (run it
+// with -race).
 func TestConcurrentAccess(t *testing.T) {
-	s := New()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", g)
-			for i := 0; i < 100; i++ {
-				s.Set(key, i, Public)
-				s.Get(key)
-				s.ServerView("srv").Get(key)
-				s.Keys()
-			}
-		}(g)
+	seed := New()
+	if err := seed.SetPublic("k0", -1); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if s.Len() != 8 {
-		t.Fatalf("Len = %d", s.Len())
+	landed, _, err := DecodeBinary(seed.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*State{New(), landed} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				key := fmt.Sprintf("k%d", g)
+				for i := 0; i < 100; i++ {
+					s.Set(key, i, Public)
+					s.Get(key)
+					s.ServerView("srv").Get(key)
+					s.AppendBinary(nil)
+					if i == 50+g {
+						s.Keys()
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if s.Len() != 8 {
+			t.Fatalf("Len = %d", s.Len())
+		}
 	}
 }
 

@@ -219,7 +219,7 @@ const maxSharedPrefix = 64
 
 // sharedPrefix returns how many leading bytes of k the encoder takes from
 // prev: all they have in common, up to the clamp.
-func sharedPrefix(prev, k string) int {
+func sharedPrefix[K ~string | ~[]byte](prev, k K) int {
 	n := min(len(prev), len(k), maxSharedPrefix)
 	for i := 0; i < n; i++ {
 		if prev[i] != k[i] {
@@ -254,12 +254,19 @@ func AppendMap[T any](dst []byte, m map[string]T, elem func([]byte, T) []byte) [
 	var stack [smallMapKeys]string
 	prev := ""
 	for _, k := range sortedKeys(m, stack[:0]) {
-		shared := sharedPrefix(prev, k)
-		dst = AppendString(append(dst, byte(shared)), k[shared:])
-		dst = elem(dst, m[k])
+		dst = elem(AppendMapKey(dst, prev, k), m[k])
 		prev = k
 	}
 	return dst
+}
+
+// AppendMapKey appends key front-coded against prev, the key before it, as
+// AppendMap codes each key: for a caller that writes a map's entries in
+// key order itself.
+func AppendMapKey[K ~string | ~[]byte](dst []byte, prev, key K) []byte {
+	shared := sharedPrefix(prev, key)
+	dst = binary.AppendUvarint(append(dst, byte(shared)), uint64(len(key)-shared))
+	return append(dst, key[shared:]...)
 }
 
 // maxPrealloc bounds what DecSeq and DecMap reserve on the strength of a
@@ -357,7 +364,12 @@ func (k *MapKeys) Is(s string) bool {
 // costs the one allocation its string needs (longer keys spill to the heap).
 func (k *MapKeys) String() string {
 	var scratch [2 * maxSharedPrefix]byte
-	return string(append(append(scratch[:0], k.head[:k.shared]...), k.suffix...))
+	return string(k.Append(scratch[:0]))
+}
+
+// Append appends the current key to dst.
+func (k *MapKeys) Append(dst []byte) []byte {
+	return append(append(dst, k.head[:k.shared]...), k.suffix...)
 }
 
 // DecMap consumes one count-prefixed map. An empty map decodes to a
