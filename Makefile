@@ -75,7 +75,11 @@ verify:
 # loses its reply or is duplicated, and when a lost transfer ack holds the
 # origin copy (TestEndReportExactlyOnce), plus ten runs of E5's location
 # modes, whose frame, lookup and invalidation-notice counts are pinned
-# exactly and must not depend on the goroutine schedule (TestLocationModes).
+# exactly and must not depend on the goroutine schedule (TestLocationModes),
+# plus twenty runs of the TCP mux's late-reply race, where calls that give
+# up as their replies arrive are interleaved with calls that wait on one
+# connection and every answered call must get its own reply, never one
+# that landed in a pooled reply slot late (TestLateReplyNeverReachesAnotherCall).
 # Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
@@ -84,6 +88,7 @@ chaos:
 	go test -race -count=10 -run 'TestLocationModes' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
+	go test -race -count=20 -run 'TestLateReplyNeverReachesAnotherCall' ./internal/transport/
 
 # bench runs every Benchmark* function in the module with allocation
 # accounting: the micro-benchmarks in bench_test.go and each package's

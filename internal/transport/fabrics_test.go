@@ -261,3 +261,55 @@ func TestRequestPathOnEveryFabric(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPCallAllocBudget pins what a warm bare call allocates on each
+// fabric, both sides counted, with a handler that allocates nothing. On
+// TCP the budget is the reply body the caller keeps plus slack for the
+// odd worker start and pool refill after a GC; hand-offs per call — a
+// reply channel, a goroutine per request, the peer names — break it.
+func TestTCPCallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	confirm := []byte{1}
+	handler := func(from string, f wire.Frame) (wire.Frame, error) {
+		return wire.Frame{Kind: wire.KindPostConfirm, From: f.To, To: f.From, Payload: confirm}, nil
+	}
+	for _, tc := range []struct {
+		name   string
+		fab    transport.Fabric
+		addr   func(name string) string
+		budget float64
+	}{
+		{"tcp", transport.NewTCPFabric(), func(string) string { return "127.0.0.1:0" }, 3},
+		{"netsim", netsim.New(netsim.Config{}), func(name string) string { return name }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, err := tc.fab.Attach(tc.addr("server"), handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			client, err := tc.fab.Attach(tc.addr("client"), handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			ctx := context.Background()
+			req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
+			call := func() {
+				if _, err := client.Call(ctx, server.Addr(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				call()
+			}
+			n := testing.AllocsPerRun(1000, call)
+			t.Logf("a warm %s call allocates %v times", tc.name, n)
+			if n > tc.budget {
+				t.Fatalf("a warm %s call allocates %v times, budget %v", tc.name, n, tc.budget)
+			}
+		})
+	}
+}

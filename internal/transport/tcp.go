@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +19,11 @@ import (
 // host:port strings. Calls to the same peer share one multiplexed
 // connection: requests are written back-to-back tagged with sequence
 // numbers, a single reader goroutine correlates replies by Seq, and the
-// server handles pipelined requests concurrently — so N in-flight calls
-// cost one connection and no per-call handshake. An address already in
+// server hands pipelined requests to the connection's workers, which
+// handle them concurrently — so N in-flight calls cost one connection and
+// no per-call handshake. A warm call allocates no hand-off of its own:
+// reply slots are pooled, workers outlive their requests, and each
+// connection's wire.Reader reuses the peer's names. An address already in
 // use fails Attach in the listen.
 type TCPFabric struct {
 	met atomic.Pointer[Metrics]
@@ -55,8 +59,8 @@ func (f *TCPFabric) Attach(addr string, h Handler) (Node, error) {
 }
 
 // maxPipelinedPerConn bounds the requests a server handles concurrently on
-// one inbound connection; further frames queue in the socket until a slot
-// frees (natural backpressure).
+// one inbound connection — the workers it runs for it; further frames queue
+// in the socket until a worker frees (natural backpressure).
 const maxPipelinedPerConn = 64
 
 type tcpNode struct {
@@ -78,6 +82,14 @@ type callResult struct {
 	frame wire.Frame
 	err   error
 }
+
+// replySlots recycles the one-slot channels calls wait on. A slot goes back
+// only once nothing can send to it any more: after its reply was received,
+// or after a canceled call took it out of pending itself. A slot readLoop
+// or fail took out of pending may still be sent to, so a call that gives
+// up on one leaves it to the GC and a stale reply never reaches a later
+// call.
+var replySlots = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 // muxConn is one shared, multiplexed connection to a peer. Many Calls
 // write frames through it concurrently (serialized by writeMu, correlated
@@ -143,8 +155,10 @@ func (n *tcpNode) getMux(ctx context.Context, to string) (*muxConn, bool, error)
 // readLoop is the mux's single reader: it correlates every inbound reply
 // to its pending caller by sequence number.
 func (mc *muxConn) readLoop() {
+	rd := wire.NewReader(mc.conn)
 	for {
-		reply, err := wire.ReadFrame(mc.conn)
+		// A nil scratch: the reply's payload goes to its caller to keep.
+		reply, _, err := rd.Next(nil)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("transport: %s closed connection", mc.to)
@@ -199,11 +213,12 @@ func (mc *muxConn) fail(err error) {
 
 // roundTrip sends one frame on the mux and waits for its correlated reply.
 func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, error) {
-	ch := make(chan callResult, 1)
+	ch := replySlots.Get().(chan callResult)
 	mc.mu.Lock()
 	if mc.closed {
 		err := mc.err
 		mc.mu.Unlock()
+		replySlots.Put(ch)
 		return wire.Frame{}, err
 	}
 	mc.pending[f.Seq] = ch
@@ -223,7 +238,8 @@ func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, err
 	// write and yank the deadline into the past to abort it. The
 	// done-handshake makes the watcher quiesce before the deadline is
 	// reset — still under writeMu — so a poisoned deadline can never
-	// leak into the next caller's write.
+	// leak into the next caller's write. Hop and post calls carry a
+	// deadline, so the watcher stays off their path.
 	var stop, watcherDone chan struct{}
 	if !hasDeadline && ctx.Done() != nil {
 		stop = make(chan struct{})
@@ -237,25 +253,38 @@ func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, err
 			}
 		}()
 	}
-	err := wire.WriteFrame(mc.conn, f)
+	n, err := wire.WriteFrame(mc.conn, f)
 	if stop != nil {
 		close(stop)
 		<-watcherDone
 		mc.conn.SetWriteDeadline(time.Time{})
 	}
 	mc.writeMu.Unlock()
-	if err != nil {
+	switch {
+	case err == nil:
+	case n == 0 && errors.Is(err, os.ErrDeadlineExceeded):
+		// The call's time ran out before a byte of its frame left: the
+		// stream is intact for the calls sharing it, and this one ends on
+		// ctx below.
+	default:
 		mc.fail(fmt.Errorf("transport: write to %s: %w", mc.to, err))
 		// fail delivered the write error (or an earlier one) to ch.
 	}
 
 	select {
 	case res := <-ch:
+		replySlots.Put(ch)
 		return res.frame, res.err
 	case <-ctx.Done():
 		mc.mu.Lock()
-		delete(mc.pending, f.Seq)
+		withdrawn := mc.pending[f.Seq] == ch
+		if withdrawn {
+			delete(mc.pending, f.Seq)
+		}
 		mc.mu.Unlock()
+		if withdrawn {
+			replySlots.Put(ch)
+		}
 		return wire.Frame{}, fmt.Errorf("transport: call %s: %w", mc.to, ctx.Err())
 	}
 }
@@ -311,50 +340,79 @@ func (n *tcpNode) closeInbound() {
 // requests on one connection are handled concurrently.
 var readBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
+// request is one frame read off an inbound connection, with the pooled
+// buffer its payload aliases.
+type request struct {
+	frame wire.Frame
+	buf   *[]byte
+}
+
 // serveConn handles a pipelined request/reply stream: the read loop pulls
-// frames off the socket as fast as they arrive and hands each to its own
-// handler goroutine, so a slow request does not stall the ones queued
-// behind it. Replies are written as handlers finish — possibly out of
-// request order — and the client's mux reorders by Seq. A semaphore bounds
-// per-connection concurrency; each request reads into a pooled buffer that
+// frames off the socket as fast as they arrive and hands each to an idle
+// worker of the connection, so a slow request does not stall the ones
+// queued behind it. A new worker starts only when none is idle, up to
+// maxPipelinedPerConn; past that the read loop waits for one to free, and
+// further frames queue in the socket. Workers live as long as the
+// connection, so a warm request starts no goroutine. Replies are written
+// as handlers finish — possibly out of request order — and the client's
+// mux reorders by Seq. Each request reads into a pooled buffer that
 // returns to the pool only after its handler finishes and the reply is
 // written, which preserves the Handler payload-aliasing contract.
 func (n *tcpNode) serveConn(conn net.Conn) {
 	var (
 		writeMu sync.Mutex
-		handled sync.WaitGroup
-		sem     = make(chan struct{}, maxPipelinedPerConn)
+		workers sync.WaitGroup
+		started int
+		work    = make(chan request)
 	)
-	defer handled.Wait()
+	defer func() {
+		close(work)
+		workers.Wait()
+	}()
+	rd := wire.NewReader(conn)
 	for {
 		bufp := readBufPool.Get().(*[]byte)
-		req, grown, err := wire.ReadFrameReuse(conn, *bufp)
+		frame, grown, err := rd.Next(*bufp)
 		if err != nil {
 			readBufPool.Put(bufp)
 			return // EOF or broken peer
 		}
 		*bufp = grown
-		req.ReceivedAt = time.Now()
-		met := n.fabric.met.Load()
-		met.Recv(&req)
-		sem <- struct{}{}
-		handled.Add(1)
-		go func() {
-			defer func() {
-				readBufPool.Put(bufp)
-				<-sem
-				handled.Done()
-			}()
-			// The wait Serve weighs against the budget is the frame's time
-			// in the pipeline semaphore since it came off the socket.
-			reply := Serve(n.handler, req, time.Since(req.ReceivedAt), met)
-			writeMu.Lock()
-			err = wire.WriteFrame(conn, reply)
-			writeMu.Unlock()
-			if err == nil {
-				met.Sent(&reply)
+		frame.ReceivedAt = time.Now()
+		n.fabric.met.Load().Recv(&frame)
+		req := request{frame: frame, buf: bufp}
+		select {
+		case work <- req: // an idle worker took it
+		default:
+			if started == maxPipelinedPerConn {
+				work <- req // every worker is busy: wait for one
+				continue
 			}
-		}()
+			started++
+			workers.Add(1)
+			go func(first request) {
+				defer workers.Done()
+				n.handle(conn, &writeMu, first)
+				for req := range work {
+					n.handle(conn, &writeMu, req)
+				}
+			}(req)
+		}
+	}
+}
+
+// handle answers one request on conn and writes the reply under writeMu.
+func (n *tcpNode) handle(conn net.Conn, writeMu *sync.Mutex, req request) {
+	defer readBufPool.Put(req.buf)
+	met := n.fabric.met.Load()
+	// The wait Serve weighs against the budget is the frame's time in the
+	// pipeline — waiting for a worker — since it came off the socket.
+	reply := Serve(n.handler, req.frame, time.Since(req.frame.ReceivedAt), met)
+	writeMu.Lock()
+	_, err := wire.WriteFrame(conn, reply)
+	writeMu.Unlock()
+	if err == nil {
+		met.Sent(&reply)
 	}
 }
 

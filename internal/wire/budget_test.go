@@ -112,8 +112,8 @@ func TestFrameV1Refused(t *testing.T) {
 		if _, _, err := Decode(data); !errors.Is(err, ErrFrameVersion) {
 			t.Errorf("%s: Decode error = %v, want ErrFrameVersion", name, err)
 		}
-		if _, err := ReadFrame(bytes.NewReader(data)); !errors.Is(err, ErrFrameVersion) {
-			t.Errorf("%s: ReadFrame error = %v, want ErrFrameVersion", name, err)
+		if _, _, err := NewReader(bytes.NewReader(data)).Next(nil); !errors.Is(err, ErrFrameVersion) {
+			t.Errorf("%s: Reader.Next error = %v, want ErrFrameVersion", name, err)
 		}
 	}
 }

@@ -80,18 +80,69 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzReadFrame feeds arbitrary bytes to the streaming reader: no panics,
 // no over-reads, and hostile length prefixes must be rejected before any
-// large allocation.
+// large allocation. An accepted first frame is also replayed as a stream —
+// the frame, copies of it under other names, then the rest of the input —
+// and every frame one Reader reads back to back, into reused scratch, must
+// equal Decode of the same bytes: a stale remembered From or To fails it.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
+	var stream []byte
+	for _, fr := range []Frame{
+		{Kind: KindPost, From: "dock-a:1", To: "dock-b:2", Seq: 1, Payload: []byte("one")},
+		{Kind: KindPostConfirm, From: "dock-b:2", To: "dock-a:1", Seq: 1},
+		{Kind: "app.kind", From: "dock-b:2", To: "dock-c:3", Seq: 2, Payload: []byte("two")},
+	} {
+		data, err := Encode(fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		stream = append(stream, data...)
+	}
+	f.Add(stream)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := ReadFrame(bytes.NewReader(data))
+		fr, _, err := NewReader(bytes.NewReader(data)).Next(nil)
 		if err != nil {
 			return
 		}
 		if fr.EncodedSize() > len(data) {
 			t.Fatalf("accepted frame of size %d from %d input bytes", fr.EncodedSize(), len(data))
+		}
+		_, n, err := Decode(data)
+		if err != nil {
+			t.Fatalf("Reader accepted a frame Decode refuses: %v", err)
+		}
+		stream := append([]byte(nil), data[:n]...)
+		for _, names := range [][2]string{{fr.To, fr.From + "'"}, {fr.From, fr.To}, {"", fr.To + "'"}} {
+			g := fr
+			g.From, g.To = names[0], names[1]
+			if stream, err = appendFrame(stream, &g); err != nil {
+				return
+			}
+		}
+		stream = append(stream, data[n:]...)
+		r := NewReader(bytes.NewReader(stream))
+		var scratch []byte
+		for off := 0; ; {
+			want, m, derr := Decode(stream[off:])
+			var got Frame
+			var rerr error
+			got, scratch, rerr = r.Next(scratch)
+			if derr != nil {
+				if rerr == nil {
+					t.Fatalf("at %d: Reader accepted %+v where Decode failed: %v", off, got, derr)
+				}
+				return
+			}
+			if rerr != nil {
+				t.Fatalf("at %d: Reader failed where Decode accepted: %v", off, rerr)
+			}
+			if got.Kind != want.Kind || got.From != want.From || got.To != want.To ||
+				got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("at %d: Reader read %+v, Decode %+v", off, got, want)
+			}
+			off += m
 		}
 	})
 }

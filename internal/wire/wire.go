@@ -31,6 +31,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -291,10 +292,25 @@ func readString(b []byte) (string, []byte, error) {
 	return string(p), rest, err
 }
 
+// readName consumes one length-prefixed name from b. When the bytes spell
+// *last it returns *last without allocating; otherwise the new name is
+// stored there for the next frame.
+func readName(b []byte, last *string) (string, []byte, error) {
+	p, rest, err := DecBytes(b)
+	if err != nil {
+		return "", rest, err
+	}
+	if string(p) != *last {
+		*last = string(p)
+	}
+	return *last, rest, nil
+}
+
 // decodeBody parses the frame body (header + payload, no length word).
 // The returned frame's Payload aliases body. A table kind decodes to the
-// table's own constant, so it allocates nothing.
-func decodeBody(body []byte) (Frame, error) {
+// table's own constant, so it allocates nothing; From and To reuse *from
+// and *to when their bytes match (see readName).
+func decodeBody(body []byte, from, to *string) (Frame, error) {
 	var f Frame
 	if len(body) == 0 || int(body[0]) >= len(kindTable) {
 		return Frame{}, ErrMalformed
@@ -309,10 +325,10 @@ func decodeBody(body []byte) (Frame, error) {
 		}
 		f.Kind = Kind(kind)
 	}
-	if f.From, rest, err = readString(rest); err != nil {
+	if f.From, rest, err = readName(rest, from); err != nil {
 		return Frame{}, err
 	}
-	if f.To, rest, err = readString(rest); err != nil {
+	if f.To, rest, err = readName(rest, to); err != nil {
 		return Frame{}, err
 	}
 	if f.Seq, rest, err = decodeSeq(rest); err != nil {
@@ -339,7 +355,8 @@ func Decode(data []byte) (Frame, int, error) {
 	if len(data)-4 < n {
 		return Frame{}, 0, ErrTruncated
 	}
-	f, err := decodeBody(data[4 : 4+n])
+	var from, to string
+	f, err := decodeBody(data[4:4+n], &from, &to)
 	if err != nil {
 		return Frame{}, 0, err
 	}
@@ -372,48 +389,54 @@ func PoolCounters() (gets, misses int64) {
 const maxPooledBuf = 64 << 10
 
 // WriteFrame writes the frame's wire form to w using a pooled buffer, so
-// steady-state writes do not allocate.
-func WriteFrame(w io.Writer, f Frame) error {
+// steady-state writes do not allocate. It returns the bytes written: a
+// failed write that wrote none left the stream as it was.
+func WriteFrame(w io.Writer, f Frame) (int, error) {
 	encBufGets.Add(1)
 	bp := encBufPool.Get().(*[]byte)
 	buf, err := appendFrame((*bp)[:0], &f)
 	if err != nil {
 		encBufPool.Put(bp)
-		return err
+		return 0, err
 	}
-	_, werr := w.Write(buf)
+	n, err := w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf[:0]
 		encBufPool.Put(bp)
 	}
-	return werr
+	return n, err
 }
 
-// ReadFrame reads one frame from r. The frame's payload is freshly
-// allocated and owned by the caller.
-func ReadFrame(r io.Reader) (Frame, error) {
-	f, _, err := readFrame(r, nil)
-	return f, err
+// Reader reads the frames of one stream — a connection's inbound half.
+// It buffers the stream, so a small frame costs one read of the underlying
+// reader rather than two, and it remembers the last From and To it decoded:
+// a connection carries one peer's frames, so their names decode without
+// allocating. A Reader is for one goroutine.
+type Reader struct {
+	r        *bufio.Reader
+	hdr      [4]byte
+	from, to string
 }
 
-// ReadFrameReuse reads one frame from r into scratch, growing it as needed,
-// and returns the (possibly reallocated) scratch for the next call. The
-// returned frame's Payload aliases scratch, so the frame is only valid
-// until the next ReadFrameReuse with the same buffer — the pattern used by
-// transport loops that fully consume each frame before reading the next.
-func ReadFrameReuse(r io.Reader, scratch []byte) (Frame, []byte, error) {
-	return readFrame(r, scratch)
+// NewReader returns a Reader over r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r)}
 }
 
-// readFrame reads the length prefix and body from r. With a nil scratch a
-// fresh body buffer is allocated per call; otherwise scratch is reused and
-// grown geometrically.
-func readFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
+// Next reads the next frame into scratch, growing it as needed, and returns
+// the (possibly reallocated) scratch for the next call. The frame's Payload
+// aliases scratch, so it is valid only until scratch is reused; a caller
+// that hands the payload on passes a nil scratch and gets a fresh buffer.
+// A stream that ends between frames reports io.EOF, one that ends inside a
+// frame ErrTruncated.
+func (r *Reader) Next(scratch []byte) (Frame, []byte, error) {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return Frame{}, scratch, ErrTruncated
+		}
 		return Frame{}, scratch, err
 	}
-	n, err := bodyLength(binary.BigEndian.Uint32(lenbuf[:]))
+	n, err := bodyLength(binary.BigEndian.Uint32(r.hdr[:]))
 	if err != nil {
 		return Frame{}, scratch, err
 	}
@@ -421,13 +444,13 @@ func readFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
 		scratch = make([]byte, n)
 	}
 	body := scratch[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := io.ReadFull(r.r, body); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 			return Frame{}, scratch, ErrTruncated
 		}
 		return Frame{}, scratch, err
 	}
-	f, err := decodeBody(body)
+	f, err := decodeBody(body, &r.from, &r.to)
 	if err != nil {
 		return Frame{}, scratch, err
 	}

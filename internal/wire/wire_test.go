@@ -95,24 +95,25 @@ func TestReadWriteFrame(t *testing.T) {
 	var buf bytes.Buffer
 	a, _ := NewFrame(KindPost, "x", "y", &testBody{Name: "1"})
 	b, _ := NewFrame(KindPostConfirm, "y", "x", &testBody{Name: "2"})
-	if err := WriteFrame(&buf, a); err != nil {
+	if _, err := WriteFrame(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, b); err != nil {
+	if _, err := WriteFrame(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	ra, err := ReadFrame(&buf)
+	r := NewReader(&buf)
+	ra, _, err := r.Next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ReadFrame(&buf)
+	rb, _, err := r.Next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.Kind != KindPost || rb.Kind != KindPostConfirm {
 		t.Fatalf("stream order broken: %v %v", ra.Kind, rb.Kind)
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, _, err := r.Next(nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF at end of stream, got %v", err)
 	}
 }
@@ -120,14 +121,14 @@ func TestReadWriteFrame(t *testing.T) {
 func TestReadFrameTruncatedBody(t *testing.T) {
 	f, _ := NewFrame(KindPost, "a", "b", &testBody{Data: make([]byte, 100)})
 	data, _ := Encode(f)
-	r := bytes.NewReader(data[:len(data)-10])
-	if _, err := ReadFrame(r); !errors.Is(err, ErrTruncated) {
+	r := NewReader(bytes.NewReader(data[:len(data)-10]))
+	if _, _, err := r.Next(nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
 
 func TestReadFrameRejectsHostileLength(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader(lengthWord(MaxFrameSize + 1))); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := NewReader(bytes.NewReader(lengthWord(MaxFrameSize + 1))).Next(nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 }
@@ -237,7 +238,7 @@ func TestEncodeRejectsOversizedBody(t *testing.T) {
 	if _, err := Encode(f); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
-	if err := WriteFrame(io.Discard, f); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := WriteFrame(io.Discard, f); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("WriteFrame: want ErrFrameTooLarge, got %v", err)
 	}
 }
@@ -270,22 +271,23 @@ func TestReadFrameReuse(t *testing.T) {
 		{Kind: KindReport, From: "x", To: "z", Seq: 3},
 	}
 	for _, f := range want {
-		if err := WriteFrame(&buf, f); err != nil {
+		if _, err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
 	}
+	r := NewReader(&buf)
 	var scratch []byte
 	for i, w := range want {
-		got, grown, err := ReadFrameReuse(&buf, scratch)
+		got, grown, err := r.Next(scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		scratch = grown
-		if got.Kind != w.Kind || got.Seq != w.Seq || !bytes.Equal(got.Payload, w.Payload) {
+		if got.Kind != w.Kind || got.From != w.From || got.To != w.To || got.Seq != w.Seq || !bytes.Equal(got.Payload, w.Payload) {
 			t.Fatalf("frame %d mismatch: %+v", i, got)
 		}
 	}
-	if _, _, err := ReadFrameReuse(&buf, scratch); !errors.Is(err, io.EOF) {
+	if _, _, err := r.Next(scratch); !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -298,7 +300,7 @@ func TestWriteFrameConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				if err := WriteFrame(io.Discard, f); err != nil {
+				if _, err := WriteFrame(io.Discard, f); err != nil {
 					done <- err
 					return
 				}
@@ -404,15 +406,16 @@ func TestErrorCodec(t *testing.T) {
 func BenchmarkStreamWriteRead(b *testing.B) {
 	f := Frame{Kind: KindPost, From: "station", To: "device-7", Seq: 42, Payload: make([]byte, 1024)}
 	var buf bytes.Buffer
+	r := NewReader(&buf)
 	var scratch []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteFrame(&buf, f); err != nil {
+		if _, err := WriteFrame(&buf, f); err != nil {
 			b.Fatal(err)
 		}
 		var err error
-		if _, scratch, err = ReadFrameReuse(&buf, scratch); err != nil {
+		if _, scratch, err = r.Next(scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
