@@ -73,10 +73,14 @@ verify:
 # mail (TestFreeRunningChaseExactlyOnce), plus the end report that must
 # reach the owner's listener once when its first attempt is dropped,
 # loses its reply or is duplicated, and when a lost transfer ack holds the
-# origin copy (TestEndReportExactlyOnce), plus ten runs of E5's location
+# origin copy (TestEndReportExactlyOnce), plus fifty runs of E5's location
 # modes, whose frame, lookup and invalidation-notice counts are pinned
-# exactly and must not depend on the goroutine schedule (TestLocationModes),
-# plus twenty runs of the TCP mux's late-reply race, where calls that give
+# exactly and must not depend on the goroutine schedule — a post's
+# confirmation racing the target's migration notice among them
+# (TestLocationModes), plus twenty runs of the warm tour's call budget, whose
+# meters are read only once the tour's last calls have returned and every
+# hop's origin has recorded its span (TestWarmTourCallBudget), plus twenty
+# runs of the TCP mux's late-reply race, where calls that give
 # up as their replies arrive are interleaved with calls that wait on one
 # connection and every answered call must get its own reply, never one
 # that landed in a pooled reply slot late (TestLateReplyNeverReachesAnotherCall).
@@ -85,7 +89,8 @@ verify:
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
 chaos:
 	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce|TestEndReportExactlyOnce' ./internal/server/
-	go test -race -count=10 -run 'TestLocationModes' ./internal/server/
+	go test -race -count=50 -run 'TestLocationModes' ./internal/server/
+	go test -race -count=20 -run 'TestWarmTourCallBudget' ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 	go test -race -count=20 -run 'TestLateReplyNeverReachesAnotherCall' ./internal/transport/

@@ -101,9 +101,8 @@ func runOverload(ctx context.Context, cfg Config) (*Result, error) {
 		Telemetry:   reg,
 	})
 	dockHandler := func(from string, f wire.Frame) (wire.Frame, error) {
-		hctx, hcancel := f.BudgetContext(context.Background())
-		release, err := gate.Admit(hctx, overload.Classify(f.Kind))
-		hcancel()
+		deadline, _ := f.Deadline()
+		release, err := gate.AdmitBy(deadline, overload.Classify(f.Kind))
 		if err != nil {
 			return wire.Frame{}, err
 		}

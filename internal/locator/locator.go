@@ -350,11 +350,30 @@ func (l *Locator) Miss(nid id.NapletID) bool {
 	return true
 }
 
-// Refresh updates the cache with a location learned out of band (e.g. from
-// a delivery confirmation); this is the paper's "buffered naplet location
+// Refresh updates the cache with a location learned out of band (a
+// migration notice); this is the paper's "buffered naplet location
 // information can be updated on migration".
 func (l *Locator) Refresh(nid id.NapletID, server string) {
 	l.remember(nid, server)
+}
+
+// Confirmed caches where a post that was routed to routed was confirmed:
+// server, the dock that delivered it. It refreshes only an entry that
+// still names routed, or none: a migration notice that landed while the
+// post was in flight put a later dock there, and the notice wins — the
+// confirmation would write back a dock the naplet has already left.
+func (l *Locator) Confirmed(nid id.NapletID, routed, server string) {
+	if !l.Caches() {
+		return
+	}
+	key := nid.Key()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.cache[key]; ok && c.server != routed {
+		return
+	}
+	l.cache[key] = cached{server: server, at: l.clock()}
+	delete(l.misses, key)
 }
 
 func (l *Locator) locateViaDirectory(ctx context.Context, nid id.NapletID) (string, error) {
@@ -414,16 +433,15 @@ func (l *Locator) HandleQuery(from string, f wire.Frame) (wire.Frame, error) {
 	// The home manager only tracks live residents; a naplet that has
 	// retired (or was launched elsewhere) may still have a last-known
 	// location in the directory plane, asked within the caller's
-	// propagated budget and never longer than 3 s.
+	// propagated budget and never longer than 3 s: one context, built
+	// only for this fallback.
 	if !reply.Found && l.cfg.Directory != nil {
-		parent, pcancel := f.BudgetContext(context.Background())
-		ctx, cancel := context.WithTimeout(parent, 3*time.Second)
+		ctx, cancel := context.WithDeadline(context.Background(), f.DeadlineWithin(3*time.Second))
 		if server, err := l.locateViaDirectory(ctx, body.NapletID); err == nil {
 			reply.Found = true
 			reply.Server = server
 		}
 		cancel()
-		pcancel()
 	}
 	return wire.BinaryFrame(wire.KindLocatorReply, f.To, f.From, &reply), nil
 }

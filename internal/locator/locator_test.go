@@ -203,11 +203,56 @@ func TestInvalidateAndRefresh(t *testing.T) {
 	if s := r.s1Loc.Stats(); s.Directory != 2 {
 		t.Fatalf("invalidate not honored: %+v", s)
 	}
-	// Refresh (e.g. from a delivery confirmation) primes the cache.
+	// Refresh (e.g. from a migration notice) primes the cache.
 	r.s1Loc.Refresh(nid, "s8")
 	server, _ := r.s1Loc.Locate(ctx, nid, "")
 	if server != "s8" {
 		t.Fatalf("refresh not used: %q", server)
+	}
+}
+
+// TestConfirmedYieldsToANotice: a delivery confirmation refreshes the
+// cache only where it still names the dock the post was routed to (or
+// holds nothing). A migration notice that landed while the post was in
+// flight names a later dock, and the confirmation — which can only name
+// the dock the naplet was at when the post arrived — must not write the
+// older one back.
+func TestConfirmedYieldsToANotice(t *testing.T) {
+	r := newRig(t, ModeDirectory, time.Minute)
+	ctx := context.Background()
+	cnode, _ := r.net.Attach("reg", func(string, wire.Frame) (wire.Frame, error) { return wire.Frame{}, nil })
+	directory.NewClient(cnode, "dir").Register(ctx, nid, directory.Arrival, "s7", t0)
+	locate := func(want string) {
+		t.Helper()
+		if server, err := r.s1Loc.Locate(ctx, nid, ""); err != nil || server != want {
+			t.Fatalf("Locate = %q, %v; want %q", server, err, want)
+		}
+	}
+
+	locate("s7") // the post is routed to s7
+	r.s1Loc.Refresh(nid, "s9")
+	r.s1Loc.Confirmed(nid, "s7", "s7")
+	locate("s9")
+
+	// A chase that ran past the routed dock refreshes an entry that still
+	// names it.
+	r.s1Loc.Confirmed(nid, "s9", "s10")
+	locate("s10")
+
+	// So does a confirmation with nothing cached: a post routed on its
+	// hint, or one whose entry a notice without a destination dropped.
+	r.s1Loc.Invalidate(nid)
+	r.s1Loc.Confirmed(nid, "s10", "s11")
+	locate("s11")
+	if s := r.s1Loc.Stats(); s.Directory != 1 || s.CacheHits != 3 {
+		t.Fatalf("every location after the first must come from the cache: %+v", s)
+	}
+
+	// Without a cache a confirmation has nothing to refresh.
+	nc := newRig(t, ModeDirectory, 0)
+	nc.s1Loc.Confirmed(nid, "", "s8")
+	if server, _ := nc.s1Loc.Locate(ctx, nid, "hint"); server != "hint" || nc.s1Loc.Stats().CacheHits != 0 {
+		t.Fatalf("a cacheless locator answered %q from a confirmation", server)
 	}
 }
 

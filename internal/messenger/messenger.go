@@ -383,7 +383,7 @@ func (m *Messenger) route(ctx context.Context, msg naplet.Message, hint string) 
 	}
 	m.met.confirmRTT.ObserveDuration(time.Since(start))
 	if m.loc != nil && confirm.Delivered {
-		m.loc.Refresh(msg.To, confirm.Server)
+		m.loc.Confirmed(msg.To, server, confirm.Server)
 	}
 	return confirm, nil
 }
@@ -422,9 +422,14 @@ func (m *Messenger) sendRetry(ctx context.Context, server string, body PostBody)
 
 // send performs one network leg of the post protocol.
 func (m *Messenger) send(ctx context.Context, server string, body PostBody) (ConfirmBody, error) {
-	// A message addressed to a naplet on this very server short-circuits.
+	// A message addressed to a naplet on this very server short-circuits;
+	// a chase from here runs under the caller's ctx.
 	if server == m.server {
-		return m.deliverOrForward(ctx, m.server, body)
+		confirm, dest, err := m.decide(m.server, body)
+		if err != nil || dest == "" {
+			return confirm, err
+		}
+		return m.forward(ctx, body, dest)
 	}
 	f := wire.BinaryFrame(wire.KindPost, "", "", &body)
 	reply, err := m.node.Call(ctx, server, f)
@@ -440,32 +445,36 @@ func (m *Messenger) send(ctx context.Context, server string, body PostBody) (Con
 
 // ---- Receiving ----
 
-// HandlePost is the server's KindPost frame handler.
+// HandlePost is the server's KindPost frame handler. A post delivered or
+// held here is answered without a context; only a chase builds one, with
+// one deadline: the poster's propagated budget (if the frame carries one),
+// bounded by forwardTimeout — a chase has no business outliving the caller
+// waiting on it.
 func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 	var body PostBody
 	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
-	// The forwarding context inherits the poster's propagated budget (if
-	// the frame carries one), additionally bounded by forwardTimeout —
-	// a chase has no business outliving the caller waiting on it.
-	parent, pcancel := f.BudgetContext(context.Background())
-	defer pcancel()
-	ctx, cancel := context.WithTimeout(parent, forwardTimeout)
-	defer cancel()
-	confirm, err := m.deliverOrForward(ctx, from, body)
+	confirm, dest, err := m.decide(from, body)
+	if err == nil && dest != "" {
+		ctx, cancel := context.WithDeadline(context.Background(), f.DeadlineWithin(forwardTimeout))
+		confirm, err = m.forward(ctx, body, dest)
+		cancel()
+	}
 	if err != nil {
 		return wire.Frame{}, err
 	}
 	return wire.BinaryFrame(wire.KindPostConfirm, f.To, f.From, &confirm), nil
 }
 
-// deliverOrForward applies the paper's three delivery cases at this server
-// to a post sent by from. The decision is taken under m.mu: the post goes
-// into the naplet's slot, open or held, or — with no slot here and a visit
-// trace saying the naplet left — chases it. Lock order is messenger, then
-// manager.
-func (m *Messenger) deliverOrForward(ctx context.Context, from string, body PostBody) (ConfirmBody, error) {
+// decide applies the paper's three delivery cases at this server to a post
+// sent by from. The decision is taken under m.mu: the post goes into the
+// naplet's slot, open or held, and decide returns its confirmation — or,
+// with no slot here and a visit trace saying the naplet left, decide
+// returns the server to chase it to (case 2), and the caller forwards the
+// post there. A trace that ends here, or a chase past maxHops, is an
+// error. Lock order is messenger, then manager.
+func (m *Messenger) decide(from string, body PostBody) (confirm ConfirmBody, dest string, err error) {
 	msg := body.Msg
 	m.mu.Lock()
 	if msg.ID != "" && m.delivered.Seen(msg.ID) {
@@ -473,7 +482,7 @@ func (m *Messenger) deliverOrForward(ctx context.Context, from string, body Post
 		// frame: absorb and re-confirm it without a second delivery.
 		m.mu.Unlock()
 		m.met.reconfirmed.Inc()
-		return ConfirmBody{Delivered: true, Server: m.server, Hops: body.Hops}, nil
+		return ConfirmBody{Delivered: true, Server: m.server, Hops: body.Hops}, "", nil
 	}
 	key := msg.To.Key()
 	mb, ok := m.slots[key]
@@ -482,7 +491,13 @@ func (m *Messenger) deliverOrForward(ctx context.Context, from string, body Post
 			// Case 2: the naplet moved on (or ended) here.
 			if tr := m.mgr.TraceNaplet(msg.To); tr.Known && !tr.Present {
 				m.mu.Unlock()
-				return m.forward(ctx, body, tr.Dest)
+				if tr.Dest == "" {
+					return ConfirmBody{}, "", fmt.Errorf("%w: %s", ErrNapletGone, msg.To)
+				}
+				if body.Hops+1 > maxHops {
+					return ConfirmBody{}, "", fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
+				}
+				return ConfirmBody{}, tr.Dest, nil
 			}
 		}
 		// Case 3: not landed yet — hold the mail in a new slot.
@@ -492,19 +507,12 @@ func (m *Messenger) deliverOrForward(ctx context.Context, from string, body Post
 	delivered := m.deposit(mb, msg)
 	m.noteCorrespondent(mb, from)
 	m.mu.Unlock()
-	return ConfirmBody{Delivered: delivered, Held: !delivered, Server: m.server, Hops: body.Hops}, nil
+	return ConfirmBody{Delivered: delivered, Held: !delivered, Server: m.server, Hops: body.Hops}, "", nil
 }
 
 // forward chases a naplet that left this server for dest along its visit
-// trace (case 2); an empty dest means its life cycle ended here.
+// trace (case 2), as decide found.
 func (m *Messenger) forward(ctx context.Context, body PostBody, dest string) (ConfirmBody, error) {
-	to := body.Msg.To
-	if dest == "" {
-		return ConfirmBody{}, fmt.Errorf("%w: %s", ErrNapletGone, to)
-	}
-	if body.Hops+1 > maxHops {
-		return ConfirmBody{}, fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
-	}
 	m.met.forwarded.Inc()
 	next := PostBody{Msg: body.Msg, Hops: body.Hops + 1}
 	confirm, err := m.sendRetry(ctx, dest, next)
@@ -512,7 +520,7 @@ func (m *Messenger) forward(ctx context.Context, body PostBody, dest string) (Co
 		// The chase ran past dest: compress this server's forwarding
 		// pointer so the next message through here jumps straight to
 		// where the naplet actually is.
-		m.mgr.CompressTrace(to, confirm.Server)
+		m.mgr.CompressTrace(body.Msg.To, confirm.Server)
 		m.met.compressed.Inc()
 	}
 	return confirm, err

@@ -36,8 +36,14 @@ func newRig(t *testing.T, servers ...string) *rig {
 // newRigTTL is newRig with every locator caching for ttl.
 func newRigTTL(t *testing.T, ttl time.Duration, servers ...string) *rig {
 	t.Helper()
+	return newRigOn(t, netsim.New(netsim.Config{}), ttl, servers...)
+}
+
+// newRigOn is newRigTTL on the network net.
+func newRigOn(t *testing.T, net *netsim.Network, ttl time.Duration, servers ...string) *rig {
+	t.Helper()
 	r := &rig{
-		net:  netsim.New(netsim.Config{}),
+		net:  net,
 		mgrs: make(map[string]*manager.Manager),
 		locs: make(map[string]*locator.Locator),
 		msgr: make(map[string]*Messenger),
@@ -441,6 +447,75 @@ func TestSelfServerShortCircuit(t *testing.T) {
 	// No frames crossed the network.
 	if r.net.TotalStats().FramesSent != 0 {
 		t.Fatalf("local delivery used the network: %+v", r.net.TotalStats())
+	}
+}
+
+// TestNoticeDuringPostSurvivesConfirmation: a migration notice that
+// reaches the poster's dock while its post is in flight wins over the
+// post's confirmation, which names the dock the naplet has just left. The
+// notice is installed deterministically from inside the delivery: the
+// system message is cast onto the naplet at sb, and the sink refreshes
+// sa's cache as the departure's notice would.
+func TestNoticeDuringPostSurvivesConfirmation(t *testing.T) {
+	r := newRigTTL(t, time.Minute, "sa", "sb", "sc")
+	b := r.land(t, "b", "sb", "sb")
+	notice := false
+	r.msgr["sb"].SetInterruptSink(func(to id.NapletID, _ naplet.Message) bool {
+		if notice {
+			r.locs["sa"].Refresh(to, "sc")
+		}
+		return true
+	})
+	ctx := context.Background()
+	sa := r.msgr["sa"]
+	cached := func(want string) {
+		t.Helper()
+		hits := r.locs["sa"].Stats().CacheHits
+		if server, err := r.locs["sa"].Locate(ctx, b.ID, ""); err != nil || server != want {
+			t.Fatalf("sa locates b at %q (%v), want %q", server, err, want)
+		}
+		if r.locs["sa"].Stats().CacheHits != hits+1 {
+			t.Fatalf("sa's answer %q did not come from its cache", want)
+		}
+	}
+
+	// A confirmation with nothing cached fills the cache.
+	if err := sa.SendControl(ctx, b.ID, naplet.ControlCallback, "sb"); err != nil {
+		t.Fatal(err)
+	}
+	cached("sb")
+
+	// The notice lands between routing (to sb, from the cache) and the
+	// confirmation from sb.
+	notice = true
+	if err := sa.SendControl(ctx, b.ID, naplet.ControlCallback, "sb"); err != nil {
+		t.Fatal(err)
+	}
+	cached("sc")
+}
+
+// TestChaseGivesUpWithinThePostersBudget: a chase inherits the budget the
+// post's frame carries. Chased to a dock behind a link that takes a minute,
+// a post that came with 50 ms gives up after about 50 ms, not after the
+// messenger's own forwardTimeout.
+func TestChaseGivesUpWithinThePostersBudget(t *testing.T) {
+	r := newRigOn(t, netsim.New(netsim.Config{TimeScale: 1}), 0, "sa", "sb", "sc")
+	b := r.land(t, "b", "sb", "sb")
+	r.move(t, b, "sb", "sc")
+	r.net.SetLink("sb", "sc", netsim.Link{Latency: time.Minute})
+
+	const budget = 50 * time.Millisecond
+	f := racePost(0, b.ID)
+	f.Seq = wire.PackBudget(1, budget)
+	f.ReceivedAt = time.Now()
+	start := time.Now()
+	_, err := r.msgr["sb"].HandlePost("sa", f)
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("a chase over a stalled link was confirmed")
+	}
+	if took < budget || took > 2*time.Second {
+		t.Fatalf("chase gave up after %v (%v), want about the %v budget", took, err, budget)
 	}
 }
 

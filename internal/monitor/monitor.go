@@ -196,9 +196,8 @@ func (m *Monitor) Admit(nid id.NapletID, policy Policy) (*Group, error) {
 		monitor: m,
 		ctx:     ctx,
 		cancel:  cancel,
-		resume:  make(chan struct{}),
+		resume:  running,
 	}
-	close(g.resume) // not suspended
 	m.groups[key] = g
 	m.met.Load().admitted()
 	if m.killing.Load() {
@@ -284,7 +283,10 @@ type Group struct {
 
 	stateMu sync.Mutex
 	state   GroupState
-	resume  chan struct{} // closed when running; replaced open on suspend
+	// resume is closed while the group runs: the shared running channel
+	// until a Suspend puts a fresh open one of the group's own in its
+	// place, which Resume closes.
+	resume chan struct{}
 
 	cpu       atomic.Int64 // nanoseconds
 	mem       atomic.Int64
@@ -297,6 +299,14 @@ type Group struct {
 	onInterrupt func(naplet.Message)
 	pendingIntr []naplet.Message
 }
+
+// running is the resume channel every group that runs unsuspended shares:
+// closed once, never replaced, so admitting a group makes no channel.
+var running = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // maxPendingInterrupts bounds interrupts queued before a handler exists.
 const maxPendingInterrupts = 16
@@ -409,18 +419,23 @@ func (g *Group) evacuating() bool {
 	return g.evacuated.Load() && !g.killed.Load()
 }
 
-// waitResumed blocks while the group is suspended.
+// waitResumed blocks while the group is suspended. A running group
+// returns on the closed channel alone, without asking its context for a
+// Done channel it would otherwise build.
 func (g *Group) waitResumed() error {
-	for {
-		g.stateMu.Lock()
-		ch := g.resume
-		g.stateMu.Unlock()
-		select {
-		case <-ch:
-			return nil
-		case <-g.ctx.Done():
-			return g.ctx.Err()
-		}
+	g.stateMu.Lock()
+	ch := g.resume
+	g.stateMu.Unlock()
+	select {
+	case <-ch:
+		return nil
+	default:
+	}
+	select {
+	case <-ch:
+		return nil
+	case <-g.ctx.Done():
+		return g.ctx.Err()
 	}
 }
 

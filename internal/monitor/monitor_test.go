@@ -166,6 +166,61 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
+// TestSuspendIsPerGroup: running groups share one resume channel, so a
+// suspension must not reach past its own group. Suspending one leaves
+// another running, each Resume releases only its own group, and a group
+// admitted afterwards runs unsuspended.
+func TestSuspendIsPerGroup(t *testing.T) {
+	m := New(0, nil)
+	g1, _ := m.Admit(nid(t, "a"), Policy{})
+	g2, _ := m.Admit(nid(t, "b"), Policy{})
+	checkpoint := func(g *Group) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- g.Checkpoint() }()
+		return done
+	}
+	blocked := func(done <-chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("%s passed its checkpoint (%v)", what, err)
+		case <-time.After(30 * time.Millisecond):
+		}
+	}
+	passes := func(done <-chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked", what)
+		}
+	}
+
+	g1.Suspend()
+	w1 := checkpoint(g1)
+	passes(checkpoint(g2), "g2 while g1 is suspended")
+	blocked(w1, "suspended g1")
+
+	g2.Suspend()
+	w2 := checkpoint(g2)
+	g1.Resume()
+	passes(w1, "g1 after its resume")
+	blocked(w2, "g2 after g1's resume")
+	g1.Resume() // a second resume closes nothing twice
+	blocked(w2, "g2 after g1's second resume")
+	g2.Resume()
+	passes(w2, "g2 after its resume")
+
+	g3, _ := m.Admit(nid(t, "c"), Policy{})
+	passes(checkpoint(g3), "a group admitted after the suspensions")
+	if g1.State() != StateRunning || g2.State() != StateRunning || g3.State() != StateRunning {
+		t.Fatalf("states %v %v %v, want all running", g1.State(), g2.State(), g3.State())
+	}
+}
+
 func TestCheckpoint(t *testing.T) {
 	m := New(0, nil)
 	g, _ := m.Admit(nid(t, "a"), Policy{})

@@ -159,13 +159,31 @@ func NewGate(cfg GateConfig) *Gate {
 	return g
 }
 
-// Admit asks the gate for permission to run a request of the given
-// class. On admission it returns a release func the caller must invoke
-// when the request finishes (idempotent). On shed it returns a typed
-// error: ErrOverloaded for capacity sheds, ErrDeadlinePast when the
-// caller's budget (ctx deadline) expired in the queue. A nil gate
+// AdmitBy asks the gate for permission to run a request of the given
+// class whose caller gives up at deadline (zero: the caller sent no
+// budget). It is the serving side's admission: a frame carries its
+// deadline, not a context, and a request that finds a free slot builds
+// nothing — only one that has to queue arms a timer, for MaxWait or until
+// the deadline, whichever comes first. On admission it returns a release
+// func the caller must invoke when the request finishes (idempotent). On
+// shed it returns a typed error: ErrOverloaded for capacity sheds,
+// ErrDeadlinePast when the deadline passes in the queue. A nil gate
 // admits everything.
+func (g *Gate) AdmitBy(deadline time.Time, class Class) (func(), error) {
+	return g.admit(context.Background(), class, deadline)
+}
+
+// Admit is AdmitBy for a caller that holds a context: the context's
+// deadline bounds the wait, and a cancel in the queue sheds the request
+// as ReasonCanceled.
 func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
+	deadline, _ := ctx.Deadline()
+	return g.admit(ctx, class, deadline)
+}
+
+// admit is the one admission path. ctx is watched only while the request
+// queues; context.Background, whose Done is nil, watches nothing.
+func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func(), error) {
 	if g == nil {
 		return func() {}, nil
 	}
@@ -203,8 +221,20 @@ func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
 		return nil, g.shedLocked(ReasonQueueDelay, ErrOverloaded)
 	}
 
+	// One timer bounds the wait: MaxWait, or the caller's deadline when
+	// that comes first — and then its firing is the budget running out.
+	wait, budgeted := g.cfg.MaxWait, false
+	if !deadline.IsZero() {
+		if left := time.Until(deadline); left < wait {
+			wait, budgeted = left, true
+		}
+	}
+	if budgeted && wait <= 0 {
+		<-g.room
+		return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
+	}
 	enqueued := g.cfg.Clock()
-	timer := time.NewTimer(g.cfg.MaxWait)
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
 	case g.slots <- struct{}{}:
@@ -218,6 +248,9 @@ func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
 		return nil, g.shedLocked(ReasonCanceled, ErrOverloaded)
 	case <-timer.C:
 		<-g.room
+		if budgeted {
+			return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
+		}
 		return nil, g.shedLocked(ReasonQueueTimeout, ErrOverloaded)
 	}
 }

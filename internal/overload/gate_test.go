@@ -185,6 +185,74 @@ func TestGateCanceledInQueue(t *testing.T) {
 	}
 }
 
+// TestGateAdmitByDeadline: a frame's deadline bounds its wait in the
+// queue the way a context's does. Before MaxWait it is the budget that
+// ran out (ErrDeadlinePast); after MaxWait, or with no deadline at all,
+// MaxWait is what ends the wait (ErrOverloaded, queue-timeout).
+func TestGateAdmitByDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxWait  time.Duration
+		deadline func() time.Time
+		want     error
+		reason   string
+	}{
+		{"before-maxwait", time.Minute, func() time.Time { return time.Now().Add(10 * time.Millisecond) }, ErrDeadlinePast, ReasonBudgetExpired},
+		{"already-past", time.Minute, func() time.Time { return time.Now().Add(-time.Millisecond) }, ErrDeadlinePast, ReasonBudgetExpired},
+		{"after-maxwait", 20 * time.Millisecond, func() time.Time { return time.Now().Add(time.Minute) }, ErrOverloaded, ReasonQueueTimeout},
+		{"none", 20 * time.Millisecond, func() time.Time { return time.Time{} }, ErrOverloaded, ReasonQueueTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGate(GateConfig{MaxInFlight: 1, MaxWait: tc.maxWait})
+			release, err := g.AdmitBy(time.Time{}, ClassBulk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			start := time.Now()
+			if _, err := g.AdmitBy(tc.deadline(), ClassBulk); !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			if waited := time.Since(start); waited > 10*time.Second {
+				t.Fatalf("shed after %v", waited)
+			}
+			st := g.Stats()
+			if st.Shed[tc.reason] != 1 || st.TotalShed() != 1 {
+				t.Fatalf("shed %v, want one %s", st.Shed, tc.reason)
+			}
+			if st.Queued != 0 {
+				t.Fatalf("a shed request still holds room: %d queued", st.Queued)
+			}
+		})
+	}
+}
+
+// TestGateAdmitByFastPathArmsNoTimer: a request that finds a free slot
+// allocates what its release func takes and nothing more — no timer, no
+// context — whatever its deadline. Only a request that queues pays for a
+// timer.
+func TestGateAdmitByFastPathArmsNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := NewGate(GateConfig{MaxInFlight: 1})
+	deadline := time.Now().Add(time.Hour)
+	bare := testing.AllocsPerRun(100, func() {
+		release, _ := g.AdmitBy(time.Time{}, ClassBulk)
+		release()
+	})
+	budgeted := testing.AllocsPerRun(100, func() {
+		release, _ := g.AdmitBy(deadline, ClassBulk)
+		release()
+	})
+	if budgeted != bare || bare > 2 {
+		t.Fatalf("fast path allocates %.0f with a deadline, %.0f without; want the release func's 2 at most, equal", budgeted, bare)
+	}
+	if st := g.Stats(); st.BulkAdmitted != 202 || st.TotalShed() != 0 {
+		t.Fatalf("fast path: %+v", st)
+	}
+}
+
 func TestGateDroppingMode(t *testing.T) {
 	clk := newFakeClock()
 	g := NewGate(GateConfig{

@@ -540,10 +540,10 @@ func (s *Server) handle(from string, f wire.Frame) (wire.Frame, error) {
 	// passes straight through, bulk (migrations, mail, code transfer)
 	// queues behind a bounded in-flight window and is shed — with a typed,
 	// retryable error — when the queue backs up past the delay target or
-	// the caller's propagated budget runs out while waiting.
-	ctx, cancel := f.BudgetContext(context.Background())
-	release, err := s.gate.Admit(ctx, overload.Classify(f.Kind))
-	cancel()
+	// the caller's propagated budget runs out while waiting. The gate
+	// reads the frame's deadline; only a request that queues arms a timer.
+	deadline, _ := f.Deadline()
+	release, err := s.gate.AdmitBy(deadline, overload.Classify(f.Kind))
 	if err != nil {
 		return wire.Frame{}, err
 	}

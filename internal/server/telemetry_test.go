@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -56,7 +57,18 @@ func TestRoundTripItineraryHopSpans(t *testing.T) {
 	}
 	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
 
-	spans := tracer.Spans(nid.Key())
+	// An origin records its hop's span once the transfer's ack is back, so
+	// the owner can hear of the end first, and a later hop's span can be
+	// recorded before an earlier one's: wait for both, and read them in
+	// the order the hops started.
+	var spans []telemetry.HopSpan
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		spans = tracer.Spans(nid.Key())
+		if len(spans) >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 	if len(spans) < 2 {
 		t.Fatalf("spans = %d, want >= 2 (home->s1, s1->s2); all: %+v", len(spans), tracer.All())
 	}

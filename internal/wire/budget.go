@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // Deadline propagation rides inside the Seq field rather than adding a
 // field to Frame. In memory Seq is opaque end to end: the caller assigns
@@ -73,21 +70,33 @@ func (f *Frame) BareSeq() uint64 {
 	return f.Seq & seqMask
 }
 
-// BudgetContext derives the server-side context for handling this
-// frame: with a propagated budget the context carries the deadline
-// ReceivedAt+budget (falling back to now+budget when the fabric did
-// not stamp receipt), otherwise it is just a cancelable child of
-// parent. The caller must call the returned cancel func.
-func (f *Frame) BudgetContext(parent context.Context) (context.Context, context.CancelFunc) {
+// Deadline returns the moment this frame's propagated budget runs out:
+// ReceivedAt plus the budget, measured from now when the fabric did not
+// stamp receipt, so time spent queued before dispatch counts against the
+// caller. A frame without a budget reports false. It builds nothing: a
+// server that waits or chases on the frame's behalf derives its own
+// context from it, and one that answers at once needs none.
+func (f *Frame) Deadline() (time.Time, bool) {
 	d, ok := f.Budget()
 	if !ok {
-		return context.WithCancel(parent)
+		return time.Time{}, false
 	}
 	base := f.ReceivedAt
 	if base.IsZero() {
 		base = time.Now()
 	}
-	return context.WithDeadline(parent, base.Add(d))
+	return base.Add(d), true
+}
+
+// DeadlineWithin returns the frame's deadline, but no later than limit
+// from now: the one deadline a server-side wait made for this frame runs
+// to, the caller's budget bounding a limit the server sets itself.
+func (f *Frame) DeadlineWithin(limit time.Duration) time.Time {
+	at := time.Now().Add(limit)
+	if dl, ok := f.Deadline(); ok && dl.Before(at) {
+		return dl
+	}
+	return at
 }
 
 // sizeSeq returns the encoded size of appendSeq(seq).

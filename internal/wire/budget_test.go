@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -199,26 +198,39 @@ func TestPackBudgetPreservesLowSeqBits(t *testing.T) {
 	}
 }
 
-func TestBudgetContext(t *testing.T) {
+func TestFrameDeadline(t *testing.T) {
 	now := time.Now()
 	f := Frame{Seq: PackBudget(1, 5*time.Second), ReceivedAt: now}
-	ctx, cancel := f.BudgetContext(context.Background())
-	defer cancel()
-	dl, ok := ctx.Deadline()
+	dl, ok := f.Deadline()
 	if !ok {
-		t.Fatal("budget frame must yield a deadline context")
+		t.Fatal("budget frame must yield a deadline")
 	}
 	if want := now.Add(5 * time.Second); !dl.Equal(want) {
 		t.Fatalf("deadline = %v, want %v", dl, want)
 	}
+	// Within a longer limit the frame's deadline stands; a shorter limit
+	// wins over it.
+	if got := f.DeadlineWithin(time.Minute); !got.Equal(dl) {
+		t.Fatalf("DeadlineWithin(1m) = %v, want the frame's %v", got, dl)
+	}
+	if got := f.DeadlineWithin(time.Second); !got.Before(dl) || got.Before(now.Add(time.Second)) {
+		t.Fatalf("DeadlineWithin(1s) = %v, want about now+1s, before %v", got, dl)
+	}
+
+	// Without ReceivedAt the budget runs from now.
+	unstamped := Frame{Seq: PackBudget(1, 5*time.Second)}
+	before := time.Now()
+	dl, ok = unstamped.Deadline()
+	if !ok || dl.Before(before.Add(5*time.Second)) || dl.After(time.Now().Add(5*time.Second)) {
+		t.Fatalf("unstamped deadline = %v, %v; want now+5s", dl, ok)
+	}
 
 	plain := Frame{Seq: 1}
-	pctx, pcancel := plain.BudgetContext(context.Background())
-	if _, ok := pctx.Deadline(); ok {
+	if dl, ok := plain.Deadline(); ok || !dl.IsZero() {
 		t.Fatal("budget-less frame must not invent a deadline")
 	}
-	pcancel()
-	if pctx.Err() == nil {
-		t.Fatal("cancel must cancel the derived context")
+	before = time.Now()
+	if got := plain.DeadlineWithin(time.Second); got.Before(before.Add(time.Second)) || got.After(time.Now().Add(time.Second)) {
+		t.Fatalf("budget-less DeadlineWithin(1s) = %v, want now+1s", got)
 	}
 }

@@ -160,8 +160,8 @@ type Frame struct {
 	// Payload is the encoded operation body, opaque to the frame codec.
 	Payload []byte
 	// ReceivedAt is stamped by the receiving fabric when the frame
-	// comes off the wire; it is not encoded. BudgetContext measures
-	// the propagated budget from it, so time spent queued before
+	// comes off the wire; it is not encoded. Deadline measures the
+	// propagated budget from it, so time spent queued before
 	// dispatch counts against the caller's deadline.
 	ReceivedAt time.Time
 }
