@@ -55,8 +55,9 @@ verify:
 # replies, duplicates, crashes and partitions (TestChaosSeeds), plus the
 # server-death suite that crashes a mid-tour server for real and restarts
 # it from its dock snapshot (TestChaosRestartSeeds), plus the directory
-# suite that kills a shard replica mid-tour and asserts the location plane
-# stays resolvable with exactly-once landings (TestChaosDirectorySeeds),
+# suite that kills a shard replica mid-tour (at the run's 18th call) and
+# asserts the location plane stays resolvable with exactly-once landings
+# (TestChaosDirectorySeeds),
 # plus the fleet suite that crash-kills a dock mid-launch-wave and asserts
 # the master reschedules its launches with exactly-once landings while a
 # slow event subscriber is shed without stalling ingest
@@ -80,6 +81,10 @@ verify:
 # (TestLocationModes), plus twenty runs of the warm tour's call budget, whose
 # meters are read only once the tour's last calls have returned and every
 # hop's origin has recorded its span (TestWarmTourCallBudget), plus twenty
+# runs of the stale-entry chase, where a naplet that registers only on every
+# eighth hop is posted to and controlled at each of 17 stops and every post
+# and control must chase the stale entry to it exactly once, within seven
+# forwards, with no dock left holding mail (TestStaleEntryChase), plus twenty
 # runs of the TCP mux's late-reply race, where calls that give
 # up as their replies arrive are interleaved with calls that wait on one
 # connection and every answered call must get its own reply, never one
@@ -91,6 +96,7 @@ chaos:
 	go test -race -count=1 -run 'TestChaosSeeds|TestChaosRestartSeeds|TestChaosDirectorySeeds|TestChaosOverloadSeeds|TestFreeRunningChaseExactlyOnce|TestEndReportExactlyOnce' ./internal/server/
 	go test -race -count=50 -run 'TestLocationModes' ./internal/server/
 	go test -race -count=20 -run 'TestWarmTourCallBudget' ./internal/server/
+	go test -race -count=20 -run TestStaleEntryChase ./internal/server/
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 	go test -race -count=20 -run 'TestLateReplyNeverReachesAnotherCall' ./internal/transport/

@@ -470,9 +470,12 @@ func footprints(node transport.Node, home string) {
 	}
 }
 
-// locate asks the home server's locator where a naplet currently resides —
-// the same query path peers use, so it exercises the directory plane (and
-// its shard routing, when configured) end to end.
+// locate asks the home server's locator where a naplet was last registered
+// — the same query path peers use, so it exercises the directory plane
+// (and its shard routing, when configured) end to end. A dock registers a
+// naplet where it stays, not at every landing, so a naplet that travels
+// without a word may be up to k-1 hops past that dock; mail to it chases
+// the visit traces from there (DESIGN §12).
 func locate(node transport.Node, home string, args []string) {
 	fs := flag.NewFlagSet("locate", flag.ExitOnError)
 	idStr := fs.String("id", "", "naplet identifier")
@@ -495,7 +498,7 @@ func locate(node transport.Node, home string, args []string) {
 	if !rb.Found {
 		log.Fatalf("napletctl locate: %s: not found", nid)
 	}
-	fmt.Println("resident at:", rb.Server)
+	fmt.Println("last registered at:", rb.Server)
 }
 
 func control(node transport.Node, home string, args []string) {

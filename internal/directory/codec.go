@@ -11,7 +11,8 @@ import (
 // byte is wire.ErrMalformed.
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
-const bodyCodecVersion = 2
+// Version 3 carries a closing dock's forwards in the deregister body.
+const bodyCodecVersion = 3
 
 // A RegisterBody and the Entry inside a ReplyBody carry the same fields in
 // the same layout:
@@ -78,10 +79,19 @@ func (b *LookupBody) Decode(payload []byte) error {
 	return err
 }
 
+// A DeregisterBody is the server and its forwards:
+//
+//	[string server] [uvarint n] n×([NapletID] [string server] [uvarint seq])
+
 // AppendBinary appends the body's binary form to dst.
 func (b *DeregisterBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, bodyCodecVersion)
-	return wire.AppendString(dst, b.Server)
+	dst = wire.AppendString(dst, b.Server)
+	return wire.AppendSeq(dst, b.Moved, func(dst []byte, f Forward) []byte {
+		dst = f.NapletID.AppendBinary(dst)
+		dst = wire.AppendString(dst, f.Server)
+		return wire.AppendUvarint(dst, f.Seq)
+	})
 }
 
 // Decode parses a deregister payload.
@@ -90,8 +100,27 @@ func (b *DeregisterBody) Decode(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	b.Server, _, err = wire.DecString(rest)
-	return err
+	server, rest, err := wire.DecString(rest)
+	if err != nil {
+		return err
+	}
+	moved, _, err := wire.DecSeq(rest, 3, decodeForward)
+	if err != nil {
+		return err
+	}
+	b.Server, b.Moved = server, moved
+	return nil
+}
+
+func decodeForward(b []byte) (f Forward, _ []byte, err error) {
+	if f.NapletID, b, err = id.DecodeBinary(b); err != nil {
+		return Forward{}, nil, err
+	}
+	if f.Server, b, err = wire.DecString(b); err != nil {
+		return Forward{}, nil, err
+	}
+	f.Seq, b, err = wire.DecUvarint(b)
+	return f, b, err
 }
 
 // AppendBinary appends the body's binary form to dst. A not-found reply

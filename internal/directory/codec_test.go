@@ -25,7 +25,7 @@ func codecBodies() (samples []body, zero []func() body) {
 	samples = []body{
 		&RegisterBody{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 9},
 		&LookupBody{NapletID: nid},
-		&DeregisterBody{Server: "s1"},
+		&DeregisterBody{Server: "s1", Moved: []Forward{{NapletID: nid, Server: "s2", Seq: 7}}},
 		&ReplyBody{Found: true, Entry: Entry{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 4}},
 	}
 	zero = []func() body{
@@ -48,15 +48,17 @@ func gobStream(t *testing.T) []byte {
 
 // TestBodiesRejectOldFormats: a payload whose first byte is not the body
 // version — version 1 (whose entries still carried a departure's
-// destination), version 3, a gob stream, nothing — is wire.ErrMalformed and leaves the body untouched; there is no second
-// parser to hand it to.
+// destination), version 2 (whose deregister body carried no forwards),
+// version 4, a gob stream, nothing — is wire.ErrMalformed and leaves the
+// body untouched; there is no second parser to hand it to.
 func TestBodiesRejectOldFormats(t *testing.T) {
 	samples, zero := codecBodies()
 	for i, sample := range samples {
 		good := sample.AppendBinary(nil)
 		for name, payload := range map[string][]byte{
 			"version 1": append([]byte{1}, good[1:]...),
-			"version 3": append([]byte{3}, good[1:]...),
+			"version 2": append([]byte{2}, good[1:]...),
+			"version 4": append([]byte{4}, good[1:]...),
 			"gob":       gobStream(t),
 			"empty":     nil,
 		} {

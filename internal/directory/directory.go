@@ -1,12 +1,13 @@
 // Package directory implements the NapletDirectory of §4.1: the service
 // that tracks the location of naplets.
 //
-// Navigators register ARRIVAL and DEPARTURE events. The registration
-// protocol preserves the paper's invariant: a naplet's execution at a
-// server is postponed until the arrival registration is acknowledged, so
-// the directory always holds current information — if the latest entry for
-// a naplet is a departure it is in transit; if an arrival, it is running at
-// (or about to leave) the registered server.
+// Docks register ARRIVAL events, ordered by the naplet's navigation log:
+// each carries the log's sequence number, which travels with the record and
+// so grows across docks whatever their clocks say. A dock registers a
+// naplet where it stays — on a due hop, or before it first communicates —
+// not at every landing, so an entry may name a dock the naplet has since
+// left; that dock's visit trace forwards mail after it (§4.1's forwarding
+// mode), and a closing dock re-points what it traced before it withdraws.
 //
 // At production scale the directory is not one map behind one mutex. A
 // Service shards its entries over fixed lock stripes so lookups (RLock)
@@ -54,11 +55,12 @@ type Entry struct {
 	NapletID id.NapletID
 	Event    Event
 	Server   string
-	At       time.Time
-	// Seq orders events that share a timestamp: the naplet's navigation-log
-	// event index at registration time. Events race over the network (and
-	// are retried), so At alone cannot order two registrations made within
-	// one clock tick.
+	// At is the registering dock's clock at registration: for display.
+	At time.Time
+	// Seq orders registrations: the naplet's navigation-log event index
+	// at registration time. Registrations race over the network, are
+	// retried and may be made late, and docks' clocks disagree, so the
+	// log's order — not At — decides which one is newer.
 	Seq uint64
 }
 
@@ -79,8 +81,18 @@ type Directory interface {
 	RegisterEvent(ctx context.Context, r Registration) error
 	// Lookup returns the latest registered entry for a naplet.
 	Lookup(ctx context.Context, nid id.NapletID) (Entry, error)
-	// DeregisterServer withdraws every entry pointing at server.
-	DeregisterServer(ctx context.Context, server string) error
+	// DeregisterServer withdraws every entry pointing at server, except
+	// that an entry with a forward in moved — a naplet that left server
+	// alive — is pointed where it went.
+	DeregisterServer(ctx context.Context, server string, moved []Forward) error
+}
+
+// Forward is a closing dock's visit trace for one naplet that left it
+// alive: Server is where it went, Seq the sequence of its arrival there.
+type Forward struct {
+	NapletID id.NapletID
+	Server   string
+	Seq      uint64
 }
 
 // ErrNotFound is reported for naplets with no registration.
@@ -105,9 +117,12 @@ type LookupBody struct {
 
 // DeregisterBody is the wire body of a KindDirDeregister frame: a closing
 // server withdraws every entry that points at its address, so peers stop
-// dispatching naplets and mail at a dead dock.
+// dispatching naplets and mail at a dead dock. Moved carries its visit
+// traces of the naplets that left it alive: an entry still naming the
+// closing server for one of them is re-pointed instead of dropped.
 type DeregisterBody struct {
 	Server string
+	Moved  []Forward
 }
 
 // ReplyBody is the wire body of a KindDirReply frame.
@@ -198,7 +213,7 @@ func (s *Service) Handle(from string, f wire.Frame) (wire.Frame, error) {
 		if err := body.Decode(f.Payload); err != nil {
 			return wire.Frame{}, err
 		}
-		s.DeregisterServer(body.Server)
+		s.DeregisterServer(body.Server, body.Moved)
 		return wire.BinaryFrame(wire.KindDirReply, f.To, f.From, &ReplyBody{Found: true}), nil
 	default:
 		return wire.Frame{}, fmt.Errorf("directory: unexpected frame kind %q", f.Kind)
@@ -206,17 +221,18 @@ func (s *Service) Handle(from string, f wire.Frame) (wire.Frame, error) {
 }
 
 // newer reports whether the incoming event supersedes the stored entry.
-// Events race over the network and are retried, so the rule must be a
-// deterministic total preference — every replica applying any interleaving
-// of the same event set converges on the same entry:
+// Events race over the network, are retried and are made late, so the rule
+// must be a deterministic total preference — every replica applying any
+// interleaving of the same event set converges on the same entry:
 //
-//  1. a later At always wins;
-//  2. at equal At, the higher navigation-log sequence wins.
+//  1. the higher navigation-log sequence wins: the log travels with the
+//     naplet, so its order is the naplet's, whatever the docks' clocks;
+//  2. at equal Seq (a retry, or a launch and a clone birth), the later At.
 func newer(in RegisterBody, cur Entry) bool {
-	if !in.At.Equal(cur.At) {
-		return in.At.After(cur.At)
+	if in.Seq != cur.Seq {
+		return in.Seq > cur.Seq
 	}
-	return in.Seq >= cur.Seq
+	return !in.At.Before(cur.At)
 }
 
 // Register applies one life-cycle event to this node's table. Exported for
@@ -232,16 +248,19 @@ func (s *Service) Register(body RegisterBody) {
 	if ok && !newer(body, cur) {
 		return
 	}
-	if ok && cur.Server != body.Server {
+	st.put(key, cur, ok, Entry(body))
+}
+
+// put stores e under key, moving it in the by-server index from cur (the
+// entry it replaces, if had). st.mu held.
+func (st *stripe) put(key string, cur Entry, had bool, e Entry) {
+	if had && cur.Server != e.Server {
 		st.unindex(cur.Server, key)
 	}
-	if !ok || cur.Server != body.Server {
-		st.index(body.Server, key)
+	if !had || cur.Server != e.Server {
+		st.index(e.Server, key)
 	}
-	st.entries[key] = Entry{
-		NapletID: body.NapletID, Event: body.Event,
-		Server: body.Server, At: body.At, Seq: body.Seq,
-	}
+	st.entries[key] = e
 }
 
 func (st *stripe) index(server, key string) {
@@ -265,10 +284,23 @@ func (st *stripe) unindex(server, key string) {
 // DeregisterServer drops every entry that points at server. A closing dock
 // withdraws its registrations so peers fail fast (and consult fresher
 // information) instead of burning their retry budget on a dead address.
-// The by-server index makes this proportional to the server's own entries.
-func (s *Service) DeregisterServer(server string) {
+// An entry with a forward in moved is re-pointed instead, when it still
+// names server and the forward is not older than it: a naplet that left
+// server alive without registering since stays findable, and a
+// registration newer than the forward still wins. The by-server index makes this proportional to
+// the server's own entries and its forwards.
+func (s *Service) DeregisterServer(server string, moved []Forward) {
 	if server == "" {
 		return
+	}
+	for _, f := range moved {
+		key := f.NapletID.Key()
+		st := s.stripeFor(key)
+		st.mu.Lock()
+		if cur, ok := st.entries[key]; ok && cur.Server == server && f.Seq >= cur.Seq && f.Server != server {
+			st.put(key, cur, true, Entry{NapletID: cur.NapletID, Event: Arrival, Server: f.Server, At: cur.At, Seq: f.Seq})
+		}
+		st.mu.Unlock()
 	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -351,10 +383,8 @@ func (c *Client) Addr() string { return c.addr }
 
 // RegisterEvent reports a life-cycle event to the directory.
 func (c *Client) RegisterEvent(ctx context.Context, r Registration) error {
-	f := wire.BinaryFrame(wire.KindDirRegister, "", "", &RegisterBody{
-		NapletID: r.NapletID, Event: r.Event,
-		Server: r.Server, At: r.At, Seq: r.Seq,
-	})
+	body := RegisterBody(r)
+	f := wire.BinaryFrame(wire.KindDirRegister, "", "", &body)
 	_, err := c.node.Call(ctx, c.addr, f)
 	return err
 }
@@ -365,9 +395,10 @@ func (c *Client) Register(ctx context.Context, nid id.NapletID, event Event, ser
 	return c.RegisterEvent(ctx, Registration{NapletID: nid, Event: event, Server: server, At: at})
 }
 
-// DeregisterServer withdraws every directory entry pointing at server.
-func (c *Client) DeregisterServer(ctx context.Context, server string) error {
-	f := wire.BinaryFrame(wire.KindDirDeregister, "", "", &DeregisterBody{Server: server})
+// DeregisterServer withdraws every directory entry pointing at server,
+// re-pointing those with a forward in moved.
+func (c *Client) DeregisterServer(ctx context.Context, server string, moved []Forward) error {
+	f := wire.BinaryFrame(wire.KindDirDeregister, "", "", &DeregisterBody{Server: server, Moved: moved})
 	_, err := c.node.Call(ctx, c.addr, f)
 	return err
 }

@@ -215,7 +215,7 @@ func BenchmarkPlane(b *testing.B) {
 		}, 1, 1},
 		{"sharded-8x2", node, func() plane {
 			svc := directory.NewService()
-			return plane{svc.Register, svc.Lookup, svc.DeregisterServer}
+			return plane{svc.Register, svc.Lookup, func(server string) { svc.DeregisterServer(server, nil) }}
 		}, planeShards, float64(planeShards) / planeReplicas},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

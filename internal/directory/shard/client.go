@@ -239,16 +239,17 @@ func (c *Client) Lookup(ctx context.Context, nid id.NapletID) (directory.Entry, 
 
 // DeregisterServer withdraws the server's entries from every directory
 // node: a server's naplets are spread across all shards, so the
-// withdrawal broadcasts. Unreachable nodes are reported and skipped — a
-// dead replica rebuilds from fresher registrations when it returns.
-func (c *Client) DeregisterServer(ctx context.Context, server string) error {
+// withdrawal broadcasts, forwards and all (a node applies those whose
+// entries it holds). Unreachable nodes are reported and skipped — a dead
+// replica rebuilds from fresher registrations when it returns.
+func (c *Client) DeregisterServer(ctx context.Context, server string, moved []directory.Forward) error {
 	var lastErr error
 	for _, addr := range c.ring.Nodes() {
 		if c.skip(addr) {
 			continue
 		}
 		err := c.call(ctx, func(ctx context.Context) error {
-			return c.client(addr).DeregisterServer(ctx, server)
+			return c.client(addr).DeregisterServer(ctx, server, moved)
 		})
 		if err != nil {
 			c.reportFailure(addr)

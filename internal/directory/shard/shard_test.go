@@ -308,7 +308,7 @@ func TestDeregisterServerBroadcasts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.DeregisterServer(ctx, "s1"); err != nil {
+	if err := c.DeregisterServer(ctx, "s1", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range r.nodes {

@@ -9,9 +9,8 @@ import (
 	"repro/internal/id"
 )
 
-// At equal At, the higher navigation-log sequence wins, so a
-// retried duplicate of hop N cannot displace hop N+2 registered within the
-// same clock tick.
+// The higher navigation-log sequence wins, so a retried duplicate of hop N
+// cannot displace hop N+2 registered within the same clock tick.
 func TestEqualTimestampSeqBreaksSameKind(t *testing.T) {
 	svc := NewService()
 	nid := id.MustNew("u", "home", t0)
@@ -20,6 +19,63 @@ func TestEqualTimestampSeqBreaksSameKind(t *testing.T) {
 	e, ok := svc.Lookup(nid)
 	if !ok || e.Server != "s5" || e.Seq != 5 {
 		t.Fatalf("lower-seq duplicate overwrote: %+v", e)
+	}
+}
+
+// The log's order beats the docks' clocks: a registration made late, or by
+// a dock whose clock runs ahead, does not displace a newer hop's.
+func TestSeqBeatsSkewedClock(t *testing.T) {
+	svc := NewService()
+	nid := id.MustNew("u", "home", t0)
+	svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: "s5", At: t0, Seq: 5})
+	svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: "s3", At: t0.Add(time.Hour), Seq: 3})
+	if e, ok := svc.Lookup(nid); !ok || e.Server != "s5" {
+		t.Fatalf("an older hop on a clock running ahead won: %+v", e)
+	}
+	svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: "s7", At: t0.Add(-time.Hour), Seq: 7})
+	if e, ok := svc.Lookup(nid); !ok || e.Server != "s7" {
+		t.Fatalf("a newer hop on a clock running behind lost: %+v", e)
+	}
+}
+
+// A closing dock's forwards re-point the entries that still name it and
+// are not newer than the forward; every other entry naming it goes, and
+// entries naming other docks stay as they are.
+func TestDeregisterServerRepointsForwards(t *testing.T) {
+	svc := NewService()
+	n := make([]id.NapletID, 4)
+	for i := range n {
+		n[i] = id.MustNew("u", "home", t0.Add(time.Duration(i)*time.Second))
+	}
+	svc.Register(RegisterBody{NapletID: n[0], Event: Arrival, Server: "s1", At: t0, Seq: 3})
+	svc.Register(RegisterBody{NapletID: n[1], Event: Arrival, Server: "s1", At: t0, Seq: 5})
+	svc.Register(RegisterBody{NapletID: n[2], Event: Arrival, Server: "s2", At: t0, Seq: 7})
+	svc.Register(RegisterBody{NapletID: n[3], Event: Arrival, Server: "s1", At: t0, Seq: 9})
+	svc.DeregisterServer("s1", []Forward{
+		{NapletID: n[0], Server: "s2", Seq: 5}, // left s1 after registering there
+		{NapletID: n[1], Server: "s3", Seq: 3}, // older than its entry
+		{NapletID: n[2], Server: "s4", Seq: 9}, // its entry names s2 already
+	})
+	if e, ok := svc.Lookup(n[0]); !ok || e.Server != "s2" || e.Seq != 5 {
+		t.Fatalf("forwarded entry = %+v, %v; want s2 at seq 5", e, ok)
+	}
+	if e, ok := svc.Lookup(n[2]); !ok || e.Server != "s2" || e.Seq != 7 {
+		t.Fatalf("entry naming another dock moved: %+v, %v", e, ok)
+	}
+	for _, nid := range []id.NapletID{n[1], n[3]} {
+		if e, ok := svc.Lookup(nid); ok {
+			t.Fatalf("entry without a usable forward survived: %+v", e)
+		}
+	}
+	// A newer registration still wins over the forward, and the forwarded
+	// entry is indexed under its new dock.
+	svc.Register(RegisterBody{NapletID: n[0], Event: Arrival, Server: "s3", At: t0, Seq: 4})
+	if e, _ := svc.Lookup(n[0]); e.Server != "s2" {
+		t.Fatalf("an older registration displaced the forward: %+v", e)
+	}
+	svc.DeregisterServer("s2", nil)
+	if _, ok := svc.Lookup(n[0]); ok {
+		t.Fatal("forwarded entry escaped its new dock's withdrawal")
 	}
 }
 
@@ -36,7 +92,7 @@ func TestDeregisterServerDropsOnlyItsEntries(t *testing.T) {
 		}
 		svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: server, At: t0})
 	}
-	svc.DeregisterServer("s1")
+	svc.DeregisterServer("s1", nil)
 	if got := svc.Len(); got != 100 {
 		t.Fatalf("after deregister: %d entries, want 100", got)
 	}
@@ -55,7 +111,7 @@ func TestDeregisterAfterMoveKeepsMovedEntry(t *testing.T) {
 	nid := id.MustNew("u", "home", t0)
 	svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: "s1", At: t0, Seq: 1})
 	svc.Register(RegisterBody{NapletID: nid, Event: Arrival, Server: "s2", At: t0.Add(time.Second), Seq: 3})
-	svc.DeregisterServer("s1")
+	svc.DeregisterServer("s1", nil)
 	e, ok := svc.Lookup(nid)
 	if !ok || e.Server != "s2" {
 		t.Fatalf("moved entry lost on old-server deregister: %+v ok=%v", e, ok)

@@ -17,7 +17,7 @@ import (
 //	  where msgmap = [uvarint n] n× (ascending by key, front-coded)
 //	                 ([byte shared] [string suffix] [uvarint m] m×[Message])
 //	[uvarint h] h×HomeEntry   ([string id] [string server] [bool arrival]
-//	                           [time at])
+//	                           [uvarint seq] [time at])
 //	[uvarint a] a×[string transferID]
 //	[uvarint d] d×[string msgID]
 //
@@ -77,6 +77,7 @@ func appendHomeEntry(dst []byte, h HomeEntry) []byte {
 	dst = wire.AppendString(dst, h.ID)
 	dst = wire.AppendString(dst, h.Server)
 	dst = wire.AppendBool(dst, h.Arrival)
+	dst = wire.AppendUvarint(dst, h.Seq)
 	return wire.AppendTime(dst, h.At)
 }
 
@@ -88,6 +89,9 @@ func decodeHomeEntry(b []byte) (h HomeEntry, _ []byte, err error) {
 		return HomeEntry{}, nil, err
 	}
 	if h.Arrival, b, err = wire.DecBool(b); err != nil {
+		return HomeEntry{}, nil, err
+	}
+	if h.Seq, b, err = wire.DecUvarint(b); err != nil {
 		return HomeEntry{}, nil, err
 	}
 	h.At, b, err = wire.DecTime(b)
@@ -128,7 +132,7 @@ func DecodeSnapshotBinary(b []byte) (*Snapshot, error) {
 	if snap.Mail, b, err = decodeMsgMap(b); err != nil {
 		return nil, err
 	}
-	if snap.Home, b, err = wire.DecSeq(b, 4, decodeHomeEntry); err != nil {
+	if snap.Home, b, err = wire.DecSeq(b, 5, decodeHomeEntry); err != nil {
 		return nil, err
 	}
 	if snap.AcceptedTransfers, b, err = wire.DecStrings(b); err != nil {

@@ -55,7 +55,7 @@ func goldenSnapshot(t testing.TB) *Snapshot {
 			},
 		},
 		Mail:              map[string][]naplet.Message{to.Key(): {msg}, from.Key(): {msg, msg}},
-		Home:              []HomeEntry{{ID: from.String(), Server: "sb:2", Arrival: true, At: goldenTime.Add(time.Minute)}},
+		Home:              []HomeEntry{{ID: from.String(), Server: "sb:2", Arrival: true, Seq: 3, At: goldenTime.Add(time.Minute)}},
 		AcceptedTransfers: []string{"xfer-41", "xfer-40"},
 		DeliveredMsgs:     []string{"sa/m-8"},
 	}
@@ -93,7 +93,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if len(got) != snap.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, encoded %d bytes", snap.EncodedSize(), len(got))
 	}
-	checkGolden(t, "snapshot_v4.hex", got)
+	checkGolden(t, "snapshot_v5.hex", got)
 
 	dec, err := DecodeSnapshotBinary(got)
 	if err != nil {
@@ -109,10 +109,10 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 
 // TestLoadRejectsV1Envelope: an envelope of a retired version — 1, the gob
 // payload; 2, plain map keys and version-2 records; 3, separate held and
-// mailbox tables — with an intact CRC fails Load loudly instead of being
-// parsed.
+// mailbox tables; 4, home-track entries without their sequence — with an
+// intact CRC fails Load loudly instead of being parsed.
 func TestLoadRejectsV1Envelope(t *testing.T) {
-	for _, version := range []uint16{1, 2, 3} {
+	for _, version := range []uint16{1, 2, 3, 4} {
 		loadRejectsVersion(t, version)
 	}
 }

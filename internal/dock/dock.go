@@ -7,7 +7,7 @@
 // envelope:
 //
 //	magic   [8]byte  "NAPDOCK\n"
-//	version uint16   big-endian; 4 is the only version written or loaded
+//	version uint16   big-endian; 5 is the only version written or loaded
 //	length  uint32   big-endian payload byte count
 //	payload []byte   Snapshot.AppendBinary (codec.go)
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
@@ -35,9 +35,10 @@ import (
 // Snapshot format constants.
 const (
 	// Version is the snapshot format version: a hand-rolled binary
-	// payload (see codec.go) with version-3 records and, as of 4, one
-	// front-coded mail table. Any other version fails Load.
-	Version = 4
+	// payload (see codec.go) with one front-coded mail table (as of 4) and
+	// home-track entries that carry their location sequence (as of 5).
+	// Any other version fails Load.
+	Version = 5
 	// FileName is the live snapshot file inside the store directory.
 	FileName = "dock.snap"
 )
@@ -85,7 +86,9 @@ type HomeEntry struct {
 	ID      string
 	Server  string
 	Arrival bool
-	At      time.Time
+	// Seq is the report's location sequence, which orders entries.
+	Seq uint64
+	At  time.Time
 }
 
 // Snapshot is everything a server persists between commits.

@@ -102,11 +102,11 @@ func runOverload(ctx context.Context, cfg Config) (*Result, error) {
 	})
 	dockHandler := func(from string, f wire.Frame) (wire.Frame, error) {
 		deadline, _ := f.Deadline()
-		release, err := gate.AdmitBy(deadline, overload.Classify(f.Kind))
+		ticket, err := gate.AdmitBy(deadline, overload.Classify(f.Kind))
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		defer release()
+		defer ticket.Release()
 		switch f.Kind {
 		case wire.KindPost:
 			time.Sleep(spec.Work)

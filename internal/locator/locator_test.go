@@ -102,7 +102,7 @@ func TestHomeMode(t *testing.T) {
 	r := newRig(t, ModeHome, 0)
 	// The home manager learned the naplet is at s9 from a remote arrival
 	// report.
-	r.homeMgr.HomeRecord(nid, "s9", true, t0)
+	r.homeMgr.HomeRecord(nid, "s9", true, 1, t0)
 	server, err := r.s1Loc.Locate(context.Background(), nid, "")
 	if err != nil || server != "s9" {
 		t.Fatalf("home mode Locate = %q %v", server, err)
@@ -116,7 +116,7 @@ func TestHomeModeLocalShortcut(t *testing.T) {
 	r := newRig(t, ModeHome, 0)
 	// A naplet whose home is this server resolves without network traffic.
 	localNid := id.MustNew("u", "s1", t0)
-	r.s1Mgr.HomeRecord(localNid, "s3", true, t0)
+	r.s1Mgr.HomeRecord(localNid, "s3", true, 1, t0)
 	server, err := r.s1Loc.Locate(context.Background(), localNid, "")
 	if err != nil || server != "s3" {
 		t.Fatalf("local home = %q %v", server, err)

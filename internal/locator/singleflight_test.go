@@ -24,7 +24,9 @@ type slowDirectory struct {
 }
 
 func (d *slowDirectory) RegisterEvent(context.Context, directory.Registration) error { return nil }
-func (d *slowDirectory) DeregisterServer(context.Context, string) error              { return nil }
+func (d *slowDirectory) DeregisterServer(context.Context, string, []directory.Forward) error {
+	return nil
+}
 
 func (d *slowDirectory) Lookup(ctx context.Context, nid id.NapletID) (directory.Entry, error) {
 	d.mu.Lock()

@@ -124,6 +124,8 @@ type launched struct {
 type visit struct {
 	present bool
 	dest    string
+	// seq is the location sequence of the naplet's arrival at dest.
+	seq uint64
 }
 
 // Errors reported by the manager.
@@ -145,7 +147,18 @@ type Manager struct {
 type homeEntry struct {
 	server  string
 	arrival bool
+	seq     uint64
 	at      time.Time
+}
+
+// newer reports whether a report of (seq, at) supersedes e: the higher
+// navigation-log sequence, and at equal sequence the later report, as the
+// directory orders its entries. Docks' clocks disagree; the log does not.
+func (e homeEntry) newer(seq uint64, at time.Time) bool {
+	if seq != e.seq {
+		return seq > e.seq
+	}
+	return !at.Before(e.at)
 }
 
 // New builds the manager of the named server; nil clock means time.Now.
@@ -315,10 +328,17 @@ func (m *Manager) RecordArrival(nid id.NapletID, codebase, source string, at tim
 	})
 }
 
-// RecordDeparture notes that a naplet left here toward dest. The visit
-// trace then forwards to dest (§4.1: "the message will be forwarded to the
-// server for which the naplet left").
+// RecordDeparture is Depart for a caller that does not track the
+// naplet's log: the trace forwards, but a closing dock's re-point of it
+// carries sequence 0.
 func (m *Manager) RecordDeparture(nid id.NapletID, dest string, at time.Time) error {
+	return m.Depart(nid, dest, 0, at)
+}
+
+// Depart notes that a naplet left here toward dest, where its arrival has
+// location sequence seq. The visit trace then forwards to dest (§4.1: "the
+// message will be forwarded to the server for which the naplet left").
+func (m *Manager) Depart(nid id.NapletID, dest string, seq uint64, at time.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.visits[nid.Key()]
@@ -327,6 +347,7 @@ func (m *Manager) RecordDeparture(nid id.NapletID, dest string, at time.Time) er
 	}
 	v.present = false
 	v.dest = dest
+	v.seq = seq
 	for i := len(m.footprints) - 1; i >= 0; i-- {
 		if m.footprints[i].NapletID.Equal(nid) && m.footprints[i].LeftAt.IsZero() {
 			m.footprints[i].Dest = dest
@@ -381,6 +402,31 @@ func (m *Manager) TraceNaplet(nid id.NapletID) Trace {
 	return Trace{Known: true, Present: v.present, Dest: v.dest}
 }
 
+// Departure is the visit trace of a naplet that left this server alive:
+// where it went, and the location sequence of its arrival there.
+type Departure struct {
+	NapletID id.NapletID
+	Dest     string
+	Seq      uint64
+}
+
+// Departures lists the traces of the naplets that left here alive and are
+// not back: what a closing dock re-points the directory along.
+func (m *Manager) Departures() []Departure {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []Departure
+	for key, v := range m.visits {
+		if v.present || v.dest == "" {
+			continue
+		}
+		if nid, err := id.Parse(key); err == nil {
+			out = append(out, Departure{NapletID: nid, Dest: v.dest, Seq: v.seq})
+		}
+	}
+	return out
+}
+
 // Footprints returns the recorded footprints in arrival order.
 func (m *Manager) Footprints() []Footprint {
 	m.mu.Lock()
@@ -403,16 +449,17 @@ func (m *Manager) Resident() int {
 
 // ---- Home-manager distributed directory (§4.1) ----
 
-// HomeRecord stores a remote arrival/departure report for a naplet whose
-// home is this server.
-func (m *Manager) HomeRecord(nid id.NapletID, server string, arrival bool, at time.Time) {
+// HomeRecord stores a remote arrival report for a naplet whose home is
+// this server, made with location sequence seq at the reporting dock's
+// time at. A report older by sequence than the one held is stale.
+func (m *Manager) HomeRecord(nid id.NapletID, server string, arrival bool, seq uint64, at time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur, ok := m.homeTrack[nid.Key()]
-	if ok && at.Before(cur.at) {
+	if ok && !cur.newer(seq, at) {
 		return // stale report
 	}
-	m.homeTrack[nid.Key()] = homeEntry{server: server, arrival: arrival, at: at}
+	m.homeTrack[nid.Key()] = homeEntry{server: server, arrival: arrival, seq: seq, at: at}
 }
 
 // HomeLocate answers a home-directory location query: the last reported
@@ -434,6 +481,7 @@ type HomeEvent struct {
 	ID      string
 	Server  string
 	Arrival bool
+	Seq     uint64
 	At      time.Time
 }
 
@@ -443,7 +491,7 @@ func (m *Manager) HomeSnapshot() []HomeEvent {
 	defer m.mu.Unlock()
 	out := make([]HomeEvent, 0, len(m.homeTrack))
 	for key, e := range m.homeTrack {
-		out = append(out, HomeEvent{ID: key, Server: e.server, Arrival: e.arrival, At: e.at})
+		out = append(out, HomeEvent{ID: key, Server: e.server, Arrival: e.arrival, Seq: e.seq, At: e.at})
 	}
 	return out
 }
@@ -455,9 +503,9 @@ func (m *Manager) RestoreHome(evs []HomeEvent) {
 	defer m.mu.Unlock()
 	for _, ev := range evs {
 		cur, ok := m.homeTrack[ev.ID]
-		if ok && ev.At.Before(cur.at) {
+		if ok && !cur.newer(ev.Seq, ev.At) {
 			continue
 		}
-		m.homeTrack[ev.ID] = homeEntry{server: ev.Server, arrival: ev.Arrival, at: ev.At}
+		m.homeTrack[ev.ID] = homeEntry{server: ev.Server, arrival: ev.Arrival, seq: ev.Seq, at: ev.At}
 	}
 }

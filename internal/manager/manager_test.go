@@ -320,18 +320,47 @@ func TestHomeTrack(t *testing.T) {
 	if _, ok := m.HomeLocate(nid); ok {
 		t.Fatal("empty home track")
 	}
-	m.HomeRecord(nid, "s5", true, t0.Add(time.Second))
+	m.HomeRecord(nid, "s5", true, 3, t0.Add(time.Second))
 	if server, ok := m.HomeLocate(nid); !ok || server != "s5" {
 		t.Fatalf("HomeLocate = %q %v", server, ok)
 	}
-	// Stale report must not regress.
-	m.HomeRecord(nid, "s2", false, t0)
+	// A stale report must not regress, even from a dock whose clock runs
+	// an hour ahead: the log's sequence orders reports, not the clocks.
+	m.HomeRecord(nid, "s2", true, 1, t0.Add(time.Hour))
 	if server, _ := m.HomeLocate(nid); server != "s5" {
 		t.Fatalf("stale home record applied: %q", server)
 	}
-	m.HomeRecord(nid, "s7", true, t0.Add(2*time.Second))
+	m.HomeRecord(nid, "s7", true, 5, t0.Add(-time.Hour))
 	if server, _ := m.HomeLocate(nid); server != "s7" {
 		t.Fatalf("newer home record ignored: %q", server)
+	}
+	// A restore orders by the same rule.
+	m.RestoreHome([]HomeEvent{{ID: nid.Key(), Server: "s6", Arrival: true, Seq: 4, At: t0.Add(time.Hour)}})
+	if server, _ := m.HomeLocate(nid); server != "s7" {
+		t.Fatalf("an older restored record won: %q", server)
+	}
+	if evs := m.HomeSnapshot(); len(evs) != 1 || evs[0].Seq != 5 || evs[0].Server != "s7" {
+		t.Fatalf("home snapshot = %+v", evs)
+	}
+}
+
+// TestDepartures lists the naplets that left alive, with where they went
+// and their arrival's sequence there; ended and present ones are not.
+func TestDepartures(t *testing.T) {
+	m := newMgr()
+	gone := id.MustNew("u", "h", t0)
+	ended := id.MustNew("u", "h", t0.Add(time.Second))
+	here := id.MustNew("u", "h", t0.Add(2*time.Second))
+	for _, nid := range []id.NapletID{gone, ended, here} {
+		m.RecordArrival(nid, "cb", "home", t0)
+	}
+	if err := m.Depart(gone, "s2", 5, t0); err != nil {
+		t.Fatal(err)
+	}
+	m.RecordEnd(ended, t0)
+	deps := m.Departures()
+	if len(deps) != 1 || !deps[0].NapletID.Equal(gone) || deps[0].Dest != "s2" || deps[0].Seq != 5 {
+		t.Fatalf("departures = %+v", deps)
 	}
 }
 
@@ -372,7 +401,7 @@ func TestConcurrentAccess(t *testing.T) {
 			m.End(nid, EndKey{Dock: "s2", Len: 2}, StatusCompleted, "", [][]byte{[]byte("end")})
 			m.TraceNaplet(nid)
 			m.RecordDeparture(nid, "s2", t0)
-			m.HomeRecord(nid, "s2", true, t0)
+			m.HomeRecord(nid, "s2", true, 1, t0)
 			m.HomeLocate(nid)
 			m.Footprints()
 		}(i)

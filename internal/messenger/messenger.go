@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,12 +175,14 @@ type Messenger struct {
 	interrupt InterruptSink
 }
 
+// MaxHops bounds the forwarding chain of one post: how many visit traces
+// a post may chase past the dock it was first sent to.
+const MaxHops = 16
+
 const (
 	// maxCorrespondents bounds the peers a slot remembers: enough to cover
 	// a naplet's active conversation partners.
 	maxCorrespondents = 8
-	// maxHops bounds the forwarding chain of one post.
-	maxHops = 16
 	// forwardTimeout bounds each forwarding call.
 	forwardTimeout = 10 * time.Second
 	// pushTimeout bounds one departure's round of PushMigration notices.
@@ -245,7 +248,10 @@ func (m *Messenger) Stats() Stats {
 
 // mintMsgID assigns a message its end-to-end identifier.
 func (m *Messenger) mintMsgID() string {
-	return fmt.Sprintf("%s/m%d", m.server, m.msgSeq.Add(1))
+	var arr [64]byte
+	b := append(arr[:0], m.server...)
+	b = append(b, "/m"...)
+	return string(strconv.AppendUint(b, m.msgSeq.Add(1), 10))
 }
 
 // ---- Mailbox lifecycle ----
@@ -472,7 +478,7 @@ func (m *Messenger) HandlePost(from string, f wire.Frame) (wire.Frame, error) {
 // naplet's slot, open or held, and decide returns its confirmation — or,
 // with no slot here and a visit trace saying the naplet left, decide
 // returns the server to chase it to (case 2), and the caller forwards the
-// post there. A trace that ends here, or a chase past maxHops, is an
+// post there. A trace that ends here, or a chase past MaxHops, is an
 // error. Lock order is messenger, then manager.
 func (m *Messenger) decide(from string, body PostBody) (confirm ConfirmBody, dest string, err error) {
 	msg := body.Msg
@@ -494,7 +500,7 @@ func (m *Messenger) decide(from string, body PostBody) (confirm ConfirmBody, des
 				if tr.Dest == "" {
 					return ConfirmBody{}, "", fmt.Errorf("%w: %s", ErrNapletGone, msg.To)
 				}
-				if body.Hops+1 > maxHops {
+				if body.Hops+1 > MaxHops {
 					return ConfirmBody{}, "", fmt.Errorf("%w: %d", ErrHopsExceeded, body.Hops)
 				}
 				return ConfirmBody{}, tr.Dest, nil

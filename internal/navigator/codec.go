@@ -16,8 +16,9 @@ import (
 // wire.ErrMalformed (DESIGN.md §11).
 
 // bodyCodecVersion is the leading version byte of binary protocol bodies.
-// Version 2 carries code digests raw (see appendDigest).
-const bodyCodecVersion = 2
+// Version 2 carries code digests raw (see appendDigest); version 3 a home
+// event's location sequence.
+const bodyCodecVersion = 3
 
 // A code digest is the hex SHA-256 of a bundle in memory — it is a cache
 // key and a proof-table entry — and 32 raw bytes behind a flag on the wire:
@@ -245,6 +246,7 @@ func (b *HomeEventBody) AppendBinary(dst []byte) []byte {
 	dst = b.NapletID.AppendBinary(dst)
 	dst = wire.AppendString(dst, b.Server)
 	dst = wire.AppendBool(dst, b.Arrival)
+	dst = wire.AppendUvarint(dst, b.Seq)
 	return wire.AppendTime(dst, b.At)
 }
 
@@ -261,6 +263,9 @@ func (b *HomeEventBody) Decode(payload []byte) error {
 		return err
 	}
 	if b.Arrival, rest, err = wire.DecBool(rest); err != nil {
+		return err
+	}
+	if b.Seq, rest, err = wire.DecUvarint(rest); err != nil {
 		return err
 	}
 	b.At, _, err = wire.DecTime(rest)

@@ -36,7 +36,7 @@ func codecBodies() (samples []body, zero []func() body) {
 		&TransferAckBody{Reason: "at capacity", Denied: true},
 		&CodeFetchBody{Codebase: "test.Agent"},
 		&CodeBundleBody{Data: []byte("bundle")},
-		&HomeEventBody{NapletID: nid, Server: "sb", Arrival: true, At: codecTime},
+		&HomeEventBody{NapletID: nid, Server: "sb", Arrival: true, Seq: 5, At: codecTime},
 	}
 	zero = []func() body{
 		func() body { return new(LandingRequestBody) },
@@ -51,9 +51,10 @@ func codecBodies() (samples []body, zero []func() body) {
 }
 
 // TestBodiesRejectOldFormats: a payload whose first byte is not the body
-// version — version 0, the retired version 1, version 3, a gob stream,
-// nothing — is wire.ErrMalformed and leaves the body untouched; there is no
-// second parser to hand it to.
+// version — version 0, the retired versions 1 and 2 (whose home event
+// carried no sequence), version 4, a gob stream, nothing — is
+// wire.ErrMalformed and leaves the body untouched; there is no second
+// parser to hand it to.
 func TestBodiesRejectOldFormats(t *testing.T) {
 	samples, zero := codecBodies()
 	for i, sample := range samples {
@@ -61,7 +62,8 @@ func TestBodiesRejectOldFormats(t *testing.T) {
 		for name, payload := range map[string][]byte{
 			"version 0": append([]byte{0}, good[1:]...),
 			"version 1": append([]byte{1}, good[1:]...),
-			"version 3": append([]byte{3}, good[1:]...),
+			"version 2": append([]byte{2}, good[1:]...),
+			"version 4": append([]byte{4}, good[1:]...),
 			"gob":       gobStream(t),
 			"empty":     nil,
 		} {

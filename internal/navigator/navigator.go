@@ -16,12 +16,20 @@
 //     destination decides here — replay dedup, admission, LANDING
 //     permission, credential, code — and answers accepted, refused, or
 //     "resend with the code" (a cold push-mode cache; nothing landed).
-//  4. The destination registers the ARRIVAL event (with the directory
-//     and/or the naplet's home manager) and only then starts execution:
-//     "We postpone the execution of the naplet until the arrival
-//     registration is acknowledged." That arrival is the hop's one
-//     directory write: it supersedes the previous stop's by itself, and a
-//     failed dispatch never moved the entry.
+//  4. The destination acknowledges and hands the naplet to its visit
+//     engine. It does not wait for the directory: the paper's "we postpone
+//     the execution of the naplet until the arrival registration is
+//     acknowledged" becomes "we postpone the naplet's first communication
+//     until then". The dock registers a naplet where it stays — before
+//     OnStart on a due hop (every k hops, the launch included; k is half
+//     the messenger's chase bound, messenger.MaxHops), or before the
+//     naplet first makes itself known there (its first post, receive or
+//     report home) — through RegisterArrival, at most once per visit and
+//     within RegisterTimeout. Execution is still postponed on a due hop.
+//     An entry is therefore at most k-1 hops stale, and a post that finds
+//     it stale chases the visit traces (§4.1's forwarding) that far. The
+//     log's sequence orders registrations, so a late one never overwrites
+//     a newer one, and a failed dispatch never moved the entry.
 //  5. The origin receives the acknowledgement, records the departure in its
 //     own visit trace, and releases the resources occupied by the naplet.
 //
@@ -143,11 +151,13 @@ type CodeBundleBody struct {
 
 // HomeEventBody reports an arrival to the naplet's home manager (the
 // distributed directory of §4.1). Docks send arrivals only; the Arrival
-// flag keeps the body's wire layout.
+// flag keeps the body's wire layout. Seq is the arrival's location
+// sequence, which orders reports; At is the reporting dock's clock.
 type HomeEventBody struct {
 	NapletID id.NapletID
 	Server   string
 	Arrival  bool
+	Seq      uint64
 	At       time.Time
 }
 
@@ -249,8 +259,9 @@ type AdmitFunc func(req LandingRequestBody) error
 type Config struct {
 	// CodeDelivery selects push or pull bundle transport.
 	CodeDelivery CodeDelivery
-	// Directory, when set, receives ARRIVAL registrations: a
-	// single-node client or a sharded, replicated plane.
+	// Directory, when set, receives the arrival registrations
+	// RegisterArrival makes: a single-node client or a sharded,
+	// replicated plane.
 	Directory directory.Directory
 	// ReportHome, when set, sends arrival events to each naplet's home
 	// manager (distributed directory mode).
@@ -553,10 +564,12 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	}
 	bd.Transfer = n.clock().Sub(trStart)
 
-	// 5. Success: record the departure locally and release.
+	// 5. Success: record the departure locally and release. The trace
+	// carries the sequence the arrival at dest has, for a closing dock's
+	// re-point.
 	now := n.clock()
 	if n.mgr != nil {
-		_ = n.mgr.RecordDeparture(rec.ID, dest, now)
+		_ = n.mgr.Depart(rec.ID, dest, arrivalSeq(rec.Log.Len()+1), now)
 	}
 	rec.Log.RecordDeparture(n.server, now)
 	n.met.dispatched.Inc()
@@ -615,36 +628,54 @@ func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBod
 	}
 }
 
-// RegisterArrival reports the naplet's arrival at this server to the
-// directory and/or the naplet's home manager, best effort. It is the only
-// location event a dock writes: the next stop's arrival supersedes it. The
-// sequence number comes from the navigation log, which travels with the
-// record and so is monotone across servers. Exported so the server can
-// register launch-time arrivals and clone births.
-func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record, at time.Time) {
+// RegisterTimeout bounds one registration: a directory or home that does
+// not answer costs the registering naplet this much, not a call timeout.
+const RegisterTimeout = time.Second
+
+// arrivalSeq is the location sequence of an arrival that makes the log
+// hops long: the log travels with the record, so it grows across docks
+// whatever their clocks say.
+func arrivalSeq(hops int) uint64 {
+	if hops <= 0 {
+		return 0
+	}
+	return 2*uint64(hops) - 1
+}
+
+// RegisterArrival reports that the naplet is at this server to the
+// directory and/or the naplet's home manager, best effort, within ctx's
+// deadline or RegisterTimeout, whichever is sooner. It is the only
+// location event a dock writes, ordered by the log's sequence: a later
+// stop's registration supersedes it, and it never supersedes a later
+// stop's. The server calls it at launch, at a clone's birth, after a
+// restore, and where a landed naplet stays (see the package doc).
+func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record) {
+	if n.cfg.Directory == nil && !n.cfg.ReportHome {
+		return
+	}
+	if d, ok := ctx.Deadline(); !ok || time.Until(d) > RegisterTimeout {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, RegisterTimeout)
+		defer cancel()
+	}
+	at, seq := n.clock(), arrivalSeq(rec.Log.Len())
 	if n.cfg.Directory != nil {
-		var seq uint64
-		if hops := uint64(rec.Log.Len()); hops > 0 {
-			seq = 2*hops - 1
-		}
-		cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
-		_ = n.cfg.Directory.RegisterEvent(cctx, directory.Registration{
+		_ = n.cfg.Directory.RegisterEvent(ctx, directory.Registration{
 			NapletID: rec.ID, Event: directory.Arrival,
 			Server: n.server, At: at, Seq: seq,
 		})
-		cancel()
 	}
 	if !n.cfg.ReportHome {
 		return
 	}
 	if rec.Home == n.server {
 		if n.mgr != nil {
-			n.mgr.HomeRecord(rec.ID, n.server, true, at)
+			n.mgr.HomeRecord(rec.ID, n.server, true, seq, at)
 		}
 		return
 	}
-	body := HomeEventBody{NapletID: rec.ID, Server: n.server, Arrival: true, At: at}
-	_, _ = n.call(ctx, rec.Home, wire.BinaryFrame(wire.KindHomeEvent, "", "", &body), n.cfg.CallTimeout)
+	body := HomeEventBody{NapletID: rec.ID, Server: n.server, Arrival: true, Seq: seq, At: at}
+	_, _ = n.node.Call(ctx, rec.Home, wire.BinaryFrame(wire.KindHomeEvent, "", "", &body))
 	n.met.homeReports.Inc()
 }
 
@@ -683,9 +714,10 @@ func (n *Navigator) HandleLandingRequest(from string, f wire.Frame) (wire.Frame,
 // that decides a landing: a transfer may arrive without a landing request
 // before it, and a request's grant is not trusted to match the transfer. In
 // order: replay dedup, the before-land hook, admission veto, LANDING
-// permission on the record's own credential, credential↔ID match, code loading, arrival registration
-// (synchronously, before execution and before the ack), dock commit, hand
-// over to the visit engine.
+// permission on the record's own credential, credential↔ID match, code
+// loading, arrival bookkeeping, dock commit, hand over to the visit
+// engine. Nothing here waits for the directory: the visit engine registers
+// the naplet where it stays (see the package doc).
 func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error) {
 	// Every refusal is a typed ack, not an error frame: it proves to the
 	// origin that nothing landed here, which its failover logic relies on.
@@ -787,13 +819,12 @@ func (n *Navigator) HandleTransfer(from string, f wire.Frame) (wire.Frame, error
 		}
 	}
 
-	// Arrival bookkeeping, then registration, then execution.
+	// Arrival bookkeeping, then execution.
 	now := n.clock()
 	if n.mgr != nil {
 		n.mgr.RecordArrival(rec.ID, rec.Codebase, from, now)
 	}
 	rec.Log.RecordArrival(n.server, now)
-	n.RegisterArrival(context.Background(), rec, now)
 	n.met.landed.Inc()
 	// Mark only after the landing fully succeeded: a transfer that failed
 	// validation or code loading must stay retryable under the same ID.
@@ -843,15 +874,15 @@ func (n *Navigator) HandleCodeFetch(from string, f wire.Frame) (wire.Frame, erro
 	return wire.BinaryFrame(wire.KindCodeBundle, f.To, f.From, &CodeBundleBody{Data: data}), nil
 }
 
-// HandleHomeEvent records a remote arrival/departure report for a naplet
-// homed at this server.
+// HandleHomeEvent records a remote arrival report for a naplet homed at
+// this server.
 func (n *Navigator) HandleHomeEvent(from string, f wire.Frame) (wire.Frame, error) {
 	var body HomeEventBody
 	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
 	if n.mgr != nil {
-		n.mgr.HomeRecord(body.NapletID, body.Server, body.Arrival, body.At)
+		n.mgr.HomeRecord(body.NapletID, body.Server, body.Arrival, body.Seq, body.At)
 	}
 	return wire.Frame{Kind: wire.KindControlReply, From: f.To, To: f.From}, nil
 }

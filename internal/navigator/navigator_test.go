@@ -68,7 +68,9 @@ func attach(t *testing.T, net *netsim.Network, name string, reg *registry.Regist
 // fault injector pass the injected fabric here. The navigator is named by
 // the address the fabric gave it (a TCP fabric asked for port 0 picks one).
 // A dirAddr makes the navigator register arrivals with the directory there,
-// through its own node.
+// through its own node. The node's land func stands in for the server's
+// visit engine with a naplet that communicates at once: it registers the
+// arrival, then hands the record to the test.
 func attachOn(t testing.TB, fab transport.Fabric, addr string, reg *registry.Registry, sec *security.Manager, cfg Config, dirAddr ...string) *node {
 	t.Helper()
 	n := &node{
@@ -104,7 +106,10 @@ func attachOn(t testing.TB, fab transport.Fabric, addr string, reg *registry.Reg
 	name := tnode.Addr()
 	n.mgr = manager.New(name, func() time.Time { return time.Now() })
 	n.nav = New(cfg, name, tnode, sec, n.mgr, reg, n.cache, nil)
-	n.nav.SetLandFunc(func(rec *naplet.Record, source string) { n.landed <- rec })
+	n.nav.SetLandFunc(func(rec *naplet.Record, source string) {
+		n.nav.RegisterArrival(context.Background(), rec)
+		n.landed <- rec
+	})
 	return n
 }
 
@@ -299,8 +304,10 @@ func TestTransferCredentialMismatchRejected(t *testing.T) {
 }
 
 func TestDirectoryEventOrdering(t *testing.T) {
-	// The destination's ARRIVAL is the hop's one directory write and
-	// supersedes the entry the previous stop left (§4.1).
+	// The destination's ARRIVAL, registered where the naplet stays, is the
+	// hop's one directory write and supersedes the entry the previous stop
+	// left (§4.1). The transfer's handler writes nothing: the directory
+	// holds the origin's entry until the landed naplet registers.
 	net := netsim.New(netsim.Config{})
 	reg := newRegistry(t)
 	svc := directory.NewService()
@@ -309,13 +316,14 @@ func TestDirectoryEventOrdering(t *testing.T) {
 	}
 	a := attach(t, net, "a", reg, nil, Config{}, "dir")
 	b := attach(t, net, "b", reg, nil, Config{}, "dir")
-	_ = b
 
 	rec := record(t, nil, "a")
 	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
+	a.nav.RegisterArrival(context.Background(), rec)
 	if _, err := a.nav.Dispatch(context.Background(), rec, "b"); err != nil {
 		t.Fatal(err)
 	}
+	<-b.landed
 	entries := svc.Snapshot()
 	if len(entries) != 1 {
 		t.Fatalf("snapshot: %+v", entries)
@@ -346,7 +354,7 @@ func TestDispatchFailureRestoresDirectory(t *testing.T) {
 		b := attachOn(t, f, "b", reg, nil, Config{}, "dir")
 		rec := record(t, nil, "a")
 		a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-		a.nav.RegisterArrival(context.Background(), rec, time.Now())
+		a.nav.RegisterArrival(context.Background(), rec)
 		return svc, a, b, rec
 	}
 	at := func(t *testing.T, svc *directory.Service, want string) {
@@ -499,35 +507,23 @@ func TestDispatchDigestAliasSkipsCode(t *testing.T) {
 	}
 }
 
-// blockingDirectory stalls the first Arrival registration until released,
-// holding a landing open mid-HandleTransfer — before the dedup window is
-// marked — so a concurrent replay of the same transfer ID can race it.
-type blockingDirectory struct {
-	gate    chan struct{}
-	arrived chan struct{}
-	first   atomic.Bool
-}
-
-func (d *blockingDirectory) RegisterEvent(ctx context.Context, r directory.Registration) error {
-	if d.first.CompareAndSwap(false, true) {
-		close(d.arrived)
-		<-d.gate
-	}
-	return nil
-}
-
-func (d *blockingDirectory) Lookup(ctx context.Context, nid id.NapletID) (directory.Entry, error) {
-	return directory.Entry{}, errors.New("not tracked")
-}
-
-func (d *blockingDirectory) DeregisterServer(ctx context.Context, server string) error { return nil }
-
+// TestConcurrentTransferReplaySingleFlights: the destination's before-land
+// hook stalls the first delivery mid-HandleTransfer — before the dedup
+// window is marked — so a concurrent replay of the same transfer ID races
+// it; the replay waits for the first to settle and is absorbed.
 func TestConcurrentTransferReplaySingleFlights(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	reg := newRegistry(t)
-	dir := &blockingDirectory{gate: make(chan struct{}), arrived: make(chan struct{})}
-	dst := attach(t, net, "b", reg, nil, Config{Directory: dir})
+	dst := attach(t, net, "b", reg, nil, Config{})
 	dst.cache.Loaded("test.Agent", 2048)
+	gate, arrived := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	dst.nav.SetBeforeLandFunc(func(id.NapletID) {
+		if first.CompareAndSwap(false, true) {
+			close(arrived)
+			<-gate
+		}
+	})
 
 	rec := record(t, nil, "a")
 	data, err := EncodeRecord(rec)
@@ -554,10 +550,10 @@ func TestConcurrentTransferReplaySingleFlights(t *testing.T) {
 	go handle()
 	// The first delivery is now mid-landing with the window unmarked:
 	// exactly the race a retry after a lost acknowledgement hits.
-	<-dir.arrived
+	<-arrived
 	go handle()
 	time.Sleep(10 * time.Millisecond)
-	close(dir.gate)
+	close(gate)
 
 	for i := 0; i < 2; i++ {
 		o := <-results

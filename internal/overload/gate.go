@@ -159,33 +159,63 @@ func NewGate(cfg GateConfig) *Gate {
 	return g
 }
 
+// Ticket is an admitted request's hold on the gate: its in-flight count
+// and, for bulk, its slot and its room. Release hands them back. A Ticket
+// is a value the caller keeps in a variable: releasing allocates nothing,
+// and a second Release through the same variable, or a Release of the
+// zero Ticket (a nil gate's), does nothing. Release it from one goroutine.
+type Ticket struct {
+	g     *Gate
+	class Class
+}
+
+// Release returns what the admission took. Idempotent.
+func (t *Ticket) Release() {
+	g := t.g
+	if g == nil {
+		return
+	}
+	t.g = nil
+	if t.class == ClassControl {
+		g.ctlInFlight.Add(-1)
+		return
+	}
+	g.bulkInFlight.Add(-1)
+	<-g.slots
+	<-g.room
+}
+
 // AdmitBy asks the gate for permission to run a request of the given
 // class whose caller gives up at deadline (zero: the caller sent no
 // budget). It is the serving side's admission: a frame carries its
 // deadline, not a context, and a request that finds a free slot builds
 // nothing — only one that has to queue arms a timer, for MaxWait or until
-// the deadline, whichever comes first. On admission it returns a release
-// func the caller must invoke when the request finishes (idempotent). On
-// shed it returns a typed error: ErrOverloaded for capacity sheds,
-// ErrDeadlinePast when the deadline passes in the queue. A nil gate
-// admits everything.
-func (g *Gate) AdmitBy(deadline time.Time, class Class) (func(), error) {
+// the deadline, whichever comes first. On admission it returns a Ticket
+// the caller must Release when the request finishes. On shed it returns a
+// typed error: ErrOverloaded for capacity sheds, ErrDeadlinePast when the
+// deadline passes in the queue. A nil gate admits everything.
+func (g *Gate) AdmitBy(deadline time.Time, class Class) (Ticket, error) {
 	return g.admit(context.Background(), class, deadline)
 }
 
 // Admit is AdmitBy for a caller that holds a context: the context's
 // deadline bounds the wait, and a cancel in the queue sheds the request
-// as ReasonCanceled.
+// as ReasonCanceled. It returns the ticket's Release as a func, which
+// costs the allocations AdmitBy's callers do not pay.
 func (g *Gate) Admit(ctx context.Context, class Class) (func(), error) {
 	deadline, _ := ctx.Deadline()
-	return g.admit(ctx, class, deadline)
+	t, err := g.admit(ctx, class, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return t.Release, nil
 }
 
 // admit is the one admission path. ctx is watched only while the request
 // queues; context.Background, whose Done is nil, watches nothing.
-func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func(), error) {
+func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (Ticket, error) {
 	if g == nil {
-		return func() {}, nil
+		return Ticket{}, nil
 	}
 	if class == ClassControl {
 		g.ctlArrivals.Add(1)
@@ -194,15 +224,14 @@ func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func
 		if c := g.metAdmitted[ClassControl]; c != nil {
 			c.Inc()
 		}
-		var once sync.Once
-		return func() { once.Do(func() { g.ctlInFlight.Add(-1) }) }, nil
+		return Ticket{g: g, class: ClassControl}, nil
 	}
 
 	g.bulkArrivals.Add(1)
 	select {
 	case g.room <- struct{}{}:
 	default:
-		return nil, g.shedLocked(ReasonQueueFull, ErrOverloaded)
+		return Ticket{}, g.shedLocked(ReasonQueueFull, ErrOverloaded)
 	}
 	// Fast path: a free slot means the queue is empty — take it and
 	// clear any standing-delay history.
@@ -218,7 +247,7 @@ func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func
 	g.mu.Unlock()
 	if dropping {
 		<-g.room
-		return nil, g.shedLocked(ReasonQueueDelay, ErrOverloaded)
+		return Ticket{}, g.shedLocked(ReasonQueueDelay, ErrOverloaded)
 	}
 
 	// One timer bounds the wait: MaxWait, or the caller's deadline when
@@ -231,7 +260,7 @@ func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func
 	}
 	if budgeted && wait <= 0 {
 		<-g.room
-		return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
+		return Ticket{}, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
 	}
 	enqueued := g.cfg.Clock()
 	timer := time.NewTimer(wait)
@@ -243,15 +272,15 @@ func (g *Gate) admit(ctx context.Context, class Class, deadline time.Time) (func
 	case <-ctx.Done():
 		<-g.room
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
+			return Ticket{}, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
 		}
-		return nil, g.shedLocked(ReasonCanceled, ErrOverloaded)
+		return Ticket{}, g.shedLocked(ReasonCanceled, ErrOverloaded)
 	case <-timer.C:
 		<-g.room
 		if budgeted {
-			return nil, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
+			return Ticket{}, g.shedLocked(ReasonBudgetExpired, ErrDeadlinePast)
 		}
-		return nil, g.shedLocked(ReasonQueueTimeout, ErrOverloaded)
+		return Ticket{}, g.shedLocked(ReasonQueueTimeout, ErrOverloaded)
 	}
 }
 
@@ -262,20 +291,13 @@ func (g *Gate) queued() int {
 	return max(len(g.room)-len(g.slots), 0)
 }
 
-func (g *Gate) admitBulk() func() {
+func (g *Gate) admitBulk() Ticket {
 	g.bulkAdmitted.Add(1)
 	g.bulkInFlight.Add(1)
 	if c := g.metAdmitted[ClassBulk]; c != nil {
 		c.Inc()
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.bulkInFlight.Add(-1)
-			<-g.slots
-			<-g.room
-		})
-	}
+	return Ticket{g: g, class: ClassBulk}
 }
 
 // noteSojourn feeds one observed queue delay into the CoDel-style

@@ -204,11 +204,11 @@ func TestGateAdmitByDeadline(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := NewGate(GateConfig{MaxInFlight: 1, MaxWait: tc.maxWait})
-			release, err := g.AdmitBy(time.Time{}, ClassBulk)
+			ticket, err := g.AdmitBy(time.Time{}, ClassBulk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer release()
+			defer ticket.Release()
 			start := time.Now()
 			if _, err := g.AdmitBy(tc.deadline(), ClassBulk); !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
@@ -228,9 +228,8 @@ func TestGateAdmitByDeadline(t *testing.T) {
 }
 
 // TestGateAdmitByFastPathArmsNoTimer: a request that finds a free slot
-// allocates what its release func takes and nothing more — no timer, no
-// context — whatever its deadline. Only a request that queues pays for a
-// timer.
+// allocates nothing — no timer, no context, no release func — whatever its
+// deadline. Only a request that queues pays for a timer.
 func TestGateAdmitByFastPathArmsNoTimer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -238,15 +237,19 @@ func TestGateAdmitByFastPathArmsNoTimer(t *testing.T) {
 	g := NewGate(GateConfig{MaxInFlight: 1})
 	deadline := time.Now().Add(time.Hour)
 	bare := testing.AllocsPerRun(100, func() {
-		release, _ := g.AdmitBy(time.Time{}, ClassBulk)
-		release()
+		ticket, _ := g.AdmitBy(time.Time{}, ClassBulk)
+		ticket.Release()
 	})
 	budgeted := testing.AllocsPerRun(100, func() {
-		release, _ := g.AdmitBy(deadline, ClassBulk)
-		release()
+		ticket, _ := g.AdmitBy(deadline, ClassBulk)
+		ticket.Release()
 	})
-	if budgeted != bare || bare > 2 {
-		t.Fatalf("fast path allocates %.0f with a deadline, %.0f without; want the release func's 2 at most, equal", budgeted, bare)
+	control := testing.AllocsPerRun(100, func() {
+		ticket, _ := g.AdmitBy(deadline, ClassControl)
+		ticket.Release()
+	})
+	if budgeted != 0 || bare != 0 || control != 0 {
+		t.Fatalf("fast path allocates %.0f with a deadline, %.0f without, %.0f for control; want 0", budgeted, bare, control)
 	}
 	if st := g.Stats(); st.BulkAdmitted != 202 || st.TotalShed() != 0 {
 		t.Fatalf("fast path: %+v", st)
@@ -309,6 +312,18 @@ func TestGateReleaseIdempotent(t *testing.T) {
 	release() // double release must not free a second slot
 	if got := g.Stats().InFlight; got != 0 {
 		t.Fatalf("in-flight after double release = %d", got)
+	}
+	// The same holds for a ticket released twice, and for the zero ticket.
+	ticket, err := g.AdmitBy(time.Time{}, ClassBulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket.Release()
+	ticket.Release()
+	var zero Ticket
+	zero.Release()
+	if got := g.Stats().InFlight; got != 0 {
+		t.Fatalf("in-flight after double ticket release = %d", got)
 	}
 	// Exactly one slot is available again, not two.
 	r1, err := g.Admit(context.Background(), ClassBulk)

@@ -74,7 +74,7 @@ func (s *Server) dockCommit(naplet string) {
 	home := s.mgr.HomeSnapshot()
 	entries := make([]dock.HomeEntry, len(home))
 	for i, ev := range home {
-		entries[i] = dock.HomeEntry{ID: ev.ID, Server: ev.Server, Arrival: ev.Arrival, At: ev.At}
+		entries[i] = dock.HomeEntry{ID: ev.ID, Server: ev.Server, Arrival: ev.Arrival, Seq: ev.Seq, At: ev.At}
 	}
 	err := s.dockStore.Save(&dock.Snapshot{
 		Server:            s.name,
@@ -112,7 +112,7 @@ func (s *Server) restoreFromDock() error {
 	if len(snap.Home) > 0 {
 		evs := make([]manager.HomeEvent, len(snap.Home))
 		for i, h := range snap.Home {
-			evs[i] = manager.HomeEvent{ID: h.ID, Server: h.Server, Arrival: h.Arrival, At: h.At}
+			evs[i] = manager.HomeEvent{ID: h.ID, Server: h.Server, Arrival: h.Arrival, Seq: h.Seq, At: h.At}
 		}
 		s.mgr.RestoreHome(evs)
 	}
@@ -143,11 +143,11 @@ func (s *Server) restoreFromDock() error {
 			// PhaseVisiting re-runs the pending visit (at-least-once
 			// within a visit); PhaseResident resumes at the next decision.
 			arrived := r.Phase == dock.PhaseVisiting
-			s.nav.RegisterArrival(context.Background(), rec, now)
+			s.nav.RegisterArrival(context.Background(), rec)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.lifecycle(rec, arrived, nil)
+				s.lifecycle(rec, arrived, true, nil)
 			}()
 		}
 	}
@@ -168,9 +168,9 @@ func (s *Server) resumeDispatch(rec *naplet.Record, dest, tid string) {
 		rec.PendingAlts = nil
 		// Provably still here, and the shutdown withdrew this server's
 		// directory entries: put the naplet's back.
-		s.nav.RegisterArrival(context.Background(), rec, s.clock())
+		s.nav.RegisterArrival(context.Background(), rec)
 		s.dockResident(rec, dock.PhaseResident, "", "")
-		s.lifecycle(rec, false, nil)
+		s.lifecycle(rec, false, true, nil)
 	case failoverDeparted:
 	default:
 		s.trap(rec, fmt.Errorf("dispatch to %s: %w", dest, err))

@@ -112,11 +112,16 @@ func TestDockRestartResumesVisit(t *testing.T) {
 	}
 
 	// The landing was committed to the dock before it was acknowledged, so
-	// the image taken now holds the visiting naplet.
+	// the image taken now holds the visiting naplet. A crashed server sends
+	// nothing, but Close kills the visit and reports it trapped, and the
+	// home keeps the first terminal status it hears: cut s1 off while it
+	// closes, so the trap stays where a crash would have left it.
 	img := crashImage(t, st)
+	sp.net.Partition("s1", "home", true)
 	if err := sp.servers["s1"].Close(); err != nil {
 		t.Fatal(err)
 	}
+	sp.net.Partition("s1", "home", false)
 	restoreImage(t, st, img)
 
 	// Reopen the gate so the replayed visit runs through, then boot a
@@ -137,8 +142,7 @@ func TestDockRestartResumesVisit(t *testing.T) {
 	}
 	t.Cleanup(func() { s1b.Close() })
 
-	// The crash may have reported the naplet trapped before the restart
-	// finishes the tour; poll until the completion overwrites it.
+	// The restarted visit completes the tour and reports it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		stt, _, serr := sp.servers["home"].Status(nid)

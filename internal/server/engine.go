@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cred"
@@ -100,13 +101,14 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (nid id.NapletI
 	s.mgr.RecordLaunch(nid, opts.Listener)
 	s.mgr.RecordArrival(nid, opts.Codebase, "origin", now)
 	rec.Log.RecordArrival(s.name, now)
-	s.nav.RegisterArrival(ctx, rec, now)
+	// The launch is hop 0, a due hop: the entry every chase starts from.
+	s.nav.RegisterArrival(ctx, rec)
 	s.mgr.SetStatus(nid, manager.StatusRunning)
 	s.emit("launch", rec, s.name, s.name, opts.Codebase)
 
 	go func() {
 		defer s.wg.Done()
-		s.lifecycle(rec, false, opts.MonitorPolicy)
+		s.lifecycle(rec, false, true, opts.MonitorPolicy)
 	}()
 	return nid, nil
 }
@@ -147,21 +149,33 @@ func (s *Server) launchFromControl(body ControlBody) (id.NapletID, error) {
 }
 
 // land is the navigator's LandFunc: an accepted naplet starts its visit
-// here. Residency bookkeeping (manager arrival, navigation log, directory
-// registration) already happened inside HandleTransfer, before the ack.
+// here. Residency bookkeeping (manager arrival, navigation log) already
+// happened inside HandleTransfer, before the ack; the arrival is
+// registered where the naplet stays (lifecycle).
 func (s *Server) land(rec *naplet.Record, source string) {
 	if !s.enter() {
 		return
 	}
 	defer s.wg.Done()
 	s.emit("arrival", rec, source, s.name, "")
-	s.lifecycle(rec, true, nil)
+	s.lifecycle(rec, true, false, nil)
 }
+
+// registerEvery is k of the registration rule: a landed naplet is
+// registered before OnStart on every hop whose count — the log's length
+// less the launch — is a multiple of k, and otherwise only once it first
+// makes itself known here (residentProxy). Half the messenger's chase
+// bound, so a post that finds an entry k-1 hops stale reaches the naplet
+// well inside it.
+const registerEvery = messenger.MaxHops / 2
 
 // lifecycle drives a resident naplet: optionally perform the pending
 // arrival visit, then advance the itinerary until the naplet departs,
-// completes, or traps.
-func (s *Server) lifecycle(rec *naplet.Record, arrived bool, polOverride *monitor.Policy) {
+// completes, or traps. registered says the stay's arrival registration is
+// already made (a launch, a clone's birth, a restore); otherwise a landed
+// naplet registers before OnStart on a due hop, or at its first
+// communication here.
+func (s *Server) lifecycle(rec *naplet.Record, arrived, registered bool, polOverride *monitor.Policy) {
 	policy := s.cfg.MonitorPolicy
 	if polOverride != nil {
 		policy = *polOverride
@@ -180,12 +194,19 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived bool, polOverride *monito
 		return
 	}
 
+	proxy := &residentProxy{
+		server:     s,
+		rec:        rec,
+		inner:      messenger.NewView(s.msgr, rec, mb),
+		group:      g,
+		registered: registered,
+	}
 	nctx := &naplet.Context{
 		Server:    s.name,
 		Record:    rec,
-		Messenger: &meteredMessenger{inner: messenger.NewView(s.msgr, rec, mb), group: g},
+		Messenger: proxy,
 		Services:  resource.NewView(s.res, &rec.Credential),
-		Listener:  &listenerProxy{server: s, rec: rec},
+		Listener:  proxy,
 		Clock:     naplet.ClockFunc(s.clock),
 	}
 	defer nctx.Services.(*resource.View).ReleaseAll()
@@ -200,6 +221,10 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived bool, polOverride *monito
 
 	if arrived {
 		s.dockResident(rec, dock.PhaseVisiting, "", "")
+		if (rec.Log.Len()-1)%registerEvery == 0 {
+			// A due hop: execution waits for the registration.
+			proxy.register(context.Background())
+		}
 		if err := s.performVisit(g, nctx, behavior, rec.Pending); err != nil {
 			if errors.Is(err, monitor.ErrEvacuated) {
 				s.evacuateNaplet(s.reg.EvaluatorFor(rec.Codebase, nctx), rec)
@@ -242,7 +267,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 		switch d.Kind {
 		case itinerary.DecisionDone:
 			// What OnDestroy reports goes home with the end, in one call.
-			lp := nctx.Listener.(*listenerProxy)
+			lp := nctx.Listener.(*residentProxy)
 			if dst, ok := behavior.(naplet.Destroyable); ok {
 				lp.ending = true
 				dst.OnDestroy(nctx)
@@ -430,6 +455,9 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 func (s *Server) departed(rec *naplet.Record, dest string) {
 	s.dockRemove(rec.ID)
 	left, peers := s.msgr.CloseMailbox(rec.ID)
+	// With the slot gone nothing more is held here: the controls that
+	// came while the naplet was leaving go after it with its mail.
+	left = append(left, s.takeControls(rec.ID)...)
 	if len(left) > 0 {
 		fctx, fcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		_ = s.msgr.ForwardLeftovers(fctx, dest, left)
@@ -467,7 +495,7 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 	defer func() {
 		s.leaveMu.Lock()
 		i := s.leavingIndex(rec.ID)
-		settled := s.leaving[i].settled
+		settled, controls := s.leaving[i].settled, s.leaving[i].controls
 		last := len(s.leaving) - 1
 		s.leaving[i] = s.leaving[last]
 		s.leaving[last] = leave{}
@@ -475,6 +503,15 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 		s.leaveMu.Unlock()
 		if settled != nil {
 			close(settled)
+		}
+		// Left over only when the dispatch failed: the naplet is still
+		// here, and so is its group.
+		if len(controls) > 0 {
+			if g, err := s.mon.Group(rec.ID); err == nil {
+				for _, msg := range controls {
+					g.Interrupt(msg)
+				}
+			}
 		}
 	}()
 
@@ -491,6 +528,38 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 type leave struct {
 	id      id.NapletID
 	settled chan struct{}
+	// controls are the system messages that reached the naplet while it
+	// was leaving (holdControl).
+	controls []naplet.Message
+}
+
+// holdControl keeps a system message for a naplet whose migration away
+// from here is open, and reports whether it did. Cast on the departing
+// copy, a callback, suspend or terminate would miss the copy that lands;
+// held, it follows the naplet with its mail (departed), or reaches it here
+// if the dispatch fails (migrate). Called under the messenger's lock.
+func (s *Server) holdControl(nid id.NapletID, msg naplet.Message) bool {
+	s.leaveMu.Lock()
+	defer s.leaveMu.Unlock()
+	i := s.leavingIndex(nid)
+	if i < 0 {
+		return false
+	}
+	s.leaving[i].controls = append(s.leaving[i].controls, msg)
+	return true
+}
+
+// takeControls hands over the system messages held for a leaving naplet.
+func (s *Server) takeControls(nid id.NapletID) []naplet.Message {
+	s.leaveMu.Lock()
+	defer s.leaveMu.Unlock()
+	i := s.leavingIndex(nid)
+	if i < 0 {
+		return nil
+	}
+	controls := s.leaving[i].controls
+	s.leaving[i].controls = nil
+	return controls
 }
 
 // leavingIndex finds the naplet's open migration, or -1; leaveMu held.
@@ -624,12 +693,12 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 	for _, clone := range clones {
 		s.mgr.RecordArrival(clone.ID, clone.Codebase, "clone:"+rec.ID.Key(), now)
 		clone.Log.RecordArrival(s.name, now)
-		s.nav.RegisterArrival(context.Background(), clone, now)
+		s.nav.RegisterArrival(context.Background(), clone)
 		clone := clone
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.lifecycle(clone, false, nil)
+			s.lifecycle(clone, false, true, nil)
 		}()
 	}
 	return nil
@@ -680,50 +749,67 @@ func (s *Server) reportEnd(rec *naplet.Record, st manager.Status, errText string
 // endReportPolicy paces a naplet's end report: 20 tries, 2 ms apart.
 var endReportPolicy = transport.Backoff{Initial: 2 * time.Millisecond, Max: 2 * time.Millisecond, Retries: 19}
 
-// meteredMessenger wraps the per-naplet messaging view with the monitor's
-// network-bandwidth accounting (§5.2: the monitor tracks "consumed system
-// resources including CPU time, memory size, and network bandwidth"). A
-// naplet that exceeds its bandwidth budget is killed before the message
-// leaves.
-type meteredMessenger struct {
-	inner naplet.MessengerAPI
-	group *monitor.Group
+// residentProxy is a naplet's view of this dock for one stay: its
+// messenger, metered by the monitor's network-bandwidth accounting (§5.2:
+// the monitor tracks "consumed system resources including CPU time,
+// memory size, and network bandwidth" — a naplet over its bandwidth
+// budget is killed before the message leaves), its listener, whose
+// reports travel to the home manager, and the stay's one arrival
+// registration, made before the naplet first makes itself known here.
+type residentProxy struct {
+	server *Server
+	rec    *naplet.Record
+	inner  naplet.MessengerAPI
+	group  *monitor.Group
+	// ending is set while OnDestroy runs: its reports are kept in results
+	// and go home with the end (reportEnd).
+	ending  bool
+	results [][]byte
+
+	regMu      sync.Mutex
+	registered bool // the stay's registration is made (or was given up)
+}
+
+// register makes the stay's arrival registration unless it is made: at
+// most once per stay, under ctx bounded by navigator.RegisterTimeout. A
+// caller racing the first one waits for it, so what it sends next finds
+// the entry.
+func (p *residentProxy) register(ctx context.Context) {
+	p.regMu.Lock()
+	defer p.regMu.Unlock()
+	if p.registered {
+		return
+	}
+	p.registered = true
+	p.server.nav.RegisterArrival(ctx, p.rec)
 }
 
 // messageOverhead approximates per-message framing beyond the body.
 const messageOverhead = 96
 
 // Post implements naplet.MessengerAPI.
-func (m *meteredMessenger) Post(ctx context.Context, to id.NapletID, subject string, body []byte) error {
-	if err := m.group.ChargeBandwidth(int64(len(body)+len(subject)) + messageOverhead); err != nil {
+func (p *residentProxy) Post(ctx context.Context, to id.NapletID, subject string, body []byte) error {
+	if err := p.group.ChargeBandwidth(int64(len(body)+len(subject)) + messageOverhead); err != nil {
 		return err
 	}
-	return m.inner.Post(ctx, to, subject, body)
+	p.register(ctx)
+	return p.inner.Post(ctx, to, subject, body)
 }
 
 // Receive implements naplet.MessengerAPI.
-func (m *meteredMessenger) Receive(ctx context.Context) (naplet.Message, error) {
-	return m.inner.Receive(ctx)
+func (p *residentProxy) Receive(ctx context.Context) (naplet.Message, error) {
+	p.register(ctx)
+	return p.inner.Receive(ctx)
 }
 
 // TryReceive implements naplet.MessengerAPI.
-func (m *meteredMessenger) TryReceive() (naplet.Message, bool) {
-	return m.inner.TryReceive()
-}
-
-// listenerProxy implements naplet.ListenerAPI: reports travel to the
-// naplet's home manager, which dispatches to the owner's listener.
-type listenerProxy struct {
-	server *Server
-	rec    *naplet.Record
-	// ending is set while OnDestroy runs: its reports are kept in results
-	// and go home with the end (reportEnd).
-	ending  bool
-	results [][]byte
+func (p *residentProxy) TryReceive() (naplet.Message, bool) {
+	p.register(context.Background())
+	return p.inner.TryReceive()
 }
 
 // Report implements naplet.ListenerAPI.
-func (p *listenerProxy) Report(ctx context.Context, body []byte) error {
+func (p *residentProxy) Report(ctx context.Context, body []byte) error {
 	if p.ending {
 		p.results = append(p.results, append([]byte(nil), body...))
 		return nil
@@ -732,6 +818,7 @@ func (p *listenerProxy) Report(ctx context.Context, body []byte) error {
 		p.server.mgr.Deliver(p.rec.ID, body)
 		return nil
 	}
+	p.register(ctx)
 	f := wire.BinaryFrame(wire.KindReport, "", "",
 		&ReportBody{NapletID: p.rec.ID, Kind: ReportResult, Results: [][]byte{body}})
 	_, err := p.server.node.Call(ctx, p.rec.Home, f)

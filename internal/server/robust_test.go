@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cred"
+	"repro/internal/id"
 	"repro/internal/itinerary"
+	"repro/internal/locator"
 	"repro/internal/manager"
 	"repro/internal/naplet"
 	"repro/internal/registry"
@@ -199,25 +202,75 @@ func TestDrainRefusesLandings(t *testing.T) {
 func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 	// Regression: a closed server used to leave its directory entries
 	// behind, so peers kept dispatching naplets and mail at a dead dock.
-	sp := newSpace(t, spaceOpts{directory: true}, "home", "s1")
+	// A naplet registers where it stays, so an entry naming the closing
+	// dock may also belong to one that left it without a word since: the
+	// dock re-points that one along its visit trace, and it still gets
+	// its mail.
+	sp := newSpace(t, spaceOpts{mode: locator.ModeDirectory, directory: true}, "home", "s1", "s2")
+	sp.reg.MustRegister(&registry.Codebase{Name: "test.Reporter", New: func() naplet.Behavior {
+		return behaviorFunc(func(ctx *naplet.Context) error {
+			return ctx.Listener.Report(ctx.Cancel, []byte(ctx.Server))
+		})
+	}})
+	release := make(chan struct{})
+	got := make(chan string, 1)
+	sp.reg.MustRegister(&registry.Codebase{Name: "test.Quiet", New: func() naplet.Behavior {
+		return behaviorFunc(func(ctx *naplet.Context) error {
+			select {
+			case <-release:
+			case <-ctx.Cancel.Done():
+				return ctx.Cancel.Err()
+			}
+			msg, err := ctx.Messenger.Receive(ctx.Cancel)
+			if err != nil {
+				return err
+			}
+			got <- ctx.Server + ":" + msg.Subject
+			return nil
+		})
+	}})
+	// The reporter registers at s1 by reporting home from there, and ends
+	// there.
 	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
 		Owner:    "czxu",
-		Codebase: "test.Collector",
+		Codebase: "test.Reporter",
 		Pattern:  itinerary.SeqVisits([]string{"s1"}, ""),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
+	// The quiet naplet's launch at s1 registers it there; it moves on to
+	// s2 (hop 1, not due) and says nothing. s1 closes once it has let the
+	// naplet go: its trace then forwards to s2.
+	left := make(chan struct{})
+	sp.servers["s1"].SetEventSink(func(ev Event) {
+		if ev.Kind == "depart" {
+			close(left)
+		}
+	})
+	quiet, err := sp.servers["s1"].Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Quiet",
+		Pattern:  itinerary.SeqVisits([]string{"s2"}, ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-left:
+	case <-time.After(10 * time.Second):
+		t.Fatal("s1 never let the quiet naplet go")
+	}
 
-	present := false
+	onS1 := 0
 	for _, e := range sp.dir.Snapshot() {
 		if e.Server == "s1" {
-			present = true
+			onS1++
 		}
 	}
-	if !present {
-		t.Fatal("no directory entry points at s1 before close; test is vacuous")
+	if onS1 != 2 {
+		t.Fatalf("%d directory entries point at s1 before close, want 2; test is vacuous", onS1)
 	}
 
 	if err := sp.servers["s1"].Close(); err != nil {
@@ -227,5 +280,25 @@ func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 		if e.Server == "s1" {
 			t.Fatalf("directory still holds %v -> s1 after Close", e.NapletID)
 		}
+	}
+	if e, ok := sp.dir.Lookup(quiet); !ok || e.Server != "s2" || e.Seq != 3 {
+		t.Fatalf("quiet naplet's entry = %+v, %v; want s2 at its arrival's seq 3", e, ok)
+	}
+
+	sender := naplet.NewRecord(id.MustNew("tx", "home", time.Now()), cred.Credential{}, "test.Quiet", "home", nil)
+	sender.Book.Add(quiet, "s1") // a stale hint; the directory decides
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sp.servers["home"].Messenger().Post(ctx, sender, quiet, "wake", nil); err != nil {
+		t.Fatalf("post to the quiet naplet after s1 closed: %v", err)
+	}
+	close(release)
+	select {
+	case where := <-got:
+		if where != "s2:wake" {
+			t.Fatalf("message received at %q, want s2:wake", where)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the quiet naplet never received the message")
 	}
 }

@@ -321,7 +321,9 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return false
 		}
-		g.Interrupt(msg)
+		if !s.holdControl(to, msg) {
+			g.Interrupt(msg)
+		}
 		return true
 	})
 	close(s.ready)
@@ -518,15 +520,24 @@ func (s *Server) finishDrain(ctx context.Context) {
 	s.withdrawRegistrations()
 }
 
-// withdrawRegistrations removes this server's entries from the central
-// directory so peers stop routing naplets and mail here. Best effort.
+// withdrawRegistrations removes this server's entries from the directory
+// so peers stop routing naplets and mail here. A naplet registers where it
+// stays, so an entry naming this server may belong to one that has since
+// left it without registering elsewhere: its entry is re-pointed along
+// this server's visit trace, at the sequence of the arrival there, instead
+// of dropped. Best effort.
 func (s *Server) withdrawRegistrations() {
 	if s.dir == nil {
 		return
 	}
+	deps := s.mgr.Departures()
+	moved := make([]directory.Forward, len(deps))
+	for i, d := range deps {
+		moved[i] = directory.Forward{NapletID: d.NapletID, Server: d.Dest, Seq: d.Seq}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_ = s.dir.DeregisterServer(ctx, s.name)
+	_ = s.dir.DeregisterServer(ctx, s.name, moved)
 }
 
 // handle is the server's composite frame handler, dispatching to the
@@ -543,11 +554,11 @@ func (s *Server) handle(from string, f wire.Frame) (wire.Frame, error) {
 	// the caller's propagated budget runs out while waiting. The gate
 	// reads the frame's deadline; only a request that queues arms a timer.
 	deadline, _ := f.Deadline()
-	release, err := s.gate.AdmitBy(deadline, overload.Classify(f.Kind))
+	ticket, err := s.gate.AdmitBy(deadline, overload.Classify(f.Kind))
 	if err != nil {
 		return wire.Frame{}, err
 	}
-	defer release()
+	defer ticket.Release()
 	switch f.Kind {
 	case wire.KindLandingRequest:
 		return s.nav.HandleLandingRequest(from, f)

@@ -613,27 +613,38 @@ func TestLazyCodeLoadingCache(t *testing.T) {
 }
 
 func TestDirectoryModeTracksNaplet(t *testing.T) {
+	// A naplet that reports home from every stop registers at every stop
+	// before its report leaves: the directory follows the whole tour.
 	sp := newSpace(t, spaceOpts{mode: locator.ModeDirectory, directory: true}, "home", "s1", "s2")
-	results := make(chan string, 1)
+	sp.reg.MustRegister(&registry.Codebase{Name: "test.Reporter", New: func() naplet.Behavior {
+		return behaviorFunc(func(ctx *naplet.Context) error {
+			return ctx.Listener.Report(ctx.Cancel, []byte(ctx.Server))
+		})
+	}})
+	cnode := sp.servers["home"].Node()
+	results := make(chan string, 2)
 	nid, err := sp.servers["home"].Launch(context.Background(), LaunchOptions{
 		Owner:    "czxu",
-		Codebase: "test.Collector",
+		Codebase: "test.Reporter",
 		Pattern:  itinerary.SeqVisits([]string{"s1", "s2"}, ""),
-		Listener: func(r manager.Result) { results <- string(r.Body) },
+		Listener: func(r manager.Result) {
+			// The report left s1 or s2 after the naplet registered there.
+			entry, err := directory.NewClient(cnode, "dir").Lookup(context.Background(), r.NapletID)
+			if err != nil {
+				results <- err.Error()
+				return
+			}
+			results <- string(r.Body) + "@" + entry.Server
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
-	<-results
-	// The directory saw arrivals and departures for the whole tour.
-	cnode := sp.servers["home"].Node()
-	entry, err := directory.NewClient(cnode, "dir").Lookup(context.Background(), nid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry.Server != "s2" {
-		t.Fatalf("directory last entry = %+v", entry)
+	for _, want := range []string{"s1@s1", "s2@s2"} {
+		if got := <-results; got != want {
+			t.Fatalf("report and directory entry = %q, want %q", got, want)
+		}
 	}
 }
 
