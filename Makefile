@@ -88,7 +88,13 @@ verify:
 # runs of the TCP mux's late-reply race, where calls that give
 # up as their replies arrive are interleaved with calls that wait on one
 # connection and every answered call must get its own reply, never one
-# that landed in a pooled reply slot late (TestLateReplyNeverReachesAnotherCall).
+# that landed in a pooled reply slot late (TestLateReplyNeverReachesAnotherCall),
+# plus twenty runs of a call to a silent peer whose deadline only the frame
+# carries, after calls on the same mux gave up early on their frame budgets
+# interleaved with calls that were answered: the reply slots' timers are
+# pooled with them, and a tick left in one would end a later call early —
+# the silent call must end at its budget, sent once
+# (TestSilentPeerEndsAtTheFrameBudget).
 # Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
@@ -100,6 +106,7 @@ chaos:
 	go test -race -count=1 -run 'TestChaosFleetSeeds' ./internal/fleet/
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 	go test -race -count=20 -run 'TestLateReplyNeverReachesAnotherCall' ./internal/transport/
+	go test -race -count=20 -run 'TestSilentPeerEndsAtTheFrameBudget' ./internal/transport/
 
 # bench runs every Benchmark* function in the module with allocation
 # accounting: the micro-benchmarks in bench_test.go and each package's

@@ -1,6 +1,8 @@
 package cred
 
 import (
+	"bytes"
+
 	"repro/internal/id"
 	"repro/internal/wire"
 )
@@ -24,9 +26,20 @@ func (c *Credential) AppendBinary(dst []byte) []byte {
 // DecodeBinary consumes one credential from b and returns the rest. The
 // signature is copied, so the credential does not alias b.
 func DecodeBinary(b []byte) (Credential, []byte, error) {
+	return DecodeBinaryOf(b, id.NapletID{}, nil)
+}
+
+// DecodeBinaryOf is DecodeBinary for a credential that most likely names
+// nid, whose encoding is enc (a record's credential names the record): when
+// b begins with enc, the credential shares nid instead of decoding a copy
+// and building its text again. An identifier's encoding is self-delimiting,
+// so a prefix match is an exact one.
+func DecodeBinaryOf(b []byte, nid id.NapletID, enc []byte) (Credential, []byte, error) {
 	var c Credential
 	var err error
-	if c.NapletID, b, err = id.DecodeBinary(b); err != nil {
+	if len(enc) > 0 && bytes.HasPrefix(b, enc) {
+		c.NapletID, b = nid, b[len(enc):]
+	} else if c.NapletID, b, err = id.DecodeBinary(b); err != nil {
 		return Credential{}, nil, err
 	}
 	if c.Codebase, b, err = wire.DecString(b); err != nil {

@@ -502,9 +502,17 @@ func (n *faultNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Fra
 		return wire.Frame{}, fmt.Errorf("%w: %s -> %s (%s)", ErrInjectedOverload, from, to, f.Kind)
 	case FaultDelay:
 		i.record(Event{Seq: calls, From: from, To: to, Frame: f.Kind, Fault: FaultDelay})
-		t := time.NewTimer(i.cfg.DelaySpike)
+		// The spike ends at the call's deadline if that comes first.
+		delay, err := i.cfg.DelaySpike, error(nil)
+		if deadline, ok := transport.CallDeadline(ctx, &f); ok && time.Until(deadline) < delay {
+			delay, err = time.Until(deadline), context.DeadlineExceeded
+		}
+		t := time.NewTimer(delay)
 		select {
 		case <-t.C:
+			if err != nil {
+				return wire.Frame{}, err
+			}
 		case <-ctx.Done():
 			t.Stop()
 			return wire.Frame{}, ctx.Err()

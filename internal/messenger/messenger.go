@@ -268,7 +268,7 @@ func (m *Messenger) CreateMailbox(nid id.NapletID) *Mailbox {
 	defer m.mu.Unlock()
 	mb, ok := m.slots[key]
 	if !ok {
-		mb = newMailbox()
+		mb = new(Mailbox)
 		m.slots[key] = mb
 	}
 	if !mb.open {
@@ -507,7 +507,7 @@ func (m *Messenger) decide(from string, body PostBody) (confirm ConfirmBody, des
 			}
 		}
 		// Case 3: not landed yet — hold the mail in a new slot.
-		mb = newMailbox()
+		mb = new(Mailbox)
 		m.slots[key] = mb
 	}
 	delivered := m.deposit(mb, msg)
@@ -665,7 +665,7 @@ func (m *Messenger) RestoreMail(mail map[string][]naplet.Message) {
 		}
 		mb, ok := m.slots[key]
 		if !ok {
-			mb = newMailbox()
+			mb = new(Mailbox)
 			m.slots[key] = mb
 		}
 		for _, msg := range msgs {
@@ -736,14 +736,12 @@ type Mailbox struct {
 	open  bool
 	peers []string
 
-	mu     sync.Mutex
-	msgs   []naplet.Message
+	mu   sync.Mutex
+	msgs []naplet.Message
+	// wake is made by the first Receive that has to wait: a naplet that
+	// never waits for mail never has one.
 	wake   chan struct{}
 	closed bool
-}
-
-func newMailbox() *Mailbox {
-	return &Mailbox{wake: make(chan struct{}, 1)}
 }
 
 // put queues msg; a closed mailbox drops it.
@@ -754,6 +752,11 @@ func (b *Mailbox) put(msg naplet.Message) {
 		return
 	}
 	b.msgs = append(b.msgs, msg)
+	b.signal()
+}
+
+// signal wakes a waiting Receive, if one ever waited; b.mu held.
+func (b *Mailbox) signal() {
 	select {
 	case b.wake <- struct{}{}:
 	default:
@@ -807,9 +810,13 @@ func (b *Mailbox) Receive(ctx context.Context) (naplet.Message, error) {
 			b.mu.Unlock()
 			return naplet.Message{}, ErrMailboxClosed
 		}
+		if b.wake == nil {
+			b.wake = make(chan struct{}, 1)
+		}
+		wake := b.wake
 		b.mu.Unlock()
 		select {
-		case <-b.wake:
+		case <-wake:
 		case <-ctx.Done():
 			return naplet.Message{}, ctx.Err()
 		}
@@ -837,38 +844,6 @@ func (b *Mailbox) close() []naplet.Message {
 	b.closed = true
 	left := b.msgs
 	b.msgs = nil
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
+	b.signal()
 	return left
-}
-
-// View binds the messenger to one resident naplet, implementing
-// naplet.MessengerAPI.
-type View struct {
-	m      *Messenger
-	record *naplet.Record
-	mb     *Mailbox
-}
-
-// NewView builds the per-naplet messaging surface around the naplet's open
-// mailbox.
-func NewView(m *Messenger, record *naplet.Record, mb *Mailbox) *View {
-	return &View{m: m, record: record, mb: mb}
-}
-
-// Post implements naplet.MessengerAPI.
-func (v *View) Post(ctx context.Context, to id.NapletID, subject string, body []byte) error {
-	return v.m.Post(ctx, v.record, to, subject, body)
-}
-
-// Receive implements naplet.MessengerAPI.
-func (v *View) Receive(ctx context.Context) (naplet.Message, error) {
-	return v.mb.Receive(ctx)
-}
-
-// TryReceive implements naplet.MessengerAPI.
-func (v *View) TryReceive() (naplet.Message, bool) {
-	return v.mb.TryReceive()
 }

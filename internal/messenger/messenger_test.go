@@ -520,7 +520,7 @@ func TestChaseGivesUpWithinThePostersBudget(t *testing.T) {
 }
 
 func TestMailboxReceiveBlocking(t *testing.T) {
-	mb := newMailbox()
+	mb := new(Mailbox)
 	done := make(chan naplet.Message, 1)
 	go func() {
 		msg, err := mb.Receive(context.Background())
@@ -542,7 +542,7 @@ func TestMailboxReceiveBlocking(t *testing.T) {
 }
 
 func TestMailboxReceiveCancel(t *testing.T) {
-	mb := newMailbox()
+	mb := new(Mailbox)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if _, err := mb.Receive(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -551,7 +551,7 @@ func TestMailboxReceiveCancel(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocks(t *testing.T) {
-	mb := newMailbox()
+	mb := new(Mailbox)
 	done := make(chan error, 1)
 	go func() {
 		_, err := mb.Receive(context.Background())
@@ -659,7 +659,9 @@ func TestHeldDuplicateAbsorbed(t *testing.T) {
 	}
 }
 
-func TestViewAPI(t *testing.T) {
+// TestPostAndMailboxAPI: a naplet's messaging surface is the messenger's
+// Post and its open mailbox, as a dock's resident proxy calls them.
+func TestPostAndMailboxAPI(t *testing.T) {
 	r := newRig(t, "sa", "sb")
 	a := r.land(t, "a", "sa", "sa")
 	b := r.land(t, "b", "sb", "sb")
@@ -668,29 +670,26 @@ func TestViewAPI(t *testing.T) {
 
 	mbA, _ := r.msgr["sa"].Mailbox(a.ID)
 	mbB, _ := r.msgr["sb"].Mailbox(b.ID)
-	va := NewView(r.msgr["sa"], a, mbA)
-	vb := NewView(r.msgr["sb"], b, mbB)
 
-	if err := va.Post(context.Background(), b.ID, "ping", []byte("1")); err != nil {
+	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "ping", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := vb.Receive(context.Background())
+	msg, err := mbB.Receive(context.Background())
 	if err != nil || msg.Subject != "ping" {
 		t.Fatalf("Receive: %v %v", msg, err)
 	}
-	if err := vb.Post(context.Background(), a.ID, "pong", []byte("2")); err != nil {
+	if err := r.msgr["sb"].Post(context.Background(), b, a.ID, "pong", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := va.TryReceive(); !ok || msg.Subject != "pong" {
+	if msg, ok := mbA.TryReceive(); !ok || msg.Subject != "pong" {
 		t.Fatalf("TryReceive: %v %v", msg, ok)
 	}
-	if _, ok := va.TryReceive(); ok {
+	if _, ok := mbA.TryReceive(); ok {
 		t.Fatal("empty mailbox TryReceive must report false")
 	}
 }
 
 // Interface conformance.
-var _ naplet.MessengerAPI = (*View)(nil)
 var _ transport.Handler = (*Messenger)(nil).HandlePost
 
 // TestPushMigrationBuildsAContextOnlyToPush: on a caching dock, a

@@ -476,10 +476,12 @@ func DecodeRecordBinary(data []byte) (*Record, error) {
 	b := data[3:]
 	r := new(Record)
 	var err error
+	idEnc := b
 	if r.ID, b, err = id.DecodeBinary(b); err != nil {
 		return nil, err
 	}
-	if r.Credential, b, err = cred.DecodeBinary(b); err != nil {
+	idEnc = idEnc[:len(idEnc)-len(b)]
+	if r.Credential, b, err = cred.DecodeBinaryOf(b, r.ID, idEnc); err != nil {
 		return nil, err
 	}
 	if r.Codebase, b, err = wire.DecString(b); err != nil {

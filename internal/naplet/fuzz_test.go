@@ -2,7 +2,10 @@ package naplet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"repro/internal/id"
 )
 
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must
@@ -54,6 +57,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if enc := rec.AppendBinary(nil); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted record is not canonical:\n  in %x\n out %x", data, enc)
+		}
+		// The credential shares the record's ID only where decoding its
+		// own bytes gives the same ID.
+		_, credBytes, _ := id.DecodeBinary(data[3:])
+		if credID, _, err := id.DecodeBinary(credBytes); err != nil || !reflect.DeepEqual(rec.Credential.NapletID, credID) {
+			t.Fatalf("credential ID %v, want %v (%v) as its bytes decode", rec.Credential.NapletID, credID, err)
 		}
 		touchAll(rec)
 		if enc := rec.AppendBinary(nil); !bytes.Equal(enc, data) {

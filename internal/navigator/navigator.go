@@ -569,7 +569,7 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	// re-point.
 	now := n.clock()
 	if n.mgr != nil {
-		_ = n.mgr.Depart(rec.ID, dest, arrivalSeq(rec.Log.Len()+1), now)
+		_ = n.mgr.Depart(rec.ID, dest, ArrivalSeq(rec.Log.Len()+1), now)
 	}
 	rec.Log.RecordDeparture(n.server, now)
 	n.met.dispatched.Inc()
@@ -580,11 +580,10 @@ func (n *Navigator) dispatchID(ctx context.Context, rec *naplet.Record, dest, tr
 	return bd, nil
 }
 
-// call is one protocol round trip to dest under the given timeout.
+// call is one protocol round trip to dest under the given timeout, which
+// rides the frame when ctx cannot be canceled (transport.CallWithin).
 func (n *Navigator) call(ctx context.Context, dest string, f wire.Frame, timeout time.Duration) (wire.Frame, error) {
-	cctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	return n.node.Call(cctx, dest, f)
+	return transport.CallWithin(ctx, n.node, dest, f, timeout)
 }
 
 // callBudget is the timeout of the next call of a dispatch attempt that
@@ -632,10 +631,10 @@ func (n *Navigator) transfer(ctx context.Context, dest string, body *TransferBod
 // not answer costs the registering naplet this much, not a call timeout.
 const RegisterTimeout = time.Second
 
-// arrivalSeq is the location sequence of an arrival that makes the log
+// ArrivalSeq is the location sequence of an arrival that makes the log
 // hops long: the log travels with the record, so it grows across docks
 // whatever their clocks say.
-func arrivalSeq(hops int) uint64 {
+func ArrivalSeq(hops int) uint64 {
 	if hops <= 0 {
 		return 0
 	}
@@ -658,7 +657,7 @@ func (n *Navigator) RegisterArrival(ctx context.Context, rec *naplet.Record) {
 		ctx, cancel = context.WithTimeout(ctx, RegisterTimeout)
 		defer cancel()
 	}
-	at, seq := n.clock(), arrivalSeq(rec.Log.Len())
+	at, seq := n.clock(), ArrivalSeq(rec.Log.Len())
 	if n.cfg.Directory != nil {
 		_ = n.cfg.Directory.RegisterEvent(ctx, directory.Registration{
 			NapletID: rec.ID, Event: directory.Arrival,

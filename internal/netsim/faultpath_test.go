@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -101,5 +102,46 @@ func TestLossRateMetering(t *testing.T) {
 	st := seeded.TotalStats()
 	if st.Dropped == 0 || st.Dropped == st.FramesSent {
 		t.Fatalf("seeded 0.5 loss dropped %d of %d frames", st.Dropped, st.FramesSent)
+	}
+}
+
+// TestLossyLinkEndsAtTheCallersBudget: at a TimeScale that sleeps, a frame
+// lost on the link costs the caller what is left of its budget — one the
+// frame carries, with no context deadline — not the network's CallTimeout;
+// at TimeScale 0 a spent budget ends the call before delivery.
+func TestLossyLinkEndsAtTheCallersBudget(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	net := New(Config{DefaultLink: Link{Loss: 1}, TimeScale: 1, CallTimeout: 10 * time.Second})
+	if _, err := net.Attach("b", echoHandler); err != nil {
+		t.Fatal(err)
+	}
+	a, err := net.Attach("a", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = transport.CallWithin(context.Background(), a, "b", wire.Frame{Kind: wire.KindPost}, budget)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call over a lossy link: %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed < budget || elapsed > 20*budget {
+		t.Fatalf("call over a lossy link took %v, want its budget %v", elapsed, budget)
+	}
+
+	// Where nothing sleeps, a spent budget still ends the call undelivered.
+	instant := New(Config{})
+	delivered := false
+	if _, err := instant.Attach("b", func(from string, f wire.Frame) (wire.Frame, error) {
+		delivered = true
+		return echoHandler(from, f)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = instant.Attach("a", echoHandler); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = transport.CallWithin(context.Background(), a, "b", wire.Frame{Kind: wire.KindPost}, 0); !errors.Is(err, context.DeadlineExceeded) || delivered {
+		t.Fatalf("call with a spent budget: %v (delivered %v), want context.DeadlineExceeded before delivery", err, delivered)
 	}
 }

@@ -208,20 +208,32 @@ func (n *Network) lose(p float64) bool {
 	return n.rng.Float64() < p
 }
 
-// sleep sleeps the modeled duration scaled by TimeScale.
-func (n *Network) sleep(ctx context.Context, d time.Duration) error {
-	if n.cfg.TimeScale <= 0 || d <= 0 {
+// sleep sleeps the modeled duration scaled by TimeScale, or until the
+// call's deadline (zero for none), which ends it with
+// context.DeadlineExceeded — at once when it has passed, even where
+// nothing sleeps.
+func (n *Network) sleep(ctx context.Context, deadline time.Time, d time.Duration) error {
+	real := time.Duration(0)
+	if n.cfg.TimeScale > 0 {
+		real = time.Duration(float64(d) / n.cfg.TimeScale)
+	}
+	if real <= 0 {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return context.DeadlineExceeded
+		}
 		return ctx.Err()
 	}
-	real := time.Duration(float64(d) / n.cfg.TimeScale)
-	if real <= 0 {
-		return ctx.Err()
+	var err error
+	if !deadline.IsZero() {
+		if left := time.Until(deadline); left < real {
+			real, err = left, context.DeadlineExceeded
+		}
 	}
 	t := time.NewTimer(real)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return nil
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -320,7 +332,7 @@ type simNode struct {
 // Move implements transport.Link: the request leg, the peer's Serve, which
 // weighs the modeled transit against the caller's budget, and the reply
 // leg.
-func (s *simNode) Move(ctx context.Context, f wire.Frame) (wire.Frame, error) {
+func (s *simNode) Move(ctx context.Context, deadline time.Time, f wire.Frame) (wire.Frame, error) {
 	to := f.To
 	s.net.mu.RLock()
 	peer, ok := s.net.nodes[to]
@@ -328,14 +340,14 @@ func (s *simNode) Move(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	if !ok {
 		return wire.Frame{}, fmt.Errorf("%w: %s", transport.ErrUnknownPeer, to)
 	}
-	transit, err := s.net.leg(ctx, s.addr, to, f.EncodedSize(), "request")
+	transit, err := s.net.leg(ctx, deadline, s.addr, to, f.EncodedSize(), "request")
 	if err != nil {
 		return wire.Frame{}, err
 	}
 	f.ReceivedAt = time.Now()
 	reply := transport.Serve(peer.handler, f, transit, s.net.met.Load())
 	reply.From, reply.To = to, s.addr
-	if _, err := s.net.leg(ctx, to, s.addr, reply.EncodedSize(), "reply"); err != nil {
+	if _, err := s.net.leg(ctx, deadline, to, s.addr, reply.EncodedSize(), "reply"); err != nil {
 		return wire.Frame{}, err
 	}
 	return reply, nil
@@ -343,9 +355,9 @@ func (s *simNode) Move(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 
 // leg carries one frame of size bytes from→to: the link's partition check,
 // its loss draw (a lost frame costs the caller CallTimeout and ends in
-// ErrTimeout), the traffic charge and the scaled sleep. It returns the
-// modeled transit.
-func (n *Network) leg(ctx context.Context, from, to string, size int, dir string) (time.Duration, error) {
+// ErrTimeout, unless the call's deadline comes first), the traffic charge
+// and the scaled sleep. It returns the modeled transit.
+func (n *Network) leg(ctx context.Context, deadline time.Time, from, to string, size int, dir string) (time.Duration, error) {
 	link, err := n.link(from, to)
 	if err != nil {
 		return 0, err
@@ -353,13 +365,13 @@ func (n *Network) leg(ctx context.Context, from, to string, size int, dir string
 	transit := link.Transit(size)
 	if n.lose(link.Loss) {
 		n.charge(from, to, size, transit, true)
-		if err := n.sleep(ctx, n.cfg.CallTimeout); err != nil {
+		if err := n.sleep(ctx, deadline, n.cfg.CallTimeout); err != nil {
 			return 0, err
 		}
 		return 0, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, from, to, dir)
 	}
 	n.charge(from, to, size, transit, false)
-	return transit, n.sleep(ctx, transit)
+	return transit, n.sleep(ctx, deadline, transit)
 }
 
 // Close implements transport.Link: the host leaves the network.

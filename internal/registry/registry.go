@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/itinerary"
 	"repro/internal/naplet"
 )
 
@@ -166,18 +165,6 @@ func (r *Registry) Guard(codebase, guard string) (GuardFunc, error) {
 		return nil, fmt.Errorf("%w: %q in codebase %q", ErrUnknownGuard, guard, codebase)
 	}
 	return f, nil
-}
-
-// EvaluatorFor adapts a codebase's guards to the itinerary.Evaluator
-// interface, binding them to the given execution context.
-func (r *Registry) EvaluatorFor(codebase string, ctx *naplet.Context) itinerary.Evaluator {
-	return itinerary.EvalFunc(func(guard string) (bool, error) {
-		g, err := r.Guard(codebase, guard)
-		if err != nil {
-			return false, err
-		}
-		return g(ctx)
-	})
 }
 
 // Bundle synthesizes the simulated code bundle for a codebase: BundleSize

@@ -101,16 +101,21 @@ func TestActionAndGuardResolution(t *testing.T) {
 	}
 }
 
-func TestEvaluatorFor(t *testing.T) {
+// TestGuardEvaluates: a guard the registry hands out runs in the naplet's
+// context, as a dock's resident proxy evaluates the itinerary with it.
+func TestGuardEvaluates(t *testing.T) {
 	r := New()
 	r.MustRegister(testCodebase("a"))
-	ev := r.EvaluatorFor("a", &naplet.Context{})
-	ok, err := ev.Eval("notFound")
+	g, err := r.Guard("a", "notFound")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := g(&naplet.Context{})
 	if err != nil || !ok {
 		t.Fatalf("Eval: %v %v", ok, err)
 	}
-	if _, err := ev.Eval("ghost"); !errors.Is(err, ErrUnknownGuard) {
-		t.Fatalf("unknown guard via evaluator: %v", err)
+	if _, err := r.Guard("a", "ghost"); !errors.Is(err, ErrUnknownGuard) {
+		t.Fatalf("unknown guard: %v", err)
 	}
 }
 

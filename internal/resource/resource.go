@@ -320,7 +320,8 @@ func (m *Manager) Stats() Stats {
 // View binds the resource manager to one naplet's credential, implementing
 // naplet.ServicesAPI. It tracks the channels the naplet opened so the
 // runtime can reclaim them when the visit ends ("success of a launch will
-// release all the resources occupied by the naplet", §2.2).
+// release all the resources occupied by the naplet", §2.2). A View is bound
+// in place (Bind), so it can live inside the stay that uses it.
 type View struct {
 	mgr  *Manager
 	cred *cred.Credential
@@ -329,9 +330,9 @@ type View struct {
 	channels []naplet.ServiceChannel
 }
 
-// NewView builds the per-naplet service surface.
-func NewView(mgr *Manager, c *cred.Credential) *View {
-	return &View{mgr: mgr, cred: c}
+// Bind points the view at mgr and the naplet's credential c, before use.
+func (v *View) Bind(mgr *Manager, c *cred.Credential) {
+	v.mgr, v.cred = mgr, c
 }
 
 // CallOpen implements naplet.ServicesAPI.

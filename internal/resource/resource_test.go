@@ -224,7 +224,8 @@ func TestDeregister(t *testing.T) {
 func TestViewTracksAndReleasesChannels(t *testing.T) {
 	m := NewManager(nil)
 	m.RegisterPrivileged("echo", echoService)
-	v := NewView(m, nil)
+	var v View
+	v.Bind(m, nil)
 	ch, err := v.OpenChannel("echo")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +244,8 @@ func TestViewTracksAndReleasesChannels(t *testing.T) {
 func TestViewCallOpen(t *testing.T) {
 	m := NewManager(nil)
 	m.RegisterOpen("f", func(args []string) (string, error) { return "ok", nil })
-	v := NewView(m, nil)
+	var v View
+	v.Bind(m, nil)
 	if got, err := v.CallOpen("f", nil); err != nil || got != "ok" {
 		t.Fatalf("View.CallOpen: %q %v", got, err)
 	}

@@ -194,22 +194,18 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived, registered bool, polOver
 		return
 	}
 
-	proxy := &residentProxy{
-		server:     s,
-		rec:        rec,
-		inner:      messenger.NewView(s.msgr, rec, mb),
-		group:      g,
-		registered: registered,
-	}
-	nctx := &naplet.Context{
+	proxy := &residentProxy{server: s, rec: rec, mb: mb, group: g, registered: registered}
+	proxy.services.Bind(s.res, &rec.Credential)
+	proxy.nctx = naplet.Context{
 		Server:    s.name,
 		Record:    rec,
 		Messenger: proxy,
-		Services:  resource.NewView(s.res, &rec.Credential),
+		Services:  &proxy.services,
 		Listener:  proxy,
 		Clock:     naplet.ClockFunc(s.clock),
 	}
-	defer nctx.Services.(*resource.View).ReleaseAll()
+	nctx := &proxy.nctx
+	defer proxy.services.ReleaseAll()
 
 	// Custom interrupt verbs reach the behaviour's OnInterrupt hook;
 	// terminate/suspend/resume act inside the monitor.
@@ -227,7 +223,7 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived, registered bool, polOver
 		}
 		if err := s.performVisit(g, nctx, behavior, rec.Pending); err != nil {
 			if errors.Is(err, monitor.ErrEvacuated) {
-				s.evacuateNaplet(s.reg.EvaluatorFor(rec.Codebase, nctx), rec)
+				s.evacuateNaplet(proxy, rec)
 				return
 			}
 			s.trap(rec, err)
@@ -239,26 +235,27 @@ func (s *Server) lifecycle(rec *naplet.Record, arrived, registered bool, polOver
 	}
 	s.dockResident(rec, dock.PhaseResident, "", "")
 
-	s.advance(g, nctx, behavior, rec)
+	s.advance(g, proxy, behavior)
 }
 
-// advance consumes itinerary decisions until departure or completion.
-func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet.Behavior, rec *naplet.Record) {
-	ev := s.reg.EvaluatorFor(rec.Codebase, nctx)
+// advance consumes itinerary decisions until departure or completion. The
+// stay's proxy evaluates the itinerary's guards.
+func (s *Server) advance(g *monitor.Group, proxy *residentProxy, behavior naplet.Behavior) {
+	rec, nctx := proxy.rec, &proxy.nctx
 	for {
 		// Cooperative preemption point: a suspended naplet pauses here
 		// between visits (and before departing); a terminated one traps;
 		// an evacuated one (server draining) moves on.
 		if err := g.Checkpoint(); err != nil {
 			if errors.Is(err, monitor.ErrEvacuated) {
-				s.evacuateNaplet(ev, rec)
+				s.evacuateNaplet(proxy, rec)
 				return
 			}
 			s.trap(rec, err)
 			s.cleanup(rec)
 			return
 		}
-		d, err := rec.Itin.Next(ev)
+		d, err := rec.Itin.Next(proxy)
 		if err != nil {
 			s.trap(rec, err)
 			s.cleanup(rec)
@@ -267,16 +264,15 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 		switch d.Kind {
 		case itinerary.DecisionDone:
 			// What OnDestroy reports goes home with the end, in one call.
-			lp := nctx.Listener.(*residentProxy)
 			if dst, ok := behavior.(naplet.Destroyable); ok {
-				lp.ending = true
+				proxy.ending = true
 				dst.OnDestroy(nctx)
 			}
 			// Release residency before telling the owner: when WaitDone
 			// returns, the footprints and traces are already final.
 			s.cleanup(rec)
 			s.emit("complete", rec, s.name, rec.Home, "")
-			s.reportEnd(rec, manager.StatusCompleted, "", lp.results)
+			s.reportEnd(rec, manager.StatusCompleted, "", proxy.results)
 			return
 
 		case itinerary.DecisionFork:
@@ -291,7 +287,7 @@ func (s *Server) advance(g *monitor.Group, nctx *naplet.Context, behavior naplet
 				// Revisit of the current server: perform it in place.
 				if err := s.performVisit(g, nctx, behavior, d.Visit); err != nil {
 					if errors.Is(err, monitor.ErrEvacuated) {
-						s.evacuateNaplet(ev, rec)
+						s.evacuateNaplet(proxy, rec)
 						return
 					}
 					s.trap(rec, err)
@@ -490,7 +486,7 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 // waiting for exactly those to resolve a lost ack.
 func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 	s.leaveMu.Lock()
-	s.leaving = append(s.leaving, leave{id: rec.ID})
+	s.leaving = append(s.leaving, leave{id: rec.ID, dest: dest, seq: navigator.ArrivalSeq(rec.Log.Len() + 1)})
 	s.leaveMu.Unlock()
 	defer func() {
 		s.leaveMu.Lock()
@@ -525,8 +521,13 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 // leave is one open migration away from this server. The few open at any
 // moment sit in a slice searched by ID: no per-hop key string or channel —
 // settled is made by the first landing that has to wait, which is rare.
+// dest and seq are where the naplet is going and the location sequence of
+// its arrival there: a dock that closes while the transfer's ack is still
+// in flight re-points the naplet's entry with them (withdrawRegistrations).
 type leave struct {
 	id      id.NapletID
+	dest    string
+	seq     uint64
 	settled chan struct{}
 	// controls are the system messages that reached the naplet while it
 	// was leaving (holdControl).
@@ -739,9 +740,7 @@ func (s *Server) reportEnd(rec *naplet.Record, st manager.Status, errText string
 		Len: rec.Log.Len(), Results: results,
 	})
 	endReportPolicy.Retry(context.Background(), nil, s.closed, nil, func() (bool, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_, err := s.node.Call(ctx, rec.Home, f)
+		_, err := transport.CallWithin(context.Background(), s.node, rec.Home, f, 30*time.Second)
 		return false, err
 	})
 }
@@ -749,18 +748,22 @@ func (s *Server) reportEnd(rec *naplet.Record, st manager.Status, errText string
 // endReportPolicy paces a naplet's end report: 20 tries, 2 ms apart.
 var endReportPolicy = transport.Backoff{Initial: 2 * time.Millisecond, Max: 2 * time.Millisecond, Retries: 19}
 
-// residentProxy is a naplet's view of this dock for one stay: its
-// messenger, metered by the monitor's network-bandwidth accounting (§5.2:
-// the monitor tracks "consumed system resources including CPU time,
-// memory size, and network bandwidth" — a naplet over its bandwidth
-// budget is killed before the message leaves), its listener, whose
-// reports travel to the home manager, and the stay's one arrival
-// registration, made before the naplet first makes itself known here.
+// residentProxy is a naplet's view of this dock for one stay, and the
+// stay's one allocation: its execution context and service view, held by
+// value; its messenger and mailbox, metered by the monitor's
+// network-bandwidth accounting (§5.2: the monitor tracks "consumed system
+// resources including CPU time, memory size, and network bandwidth" — a
+// naplet over its bandwidth budget is killed before the message leaves);
+// its listener, whose reports travel to the home manager; the evaluator of
+// its itinerary's guards; and the stay's one arrival registration, made
+// before the naplet first makes itself known here.
 type residentProxy struct {
-	server *Server
-	rec    *naplet.Record
-	inner  naplet.MessengerAPI
-	group  *monitor.Group
+	server   *Server
+	rec      *naplet.Record
+	mb       *messenger.Mailbox
+	group    *monitor.Group
+	nctx     naplet.Context
+	services resource.View
 	// ending is set while OnDestroy runs: its reports are kept in results
 	// and go home with the end (reportEnd).
 	ending  bool
@@ -793,19 +796,29 @@ func (p *residentProxy) Post(ctx context.Context, to id.NapletID, subject string
 		return err
 	}
 	p.register(ctx)
-	return p.inner.Post(ctx, to, subject, body)
+	return p.server.msgr.Post(ctx, p.rec, to, subject, body)
 }
 
 // Receive implements naplet.MessengerAPI.
 func (p *residentProxy) Receive(ctx context.Context) (naplet.Message, error) {
 	p.register(ctx)
-	return p.inner.Receive(ctx)
+	return p.mb.Receive(ctx)
 }
 
 // TryReceive implements naplet.MessengerAPI.
 func (p *residentProxy) TryReceive() (naplet.Message, bool) {
 	p.register(context.Background())
-	return p.inner.TryReceive()
+	return p.mb.TryReceive()
+}
+
+// Eval implements itinerary.Evaluator: the codebase's guard, run in the
+// stay's context.
+func (p *residentProxy) Eval(guard string) (bool, error) {
+	g, err := p.server.reg.Guard(p.rec.Codebase, guard)
+	if err != nil {
+		return false, err
+	}
+	return g(&p.nctx)
 }
 
 // Report implements naplet.ListenerAPI.

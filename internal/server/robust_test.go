@@ -13,6 +13,8 @@ import (
 	"repro/internal/manager"
 	"repro/internal/naplet"
 	"repro/internal/registry"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // robustAgent visits servers appending each name to its tour, optionally
@@ -241,12 +243,13 @@ func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 	}
 	waitDone(t, sp.servers["home"], nid, manager.StatusCompleted)
 	// The quiet naplet's launch at s1 registers it there; it moves on to
-	// s2 (hop 1, not due) and says nothing. s1 closes once it has let the
-	// naplet go: its trace then forwards to s2.
-	left := make(chan struct{})
-	sp.servers["s1"].SetEventSink(func(ev Event) {
-		if ev.Kind == "depart" {
-			close(left)
+	// s2 (hop 1, not due) and says nothing. s1 closes once the naplet has
+	// landed at s2, whether or not the transfer's ack is back at s1: its
+	// trace, or its open migration, then forwards to s2.
+	landed := make(chan struct{})
+	sp.servers["s2"].SetEventSink(func(ev Event) {
+		if ev.Kind == "arrival" {
+			close(landed)
 		}
 	})
 	quiet, err := sp.servers["s1"].Launch(context.Background(), LaunchOptions{
@@ -258,9 +261,9 @@ func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-left:
+	case <-landed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("s1 never let the quiet naplet go")
+		t.Fatal("the quiet naplet never landed at s2")
 	}
 
 	onS1 := 0
@@ -301,4 +304,92 @@ func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the quiet naplet never received the message")
 	}
+}
+
+// TestCloseWithAckInFlightRepointsEntry: a dock that closes while the ack
+// of a transfer is still on its way back re-points the naplet's entry at
+// the destination, where it already runs, instead of dropping it — the
+// origin records the departure only once the ack is in.
+func TestCloseWithAckInFlightRepointsEntry(t *testing.T) {
+	held := &heldAckFabric{acked: make(chan struct{}), release: make(chan struct{}), withdrawn: make(chan struct{})}
+	sp := newSpace(t, spaceOpts{
+		mode:      locator.ModeDirectory,
+		directory: true,
+		mutate: func(name string, cfg *Config) {
+			if name == "s1" {
+				held.inner = cfg.Fabric
+				cfg.Fabric = held
+			}
+		},
+	}, "s1", "s2")
+	sp.reg.MustRegister(&registry.Codebase{Name: "test.Silent", New: func() naplet.Behavior {
+		return behaviorFunc(func(ctx *naplet.Context) error {
+			<-ctx.Cancel.Done()
+			return ctx.Cancel.Err()
+		})
+	}})
+	nid, err := sp.servers["s1"].Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Silent",
+		Pattern:  itinerary.SeqVisits([]string{"s2"}, ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held.acked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the transfer to s2 was never acknowledged")
+	}
+	if e, ok := sp.dir.Lookup(nid); !ok || e.Server != "s1" {
+		t.Fatalf("entry before close = %+v, %v; want the launch's at s1", e, ok)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- sp.servers["s1"].Close() }()
+	select {
+	case <-held.withdrawn:
+	case <-time.After(10 * time.Second):
+		t.Fatal("s1 never withdrew its registrations")
+	}
+	e, ok := sp.dir.Lookup(nid)
+	close(held.release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if !ok || e.Server != "s2" || e.Seq != 3 {
+		t.Fatalf("entry after close = %+v, %v; want s2 at its arrival's seq 3", e, ok)
+	}
+}
+
+// heldAckFabric holds the reply to a transfer its node sends until release
+// closes, telling acked once the destination has answered, and tells
+// withdrawn once a directory deregistration has been answered.
+type heldAckFabric struct {
+	inner                     transport.Fabric
+	acked, release, withdrawn chan struct{}
+}
+
+func (h *heldAckFabric) Attach(addr string, handler transport.Handler) (transport.Node, error) {
+	node, err := h.inner.Attach(addr, handler)
+	if err != nil {
+		return nil, err
+	}
+	return &heldAckNode{Node: node, h: h}, nil
+}
+
+type heldAckNode struct {
+	transport.Node
+	h *heldAckFabric
+}
+
+func (n *heldAckNode) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	reply, err := n.Node.Call(ctx, to, f)
+	switch f.Kind {
+	case wire.KindNapletTransfer:
+		close(n.h.acked)
+		<-n.h.release
+	case wire.KindDirDeregister:
+		close(n.h.withdrawn)
+	}
+	return reply, err
 }

@@ -525,7 +525,10 @@ func (s *Server) finishDrain(ctx context.Context) {
 // stays, so an entry naming this server may belong to one that has since
 // left it without registering elsewhere: its entry is re-pointed along
 // this server's visit trace, at the sequence of the arrival there, instead
-// of dropped. Best effort.
+// of dropped. A migration still waiting for its ack counts as left — the
+// naplet may already run at its destination — and a forward never
+// overrides a newer registration, so one whose transfer fails costs
+// nothing. Best effort.
 func (s *Server) withdrawRegistrations() {
 	if s.dir == nil {
 		return
@@ -535,6 +538,11 @@ func (s *Server) withdrawRegistrations() {
 	for i, d := range deps {
 		moved[i] = directory.Forward{NapletID: d.NapletID, Server: d.Dest, Seq: d.Seq}
 	}
+	s.leaveMu.Lock()
+	for _, l := range s.leaving {
+		moved = append(moved, directory.Forward{NapletID: l.id, Server: l.dest, Seq: l.seq})
+	}
+	s.leaveMu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	_ = s.dir.DeregisterServer(ctx, s.name, moved)

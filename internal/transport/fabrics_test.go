@@ -266,7 +266,9 @@ func TestRequestPathOnEveryFabric(t *testing.T) {
 // fabric, both sides counted, with a handler that allocates nothing. On
 // TCP the budget is the reply body the caller keeps plus slack for the
 // odd worker start and pool refill after a GC; hand-offs per call — a
-// reply channel, a goroutine per request, the peer names — break it.
+// reply channel, a goroutine per request, the peer names — break it. The
+// within row is a hop's call: context.Background with a budget the frame
+// carries, whose wait runs on the reply slot's pooled timer.
 func TestTCPCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -280,9 +282,11 @@ func TestTCPCallAllocBudget(t *testing.T) {
 		fab    transport.Fabric
 		addr   func(name string) string
 		budget float64
+		within bool
 	}{
-		{"tcp", transport.NewTCPFabric(), func(string) string { return "127.0.0.1:0" }, 3},
-		{"netsim", netsim.New(netsim.Config{}), func(name string) string { return name }, 0},
+		{"tcp", transport.NewTCPFabric(), func(string) string { return "127.0.0.1:0" }, 3, false},
+		{"tcp-within", transport.NewTCPFabric(), func(string) string { return "127.0.0.1:0" }, 3, true},
+		{"netsim", netsim.New(netsim.Config{}), func(name string) string { return name }, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			server, err := tc.fab.Attach(tc.addr("server"), handler)
@@ -298,7 +302,13 @@ func TestTCPCallAllocBudget(t *testing.T) {
 			ctx := context.Background()
 			req := wire.Frame{Kind: wire.KindPost, Payload: []byte{7}}
 			call := func() {
-				if _, err := client.Call(ctx, server.Addr(), req); err != nil {
+				var err error
+				if tc.within {
+					_, err = transport.CallWithin(ctx, client, server.Addr(), req, time.Second)
+				} else {
+					_, err = client.Call(ctx, server.Addr(), req)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}

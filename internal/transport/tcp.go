@@ -83,13 +83,42 @@ type callResult struct {
 	err   error
 }
 
-// replySlots recycles the one-slot channels calls wait on. A slot goes back
-// only once nothing can send to it any more: after its reply was received,
-// or after a canceled call took it out of pending itself. A slot readLoop
-// or fail took out of pending may still be sent to, so a call that gives
-// up on one leaves it to the GC and a stale reply never reaches a later
-// call.
-var replySlots = sync.Pool{New: func() any { return make(chan callResult, 1) }}
+// replySlot is what a call waits on: the one-slot channel its reply comes
+// in, and the timer that ends the wait at a deadline only the frame carries
+// (CallWithin). Both are recycled with the slot.
+type replySlot struct {
+	ch    chan callResult
+	timer *time.Timer
+}
+
+// arm starts the slot's timer for d and returns its channel.
+func (s *replySlot) arm(d time.Duration) <-chan time.Time {
+	if s.timer == nil {
+		s.timer = time.NewTimer(d)
+	} else {
+		s.timer.Reset(d)
+	}
+	return s.timer.C
+}
+
+// disarm stops the timer and drains a tick it already sent, so the next
+// call that arms it waits the whole of its own time: with the pre-1.23
+// timer semantics go.mod selects, a stopped timer keeps a sent tick.
+func (s *replySlot) disarm() {
+	if s.timer != nil && !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
+}
+
+// replySlots recycles reply slots. A slot goes back only once nothing can
+// send to it any more: after its reply was received, or after a call that
+// gave up took it out of pending itself. A slot readLoop or fail took out
+// of pending may still be sent to, so a call that gives up on one leaves
+// it to the GC and a stale reply never reaches a later call.
+var replySlots = sync.Pool{New: func() any { return &replySlot{ch: make(chan callResult, 1)} }}
 
 // muxConn is one shared, multiplexed connection to a peer. Many Calls
 // write frames through it concurrently (serialized by writeMu, correlated
@@ -119,7 +148,7 @@ func (mc *muxConn) isClosed() bool {
 // getMux returns the live shared connection to the peer, dialing one if
 // needed. reused reports whether the mux pre-existed this call (a stale
 // pre-existing connection justifies one retry).
-func (n *tcpNode) getMux(ctx context.Context, to string) (*muxConn, bool, error) {
+func (n *tcpNode) getMux(ctx context.Context, deadline time.Time, to string) (*muxConn, bool, error) {
 	n.muxMu.Lock()
 	if mc := n.muxes[to]; mc != nil && !mc.isClosed() {
 		n.muxMu.Unlock()
@@ -127,7 +156,7 @@ func (n *tcpNode) getMux(ctx context.Context, to string) (*muxConn, bool, error)
 	}
 	n.muxMu.Unlock()
 
-	var d net.Dialer
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: dial %s: %v", ErrUnknownPeer, to, err)
@@ -211,27 +240,23 @@ func (mc *muxConn) fail(err error) {
 	}
 }
 
-// roundTrip sends one frame on the mux and waits for its correlated reply.
-func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, error) {
-	ch := replySlots.Get().(chan callResult)
+// roundTrip sends one frame on the mux and waits for its correlated reply,
+// until ctx ends or deadline (zero for none) passes.
+func (mc *muxConn) roundTrip(ctx context.Context, deadline time.Time, f wire.Frame) (wire.Frame, error) {
+	slot := replySlots.Get().(*replySlot)
 	mc.mu.Lock()
 	if mc.closed {
 		err := mc.err
 		mc.mu.Unlock()
-		replySlots.Put(ch)
+		replySlots.Put(slot)
 		return wire.Frame{}, err
 	}
-	mc.pending[f.Seq] = ch
+	mc.pending[f.Seq] = slot.ch
 	mc.mu.Unlock()
 
 	mc.writeMu.Lock()
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		mc.conn.SetWriteDeadline(deadline)
-	} else {
-		mc.conn.SetWriteDeadline(time.Time{})
-	}
-	// A cancelable but deadline-free context needs its own escape hatch:
+	mc.conn.SetWriteDeadline(deadline)
+	// A cancelable but deadline-free call needs its own escape hatch:
 	// with no write deadline armed, a stalled peer (full socket buffers,
 	// reader wedged) would block WriteFrame forever and cancellation
 	// could never interrupt it. Watch ctx.Done for the duration of the
@@ -241,7 +266,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, err
 	// leak into the next caller's write. Hop and post calls carry a
 	// deadline, so the watcher stays off their path.
 	var stop, watcherDone chan struct{}
-	if !hasDeadline && ctx.Done() != nil {
+	if deadline.IsZero() && ctx.Done() != nil {
 		stop = make(chan struct{})
 		watcherDone = make(chan struct{})
 		go func() {
@@ -264,29 +289,41 @@ func (mc *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, err
 	case err == nil:
 	case n == 0 && errors.Is(err, os.ErrDeadlineExceeded):
 		// The call's time ran out before a byte of its frame left: the
-		// stream is intact for the calls sharing it, and this one ends on
-		// ctx below.
+		// stream is intact for the calls sharing it, and this one ends at
+		// its deadline below.
 	default:
 		mc.fail(fmt.Errorf("transport: write to %s: %w", mc.to, err))
-		// fail delivered the write error (or an earlier one) to ch.
+		// fail delivered the write error (or an earlier one) to the slot.
 	}
 
+	// A deadline ctx carries ends the wait through ctx.Done; one only the
+	// frame carries, through the slot's timer.
+	var expired <-chan time.Time
+	if _, own := ctx.Deadline(); !own && !deadline.IsZero() {
+		expired = slot.arm(time.Until(deadline))
+	}
+	var cause error
 	select {
-	case res := <-ch:
-		replySlots.Put(ch)
+	case res := <-slot.ch:
+		slot.disarm()
+		replySlots.Put(slot)
 		return res.frame, res.err
 	case <-ctx.Done():
-		mc.mu.Lock()
-		withdrawn := mc.pending[f.Seq] == ch
-		if withdrawn {
-			delete(mc.pending, f.Seq)
-		}
-		mc.mu.Unlock()
-		if withdrawn {
-			replySlots.Put(ch)
-		}
-		return wire.Frame{}, fmt.Errorf("transport: call %s: %w", mc.to, ctx.Err())
+		cause = ctx.Err()
+	case <-expired:
+		cause = context.DeadlineExceeded
 	}
+	slot.disarm()
+	mc.mu.Lock()
+	withdrawn := mc.pending[f.Seq] == slot.ch
+	if withdrawn {
+		delete(mc.pending, f.Seq)
+	}
+	mc.mu.Unlock()
+	if withdrawn {
+		replySlots.Put(slot)
+	}
+	return wire.Frame{}, fmt.Errorf("transport: call %s: %w", mc.to, cause)
 }
 
 // drainMuxes fails every shared outbound connection.
@@ -417,15 +454,17 @@ func (n *tcpNode) handle(conn net.Conn, writeMu *sync.Mutex, req request) {
 }
 
 // Move implements Link over the peer's shared mux. A mux that had gone
-// stale (the peer closed it while idle) earns one retry on a fresh dial.
-func (n *tcpNode) Move(ctx context.Context, f wire.Frame) (wire.Frame, error) {
+// stale (the peer closed it while idle) earns one retry on a fresh dial;
+// a call whose time is up does not, for its request may have run.
+func (n *tcpNode) Move(ctx context.Context, deadline time.Time, f wire.Frame) (wire.Frame, error) {
 	for retried := false; ; retried = true {
-		mc, reused, err := n.getMux(ctx, f.To)
+		mc, reused, err := n.getMux(ctx, deadline, f.To)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		reply, err := mc.roundTrip(ctx, f)
-		if err == nil || !reused || retried || ctx.Err() != nil {
+		reply, err := mc.roundTrip(ctx, deadline, f)
+		if err == nil || !reused || retried || ctx.Err() != nil ||
+			!deadline.IsZero() && !time.Now().Before(deadline) {
 			return reply, err
 		}
 	}

@@ -89,8 +89,10 @@ func Refused(err error) bool {
 type Link interface {
 	// Move carries a stamped request to the peer f.To, has Serve answer
 	// it there, and carries the reply back. An error means the request
-	// or its reply did not make it.
-	Move(ctx context.Context, f wire.Frame) (wire.Frame, error)
+	// or its reply did not make it. deadline is the call's (CallDeadline;
+	// zero for none): every wait of the move ends by it, whether or not
+	// ctx carries it.
+	Move(ctx context.Context, deadline time.Time, f wire.Frame) (wire.Frame, error)
 	// Close detaches the node from the fabric; it runs once.
 	Close() error
 }
@@ -116,15 +118,16 @@ func (e *Endpoint) Addr() string { return e.addr }
 // Call implements Node: it stamps the request with the caller's remaining
 // budget (see wire.PackBudget), so the serving side can shed work whose
 // caller will have given up, moves it, meters the exchange, and returns an
-// error reply as its error.
+// error reply as its error. The budget is what is left of CallDeadline.
 func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
 	if e.closed.Load() {
 		return wire.Frame{}, ErrNodeClosed
 	}
+	deadline, bounded := CallDeadline(ctx, &f)
 	f.From = e.addr
 	f.To = to
 	f.Seq = e.seq.Add(1)
-	if deadline, ok := ctx.Deadline(); ok {
+	if bounded {
 		f.Seq = wire.PackBudget(f.Seq, time.Until(deadline))
 	}
 
@@ -133,7 +136,7 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 	if met != nil {
 		start = time.Now()
 	}
-	reply, err := e.link.Move(ctx, f)
+	reply, err := e.link.Move(ctx, deadline, f)
 	if err != nil {
 		met.CallError()
 		return wire.Frame{}, err
@@ -144,6 +147,36 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 		met.ObserveCall(f.Kind, time.Since(start))
 	}
 	return reply, decodeErrorReply(f.Kind, reply)
+}
+
+// CallWithin is n.Call bounded by timeout. Only a ctx that can be canceled
+// gets a context with the timeout: for one that cannot — Done is nil, as
+// for context.Background — the deadline rides the frame instead, as the
+// budget the request carries anyway, counted from f.ReceivedAt, and
+// nothing is built. Every wait on the call path honours it (CallDeadline).
+func CallWithin(ctx context.Context, n Node, to string, f wire.Frame, timeout time.Duration) (wire.Frame, error) {
+	if ctx.Done() != nil {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		return n.Call(ctx, to, f)
+	}
+	deadline := time.Now().Add(timeout)
+	// The budget is whole milliseconds, and at least one even when the
+	// time is up: the base makes budget and base add up to the deadline.
+	f.Seq = wire.PackBudget(0, max(timeout, 1))
+	budget, _ := f.Budget()
+	f.ReceivedAt = deadline.Add(-budget)
+	return n.Call(ctx, to, f)
+}
+
+// CallDeadline is the one deadline a call honours: ctx's if it has one,
+// otherwise the frame's, which CallWithin set. A call without either is
+// bounded by nothing but ctx's cancellation.
+func CallDeadline(ctx context.Context, f *wire.Frame) (time.Time, bool) {
+	if deadline, ok := ctx.Deadline(); ok {
+		return deadline, true
+	}
+	return f.Deadline()
 }
 
 // Close implements Node. Calls after Close fail with ErrNodeClosed.
