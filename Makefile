@@ -149,6 +149,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeValue$$' -fuzztime 10s ./internal/state/
 	go test -run '^$$' -fuzz 'FuzzOverlay$$' -fuzztime 10s ./internal/state/
 	go test -run '^$$' -fuzz 'FuzzLazyNext$$' -fuzztime 10s ./internal/itinerary/
+	go test -run '^$$' -fuzz 'FuzzDecodeReport$$' -fuzztime 10s ./internal/man/
 	for pkg in navigator messenger directory locator fleet cnmp server; do \
 		go test -run '^$$' -fuzz 'FuzzDecodeBodies$$' -fuzztime 10s ./internal/$$pkg/ || exit 1; done
 

@@ -19,8 +19,11 @@ type fakeFleet struct {
 	maxSeen map[string]int // node -> max concurrent launches observed
 	byNode  map[string]int // node -> completed launches
 	// failAt makes Wait fail with ErrNodeDead for launches at this
-	// node (simulating a crash mid-wave).
-	failAt string
+	// node (simulating a crash mid-wave); with failKills, that failure
+	// also takes the node out of the schedulable set, as a failure
+	// detector would.
+	failAt    string
+	failKills bool
 	// trapFirst makes the first N waits report a trapped naplet.
 	trapFirst int
 	// terminateAll makes every wait report a terminated naplet.
@@ -94,6 +97,7 @@ func (f *fakeFleet) Wait(ctx context.Context, node, nid string) (string, string,
 	defer f.mu.Unlock()
 	f.running[node]--
 	if f.dead[node] || node == f.failAt {
+		f.dead[node] = f.dead[node] || f.failKills
 		return "", "", fmt.Errorf("%w: %s", ErrNodeDead, node)
 	}
 	if f.trapFirst > 0 {
@@ -177,15 +181,11 @@ func TestSchedulerReschedulesOffDeadNode(t *testing.T) {
 	f := newFakeFleet("d1", "d2", "d3")
 	f.waitDelay = 2 * time.Millisecond
 	// Launches placed at d3 die mid-wave (Wait reports ErrNodeDead), and
-	// the node then drops out of the schedulable set — the PR 5 failover
-	// story seen from the control plane.
-	f.failAt = "d3"
-	go func() {
-		time.Sleep(time.Millisecond)
-		f.mu.Lock()
-		f.dead["d3"] = true
-		f.mu.Unlock()
-	}()
+	// the first death drops the node out of the schedulable set — failover
+	// seen from the control plane. No wait ends before all six launches
+	// are placed, so least-loaded placement gives d3 two of them.
+	f.failAt, f.failKills = "d3", true
+	f.holdUntil, f.released = 6, make(chan struct{})
 	s := newTestScheduler(t, f)
 	res, err := s.Run(context.Background(), WaveSpec{
 		Count:    6,

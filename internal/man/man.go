@@ -26,20 +26,19 @@
 package man
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/itinerary"
-	"repro/internal/manager"
 	"repro/internal/naplet"
 	"repro/internal/registry"
 	"repro/internal/resource"
 	"repro/internal/snmp"
-	"repro/internal/state"
 	"repro/internal/wire"
 )
 
@@ -80,8 +79,11 @@ func NewNetManagementService(dev *snmp.Device, community string) resource.Factor
 
 // retrieve mirrors the paper's private retrieve() method: tokenize the
 // parameter list, issue a get per parameter against the local agent, and
-// assemble the reply line. "walk <root>" walks a subtree.
+// assemble the reply line. "walk <root>" walks a subtree. Each OID is
+// parsed onto the stack and the line is assembled in one buffer, so a
+// query allocates its reply, not a string per variable.
 func retrieve(agent *snmp.Agent, community, cmd string) string {
+	reply := make([]byte, 0, 1024)
 	cmd = strings.TrimSpace(cmd)
 	if rest, ok := strings.CutPrefix(cmd, "walk "); ok {
 		root, err := snmp.ParseOID(strings.TrimSpace(rest))
@@ -92,31 +94,38 @@ func retrieve(agent *snmp.Agent, community, cmd string) string {
 		if err != nil {
 			return "error=" + err.Error()
 		}
-		parts := make([]string, len(bindings))
-		for i, b := range bindings {
-			parts[i] = b.OID.String() + "=" + b.Value.Render()
+		for _, b := range bindings {
+			reply = b.Value.AppendRender(appendKey(reply, b.OID.String()))
 		}
-		return strings.Join(parts, ";")
+		return string(reply)
 	}
-	var parts []string
-	for _, tok := range strings.Split(cmd, ";") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
+	for rest := cmd; rest != ""; {
+		var tok string
+		tok, rest, _ = strings.Cut(rest, ";")
+		if tok = strings.TrimSpace(tok); tok == "" {
 			continue
 		}
-		oid, err := snmp.ParseOID(tok)
+		reply = appendKey(reply, tok)
+		oid, err := snmp.AppendParseOID(make(snmp.OID, 0, 32), tok)
+		var v snmp.Value
+		if err == nil {
+			v, err = agent.Get(community, oid)
+		}
 		if err != nil {
-			parts = append(parts, tok+"=error:"+err.Error())
+			reply = append(append(reply, "error:"...), err.Error()...)
 			continue
 		}
-		v, err := agent.Get(community, oid)
-		if err != nil {
-			parts = append(parts, tok+"=error:"+err.Error())
-			continue
-		}
-		parts = append(parts, tok+"="+v.Render())
+		reply = v.AppendRender(reply)
 	}
-	return strings.Join(parts, ";")
+	return string(reply)
+}
+
+// appendKey starts a reply pair "key=", after a ";" unless it is the first.
+func appendKey(reply []byte, key string) []byte {
+	if len(reply) > 0 {
+		reply = append(reply, ';')
+	}
+	return append(append(reply, key...), '=')
 }
 
 // NMNaplet is the network-management naplet of §6.2.
@@ -146,11 +155,15 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 
 	// A device visited twice adds to what it reported before.
 	key := statusPrefix + ctx.Server
-	status := make(map[string]string)
-	if err := ctx.State().Load(key, &status); err != nil && !errors.Is(err, state.ErrNoSuchKey) {
-		return err
+	status := make(map[string]string, strings.Count(line, ";")+1)
+	if ctx.State().Has(key) {
+		if err := ctx.State().Load(key, &status); err != nil {
+			return err
+		}
 	}
-	for _, pair := range strings.Split(line, ";") {
+	for rest := line; rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, ";")
 		if k, v, ok := strings.Cut(pair, "="); ok {
 			status[k] = v
 		}
@@ -162,11 +175,12 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 //
 //	[version] [map[string]string status] [[]string route]
 //
-// Status is flat, keyed "<device>|<oid>"; the map codec's front coding is
-// what keeps a device's name and an OID's leading arcs from travelling once
-// per variable.
+// Status travels flat, keyed "<device>|<oid>"; the map codec's front coding
+// is what keeps a device's name and an OID's leading arcs from travelling
+// once per variable. The payload is written from and read into the nested
+// form directly: a flat key exists only in a scratch buffer.
 type reportPayload struct {
-	Status map[string]string
+	Status Report
 	Route  []string
 }
 
@@ -174,18 +188,82 @@ type reportPayload struct {
 // Version 2 front-codes the map keys.
 const reportCodecVersion = 2
 
+// AppendBinary writes the entries as wire.AppendStringMap would write the
+// flat map: devices in the order of name+"|" — "|" ends a name, so that is
+// the order of their keys — and each device's OIDs in order.
 func (p *reportPayload) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendStringMap(append(dst, reportCodecVersion), p.Status)
+	n := 0
+	devs := make([]string, 0, len(p.Status))
+	for dev, vals := range p.Status {
+		n += len(vals)
+		devs = append(devs, dev)
+	}
+	slices.SortFunc(devs, func(a, b string) int { return strings.Compare(a+"|", b+"|") })
+	dst = wire.AppendUvarint(append(dst, reportCodecVersion), uint64(n))
+	var bufs [2][128]byte
+	prev, key := bufs[0][:0], bufs[1][:0]
+	var oids []string
+	for _, dev := range devs {
+		vals := p.Status[dev]
+		oids = oids[:0]
+		for oid := range vals {
+			oids = append(oids, oid)
+		}
+		slices.Sort(oids)
+		for _, oid := range oids {
+			key = append(append(append(key[:0], dev...), '|'), oid...)
+			dst = wire.AppendString(wire.AppendMapKey(dst, prev, key), vals[oid])
+			prev, key = key, prev
+		}
+	}
 	return wire.AppendStrings(dst, p.Route)
 }
 
+// decode reads body into p.Status, adding to the devices it already holds,
+// and p.Route. It accepts and rejects what wire.DecStringMap does; a key
+// without a "|" is skipped. The devices of one body share their OID
+// strings, and a new device's map is sized by the entries read since the
+// last one began — a sweep asks each device the same — so what it reserves
+// never exceeds what it has read.
 func (p *reportPayload) decode(body []byte) error {
 	rest, err := wire.DecVersion(body, reportCodecVersion)
 	if err != nil {
 		return err
 	}
-	if p.Status, rest, err = wire.DecStringMap(rest); err != nil {
+	n, rest, err := wire.DecCount(rest, 3) // as wire.DecMap
+	if err != nil {
 		return err
+	}
+	var (
+		keys    wire.MapKeys
+		scratch [128]byte
+		intern  = make(map[string]string)
+		since   int
+	)
+	for i := 0; i < n; i++ {
+		var v string
+		if rest, err = keys.Next(rest); err == nil {
+			v, rest, err = wire.DecString(rest)
+		}
+		if err != nil {
+			return err
+		}
+		dev, oid, ok := bytes.Cut(keys.Append(scratch[:0]), []byte("|"))
+		if !ok {
+			continue
+		}
+		vals := p.Status[string(dev)]
+		if vals == nil {
+			vals = make(map[string]string, since)
+			p.Status[string(dev)], since = vals, 0
+		}
+		since++
+		o, seen := intern[string(oid)]
+		if !seen {
+			o = string(oid)
+			intern[o] = o
+		}
+		vals[o] = v
 	}
 	p.Route, _, err = wire.DecStrings(rest)
 	return err
@@ -194,8 +272,9 @@ func (p *reportPayload) decode(body []byte) error {
 // resultReport is the ResultReport post-action of §6.2: report the
 // gathered DeviceStatus back home through the listener.
 func resultReport(ctx *naplet.Context) error {
-	status := make(map[string]string)
-	for _, key := range ctx.State().Keys() {
+	keys := ctx.State().Keys()
+	report := reportPayload{Status: make(Report, len(keys)), Route: ctx.Log().Route()}
+	for _, key := range keys {
 		dev, ok := strings.CutPrefix(key, statusPrefix)
 		if !ok {
 			continue
@@ -204,11 +283,8 @@ func resultReport(ctx *naplet.Context) error {
 		if err := ctx.State().Load(key, &vals); err != nil {
 			return err
 		}
-		for oid, v := range vals {
-			status[dev+"|"+oid] = v
-		}
+		report.Status[dev] = vals
 	}
-	report := reportPayload{Status: status, Route: ctx.Log().Route()}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return ctx.Listener.Report(rctx, wire.EncodeBody(&report))
@@ -234,34 +310,11 @@ type Report map[string]map[string]string
 // device -> OID -> value form plus the reporting agent's route. Management
 // tools use it to render raw listener bytes.
 func DecodeReport(body []byte) (Report, []string, error) {
-	var payload reportPayload
-	if err := payload.decode(body); err != nil {
+	p := reportPayload{Status: make(Report)}
+	if err := p.decode(body); err != nil {
 		return nil, nil, err
 	}
-	out := make(Report)
-	for k, v := range payload.Status {
-		dev, oid, ok := strings.Cut(k, "|")
-		if !ok {
-			continue
-		}
-		if out[dev] == nil {
-			out[dev] = make(map[string]string)
-		}
-		out[dev][oid] = v
-	}
-	return out, payload.Route, nil
-}
-
-// merge folds src into dst.
-func (r Report) merge(src Report) {
-	for dev, vals := range src {
-		if r[dev] == nil {
-			r[dev] = make(map[string]string)
-		}
-		for k, v := range vals {
-			r[dev][k] = v
-		}
-	}
+	return p.Status, p.Route, nil
 }
 
 // Stats summarizes one MAN collection run.
@@ -317,19 +370,4 @@ func (r Report) SortedDevices() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// parseReports folds a set of listener results into one report.
-func parseReports(results []manager.Result) (Report, [][]string, error) {
-	out := make(Report)
-	var routes [][]string
-	for _, r := range results {
-		rep, route, err := DecodeReport(r.Body)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.merge(rep)
-		routes = append(routes, route)
-	}
-	return out, routes, nil
 }

@@ -49,6 +49,22 @@ func TestRetrieve(t *testing.T) {
 	if !strings.Contains(bad, "error") {
 		t.Fatalf("bad oid = %q", bad)
 	}
+	// Empty tokens are skipped; a malformed OID and a wrong community
+	// answer in the variable's place, in the text they always had.
+	sysName := snmp.OIDSysName.String()
+	for cmd, want := range map[string]string{
+		" ;; " + sysName + " ; ;": sysName + "=r1",
+		"":                        "",
+		"1.x;" + sysName:          `1.x=error:snmp: malformed OID: "1.x";` + sysName + "=r1",
+		"9.9.9.9":                 "9.9.9.9=error:snmp: noSuchName: 9.9.9.9",
+	} {
+		if got := retrieve(dev.Agent, "public", cmd); got != want {
+			t.Errorf("retrieve(%q) = %q, want %q", cmd, got, want)
+		}
+	}
+	if got, want := retrieve(dev.Agent, "private", sysName+";1.x"), sysName+`=error:snmp: bad community;1.x=error:snmp: malformed OID: "1.x"`; got != want {
+		t.Errorf("bad community: retrieve = %q, want %q", got, want)
+	}
 	walk := retrieve(dev.Agent, "public", "walk "+snmp.OIDSystem.String())
 	if strings.Count(walk, "=") < 4 {
 		t.Fatalf("walk = %q", walk)
@@ -423,7 +439,7 @@ func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
 // the version byte — a plain-text report, a truncated one — is an error.
 func TestReportPayloadCodecs(t *testing.T) {
 	rep := reportPayload{
-		Status: map[string]string{"dev1|1.3.6.1.2.1.1.5.0": "core-1", "dev0|1.3.6.1.2.1.1.3.0": "4711"},
+		Status: Report{"dev1": {"1.3.6.1.2.1.1.5.0": "core-1"}, "dev0": {"1.3.6.1.2.1.1.3.0": "4711"}},
 		Route:  []string{"station", "dev0", "dev1"},
 	}
 	enc := wire.EncodeBody(&rep)
@@ -435,7 +451,7 @@ func TestReportPayloadCodecs(t *testing.T) {
 	if !bytes.HasPrefix(enc, want) {
 		t.Fatalf("status report does not lead with the version and its front-coded keys:\n got %x\nwant %x", enc, want)
 	}
-	var back reportPayload
+	back := reportPayload{Status: make(Report)}
 	if err := back.decode(enc); err != nil || !reflect.DeepEqual(back, rep) {
 		t.Fatalf("status report: %+v, %v", back, err)
 	}
@@ -463,7 +479,7 @@ func TestReportPayloadCodecs(t *testing.T) {
 		"truncated": enc[:len(enc)/2],
 		"version 1": append([]byte{1}, enc[1:]...),
 	} {
-		if err := new(reportPayload).decode(payload); !errors.Is(err, wire.ErrMalformed) {
+		if _, _, err := DecodeReport(payload); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: status report decode error = %v, want wire.ErrMalformed", name, err)
 		}
 		if err := new(monitorReport).decode(payload); !errors.Is(err, wire.ErrMalformed) {

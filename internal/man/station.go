@@ -93,6 +93,11 @@ func (st *Station) collect(ctx context.Context, devices []string, oids []snmp.OI
 	mu.Lock()
 	defer mu.Unlock()
 	stats.Reports = len(results)
-	report, _, err := parseReports(results)
-	return report, stats, err
+	p := reportPayload{Status: make(Report)}
+	for _, r := range results {
+		if err := p.decode(r.Body); err != nil {
+			return nil, stats, err
+		}
+	}
+	return p.Status, stats, nil
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/allocledger"
 	"repro/internal/itinerary"
 	"repro/internal/locator"
 	"repro/internal/manager"
@@ -19,8 +19,9 @@ import (
 // package that allocates. With runtime.MemProfileRate at 1 every
 // allocation the heap profile can see is a record of its own; the records
 // of 200 warm 8-hop tours — the difference of two profiles — are charged
-// to the first repro/internal frame on their stacks (one in a _test.go
-// file to "test": the test's agent and waiting), and printed per hop.
+// by allocledger to the first repro/internal frame on their stacks (one in
+// a _test.go file to "test": the test's agent and waiting), and printed per
+// hop.
 //
 // What the profile cannot see is the "tiny" line: the runtime packs noscan
 // allocations under 16 bytes — short strings, mostly — into a shared
@@ -68,33 +69,20 @@ func TestWarmTourAllocLedger(t *testing.T) {
 	tour()
 
 	start := time.Now()
-	// A profile is published by a finished GC cycle; runtime.GC runs one.
-	before, after := make([]runtime.MemProfileRecord, 0, 1<<14), make([]runtime.MemProfileRecord, 0, 1<<14)
-	var msBefore, msAfter runtime.MemStats
-	tiny := []metrics.Sample{{Name: "/gc/heap/tiny/allocs:objects"}}
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	metrics.Read(tiny)
-	tinyBefore := tiny[0].Value.Uint64()
-	before = memProfile(t, before)
+	reading := allocledger.Start()
 	for i := 0; i < tours; i++ {
 		tour()
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&msAfter)
-	metrics.Read(tiny)
-	after = memProfile(t, after)
+	lines, mallocs := reading.Lines()
 	t.Logf("ledger measured in %v", time.Since(start).Round(time.Millisecond))
 
 	hops := float64(tours * len(route))
-	lines := ledgerLines(before, after)
-	var profiled float64
+	var accounted float64
 	for _, n := range lines {
-		profiled += float64(n) / hops
+		accounted += float64(n) / hops
 	}
-	lines["tiny"] = int64(tiny[0].Value.Uint64() - tinyBefore)
-	accounted := profiled + float64(lines["tiny"])/hops
-	total := float64(msAfter.Mallocs-msBefore.Mallocs) / hops
+	profiled := accounted - float64(lines["tiny"])/hops
+	total := float64(mallocs) / hops
 	names := make([]string, 0, len(lines))
 	for name := range lines {
 		names = append(names, name)
@@ -118,63 +106,6 @@ func TestWarmTourAllocLedger(t *testing.T) {
 		}
 		if got > bound {
 			t.Errorf("%s allocates %.2f times per warm hop, bound %.2f", name, got, bound)
-		}
-	}
-}
-
-// memProfile reads the whole heap profile into buf.
-func memProfile(t *testing.T, buf []runtime.MemProfileRecord) []runtime.MemProfileRecord {
-	t.Helper()
-	for {
-		n, ok := runtime.MemProfile(buf[:cap(buf)], true)
-		if ok {
-			return buf[:n]
-		}
-		buf = make([]runtime.MemProfileRecord, 0, n+n/4)
-	}
-}
-
-// ledgerLines charges the allocations made between two heap profiles to
-// the first repro/internal package on each record's stack: "test" for a
-// frame in a _test.go file, "other" for a stack without one.
-func ledgerLines(before, after []runtime.MemProfileRecord) map[string]int64 {
-	// A stack has a record per allocation size: sum them, then take the
-	// difference stack by stack.
-	objects := make(map[[32]uintptr]int64, len(after))
-	for _, r := range after {
-		objects[r.Stack0] += r.AllocObjects
-	}
-	for _, r := range before {
-		objects[r.Stack0] -= r.AllocObjects
-	}
-	lines := make(map[string]int64)
-	for stack, n := range objects {
-		if n > 0 {
-			depth := 0
-			for depth < len(stack) && stack[depth] != 0 {
-				depth++
-			}
-			lines[ledgerLine(stack[:depth])] += n
-		}
-	}
-	return lines
-}
-
-// ledgerLine names the package an allocation at stack is charged to.
-func ledgerLine(stack []uintptr) string {
-	const prefix = "repro/internal/"
-	frames := runtime.CallersFrames(stack)
-	for {
-		f, more := frames.Next()
-		if rest, ok := strings.CutPrefix(f.Function, prefix); ok {
-			if strings.HasSuffix(f.File, "_test.go") {
-				return "test"
-			}
-			pkg, _, _ := strings.Cut(rest, ".")
-			return pkg
-		}
-		if !more {
-			return "other"
 		}
 	}
 }

@@ -56,20 +56,6 @@ type Response struct {
 	Err string
 }
 
-// EstimateBERSize approximates the SNMPv1 BER encoding size of a PDU with
-// the given varbinds: message header + community + PDU header ≈ 25 bytes,
-// plus per-varbind OID and value encodings. The experiments report
-// measured fabric bytes; this model documents how close they sit to real
-// SNMP traffic.
-func EstimateBERSize(community string, bindings []VarBind) int {
-	size := 25 + len(community)
-	for _, b := range bindings {
-		size += 4 + len(b.OID) + 1 // OID: ~1 byte/arc + tag/len
-		size += b.Value.EncodedLen()
-	}
-	return size
-}
-
 // Agent is the SNMP daemon of one managed device: it owns the device MIB
 // and answers protocol requests after a community check. The paper's MAN
 // framework accesses it locally through the NetManagement privileged
@@ -119,13 +105,13 @@ func (a *Agent) Serve(req Request) Response {
 	return out
 }
 
-// Get is the convenience single-variable form used by local services.
+// Get is the single-variable form local services use: Serve's community
+// check and MIB lookup without a PDU, so a get allocates nothing.
 func (a *Agent) Get(community string, oid OID) (Value, error) {
-	resp := a.Serve(Request{Community: community, Op: OpGet, Bindings: []VarBind{{OID: oid}}})
-	if resp.Err != "" {
-		return Value{}, errors.New(resp.Err)
+	if community != a.community {
+		return Value{}, ErrBadCommunity
 	}
-	return resp.Bindings[0].Value, nil
+	return a.mib.Get(oid)
 }
 
 // WalkSubtree collects all bindings under root (a local agent-side walk).

@@ -69,20 +69,12 @@ func (v Value) Render() string {
 	return strconv.FormatInt(v.Int, 10)
 }
 
-// EncodedLen approximates the value's SNMPv1 BER encoding length, used by
-// the PDU size model.
-func (v Value) EncodedLen() int {
+// AppendRender appends Render's text to dst.
+func (v Value) AppendRender(dst []byte) []byte {
 	if v.Type == TypeString {
-		return 2 + len(v.Str)
+		return append(dst, v.Str...)
 	}
-	// Integers: tag + length + up to 8 bytes, roughly proportional.
-	n := v.Int
-	bytes := 1
-	for n > 0xff || n < -0xff {
-		n >>= 8
-		bytes++
-	}
-	return 2 + bytes
+	return strconv.AppendInt(dst, v.Int, 10)
 }
 
 // Errors reported by MIB operations.
@@ -144,7 +136,7 @@ func (m *MIB) Get(oid OID) (Value, error) {
 	if i, found := m.search(oid); found {
 		return m.bindings[i].value, nil
 	}
-	return Value{}, fmt.Errorf("%w: %s", ErrNoSuchName, oid)
+	return Value{}, fmt.Errorf("%w: %s", ErrNoSuchName, oid.String()) // oid itself stays off the heap
 }
 
 // Next returns the first binding with an OID strictly after oid, the

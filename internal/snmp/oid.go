@@ -39,19 +39,26 @@ var ErrBadOID = errors.New("snmp: malformed OID")
 
 // ParseOID parses dotted-decimal notation ("1.3.6.1.2.1.1.1.0").
 func ParseOID(s string) (OID, error) {
+	return AppendParseOID(make(OID, 0, strings.Count(s, ".")+1), s)
+}
+
+// AppendParseOID appends the arcs of s, in ParseOID's notation, to dst: a
+// caller that parses into a buffer of its own allocates nothing. On an
+// error it returns nil.
+func AppendParseOID(dst OID, s string) (OID, error) {
 	if s == "" {
 		return nil, fmt.Errorf("%w: empty", ErrBadOID)
 	}
-	parts := strings.Split(strings.TrimPrefix(s, "."), ".")
-	oid := make(OID, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
+	for rest, more := strings.TrimPrefix(s, "."), true; more; {
+		var arc string
+		arc, rest, more = strings.Cut(rest, ".")
+		n, err := strconv.Atoi(arc)
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrBadOID, s)
 		}
-		oid[i] = n
+		dst = append(dst, n)
 	}
-	return oid, nil
+	return dst, nil
 }
 
 // MustParseOID is like ParseOID but panics on error; for constants.

@@ -24,10 +24,18 @@ func TestParseOIDRoundTrip(t *testing.T) {
 	if oid, err := ParseOID(".1.3"); err != nil || oid.String() != "1.3" {
 		t.Fatalf("leading dot: %v %v", oid, err)
 	}
-	for _, bad := range []string{"", "1..2", "a.b", "1.-2"} {
+	for _, bad := range []string{"", ".", "1..2", "1.", "a.b", "1.-2"} {
 		if _, err := ParseOID(bad); !errors.Is(err, ErrBadOID) {
 			t.Errorf("ParseOID(%q) = %v, want ErrBadOID", bad, err)
 		}
+	}
+	// Parsing into a caller's buffer appends to it and allocates nothing.
+	var arcs [16]int
+	if oid, err := AppendParseOID(arcs[:1], "3.6.1"); err != nil || oid.String() != "0.3.6.1" {
+		t.Fatalf("AppendParseOID = %v, %v", oid, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { AppendParseOID(arcs[:0], "1.3.6.1.2.1.1.5.0") }); n != 0 {
+		t.Errorf("AppendParseOID allocates %.0f times, want 0", n)
 	}
 }
 
@@ -188,6 +196,15 @@ func TestAgentCommunityCheck(t *testing.T) {
 	if _, err := d.Agent.Get("secret", OIDSysName); err != nil {
 		t.Fatalf("correct community: %v", err)
 	}
+	if _, err := d.Agent.Get("public", OIDSysName); !errors.Is(err, ErrBadCommunity) {
+		t.Fatalf("get community: %v", err)
+	}
+	if _, err := d.Agent.Get("secret", MustParseOID("9.9")); !errors.Is(err, ErrNoSuchName) || err.Error() != "snmp: noSuchName: 9.9" {
+		t.Fatalf("get unknown: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Agent.Get("secret", OIDSysName) }); n != 0 {
+		t.Errorf("a local get allocates %.0f times, want 0", n)
+	}
 }
 
 func TestDeviceTickEvolvesCounters(t *testing.T) {
@@ -234,17 +251,12 @@ func TestExtraVars(t *testing.T) {
 	}
 }
 
-func TestEstimateBERSize(t *testing.T) {
-	small := EstimateBERSize("public", []VarBind{{OID: OIDSysDescr}})
-	large := EstimateBERSize("public", []VarBind{
-		{OID: OIDSysDescr, Value: StringValue(strings.Repeat("x", 100))},
-	})
-	if small <= 25 || large <= small+90 {
-		t.Fatalf("size model: small=%d large=%d", small, large)
-	}
-}
-
 func TestValueRenderAndTypes(t *testing.T) {
+	for _, v := range []Value{StringValue("x"), IntValue(7), CounterValue(-12), GaugeValue(1e9)} {
+		if got := string(v.AppendRender([]byte("="))); got != "="+v.Render() {
+			t.Fatalf("AppendRender(%v) = %q, Render %q", v, got, v.Render())
+		}
+	}
 	if StringValue("x").Render() != "x" || IntValue(7).Render() != "7" {
 		t.Fatal("render")
 	}

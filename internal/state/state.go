@@ -245,6 +245,15 @@ func (s *State) Delete(key string) {
 	delete(s.entries, key)
 }
 
+// Has reports whether an entry is stored under key: the check before a
+// Load that may miss, without the error a miss builds.
+func (s *State) Has(key string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.lookup(key)
+	return ok
+}
+
 // ModeOf returns the protection mode of the entry under key.
 func (s *State) ModeOf(key string) (Mode, error) {
 	s.mu.RLock()

@@ -42,6 +42,28 @@ func TestGetMissingKey(t *testing.T) {
 	}
 }
 
+// TestHas: Has finds a key in the encoding and in what was written over
+// it, and a miss costs no error.
+func TestHas(t *testing.T) {
+	src := New()
+	if err := src.SetPublic("raw", 1); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := DecodeBinary(src.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPublic("written", 2); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has("raw") || !s.Has("written") || s.Has("nope") {
+		t.Fatalf("Has: raw %v, written %v, nope %v", s.Has("raw"), s.Has("written"), s.Has("nope"))
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Has("nope") }); n != 0 && !raceEnabled {
+		t.Errorf("a missed Has allocates %.0f times, want 0", n)
+	}
+}
+
 func TestNilValueRejected(t *testing.T) {
 	s := New()
 	if err := s.SetPublic("k", nil); !errors.Is(err, ErrNilValue) {
