@@ -147,6 +147,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/dock/
 	go test -run '^$$' -fuzz 'FuzzDecodeError$$' -fuzztime 10s ./internal/wire/
 	go test -run '^$$' -fuzz 'FuzzDecodeValue$$' -fuzztime 10s ./internal/state/
+	go test -run '^$$' -fuzz 'FuzzWalk$$' -fuzztime 10s ./internal/state/
 	go test -run '^$$' -fuzz 'FuzzOverlay$$' -fuzztime 10s ./internal/state/
 	go test -run '^$$' -fuzz 'FuzzLazyNext$$' -fuzztime 10s ./internal/itinerary/
 	go test -run '^$$' -fuzz 'FuzzDecodeReport$$' -fuzztime 10s ./internal/man/

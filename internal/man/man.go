@@ -27,6 +27,7 @@ package man
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/resource"
 	"repro/internal/snmp"
+	"repro/internal/state"
 	"repro/internal/wire"
 )
 
@@ -136,16 +138,25 @@ type NMNaplet struct{}
 // NapletWriter, reads the results from the NapletReader, and stores them
 // under this device's DeviceStatus state entry.
 func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
-	var params []string
-	if err := ctx.State().Load(paramsKey, &params); err != nil {
+	// The parameter list is joined into the query line where it lies.
+	params, err := ctx.State().WalkStrings(paramsKey)
+	if err != nil {
 		return fmt.Errorf("man: naplet has no parameters: %w", err)
+	}
+	var buf [1024]byte
+	query := buf[:0]
+	for i := 0; params.Next(); i++ {
+		if i > 0 {
+			query = append(query, ';')
+		}
+		query = append(query, params.Value()...)
 	}
 	ch, err := ctx.Services.OpenChannel(ServiceName)
 	if err != nil {
 		return err
 	}
 	defer ch.Close()
-	if err := ch.WriteLine(strings.Join(params, ";")); err != nil {
+	if err := ch.WriteLine(string(query)); err != nil {
 		return err
 	}
 	line, err := ch.ReadLine()
@@ -177,8 +188,9 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 //
 // Status travels flat, keyed "<device>|<oid>"; the map codec's front coding
 // is what keeps a device's name and an OID's leading arcs from travelling
-// once per variable. The payload is written from and read into the nested
-// form directly: a flat key exists only in a scratch buffer.
+// once per variable. The naplet splices the flat map from its state
+// (encodeReport) and the station reads it into the nested form directly: a
+// flat key exists only in a scratch buffer.
 type reportPayload struct {
 	Status Report
 	Route  []string
@@ -187,37 +199,6 @@ type reportPayload struct {
 // reportCodecVersion is the leading version byte of both report payloads.
 // Version 2 front-codes the map keys.
 const reportCodecVersion = 2
-
-// AppendBinary writes the entries as wire.AppendStringMap would write the
-// flat map: devices in the order of name+"|" — "|" ends a name, so that is
-// the order of their keys — and each device's OIDs in order.
-func (p *reportPayload) AppendBinary(dst []byte) []byte {
-	n := 0
-	devs := make([]string, 0, len(p.Status))
-	for dev, vals := range p.Status {
-		n += len(vals)
-		devs = append(devs, dev)
-	}
-	slices.SortFunc(devs, func(a, b string) int { return strings.Compare(a+"|", b+"|") })
-	dst = wire.AppendUvarint(append(dst, reportCodecVersion), uint64(n))
-	var bufs [2][128]byte
-	prev, key := bufs[0][:0], bufs[1][:0]
-	var oids []string
-	for _, dev := range devs {
-		vals := p.Status[dev]
-		oids = oids[:0]
-		for oid := range vals {
-			oids = append(oids, oid)
-		}
-		slices.Sort(oids)
-		for _, oid := range oids {
-			key = append(append(append(key[:0], dev...), '|'), oid...)
-			dst = wire.AppendString(wire.AppendMapKey(dst, prev, key), vals[oid])
-			prev, key = key, prev
-		}
-	}
-	return wire.AppendStrings(dst, p.Route)
-}
 
 // decode reads body into p.Status, adding to the devices it already holds,
 // and p.Route. It accepts and rejects what wire.DecStringMap does; a key
@@ -272,22 +253,74 @@ func (p *reportPayload) decode(body []byte) error {
 // resultReport is the ResultReport post-action of §6.2: report the
 // gathered DeviceStatus back home through the listener.
 func resultReport(ctx *naplet.Context) error {
-	keys := ctx.State().Keys()
-	report := reportPayload{Status: make(Report, len(keys)), Route: ctx.Log().Route()}
-	for _, key := range keys {
-		dev, ok := strings.CutPrefix(key, statusPrefix)
-		if !ok {
-			continue
-		}
-		var vals map[string]string
-		if err := ctx.State().Load(key, &vals); err != nil {
-			return err
-		}
-		report.Status[dev] = vals
+	body, err := encodeReport(ctx.State(), ctx.Log().Route())
+	if err != nil {
+		return err
 	}
 	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return ctx.Listener.Report(rctx, wire.EncodeBody(&report))
+	return ctx.Listener.Report(rctx, body)
+}
+
+// encodeReport writes the report body from st's DeviceStatus entries where
+// they lie: each device's encoded map is spliced under its "<device>|"
+// prefix, so the body is what wire.AppendStringMap writes for the flat
+// map, and no device's map is decoded. An entry that is not a
+// map[string]string fails the report, as loading it would.
+func encodeReport(st *state.State, route []string) ([]byte, error) {
+	keys := slices.DeleteFunc(st.Keys(), func(k string) bool { return !strings.HasPrefix(k, statusPrefix) })
+	// Devices in the order of name+"|" — "|" ends a name, so that is the
+	// order of their flat keys: "dev10|" before "dev1|".
+	slices.SortFunc(keys, func(a, b string) int { return compareDevices(a[len(statusPrefix):], b[len(statusPrefix):]) })
+	r := splicedReport{keys: keys, walks: make([]state.Walk, len(keys)), route: route}
+	for i, key := range keys {
+		w, err := st.WalkStringMap(key)
+		if err != nil {
+			return nil, err
+		}
+		r.walks[i] = w
+		r.n += w.Len()
+	}
+	return wire.EncodeBody(&r), nil
+}
+
+// compareDevices orders device names as a+"|" and b+"|" sort.
+func compareDevices(a, b string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
+		return c
+	}
+	if len(a) < len(b) {
+		return cmp.Compare('|', b[n])
+	}
+	return cmp.Compare(a[n], '|')
+}
+
+// splicedReport is a report body whose device maps are still encoded in
+// the naplet's state.
+type splicedReport struct {
+	keys  []string     // DeviceStatus keys, devices in name+"|" order
+	walks []state.Walk // their maps, checked
+	n     int          // entries over all of them
+	route []string
+}
+
+// AppendBinary writes each device's entries under its "<device>|" prefix,
+// every key front-coded against the one before it in one of two stack
+// buffers.
+func (r *splicedReport) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendUvarint(append(dst, reportCodecVersion), uint64(r.n))
+	var bufs [2][128]byte
+	prev, key := bufs[0][:0], bufs[1][:0]
+	for i := range r.walks {
+		dev, w := r.keys[i][len(statusPrefix):], &r.walks[i]
+		for w.Next() {
+			key = w.AppendKey(append(append(key[:0], dev...), '|'))
+			dst = wire.AppendBytes(wire.AppendMapKey(dst, prev, key), w.Value())
+			prev, key = key, prev
+		}
+	}
+	return wire.AppendStrings(dst, r.route)
 }
 
 // RegisterCodebase installs the NMNaplet codebase in a registry.

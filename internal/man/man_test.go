@@ -400,7 +400,9 @@ func (s lineService) Close() error                                      { return
 // TestOnStartTouchesOnlyItsOwnDevice: a stop reads and writes its own
 // DeviceStatus key and no other. The other device's entry here holds a
 // value no status map could be loaded from, so reading it would fail the
-// visit; it must come through byte for byte.
+// visit; it must come through byte for byte — and the end report, which
+// reads every device's entry, must fail on it rather than send a body
+// without it.
 func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
 	st := state.New()
 	if err := st.SetPrivate(paramsKey, []string{"1.3.6.1.2.1.1.5.0"}); err != nil {
@@ -411,7 +413,7 @@ func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
 	}
 	ctx := &naplet.Context{
 		Server:   "dev1",
-		Record:   &naplet.Record{Home: "station", State: st},
+		Record:   &naplet.Record{Home: "station", State: st, Log: naplet.NewNavigationLog()},
 		Services: lineService{reply: "1.3.6.1.2.1.1.5.0=core-1;1.3.6.1.2.1.1.3.0=error:noSuchName"},
 	}
 	for visit := 0; visit < 2; visit++ { // a device visited twice keeps one entry
@@ -431,6 +433,43 @@ func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
 	}
 	if want := []string{statusPrefix + "dev0", statusPrefix + "dev1", paramsKey}; !reflect.DeepEqual(st.Keys(), want) {
 		t.Fatalf("state keys %v, want %v", st.Keys(), want)
+	}
+	// No Listener: a report that got as far as sending would panic.
+	if err := resultReport(ctx); !errors.Is(err, state.ErrBadPayload) {
+		t.Fatalf("report over a status entry that is not a map: %v, want state.ErrBadPayload", err)
+	}
+}
+
+// TestOnStartNeedsItsParameters: a naplet whose parameter list is missing,
+// of another type, or cut short in its encoding (a record arrives off the
+// socket, and its state's payloads are checked only when read) fails its
+// visit before it opens the service channel.
+func TestOnStartNeedsItsParameters(t *testing.T) {
+	short := state.New()
+	if err := short.SetPrivate(paramsKey, []string{"1.3", "1.4"}); err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends [tag] [count 2] [3 '1' '.' '3'] [3 '1' '.' '4']:
+	// a count of three claims a string that is not there.
+	enc := short.AppendBinary(nil)
+	if enc[len(enc)-9] != 2 {
+		t.Fatalf("unexpected encoding %x", enc)
+	}
+	enc[len(enc)-9] = 3
+	short, _, err := state.DecodeBinary(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := state.New()
+	if err := wrong.SetPrivate(paramsKey, "1.3;1.4"); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*state.State{"missing": state.New(), "a string": wrong, "truncated": short} {
+		// No Services: a visit that got past its parameters would panic.
+		ctx := &naplet.Context{Server: "dev1", Record: &naplet.Record{Home: "station", State: st}}
+		if err := new(NMNaplet).OnStart(ctx); err == nil || !strings.Contains(err.Error(), "naplet has no parameters") {
+			t.Errorf("%s: OnStart = %v, want \"naplet has no parameters\"", name, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package man
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,7 +27,9 @@ import (
 // TestWarmSweepAllocBudget pins what a warm §6 sweep allocates per device
 // visit, in the benchmark's sweep-netsim shape: CollectSequential over 16
 // of 32 devices, 16 variables each, on netsim at TimeScale 0, the station's
-// decode of the report included. It reads 130.5 per stop (256.4 while
+// decode of the report included. It reads 78.7 per stop (130.5 while the
+// naplet decoded its parameter list at every stop and every device's
+// status map at the last, only to encode them again; 256.4 while
 // NetManagement built a PDU, split the query and formatted a string per
 // variable, the naplet flattened its report into "dev|oid" keys, and the
 // station decoded that flat map, split it and copied it once more); the
@@ -43,15 +47,15 @@ func TestWarmSweepAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const (
-		budget  = 150.0 // 130.5 measured, plus 15 %
+		budget  = 90.5 // 78.7 measured, plus 15 %
 		waves   = 60
 		stops   = 16
 		slack   = 1.15
 		unnamed = 0.5
 	)
 	measured := map[string]float64{
-		"wire": 49.1, "man": 22.5, "tiny": 13.9, "resource": 11.1,
-		"navigator": 7.0, "naplet": 5.8, "state": 4.5, "itinerary": 4.4,
+		"man": 16.2, "resource": 11.1, "wire": 10.9, "tiny": 7.6,
+		"navigator": 7.0, "naplet": 5.8, "itinerary": 4.4, "state": 3.5,
 		"monitor": 3.2, "snmp": 2.2, "manager": 1.7, "server": 1.5,
 		"id": 1.2, "messenger": 1.1, "security": 1.0,
 	}
@@ -175,6 +179,39 @@ func TestSweepBytesUnchanged(t *testing.T) {
 	}
 }
 
+// AppendBinary is the reference encoder of a nested report: it writes the
+// entries as wire.AppendStringMap would write the flat map, devices in the
+// order of name+"|" and each device's OIDs in order. It is the encoder the
+// naplet used before it spliced its state's encoded maps (encodeReport);
+// the tests build report bodies with it and hold the splice to it.
+func (p *reportPayload) AppendBinary(dst []byte) []byte {
+	n := 0
+	devs := make([]string, 0, len(p.Status))
+	for dev, vals := range p.Status {
+		n += len(vals)
+		devs = append(devs, dev)
+	}
+	slices.SortFunc(devs, func(a, b string) int { return strings.Compare(a+"|", b+"|") })
+	dst = wire.AppendUvarint(append(dst, reportCodecVersion), uint64(n))
+	var bufs [2][128]byte
+	prev, key := bufs[0][:0], bufs[1][:0]
+	var oids []string
+	for _, dev := range devs {
+		vals := p.Status[dev]
+		oids = oids[:0]
+		for oid := range vals {
+			oids = append(oids, oid)
+		}
+		slices.Sort(oids)
+		for _, oid := range oids {
+			key = append(append(append(key[:0], dev...), '|'), oid...)
+			dst = wire.AppendString(wire.AppendMapKey(dst, prev, key), vals[oid])
+			prev, key = key, prev
+		}
+	}
+	return wire.AppendStrings(dst, p.Route)
+}
+
 // decodeReportReference is the station's decoder as it was before it wrote
 // straight into the nested form: the flat map first, then a cut of each key
 // at its first "|".
@@ -209,7 +246,9 @@ func decodeReportReference(body []byte) (Report, []string, error) {
 // DecodeReport must allocate in proportion to the body, accept exactly what
 // the reference decoder accepts and agree with it, reject the rest with
 // wire.ErrMalformed, and what it returns must encode to a body that decodes
-// to the same report. The bound is 128 bytes per body byte, not the 64 of
+// to the same report — through the reference encoder, and byte for byte
+// the same through the naplet's splice from a state holding each device's
+// map. The bound is 128 bytes per body byte, not the 64 of
 // the flat codecs' fuzzers: a device costs a map of its own, about 350
 // bytes, for as little as 5 bytes of body, and on the seed below, a device
 // of 2000 OIDs and then 2000 devices of one, the new decoder allocates 86
@@ -257,6 +296,15 @@ func FuzzDecodeReport(f *testing.F) {
 		re := wire.EncodeBody(&reportPayload{Status: got, Route: route})
 		if back, backRoute, err := DecodeReport(re); err != nil || !reflect.DeepEqual(back, got) || !reflect.DeepEqual(backRoute, route) {
 			t.Fatalf("re-encoded report decodes to %v %v, %v; want %v %v", back, backRoute, err, got, route)
+		}
+		st := state.New()
+		for dev, vals := range got {
+			if err := st.SetPrivate(statusPrefix+dev, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if spliced, err := encodeReport(st, route); err != nil || !bytes.Equal(spliced, re) {
+			t.Fatalf("report spliced from state: %x, %v; reference encoder: %x", spliced, err, re)
 		}
 	})
 }

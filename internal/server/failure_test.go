@@ -152,8 +152,14 @@ func TestDeadVerdictDoesNotTrapNapletWithoutFailover(t *testing.T) {
 	if got := <-results; got != "s1" {
 		t.Fatalf("tour = %q, want %q", got, "s1")
 	}
-	if got := home.Health().State("s1"); got != health.StateAlive {
-		t.Fatalf("state(s1) = %v after the landing, want alive", got)
+	// The origin records the landing once the transfer's ack is back,
+	// which the naplet's end at s1 does not wait for.
+	deadline := time.Now().Add(5 * time.Second)
+	for home.Health().State("s1") != health.StateAlive {
+		if time.Now().After(deadline) {
+			t.Fatalf("state(s1) = %v after the landing, want alive", home.Health().State("s1"))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

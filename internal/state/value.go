@@ -189,3 +189,91 @@ func decodePayload(payload []byte) (any, error) {
 	}
 	return v, nil
 }
+
+// Walk reads a stored []string or map[string]string where its encoding
+// lies — in the record the naplet landed with, or in the payload Set
+// wrote — one element at a time, allocating nothing: a caller that only
+// re-emits the elements (joins a list into a line, splices a map into a
+// report) pays for no Go value. WalkStrings and WalkStringMap check the
+// whole payload first by the rules decodeValue applies, so Next cannot
+// fail part-way. What Value and AppendKey hand over is a view of the
+// state's bytes, which nothing writes: replacing the entry leaves it good.
+type Walk struct {
+	mapped bool         // a map[string]string: each element is a key and a value
+	n      int          // elements
+	left   int          // elements not yet read
+	rest   []byte       // what follows the current element
+	keys   wire.MapKeys // the current key, for a map
+	value  []byte       // the current element, or the current key's value
+}
+
+// WalkStrings starts a walk over the []string stored under key. It fails
+// where Load into a *[]string fails: ErrNoSuchKey for a missing key, and
+// ErrBadPayload for a value of another type or bytes that do not decode
+// (wire.ErrMalformed too, then).
+func (s *State) WalkStrings(key string) (Walk, error) { return s.walk(key, tagStrings) }
+
+// WalkStringMap starts a walk over the map[string]string stored under key,
+// in ascending key order. It fails where Load into a *map[string]string
+// fails, as WalkStrings does.
+func (s *State) WalkStringMap(key string) (Walk, error) { return s.walk(key, tagStringMap) }
+
+func (s *State) walk(key string, tag byte) (Walk, error) {
+	s.mu.RLock()
+	e, ok := s.lookup(key)
+	s.mu.RUnlock()
+	if !ok {
+		return Walk{}, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
+	}
+	w := Walk{mapped: tag == tagStringMap}
+	want, minElem := "[]string", 1 // a string's length
+	if w.mapped {
+		want, minElem = "map[string]string", 3 // shared, suffix length, and the value's length
+	}
+	if len(e.Payload) == 0 || e.Payload[0] != tag {
+		return Walk{}, fmt.Errorf("%w: %q does not hold a %s", ErrBadPayload, key, want)
+	}
+	var err error
+	if w.n, w.rest, err = wire.DecCount(e.Payload[1:], minElem); err == nil {
+		w.left = w.n
+		check := w
+		for check.left > 0 && err == nil {
+			err = check.next()
+		}
+		if err == nil && len(check.rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(check.rest))
+		}
+	}
+	if err != nil {
+		return Walk{}, fmt.Errorf("%w: %w", ErrBadPayload, err)
+	}
+	return w, nil
+}
+
+// next reads one element.
+func (w *Walk) next() (err error) {
+	w.left--
+	b := w.rest
+	if w.mapped {
+		if b, err = w.keys.Next(b); err != nil {
+			return err
+		}
+	}
+	w.value, w.rest, err = wire.DecBytes(b)
+	return err
+}
+
+// Len returns how many elements the value holds.
+func (w *Walk) Len() int { return w.n }
+
+// Next moves to the next element; false once the value is done.
+func (w *Walk) Next() bool {
+	return w.left > 0 && w.next() == nil
+}
+
+// Value returns the current element of a list, or the current key's value
+// of a map.
+func (w *Walk) Value() []byte { return w.value }
+
+// AppendKey appends the current key of a map to dst.
+func (w *Walk) AppendKey(dst []byte) []byte { return w.keys.Append(dst) }

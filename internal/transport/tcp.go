@@ -159,6 +159,14 @@ func (n *tcpNode) getMux(ctx context.Context, deadline time.Time, to string) (*m
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
+		// A dial that never connected delivered nothing, whatever ended it;
+		// one the call's own time or context cut short ends as that too.
+		switch {
+		case ctx.Err() != nil:
+			return nil, false, fmt.Errorf("%w: dial %s: %w", ErrUnknownPeer, to, ctx.Err())
+		case !deadline.IsZero() && !time.Now().Before(deadline):
+			return nil, false, fmt.Errorf("%w: dial %s: %w", ErrUnknownPeer, to, context.DeadlineExceeded)
+		}
 		return nil, false, fmt.Errorf("%w: dial %s: %v", ErrUnknownPeer, to, err)
 	}
 

@@ -101,7 +101,9 @@ func TestSilentPeerEndsAtTheFrameBudget(t *testing.T) {
 // TestDialHonoursTheFrameDeadline: the dial of a call whose deadline only
 // the frame carries is bounded by it. A call whose budget is spent never
 // dials — the listener sees no connection — and fails as refused, so the
-// caller knows the request went nowhere.
+// caller knows the request went nowhere, and as its deadline, so a caller
+// that gave the call its time sees it run out; a call whose context was
+// canceled fails as refused and canceled.
 func TestDialHonoursTheFrameDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,8 +117,14 @@ func TestDialHonoursTheFrameDeadline(t *testing.T) {
 	defer client.Close()
 
 	_, err = CallWithin(context.Background(), client, ln.Addr().String(), wire.Frame{Kind: wire.KindPost}, 0)
-	if !errors.Is(err, ErrUnknownPeer) || !Refused(err) {
-		t.Fatalf("call with a spent budget: %v, want a refused dial", err)
+	if !errors.Is(err, ErrUnknownPeer) || !Refused(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call with a spent budget: %v, want a refused dial past its deadline", err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = CallWithin(canceled, client, ln.Addr().String(), wire.Frame{Kind: wire.KindPost}, time.Second)
+	if !Refused(err) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("call with a canceled context: %v, want a refused dial, canceled", err)
 	}
 	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
 	if conn, err := ln.Accept(); err == nil {
