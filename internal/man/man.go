@@ -164,22 +164,28 @@ func (n *NMNaplet) OnStart(ctx *naplet.Context) error {
 		return err
 	}
 
-	// A device visited twice adds to what it reported before.
+	// A revisit's earlier pairs go first, so the new reply wins.
 	key := statusPrefix + ctx.Server
-	status := make(map[string]string, strings.Count(line, ";")+1)
+	var stack [64][2]string
+	pairs := stack[:0]
 	if ctx.State().Has(key) {
-		if err := ctx.State().Load(key, &status); err != nil {
+		old, err := ctx.State().WalkStringMap(key)
+		if err != nil {
 			return err
+		}
+		for old.Next() {
+			pairs = append(pairs, [2]string{string(old.AppendKey(nil)), string(old.Value())})
 		}
 	}
 	for rest := line; rest != ""; {
 		var pair string
 		pair, rest, _ = strings.Cut(rest, ";")
 		if k, v, ok := strings.Cut(pair, "="); ok {
-			status[k] = v
+			pairs = append(pairs, [2]string{k, v})
 		}
 	}
-	return ctx.State().SetProtected(key, status, ctx.Record.Home)
+	ctx.State().SetStringMap(key, pairs, state.Protected, ctx.Record.Home)
+	return nil
 }
 
 // reportPayload is the wire form of a naplet's status report:
@@ -268,7 +274,7 @@ func resultReport(ctx *naplet.Context) error {
 // map, and no device's map is decoded. An entry that is not a
 // map[string]string fails the report, as loading it would.
 func encodeReport(st *state.State, route []string) ([]byte, error) {
-	keys := slices.DeleteFunc(st.Keys(), func(k string) bool { return !strings.HasPrefix(k, statusPrefix) })
+	keys := st.KeysWithPrefix(statusPrefix)
 	// Devices in the order of name+"|" — "|" ends a name, so that is the
 	// order of their flat keys: "dev10|" before "dev1|".
 	slices.SortFunc(keys, func(a, b string) int { return compareDevices(a[len(statusPrefix):], b[len(statusPrefix):]) })

@@ -440,6 +440,70 @@ func TestOnStartTouchesOnlyItsOwnDevice(t *testing.T) {
 	}
 }
 
+// TestOnStartRevisitMergesItsReply: a device visited again, by a naplet
+// whose state crossed a dock in between, keeps what it reported before
+// unless the new reply names it again; the entry is byte for byte what
+// loading the old map, assigning the reply's pairs and storing it again
+// writes. A status entry of this device that is not a map fails the visit.
+func TestOnStartRevisitMergesItsReply(t *testing.T) {
+	replies := []string{
+		"1.3.6.1.2.1.1.5.0=core-1;1.3.6.1.2.1.1.3.0=4711",
+		"1.3.6.1.2.1.1.3.0=4712;1.3.6.1.2.1.2.1.0=3;1.3.6.1.2.1.2.1.0=4",
+	}
+	key := statusPrefix + "dev1"
+	st, ref := state.New(), state.New()
+	for _, s := range []*state.State{st, ref} {
+		if err := s.SetPrivate(paramsKey, []string{"1.3.6.1.2.1.1.5.0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for visit, reply := range replies {
+		ctx := &naplet.Context{
+			Server:   "dev1",
+			Record:   &naplet.Record{Home: "station", State: st, Log: naplet.NewNavigationLog()},
+			Services: lineService{reply: reply},
+		}
+		if err := new(NMNaplet).OnStart(ctx); err != nil {
+			t.Fatalf("visit %d: %v", visit, err)
+		}
+		landed, _, err := state.DecodeBinary(st.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = landed
+
+		status := make(map[string]string)
+		if ref.Has(key) {
+			if err := ref.Load(key, &status); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pair := range strings.Split(reply, ";") {
+			k, v, _ := strings.Cut(pair, "=")
+			status[k] = v
+		}
+		if err := ref.SetProtected(key, status, "station"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := st.AppendBinary(nil), ref.AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Fatalf("state after the revisit encodes\n  %x\nloading, assigning and storing the map writes\n  %x", got, want)
+	}
+	var merged map[string]string
+	if err := st.Load(key, &merged); err != nil || len(merged) != 3 ||
+		merged["1.3.6.1.2.1.1.5.0"] != "core-1" || merged["1.3.6.1.2.1.1.3.0"] != "4712" || merged["1.3.6.1.2.1.2.1.0"] != "4" {
+		t.Fatalf("merged status = %v, %v", merged, err)
+	}
+
+	if err := st.SetProtected(key, 7, "station"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &naplet.Context{Server: "dev1", Record: &naplet.Record{Home: "station", State: st}, Services: lineService{reply: replies[0]}}
+	if err := new(NMNaplet).OnStart(ctx); !errors.Is(err, state.ErrBadPayload) {
+		t.Fatalf("a visit over a status entry that is not a map: %v, want state.ErrBadPayload", err)
+	}
+}
+
 // TestOnStartNeedsItsParameters: a naplet whose parameter list is missing,
 // of another type, or cut short in its encoding (a record arrives off the
 // socket, and its state's payloads are checked only when read) fails its

@@ -19,11 +19,10 @@ import (
 // it), and front-coded, each as [byte shared] [string suffix] against the
 // key before it — an agent's keys tend to share their start.
 //
-// A decoded container stays encoded (State.raw) until something needs more
-// than one key of it; keys written meanwhile lie over it (State.written).
-// Everything that reads those bytes reads them through one cursor: the
-// check DecodeBinary makes, the search a Get makes, the merge AppendBinary
-// makes with what was written, and the decode a delete or a listing forces.
+// A state is this encoding (State.raw) with the keys written since laid
+// over it (State.written). Everything that reads those bytes reads them
+// through one cursor: the check DecodeBinary makes, the search a Get makes,
+// and the merged walk of a listing or of AppendBinary.
 
 func appendEntry(dst []byte, e entry) []byte {
 	dst = wire.AppendUvarint(dst, uint64(e.Mode))
@@ -118,76 +117,85 @@ func find(raw []byte, key string) (entry, bool) {
 	return entry{}, false
 }
 
-// decodeEntries builds the entry map of the encoded container raw, which
-// DecodeBinary has checked, with room for extra more.
-func decodeEntries(raw []byte, extra int) map[string]entry {
-	c, _ := newCursor(raw)
-	entries := make(map[string]entry, c.left+extra)
-	for ok, _ := c.next(); ok; ok, _ = c.next() {
-		entries[c.keys.String()] = c.entry()
-	}
-	return entries
-}
-
 // EncodedSize returns the length of the container's encoding.
 func (s *State) EncodedSize() int {
 	return len(s.AppendBinary(nil))
 }
 
 // AppendBinary appends the container's binary form to dst: the bytes it
-// was decoded from, while nothing has changed it, and what decoding them
-// and encoding the entries would write once something has.
+// was decoded from, while nothing has been written over them, and their
+// merge with what was written once something has.
 func (s *State) AppendBinary(dst []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	switch {
-	case s.entries != nil:
-		return wire.AppendMap(dst, s.entries, appendEntry)
-	case len(s.written) == 0:
+	if len(s.written) == 0 {
 		return append(dst, s.raw...)
-	default:
-		return s.appendMerged(dst)
 	}
+	return s.appendMerged(dst)
 }
 
-// appendMerged appends raw with written laid over it: the two sorted runs
-// merged by key, a written entry replacing raw's under the same key, and
-// every key front-coded against the one before it as wire.AppendMap codes
-// it. Callers hold the read lock.
+// appendMerged appends the merged run, every key front-coded against the
+// one before it as wire.AppendMap codes it, so the bytes are those of the
+// container encoded afresh. Callers hold the read lock.
 func (s *State) appendMerged(dst []byte) []byte {
-	c, _ := newCursor(s.raw)
-	dst = wire.AppendUvarint(dst, uint64(c.left+s.added))
-	// The key written last and the one being written, on the stack while
+	dst = wire.AppendUvarint(dst, uint64(s.count()))
+	// The key being written and the one before it, on the stack while
 	// they fit.
 	var bufs [2][64]byte
-	prev, key := bufs[0][:0], bufs[1][:0]
-	w := s.written
-	more, _ := c.next()
-	for more || len(w) > 0 {
-		var e entry
-		if more {
-			key = c.keys.Append(key[:0])
-		}
-		if more && (len(w) == 0 || string(key) < w[0].key) {
-			e = c.entry()
-			more, _ = c.next()
-		} else {
-			if more && string(key) == w[0].key {
-				more, _ = c.next()
-			}
-			key, e = append(key[:0], w[0].key...), w[0].entry
-			w = w[1:]
-		}
-		dst = appendEntry(wire.AppendMapKey(dst, prev, key), e)
-		prev, key = key, prev
+	prev := bufs[1][:0]
+	m := s.merge()
+	for key, ok := m.next(bufs[0][:0]); ok; key, ok = m.next(key) {
+		dst = appendEntry(wire.AppendMapKey(dst, prev, key), m.e)
+		prev = append(prev[:0], key...)
 	}
 	return dst
 }
 
+// merged walks raw and written together as one run in key order: a
+// written entry replaces raw's under its key, and a deleted one drops it.
+type merged struct {
+	c    cursor
+	more bool    // c is at an entry not yet merged
+	w    []keyed // what was written, not yet merged
+	e    entry   // the current entry; its bytes alias the state's
+}
+
+// merge starts a merged walk. Callers hold the read lock.
+func (s *State) merge() merged {
+	c, _ := newCursor(s.raw)
+	m := merged{c: c, w: s.written}
+	m.more, _ = m.c.next()
+	return m
+}
+
+// next moves to the next entry and returns its key, assembled in key[:0];
+// false when both runs are done.
+func (m *merged) next(key []byte) ([]byte, bool) {
+	for m.more || len(m.w) > 0 {
+		if m.more {
+			key = m.c.keys.Append(key[:0])
+		}
+		if m.more && (len(m.w) == 0 || string(key) < m.w[0].key) {
+			m.e = m.c.entry()
+			m.more, _ = m.c.next()
+			return key, true
+		}
+		if m.more && string(key) == m.w[0].key {
+			m.more, _ = m.c.next()
+		}
+		w := &m.w[0]
+		m.w = m.w[1:]
+		if !w.gone {
+			m.e = w.entry
+			return append(key[:0], w.key...), true
+		}
+	}
+	return key, false
+}
+
 // DecodeBinary consumes one container from b and returns the rest. The
-// container is checked in full but stays encoded: the state keeps a view
-// of b, which the caller must not change afterwards, and decodes it when
-// first written or listed. Payloads, decoded or not, alias b.
+// container is checked in full and stays encoded: the state keeps a view
+// of b, which the caller must not change afterwards. Payloads alias b.
 func DecodeBinary(b []byte) (*State, []byte, error) {
 	n, err := scan(b)
 	if err != nil {

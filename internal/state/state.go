@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -86,29 +85,34 @@ type entry struct {
 //
 // The zero value is not usable; call New.
 type State struct {
-	mu      sync.RWMutex
-	entries map[string]entry
-	// raw, while entries is nil, is the encoded container the state was
-	// decoded from (binary.go), and written the entries set on it since,
-	// sorted by key, which take precedence over raw's: a dock that writes
+	mu sync.RWMutex
+	// raw is the encoded container (binary.go) the state was decoded
+	// from, or New's empty one, and written the keys set or deleted on it
+	// since, sorted, which take precedence over raw's: a dock that writes
 	// one key of a landed state pays for that key alone. A read of one key
 	// looks in written, then searches raw; AppendBinary re-emits raw
-	// verbatim, or merges written into it. A delete or a listing decodes
-	// both into entries and drops them.
+	// verbatim, or merges written into it, and a listing walks that merge.
+	// Nothing writes raw's bytes: records and walks alias them.
 	raw     []byte
 	written []keyed
-	added   int // keys in written that raw does not hold
+	added   int // keys written adds to raw's, less those it deletes
 }
 
-// keyed is an entry set on a still-encoded state, with its key.
+// keyed is an entry written over raw, with its key; with gone set, the
+// delete of the key.
 type keyed struct {
 	key string
 	entry
+	gone bool
 }
+
+// emptyContainer is the encoding of an empty container, which New's
+// states share.
+var emptyContainer = []byte{0}
 
 // New returns an empty state container.
 func New() *State {
-	return &State{entries: make(map[string]entry)}
+	return &State{raw: emptyContainer}
 }
 
 // Set stores value under key with the given mode. For Protected entries,
@@ -120,6 +124,30 @@ func (s *State) Set(key string, value any, mode Mode, servers ...string) error {
 	if err != nil {
 		return err
 	}
+	s.store(key, payload, mode, servers)
+	return nil
+}
+
+// SetStringMap stores the map[string]string the key-value pairs make
+// under key, a later pair replacing an earlier one under the same key, in
+// the bytes Set writes for that map; but the pairs are encoded where they
+// lie, with no Go map between. pairs is sorted in place.
+func (s *State) SetStringMap(key string, pairs [][2]string, mode Mode, servers ...string) {
+	slices.SortStableFunc(pairs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
+	kept := pairs[:0]
+	for i, p := range pairs {
+		if i+1 == len(pairs) || pairs[i+1][0] != p[0] {
+			kept = append(kept, p)
+		}
+	}
+	bp := valueBufPool.Get().(*[]byte)
+	defer valueBufPool.Put(bp)
+	*bp = wire.AppendStringPairs(append((*bp)[:0], tagStringMap), kept)
+	s.store(key, append([]byte(nil), *bp...), mode, servers)
+}
+
+// store writes the entry of an encoded value.
+func (s *State) store(key string, payload []byte, mode Mode, servers []string) {
 	var allowed []byte
 	if mode == Protected {
 		var stack [8]string
@@ -129,26 +157,29 @@ func (s *State) Set(key string, value any, mode Mode, servers ...string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.put(key, entry{Mode: mode, Servers: allowed, Payload: payload})
-	return nil
+	s.put(keyed{key: key, entry: entry{Mode: mode, Servers: allowed, Payload: payload}})
 }
 
-// put stores e under key: into entries once decoded, otherwise over the
-// encoding. Callers hold the write lock.
-func (s *State) put(key string, e entry) {
-	if s.entries != nil {
-		s.entries[key] = e
-		return
+// put lays k over the encoding. Callers hold the write lock.
+func (s *State) put(k keyed) {
+	i, ok := s.search(k.key)
+	live := ok && !s.written[i].gone
+	if !ok {
+		_, live = find(s.raw, k.key)
 	}
-	i, ok := s.search(key)
-	if ok {
-		s.written[i].entry = e
+	switch {
+	case !live && k.gone:
 		return
-	}
-	if _, ok := find(s.raw, key); !ok {
+	case !live:
 		s.added++
+	case k.gone:
+		s.added--
 	}
-	s.written = slices.Insert(s.written, i, keyed{key: key, entry: e})
+	if ok {
+		s.written[i] = k
+		return
+	}
+	s.written = slices.Insert(s.written, i, k)
 }
 
 // search finds key in written: its index, or where it would go.
@@ -156,44 +187,13 @@ func (s *State) search(key string) (int, bool) {
 	return slices.BinarySearchFunc(s.written, key, func(w keyed, key string) int { return strings.Compare(w.key, key) })
 }
 
-// decode turns a still-encoded container into entries. Callers hold the
-// write lock.
-func (s *State) decode() {
-	if s.entries != nil {
-		return
-	}
-	s.entries = decodeEntries(s.raw, len(s.written))
-	for _, w := range s.written {
-		s.entries[w.key] = w.entry
-	}
-	s.raw, s.written, s.added = nil, nil, 0
-}
-
-// rlockDecoded read-locks s with its entries decoded.
-func (s *State) rlockDecoded() {
-	s.mu.RLock()
-	if s.entries != nil {
-		return
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	s.decode()
-	s.mu.Unlock()
-	s.mu.RLock()
-}
-
 // lookup returns the entry under key, from what was written over the
-// encoding and then the encoding while there is one. Callers hold the read
-// lock.
+// encoding and then the encoding. Callers hold the read lock.
 func (s *State) lookup(key string) (entry, bool) {
-	if s.entries == nil {
-		if i, ok := s.search(key); ok {
-			return s.written[i].entry, true
-		}
-		return find(s.raw, key)
+	if i, ok := s.search(key); ok {
+		return s.written[i].entry, !s.written[i].gone
 	}
-	e, ok := s.entries[key]
-	return e, ok
+	return find(s.raw, key)
 }
 
 // SetPrivate is shorthand for Set(key, value, Private).
@@ -241,8 +241,7 @@ func (s *State) Load(key string, out any) error {
 func (s *State) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.decode()
-	delete(s.entries, key)
+	s.put(keyed{key: key, gone: true})
 }
 
 // Has reports whether an entry is stored under key: the check before a
@@ -266,21 +265,51 @@ func (s *State) ModeOf(key string) (Mode, error) {
 }
 
 // Keys returns all keys in the container, sorted.
-func (s *State) Keys() []string {
-	s.rlockDecoded()
+func (s *State) Keys() []string { return s.keys("", nil) }
+
+// KeysWithPrefix returns the keys that start with prefix, sorted.
+func (s *State) KeysWithPrefix(prefix string) []string { return s.keys(prefix, nil) }
+
+// keys lists the keys that start with prefix and whose entry keep
+// accepts (all for nil), sorted. They are read where they lie, gathered
+// on the stack while they fit, and cut from one string: a listing costs
+// that string and the slice.
+func (s *State) keys(prefix string, keep func(entry) bool) []string {
+	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return wire.SortedKeys(s.entries)
+	listed, ends := make([]byte, 0, 512), make([]int, 0, 32)
+	m := s.merge()
+	for key, ok := m.next(make([]byte, 0, 64)); ok; key, ok = m.next(key) {
+		n := min(len(key), len(prefix))
+		if string(key[:n]) > prefix {
+			break // past the prefix's run
+		}
+		if n == len(prefix) && string(key[:n]) == prefix && (keep == nil || keep(m.e)) {
+			listed = append(listed, key...)
+			ends = append(ends, len(listed))
+		}
+	}
+	if len(ends) == 0 {
+		return nil
+	}
+	all, start, keys := string(listed), 0, make([]string, len(ends))
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
+	}
+	return keys
 }
 
-// Len reports the number of entries.
+// Len reports the number of keys.
 func (s *State) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.entries == nil {
-		n, _, _ := wire.DecUvarint(s.raw) // the count leads the container
-		return int(n) + s.added
-	}
-	return len(s.entries)
+	return s.count()
+}
+
+// count is Len under the read lock.
+func (s *State) count() int {
+	n, _, _ := wire.DecUvarint(s.raw) // the count leads the container
+	return int(n) + s.added
 }
 
 // ServerView returns a restricted view of the container for the named
@@ -353,42 +382,19 @@ func (v *ServerView) Update(key string, value any) error {
 		return fmt.Errorf("%w: key %q is %s to server %q", ErrForbidden, key, e.Mode, v.server)
 	}
 	e.Payload = payload
-	v.state.put(key, e)
+	v.state.put(keyed{key: key, entry: e})
 	return nil
 }
 
 // Keys lists the keys the view's server may access, sorted.
-func (v *ServerView) Keys() []string {
-	v.state.rlockDecoded()
-	defer v.state.mu.RUnlock()
-	var keys []string
-	for k, e := range v.state.entries {
-		if v.allowed(e) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (v *ServerView) Keys() []string { return v.state.keys("", v.allowed) }
 
 // Clone returns a deep copy of the container, used when a naplet is cloned
-// for a Par itinerary branch: each clone carries independent state. A
-// still-encoded container shares its bytes and the payloads written over
-// them, which nothing writes.
+// for a Par itinerary branch: each clone carries independent state. The
+// copy shares the encoding and the payloads written over it, which nothing
+// writes.
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.entries == nil {
-		return &State{raw: s.raw, written: slices.Clone(s.written), added: s.added}
-	}
-	c := New()
-	for k, e := range s.entries {
-		ce := entry{
-			Mode:    e.Mode,
-			Servers: append([]byte(nil), e.Servers...),
-			Payload: append([]byte(nil), e.Payload...),
-		}
-		c.entries[k] = ce
-	}
-	return c
+	return &State{raw: s.raw, written: slices.Clone(s.written), added: s.added}
 }

@@ -341,10 +341,9 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess: goroutines writing, reading, listing and encoding
-// one container at once — built with New, or landed and still encoded, its
-// writes lying over the bytes until a listing decodes it midway (run it
-// with -race).
+// TestConcurrentAccess: goroutines writing, deleting, reading, listing and
+// encoding one container at once — built with New, or landed — its writes
+// and deletes lying over the bytes (run it with -race).
 func TestConcurrentAccess(t *testing.T) {
 	seed := New()
 	if err := seed.SetPublic("k0", -1); err != nil {
@@ -363,7 +362,9 @@ func TestConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("k%d", g)
 				for i := 0; i < 100; i++ {
 					s.Set(key, i, Public)
+					s.Set(key+"/tmp", i, Private)
 					s.Get(key)
+					s.Delete(key + "/tmp")
 					s.ServerView("srv").Get(key)
 					s.AppendBinary(nil)
 					if i == 50+g {

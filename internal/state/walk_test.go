@@ -3,7 +3,10 @@ package state
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -181,4 +184,85 @@ func FuzzWalk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSetStringMap: the setter's bytes are those Set writes for the map
+// the pairs make — a later pair replacing an earlier one under its key,
+// no pairs making an empty map, keys sharing more than the front-coding
+// clamp — and a Protected entry's allow list is sorted and enforced alike.
+func TestSetStringMap(t *testing.T) {
+	long := strings.Repeat("1.3.6.1.2.1.2.2.1.10.", 4)
+	for name, pairs := range map[string][][2]string{
+		"duplicates": {{"b", "1"}, {"a", "2"}, {"b", "3"}, {"c", ""}, {"a", "4"}, {"b", "5"}},
+		"empty":      nil,
+		"long keys":  {{long + "2", "x"}, {long + "1", "y"}, {long, "z"}, {"", "empty key"}},
+	} {
+		want := make(map[string]string)
+		for _, p := range pairs {
+			want[p[0]] = p[1]
+		}
+		for _, mode := range []Mode{Private, Protected, Public} {
+			byMap, byPairs := New(), New()
+			if err := byMap.Set("status", want, mode, "s2", "s1"); err != nil {
+				t.Fatal(err)
+			}
+			byPairs.SetStringMap("status", slices.Clone(pairs), mode, "s2", "s1")
+			if got, exp := byPairs.AppendBinary(nil), byMap.AppendBinary(nil); !bytes.Equal(got, exp) {
+				t.Fatalf("%s, %v: SetStringMap encodes\n  %x\nSet of the map\n  %x", name, mode, got, exp)
+			}
+			var got map[string]string
+			if err := byPairs.Load("status", &got); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %v: loaded %q, %v; want %q", name, mode, got, err, want)
+			}
+			for _, server := range []string{"s1", "s2", "s3"} {
+				_, err := byPairs.ServerView(server).Get("status")
+				_, exp := byMap.ServerView(server).Get("status")
+				if (err == nil) != (exp == nil) {
+					t.Fatalf("%s, %v: server %s reads with %v, want %v", name, mode, server, err, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestKeysWithPrefix: a prefix listing reads the keys where they lie, in a
+// landed container and over what was written and deleted since, and costs
+// one string and the slice, whatever the number of keys.
+func TestKeysWithPrefix(t *testing.T) {
+	built := New()
+	var want []string
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("DeviceStatus/dev%d", i)
+		built.SetStringMap(key, [][2]string{{"1.3.6.1.2.1.1.5.0", "core"}}, Protected, "station")
+		want = append(want, key)
+	}
+	for _, key := range []string{"D", "DeviceStatus", "E", "man.params"} {
+		if err := built.SetPrivate(key, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(want)
+	landed, _, err := DecodeBinary(built.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, _, _ := DecodeBinary(built.AppendBinary(nil))
+	written.Delete(want[3])
+	written.SetPrivate("DeviceStatus/dev99", 1)
+	writtenWant := append(slices.Delete(slices.Clone(want), 3, 4), "DeviceStatus/dev99")
+	slices.Sort(writtenWant)
+	for name, c := range map[string]struct {
+		s    *State
+		want []string
+	}{"built": {built, want}, "landed": {landed, want}, "written": {written, writtenWant}} {
+		if got := c.s.KeysWithPrefix("DeviceStatus/"); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: KeysWithPrefix = %q, want %q", name, got, c.want)
+		}
+		if got := c.s.KeysWithPrefix("nothing"); got != nil {
+			t.Fatalf("%s: KeysWithPrefix(nothing) = %q", name, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.s.KeysWithPrefix("DeviceStatus/") }); n > 2 && !raceEnabled {
+			t.Errorf("%s: listing %d keys allocates %.0f times, want at most 2", name, len(c.want), n)
+		}
+	}
 }

@@ -245,9 +245,6 @@ func sortedKeys[T any](m map[string]T, buf []string) []string {
 	return buf
 }
 
-// SortedKeys returns m's keys in ascending order.
-func SortedKeys[T any](m map[string]T) []string { return sortedKeys(m, nil) }
-
 // AppendMap appends a count-prefixed map, keys ascending and front-coded.
 func AppendMap[T any](dst []byte, m map[string]T, elem func([]byte, T) []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m)))
@@ -400,6 +397,19 @@ func DecStrings(b []byte) ([]string, []byte, error) { return DecSeq(b, 1, readSt
 
 // AppendStringMap appends a count-prefixed string map.
 func AppendStringMap(dst []byte, m map[string]string) []byte { return AppendMap(dst, m, AppendString) }
+
+// AppendStringPairs appends the string map whose entries are pairs, which
+// are sorted by key with no key twice: the bytes AppendStringMap writes for
+// that map.
+func AppendStringPairs(dst []byte, pairs [][2]string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
+	prev := ""
+	for _, p := range pairs {
+		dst = AppendString(AppendMapKey(dst, prev, p[0]), p[1])
+		prev = p[0]
+	}
+	return dst
+}
 
 // DecStringMap consumes one count-prefixed string map.
 func DecStringMap(b []byte) (map[string]string, []byte, error) { return DecMap(b, readString) }

@@ -196,7 +196,8 @@ func genMap(r *rand.Rand, n int) map[string]string {
 // TestMapFrontCodingProperties: over generated maps of 0, 1, 17 and 300
 // entries (below, at and past what sorts on the stack), the round trip is
 // lossless, and the encoding is the canonical one: keys ascending, each
-// sharing all it can with its predecessor up to the clamp.
+// sharing all it can with its predecessor up to the clamp; the map given as
+// its sorted pairs (AppendStringPairs) encodes to the same bytes.
 func TestMapFrontCodingProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, n := range []int{0, 1, 17, smallMapKeys, smallMapKeys + 1, 300} {
@@ -207,13 +208,21 @@ func TestMapFrontCodingProperties(t *testing.T) {
 			if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, m) {
 				t.Fatalf("n=%d: round trip: %v, %d bytes left, equal=%v", n, err, len(rest), reflect.DeepEqual(got, m))
 			}
+			// The same map given as its sorted pairs encodes the same.
+			pairs := make([][2]string, 0, n)
+			for _, k := range sortedKeys(m, nil) {
+				pairs = append(pairs, [2]string{k, m[k]})
+			}
+			if p := AppendStringPairs(nil, pairs); !bytes.Equal(p, enc) {
+				t.Fatalf("n=%d: AppendStringPairs differs from AppendStringMap", n)
+			}
 			// Walk the entries by hand against the sorted keys.
 			cnt, b, err := DecCount(enc, 3)
 			if err != nil || cnt != n {
 				t.Fatalf("n=%d: count %d, %v", n, cnt, err)
 			}
 			prev := ""
-			for _, k := range SortedKeys(m) {
+			for _, k := range sortedKeys(m, nil) {
 				shared, suffix := int(b[0]), ""
 				if suffix, b, err = DecString(b[1:]); err != nil {
 					t.Fatal(err)
