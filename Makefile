@@ -17,7 +17,11 @@
 # helper. The request path lives once, in internal/transport/transport.go:
 # it also fails if a budget is packed, an error reply built or decoded, or
 # a panic recovered anywhere else (the monitor's naplet traps excepted).
-# It fails, too, if gofmt would rewrite any file.
+# It fails, too, if gofmt would rewrite any file. The exported surface is
+# guarded inside `go test ./...`: TestExportedSurfaceHasCallers (root
+# package) fails on an exported function or method under internal/ that no
+# non-test file names, bench/, cmd/ and examples/ included, unless its
+# allowlist gives the reason.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
 # Every Benchmark* function runs once (-short shrinks the million-entry

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/snmp"
@@ -45,7 +44,6 @@ type ReplyBody struct {
 type Responder struct {
 	device *snmp.Device
 	node   transport.Node
-	served atomic.Int64
 }
 
 // AttachResponder exposes a device's SNMP agent at addr.
@@ -62,9 +60,6 @@ func AttachResponder(fabric transport.Fabric, addr string, dev *snmp.Device) (*R
 // Addr is the responder's resolved fabric address.
 func (r *Responder) Addr() string { return r.node.Addr() }
 
-// Served reports how many requests the responder has answered.
-func (r *Responder) Served() int64 { return r.served.Load() }
-
 // Close detaches the responder.
 func (r *Responder) Close() error { return r.node.Close() }
 
@@ -76,8 +71,6 @@ func (r *Responder) handle(from string, f wire.Frame) (wire.Frame, error) {
 	if err := body.Decode(f.Payload); err != nil {
 		return wire.Frame{}, err
 	}
-	r.served.Add(1)
-
 	req := snmp.Request{Community: body.Community, Op: body.Op}
 	for i, s := range body.OIDs {
 		oid, err := snmp.ParseOID(s)

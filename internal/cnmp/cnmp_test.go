@@ -142,11 +142,11 @@ func TestSetOverWire(t *testing.T) {
 func TestResponderServedCounterAndUnknownKind(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	dev := snmp.NewDevice(snmp.DeviceConfig{Name: "r1"})
-	resp, _ := AttachResponder(net, "r1:161", dev)
+	AttachResponder(net, "r1:161", dev)
 	st, _ := NewStation(net, "station")
-	st.Get(context.Background(), "r1:161", []snmp.OID{snmp.OIDSysName}, Options{})
-	if resp.Served() != 1 {
-		t.Fatalf("served = %d", resp.Served())
+	vals, stats, err := st.Get(context.Background(), "r1:161", []snmp.OID{snmp.OIDSysName}, Options{})
+	if err != nil || vals[snmp.OIDSysName.String()] != "r1" || stats.Requests != 1 {
+		t.Fatalf("served: vals=%v stats=%+v err=%v", vals, stats, err)
 	}
 	// A non-SNMP frame is rejected.
 	f, _ := newFrame(t, RequestBody{})

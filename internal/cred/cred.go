@@ -12,7 +12,6 @@ package cred
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -83,13 +82,6 @@ func (c *Credential) HasRole(role string) bool {
 		}
 	}
 	return false
-}
-
-// Fingerprint returns a short hex digest of the signed content, useful for
-// logging and for footprint records kept by naplet managers.
-func (c *Credential) Fingerprint() string {
-	sum := sha256.Sum256(c.canonical())
-	return hex.EncodeToString(sum[:8])
 }
 
 // KeyRing maps owners to signing keys. It stands in for the PKI that the

@@ -66,17 +66,34 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyValidityWindow: a credential is valid from its issue time
+// through its expiry, both ends included; one without an expiry never
+// expires.
 func TestVerifyValidityWindow(t *testing.T) {
 	k := ring(t)
-	c, _ := k.Issue(nid, "cb", nil, t0, t0.Add(time.Hour))
-	if err := k.Verify(c, t0.Add(30*time.Minute)); err != nil {
-		t.Fatalf("inside window: %v", err)
-	}
-	if err := k.Verify(c, t0.Add(2*time.Hour)); !errors.Is(err, ErrExpired) {
-		t.Fatalf("expired not detected: %v", err)
-	}
-	if err := k.Verify(c, t0.Add(-time.Hour)); !errors.Is(err, ErrNotYetValid) {
-		t.Fatalf("not-yet-valid not detected: %v", err)
+	expiring, _ := k.Issue(nid, "cb", nil, t0, t0.Add(time.Hour))
+	lasting, _ := k.Issue(nid, "cb", nil, t0, time.Time{})
+	for _, tc := range []struct {
+		name string
+		c    Credential
+		at   time.Time
+		want error
+	}{
+		{"before issue", expiring, t0.Add(-time.Nanosecond), ErrNotYetValid},
+		{"at issue", expiring, t0, nil},
+		{"inside", expiring, t0.Add(30 * time.Minute), nil},
+		{"at expiry", expiring, t0.Add(time.Hour), nil},
+		{"just after expiry", expiring, t0.Add(time.Hour + time.Nanosecond), ErrExpired},
+		{"long after expiry", expiring, t0.Add(48 * time.Hour), ErrExpired},
+		{"no expiry, years on", lasting, t0.AddDate(10, 0, 0), nil},
+		{"no expiry, before issue", lasting, t0.Add(-time.Nanosecond), ErrNotYetValid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := k.Verify(tc.c, tc.at)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Verify at %v = %v, want %v", tc.at.Sub(t0), err, tc.want)
+			}
+		})
 	}
 }
 
@@ -130,23 +147,6 @@ func TestRolesOrderIndependentSignature(t *testing.T) {
 	b.Roles = []string{"y", "x"}
 	if err := k.Verify(b, t0); err != nil {
 		t.Fatalf("role order must not affect signature: %v", err)
-	}
-}
-
-func TestFingerprintStableAndSensitive(t *testing.T) {
-	k := ring(t)
-	a, _ := k.Issue(nid, "cb", nil, t0, time.Time{})
-	b, _ := k.Issue(nid, "cb", nil, t0, time.Time{})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical credentials must share fingerprint")
-	}
-	c := a
-	c.Codebase = "other"
-	if c.Fingerprint() == a.Fingerprint() {
-		t.Fatal("fingerprint must change with content")
-	}
-	if len(a.Fingerprint()) != 16 {
-		t.Fatalf("fingerprint length = %d", len(a.Fingerprint()))
 	}
 }
 

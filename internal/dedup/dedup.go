@@ -88,29 +88,6 @@ func (w *Window) Mark(id string) {
 	w.order = append(w.order, id)
 }
 
-// SeenOrMark atomically checks and marks: it returns true when id was
-// already in the window, and marks it otherwise.
-func (w *Window) SeenOrMark(id string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	now := w.clock()
-	if at, ok := w.entries[id]; ok && now.Sub(at) <= w.ttl {
-		return true
-	}
-	w.evictLocked(now)
-	if _, ok := w.entries[id]; ok {
-		// Present but expired: refresh in place.
-		w.entries[id] = now
-		return false
-	}
-	if len(w.entries) >= w.max {
-		w.dropOldestLocked()
-	}
-	w.entries[id] = now
-	w.order = append(w.order, id)
-	return false
-}
-
 // Keys returns the retained, unexpired identifiers in insertion order, for
 // persisting the window across a restart. Restore by Marking each key into
 // a fresh window.

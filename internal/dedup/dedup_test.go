@@ -31,16 +31,6 @@ func TestSeenAfterMark(t *testing.T) {
 	}
 }
 
-func TestSeenOrMark(t *testing.T) {
-	w, _ := window(8, time.Minute)
-	if w.SeenOrMark("a") {
-		t.Fatal("first SeenOrMark must report unseen")
-	}
-	if !w.SeenOrMark("a") {
-		t.Fatal("second SeenOrMark must report seen")
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -97,9 +97,6 @@ func New(node transport.Node, cfg Config) *Client {
 	return c
 }
 
-// Ring returns the placement ring.
-func (c *Client) Ring() *Ring { return c.ring }
-
 // Replicas returns the replica-group size.
 func (c *Client) Replicas() int { return c.replicas }
 

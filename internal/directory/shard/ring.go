@@ -133,16 +133,3 @@ func (r *Ring) Owners(key string, n int) []string {
 	}
 	return out
 }
-
-// Primary returns the key's first-preference owner, or "" on an empty
-// ring. Allocation-free.
-func (r *Ring) Primary(key string) string {
-	best := ""
-	var bestScore uint64
-	for _, node := range r.nodes {
-		if s := score(node, key); best == "" || s > bestScore {
-			best, bestScore = node, s
-		}
-	}
-	return best
-}

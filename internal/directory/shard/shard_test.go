@@ -42,9 +42,6 @@ func TestRingDeterministic(t *testing.T) {
 		if oa[0] == oa[1] {
 			t.Fatalf("duplicate owner for %q: %v", k, oa)
 		}
-		if a.Primary(k) != oa[0] {
-			t.Fatalf("primary mismatch for %q", k)
-		}
 	}
 }
 
@@ -56,8 +53,8 @@ func TestRingClampsReplicas(t *testing.T) {
 	if got := r.Owners("k", 0); got != nil {
 		t.Fatalf("owners(0) = %v", got)
 	}
-	if NewRing(nil).Primary("k") != "" {
-		t.Fatal("empty ring primary")
+	if got := NewRing(nil).Owners("k", 1); got != nil {
+		t.Fatalf("empty ring owners = %v", got)
 	}
 }
 
@@ -190,7 +187,7 @@ func TestReplicasConvergeUnderRacingRegistrations(t *testing.T) {
 	}
 	wg.Wait()
 
-	owners := c.Ring().Owners(KeyOf(nid), 2)
+	owners := NewRing(r.nodes).Owners(KeyOf(nid), 2)
 	var entries []directory.Entry
 	for _, addr := range owners {
 		e, ok := r.svcs[addr].Lookup(nid)
@@ -230,7 +227,7 @@ func TestLookupFailsOverOnReplicaDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	primary := c.Ring().Owners(KeyOf(nid), 2)[0]
+	primary := NewRing(r.nodes).Owners(KeyOf(nid), 2)[0]
 	r.inj.Crash(primary)
 
 	e, err := c.Lookup(ctx, nid)
@@ -265,7 +262,7 @@ func TestLookupFansThroughNotFound(t *testing.T) {
 	ctx := context.Background()
 
 	nid := id.MustNew("u", "home", t0)
-	owners := c.Ring().Owners(KeyOf(nid), 2)
+	owners := NewRing(r.nodes).Owners(KeyOf(nid), 2)
 
 	// Write while the primary is down: only the secondary acks.
 	r.inj.Crash(owners[0])

@@ -165,11 +165,6 @@ func (b *Broadcaster) Subscribe(buf int, policy DropPolicy) string {
 	return id
 }
 
-// SubscribeDefault creates a subscription with the configured defaults.
-func (b *Broadcaster) SubscribeDefault() string {
-	return b.Subscribe(0, b.cfg.Policy)
-}
-
 // Poll drains up to max buffered events (0 = all), oldest first, along
 // with the events dropped so far. A subscription closed for slowness
 // reports ErrSlowSubscriber exactly once; later polls see
@@ -224,11 +219,4 @@ func (b *Broadcaster) Subscribers() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.subs)
-}
-
-// Published reports the total events published.
-func (b *Broadcaster) Published() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
 }

@@ -6,11 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestBroadcasterDeliversInOrder(t *testing.T) {
 	b := NewBroadcaster(BroadcasterConfig{Buf: 16})
-	id := b.SubscribeDefault()
+	id := b.Subscribe(0, DropSlow)
 	for i := 0; i < 5; i++ {
 		b.Publish(Event{Kind: EventSpan, Hop: i})
 	}
@@ -34,7 +36,7 @@ func TestBroadcasterDeliversInOrder(t *testing.T) {
 
 func TestBroadcasterPollMax(t *testing.T) {
 	b := NewBroadcaster(BroadcasterConfig{Buf: 16})
-	id := b.SubscribeDefault()
+	id := b.Subscribe(0, DropSlow)
 	for i := 0; i < 10; i++ {
 		b.Publish(Event{Hop: i})
 	}
@@ -50,8 +52,8 @@ func TestBroadcasterPollMax(t *testing.T) {
 
 func TestBroadcasterDropsSlowSubscriber(t *testing.T) {
 	b := NewBroadcaster(BroadcasterConfig{Buf: 4, Policy: DropSlow})
-	slow := b.SubscribeDefault()
-	fast := b.SubscribeDefault()
+	slow := b.Subscribe(0, DropSlow)
+	fast := b.Subscribe(0, DropSlow)
 	for i := 0; i < 10; i++ {
 		b.Publish(Event{Hop: i})
 		if i%2 == 1 {
@@ -105,8 +107,8 @@ func TestBroadcasterReap(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	b := NewBroadcaster(BroadcasterConfig{Buf: 4, Clock: clock})
-	stale := b.SubscribeDefault()
-	fresh := b.SubscribeDefault()
+	stale := b.Subscribe(0, DropSlow)
+	fresh := b.Subscribe(0, DropSlow)
 	now = now.Add(30 * time.Second)
 	if _, _, err := b.Poll(fresh, 0); err != nil {
 		t.Fatal(err)
@@ -136,7 +138,9 @@ func TestBroadcasterSubscribeClampsBuf(t *testing.T) {
 }
 
 func TestBroadcasterConcurrentPublishPoll(t *testing.T) {
-	b := NewBroadcaster(BroadcasterConfig{Buf: 64})
+	reg := telemetry.NewRegistry()
+	b := NewBroadcaster(BroadcasterConfig{Buf: 64, Telemetry: reg})
+	published := reg.Counter("naplet_fleet_events_published_total", "")
 	const publishers, perPub = 8, 200
 	ids := make([]string, 4)
 	for i := range ids {
@@ -180,14 +184,14 @@ func TestBroadcasterConcurrentPublishPoll(t *testing.T) {
 			}
 		}(id)
 	}
-	// Publishers are done once every event has a sequence number; then
-	// let the pollers drain and exit.
-	for b.Published() < publishers*perPub {
+	// Publishers are done once the published counter has every event;
+	// then let the pollers drain and exit.
+	for published.Value() < publishers*perPub {
 		time.Sleep(time.Millisecond)
 	}
 	close(done)
 	wg.Wait()
-	if want := uint64(publishers * perPub); b.Published() != want {
-		t.Fatalf("published = %d, want %d", b.Published(), want)
+	if want := int64(publishers * perPub); published.Value() != want {
+		t.Fatalf("published = %d, want %d", published.Value(), want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -30,7 +31,7 @@ func testEvent(i int) Event {
 }
 
 func TestEventCodecRoundTrip(t *testing.T) {
-	for _, ev := range []Event{testEvent(3), {}, {Kind: EventTrap, Detail: "boom: division by zero"}} {
+	for _, ev := range []Event{testEvent(3), {}, {Kind: server.EventTrap, Detail: "boom: division by zero"}} {
 		buf := appendEvent(nil, ev)
 		got, rest, err := decodeEvent(buf)
 		if err != nil {

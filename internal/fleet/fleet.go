@@ -23,25 +23,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Event kinds carried on the fleet event stream. Span events come from
-// the origin navigator's HopTracer; the rest are nav-log events from the
-// visit engine.
-const (
-	// EventSpan is one migration hop span (platform-side cost record).
-	EventSpan = "span"
-	// EventLaunch marks a naplet launched at its home server.
-	EventLaunch = "launch"
-	// EventArrival marks a transferred naplet landing.
-	EventArrival = "arrival"
-	// EventDepart marks a naplet released toward its next stop.
-	EventDepart = "depart"
-	// EventComplete marks an itinerary finishing.
-	EventComplete = "complete"
-	// EventTrap marks an execution exception ending a life cycle.
-	EventTrap = "trap"
-	// EventReroute marks an itinerary failover or evacuation.
-	EventReroute = "reroute"
-)
+// EventSpan is the fleet event stream's kind for one migration hop span
+// (platform-side cost record), from the origin navigator's HopTracer. The
+// stream's other kinds are the visit engine's nav-log events, server's
+// Event* kinds.
+const EventSpan = "span"
 
 // Event is one observation on the fleet event stream: a flattened union
 // of hop spans and nav-log events, small enough to batch by the hundred.
@@ -53,7 +39,7 @@ type Event struct {
 	// batch body's Node, or with the frame's sender when that is empty;
 	// like registration and heartbeats, it trusts the name a dock gives.
 	Node string
-	// Kind is one of the Event* constants.
+	// Kind is EventSpan or one of server's Event* kinds.
 	Kind string
 	// Naplet is the subject naplet's identifier.
 	Naplet string

@@ -166,7 +166,7 @@ func TestMasterWaveLaunchesAcrossFleet(t *testing.T) {
 	tf := newTestFleet(t, fleet.Config{}, "d1", "d2", "d3")
 	tf.waitNodes(t, 3)
 
-	sub := tf.master.Broadcaster().SubscribeDefault()
+	sub := tf.master.Broadcaster().Subscribe(0, fleet.DropSlow)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := tf.master.Wave(ctx, fleet.WaveSpec{
@@ -203,7 +203,7 @@ func TestMasterWaveLaunchesAcrossFleet(t *testing.T) {
 			}
 			kinds[ev.Kind]++
 		}
-		if kinds[fleet.EventComplete] >= 4 && kinds[fleet.EventLaunch] >= 4 {
+		if kinds[server.EventComplete] >= 4 && kinds[server.EventLaunch] >= 4 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -211,7 +211,7 @@ func TestMasterWaveLaunchesAcrossFleet(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if kinds[fleet.EventArrival] == 0 {
+	if kinds[server.EventArrival] == 0 {
 		t.Fatalf("no arrival events: %v", kinds)
 	}
 }

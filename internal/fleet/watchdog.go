@@ -199,10 +199,3 @@ func (w *Watchdog) Rate(node string) float64 {
 	}
 	return nw.est.Rate(now)
 }
-
-// Forget drops a node's watchdog state.
-func (w *Watchdog) Forget(node string) {
-	w.mu.Lock()
-	delete(w.nodes, node)
-	w.mu.Unlock()
-}

@@ -94,13 +94,6 @@ func TestWatchdogAlarmsCount(t *testing.T) {
 	if n := w.overCount(); n != 2 {
 		t.Fatalf("over count = %d, want 2", n)
 	}
-	w.Forget("d1")
-	if n := w.overCount(); n != 1 {
-		t.Fatalf("over count after forget = %d, want 1", n)
-	}
-	if w.Over("d1") {
-		t.Fatal("forgotten node still over")
-	}
 }
 
 func TestWatchdogZeroConfigNeverTrips(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // TestDetectorConcurrentReportsAndSnapshots hammers one detector from
 // many goroutines mixing ReportSuccess/ReportFailure with State/Allow
-// and the Trail/Peers snapshots, under the -race scope. The invariants:
+// and the Trail snapshot and per-state peer gauge reads, under the -race scope. The invariants:
 // snapshots never tear (bounded trail, valid states, transitions walk
 // the alive/suspect/dead lattice), and an all-success epilogue leaves
 // every peer alive.
@@ -53,12 +53,13 @@ func TestDetectorConcurrentReportsAndSnapshots(t *testing.T) {
 							return
 						}
 					}
-					for addr, st := range d.Peers() {
-						if addr == "" || !validState(st) {
-							t.Errorf("invalid peer snapshot %q=%v", addr, st)
+					for p := 0; p < peers; p++ {
+						if st := d.State(peerName(p)); !validState(st) {
+							t.Errorf("invalid state %q=%v", peerName(p), st)
 							return
 						}
 					}
+					_ = d.count(StateDead) // the per-state gauge's read
 				}
 			}
 		}(g)
@@ -71,13 +72,8 @@ func TestDetectorConcurrentReportsAndSnapshots(t *testing.T) {
 			d.ReportSuccess(peerName(i))
 		}
 	}
-	for addr, st := range d.Peers() {
-		if st != StateAlive {
-			t.Fatalf("%s = %v after all-success epilogue", addr, st)
-		}
-	}
-	if len(d.Peers()) != peers {
-		t.Fatalf("peers = %d, want %d", len(d.Peers()), peers)
+	if n := d.count(StateAlive); n != peers {
+		t.Fatalf("alive peers = %d after all-success epilogue, want %d", n, peers)
 	}
 }
 

@@ -265,17 +265,3 @@ func (d *Detector) Trail() []Transition {
 	copy(out, d.trail)
 	return out
 }
-
-// Peers returns a snapshot of every tracked peer's state.
-func (d *Detector) Peers() map[string]State {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]State, len(d.peers))
-	for addr, p := range d.peers {
-		out[addr] = p.state
-	}
-	return out
-}

@@ -92,8 +92,8 @@ func TestTrailAndTelemetry(t *testing.T) {
 			t.Fatalf("trail[%d] = %+v, want transition to %v", i, tr, want[i])
 		}
 	}
-	if got := d.Peers()["a"]; got != StateAlive {
-		t.Fatalf("snapshot state = %v, want alive", got)
+	if got := d.State("a"); got != StateAlive {
+		t.Fatalf("state = %v, want alive", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestNilDetectorSafe(t *testing.T) {
 	if d.Dead("x") || d.State("x") != StateAlive || !d.Allow("x") {
 		t.Fatal("nil detector should behave as all-alive")
 	}
-	if d.Trail() != nil || d.Peers() != nil {
-		t.Fatal("nil detector snapshots should be nil")
+	if d.Trail() != nil {
+		t.Fatal("nil detector trail should be nil")
 	}
 }

@@ -215,20 +215,6 @@ func (m *Manager) Status(nid id.NapletID) (Status, string, error) {
 	return l.status, l.err, nil
 }
 
-// Launched lists the identifiers in the naplet table.
-func (m *Manager) Launched() []id.NapletID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]id.NapletID, 0, len(m.launchedT))
-	for k := range m.launchedT {
-		nid, err := id.Parse(k)
-		if err == nil {
-			out = append(out, nid)
-		}
-	}
-	return out
-}
-
 // entry returns the table entry of a naplet, creating one for a naplet the
 // home first hears of by its report: clones report under their own ID and
 // inherit the originator's listener when one exists. m.mu held.

@@ -615,17 +615,6 @@ func (m *Messenger) markDelivered(msg naplet.Message) {
 	}
 }
 
-// HeldCount reports how many messages wait in a naplet's slot: held for
-// its landing, or unread in its open mailbox (tests and introspection).
-func (m *Messenger) HeldCount(nid id.NapletID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mb, ok := m.slots[nid.Key()]; ok {
-		return mb.Len()
-	}
-	return 0
-}
-
 // ---- Durability and drain ----
 
 // HeldSnapshot deep-copies the mail in held slots: mail waiting for
@@ -821,13 +810,6 @@ func (b *Mailbox) Receive(ctx context.Context) (naplet.Message, error) {
 			return naplet.Message{}, ctx.Err()
 		}
 	}
-}
-
-// Len reports the queued message count.
-func (b *Mailbox) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.msgs)
 }
 
 // snapshot copies the queued messages without consuming them.

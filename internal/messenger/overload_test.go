@@ -16,6 +16,7 @@ import (
 	"repro/internal/naplet"
 	"repro/internal/netsim"
 	"repro/internal/overload"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -112,7 +113,9 @@ func TestPostOverloadShedRetriesAndDelivers(t *testing.T) {
 // TestPostRetryBudgetExhausted: transport-level loss burns send retries
 // only while the token bucket holds out.
 func TestPostRetryBudgetExhausted(t *testing.T) {
-	rb := overload.NewRetryBudget(overload.RetryBudgetConfig{Ratio: 0.1, Burst: 1})
+	telem := telemetry.NewRegistry()
+	rb := overload.NewRetryBudget(overload.RetryBudgetConfig{Ratio: 0.1, Burst: 1, Telemetry: telem})
+	exhausted := telem.Counter("naplet_retry_budget_exhausted_total", "", "component", "client")
 	inj := fault.New(fault.Config{Seed: 3, P: fault.Probabilities{DropRequest: 1}})
 	fab := inj.Fabric(netsim.New(netsim.Config{}))
 	r := newOverloadRig(t, fab,
@@ -134,7 +137,7 @@ func TestPostRetryBudgetExhausted(t *testing.T) {
 	if got := inj.Counts()[fault.FaultDropRequest]; got != 2 {
 		t.Fatalf("network attempts = %d, want 2 (10 retries configured, budget allowed 1)", got)
 	}
-	if got := rb.Exhausted(); got != 1 {
+	if got := exhausted.Value(); got != 1 {
 		t.Fatalf("exhausted = %d, want 1", got)
 	}
 }

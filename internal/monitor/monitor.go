@@ -699,10 +699,3 @@ func (s *Scheduler) release() {
 		s.running--
 	}
 }
-
-// Running reports the number of held slots (for tests and introspection).
-func (s *Scheduler) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}

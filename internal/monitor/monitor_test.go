@@ -402,6 +402,11 @@ func TestPriorityGroupsStartFirst(t *testing.T) {
 		defer m.sched.mu.Unlock()
 		return m.sched.waiters.Len()
 	}
+	held := func() int {
+		m.sched.mu.Lock()
+		defer m.sched.mu.Unlock()
+		return m.sched.running
+	}
 
 	warm, err := m.Admit(nid(t, "warm"), Policy{})
 	if err != nil {
@@ -411,7 +416,7 @@ func TestPriorityGroupsStartFirst(t *testing.T) {
 	for i := 0; i < slots; i++ {
 		run(warm, func(context.Context) error { <-release; return nil })
 	}
-	until("the warm-up group to hold every slot", func() bool { return m.sched.Running() == slots })
+	until("the warm-up group to hold every slot", func() bool { return held() == slots })
 
 	var (
 		mu     sync.Mutex
@@ -470,8 +475,11 @@ func TestSchedulerAcquireCancelled(t *testing.T) {
 	if err := s.Acquire(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Running() != 1 {
-		t.Fatalf("running = %d", s.Running())
+	// And it is the only one: a second holder waits out its deadline.
+	full, cancelFull := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancelFull()
+	if err := s.Acquire(full, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second holder of a one-slot scheduler: %v", err)
 	}
 }
 

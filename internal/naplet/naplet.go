@@ -230,14 +230,6 @@ type ListenerAPI interface {
 	Report(ctx context.Context, body []byte) error
 }
 
-// TravelAPI is the dispatch proxy through which a naplet (or the visit
-// engine on its behalf) requests migration.
-type TravelAPI interface {
-	// Depart asks the hosting server's navigator to dispatch the naplet to
-	// the destination server once the current visit completes.
-	Depart(ctx context.Context, dest string) error
-}
-
 // Clock abstracts time for the runtime so experiments can warp it.
 type Clock interface {
 	Now() time.Time

@@ -20,30 +20,28 @@ func IsPermanent(err error) bool {
 		errors.Is(err, ErrRejected)
 }
 
-// ErrPeerDead is returned by DispatchRetry when the failure detector
+// ErrPeerDead is returned by Dispatch when the failure detector
 // presumes the destination dead: either the peer was already dead and this
 // caller lost the per-interval probe slot (no network attempt was made), or
 // the attempts made here pushed it over the dead threshold. Callers should
 // apply their failover policy instead of retrying.
 var ErrPeerDead = errors.New("navigator: destination presumed dead")
 
-// DispatchRetry migrates rec to dest under the given retry policy: one
-// transfer ID for the whole logical migration (so the destination
-// deduplicates replays after a lost acknowledgement), doubling backoff
-// between attempts, and fail-fast on permanent (policy) errors. stop
-// aborts the backoff wait early (a closing server); ctx bounds the whole
-// operation, and each attempt is additionally bounded by twice the
-// navigator's call timeout. Retries and backoff sleeps feed the
-// naplet_navigator_dispatch_retries_total counter and the
-// naplet_navigator_backoff_seconds histogram.
-func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest string, pol transport.Backoff, stop <-chan struct{}) (Breakdown, error) {
-	return n.DispatchRetryID(ctx, rec, dest, n.NewTransferID(), pol, stop)
-}
-
-// DispatchRetryID is DispatchRetry with a caller-supplied transfer ID.
-// Crash recovery uses it to replay an interrupted migration under the
-// original ID, so a destination that already landed the naplet re-acks via
-// its dedup window instead of landing a duplicate.
+// Dispatch migrates a resident naplet to dest, following the paper's
+// protocol, under the given retry policy: one transfer ID, tid, for the
+// whole logical migration (so the destination deduplicates replays after a
+// lost acknowledgement), doubling backoff between attempts, and fail-fast
+// on permanent (policy) errors; a zero transport.Backoff makes one attempt.
+// Crash recovery passes the interrupted migration's original ID, so a
+// destination that already landed the naplet re-acks via its dedup window
+// instead of landing a duplicate. stop aborts the backoff wait early (a
+// closing server); ctx bounds the whole operation, and each attempt is
+// additionally bounded by twice the navigator's call timeout. Retries and
+// backoff sleeps feed the naplet_navigator_dispatch_retries_total counter
+// and the naplet_navigator_backoff_seconds histogram. On success the
+// origin's manager has recorded the departure; the caller releases local
+// resources (mailbox, monitor group). The returned Breakdown reports the
+// last attempt's migration cost components.
 //
 // A naplet carrying a failover policy has somewhere to go when the
 // destination is presumed dead: with a failure detector, its dispatch to
@@ -52,7 +50,7 @@ func (n *Navigator) DispatchRetry(ctx context.Context, rec *naplet.Record, dest 
 // without rides the full budget against a peer that may merely be
 // partitioned. A dispatch that starts against a live peer keeps its full
 // budget: the detector learns from its failures but does not cut it short.
-func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, dest string, tid string, pol transport.Backoff, stop <-chan struct{}) (Breakdown, error) {
+func (n *Navigator) Dispatch(ctx context.Context, rec *naplet.Record, dest, tid string, pol transport.Backoff, stop <-chan struct{}) (Breakdown, error) {
 	hd := n.cfg.Health
 	probing := false
 	if rec.Failover != naplet.FailoverNone && hd.Dead(dest) {
@@ -77,7 +75,7 @@ func (n *Navigator) DispatchRetryID(ctx context.Context, rec *naplet.Record, des
 		n.met.backoff.ObserveDuration(delay)
 	}, func() (bool, error) {
 		var err error
-		bd, err = n.DispatchID(ctx, rec, dest, tid)
+		bd, err = n.dispatchAttempt(ctx, rec, dest, tid)
 		if err == nil {
 			hd.ReportSuccess(dest)
 			return true, nil

@@ -95,7 +95,7 @@ func BenchmarkHop(b *testing.B) {
 			hop := func() {
 				from, to := nodes[cur], nodes[1-cur]
 				from.mgr.RecordArrival(rec.ID, rec.Codebase, "bench", time.Now())
-				if _, err := from.nav.Dispatch(ctx, rec, to.nav.server); err != nil {
+				if _, err := dispatchOnce(ctx, from.nav, rec, to.nav.server); err != nil {
 					b.Fatal(err)
 				}
 				rec = <-to.landed

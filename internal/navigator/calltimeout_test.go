@@ -68,7 +68,7 @@ func TestAttemptEndsWithinTwiceTheCallTimeout(t *testing.T) {
 		manager.New(node.Addr(), time.Now), newRegistry(t), registry.NewCache(), nil)
 
 	start := time.Now()
-	_, err = orig.DispatchRetryID(context.Background(), record(t, nil, "a"), dest.Addr(), orig.NewTransferID(), transport.Backoff{}, nil)
+	_, err = orig.Dispatch(context.Background(), record(t, nil, "a"), dest.Addr(), orig.NewTransferID(), transport.Backoff{}, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTransferUnresolved) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("dispatch against a stalling destination: %v, want an unresolved transfer that timed out", err)

@@ -84,7 +84,7 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 	// The naplet's failover policy is what lets its dispatch fail fast.
 	rec := record(t, nil, "a")
 	rec.Failover = naplet.FailoverSkip
-	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); !errors.Is(err, ErrPeerDead) {
+	if _, err := a.nav.Dispatch(context.Background(), rec, "b", a.nav.NewTransferID(), pol, nil); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("probe dispatch err = %v, want ErrPeerDead", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -92,7 +92,7 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 	}
 
 	// Same interval, no probe slot left: fail fast with zero attempts.
-	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); !errors.Is(err, ErrPeerDead) {
+	if _, err := a.nav.Dispatch(context.Background(), rec, "b", a.nav.NewTransferID(), pol, nil); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("gated dispatch err = %v, want ErrPeerDead", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -103,7 +103,7 @@ func TestDispatchFastFailOnDeadPeer(t *testing.T) {
 	// it (landing request + transfer = two frames).
 	clk.Advance(time.Second + time.Millisecond)
 	healthy.Store(true)
-	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); err != nil {
+	if _, err := a.nav.Dispatch(context.Background(), rec, "b", a.nav.NewTransferID(), pol, nil); err != nil {
 		t.Fatalf("post-recovery dispatch: %v", err)
 	}
 	if got := calls.Load(); got != 3 {

@@ -420,20 +420,10 @@ func (n *Navigator) Stats() Stats {
 
 // ---- Origin side ----
 
-// Dispatch migrates a resident naplet to dest, following the paper's
-// protocol. On success the origin's manager has recorded the departure and
-// the directory/home have been notified; the caller releases local
-// resources (mailbox, monitor group). The returned Breakdown reports the
-// migration cost components.
-func (n *Navigator) Dispatch(ctx context.Context, rec *naplet.Record, dest string) (Breakdown, error) {
-	return n.DispatchID(ctx, rec, dest, n.NewTransferID())
-}
-
-// DispatchID is Dispatch with a caller-supplied transfer ID; retries of
-// the same logical migration must reuse the ID. Every attempt records a
-// hop span when a tracer is configured; successful dispatches also feed
-// the hop-latency histogram.
-func (n *Navigator) DispatchID(ctx context.Context, rec *naplet.Record, dest, transferID string) (Breakdown, error) {
+// dispatchAttempt is one attempt of Dispatch under the migration's
+// transfer ID. Every attempt records a hop span when a tracer is
+// configured; successful attempts also feed the hop-latency histogram.
+func (n *Navigator) dispatchAttempt(ctx context.Context, rec *naplet.Record, dest, transferID string) (Breakdown, error) {
 	hop := rec.Log.Len()
 	wallStart := n.clock()
 	bd, err := n.dispatchID(ctx, rec, dest, transferID)

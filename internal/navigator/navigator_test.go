@@ -113,6 +113,18 @@ func attachOn(t testing.TB, fab transport.Fabric, addr string, reg *registry.Reg
 	return n
 }
 
+// dropCache empties the node's code cache, as a restarted dock's is: the
+// peers it was proven to still hold it warm.
+func dropCache(n *node) {
+	n.cache = registry.NewCache()
+	n.nav.cache = n.cache
+}
+
+// dispatchOnce is a single-attempt Dispatch under a fresh transfer ID.
+func dispatchOnce(ctx context.Context, n *Navigator, rec *naplet.Record, dest string) (Breakdown, error) {
+	return n.Dispatch(ctx, rec, dest, n.NewTransferID(), transport.Backoff{}, nil)
+}
+
 // recordN is record with a distinct naplet ID per n.
 func recordN(t *testing.T, home string, n int) *naplet.Record {
 	t.Helper()
@@ -147,7 +159,7 @@ func TestDispatchPushMode(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	bd, err := a.nav.Dispatch(context.Background(), rec, "b")
+	bd, err := dispatchOnce(context.Background(), a.nav, rec, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,7 @@ func TestDispatchPushMode(t *testing.T) {
 	rec2.ID = rec2ID
 	rec2.Credential.NapletID = rec2ID
 	a.mgr.RecordArrival(rec2.ID, rec2.Codebase, "origin", time.Now())
-	bd2, err := a.nav.Dispatch(context.Background(), rec2, "b")
+	bd2, err := dispatchOnce(context.Background(), a.nav, rec2, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +226,7 @@ func TestDispatchPullMode(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	home.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	bd, err := home.nav.Dispatch(context.Background(), rec, "b")
+	bd, err := dispatchOnce(context.Background(), home.nav, rec, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func TestDispatchLaunchDenied(t *testing.T) {
 	attach(t, net, "b", reg, nil, Config{})
 
 	rec := record(t, ring, "a")
-	if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrLaunchDenied) {
+	if _, err := dispatchOnce(context.Background(), a.nav, rec, "b"); !errors.Is(err, ErrLaunchDenied) {
 		t.Fatalf("want ErrLaunchDenied, got %v", err)
 	}
 }
@@ -262,7 +274,7 @@ func TestDispatchLandingDenied(t *testing.T) {
 	attach(t, net, "b", reg, security.NewManager(ring, deny, nil), Config{})
 
 	rec := record(t, ring, "a")
-	if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrLandingDenied) {
+	if _, err := dispatchOnce(context.Background(), a.nav, rec, "b"); !errors.Is(err, ErrLandingDenied) {
 		t.Fatalf("want ErrLandingDenied, got %v", err)
 	}
 }
@@ -276,7 +288,7 @@ func TestAdmitVeto(t *testing.T) {
 		return errors.New("no capacity")
 	})
 	rec := record(t, nil, "a")
-	_, err := a.nav.Dispatch(context.Background(), rec, "b")
+	_, err := dispatchOnce(context.Background(), a.nav, rec, "b")
 	if !errors.Is(err, ErrLandingDenied) || !strings.Contains(err.Error(), "no capacity") {
 		t.Fatalf("want capacity refusal, got %v", err)
 	}
@@ -297,7 +309,7 @@ func TestTransferCredentialMismatchRejected(t *testing.T) {
 	other := id.MustNew("mallory", "a", t0)
 	rec.Credential.NapletID = other // forged
 	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	_, err := a.nav.Dispatch(context.Background(), rec, "b")
+	_, err := dispatchOnce(context.Background(), a.nav, rec, "b")
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("want ErrRejected, got %v", err)
 	}
@@ -320,7 +332,7 @@ func TestDirectoryEventOrdering(t *testing.T) {
 	rec := record(t, nil, "a")
 	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
 	a.nav.RegisterArrival(context.Background(), rec)
-	if _, err := a.nav.Dispatch(context.Background(), rec, "b"); err != nil {
+	if _, err := dispatchOnce(context.Background(), a.nav, rec, "b"); err != nil {
 		t.Fatal(err)
 	}
 	<-b.landed
@@ -370,7 +382,7 @@ func TestDispatchFailureRestoresDirectory(t *testing.T) {
 		// Granted by the landing request, rejected by the transfer-time
 		// credential check.
 		rec.Credential.NapletID = id.MustNew("other", "a", t0)
-		if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrRejected) {
+		if _, err := dispatchOnce(context.Background(), a.nav, rec, "b"); !errors.Is(err, ErrRejected) {
 			t.Fatalf("want ErrRejected, got %v", err)
 		}
 		at(t, svc, "a")
@@ -383,7 +395,7 @@ func TestDispatchFailureRestoresDirectory(t *testing.T) {
 			Kinds: func(k wire.Kind) bool { return k == wire.KindNapletTransfer },
 		})
 		svc, a, b, rec := setup(t, inj.Fabric)
-		if _, err := a.nav.Dispatch(context.Background(), rec, "b"); !errors.Is(err, ErrTransferUnresolved) {
+		if _, err := dispatchOnce(context.Background(), a.nav, rec, "b"); !errors.Is(err, ErrTransferUnresolved) {
 			t.Fatalf("want ErrTransferUnresolved, got %v", err)
 		}
 		<-b.landed
@@ -400,7 +412,7 @@ func TestHomeEventReporting(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	home.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	if _, err := home.nav.Dispatch(context.Background(), rec, "b"); err != nil {
+	if _, err := dispatchOnce(context.Background(), home.nav, rec, "b"); err != nil {
 		t.Fatal(err)
 	}
 	// The home manager learned the naplet's location from the destination's
@@ -490,7 +502,7 @@ func TestDispatchDigestAliasSkipsCode(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	a.mgr.RecordArrival(rec.ID, rec.Codebase, "origin", time.Now())
-	bd, err := a.nav.Dispatch(context.Background(), rec, "b")
+	bd, err := dispatchOnce(context.Background(), a.nav, rec, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +527,7 @@ func TestConcurrentTransferReplaySingleFlights(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	reg := newRegistry(t)
 	dst := attach(t, net, "b", reg, nil, Config{})
-	dst.cache.Loaded("test.Agent", 2048)
+	dst.cache.LoadedDigest("test.Agent", "", 2048)
 	gate, arrived := make(chan struct{}), make(chan struct{})
 	var first atomic.Bool
 	dst.nav.SetBeforeLandFunc(func(id.NapletID) {
@@ -606,7 +618,7 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 	rec := record(t, nil, "a")
 	tid := org.nav.NewTransferID()
 	pol := transport.Backoff{Retries: 2, Initial: time.Millisecond, Max: time.Millisecond}
-	_, err := org.nav.DispatchRetryID(context.Background(), rec, "b", tid, pol, nil)
+	_, err := org.nav.Dispatch(context.Background(), rec, "b", tid, pol, nil)
 	if err == nil {
 		t.Fatal("dispatch with every ack dropped must fail")
 	}
@@ -623,7 +635,7 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 	// Network heals: a replay of the same transfer ID is absorbed by the
 	// dedup window — the dispatch succeeds without a second landing.
 	dropping.Store(false)
-	if _, err := org.nav.DispatchID(context.Background(), rec, "b", tid); err != nil {
+	if _, err := org.nav.Dispatch(context.Background(), rec, "b", tid, transport.Backoff{}, nil); err != nil {
 		t.Fatalf("replay after heal: %v", err)
 	}
 	select {
@@ -637,7 +649,7 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 	// failover stays allowed.
 	inj.Crash("b")
 	rec2 := record(t, nil, "a")
-	_, err = org.nav.DispatchRetryID(context.Background(), rec2, "b", org.nav.NewTransferID(), pol, nil)
+	_, err = org.nav.Dispatch(context.Background(), rec2, "b", org.nav.NewTransferID(), pol, nil)
 	if err == nil {
 		t.Fatal("dispatch to crashed node must fail")
 	}
@@ -650,7 +662,7 @@ func TestDispatchLostAckIsUnresolved(t *testing.T) {
 // that b accepts test.Agent's bundle.
 func prime(t *testing.T, a, b *node) {
 	t.Helper()
-	if _, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 100), "b"); err != nil {
+	if _, err := dispatchOnce(context.Background(), a.nav, recordN(t, "a", 100), "b"); err != nil {
 		t.Fatal(err)
 	}
 	<-b.landed
@@ -659,7 +671,7 @@ func prime(t *testing.T, a, b *node) {
 	}
 }
 
-// TestNeedCodeReask: a proven dock that lost its cache (evicted, restarted)
+// TestNeedCodeReask: a proven dock that lost its cache (restarted)
 // answers the code-less direct transfer with NeedCode. The origin resends
 // once, under the same transfer ID, with the bundle; the naplet lands once;
 // and the proof is gone, so the dispatch after that asks first.
@@ -669,10 +681,10 @@ func TestNeedCodeReask(t *testing.T) {
 	a := attach(t, net, "a", reg, nil, Config{CodeDelivery: Push})
 	b := attach(t, net, "b", reg, nil, Config{CodeDelivery: Push})
 	prime(t, a, b)
-	b.cache.Evict("test.Agent")
+	dropCache(b)
 
 	tid := a.nav.NewTransferID()
-	bd, err := a.nav.DispatchID(context.Background(), recordN(t, "a", 1), "b", tid)
+	bd, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 1), "b", tid, transport.Backoff{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +705,7 @@ func TestNeedCodeReask(t *testing.T) {
 		t.Fatalf("destination stats (one landing per dispatch, no replay): %+v", bs)
 	}
 
-	if _, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 2), "b"); err != nil {
+	if _, err := dispatchOnce(context.Background(), a.nav, recordN(t, "a", 2), "b"); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.nav.Stats().DirectTransfers; got != 1 {
@@ -714,7 +726,7 @@ func TestFailedCallDropsProof(t *testing.T) {
 	prime(t, a, b)
 	dispatch := func(n int) error {
 		t.Helper()
-		_, err := a.nav.Dispatch(context.Background(), recordN(t, "a", n), "b")
+		_, err := dispatchOnce(context.Background(), a.nav, recordN(t, "a", n), "b")
 		if err == nil {
 			<-b.landed
 		}
@@ -761,9 +773,9 @@ func TestDirectTransferWarmHits(t *testing.T) {
 		a := attach(t, net, "a", reg, nil, Config{CodeDelivery: Pull})
 		b := attach(t, net, "b", reg, nil, Config{CodeDelivery: Pull})
 		prime(t, a, b)
-		b.cache.Evict("test.Agent")
+		dropCache(b)
 
-		bd, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 1), "b")
+		bd, err := dispatchOnce(context.Background(), a.nav, recordN(t, "a", 1), "b")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -784,10 +796,10 @@ func TestDirectTransferWarmHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The name goes cold; the bytes stay, under another name.
+		dropCache(b)
 		b.cache.LoadedDigest("test.AgentV1Alias", dig, 2048)
-		b.cache.Evict("test.Agent")
 
-		bd, err := a.nav.Dispatch(context.Background(), recordN(t, "a", 1), "b")
+		bd, err := dispatchOnce(context.Background(), a.nav, recordN(t, "a", 1), "b")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/netsim"
 	"repro/internal/overload"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -48,7 +49,7 @@ func TestDispatchOverloadLiveness(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	pol := transport.Backoff{Initial: time.Millisecond, Retries: 5}
-	if _, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil); err != nil {
+	if _, err := a.nav.Dispatch(context.Background(), rec, "b", a.nav.NewTransferID(), pol, nil); err != nil {
 		t.Fatalf("dispatch through overload: %v", err)
 	}
 	// Three sheds were answers, not failures: the detector never moved
@@ -61,7 +62,9 @@ func TestDispatchOverloadLiveness(t *testing.T) {
 // TestDispatchRetryBudgetExhausted: with a dry token bucket the
 // navigator surfaces the failure instead of amplifying it.
 func TestDispatchRetryBudgetExhausted(t *testing.T) {
-	rb := overload.NewRetryBudget(overload.RetryBudgetConfig{Ratio: 0.1, Burst: 1})
+	telem := telemetry.NewRegistry()
+	rb := overload.NewRetryBudget(overload.RetryBudgetConfig{Ratio: 0.1, Burst: 1, Telemetry: telem})
+	exhausted := telem.Counter("naplet_retry_budget_exhausted_total", "", "component", "client")
 	net := netsim.New(netsim.Config{CallTimeout: 50 * time.Millisecond})
 	reg := newRegistry(t)
 	a := attach(t, net, "a", reg, nil, Config{
@@ -79,7 +82,7 @@ func TestDispatchRetryBudgetExhausted(t *testing.T) {
 
 	rec := record(t, nil, "a")
 	pol := transport.Backoff{Initial: time.Millisecond, Retries: 10}
-	_, err := a.nav.DispatchRetry(context.Background(), rec, "b", pol, nil)
+	_, err := a.nav.Dispatch(context.Background(), rec, "b", a.nav.NewTransferID(), pol, nil)
 	if !errors.Is(err, overload.ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrRetryBudgetExhausted", err)
 	}
@@ -87,7 +90,7 @@ func TestDispatchRetryBudgetExhausted(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("network attempts = %d, want 2 (policy had 10 retries, budget allowed 1)", got)
 	}
-	if got := rb.Exhausted(); got != 1 {
+	if got := exhausted.Value(); got != 1 {
 		t.Fatalf("exhausted counter = %d, want 1", got)
 	}
 }

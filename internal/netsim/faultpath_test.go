@@ -69,8 +69,8 @@ func TestContextCancelInsideLossTimeout(t *testing.T) {
 }
 
 func TestLossRateMetering(t *testing.T) {
-	// Every lost frame must be charged to the sender and the directed link:
-	// sent and dropped counters agree, and nothing reaches the receiver.
+	// Every lost frame must be charged to the sender: sent and dropped
+	// counters agree, and nothing reaches the receiver.
 	cfg := Config{DefaultLink: Link{Loss: 1.0}, CallTimeout: time.Nanosecond}
 	net, a, b := newPair(t, cfg)
 	const calls = 20
@@ -86,10 +86,6 @@ func TestLossRateMetering(t *testing.T) {
 	}
 	if bs.FramesRecv != 0 || bs.FramesSent != 0 {
 		t.Fatalf("receiver saw traffic across a fully lossy link: %+v", bs)
-	}
-	ls := net.LinkStats("a", "b")
-	if ls.FramesSent != calls || ls.Dropped != calls || ls.FramesRecv != 0 {
-		t.Fatalf("link metering: %+v", ls)
 	}
 	// A partially lossy seeded link drops a reproducible strict subset.
 	seeded := New(Config{DefaultLink: Link{Loss: 0.5}, Seed: 11, CallTimeout: time.Nanosecond})

@@ -63,7 +63,7 @@ var (
 	Loopback = Link{Latency: 10 * time.Microsecond}
 )
 
-// Stats aggregates traffic counters for one host or one directed link.
+// Stats aggregates traffic counters for one host.
 type Stats struct {
 	FramesSent int64
 	FramesRecv int64
@@ -75,7 +75,7 @@ type Stats struct {
 	ModeledDelay time.Duration
 }
 
-// add merges two stats; used when aggregating link stats into totals.
+// add merges two stats; used when aggregating host stats into totals.
 func (s *Stats) add(o Stats) {
 	s.FramesSent += o.FramesSent
 	s.FramesRecv += o.FramesRecv
@@ -120,7 +120,6 @@ type Network struct {
 
 	statsMu   sync.Mutex
 	hostStats map[string]*Stats
-	linkStats map[[2]string]*Stats
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -148,23 +147,16 @@ func New(cfg Config) *Network {
 		links:      make(map[[2]string]Link),
 		partitions: make(map[[2]string]bool),
 		hostStats:  make(map[string]*Stats),
-		linkStats:  make(map[[2]string]*Stats),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
 // SetLink overrides the link characteristics for the directed pair
-// from→to. Use SetBidirectional for symmetric overrides.
+// from→to.
 func (n *Network) SetLink(from, to string, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.links[[2]string{from, to}] = l
-}
-
-// SetBidirectional overrides both directions between a and b.
-func (n *Network) SetBidirectional(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
 }
 
 // Partition cuts (or heals) both directions between a and b. While
@@ -243,30 +235,25 @@ func (n *Network) sleep(ctx context.Context, deadline time.Time, d time.Duration
 func (n *Network) charge(from, to string, size int, transit time.Duration, dropped bool) {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	ls := statsOf(n.linkStats, [2]string{from, to})
-	for _, s := range [...]*Stats{statsOf(n.hostStats, from), ls} {
-		s.FramesSent++
-		s.BytesSent += int64(size)
-		s.ModeledDelay += transit
-		if dropped {
-			s.Dropped++
-		}
-	}
+	s := n.statsOf(from)
+	s.FramesSent++
+	s.BytesSent += int64(size)
+	s.ModeledDelay += transit
 	if dropped {
+		s.Dropped++
 		return
 	}
-	for _, s := range [...]*Stats{statsOf(n.hostStats, to), ls} {
-		s.FramesRecv++
-		s.BytesRecv += int64(size)
-	}
+	s = n.statsOf(to)
+	s.FramesRecv++
+	s.BytesRecv += int64(size)
 }
 
-// statsOf returns m's counters for key, creating them; statsMu held.
-func statsOf[K comparable](m map[K]*Stats, key K) *Stats {
-	s := m[key]
+// statsOf returns host's counters, creating them; statsMu held.
+func (n *Network) statsOf(host string) *Stats {
+	s := n.hostStats[host]
 	if s == nil {
 		s = &Stats{}
-		m[key] = s
+		n.hostStats[host] = s
 	}
 	return s
 }
@@ -276,16 +263,6 @@ func (n *Network) HostStats(host string) Stats {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
 	if s := n.hostStats[host]; s != nil {
-		return *s
-	}
-	return Stats{}
-}
-
-// LinkStats returns a copy of the counters for the directed link from→to.
-func (n *Network) LinkStats(from, to string) Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	if s := n.linkStats[[2]string{from, to}]; s != nil {
 		return *s
 	}
 	return Stats{}
@@ -307,7 +284,6 @@ func (n *Network) ResetStats() {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
 	n.hostStats = make(map[string]*Stats)
-	n.linkStats = make(map[[2]string]*Stats)
 }
 
 // Attach implements transport.Fabric.

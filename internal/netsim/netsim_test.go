@@ -87,10 +87,6 @@ func TestTrafficAccounting(t *testing.T) {
 	if as.BytesRecv != bs.BytesSent {
 		t.Fatalf("conservation: b sent %d, a recv %d", bs.BytesSent, as.BytesRecv)
 	}
-	ls := net.LinkStats("a", "b")
-	if ls.FramesSent != 1 || ls.BytesSent != as.BytesSent {
-		t.Fatalf("link stats: %+v", ls)
-	}
 	total := net.TotalStats()
 	if total.FramesSent != 2 {
 		t.Fatalf("total frames sent = %d", total.FramesSent)
@@ -195,7 +191,7 @@ func TestPartition(t *testing.T) {
 
 func TestLinkOverride(t *testing.T) {
 	net, a, b := newPair(t, Config{DefaultLink: LAN})
-	net.SetBidirectional("a", "b", WAN)
+	net.SetLink("a", "b", WAN)
 	req, _ := wire.NewFrame(wire.KindPost, "", "", &echoBody{})
 	if _, err := a.Call(context.Background(), b.Addr(), req); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -88,13 +89,15 @@ func TestRetryBudgetNil(t *testing.T) {
 			t.Fatal("nil budget must always allow")
 		}
 	}
-	if rb.Exhausted() != 0 || rb.Tokens() != 0 {
+	if rb.Tokens() != 0 {
 		t.Fatal("nil budget records nothing")
 	}
 }
 
 func TestRetryBudgetBurstThenRatio(t *testing.T) {
-	rb := NewRetryBudget(RetryBudgetConfig{Ratio: 0.2, Burst: 3})
+	reg := telemetry.NewRegistry()
+	rb := NewRetryBudget(RetryBudgetConfig{Ratio: 0.2, Burst: 3, Telemetry: reg})
+	exhausted := reg.Counter("naplet_retry_budget_exhausted_total", "", "component", "client")
 	// The initial fill covers a short brownout: Burst retries pass cold.
 	for i := 0; i < 3; i++ {
 		if !rb.AllowRetry() {
@@ -104,8 +107,8 @@ func TestRetryBudgetBurstThenRatio(t *testing.T) {
 	if rb.AllowRetry() {
 		t.Fatal("bucket empty: retry must be refused")
 	}
-	if rb.Exhausted() != 1 {
-		t.Fatalf("exhausted = %d, want 1", rb.Exhausted())
+	if exhausted.Value() != 1 {
+		t.Fatalf("exhausted = %d, want 1", exhausted.Value())
 	}
 	// Five first attempts earn exactly one token at Ratio 0.2.
 	for i := 0; i < 4; i++ {

@@ -2,7 +2,6 @@ package overload
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -53,8 +52,7 @@ type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
 
-	exhaustedN atomic.Int64
-	exhausted  *telemetry.Counter
+	exhausted *telemetry.Counter
 }
 
 // NewRetryBudget builds a budget from cfg.
@@ -98,21 +96,10 @@ func (rb *RetryBudget) AllowRetry() bool {
 		rb.tokens--
 	}
 	rb.mu.Unlock()
-	if !ok {
-		rb.exhaustedN.Add(1)
-		if rb.exhausted != nil {
-			rb.exhausted.Inc()
-		}
+	if !ok && rb.exhausted != nil {
+		rb.exhausted.Inc()
 	}
 	return ok
-}
-
-// Exhausted reports how many retries the budget has refused.
-func (rb *RetryBudget) Exhausted() int64 {
-	if rb == nil {
-		return 0
-	}
-	return rb.exhaustedN.Load()
 }
 
 // Tokens reports the current token balance.

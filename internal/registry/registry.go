@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/naplet"
@@ -120,18 +119,6 @@ func (r *Registry) Lookup(name string) (*Codebase, error) {
 	return cb, nil
 }
 
-// Names lists registered codebases, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.codebases))
-	for n := range r.codebases {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Instantiate creates a behaviour for the codebase.
 func (r *Registry) Instantiate(name string) (naplet.Behavior, error) {
 	cb, err := r.Lookup(name)
@@ -229,19 +216,17 @@ type CacheStats struct {
 // bundle already present under one name satisfies a landing under another
 // (content-addressed caching). It is safe for concurrent use.
 type Cache struct {
-	mu         sync.Mutex
-	loaded     map[string]bool
-	byDigest   map[string]bool
-	nameDigest map[string]string
-	stats      CacheStats
+	mu       sync.Mutex
+	loaded   map[string]bool
+	byDigest map[string]bool
+	stats    CacheStats
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{
-		loaded:     make(map[string]bool),
-		byDigest:   make(map[string]bool),
-		nameDigest: make(map[string]string),
+		loaded:   make(map[string]bool),
+		byDigest: make(map[string]bool),
 	}
 }
 
@@ -258,12 +243,6 @@ func (c *Cache) Has(name string) bool {
 	return false
 }
 
-// Loaded marks the codebase loaded after a successful bundle transfer of
-// the given size.
-func (c *Cache) Loaded(name string, bundleBytes int) {
-	c.LoadedDigest(name, "", bundleBytes)
-}
-
 // LoadedDigest marks the codebase loaded, recording the content digest of
 // its bundle so future landings under other names can match by content. An
 // empty digest marks the name loaded without content addressing.
@@ -276,7 +255,6 @@ func (c *Cache) LoadedDigest(name, digest string, bundleBytes int) {
 	}
 	if digest != "" {
 		c.byDigest[digest] = true
-		c.nameDigest[name] = digest
 	}
 }
 
@@ -294,33 +272,9 @@ func (c *Cache) Alias(name, digest string) bool {
 	}
 	if !c.loaded[name] {
 		c.loaded[name] = true
-		c.nameDigest[name] = digest
 		c.stats.AliasHits++
 	}
 	return true
-}
-
-// Evict removes a codebase from the cache (failure injection and cold-start
-// experiments). The content digest is dropped too, unless another loaded
-// name still refers to the same bundle.
-func (c *Cache) Evict(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.loaded, name)
-	d := c.nameDigest[name]
-	delete(c.nameDigest, name)
-	if d != "" {
-		shared := false
-		for _, other := range c.nameDigest {
-			if other == d {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			delete(c.byDigest, d)
-		}
-	}
 }
 
 // Stats returns a copy of the counters.

@@ -119,16 +119,6 @@ func TestGuardEvaluates(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	r := New()
-	r.MustRegister(testCodebase("b"))
-	r.MustRegister(testCodebase("a"))
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 func TestBundleDeterministicAndSized(t *testing.T) {
 	r := New()
 	cb := testCodebase("a")
@@ -162,18 +152,14 @@ func TestCacheLazyLoading(t *testing.T) {
 	if c.Has("a") {
 		t.Fatal("fresh cache must miss")
 	}
-	c.Loaded("a", 500)
+	c.LoadedDigest("a", "", 500)
 	if !c.Has("a") {
 		t.Fatal("loaded codebase must hit")
 	}
-	c.Loaded("a", 500) // idempotent: no double charge
+	c.LoadedDigest("a", "", 500) // idempotent: no double charge
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.BytesFetched != 500 {
 		t.Fatalf("stats = %+v", s)
-	}
-	c.Evict("a")
-	if c.Has("a") {
-		t.Fatal("evicted codebase must miss")
 	}
 }
 
@@ -229,17 +215,5 @@ func TestCacheDigestAlias(t *testing.T) {
 	}
 	if s.BytesFetched != 500 {
 		t.Fatalf("alias must not charge a fetch: %+v", s)
-	}
-
-	// Evicting one name keeps the digest while another name still maps to
-	// it; evicting the last drops it.
-	c.Evict("a")
-	if !c.Alias("c", "deadbeef") {
-		t.Fatal("digest must survive while name b holds it")
-	}
-	c.Evict("b")
-	c.Evict("c")
-	if c.Alias("d", "deadbeef") {
-		t.Fatal("digest must be gone after the last holder is evicted")
 	}
 }

@@ -233,14 +233,6 @@ func (m *Manager) RegisterPrivileged(name string, f Factory) error {
 	return nil
 }
 
-// Deregister removes a service of either kind (dynamic re-configuration).
-func (m *Manager) Deregister(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.open, name)
-	delete(m.priv, name)
-}
-
 // CallOpen invokes an open service by handler.
 func (m *Manager) CallOpen(name string, args []string) (string, error) {
 	m.mu.RLock()
@@ -290,18 +282,6 @@ func (m *Manager) PrivilegedNames() []string {
 	defer m.mu.RUnlock()
 	out := make([]string, 0, len(m.priv))
 	for n := range m.priv {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OpenNames lists registered open services, sorted.
-func (m *Manager) OpenNames() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.open))
-	for n := range m.open {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -207,20 +207,6 @@ func TestUnknownPrivilegedService(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	m := NewManager(nil)
-	m.RegisterOpen("o", func([]string) (string, error) { return "", nil })
-	m.RegisterPrivileged("p", echoService)
-	if len(m.OpenNames()) != 1 || len(m.PrivilegedNames()) != 1 {
-		t.Fatal("names before deregister")
-	}
-	m.Deregister("o")
-	m.Deregister("p")
-	if len(m.OpenNames()) != 0 || len(m.PrivilegedNames()) != 0 {
-		t.Fatal("names after deregister")
-	}
-}
-
 func TestViewTracksAndReleasesChannels(t *testing.T) {
 	m := NewManager(nil)
 	m.RegisterPrivileged("echo", echoService)

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cred"
@@ -140,11 +139,10 @@ var (
 )
 
 // Manager is the per-server NapletSecurityManager. It verifies credentials
-// against a key ring and evaluates the configured policy. It is safe for
-// concurrent use, and the policy can be reconfigured at runtime ("system
-// administrators can configure the security policy", §5.1).
+// against a key ring and evaluates the policy the server was configured
+// with ("system administrators can configure the security policy", §5.1).
+// It is immutable once built, so safe for concurrent use.
 type Manager struct {
-	mu     sync.RWMutex
 	ring   *cred.KeyRing
 	policy Policy
 	now    func() time.Time
@@ -160,20 +158,6 @@ func NewManager(ring *cred.KeyRing, policy Policy, now func() time.Time) *Manage
 	return &Manager{ring: ring, policy: policy, now: now}
 }
 
-// SetPolicy replaces the access-control matrix.
-func (m *Manager) SetPolicy(p Policy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.policy = p
-}
-
-// Policy returns the current matrix.
-func (m *Manager) Policy() Policy {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.policy
-}
-
 // Check verifies the credential (when a key ring is configured) and
 // evaluates the policy for the permission. A nil error grants the
 // permission.
@@ -181,15 +165,12 @@ func (m *Manager) Check(c *cred.Credential, perm Permission) error {
 	if c == nil {
 		return fmt.Errorf("%w: no credential", ErrBadCredential)
 	}
-	m.mu.RLock()
-	ring, policy, now := m.ring, m.policy, m.now
-	m.mu.RUnlock()
-	if ring != nil {
-		if err := ring.Verify(*c, now()); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadCredential, err)
+	if m.ring != nil {
+		if err := m.ring.Verify(*c, m.now()); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadCredential, err)
 		}
 	}
-	if policy.Decide(c, perm) != Allow {
+	if m.policy.Decide(c, perm) != Allow {
 		return fmt.Errorf("%w: %s for naplet %s", ErrDenied, perm, c.NapletID)
 	}
 	return nil

@@ -107,8 +107,8 @@ func TestManagerExpiredCredential(t *testing.T) {
 	nid := id.MustNew("alice", "home", t0)
 	c, _ := ring.Issue(nid, "cb", nil, t0, t0.Add(time.Hour))
 	m := NewManager(ring, AllowAll, func() time.Time { return t0.Add(2 * time.Hour) })
-	if err := m.CheckLanding(&c); !errors.Is(err, ErrBadCredential) {
-		t.Fatalf("expired credential accepted: %v", err)
+	if err := m.CheckLanding(&c); !errors.Is(err, ErrBadCredential) || !errors.Is(err, cred.ErrExpired) {
+		t.Fatalf("expired credential accepted, or its cause lost: %v", err)
 	}
 }
 
@@ -150,22 +150,6 @@ func TestManagerPolicyDecisions(t *testing.T) {
 	}
 	if err := m.CheckClone(&admin); err != nil {
 		t.Fatalf("admin clone: %v", err)
-	}
-}
-
-func TestSetPolicyReconfigures(t *testing.T) {
-	ring := newRing(t, "alice")
-	c := issue(t, ring, "alice", "cb")
-	m := NewManager(ring, Policy{Default: Deny}, func() time.Time { return t0 })
-	if err := m.CheckLaunch(&c); !errors.Is(err, ErrDenied) {
-		t.Fatal("initial policy must deny")
-	}
-	m.SetPolicy(AllowAll)
-	if err := m.CheckLaunch(&c); err != nil {
-		t.Fatalf("reconfigured policy: %v", err)
-	}
-	if m.Policy().Default != Allow {
-		t.Fatal("Policy() must reflect reconfiguration")
 	}
 }
 

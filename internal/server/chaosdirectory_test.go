@@ -55,7 +55,7 @@ func runChaosDirectory(t *testing.T, seed int64) {
 	// failover path — not a lucky healthy-primary read — is what the
 	// post-crash lookup exercises.
 	ring := shard.NewRing(dirNodes)
-	crashed := ring.Primary(shard.KeyOf(probe))
+	crashed := ring.Owners(shard.KeyOf(probe), 1)[0]
 
 	reg := telemetry.NewRegistry()
 	inj := fault.New(fault.Config{

@@ -24,7 +24,7 @@ func TestNoVisitStartsAfterClose(t *testing.T) {
 			flag := new(atomic.Bool)
 			closed[name] = flag
 			sp.servers[name].SetEventSink(func(e Event) {
-				if (e.Kind == "launch" || e.Kind == "arrival") && flag.Load() {
+				if (e.Kind == EventLaunch || e.Kind == EventArrival) && flag.Load() {
 					select {
 					case late <- e:
 					default:

@@ -55,7 +55,7 @@ func (s *Server) dockRemove(nid id.NapletID) {
 // dockCommit writes the current recoverable state — residents, the mail
 // slots, home-track table, and both dedup windows — to the dock. naplet
 // names the naplet whose change the commit carries, if any. A save that
-// fails is counted and published as a "dock-save-failed" event: the change
+// fails is counted and published as an EventDockSaveFailed event: the change
 // it carried is not durable.
 func (s *Server) dockCommit(naplet string) {
 	if s.dockStore == nil {
@@ -88,7 +88,7 @@ func (s *Server) dockCommit(naplet string) {
 	if err != nil {
 		s.dockSaveErrors.Inc()
 		if sink := s.eventSink(); sink != nil {
-			sink(Event{Kind: "dock-save-failed", Naplet: naplet, From: s.name, At: s.clock(), Detail: err.Error()})
+			sink(Event{Kind: EventDockSaveFailed, Naplet: naplet, From: s.name, At: s.clock(), Detail: err.Error()})
 		}
 	}
 }

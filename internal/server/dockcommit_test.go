@@ -60,7 +60,7 @@ func TestDockSaveFailureIsCounted(t *testing.T) {
 	var mu sync.Mutex
 	var failed []Event
 	srv.SetEventSink(func(ev Event) {
-		if ev.Kind == "dock-save-failed" {
+		if ev.Kind == EventDockSaveFailed {
 			mu.Lock()
 			failed = append(failed, ev)
 			mu.Unlock()

@@ -189,7 +189,7 @@ func TestDockRestartKeepsHeldMail(t *testing.T) {
 	if err := sp.servers["home"].Messenger().Post(ctx, sender, rid, "survivor", []byte("survivor")); err != nil {
 		t.Fatalf("post: %v", err)
 	}
-	if n := sp.servers["s1"].Messenger().HeldCount(rid); n != 1 {
+	if n := len(sp.servers["s1"].Messenger().MailSnapshot()[rid.Key()]); n != 1 {
 		t.Fatalf("held before crash = %d, want 1", n)
 	}
 
@@ -214,7 +214,7 @@ func TestDockRestartKeepsHeldMail(t *testing.T) {
 	}
 	t.Cleanup(func() { s1b.Close() })
 
-	if n := s1b.Messenger().HeldCount(rid); n != 1 {
+	if n := len(s1b.Messenger().MailSnapshot()[rid.Key()]); n != 1 {
 		t.Fatalf("held after restart = %d, want exactly 1", n)
 	}
 	for key, msgs := range s1b.Messenger().HeldSnapshot() {

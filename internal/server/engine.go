@@ -104,7 +104,7 @@ func (s *Server) Launch(ctx context.Context, opts LaunchOptions) (nid id.NapletI
 	// The launch is hop 0, a due hop: the entry every chase starts from.
 	s.nav.RegisterArrival(ctx, rec)
 	s.mgr.SetStatus(nid, manager.StatusRunning)
-	s.emit("launch", rec, s.name, s.name, opts.Codebase)
+	s.emit(EventLaunch, rec, s.name, s.name, opts.Codebase)
 
 	go func() {
 		defer s.wg.Done()
@@ -157,7 +157,7 @@ func (s *Server) land(rec *naplet.Record, source string) {
 		return
 	}
 	defer s.wg.Done()
-	s.emit("arrival", rec, source, s.name, "")
+	s.emit(EventArrival, rec, source, s.name, "")
 	s.lifecycle(rec, true, false, nil)
 }
 
@@ -271,7 +271,7 @@ func (s *Server) advance(g *monitor.Group, proxy *residentProxy, behavior naplet
 			// Release residency before telling the owner: when WaitDone
 			// returns, the footprints and traces are already final.
 			s.cleanup(rec)
-			s.emit("complete", rec, s.name, rec.Home, "")
+			s.emit(EventComplete, rec, s.name, rec.Home, "")
 			s.reportEnd(rec, manager.StatusCompleted, "", proxy.results)
 			return
 
@@ -348,7 +348,7 @@ func (s *Server) applyFailover(rec *naplet.Record, v itinerary.Visit, alts []*it
 			At:     s.clock(),
 		})
 		s.failovers.Inc()
-		s.emit("reroute", rec, s.name, v.Server, policy)
+		s.emit(EventReroute, rec, s.name, v.Server, policy)
 	}
 	if errors.Is(derr, navigator.ErrTransferUnresolved) {
 		// The transfer may have silently landed: the destination could
@@ -434,7 +434,7 @@ func (s *Server) evacuateNaplet(ev itinerary.Evaluator, rec *naplet.Record) {
 		At:     s.clock(),
 	})
 	s.failovers.Inc()
-	s.emit("reroute", rec, s.name, dest, "evacuate")
+	s.emit(EventReroute, rec, s.name, dest, "evacuate")
 	tid := s.nav.NewTransferID()
 	s.dockResident(rec, dock.PhaseDeparting, dest, tid)
 	if err := s.migrate(rec, dest, tid); err != nil {
@@ -463,7 +463,7 @@ func (s *Server) departed(rec *naplet.Record, dest string) {
 	// Tell recent correspondents where the naplet went so their locator
 	// caches refresh in place instead of chasing forwarding pointers.
 	s.msgr.PushMigration(context.Background(), rec.ID, dest, peers)
-	s.emit("depart", rec, s.name, dest, "")
+	s.emit(EventDepart, rec, s.name, dest, "")
 	if rec.Home == s.name {
 		s.mgr.SetStatus(rec.ID, manager.StatusInTransit)
 	}
@@ -511,7 +511,7 @@ func (s *Server) migrate(rec *naplet.Record, dest, tid string) error {
 		}
 	}()
 
-	if _, err := s.nav.DispatchRetryID(context.Background(), rec, dest, tid, s.dispatchPolicy(), s.closed); err != nil {
+	if _, err := s.nav.Dispatch(context.Background(), rec, dest, tid, s.dispatchPolicy(), s.closed); err != nil {
 		return err
 	}
 	s.departed(rec, dest)
@@ -709,7 +709,7 @@ func (s *Server) forkAll(rec *naplet.Record, branches []*itinerary.Pattern) erro
 // manager and the naplet's life cycle ends here (§5.2: the monitor "sets
 // traps for its execution exceptions").
 func (s *Server) trap(rec *naplet.Record, err error) {
-	s.emit("trap", rec, s.name, rec.Home, err.Error())
+	s.emit(EventTrap, rec, s.name, rec.Home, err.Error())
 	s.reportEnd(rec, manager.StatusTrapped, err.Error(), nil)
 }
 

@@ -166,7 +166,7 @@ func TestPostRacingCleanupIsNotHeld(t *testing.T) {
 		if err != nil && !errors.Is(err, messenger.ErrNapletGone) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if s.msgr.HeldCount(nid) != 0 {
+		if len(s.msgr.MailSnapshot()[nid.Key()]) != 0 {
 			held++
 		}
 	}

@@ -482,7 +482,7 @@ func TestRefusalMatrixBothPaths(t *testing.T) {
 				if proven {
 					// An accepted dispatch is the proof; the collector ends
 					// at s1 and frees the one resident slot again.
-					if _, err := home.nav.Dispatch(context.Background(), handRecord("czxu", "test.Collector", "home"), "s1"); err != nil {
+					if _, err := home.nav.Dispatch(context.Background(), handRecord("czxu", "test.Collector", "home"), "s1", home.nav.NewTransferID(), transport.Backoff{}, nil); err != nil {
 						t.Fatal(err)
 					}
 					waitResidents(t, s1, 0)
@@ -491,7 +491,7 @@ func TestRefusalMatrixBothPaths(t *testing.T) {
 				before, landed := home.nav.Stats(), s1.nav.Stats().Landed
 
 				pol := transport.Backoff{Retries: 3, Initial: time.Millisecond, Max: time.Millisecond}
-				_, err := home.nav.DispatchRetry(context.Background(), rec, "s1", pol, nil)
+				_, err := home.nav.Dispatch(context.Background(), rec, "s1", home.nav.NewTransferID(), pol, nil)
 				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.reason) {
 					t.Fatalf("dispatch error = %v, want %v naming %q", err, tc.want, tc.reason)
 				}

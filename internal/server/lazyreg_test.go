@@ -87,7 +87,7 @@ func TestStaleEntryChase(t *testing.T) {
 	departed := make(chan string, len(stops)+1)
 	for _, srv := range sp.servers {
 		srv.SetEventSink(func(ev Event) {
-			if ev.Kind == "depart" { // only the collector leaves a dock
+			if ev.Kind == EventDepart { // only the collector leaves a dock
 				departed <- ev.From
 			}
 		})
@@ -335,7 +335,7 @@ func TestLocationOrderedBySeqNotClock(t *testing.T) {
 			// until then home's own trace says the naplet is present.
 			left := make(chan struct{})
 			home.SetEventSink(func(ev Event) {
-				if ev.Kind == "depart" {
+				if ev.Kind == EventDepart {
 					close(left)
 				}
 			})

@@ -123,7 +123,7 @@ func TestLocationModes(t *testing.T) {
 			departed := make(chan struct{}, hops)
 			for _, srv := range sp.servers {
 				srv.SetEventSink(func(ev Event) {
-					if ev.Kind == "depart" { // only the target leaves a dock
+					if ev.Kind == EventDepart { // only the target leaves a dock
 						departed <- struct{}{}
 					}
 				})

@@ -248,7 +248,7 @@ func TestCloseWithdrawsDirectoryRegistrations(t *testing.T) {
 	// trace, or its open migration, then forwards to s2.
 	landed := make(chan struct{})
 	sp.servers["s2"].SetEventSink(func(ev Event) {
-		if ev.Kind == "arrival" {
+		if ev.Kind == EventArrival {
 			close(landed)
 		}
 	})

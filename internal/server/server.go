@@ -389,8 +389,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // completions, traps, and itinerary reroutes — the live counterpart of
 // the NavigationLog entries the naplet itself carries.
 type Event struct {
-	// Kind is "launch", "arrival", "depart", "complete", "trap",
-	// "reroute", or "dock-save-failed".
+	// Kind is one of the Event* kinds below.
 	Kind string
 	// Naplet is the subject naplet's identifier; empty for a dock save
 	// that carried no naplet's change (mail, a drain).
@@ -406,6 +405,25 @@ type Event struct {
 	// policy (reroutes), or the codebase (launches).
 	Detail string
 }
+
+// Event kinds. The fleet stream carries them as they are, beside its own
+// hop spans.
+const (
+	// EventLaunch marks a naplet launched at its home server.
+	EventLaunch = "launch"
+	// EventArrival marks a transferred naplet landing.
+	EventArrival = "arrival"
+	// EventDepart marks a naplet released toward its next stop.
+	EventDepart = "depart"
+	// EventComplete marks an itinerary finishing.
+	EventComplete = "complete"
+	// EventTrap marks an execution exception ending a life cycle.
+	EventTrap = "trap"
+	// EventReroute marks an itinerary failover or evacuation.
+	EventReroute = "reroute"
+	// EventDockSaveFailed marks a dock commit that did not reach disk.
+	EventDockSaveFailed = "dock-save-failed"
+)
 
 // SetEventSink registers a callback invoked with every nav-log event the
 // visit engine produces. The sink runs on lifecycle goroutines and must

@@ -467,6 +467,79 @@ func TestLandingDeniedByPolicy(t *testing.T) {
 	waitDone(t, sp.servers["home"], nid2, manager.StatusCompleted)
 }
 
+// TestExpiredCredentialRefusedAtLanding: a naplet launched with a TTL
+// carries a credential that expires TTL after launch. It parks at s1 while
+// s2's clock moves past the expiry; then s2 refuses its landing, because
+// the credential check wraps cred.ErrExpired, and the naplet ends trapped
+// with the expiry in its error.
+func TestExpiredCredentialRefusedAtLanding(t *testing.T) {
+	const ttl = time.Minute
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	var mu sync.Mutex
+	s2Now := t0
+	ring := cred.NewKeyRing()
+	ring.Register("czxu", []byte("k"))
+	sp := newSpace(t, spaceOpts{ring: ring, mutate: func(name string, cfg *Config) {
+		cfg.Clock = func() time.Time { return t0 }
+		if name == "s2" {
+			cfg.Clock = func() time.Time { mu.Lock(); defer mu.Unlock(); return s2Now }
+		}
+	}}, "home", "s1", "s2")
+	parked, release := make(chan cred.Credential, 1), make(chan struct{})
+	sp.reg.MustRegister(&registry.Codebase{
+		Name: "test.Parker",
+		New: func() naplet.Behavior {
+			return behaviorFunc(func(ctx *naplet.Context) error {
+				if ctx.Server == "s1" {
+					parked <- ctx.Record.Credential
+					<-release
+				}
+				return nil
+			})
+		},
+	})
+
+	home := sp.servers["home"]
+	nid, err := home.Launch(context.Background(), LaunchOptions{
+		Owner:    "czxu",
+		Codebase: "test.Parker",
+		Pattern:  itinerary.SeqVisits([]string{"s1", "s2"}, ""),
+		TTL:      ttl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c cred.Credential
+	select {
+	case c = <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the naplet never reached s1")
+	}
+	if !c.ExpiresAt.Equal(t0.Add(ttl)) {
+		t.Fatalf("credential expires at %v, want launch time + TTL %v", c.ExpiresAt, t0.Add(ttl))
+	}
+	s2 := sp.servers["s2"]
+	if err := s2.sec.CheckLanding(&c); err != nil {
+		t.Fatalf("s2 refuses the credential before its clock moves: %v", err)
+	}
+
+	mu.Lock()
+	s2Now = t0.Add(ttl + time.Second)
+	mu.Unlock()
+	close(release)
+	waitDone(t, home, nid, manager.StatusTrapped)
+
+	if err := s2.sec.CheckLanding(&c); !errors.Is(err, cred.ErrExpired) {
+		t.Fatalf("s2's landing check past the TTL = %v, want an error wrapping cred.ErrExpired", err)
+	}
+	if got := s2.Navigator().Stats().Refused; got != 1 {
+		t.Fatalf("s2 refused %d landings, want 1", got)
+	}
+	if _, errText, _ := home.Status(nid); !strings.Contains(errText, cred.ErrExpired.Error()) {
+		t.Fatalf("trap error %q does not name the expiry", errText)
+	}
+}
+
 func TestServiceChannelDuringVisit(t *testing.T) {
 	sp := newSpace(t, spaceOpts{}, "home", "s1")
 	sp.servers["s1"].Resources().RegisterPrivileged("query", func() resource.PrivilegedService {

@@ -24,14 +24,13 @@ type OID []int
 // Well-known RFC1213 OIDs used by the MIB builder, the MAN testbed and the
 // examples.
 var (
-	OIDSystem     = MustParseOID("1.3.6.1.2.1.1")
-	OIDSysDescr   = MustParseOID("1.3.6.1.2.1.1.1.0")
-	OIDSysUpTime  = MustParseOID("1.3.6.1.2.1.1.3.0")
-	OIDSysName    = MustParseOID("1.3.6.1.2.1.1.5.0")
-	OIDInterfaces = MustParseOID("1.3.6.1.2.1.2")
-	OIDIfNumber   = MustParseOID("1.3.6.1.2.1.2.1.0")
-	OIDIfTable    = MustParseOID("1.3.6.1.2.1.2.2.1")
-	OIDIP         = MustParseOID("1.3.6.1.2.1.4")
+	OIDSystem    = MustParseOID("1.3.6.1.2.1.1")
+	OIDSysDescr  = MustParseOID("1.3.6.1.2.1.1.1.0")
+	OIDSysUpTime = MustParseOID("1.3.6.1.2.1.1.3.0")
+	OIDSysName   = MustParseOID("1.3.6.1.2.1.1.5.0")
+	OIDIfNumber  = MustParseOID("1.3.6.1.2.1.2.1.0")
+	OIDIfTable   = MustParseOID("1.3.6.1.2.1.2.2.1")
+	OIDIP        = MustParseOID("1.3.6.1.2.1.4")
 )
 
 // ErrBadOID reports a malformed OID string.

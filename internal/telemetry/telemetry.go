@@ -175,22 +175,14 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return lo + (s.Bounds[i]-lo)*(rank-float64(below))/float64(s.Cumulative[i]-below)
 }
 
-// Default bucket sets shared by the instrumented components.
-var (
-	// LatencyBuckets covers microsecond transport calls through multi-
-	// second WAN migrations (seconds).
-	LatencyBuckets = []float64{
-		1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4,
-		1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-		0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-	}
-	// SizeBuckets covers frame and bundle sizes from small control frames
-	// to the 16 MiB wire bound (bytes).
-	SizeBuckets = []float64{
-		64, 256, 1024, 4096, 16384, 65536,
-		262144, 1 << 20, 4 << 20, 16 << 20,
-	}
-)
+// LatencyBuckets is the bucket set the instrumented components share: it
+// covers microsecond transport calls through multi-second WAN migrations
+// (seconds).
+var LatencyBuckets = []float64{
+	1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4,
+	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
 
 // metricKind discriminates series types for exposition.
 type metricKind int

@@ -238,8 +238,10 @@ func TestRequestPathOnEveryFabric(t *testing.T) {
 			if seq := <-seen; reply.Seq != seq {
 				t.Fatalf("reply Seq %#x, request Seq %#x", reply.Seq, seq)
 			}
-			if reply.BareSeq() != 1 {
-				t.Fatalf("bare seq = %d, want 1", reply.BareSeq())
+			// The first call on the connection is sequence number 1, with
+			// whatever budget the call's deadline packed beside it.
+			if budget, _ := reply.Budget(); reply.Seq != wire.PackBudget(1, budget) {
+				t.Fatalf("reply Seq %#x is not sequence 1 under budget %v", reply.Seq, budget)
 			}
 		}},
 		{"unknown peer is a metered call error", func(t *testing.T, r *rig) {

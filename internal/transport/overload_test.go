@@ -49,7 +49,7 @@ func TestTCPBudgetPropagation(t *testing.T) {
 	if got.ReceivedAt.IsZero() {
 		t.Fatal("fabric must stamp ReceivedAt")
 	}
-	if got.BareSeq() == 0 {
+	if got.Seq == wire.PackBudget(0, budget) {
 		t.Fatal("sequence number lost in packing")
 	}
 

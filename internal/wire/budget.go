@@ -62,14 +62,6 @@ func (f *Frame) Budget() (time.Duration, bool) {
 	return time.Duration(f.Seq>>seqBits&maxBudgetMS) * budgetUnit, true
 }
 
-// BareSeq strips the budget bits, returning the raw sequence number.
-func (f *Frame) BareSeq() uint64 {
-	if f.Seq&budgetFlag == 0 {
-		return f.Seq
-	}
-	return f.Seq & seqMask
-}
-
 // Deadline returns the moment this frame's propagated budget runs out:
 // ReceivedAt plus the budget, measured from now when the fabric did not
 // stamp receipt, so time spent queued before dispatch counts against the

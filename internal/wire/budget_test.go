@@ -81,8 +81,8 @@ func TestFrameBudgetGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Seq != f.Seq || dec.BareSeq() != 42 {
-		t.Fatalf("Seq = %#x (bare %d), want %#x (bare 42)", dec.Seq, dec.BareSeq(), f.Seq)
+	if dec.Seq != f.Seq || dec.Seq&seqMask != 42 {
+		t.Fatalf("Seq = %#x (bare %d), want %#x (bare 42)", dec.Seq, dec.Seq&seqMask, f.Seq)
 	}
 	if d, ok := dec.Budget(); !ok || d != 1500*time.Millisecond {
 		t.Fatalf("Budget = (%v, %v), want (1.5s, true)", d, ok)
@@ -118,7 +118,7 @@ func TestFrameV1Refused(t *testing.T) {
 }
 
 // TestSeqWireForm: whatever the budget, the packed in-memory Seq — what
-// the mux correlates on and Budget/BareSeq unpack — is bit for bit what
+// the mux correlates on and Budget unpacks — is bit for bit what
 // the layout in budget.go says, survives the wire unchanged, and
 // EncodedSize stays exact. The sizes are the point of splitting the two
 // halves on the wire.
@@ -178,8 +178,8 @@ func TestPackBudget(t *testing.T) {
 			if ok != tc.wantOK || got != tc.want {
 				t.Fatalf("Budget = (%v, %v), want (%v, %v)", got, ok, tc.want, tc.wantOK)
 			}
-			if f.BareSeq() != tc.seq {
-				t.Fatalf("BareSeq = %d, want %d", f.BareSeq(), tc.seq)
+			if f.Seq&seqMask != tc.seq {
+				t.Fatalf("bare seq = %d, want %d", f.Seq&seqMask, tc.seq)
 			}
 			if !tc.wantOK && f.Seq != tc.seq {
 				t.Fatalf("no-budget pack must leave seq untouched: %d", f.Seq)
@@ -193,8 +193,8 @@ func TestPackBudgetPreservesLowSeqBits(t *testing.T) {
 	// correlation still works because the reply echoes the packed value.
 	seq := uint64(1)<<seqBits + 99
 	f := Frame{Seq: PackBudget(seq, time.Second)}
-	if f.BareSeq() != 99 {
-		t.Fatalf("BareSeq = %d, want 99", f.BareSeq())
+	if f.Seq&seqMask != 99 {
+		t.Fatalf("bare seq = %d, want 99", f.Seq&seqMask)
 	}
 }
 

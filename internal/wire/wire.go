@@ -494,8 +494,3 @@ func (e *Error) Error() string {
 	}
 	return e.Code + ": " + e.Message
 }
-
-// NewError builds a wire error with the given machine-readable code.
-func NewError(code, format string, args ...any) *Error {
-	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
-}

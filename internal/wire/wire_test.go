@@ -327,7 +327,7 @@ func TestEncodedSizeGrowsWithPayload(t *testing.T) {
 }
 
 func TestWireError(t *testing.T) {
-	e := NewError("denied", "no LANDING permission for %s", "naplet-1")
+	e := &Error{Code: "denied", Message: "no LANDING permission for naplet-1"}
 	if e.Error() != "denied: no LANDING permission for naplet-1" {
 		t.Fatalf("Error() = %q", e.Error())
 	}
