@@ -20,8 +20,8 @@
 # It fails, too, if gofmt would rewrite any file. The exported surface is
 # guarded inside `go test ./...`: TestExportedSurfaceHasCallers (root
 # package) fails on an exported function or method under internal/ that no
-# non-test file names, bench/, cmd/ and examples/ included, unless its
-# allowlist gives the reason.
+# non-test file names (a method by a selector x.Name, x not a package),
+# bench/, cmd/ and examples/ included, unless its allowlist gives the reason.
 # bench/ is a module of its own that decodes the program's transfer bodies
 # and compiles against its public API, so it is vetted and tested here too.
 # Every Benchmark* function runs once (-short shrinks the million-entry

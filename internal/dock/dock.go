@@ -129,9 +129,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the live snapshot file path.
 func (s *Store) Path() string { return filepath.Join(s.dir, FileName) }
 

@@ -150,9 +150,6 @@ func (m *Master) Name() string { return m.cfg.Name }
 // Registry exposes the node table.
 func (m *Master) Registry() *Registry { return m.reg }
 
-// Broadcaster exposes the event broadcaster.
-func (m *Master) Broadcaster() *Broadcaster { return m.bc }
-
 // Watchdog exposes the backpressure watchdog.
 func (m *Master) Watchdog() *Watchdog { return m.wd }
 

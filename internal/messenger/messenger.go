@@ -282,14 +282,6 @@ func (m *Messenger) CreateMailbox(nid id.NapletID) *Mailbox {
 	return mb
 }
 
-// Mailbox returns the open mailbox of a resident naplet.
-func (m *Messenger) Mailbox(nid id.NapletID) (*Mailbox, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.slots[nid.Key()]
-	return mb, ok && mb.open
-}
-
 // CloseMailbox deletes a naplet's slot and returns the mail left in it and
 // the servers that posted into it, so the caller can forward the mail after
 // a departing naplet and tell those servers where it went (PushMigration).

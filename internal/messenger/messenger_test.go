@@ -113,7 +113,7 @@ func TestDirectDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, _ := r.msgr["sb"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sb"], b.ID)
 	msg, ok := mb.TryReceive()
 	if !ok || string(msg.Body) != "hello" || msg.Subject != "greet" {
 		t.Fatalf("delivery: %+v %v", msg, ok)
@@ -150,7 +150,7 @@ func TestForwardingChasesNaplet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, _ := r.msgr["sc"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sc"], b.ID)
 	msg, ok := mb.TryReceive()
 	if !ok || string(msg.Body) != "catch me" {
 		t.Fatalf("forwarded delivery failed: %v %v", msg, ok)
@@ -177,7 +177,7 @@ func TestMultiHopForwarding(t *testing.T) {
 	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "x", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	mb, _ := r.msgr["s4"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["s4"], b.ID)
 	if _, ok := mb.TryReceive(); !ok {
 		t.Fatal("3-hop chase failed")
 	}
@@ -298,7 +298,7 @@ func TestLeftoverForwarding(t *testing.T) {
 
 	r.move(t, b, "sb", "sc") // move forwards leftovers
 
-	mb, _ := r.msgr["sc"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sc"], b.ID)
 	m1, ok1 := mb.TryReceive()
 	m2, ok2 := mb.TryReceive()
 	if !ok1 || !ok2 {
@@ -352,6 +352,16 @@ func TestPostIntoClosingMailboxIsForwarded(t *testing.T) {
 			t.Fatalf("iteration %d: sb holds %d messages for a naplet that left", i, n)
 		}
 	}
+}
+
+// mailbox is the open mailbox CreateMailbox handed the dock for nid at m.
+func mailbox(m *Messenger, nid id.NapletID) *Mailbox {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if mb := m.slots[nid.Key()]; mb != nil && mb.open {
+		return mb
+	}
+	return nil
 }
 
 // slotLen is how many messages wait in nid's slot at m, held or unread:
@@ -452,7 +462,7 @@ func TestSelfServerShortCircuit(t *testing.T) {
 	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "local", nil); err != nil {
 		t.Fatal(err)
 	}
-	mb, _ := r.msgr["sa"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sa"], b.ID)
 	if _, ok := mb.TryReceive(); !ok {
 		t.Fatal("same-server delivery failed")
 	}
@@ -617,7 +627,7 @@ func TestDuplicatePostReconfirmedOnce(t *testing.T) {
 			t.Fatalf("delivery %d not confirmed: %+v", i, confirm)
 		}
 	}
-	mb, _ := r.msgr["sb"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sb"], b.ID)
 	if _, ok := mb.TryReceive(); !ok {
 		t.Fatal("first copy not delivered")
 	}
@@ -680,8 +690,8 @@ func TestPostAndMailboxAPI(t *testing.T) {
 	a.Book.Add(b.ID, "sb")
 	b.Book.Add(a.ID, "sa")
 
-	mbA, _ := r.msgr["sa"].Mailbox(a.ID)
-	mbB, _ := r.msgr["sb"].Mailbox(b.ID)
+	mbA := mailbox(r.msgr["sa"], a.ID)
+	mbB := mailbox(r.msgr["sb"], b.ID)
 
 	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "ping", []byte("1")); err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func TestPostOverloadShedRetriesAndDelivers(t *testing.T) {
 	if err := r.msgr["sa"].Post(context.Background(), a, b.ID, "greet", []byte("hello")); err != nil {
 		t.Fatalf("post through overload: %v", err)
 	}
-	mb, _ := r.msgr["sb"].Mailbox(b.ID)
+	mb := mailbox(r.msgr["sb"], b.ID)
 	if _, ok := mb.TryReceive(); !ok {
 		t.Fatal("message not delivered after the sheds cleared")
 	}

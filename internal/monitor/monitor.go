@@ -52,15 +52,6 @@ type Policy struct {
 	Priority int
 }
 
-// Usage reports a group's consumed resources.
-type Usage struct {
-	CPU       time.Duration
-	Memory    int64
-	Bandwidth int64
-	// Traps counts execution exceptions caught by the monitor.
-	Traps int64
-}
-
 // GroupState is the running state the monitor maintains for a group.
 type GroupState int32
 
@@ -291,7 +282,6 @@ type Group struct {
 	cpu       atomic.Int64 // nanoseconds
 	mem       atomic.Int64
 	bw        atomic.Int64
-	traps     atomic.Int64
 	killed    atomic.Bool
 	evacuated atomic.Bool
 
@@ -317,9 +307,6 @@ func (g *Group) ID() id.NapletID { return g.nid }
 // Policy returns the group's resource policy.
 func (g *Group) Policy() Policy { return g.policy }
 
-// Context returns the context bounding every goroutine of the group.
-func (g *Group) Context() context.Context { return g.ctx }
-
 // State returns the group's running state.
 func (g *Group) State() GroupState {
 	g.stateMu.Lock()
@@ -334,16 +321,6 @@ func (g *Group) setState(s GroupState) {
 		return // terminal
 	}
 	g.state = s
-}
-
-// Usage returns the group's consumed resources.
-func (g *Group) Usage() Usage {
-	return Usage{
-		CPU:       time.Duration(g.cpu.Load()),
-		Memory:    g.mem.Load(),
-		Bandwidth: g.bw.Load(),
-		Traps:     g.traps.Load(),
-	}
 }
 
 // Run executes f as the naplet's main activity: it waits for an execution
@@ -391,7 +368,6 @@ func (g *Group) confined(f func(ctx context.Context) error) (err error) {
 	start := g.monitor.clock()
 	defer func() {
 		if r := recover(); r != nil {
-			g.traps.Add(1)
 			g.monitor.met.Load().trapped()
 			err = fmt.Errorf("monitor: trapped naplet panic: %v", r)
 		}
@@ -588,7 +564,6 @@ func (g *Group) dispatchInterrupt(h func(naplet.Message), msg naplet.Message) {
 		defer g.wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				g.traps.Add(1)
 				g.monitor.met.Load().trapped()
 			}
 		}()

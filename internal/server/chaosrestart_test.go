@@ -116,7 +116,8 @@ func runChaosRestart(t *testing.T, seed int64) {
 		New:  func() naplet.Behavior { return chaosGateAgent{gate: gate, arrived: arrived} },
 	})
 
-	st, err := dock.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func runChaosRestart(t *testing.T, seed int64) {
 	// Restart s2 from the dock with the gate open: the interrupted visits
 	// replay and the tours run through.
 	close(gate)
-	st2, err := dock.Open(st.Dir())
+	st2, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,8 @@ func restoreImage(t *testing.T, st *dock.Store, data []byte) {
 // and restarts it from the dock snapshot: the naplet re-runs the pending
 // visit and the tour still completes exactly once at home.
 func TestDockRestartResumesVisit(t *testing.T) {
-	st, err := dock.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestDockRestartResumesVisit(t *testing.T) {
 	// Reopen the gate so the replayed visit runs through, then boot a
 	// replacement server on the same address and dock directory.
 	close(gate)
-	st2, err := dock.Open(st.Dir())
+	st2, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,8 @@ func TestDockRestartResumesVisit(t *testing.T) {
 // and asserts the restart restores it — exactly once, no loss and no
 // duplication.
 func TestDockRestartKeepsHeldMail(t *testing.T) {
-	st, err := dock.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestDockRestartKeepsHeldMail(t *testing.T) {
 	}
 	restoreImage(t, st, img)
 
-	st2, err := dock.Open(st.Dir())
+	st2, err := dock.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,9 +348,6 @@ func (s *Server) Manager() *manager.Manager { return s.mgr }
 // Messenger returns the server's post office.
 func (s *Server) Messenger() *messenger.Messenger { return s.msgr }
 
-// Monitor returns the server's NapletMonitor.
-func (s *Server) Monitor() *monitor.Monitor { return s.mon }
-
 // Locator returns the server's Locator.
 func (s *Server) Locator() *locator.Locator { return s.loc }
 

@@ -238,7 +238,7 @@ func TestSequentialTour(t *testing.T) {
 	// has run its release, which the report does not wait for.
 	for name, srv := range sp.servers {
 		waitResidents(t, srv, 0)
-		for deadline := time.Now().Add(5 * time.Second); srv.Monitor().Resident() != 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); srv.mon.Resident() != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s monitor still has groups", name)
 			}

@@ -28,8 +28,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch s.kind {
 		case kindCounter:
 			writeSample(&b, s.name, s.labels, "", float64(s.counter.Value()))
-		case kindGauge:
-			writeSample(&b, s.name, s.labels, "", float64(s.gauge.Value()))
 		case kindCounterFunc, kindGaugeFunc:
 			writeSample(&b, s.name, s.labels, "", s.fn())
 		case kindHistogram:

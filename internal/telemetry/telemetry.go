@@ -21,7 +21,7 @@
 // registration time; the hot-path Inc/Add/Observe operations never format
 // labels.
 //
-// Hot-path costs: Counter.Inc and Gauge.Add are one uncontended atomic
+// Hot-path costs: Counter.Inc and Counter.Add are one uncontended atomic
 // add (single-digit nanoseconds, zero allocations); Histogram.Observe is a
 // linear bucket scan over a small fixed bound slice plus three atomic
 // operations, also allocation-free. TestHotPathsAllocateNothing holds the
@@ -57,20 +57,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into fixed cumulative buckets. All
 // operations on the observe path are atomic; there is no lock to contend
@@ -189,7 +175,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindCounterFunc
 	kindGaugeFunc
 	kindHistogram
@@ -204,7 +189,6 @@ type series struct {
 	kind   metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -269,15 +253,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 		kind: kindCounter, counter: &Counter{},
 	})
 	return s.counter
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(&series{
-		name: name, labels: renderLabels(labels), help: help,
-		kind: kindGauge, gauge: &Gauge{},
-	})
-	return s.gauge
 }
 
 // CounterFunc registers a counter whose value is sampled from fn at scrape

@@ -19,11 +19,17 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.Gauge("naplet_test_residents", "residents")
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %d, want 2", g.Value())
+	// A gauge is sampled at scrape time, so it reads whatever its source
+	// holds then.
+	residents := 3
+	r.GaugeFunc("naplet_test_residents", "residents", func() float64 { return float64(residents) })
+	residents--
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nnaplet_test_residents 2\n") {
+		t.Fatalf("gauge not sampled at scrape time:\n%s", b.String())
 	}
 }
 
@@ -45,7 +51,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("re-registering as a different type must panic")
 		}
 	}()
-	r.Gauge("naplet_test_total", "")
+	r.GaugeFunc("naplet_test_total", "", func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
@@ -80,7 +86,7 @@ func TestHistogramObserveDuration(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("naplet_test_posted_total", "messages posted").Add(7)
-	r.Gauge("naplet_test_residents", "resident naplets").Set(2)
+	r.GaugeFunc("naplet_test_residents", "resident naplets", func() float64 { return 2 })
 	r.GaugeFunc("naplet_test_uptime_seconds", "uptime", func() float64 { return 1.5 })
 	r.CounterFunc("naplet_test_pool_gets_total", "pool gets", func() float64 { return 9 })
 	h := r.Histogram("naplet_test_rtt_seconds", "round trips", []float64{0.1, 1})

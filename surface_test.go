@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -34,53 +35,62 @@ var surfaceAllowed = map[string]string{
 	"state.State.ModeOf":                "§2.1 protected state: an entry's access mode",
 	"monitor.Group.ChargeMemory":        "§5.2 naplet thread group: memory accounting",
 	"monitor.Group.Go":                  "§5.2 naplet thread group: a confined auxiliary thread",
+	"monitor.Group.Join":                "§5.2 naplet thread group: wait for its auxiliary threads",
+	"resource.View.Channels":            "§5.3 naplet.ServicesAPI: the privileged services a naplet may open",
 	"cred.NewKeyRing":                   "§5.1 credentials: a deployment's key ring",
 	// Interface satisfiers, called through the interface.
 	"id.NapletID.MarshalText":   "encoding.TextMarshaler",
 	"id.NapletID.UnmarshalText": "encoding.TextUnmarshaler",
 	"monitor.waiterHeap.Less":   "container/heap.Interface",
+	"monitor.waiterHeap.Push":   "container/heap.Interface",
+	"monitor.waiterHeap.Pop":    "container/heap.Interface",
 	// Test support by design.
 	"allocledger.Reading.Lines": "allocledger is the tier-1 allocation ledgers' reader",
 	"netsim.Network.SetLink":    "netsim fault placement: tests stall one directed link, as Partition cuts one",
-	// The drivers of a reproduced experiment (EXPERIMENTS.md E10).
+	// The entry points of a reproduced experiment (EXPERIMENTS.md E10).
 	"man.Station.MonitorAll":        "E10: naplet-side trap monitoring over every device",
 	"man.Testbed.ForwardAllTraps":   "E10: every device forwards its traps",
 	"cnmp.Station.SignificantTraps": "E10: the centralized baseline's trap filter",
 }
 
 // TestExportedSurfaceHasCallers fails on every exported function or method
-// declared in a non-test file under internal/ whose name no non-test file
-// of the repository — cmd/, examples/ and the bench/ module included —
-// references outside the declaration itself. References are matched by
-// identifier, not resolved by type, so a symbol that shares its name with
-// a used one passes; the guard catches the surface that nothing names.
+// declared in a non-test file under internal/ that no non-test file of the
+// repository — cmd/, examples/ and the bench/ module included — references
+// outside the declaration itself. A function is referenced by any
+// identifier of its name; a method only by a selector x.Name whose x is not
+// an imported package, so a method does not pass on a type or function of
+// the same name (telemetry.Gauge once hid Registry.Gauge). Nothing is
+// resolved by type: a symbol that shares its name with a used one of the
+// same kind passes; the guard catches the surface that nothing names.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	type decl struct {
-		key  string // pkg.Recv.Name, or pkg.Name
-		name string
-		pos  token.Pos
+		key    string // pkg.Recv.Name, or pkg.Name
+		name   string
+		method bool
+		pos    token.Pos
 	}
 	var decls []decl
-	refs := map[string]int{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	refs := map[string]int{}     // identifiers, for functions
+	selected := map[string]int{} // x.Name where x is not a package, for methods
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if file != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		definitions := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		definitions := strings.HasPrefix(filepath.ToSlash(file), "internal/")
 		own := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -92,14 +102,30 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 				continue
 			}
 			key := f.Name.Name + "." + fn.Name.Name
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+			method := fn.Recv != nil && len(fn.Recv.List) == 1
+			if method {
 				key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 			}
-			decls = append(decls, decl{key, fn.Name.Name, fn.Pos()})
+			decls = append(decls, decl{key, fn.Name.Name, method, fn.Pos()})
+		}
+		imports := map[string]bool{}
+		for _, im := range f.Imports {
+			name := path.Base(strings.Trim(im.Path.Value, `"`))
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = true
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				refs[id.Name]++
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !own[n] {
+					refs[n.Name]++
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); !ok || !imports[x.Name] {
+					selected[n.Sel.Name]++
+				}
 			}
 			return true
 		})
@@ -115,7 +141,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range decls {
 		seen[d.key] = true
-		if refs[d.name] > 0 {
+		if d.method && selected[d.name] > 0 || !d.method && refs[d.name] > 0 {
 			continue
 		}
 		if _, ok := surfaceAllowed[d.key]; ok {
