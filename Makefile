@@ -98,7 +98,12 @@ verify:
 # interleaved with calls that were answered: the reply slots' timers are
 # pooled with them, and a tick left in one would end a later call early —
 # the silent call must end at its budget, sent once
-# (TestSilentPeerEndsAtTheFrameBudget).
+# (TestSilentPeerEndsAtTheFrameBudget), plus fifty runs of the service
+# channel's queues: both directions share one lock and go back to their
+# inline arrays whenever they drain, so concurrent channels must each get
+# their own replies and 1 000 lines queued each way before a read must all
+# arrive in order, with a close from either end draining before io.EOF
+# (TestConcurrentChannelUse, TestChannelQueuesAreUnbounded).
 # Reproduce a failing seed with:
 # go test ./internal/server/ -run TestChaos -chaos.seed=N -v
 # go test ./internal/fleet/  -run TestChaos -chaos.seed=N -v
@@ -111,6 +116,7 @@ chaos:
 	go test -race -count=20 -run 'TestMasterCrashedDockLeavesRotation' ./internal/fleet/
 	go test -race -count=20 -run 'TestLateReplyNeverReachesAnotherCall' ./internal/transport/
 	go test -race -count=20 -run 'TestSilentPeerEndsAtTheFrameBudget' ./internal/transport/
+	go test -race -count=50 -run 'TestConcurrentChannelUse|TestChannelQueuesAreUnbounded' ./internal/resource/
 
 # bench runs every Benchmark* function in the module with allocation
 # accounting: the micro-benchmarks in bench_test.go and each package's

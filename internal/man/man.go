@@ -63,20 +63,21 @@ const (
 )
 
 // NewNetManagementService builds the privileged-service factory for one
-// device: each service channel gets a fresh run loop bound to the device's
-// local SNMP agent.
+// device: a run loop bound to the device's local SNMP agent. The loop keeps
+// nothing between lines or channels — every query reads the agent afresh
+// and all it holds is the device and community — so it is built once and
+// every channel runs the same value; the factory still runs per channel.
 func NewNetManagementService(dev *snmp.Device, community string) resource.Factory {
-	return func() resource.PrivilegedService {
-		return resource.ServiceFunc(func(ch *resource.ServerEnd) {
-			for {
-				cmd, err := ch.ReadLine()
-				if err != nil {
-					return // channel closed
-				}
-				ch.WriteLine(retrieve(dev.Agent, community, cmd))
+	svc := resource.ServiceFunc(func(ch *resource.ServerEnd) {
+		for {
+			cmd, err := ch.ReadLine()
+			if err != nil {
+				return // channel closed
 			}
-		})
-	}
+			ch.WriteLine(retrieve(dev.Agent, community, cmd))
+		}
+	})
+	return func() resource.PrivilegedService { return svc }
 }
 
 // retrieve mirrors the paper's private retrieve() method: tokenize the
@@ -208,10 +209,12 @@ const reportCodecVersion = 2
 
 // decode reads body into p.Status, adding to the devices it already holds,
 // and p.Route. It accepts and rejects what wire.DecStringMap does; a key
-// without a "|" is skipped. The devices of one body share their OID
-// strings, and a new device's map is sized by the entries read since the
-// last one began — a sweep asks each device the same — so what it reserves
-// never exceeds what it has read.
+// without a "|" is skipped. Every value is a substring of one string copy
+// of the body, so none aliases body and all of them cost one allocation;
+// the devices of one body share their OID strings, and a new device's map
+// is sized by the entries read since the last one began — a sweep asks
+// each device the same — so what it reserves never exceeds what it has
+// read.
 func (p *reportPayload) decode(body []byte) error {
 	rest, err := wire.DecVersion(body, reportCodecVersion)
 	if err != nil {
@@ -222,19 +225,22 @@ func (p *reportPayload) decode(body []byte) error {
 		return err
 	}
 	var (
+		text    = string(body)
 		keys    wire.MapKeys
 		scratch [128]byte
 		intern  = make(map[string]string)
 		since   int
 	)
 	for i := 0; i < n; i++ {
-		var v string
+		var raw []byte
 		if rest, err = keys.Next(rest); err == nil {
-			v, rest, err = wire.DecString(rest)
+			raw, rest, err = wire.DecBytes(rest)
 		}
 		if err != nil {
 			return err
 		}
+		end := len(body) - len(rest)
+		v := text[end-len(raw) : end]
 		dev, oid, ok := bytes.Cut(keys.Append(scratch[:0]), []byte("|"))
 		if !ok {
 			continue

@@ -26,7 +26,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cred"
 	"repro/internal/naplet"
@@ -61,93 +60,87 @@ var (
 	ErrDuplicate      = errors.New("resource: service already registered")
 )
 
-// halfPipe is one direction of a service channel: an unbounded FIFO of
-// lines with close semantics. Writes after close fail; reads drain buffered
-// lines and then report io.EOF.
-type halfPipe struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	lines  []string
-	closed bool
+// channel is one allocated service channel: both directions' line queues
+// under one lock, the two endpoints, and the service instance whose run
+// loop serves it. Each direction is an unbounded FIFO. Writes after close
+// fail; reads drain buffered lines and then report io.EOF.
+type channel struct {
+	mu        sync.Mutex
+	cond      sync.Cond // on mu; a reader of either direction waits on it
+	toService lineQueue // naplet writes -> service reads
+	toNaplet  lineQueue // service writes -> naplet reads
+	closed    bool
+
+	naplet NapletEnd
+	server ServerEnd
+	svc    PrivilegedService
 }
 
-func newHalfPipe() *halfPipe {
-	p := &halfPipe{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+// lineQueue is one direction's unread lines, oldest first. They start in
+// buf and go back to it whenever the queue drains, so a lockstep exchange
+// of one line each way never grows the slice.
+type lineQueue struct {
+	lines []string
+	buf   [1]string
 }
 
-func (p *halfPipe) write(line string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+func (q *lineQueue) pop() string {
+	line := q.lines[0]
+	q.lines[0] = ""
+	if q.lines = q.lines[1:]; len(q.lines) == 0 {
+		q.lines = q.buf[:0]
+	}
+	return line
+}
+
+// serve runs the service on the channel and closes it when Serve returns.
+func (c *channel) serve() {
+	defer c.close()
+	c.svc.Serve(&c.server)
+}
+
+func (c *channel) write(q *lineQueue, line string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
 		return ErrChannelClosed
 	}
-	p.lines = append(p.lines, line)
-	p.cond.Signal()
+	q.lines = append(q.lines, line)
+	c.cond.Broadcast()
 	return nil
 }
 
-func (p *halfPipe) read() (string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.lines) == 0 && !p.closed {
-		p.cond.Wait()
+func (c *channel) read(q *lineQueue) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(q.lines) == 0 && !c.closed {
+		c.cond.Wait()
 	}
-	if len(p.lines) == 0 {
+	if len(q.lines) == 0 {
 		return "", io.EOF
 	}
-	line := p.lines[0]
-	p.lines = p.lines[1:]
-	return line, nil
-}
-
-func (p *halfPipe) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	p.cond.Broadcast()
-}
-
-// channel is one allocated service channel: two half pipes.
-type channel struct {
-	toService *halfPipe // naplet writes -> service reads
-	toNaplet  *halfPipe // service writes -> naplet reads
-	closeOnce sync.Once
+	return q.pop(), nil
 }
 
 func (c *channel) close() {
-	c.closeOnce.Do(func() {
-		c.toService.close()
-		c.toNaplet.close()
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	c.cond.Broadcast()
 }
 
 // NapletEnd is the naplet-side endpoint pair (NapletWriter + NapletReader).
 // It implements naplet.ServiceChannel.
 type NapletEnd struct {
 	ch *channel
-	// bytes counts naplet-side channel traffic for resource accounting.
-	bytes *atomic.Int64
 }
 
 // WriteLine sends a request line to the privileged service (NapletWriter).
-func (e *NapletEnd) WriteLine(line string) error {
-	if e.bytes != nil {
-		e.bytes.Add(int64(len(line)))
-	}
-	return e.ch.toService.write(line)
-}
+func (e *NapletEnd) WriteLine(line string) error { return e.ch.write(&e.ch.toService, line) }
 
 // ReadLine receives a reply line from the service (NapletReader). It
 // returns io.EOF after the channel closes and drains.
-func (e *NapletEnd) ReadLine() (string, error) {
-	line, err := e.ch.toNaplet.read()
-	if err == nil && e.bytes != nil {
-		e.bytes.Add(int64(len(line)))
-	}
-	return line, err
-}
+func (e *NapletEnd) ReadLine() (string, error) { return e.ch.read(&e.ch.toNaplet) }
 
 // Close releases the channel; the service's Serve loop observes EOF.
 func (e *NapletEnd) Close() error {
@@ -166,22 +159,15 @@ type ServerEnd struct {
 
 // ReadLine receives a request line from the naplet (ServiceReader);
 // io.EOF after close.
-func (e *ServerEnd) ReadLine() (string, error) { return e.ch.toService.read() }
+func (e *ServerEnd) ReadLine() (string, error) { return e.ch.read(&e.ch.toService) }
 
 // WriteLine sends a reply line to the naplet (ServiceWriter).
-func (e *ServerEnd) WriteLine(line string) error { return e.ch.toNaplet.write(line) }
+func (e *ServerEnd) WriteLine(line string) error { return e.ch.write(&e.ch.toNaplet, line) }
 
 // Close releases the channel from the service side.
 func (e *ServerEnd) Close() error {
 	e.ch.close()
 	return nil
-}
-
-// Stats counts resource-manager activity.
-type Stats struct {
-	OpenCalls      int64
-	ChannelsOpened int64
-	ChannelsDenied int64
 }
 
 // Manager is the per-server ResourceManager. It is safe for concurrent use
@@ -193,11 +179,14 @@ type Manager struct {
 
 	mu   sync.RWMutex
 	open map[string]OpenService
-	priv map[string]Factory
+	priv map[string]privileged
+}
 
-	openCalls      atomic.Int64
-	channelsOpened atomic.Int64
-	channelsDenied atomic.Int64
+// privileged is a registered privileged service: its factory and the
+// permission a naplet needs to open a channel to it.
+type privileged struct {
+	factory Factory
+	perm    security.Permission
 }
 
 // NewManager builds a resource manager enforcing access control with sec
@@ -206,7 +195,7 @@ func NewManager(sec *security.Manager) *Manager {
 	return &Manager{
 		security: sec,
 		open:     make(map[string]OpenService),
-		priv:     make(map[string]Factory),
+		priv:     make(map[string]privileged),
 	}
 }
 
@@ -229,7 +218,7 @@ func (m *Manager) RegisterPrivileged(name string, f Factory) error {
 	if _, dup := m.priv[name]; dup {
 		return fmt.Errorf("%w: privileged service %q", ErrDuplicate, name)
 	}
-	m.priv[name] = f
+	m.priv[name] = privileged{factory: f, perm: security.ServicePermission(name)}
 	return nil
 }
 
@@ -241,7 +230,6 @@ func (m *Manager) CallOpen(name string, args []string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: open service %q", ErrUnknownService, name)
 	}
-	m.openCalls.Add(1)
 	return f(args)
 }
 
@@ -251,29 +239,25 @@ func (m *Manager) CallOpen(name string, args []string) (string, error) {
 // is handed to the requesting naplet.
 func (m *Manager) OpenChannel(c *cred.Credential, name string) (naplet.ServiceChannel, error) {
 	m.mu.RLock()
-	factory, ok := m.priv[name]
+	p, ok := m.priv[name]
 	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: privileged service %q", ErrUnknownService, name)
 	}
 	if m.security != nil {
-		if err := m.security.CheckService(c, name); err != nil {
-			m.channelsDenied.Add(1)
+		if err := m.security.Check(c, p.perm); err != nil {
 			return nil, err
 		}
 	}
-	ch := &channel{toService: newHalfPipe(), toNaplet: newHalfPipe()}
-	server := &ServerEnd{ch: ch}
+	ch := &channel{svc: p.factory()}
+	ch.cond.L = &ch.mu
+	ch.toService.lines, ch.toNaplet.lines = ch.toService.buf[:0], ch.toNaplet.buf[:0]
+	ch.naplet.ch, ch.server.ch = ch, ch
 	if c != nil {
-		server.Naplet = *c
+		ch.server.Naplet = *c
 	}
-	svc := factory()
-	go func() {
-		defer ch.close()
-		svc.Serve(server)
-	}()
-	m.channelsOpened.Add(1)
-	return &NapletEnd{ch: ch}, nil
+	go ch.serve()
+	return &ch.naplet, nil
 }
 
 // PrivilegedNames lists registered privileged services, sorted.
@@ -288,15 +272,6 @@ func (m *Manager) PrivilegedNames() []string {
 	return out
 }
 
-// Stats returns activity counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		OpenCalls:      m.openCalls.Load(),
-		ChannelsOpened: m.channelsOpened.Load(),
-		ChannelsDenied: m.channelsDenied.Load(),
-	}
-}
-
 // View binds the resource manager to one naplet's credential, implementing
 // naplet.ServicesAPI. It tracks the channels the naplet opened so the
 // runtime can reclaim them when the visit ends ("success of a launch will
@@ -307,12 +282,14 @@ type View struct {
 	cred *cred.Credential
 
 	mu       sync.Mutex
-	channels []naplet.ServiceChannel
+	channels []naplet.ServiceChannel // over first until a second is opened
+	first    [1]naplet.ServiceChannel
 }
 
 // Bind points the view at mgr and the naplet's credential c, before use.
 func (v *View) Bind(mgr *Manager, c *cred.Credential) {
 	v.mgr, v.cred = mgr, c
+	v.channels = v.first[:0]
 }
 
 // CallOpen implements naplet.ServicesAPI.
@@ -338,10 +315,10 @@ func (v *View) Channels() []string { return v.mgr.PrivilegedNames() }
 // ReleaseAll closes every channel the naplet opened during the visit.
 func (v *View) ReleaseAll() {
 	v.mu.Lock()
-	chans := v.channels
-	v.channels = nil
-	v.mu.Unlock()
-	for _, ch := range chans {
+	defer v.mu.Unlock()
+	for _, ch := range v.channels {
 		ch.Close()
 	}
+	clear(v.channels)
+	v.channels = v.first[:0]
 }

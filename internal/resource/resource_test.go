@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -52,9 +53,6 @@ func TestOpenServiceCall(t *testing.T) {
 	}
 	if _, err := m.CallOpen("ghost", nil); !errors.Is(err, ErrUnknownService) {
 		t.Fatalf("want ErrUnknownService, got %v", err)
-	}
-	if m.Stats().OpenCalls != 1 {
-		t.Fatalf("stats: %+v", m.Stats())
 	}
 }
 
@@ -148,15 +146,19 @@ func TestChannelAccessControl(t *testing.T) {
 	m := NewManager(sec)
 	m.RegisterPrivileged("snmp", echoService)
 
-	if _, err := m.OpenChannel(&admin, "snmp"); err != nil {
+	ch, err := m.OpenChannel(&admin, "snmp")
+	if err != nil {
 		t.Fatalf("admin channel: %v", err)
+	}
+	defer ch.Close()
+	if err := ch.WriteLine("sysDescr"); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := ch.ReadLine(); err != nil || line != "svc:sysDescr" {
+		t.Fatalf("admin round trip: %q %v", line, err)
 	}
 	if _, err := m.OpenChannel(&guest, "snmp"); !errors.Is(err, security.ErrDenied) {
 		t.Fatalf("guest channel must be denied: %v", err)
-	}
-	s := m.Stats()
-	if s.ChannelsOpened != 1 || s.ChannelsDenied != 1 {
-		t.Fatalf("stats: %+v", s)
 	}
 }
 
@@ -263,4 +265,148 @@ func TestConcurrentChannelUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// mirror is a privileged service that writes every line back as it is: a
+// run loop that allocates nothing.
+var mirror = ServiceFunc(func(ch *ServerEnd) {
+	for {
+		line, err := ch.ReadLine()
+		if err != nil {
+			return
+		}
+		ch.WriteLine(line)
+	}
+})
+
+// TestChannelAllocBudget pins what a warm service channel costs: open, one
+// line each way and a close, through a service that allocates nothing, is
+// the channel object and its service goroutine (11 or more while each
+// direction was a pipe of its own with its own condition variable, each
+// end a separate object, and every write regrew its queue).
+func TestChannelAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const budget = 3
+	m := NewManager(nil)
+	m.RegisterPrivileged("mirror", func() PrivilegedService { return mirror })
+	var v View
+	v.Bind(m, nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		ch, err := v.OpenChannel("mirror")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.WriteLine("sysDescr"); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := ch.ReadLine(); err != nil || line != "sysDescr" {
+			t.Fatalf("round trip: %q %v", line, err)
+		}
+		v.ReleaseAll()
+		// AllocsPerRun runs on one P, where the woken service would wait
+		// behind this loop and each run would start a goroutine afresh:
+		// let it see the close and exit, as it does when a stay ends.
+		runtime.Gosched()
+	})
+	t.Logf("%.1f allocs per channel round trip (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a channel round trip allocates %.1f times, budget %d", allocs, budget)
+	}
+}
+
+// TestChannelQueuesAreUnbounded holds each direction to an unbounded FIFO:
+// lines written before anyone reads are all kept, in order, whichever end
+// wrote them; after a close from either end a read drains what is buffered
+// and then reports io.EOF, and writes from both ends fail.
+func TestChannelQueuesAreUnbounded(t *testing.T) {
+	const n = 1000
+	m := NewManager(nil)
+	// batch reads every request before it answers any: the naplet's lines
+	// queue toward the service, then the replies queue toward the naplet.
+	m.RegisterPrivileged("batch", func() PrivilegedService {
+		return ServiceFunc(func(ch *ServerEnd) {
+			lines := make([]string, 0, n)
+			for len(lines) < n {
+				line, err := ch.ReadLine()
+				if err != nil {
+					return
+				}
+				lines = append(lines, line)
+			}
+			for _, line := range lines {
+				ch.WriteLine("re:" + line)
+			}
+			// Block until the naplet closes the channel.
+			ch.ReadLine()
+		})
+	})
+	var v View
+	for stay := 0; stay < 2; stay++ {
+		v.Bind(m, nil)
+		ch, err := v.OpenChannel("batch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A queue that loses lines leaves both ends waiting: end the wait.
+		watchdog := time.AfterFunc(10*time.Second, func() { ch.Close() })
+		for i := 0; i < n; i++ {
+			if err := ch.WriteLine(fmt.Sprint(stay, ".", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			want := fmt.Sprint("re:", stay, ".", i)
+			if line, err := ch.ReadLine(); err != nil || line != want {
+				t.Fatalf("stay %d reply %d: %q %v, want %q", stay, i, line, err, want)
+			}
+		}
+		watchdog.Stop()
+		v.ReleaseAll()
+		if err := ch.WriteLine("x"); !errors.Is(err, ErrChannelClosed) {
+			t.Fatalf("stay %d: write after ReleaseAll: %v", stay, err)
+		}
+	}
+
+	// A close from the naplet's end or the service's: buffered replies are
+	// still read, then io.EOF, and neither end can write.
+	for _, side := range []string{"naplet", "service"} {
+		ends := make(chan *ServerEnd, 1)
+		m.RegisterPrivileged("hold-"+side, func() PrivilegedService {
+			return ServiceFunc(func(ch *ServerEnd) {
+				for i := 0; i < n; i++ {
+					ch.WriteLine(fmt.Sprint(i))
+				}
+				ends <- ch
+				ch.ReadLine() // until the channel closes
+			})
+		})
+		ch, err := m.OpenChannel(nil, "hold-"+side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := <-ends
+		if side == "naplet" {
+			ch.Close()
+		} else {
+			server.Close()
+		}
+		for i := 0; i < n; i++ {
+			if line, err := ch.ReadLine(); err != nil || line != fmt.Sprint(i) {
+				t.Fatalf("%s close: buffered line %d read as %q %v", side, i, line, err)
+			}
+		}
+		if _, err := ch.ReadLine(); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s close: read after drain: %v, want io.EOF", side, err)
+		}
+		if err := ch.WriteLine("x"); !errors.Is(err, ErrChannelClosed) {
+			t.Fatalf("%s close: naplet write: %v", side, err)
+		}
+		if err := server.WriteLine("x"); !errors.Is(err, ErrChannelClosed) {
+			t.Fatalf("%s close: service write: %v", side, err)
+		}
+		ch.Close() // again, from either end
+		server.Close()
+	}
 }

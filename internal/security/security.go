@@ -184,8 +184,3 @@ func (m *Manager) CheckLanding(c *cred.Credential) error { return m.Check(c, Per
 
 // CheckClone gates Par-itinerary cloning.
 func (m *Manager) CheckClone(c *cred.Credential) error { return m.Check(c, PermClone) }
-
-// CheckService gates opening a service channel to a privileged service.
-func (m *Manager) CheckService(c *cred.Credential, service string) error {
-	return m.Check(c, ServicePermission(service))
-}

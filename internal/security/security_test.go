@@ -139,10 +139,10 @@ func TestManagerPolicyDecisions(t *testing.T) {
 	if err := m.CheckLanding(&guest); err != nil {
 		t.Fatalf("guest landing: %v", err)
 	}
-	if err := m.CheckService(&guest, "snmp"); !errors.Is(err, ErrDenied) {
+	if err := m.Check(&guest, ServicePermission("snmp")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("guest service access must be denied: %v", err)
 	}
-	if err := m.CheckService(&admin, "snmp"); err != nil {
+	if err := m.Check(&admin, ServicePermission("snmp")); err != nil {
 		t.Fatalf("admin service access: %v", err)
 	}
 	if err := m.CheckClone(&guest); !errors.Is(err, ErrDenied) {
